@@ -13,6 +13,7 @@ import (
 	"opendrc/internal/bench"
 	"opendrc/internal/core"
 	"opendrc/internal/geom"
+	"opendrc/internal/gpu"
 	"opendrc/internal/kernels"
 	"opendrc/internal/layout"
 	"opendrc/internal/partition"
@@ -263,4 +264,67 @@ func BenchmarkPack(b *testing.B) {
 			b.ReportMetric(float64(bytes), "bytes")
 		})
 	}
+}
+
+// BenchmarkSpacingSweepRow measures the host cost of simulating the
+// sweepline executor on one partition row past the engine's 4096-edge
+// executor cutoff (the widest M1 row of ethmac@3), on warm scratch as the
+// engine's row loop runs it. modeled_us is the device time the cost model
+// charges the row's seven launches: it must not move when the simulation
+// gets faster.
+func BenchmarkSpacingSweepRow(b *testing.B) {
+	lo, _, err := synth.Load("ethmac", 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := synth.RuleByID("M1.S.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	lim := r.SpacingLimit()
+	flat := lo.FlattenLayer(layout.LayerM1)
+	shapes := make([]geom.Polygon, len(flat))
+	boxes := make([]geom.Rect, len(flat))
+	for i := range flat {
+		shapes[i] = flat[i].Shape
+		boxes[i] = shapes[i].MBR()
+	}
+	edges := kernels.Pack(shapes)
+	var members []int32
+	widest := 0
+	for _, row := range partition.Rows(boxes, lim.Reach(), partition.Pigeonhole) {
+		n := 0
+		for _, m := range row.Members {
+			elo, ehi := edges.PolyEdges(m)
+			n += ehi - elo
+		}
+		if n > widest {
+			widest = n
+			members = members[:0]
+			for _, m := range row.Members {
+				members = append(members, int32(m))
+			}
+		}
+	}
+	if widest <= 4096 {
+		b.Fatalf("widest M1 row has %d edges; the benchmark needs a sweepline-side row", widest)
+	}
+	var sc kernels.Scratch
+	var tape gpu.Tape
+	hits := 0
+	count := func(kernels.Hit) { hits++ }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tape.Reset(gpu.GTX1660Ti())
+		hits = 0
+		sc.SweepPolys(&tape, edges, members, lim, kernels.FilterSpacing, count)
+	}
+	b.StopTimer()
+	dev := gpu.NewDevice(gpu.GTX1660Ti())
+	s := dev.NewStream("row")
+	s.Replay(&tape)
+	s.Synchronize()
+	b.ReportMetric(float64(dev.DeviceBusy().Nanoseconds())/1e3, "modeled_us")
+	b.ReportMetric(float64(widest), "edges")
+	b.ReportMetric(float64(hits), "hits")
 }

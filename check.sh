@@ -3,9 +3,10 @@
 # odrc-lint invariant suite (determinism, clock discipline, pool-only
 # concurrency, no caller-slice mutation), the full test suite under the
 # race detector (the worker-pool fan-out makes -race part of tier-1
-# verification; the chaos and cancellation suites run here too), a short
-# fuzz smoke over the GDSII reader and the polygon/transform algebra, and
-# an end-to-end smoke of the odrcd service over real HTTP.
+# verification; the chaos and cancellation suites run here too), the nested
+# benchmark module's own tests, a short fuzz smoke over the GDSII reader and
+# the polygon/transform algebra, and an end-to-end smoke of the odrcd service
+# over real HTTP.
 set -e
 
 unformatted=$(gofmt -l .)
@@ -19,14 +20,22 @@ go vet ./...
 go run ./cmd/odrc-lint
 go test -race ./...
 
+# The end-to-end benchmark is a nested module the line above neither compiles
+# nor runs, and its probes call engine functions directly (kernels, gpu,
+# geocache, pool, core.Session): its smoke is what notices one of those
+# signatures changing.
+go test -C benchmark ./...
+
 # Fuzz smoke: ten seconds per target. Regressions found by longer fuzz runs
 # land as corpus files under testdata/fuzz/, which plain `go test` replays.
 go test -run=NONE -fuzz=FuzzReadLibrary -fuzztime=10s ./internal/gdsii
 go test -run=NONE -fuzz=FuzzPolygonTransform -fuzztime=10s ./internal/geom
 
-# Bench smoke: one iteration of the geometry-cache unit benchmarks, so a
-# change that breaks flatten/pack off the engine path still fails the gate.
-go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack' -benchtime=1x .
+# Bench smoke: one iteration of the geometry-cache unit benchmarks and of one
+# sweepline-executor row, so a change that breaks flatten/pack or the row
+# simulation off the engine path still fails the gate (the row benchmark
+# prints its modeled_us, where a cost-model drift shows).
+go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow' -benchtime=1x .
 
 # Bench gate: regenerate the speedup and reuse experiments with the
 # regression gate on — any row with a ratio below 1.0 or mismatched reports

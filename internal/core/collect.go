@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"opendrc/internal/checks"
+	"opendrc/internal/gpu"
 	"opendrc/internal/rules"
 )
 
@@ -17,12 +18,14 @@ import (
 // allocations.
 
 // shard is one index-owned output slot of a fan-out: violations (intra
-// rules), markers (spacing rows, still in the cell's local frame), and a
-// stats delta.
+// rules, parallel-mode sweep rows), markers (spacing rows, still in the
+// cell's local frame), a stats delta, and — for a sweep row simulated off
+// the check stream — the tape of its evaluated launches.
 type shard struct {
 	vs      []rules.Violation
 	markers []checks.Marker
 	stats   Stats
+	tape    gpu.Tape
 }
 
 // shardTable is a recycled slice of shards, tied to the freelist it came

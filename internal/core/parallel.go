@@ -115,6 +115,12 @@ func (p *parCtx) hostPhase(rep *Report, name string, fn func() error) error {
 	return err
 }
 
+// simPhase names the profiler phase of a stretch in which the host executes
+// simulated thread bodies. They stand in for device time the cost model
+// already charges, so the stretch is wall the ledger can name but never a
+// hostPhase: it must not advance the modeled host clock.
+const simPhase = "par:kernel-sim"
+
 // checkParallel runs the deck through the GPU branch. Rules execute under
 // the same per-rule fault isolation as the sequential branch; device OOM
 // (the device-pool-bytes budget) surfaces through AllocAsync as an error
@@ -140,6 +146,7 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		}
 	}
 	rep.Device = pc.dev
+	launches0 := pc.dev.KernelCount()
 	if e.opts.Faults != nil {
 		inj := e.opts.Faults
 		pc.dev.SetAllocHook(func(n int64) error {
@@ -288,6 +295,9 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 	}
 	pc.cs.Synchronize()
 	pc.io.Synchronize()
+	// Counted where launches are recorded, so no call site can drift from the
+	// timeline (a session's device outlives the check, hence the bracket).
+	rep.Stats.KernelLaunches = pc.dev.KernelCount() - launches0
 	return nil
 }
 
@@ -418,13 +428,14 @@ func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kerne
 	return func() { pc.io.FreeAsync(n) }, nil
 }
 
+// hitViolation is the report entry of one kernel hit of rule r.
+func hitViolation(r rules.Rule, h kernels.Hit) rules.Violation {
+	return rules.Violation{Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: h.Marker}
+}
+
 // collect adapts kernel hits into report violations.
 func collect(rep *Report, r rules.Rule) kernels.Collector {
-	return func(h kernels.Hit) {
-		rep.Violations = append(rep.Violations, rules.Violation{
-			Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: h.Marker,
-		})
-	}
+	return func(h kernels.Hit) { rep.Violations = append(rep.Violations, hitViolation(r, h)) }
 }
 
 // runIntraPar checks an intra-polygon rule on the device with the Section
@@ -502,22 +513,20 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 			defMarkers[c] = append(defMarkers[c], h.Marker)
 		}
 		min := scaledIntraMin(r, mag)
+		stopSim := rep.Profile.Phase(simPhase)
 		switch r.Kind {
 		case rules.Width:
 			if maxPolyEdges(edges) > 32 {
 				kernels.SpacingSweep(pc.cs, edges, checks.Lim(min), kernels.FilterWidth, hit)
-				rep.Stats.KernelLaunches += 5
 			} else {
 				kernels.WidthBrute(pc.cs, edges, min, hit)
-				rep.Stats.KernelLaunches++
 			}
 		case rules.Area:
 			kernels.AreaKernel(pc.cs, edges, min, hit)
-			rep.Stats.KernelLaunches++
 		case rules.Rectilinear:
 			kernels.RectilinearKernel(pc.cs, edges, hit)
-			rep.Stats.KernelLaunches++
 		}
+		stopSim()
 		pc.cs.Synchronize()
 		pc.io.FreeAsync(edges.Bytes())
 
@@ -577,6 +586,7 @@ func (e *Engine) runIntraParFlat(ctx context.Context, lo *layout.Layout, r rules
 		return err
 	}
 	c := collect(rep, r)
+	stopSim := rep.Profile.Phase(simPhase)
 	switch r.Kind {
 	case rules.Width:
 		// Same executor selection as the pruned path, so the pruning
@@ -584,7 +594,6 @@ func (e *Engine) runIntraParFlat(ctx context.Context, lo *layout.Layout, r rules
 		// different executor choice.
 		if maxPolyEdges(edges) > 32 {
 			kernels.SpacingSweep(pc.cs, edges, checks.Lim(r.Min), kernels.FilterWidth, c)
-			rep.Stats.KernelLaunches += 4
 		} else {
 			kernels.WidthBrute(pc.cs, edges, r.Min, c)
 		}
@@ -593,7 +602,7 @@ func (e *Engine) runIntraParFlat(ctx context.Context, lo *layout.Layout, r rules
 	case rules.Rectilinear:
 		kernels.RectilinearKernel(pc.cs, edges, c)
 	}
-	rep.Stats.KernelLaunches++
+	stopSim()
 	rep.Stats.DefsChecked += len(flat)
 	rep.Stats.InstancesEmitted += len(flat)
 	pc.cs.Synchronize()
@@ -674,6 +683,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	}
 	rep.Stats.Rows += len(rows)
 	c := collect(rep, r)
+	defer rep.Profile.Phase(simPhase)()
 
 	// Notches are intra-polygon but belong to the spacing rule: one batched
 	// launch over every polygon.
@@ -686,11 +696,9 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 		}
 		if len(members) > 0 {
 			kernels.NotchMembers(pc.cs, edges, members, lim, c)
-			rep.Stats.KernelLaunches++
 		}
 	} else {
 		kernels.NotchBrute(pc.cs, edges, lim, c)
-		rep.Stats.KernelLaunches++
 	}
 
 	// Executor selection per row; the brute rows batch into one launch set
@@ -698,11 +706,8 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	// their members of the shared buffer. Row members are ascending
 	// canonical polygon indices, so the member-indexed kernels test the
 	// same pairs in the same order as the old row-reordered packing did.
-	var bruteRows [][]int32
+	var bruteRows, sweepRows [][]int32
 	for _, row := range rows {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		members := make([]int32, len(row.Members))
 		total := 0
 		for i, m := range row.Members {
@@ -713,9 +718,11 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 		if total <= e.opts.BruteEdgeThreshold {
 			bruteRows = append(bruteRows, members)
 		} else {
-			kernels.SpacingSweepPolys(pc.cs, edges, members, lim, kernels.FilterSpacing, c)
-			rep.Stats.KernelLaunches += 7
+			sweepRows = append(sweepRows, members)
 		}
+	}
+	if err := e.sweepRowsPar(ctx, r, pc, rep, edges, sweepRows, lim); err != nil {
+		return err
 	}
 	if len(bruteRows) > 0 {
 		// The device discovers candidate pairs by expanded-MBR overlap
@@ -732,20 +739,58 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 		}
 		if t != nil {
 			pairs = kernels.PairDiscoveryTable(pc.cs, edges, t, bruteRows, lim.Reach())
-			rep.Stats.KernelLaunches++
 		} else {
 			pairs = kernels.PairDiscoveryMembers(pc.cs, edges, bruteRows, lim.Reach())
-			rep.Stats.KernelLaunches += 3
 		}
 		rep.Stats.PairsConsidered += len(pairs)
 		rep.Stats.PairsChecked += len(pairs)
 		if len(pairs) > 0 {
 			kernels.SpacingBrute(pc.cs, edges, pairs, lim, c)
-			rep.Stats.KernelLaunches++
 		}
 	}
 	pc.cs.Synchronize()
 	release()
+	return nil
+}
+
+// sweepRowsPar runs the sweepline executor over the large rows of one
+// spacing rule. Rows are independent launch sequences over disjoint members
+// of the shared buffer, so the host simulates them concurrently: each row
+// evaluates its kernels onto the tape of its own recycled shard and collects
+// its hits there, on scratch columns drawn from the run's arena. Tapes and
+// hits then land on the check stream and the report strictly in row order.
+// The modeled host clock stands still throughout, so every record — name,
+// threads, ops, start, end, sequence — is the one a row-after-row loop on
+// this goroutine would have enqueued, for every worker count.
+func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep *Report, edges *kernels.Edges, rows [][]int32, lim checks.SpacingLimit) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	props := pc.dev.Props()
+	tbl := e.shards.get(len(rows))
+	err := pool.ForEachCtx(trace.WithTask(ctx, "sweep-row"), e.opts.Workers, len(rows), func(ri int) error {
+		if inj := e.opts.Faults; inj != nil {
+			if err := inj.Hit(ctx, faults.SiteRow, fmt.Sprintf("%s/sweep-row#%d", r.ID, ri)); err != nil {
+				return err
+			}
+		}
+		res := &tbl.s[ri]
+		res.tape.Reset(props)
+		sc := pc.geo.arena.Sweep()
+		defer pc.geo.arena.PutSweep(sc)
+		sc.SweepPolys(&res.tape, edges, rows[ri], lim, kernels.FilterSpacing, func(h kernels.Hit) {
+			res.vs = append(res.vs, hitViolation(r, h))
+		})
+		return nil
+	})
+	if err != nil {
+		tbl.discard()
+		return err
+	}
+	for i := range tbl.s {
+		pc.cs.Replay(&tbl.s[i].tape)
+	}
+	tbl.mergeViolations(rep)
 	return nil
 }
 
@@ -839,8 +884,9 @@ func (e *Engine) runEnclosurePar(ctx context.Context, lo *layout.Layout, r rules
 		rep.Stats.PairsChecked += len(cl)
 	}
 	pc.cs.WaitEvent(pc.io.RecordEvent())
+	stopSim := rep.Profile.Phase(simPhase)
 	kernels.EnclosureEval(pc.cs, ie, oe, cands, r.Min, collect(rep, r))
-	rep.Stats.KernelLaunches++
+	stopSim()
 	rep.Stats.InstancesEmitted += len(vias)
 	pc.cs.Synchronize()
 	pc.io.FreeAsync(ie.Bytes())

@@ -11,7 +11,10 @@ import (
 )
 
 // tickClock returns an injectable clock advancing 1µs per reading —
-// schedule-independent as long as readers are sequential (workers=1).
+// schedule-independent only while a single goroutine reads it, which holds
+// for the sequential mode at workers=1 and never for the parallel mode: its
+// prefetch pool reads the clock (geocache events) beside the engine
+// goroutine whatever Workers says.
 func tickClock() func() time.Duration {
 	var mu sync.Mutex
 	var now time.Duration
@@ -49,8 +52,8 @@ func exportTrace(t *testing.T, mode Mode, workers int, clock func() time.Duratio
 // TestTraceExportByteIdentical pins the determinism contract: repeated runs
 // at the same worker count under an injectable clock export byte-identical
 // files. Sequential mode uses a ticking clock on the inline path; parallel
-// mode uses a fixed clock so concurrent pool workers record identical
-// content regardless of scheduling.
+// mode uses a fixed clock at every worker count, so the prefetch pool and
+// the row workers record identical content regardless of scheduling.
 func TestTraceExportByteIdentical(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -59,7 +62,7 @@ func TestTraceExportByteIdentical(t *testing.T) {
 		clock   func() func() time.Duration
 	}{
 		{"seq-1worker-ticking", Sequential, 1, tickClock},
-		{"par-1worker-ticking", Parallel, 1, tickClock},
+		{"par-1worker-fixed", Parallel, 1, fixedClock},
 		{"par-4workers-fixed", Parallel, 4, fixedClock},
 	}
 	for _, tc := range cases {

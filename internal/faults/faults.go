@@ -65,7 +65,7 @@ func (m Mode) String() string {
 const (
 	SiteRule    = "core.rule"      // key: rule ID
 	SiteCell    = "core.cell"      // key: cell name (runs inside pool workers)
-	SiteRow     = "core.row"       // key: "ruleID/cell/row#i"
+	SiteRow     = "core.row"       // key: "ruleID/cell/row#i" (sequential), "ruleID/sweep-row#i" (parallel sweepline rows)
 	SiteAlloc   = "gpu.alloc"      // key: allocation label
 	SiteTile    = "klayout.tile"   // key: "tile#i"
 	SiteFlatten = "geocache.layer" // key: "layer#<n>"; fires once per cached flatten, degrading every rule sharing the layer

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"opendrc/internal/geom"
+	"opendrc/internal/kernels"
 )
 
 // Arena is the per-run recycled scratch allocator for the host hot paths.
@@ -11,7 +12,8 @@ import (
 // the Cache and shares its lifetime), and hands out the short-lived buffers
 // the flatten/pack/sweep pipeline used to allocate fresh per rule or per
 // row: polygon shape lists fed to kernels.Pack, expanded-MBR lists fed to
-// the sweepline, and candidate-pair lists.
+// the sweepline, candidate-pair lists, and the gathered sweep columns of the
+// parallel mode's row simulation.
 //
 // The freelists are deliberately plain mutex-guarded stacks rather than
 // sync.Pool: a sync.Pool's contents are coupled to process history (GC
@@ -36,9 +38,10 @@ import (
 //     explicitly. Recycling therefore cannot change results, only costs.
 type Arena struct {
 	mu    sync.Mutex
-	polys [][]geom.Polygon //odrc:guardedby mu
-	rects [][]geom.Rect    //odrc:guardedby mu
-	pairs [][][2]int       //odrc:guardedby mu
+	polys [][]geom.Polygon   //odrc:guardedby mu
+	rects [][]geom.Rect      //odrc:guardedby mu
+	pairs [][][2]int         //odrc:guardedby mu
+	sweep []*kernels.Scratch //odrc:guardedby mu
 }
 
 // NewArena returns an empty arena.
@@ -122,5 +125,30 @@ func (a *Arena) PutPairs(s [][2]int) {
 	}
 	a.mu.Lock()
 	a.pairs = append(a.pairs, s[:0])
+	a.mu.Unlock()
+}
+
+// Sweep returns a sweep-kernel scratch, warm with whatever column capacity
+// its previous rows grew. Concurrent row workers each hold one, so the
+// arena keeps as many as the widest fan-out had workers.
+func (a *Arena) Sweep() *kernels.Scratch {
+	a.mu.Lock()
+	var s *kernels.Scratch
+	if l := len(a.sweep); l > 0 {
+		s = a.sweep[l-1]
+		a.sweep[l-1] = nil
+		a.sweep = a.sweep[:l-1]
+	}
+	a.mu.Unlock()
+	if s == nil {
+		s = new(kernels.Scratch)
+	}
+	return s
+}
+
+// PutSweep recycles a scratch obtained from Sweep.
+func (a *Arena) PutSweep(s *kernels.Scratch) {
+	a.mu.Lock()
+	a.sweep = append(a.sweep, s)
 	a.mu.Unlock()
 }

@@ -118,6 +118,7 @@ type Device struct {
 	records   []Record
 	waits     []WaitEdge
 	seq       uint64 // next Record.Seq; monotonic across TrimTimeline
+	launches  int    // OpKernel records enqueued; monotonic across TrimTimeline
 	eventSeq  uint64 // next Event id
 	pool      poolStats
 	memLimit  int64               // pool byte budget; 0 = unlimited
@@ -188,6 +189,15 @@ func (d *Device) OpCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return int(d.seq)
+}
+
+// KernelCount returns the number of kernel launches enqueued over the
+// device's lifetime (every stream, direct or replayed). Like OpCount it is
+// monotonic across TrimTimeline, so two reads bracket a run's launches.
+func (d *Device) KernelCount() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.launches
 }
 
 // TrimTimeline discards the retained operation records and wait edges while
@@ -300,6 +310,9 @@ func (s *Stream) enqueue(kind OpKind, name string, dur time.Duration, threads in
 		Seq: d.seq,
 	})
 	d.seq++
+	if kind == OpKernel {
+		d.launches++
+	}
 	d.mu.Unlock()
 	return end
 }
@@ -357,20 +370,32 @@ func (s *Stream) FreeAsync(n int64) {
 
 // KernelFunc is one SPMD thread body: it receives the thread id and returns
 // the number of abstract operations the thread performed (its cost). Thread
-// bodies run sequentially on the host, so they may share data structures
-// without synchronization — exactly like the paper's kernels, where each
-// thread writes disjoint output slots.
+// bodies run sequentially on the host in tid order, so they may share data
+// structures without synchronization — exactly like the paper's kernels,
+// where each thread writes disjoint output slots.
 type KernelFunc func(tid int) (ops int64)
 
-// Launch models a kernel launch of n threads executing body. The modeled
-// duration charges warp-divergence (a warp costs its slowest thread) and the
-// device's lane count; the critical path (slowest single thread) is a lower
-// bound. Returns the total ops executed, for callers' statistics.
-func (s *Stream) Launch(name string, n int, body KernelFunc) int64 {
+// Kernel is one evaluated launch: the thread bodies have run and their op
+// counts are folded into the modeled duration, but nothing has touched a
+// device yet. Enqueueing it on a stream fixes its start time.
+type Kernel struct {
+	Name    string
+	Threads int
+	Ops     int64 // total thread operations
+	Dur     time.Duration
+}
+
+// Evaluate runs body for tids 0..n-1 on the calling goroutine and prices the
+// launch: warp divergence (a warp costs its slowest thread) over the device's
+// lane count, with the critical path (slowest single thread) as a lower
+// bound. It is the cost model's single formula — Stream.Launch and
+// Tape.Launch both go through it — and a pure function of the properties and
+// the bodies' returned op counts: it reads no device state and takes no
+// lock, so independent launches may be evaluated on different goroutines.
+func (p Props) Evaluate(name string, n int, body KernelFunc) Kernel {
 	if n < 0 {
 		panic(fmt.Sprintf("gpu: kernel %q with negative thread count", name))
 	}
-	p := s.dev.props
 	var totalOps, warpCycles, warpMax, maxThread int64
 	for tid := 0; tid < n; tid++ {
 		ops := body(tid)
@@ -398,8 +423,53 @@ func (s *Stream) Launch(name string, n int, body KernelFunc) int64 {
 		execSec = minSec
 	}
 	dur := p.LaunchOverhead + time.Duration(execSec*float64(time.Second))
-	s.enqueue(OpKernel, name, dur, n, totalOps, 0)
-	return totalOps
+	return Kernel{Name: name, Threads: n, Ops: totalOps, Dur: dur}
+}
+
+// Launch models a kernel launch of n threads executing body: evaluate, then
+// enqueue. Returns the total ops executed, for callers' statistics.
+func (s *Stream) Launch(name string, n int, body KernelFunc) int64 {
+	k := s.dev.props.Evaluate(name, n, body)
+	s.enqueueKernel(k)
+	return k.Ops
+}
+
+func (s *Stream) enqueueKernel(k Kernel) {
+	s.enqueue(OpKernel, k.Name, k.Dur, k.Threads, k.Ops, 0)
+}
+
+// Tape records evaluated launches off-stream, in program order, for a later
+// Replay. It is what lets independent launch sequences (partition rows) be
+// simulated concurrently: each sequence evaluates onto its own tape, and the
+// tapes replay onto the stream in the order a single goroutine would have
+// launched them, yielding the same records. A Tape is single-goroutine; Reset
+// recycles its storage.
+type Tape struct {
+	props   Props
+	kernels []Kernel
+}
+
+// Reset empties the tape and binds it to the device properties its launches
+// are priced with.
+func (t *Tape) Reset(p Props) {
+	t.props = p
+	t.kernels = t.kernels[:0]
+}
+
+// Launch evaluates the kernel and appends it to the tape.
+func (t *Tape) Launch(name string, n int, body KernelFunc) int64 {
+	k := t.props.Evaluate(name, n, body)
+	t.kernels = append(t.kernels, k)
+	return k.Ops
+}
+
+// Replay enqueues the tape's launches on s in recorded order. Provided the
+// tape was priced with the device's properties, the resulting records equal
+// the ones direct Launch calls at this point would have produced.
+func (s *Stream) Replay(t *Tape) {
+	for _, k := range t.kernels {
+		s.enqueueKernel(k)
+	}
 }
 
 // Synchronize blocks the modeled host until every operation enqueued on the

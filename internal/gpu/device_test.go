@@ -345,3 +345,106 @@ func TestHostAdvanceNegativeIgnored(t *testing.T) {
 		t.Errorf("negative advance changed clock: %v", d.HostClock())
 	}
 }
+
+// tapeProgram is a launch sequence with the shapes the cost model treats
+// differently: whole warps, a trailing partial warp, a single thread, zero
+// threads, and an imbalanced kernel bound by its critical path.
+func tapeProgram(l interface {
+	Launch(string, int, KernelFunc) int64
+}) {
+	l.Launch("whole-warps", 64, func(tid int) int64 { return int64(tid%7) + 1 })
+	l.Launch("partial-warp", 45, func(tid int) int64 { return int64(tid) })
+	l.Launch("one-thread", 1, func(int) int64 { return 9 })
+	l.Launch("no-threads", 0, func(int) int64 { panic("body of an empty launch ran") })
+	l.Launch("critical-path", 4096, func(tid int) int64 {
+		if tid == 4095 {
+			return 1 << 20
+		}
+		return 1
+	})
+	l.Launch("negative-ops", 3, func(int) int64 { return -5 })
+}
+
+// TestTapeReplayEqualsDirectLaunch: a tape evaluated off-stream and replayed
+// yields exactly the records direct Launch calls yield — kind, name, stream,
+// start, end, threads, ops and sequence — with other work before and after
+// on the timeline and the host clock advanced in between.
+func TestTapeReplayEqualsDirectLaunch(t *testing.T) {
+	run := func(taped bool) []Record {
+		d := NewDevice(GTX1660Ti())
+		io, cs := d.NewStream("h2d"), d.NewStream("checks")
+		d.HostAdvance(3 * time.Millisecond)
+		io.MemcpyAsync("edges", 1<<20)
+		cs.WaitEvent(io.RecordEvent())
+		cs.Launch("before", 10, func(int) int64 { return 2 })
+		if taped {
+			var tape Tape
+			tape.Reset(d.Props())
+			tapeProgram(&tape)
+			if n := d.OpCount(); n != 2 {
+				t.Fatalf("evaluating onto a tape touched the device: %d ops", n)
+			}
+			cs.Replay(&tape)
+			// A reset tape is empty and replays nothing.
+			tape.Reset(d.Props())
+			cs.Replay(&tape)
+		} else {
+			tapeProgram(cs)
+		}
+		cs.Launch("after", 10, func(int) int64 { return 2 })
+		cs.Synchronize()
+		if got := d.KernelCount(); got != 8 {
+			t.Errorf("KernelCount = %d, want 8", got)
+		}
+		return d.Timeline()
+	}
+	direct, replayed := run(false), run(true)
+	if len(direct) != len(replayed) {
+		t.Fatalf("direct run has %d records, replayed %d", len(direct), len(replayed))
+	}
+	for i := range direct {
+		if direct[i] != replayed[i] {
+			t.Errorf("record %d differs:\n direct   %+v\n replayed %+v", i, direct[i], replayed[i])
+		}
+	}
+}
+
+// TestKernelCountSurvivesTrim: the launch counter brackets a run on a
+// long-lived device whose timeline is trimmed between checks.
+func TestKernelCountSurvivesTrim(t *testing.T) {
+	d := NewDevice(GTX1660Ti())
+	s := d.NewStream("s")
+	s.Launch("a", 1, func(int) int64 { return 1 })
+	s.MemcpyAsync("copy", 8) // not a kernel
+	d.TrimTimeline()
+	s.Launch("b", 1, func(int) int64 { return 1 })
+	if got := d.KernelCount(); got != 2 {
+		t.Errorf("KernelCount = %d, want 2", got)
+	}
+}
+
+// TestEvaluateAllocFree: pricing a launch allocates nothing, whatever the
+// thread count — the per-thread fold is scalar.
+func TestEvaluateAllocFree(t *testing.T) {
+	p := GTX1660Ti()
+	body := func(tid int) int64 { return int64(tid & 15) }
+	var sink Kernel
+	allocs := testing.AllocsPerRun(20, func() { sink = p.Evaluate("k", 10000, body) })
+	if allocs != 0 {
+		t.Errorf("Evaluate allocated %v times per 10000-thread launch", allocs)
+	}
+	if sink.Threads != 10000 {
+		t.Fatalf("Threads = %d", sink.Threads)
+	}
+	// A warm tape records without allocating either.
+	var tape Tape
+	tape.Reset(p)
+	tape.Launch("k", 64, body)
+	allocs = testing.AllocsPerRun(20, func() {
+		tape.Reset(p)
+		tape.Launch("k", 64, body)
+	})
+	if allocs != 0 {
+		t.Errorf("warm Tape.Launch allocated %v times", allocs)
+	}
+}

@@ -17,6 +17,14 @@ type Hit struct {
 // simulated device, so collection is deterministic.
 type Collector func(Hit)
 
+// Launcher is where a kernel's launches go: a *gpu.Stream enqueues each on
+// the modeled timeline as it is evaluated; a *gpu.Tape evaluates now and
+// replays onto a stream later, so independent rows can be simulated off the
+// stream's goroutine.
+type Launcher interface {
+	Launch(name string, n int, body gpu.KernelFunc) int64
+}
+
 // PairFilter selects which edge pairs a sweep kernel tests.
 type PairFilter int
 
@@ -35,7 +43,7 @@ const (
 // polygon, each enumerating its own edge pairs — the paper's small-task
 // branch ("parallel threads are launched for each polygon (or pair), in
 // which edge pairs are enumerated and checked").
-func WidthBrute(s *gpu.Stream, e *Edges, min int64, c Collector) {
+func WidthBrute(s Launcher, e *Edges, min int64, c Collector) {
 	s.Launch("width-brute", e.NumPolys(), func(tid int) int64 {
 		lo, hi := e.PolyEdges(tid)
 		var ops int64
@@ -54,7 +62,7 @@ func WidthBrute(s *gpu.Stream, e *Edges, min int64, c Collector) {
 
 // NotchBrute launches the brute-force intra-polygon notch (self-spacing)
 // executor.
-func NotchBrute(s *gpu.Stream, e *Edges, lim checks.SpacingLimit, c Collector) {
+func NotchBrute(s Launcher, e *Edges, lim checks.SpacingLimit, c Collector) {
 	s.Launch("notch-brute", e.NumPolys(), func(tid int) int64 {
 		lo, hi := e.PolyEdges(tid)
 		var ops int64
@@ -73,7 +81,7 @@ func NotchBrute(s *gpu.Stream, e *Edges, lim checks.SpacingLimit, c Collector) {
 
 // AreaKernel launches one thread per polygon computing the Shoelace doubled
 // area over the packed edges and flagging polygons below minArea2.
-func AreaKernel(s *gpu.Stream, e *Edges, minArea2 int64, c Collector) {
+func AreaKernel(s Launcher, e *Edges, minArea2 int64, c Collector) {
 	s.Launch("area", e.NumPolys(), func(tid int) int64 {
 		lo, hi := e.PolyEdges(tid)
 		var s2 int64
@@ -94,7 +102,7 @@ func AreaKernel(s *gpu.Stream, e *Edges, minArea2 int64, c Collector) {
 
 // RectilinearKernel launches one thread per polygon flagging any
 // non-axis-aligned edge.
-func RectilinearKernel(s *gpu.Stream, e *Edges, c Collector) {
+func RectilinearKernel(s Launcher, e *Edges, c Collector) {
 	s.Launch("rectilinear", e.NumPolys(), func(tid int) int64 {
 		lo, hi := e.PolyEdges(tid)
 		box := geom.EmptyRect()
@@ -123,7 +131,7 @@ func RectilinearKernel(s *gpu.Stream, e *Edges, c Collector) {
 // is at least the separation, which is >= lim.Min). The skip changes
 // neither the emitted markers nor their order, and the modeled op count
 // still charges both tests, so reports stay bit-identical.
-func SpacingBrute(s *gpu.Stream, e *Edges, pairs [][2]int32, lim checks.SpacingLimit, c Collector) {
+func SpacingBrute(s Launcher, e *Edges, pairs [][2]int32, lim checks.SpacingLimit, c Collector) {
 	reach := lim.Reach()
 	s.Launch("space-brute", len(pairs), func(tid int) int64 {
 		pa, pb := pairs[tid][0], pairs[tid][1]
@@ -158,178 +166,10 @@ func SpacingBrute(s *gpu.Stream, e *Edges, pairs [][2]int32, lim checks.SpacingL
 	})
 }
 
-// sweepRange computes, in a sorted perpendicular-coordinate view, the
-// half-open candidate window (tid+1 .. end) of edges within dist of the
-// edge at view position tid.
-func sweepRange(e *Edges, view []int32, perpOf func(int32) int64, tid int, dist int64) int {
-	limit := perpOf(view[tid]) + dist
-	end := tid + 1
-	for end < len(view) && perpOf(view[end]) <= limit {
-		end++
-	}
-	return end
-}
-
-// SpacingSweep launches the parallel sweepline executor for spacing (or
-// width/notch via the filter) over the packed edges, following X-Check's
-// two-kernel structure: a scan kernel determines each edge's check range in
-// the sorted order; a check kernel then tests each edge against every edge
-// in its range. Two passes run: horizontal edges swept in y, vertical edges
-// swept in x; a third corner pass handles diagonal gaps (spacing only).
-func SpacingSweep(s *gpu.Stream, e *Edges, lim checks.SpacingLimit, filter PairFilter, c Collector) {
-	v := buildViews(s, e)
-	sweepAxis(s, e, v.horiz, func(i int32) int64 { return e.Y0[i] }, lim, filter, c)
-	sweepAxis(s, e, v.vert, func(i int32) int64 { return e.X0[i] }, lim, filter, c)
-	if filter == FilterSpacing {
-		cornerSweep(s, e, lim.Min, c)
-	}
-}
-
-func sweepAxis(s *gpu.Stream, e *Edges, view []int32, perpOf func(int32) int64, lim checks.SpacingLimit, filter PairFilter, c Collector) {
-	if len(view) == 0 {
-		return
-	}
-	// Kernel 1: parallel scan — each thread finds its check-range end. The
-	// window spans the limit's reach so conditional (PRL) thresholds are
-	// fully covered.
-	ranges := make([]int32, len(view))
-	s.Launch("scan-range", len(view), func(tid int) int64 {
-		end := sweepRange(e, view, perpOf, tid, lim.Reach()-1)
-		ranges[tid] = int32(end)
-		return int64(end-tid) + 1
-	})
-	// Kernel 2: check each edge against its range.
-	s.Launch("sweep-check", len(view), func(tid int) int64 {
-		i := view[tid]
-		ei := e.Edge(int(i))
-		var ops int64
-		for k := tid + 1; k < int(ranges[tid]); k++ {
-			j := view[k]
-			ops++
-			samePoly := e.Poly[i] == e.Poly[j]
-			switch filter {
-			case FilterSpacing:
-				if samePoly {
-					continue
-				}
-				if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(int(j)), lim); ok {
-					c(Hit{Marker: m, A: e.Poly[i], B: e.Poly[j]})
-				}
-			case FilterWidth:
-				if !samePoly {
-					continue
-				}
-				if m, ok := checks.EdgePairWidth(ei, e.Edge(int(j)), lim.Min); ok {
-					c(Hit{Marker: m, A: e.Poly[i], B: -1})
-				}
-			case FilterNotch:
-				if !samePoly {
-					continue
-				}
-				if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(int(j)), lim); ok {
-					c(Hit{Marker: m, A: e.Poly[i], B: -1})
-				}
-			}
-		}
-		return ops
-	})
-}
-
-// cornerSweep tests diagonal corner pairs: corners (one per edge) sorted by
-// x, each thread scanning the x-window of width min ahead of its corner.
-func cornerSweep(s *gpu.Stream, e *Edges, min int64, c Collector) {
-	n := e.Len()
-	if n == 0 {
-		return
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	cornerSweepList(s, e, order, min, c)
-}
-
-// cornerSweepList is cornerSweep over an explicit edge list (the
-// member-indexed variants restrict it to a row's edges of a shared buffer).
-// The order slice is sorted in place; callers pass a fresh slice.
-func cornerSweepList(s *gpu.Stream, e *Edges, order []int32, min int64, c Collector) {
-	n := len(order)
-	if n == 0 {
-		return
-	}
-	// Corners sorted by x(P1); charged inside the same modeled sort as the
-	// views (cheap relative to checks), so only the scan+check are charged.
-	sortBy(order, func(a, b int32) bool {
-		if e.X1[a] != e.X1[b] {
-			return e.X1[a] < e.X1[b]
-		}
-		return a < b
-	})
-	ranges := make([]int32, n)
-	s.Launch("corner-scan", n, func(tid int) int64 {
-		limit := e.X1[order[tid]] + min - 1
-		end := tid + 1
-		for end < n && e.X1[order[end]] <= limit {
-			end++
-		}
-		ranges[tid] = int32(end)
-		return int64(end-tid) + 1
-	})
-	s.Launch("corner-check", n, func(tid int) int64 {
-		i := order[tid]
-		ei, eo := e.Edge(int(i)), e.NextEdge(int(i))
-		var ops int64
-		for k := tid + 1; k < int(ranges[tid]); k++ {
-			j := order[k]
-			if e.Poly[i] == e.Poly[j] {
-				continue
-			}
-			ops++
-			if m, ok := checks.CornerSpacing(ei, eo, e.Edge(int(j)), e.NextEdge(int(j)), min); ok {
-				c(Hit{Marker: m, A: e.Poly[i], B: e.Poly[j]})
-			}
-		}
-		return ops
-	})
-}
-
-func sortBy(v []int32, less func(a, b int32) bool) {
-	// Insertion-free wrapper around sort.Slice without re-importing sort in
-	// two files... kept simple:
-	quickSort(v, 0, len(v)-1, less)
-}
-
-func quickSort(v []int32, lo, hi int, less func(a, b int32) bool) {
-	for lo < hi {
-		p := v[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for less(v[i], p) {
-				i++
-			}
-			for less(p, v[j]) {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSort(v, lo, j, less)
-			lo = i
-		} else {
-			quickSort(v, i, hi, less)
-			hi = j
-		}
-	}
-}
-
 // EnclosureKernel launches one thread per (inner, outer) candidate pair,
 // testing containment (crossing-number over the packed outer edges) and the
 // per-side enclosure margins.
-func EnclosureKernel(s *gpu.Stream, inner, outer *Edges, pairs [][2]int32, min int64, c Collector) {
+func EnclosureKernel(s Launcher, inner, outer *Edges, pairs [][2]int32, min int64, c Collector) {
 	s.Launch("enclosure", len(pairs), func(tid int) int64 {
 		pi, po := pairs[tid][0], pairs[tid][1]
 		ilo, ihi := inner.PolyEdges(int(pi))
@@ -424,7 +264,7 @@ func PolyFromPacked(e *Edges, p int) geom.Polygon {
 // the sequential mode's semantics (checks.EvaluateEnclosure): pass when some
 // candidate covers the via with margin >= min, report best-candidate
 // violations otherwise.
-func EnclosureEval(s *gpu.Stream, inner, outer *Edges, cands [][]int32, min int64, c Collector) {
+func EnclosureEval(s Launcher, inner, outer *Edges, cands [][]int32, min int64, c Collector) {
 	s.Launch("enclosure-eval", inner.NumPolys(), func(tid int) int64 {
 		via := PolyFromPacked(inner, tid)
 		metals := make([]geom.Polygon, len(cands[tid]))
@@ -438,157 +278,4 @@ func EnclosureEval(s *gpu.Stream, inner, outer *Edges, cands [][]int32, min int6
 		})
 		return ops
 	})
-}
-
-// PairDiscoveryRows runs the pair discovery of PairDiscovery for many
-// disjoint polygon ranges (partition rows) in one batched launch set: the
-// MBR kernel covers every polygon, the modeled sort covers each row's
-// x-order, and a single scan kernel walks each polygon's x-window within
-// its own row. Rows become grid blocks of one launch instead of separate
-// launches, the standard batching for many small independent tasks.
-func PairDiscoveryRows(s *gpu.Stream, e *Edges, rowsP [][2]int32, min int64) [][2]int32 {
-	nP := e.NumPolys()
-	if nP == 0 || len(rowsP) == 0 {
-		return nil
-	}
-	xlo := make([]int64, nP)
-	xhi := make([]int64, nP)
-	ylo := make([]int64, nP)
-	yhi := make([]int64, nP)
-	s.Launch("poly-mbr", nP, func(tid int) int64 {
-		lo, hi := e.PolyEdges(tid)
-		box := geom.EmptyRect()
-		for i := lo; i < hi; i++ {
-			box = box.Include(geom.Pt(e.X0[i], e.Y0[i]))
-		}
-		xlo[tid], xhi[tid] = box.XLo, box.XHi
-		ylo[tid], yhi[tid] = box.YLo, box.YHi
-		return int64(hi - lo)
-	})
-	// Per-row x-order, concatenated; rowOf[t] bounds thread t's scan.
-	order := make([]int32, 0, nP)
-	rowEnd := make([]int32, 0, nP)
-	maxRow := 1
-	for _, r := range rowsP {
-		start := len(order)
-		for p := r[0]; p < r[1]; p++ {
-			order = append(order, p)
-		}
-		seg := order[start:]
-		sortBy(seg, func(a, b int32) bool {
-			if xlo[a] != xlo[b] {
-				return xlo[a] < xlo[b]
-			}
-			return a < b
-		})
-		for range seg {
-			rowEnd = append(rowEnd, int32(len(order)))
-		}
-		if len(seg) > maxRow {
-			maxRow = len(seg)
-		}
-	}
-	logn := int64(1)
-	for 1<<logn < maxRow {
-		logn++
-	}
-	s.Launch("sort-mbrs", len(order), func(tid int) int64 { return logn * logn })
-
-	// Launch executes thread bodies sequentially in tid order, so appending
-	// to one shared slice produces exactly the concatenation order the old
-	// per-thread lists had, without a slice header per thread or the final
-	// copy.
-	var out [][2]int32
-	s.Launch("pair-scan", len(order), func(tid int) int64 {
-		i := order[tid]
-		limit := xhi[i] + 2*min
-		end := int(rowEnd[tid])
-		var ops int64
-		for k := tid + 1; k < end; k++ {
-			j := order[k]
-			if xlo[j] > limit {
-				break
-			}
-			ops++
-			if ylo[j] <= yhi[i]+2*min && ylo[i] <= yhi[j]+2*min {
-				a, b := i, j
-				if a > b {
-					a, b = b, a
-				}
-				out = append(out, [2]int32{a, b})
-			}
-		}
-		return ops + 1
-	})
-	return out
-}
-
-// PairDiscovery finds, on the device, every polygon pair whose
-// rule-distance-expanded MBRs overlap — the MBR check pruning of Section
-// IV-C executed as kernels so the brute-force executor only receives pairs
-// that can actually interact. A first kernel computes per-polygon MBRs from
-// the packed edges; the polygons are then ordered by XLo (modeled sort
-// kernel) and a scan kernel walks each polygon's x-window emitting
-// overlapping pairs.
-func PairDiscovery(s *gpu.Stream, e *Edges, min int64) [][2]int32 {
-	nP := e.NumPolys()
-	if nP < 2 {
-		return nil
-	}
-	xlo := make([]int64, nP)
-	xhi := make([]int64, nP)
-	ylo := make([]int64, nP)
-	yhi := make([]int64, nP)
-	s.Launch("poly-mbr", nP, func(tid int) int64 {
-		lo, hi := e.PolyEdges(tid)
-		box := geom.EmptyRect()
-		for i := lo; i < hi; i++ {
-			box = box.Include(geom.Pt(e.X0[i], e.Y0[i]))
-		}
-		xlo[tid], xhi[tid] = box.XLo, box.XHi
-		ylo[tid], yhi[tid] = box.YLo, box.YHi
-		return int64(hi - lo)
-	})
-	order := make([]int32, nP)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sortBy(order, func(a, b int32) bool {
-		if xlo[a] != xlo[b] {
-			return xlo[a] < xlo[b]
-		}
-		return a < b
-	})
-	logn := int64(1)
-	for 1<<logn < nP {
-		logn++
-	}
-	s.Launch("sort-mbrs", nP, func(tid int) int64 { return logn * logn })
-
-	// Scan kernel: expanded boxes overlap iff the gap on each axis is at
-	// most 2·min (each box grows by min on every side). Threads execute in
-	// tid order, so one shared output slice preserves the per-thread
-	// concatenation order.
-	var out [][2]int32
-	s.Launch("pair-scan", nP, func(tid int) int64 {
-		i := order[tid]
-		limit := xhi[i] + 2*min
-		var ops int64
-		for k := tid + 1; k < nP; k++ {
-			j := order[k]
-			if xlo[j] > limit {
-				break
-			}
-			ops++
-			if ylo[j] <= yhi[i]+2*min && ylo[i] <= yhi[j]+2*min {
-				a, b := i, j
-				if a > b {
-					a, b = b, a
-				}
-				out = append(out, [2]int32{a, b})
-			}
-		}
-		return ops + 1
-	})
-	return out
 }

@@ -3,79 +3,18 @@ package kernels
 import (
 	"opendrc/internal/checks"
 	"opendrc/internal/geom"
-	"opendrc/internal/gpu"
 )
 
 // Member-indexed kernel variants. The cross-rule geometry cache packs each
 // layer once in the canonical flatten order and keeps the buffer resident on
 // the device; partition rows then address *subsets* of that one buffer by
 // polygon index instead of re-packing a row-ordered copy per rule. These
-// variants run the same sweep/scan structure as their whole-buffer
-// counterparts over an explicit member list. Because row members are
+// variants (and the sweepline executor in sweep.go, member-indexed
+// throughout) run over an explicit member list. Because row members are
 // ascending canonical indices, every sorted order (perpendicular-coordinate
 // views with index tie-breaks, corner x-order, MBR x-order) is
 // order-isomorphic to the orders the sliced-buffer path produced, so the
 // emitted hit sequence per row is unchanged.
-
-// buildViewsPolys builds the horizontal/vertical sweep views restricted to
-// the edges of the given polygons, charging the same modeled sort kernel as
-// buildViews (n threads × log² n over the member edge count). Returns the
-// views and the total member edge count.
-func buildViewsPolys(s *gpu.Stream, e *Edges, polys []int32) (views, int) {
-	var v views
-	total := 0
-	for _, p := range polys {
-		lo, hi := e.PolyEdges(int(p))
-		total += hi - lo
-		for i := lo; i < hi; i++ {
-			switch e.Edge(i).Dir() {
-			case geom.DirEast, geom.DirWest:
-				v.horiz = append(v.horiz, int32(i))
-			case geom.DirNorth, geom.DirSouth:
-				v.vert = append(v.vert, int32(i))
-			}
-		}
-	}
-	sortBy(v.horiz, func(a, b int32) bool {
-		if e.Y0[a] != e.Y0[b] {
-			return e.Y0[a] < e.Y0[b]
-		}
-		return a < b
-	})
-	sortBy(v.vert, func(a, b int32) bool {
-		if e.X0[a] != e.X0[b] {
-			return e.X0[a] < e.X0[b]
-		}
-		return a < b
-	})
-	if total > 0 && s != nil {
-		logn := int64(1)
-		for 1<<logn < total {
-			logn++
-		}
-		s.Launch("sort-edges", total, func(tid int) int64 { return logn * logn })
-	}
-	return v, total
-}
-
-// SpacingSweepPolys is SpacingSweep restricted to a member polygon list of a
-// shared packed buffer: the same two-kernel sweep per axis plus the corner
-// pass, launched over only the members' edges.
-func SpacingSweepPolys(s *gpu.Stream, e *Edges, polys []int32, lim checks.SpacingLimit, filter PairFilter, c Collector) {
-	v, total := buildViewsPolys(s, e, polys)
-	sweepAxis(s, e, v.horiz, func(i int32) int64 { return e.Y0[i] }, lim, filter, c)
-	sweepAxis(s, e, v.vert, func(i int32) int64 { return e.X0[i] }, lim, filter, c)
-	if filter == FilterSpacing {
-		list := make([]int32, 0, total)
-		for _, p := range polys {
-			lo, hi := e.PolyEdges(int(p))
-			for i := lo; i < hi; i++ {
-				list = append(list, int32(i))
-			}
-		}
-		cornerSweepList(s, e, list, lim.Min, c)
-	}
-}
 
 // MBRTable is the device-resident derived geometry of a packed buffer: the
 // per-polygon MBR arrays plus the global x-order over every polygon. Both
@@ -99,7 +38,7 @@ func (t *MBRTable) Bytes() int64 { return int64(len(t.XLo))*4*8 + int64(len(t.XO
 // XOrder down to a row's members IS the sequence the per-rule sort produced
 // — the scan kernel sees identical input and emits identical pairs. The
 // whole discovery is the single scan launch.
-func PairDiscoveryTable(s *gpu.Stream, e *Edges, t *MBRTable, rows [][]int32, min int64) [][2]int32 {
+func PairDiscoveryTable(s Launcher, e *Edges, t *MBRTable, rows [][]int32, min int64) [][2]int32 {
 	nP := e.NumPolys()
 	if nP == 0 || len(rows) == 0 {
 		return nil
@@ -135,12 +74,12 @@ func PairDiscoveryTable(s *gpu.Stream, e *Edges, t *MBRTable, rows [][]int32, mi
 			rowEnd = append(rowEnd, int32(len(order)))
 		}
 	}
-	return pairScan(s, e, t, order, rowEnd, min)
+	return pairScan(s, t, order, rowEnd, min)
 }
 
 // pairScan is the shared scan kernel of the discovery variants: each thread
 // walks its row's x-window emitting expanded-MBR-overlapping pairs.
-func pairScan(s *gpu.Stream, e *Edges, t *MBRTable, order, rowEnd []int32, min int64) [][2]int32 {
+func pairScan(s Launcher, t *MBRTable, order, rowEnd []int32, min int64) [][2]int32 {
 	// Launch executes thread bodies sequentially in tid order, so appending
 	// to one shared slice produces exactly the concatenation order the old
 	// per-thread lists had, without a slice header per thread or the final
@@ -170,28 +109,30 @@ func pairScan(s *gpu.Stream, e *Edges, t *MBRTable, order, rowEnd []int32, min i
 	return out
 }
 
-// PairDiscoveryMembers is PairDiscoveryRows over explicit member lists of a
-// shared packed buffer: the MBR kernel covers every polygon of the buffer
-// (the rows jointly own it), each row's members are sorted by MBR x in one
-// modeled sort, and the scan kernel walks each member's x-window within its
-// own row. Pairs are global polygon indices into the shared buffer.
-func PairDiscoveryMembers(s *gpu.Stream, e *Edges, rows [][]int32, min int64) [][2]int32 {
+// PairDiscoveryMembers finds, on the device, every polygon pair of a row
+// whose rule-distance-expanded MBRs overlap — the MBR check pruning of
+// Section IV-C executed as kernels, for buffers without a resident MBRTable.
+// The MBR kernel covers every polygon of the buffer (the rows jointly own
+// it), each row's members are sorted by MBR x in one modeled sort, and the
+// scan kernel walks each member's x-window within its own row. Pairs are
+// global polygon indices into the shared buffer.
+func PairDiscoveryMembers(s Launcher, e *Edges, rows [][]int32, min int64) [][2]int32 {
 	nP := e.NumPolys()
 	if nP == 0 || len(rows) == 0 {
 		return nil
 	}
-	xlo := make([]int64, nP)
-	xhi := make([]int64, nP)
-	ylo := make([]int64, nP)
-	yhi := make([]int64, nP)
+	t := &MBRTable{
+		XLo: make([]int64, nP), XHi: make([]int64, nP),
+		YLo: make([]int64, nP), YHi: make([]int64, nP),
+	}
 	s.Launch("poly-mbr", nP, func(tid int) int64 {
 		lo, hi := e.PolyEdges(tid)
 		box := geom.EmptyRect()
 		for i := lo; i < hi; i++ {
 			box = box.Include(geom.Pt(e.X0[i], e.Y0[i]))
 		}
-		xlo[tid], xhi[tid] = box.XLo, box.XHi
-		ylo[tid], yhi[tid] = box.YLo, box.YHi
+		t.XLo[tid], t.XHi[tid] = box.XLo, box.XHi
+		t.YLo[tid], t.YHi[tid] = box.YLo, box.YHi
 		return int64(hi - lo)
 	})
 	total := 0
@@ -200,60 +141,35 @@ func PairDiscoveryMembers(s *gpu.Stream, e *Edges, rows [][]int32, min int64) []
 	}
 	order := make([]int32, 0, total)
 	rowEnd := make([]int32, 0, total)
+	var byX []keyIdx
 	maxRow := 1
 	for _, r := range rows {
-		start := len(order)
-		order = append(order, r...)
-		seg := order[start:]
-		sortBy(seg, func(a, b int32) bool {
-			if xlo[a] != xlo[b] {
-				return xlo[a] < xlo[b]
-			}
-			return a < b
-		})
-		for range seg {
+		byX = byX[:0]
+		for _, p := range r {
+			byX = append(byX, keyIdx{t.XLo[p], p})
+		}
+		sortKeyIdx(byX)
+		for _, o := range byX {
+			order = append(order, o.idx)
+		}
+		for range r {
 			rowEnd = append(rowEnd, int32(len(order)))
 		}
-		if len(seg) > maxRow {
-			maxRow = len(seg)
-		}
+		maxRow = max(maxRow, len(r))
 	}
 	logn := int64(1)
 	for 1<<logn < maxRow {
 		logn++
 	}
-	s.Launch("sort-mbrs", len(order), func(tid int) int64 { return logn * logn })
-
-	var out [][2]int32
-	s.Launch("pair-scan", len(order), func(tid int) int64 {
-		i := order[tid]
-		limit := xhi[i] + 2*min
-		end := int(rowEnd[tid])
-		var ops int64
-		for k := tid + 1; k < end; k++ {
-			j := order[k]
-			if xlo[j] > limit {
-				break
-			}
-			ops++
-			if ylo[j] <= yhi[i]+2*min && ylo[i] <= yhi[j]+2*min {
-				a, b := i, j
-				if a > b {
-					a, b = b, a
-				}
-				out = append(out, [2]int32{a, b})
-			}
-		}
-		return ops + 1
-	})
-	return out
+	s.Launch("sort-mbrs", len(order), func(int) int64 { return logn * logn })
+	return pairScan(s, t, order, rowEnd, min)
 }
 
 // NotchMembers launches the brute-force intra-polygon notch executor over an
 // explicit member list — one thread per member polygon, same pair loop as
 // NotchBrute. Hit.A carries the canonical polygon index (not the member
 // slot), matching what NotchBrute emits for that polygon.
-func NotchMembers(s *gpu.Stream, e *Edges, polys []int32, lim checks.SpacingLimit, c Collector) {
+func NotchMembers(s Launcher, e *Edges, polys []int32, lim checks.SpacingLimit, c Collector) {
 	s.Launch("notch-members", len(polys), func(tid int) int64 {
 		p := polys[tid]
 		lo, hi := e.PolyEdges(int(p))

@@ -10,12 +10,7 @@
 // the sequential mode, so both modes return identical violations.
 package kernels
 
-import (
-	"sort"
-
-	"opendrc/internal/geom"
-	"opendrc/internal/gpu"
-)
+import "opendrc/internal/geom"
 
 // Edges is the packed, flattened edge buffer: one entry per directed polygon
 // edge. X2/Y2 hold the vertex after P1, so each entry also describes the
@@ -97,62 +92,6 @@ func (e *Edges) NextEdge(i int) geom.Edge {
 // PolyEdges returns the half-open edge index range of polygon p.
 func (e *Edges) PolyEdges(p int) (int, int) {
 	return int(e.PolyStart[p]), int(e.PolyStart[p+1])
-}
-
-// views: index lists of horizontal/vertical edges sorted by perpendicular
-// coordinate, and all corners sorted by x — the sorted orders the sweepline
-// kernels walk.
-type views struct {
-	horiz []int32 // horizontal edges sorted by y
-	vert  []int32 // vertical edges sorted by x
-}
-
-// buildViews sorts edge indices on the host and charges the device a
-// bitonic-sort-equivalent kernel (n threads × log² n ops), matching how
-// X-Check prepares its sweep orders on device.
-func buildViews(s *gpu.Stream, e *Edges) views {
-	// Counting pass so each view is exactly one allocation.
-	nh, nv := 0, 0
-	for i := 0; i < e.Len(); i++ {
-		switch e.Edge(i).Dir() {
-		case geom.DirEast, geom.DirWest:
-			nh++
-		case geom.DirNorth, geom.DirSouth:
-			nv++
-		}
-	}
-	v := views{horiz: make([]int32, 0, nh), vert: make([]int32, 0, nv)}
-	for i := 0; i < e.Len(); i++ {
-		switch e.Edge(i).Dir() {
-		case geom.DirEast, geom.DirWest:
-			v.horiz = append(v.horiz, int32(i))
-		case geom.DirNorth, geom.DirSouth:
-			v.vert = append(v.vert, int32(i))
-		}
-	}
-	sort.Slice(v.horiz, func(a, b int) bool {
-		ia, ib := v.horiz[a], v.horiz[b]
-		if e.Y0[ia] != e.Y0[ib] {
-			return e.Y0[ia] < e.Y0[ib]
-		}
-		return ia < ib
-	})
-	sort.Slice(v.vert, func(a, b int) bool {
-		ia, ib := v.vert[a], v.vert[b]
-		if e.X0[ia] != e.X0[ib] {
-			return e.X0[ia] < e.X0[ib]
-		}
-		return ia < ib
-	})
-	n := e.Len()
-	if n > 0 && s != nil {
-		logn := int64(1)
-		for 1<<logn < n {
-			logn++
-		}
-		s.Launch("sort-edges", n, func(tid int) int64 { return logn * logn })
-	}
-	return v
 }
 
 // Slice returns a view of polygons [p0, p1) as an Edges buffer of its own:
