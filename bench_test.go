@@ -206,7 +206,11 @@ func BenchmarkExecutorAblation(b *testing.B) {
 
 // BenchmarkBVHAblation measures the layer-wise MBR augmentation: a narrow
 // layer range query through the pruned hierarchy versus filtering the
-// flattened layer.
+// flattened layer. narrow-window/ethmac@3 issues the enclosure residue's
+// via-sized windows against a top cell of ~10⁵ placements and reports the
+// hierarchy work per query as counts: a change that silently drops back to
+// the linear walk shows as nodes_pruned in the tens of thousands (every
+// top-level placement examined and rejected), whatever the clock says.
 func BenchmarkBVHAblation(b *testing.B) {
 	lo := benchLayouts(b)["ethmac"]
 	window := geom.R(1000, 1000, 3000, 3000)
@@ -224,6 +228,25 @@ func BenchmarkBVHAblation(b *testing.B) {
 				}
 			}
 		}
+	})
+	b.Run("narrow-window/ethmac@3", func(b *testing.B) {
+		lo, _, err := synth.Load("ethmac", 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		vias := lo.FlattenLayer(layout.LayerV1)
+		var sum layout.QueryStats
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			via := vias[i*7919%len(vias)].Shape.MBR()
+			_, st := lo.QueryLayer(layout.LayerM1, via.Expand(synth.MinEnclosure))
+			sum.NodesVisited += st.NodesVisited
+			sum.NodesPruned += st.NodesPruned
+			sum.PolysTested += st.PolysTested
+		}
+		b.ReportMetric(float64(sum.NodesVisited)/float64(b.N), "nodes_visited")
+		b.ReportMetric(float64(sum.NodesPruned)/float64(b.N), "nodes_pruned")
+		b.ReportMetric(float64(sum.PolysTested)/float64(b.N), "polys_tested")
 	})
 }
 

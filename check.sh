@@ -4,9 +4,9 @@
 # concurrency, no caller-slice mutation), the full test suite under the
 # race detector (the worker-pool fan-out makes -race part of tier-1
 # verification; the chaos and cancellation suites run here too), the nested
-# benchmark module's own tests, a short fuzz smoke over the GDSII reader and
-# the polygon/transform algebra, and an end-to-end smoke of the odrcd service
-# over real HTTP.
+# benchmark module's own tests, a short fuzz smoke over the GDSII reader, the
+# polygon/transform algebra and the indexed hierarchy query, and an end-to-end
+# smoke of the odrcd service over real HTTP.
 set -e
 
 unformatted=$(gofmt -l .)
@@ -30,28 +30,43 @@ go test -C benchmark ./...
 # land as corpus files under testdata/fuzz/, which plain `go test` replays.
 go test -run=NONE -fuzz=FuzzReadLibrary -fuzztime=10s ./internal/gdsii
 go test -run=NONE -fuzz=FuzzPolygonTransform -fuzztime=10s ./internal/geom
+go test -run=NONE -fuzz=FuzzQueryLayer -fuzztime=10s ./internal/layout
 
-# Bench smoke: one iteration of the geometry-cache unit benchmarks and of one
-# sweepline-executor row, so a change that breaks flatten/pack or the row
-# simulation off the engine path still fails the gate (the row benchmark
-# prints its modeled_us, where a cost-model drift shows).
-go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow' -benchtime=1x .
+# Bench smoke: one iteration of the geometry-cache unit benchmarks, of one
+# sweepline-executor row and of the hierarchy range queries, so a change that
+# breaks flatten/pack or the row simulation off the engine path still fails
+# the gate (the row benchmark prints its modeled_us, where a cost-model drift
+# shows; narrow-window prints nodes_pruned per query, where a fall back to the
+# linear walk shows).
+go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation' -benchtime=1x .
 
 # Bench gate: regenerate the speedup and reuse experiments with the
 # regression gate on — any row with a ratio below 1.0 or mismatched reports
-# between configurations fails the build. Medians of interleaved runs keep
-# the gate robust to scheduler noise, and single-CPU hosts mark their
-# same-config speedup rows degenerate instead of reporting jitter. The JSON
+# between configurations fails the build. Best-of-interleaved runs keep the
+# gate robust to scheduler noise, rows whose two sides both finish under the
+# shared 10 ms noise floor gate on report identity only, and a single-CPU host
+# gets one report-level degenerate_config note instead of rows. The JSON
 # artifacts are written before gating, so a failed gate still leaves them
 # for inspection (CI uploads them).
+#
+# Speedup runs at scale 0.3, where every row is under the floor on a small
+# host: what it enforces there is reports_identical across worker counts. Two
+# workers on two cores measure 0.95–1.13x on most rows at every scale from 1
+# to 4 (EXPERIMENTS.md), so no scale makes a 1.0 threshold on that ratio
+# stable here. Reuse runs at scale 1 with 25 runs a side: nine or ten of its
+# twelve rows clear the floor, and best-of-25 resolves the sequential rows'
+# ~1.05x from 1.0 (ten of ten repeats; best-of-15 read 0.998x once in
+# sixteen, best-of-5 0.99x about one run in ten).
 go run ./cmd/odrc-bench -speedup -runs 5 -scale 0.3 -out BENCH_workers.json -gate
-go run ./cmd/odrc-bench -reuse -runs 5 -scale 0.3 -out BENCH_reuse.json -gate
+go run ./cmd/odrc-bench -reuse -runs 25 -scale 1 -out BENCH_reuse.json -gate
 
 # Delta gate: the incremental re-check experiment. Every row cross-checks
 # the delta report byte-for-byte against a cold full check of the edited
 # design (reports_identical), requires the incremental plan (no fallback),
 # and the smallest edit fraction must beat the full re-check it replaces.
-go run ./cmd/odrc-bench -delta -runs 3 -scale 0.3 -out BENCH_delta.json -gate
+# Scale 2 puts the sha3 and aes rows (four of the six speed-gated ones) above
+# the noise floor.
+go run ./cmd/odrc-bench -delta -runs 3 -scale 2 -out BENCH_delta.json -gate
 
 # Fairness gate: the cross-tenant scheduling experiment. A light tenant's
 # closed-loop checks are measured against six saturating co-tenant streams:

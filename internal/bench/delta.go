@@ -107,10 +107,6 @@ type DeltaReport struct {
 	Rows  []DeltaRow `json:"rows"`
 }
 
-// deltaNoiseFloor mirrors the reuse experiment's: sub-millisecond walls are
-// timer noise, gated on identity only.
-const deltaNoiseFloor = time.Millisecond
-
 // canonBytes renders a report's canonical form.
 func canonBytes(rep *core.Report) (string, error) {
 	var buf bytes.Buffer
@@ -226,7 +222,7 @@ func DeltaContext(ctx context.Context, runs int, scale float64) (*DeltaReport, e
 
 					Violations:      len(repDelta.Violations),
 					Identical:       canonCold == canonDelta,
-					BelowNoiseFloor: wallCold < deltaNoiseFloor && wallDelta < deltaNoiseFloor,
+					BelowNoiseFloor: belowNoiseFloor(wallCold, wallDelta),
 				}
 				if wallDelta > 0 {
 					row.WallSpeedup = float64(wallCold) / float64(wallDelta)

@@ -79,6 +79,9 @@ type Fig4Row struct {
 	Other     float64
 }
 
+// fig4Runs is how many profiled runs Fig4 takes per design, keeping the fastest.
+const fig4Runs = 3
+
 // Fig4 profiles the sequential M1.S.1 check per design, reproducing the
 // paper's runtime breakdown (partition ≈ 15%, sweepline + interval tree ≈
 // 35%, edge-to-edge checks 40–50%).
@@ -102,9 +105,18 @@ func Fig4Context(ctx context.Context, layouts map[string]*layout.Layout) ([]Fig4
 		if err := eng.AddRules(r); err != nil {
 			return nil, err
 		}
-		rep, err := eng.CheckContext(ctx, lo)
-		if err != nil {
-			return nil, err
+		// The phases are sub-millisecond at small scales, so one GC cycle or
+		// preemption inside a phase reshapes a single run's breakdown: keep
+		// the fastest of a few runs, as the A/B experiments do.
+		var rep *core.Report
+		for k := 0; k < fig4Runs; k++ {
+			got, err := eng.CheckContext(ctx, lo)
+			if err != nil {
+				return nil, err
+			}
+			if rep == nil || got.Profile.Total() < rep.Profile.Total() {
+				rep = got
+			}
 		}
 		row := Fig4Row{Design: design, Total: rep.Profile.Total()}
 		total := float64(row.Total)

@@ -80,18 +80,11 @@ type ReuseRow struct {
 	// Identical is true when cache-on and cache-off produced byte-identical
 	// sorted violation lists.
 	Identical bool `json:"reports_identical"`
-	// BelowNoiseFloor is true when both sides ran for less than the noise
-	// floor: at sub-millisecond walls even a best-of-runs ratio is dominated
-	// by timer granularity and scheduler blips, not by the cache, so the gate
-	// checks only report identity on such rows (the speedup report's
-	// Degenerate marker makes the same move for same-configuration rows).
+	// BelowNoiseFloor is true when both sides ran for less than noiseFloor:
+	// the ratio is then scheduler jitter, not the cache, so the gate checks
+	// only report identity on such rows.
 	BelowNoiseFloor bool `json:"below_noise_floor,omitempty"`
 }
-
-// reuseNoiseFloor is the wall time below which an improvement ratio on a
-// shared host stops being a measurement (tens of microseconds of scheduler
-// noise against a few hundred microseconds of signal).
-const reuseNoiseFloor = time.Millisecond
 
 // ReuseReport is the whole experiment, serialized to BENCH_reuse.json.
 type ReuseReport struct {
@@ -194,7 +187,7 @@ func ReuseContext(ctx context.Context, layouts map[string]*layout.Layout, runs i
 
 				Violations:      len(repOn.Violations),
 				Identical:       reflect.DeepEqual(repOn.Violations, repOff.Violations),
-				BelowNoiseFloor: wallOff < reuseNoiseFloor && wallOn < reuseNoiseFloor,
+				BelowNoiseFloor: belowNoiseFloor(wallOff, wallOn),
 			}
 			if wallOn > 0 {
 				row.WallImprovement = float64(wallOff) / float64(wallOn)

@@ -33,19 +33,23 @@ type SpeedupRow struct {
 	// Identical is true when both worker counts produced byte-identical
 	// sorted violations and equal Stats counters.
 	Identical bool `json:"reports_identical"`
-	// Degenerate is true when the Workers=N side resolved to 1 worker (a
-	// single-CPU host), making both sides the same configuration: Speedup
-	// is then 1.0 by definition rather than a measured — and purely noisy —
-	// ratio of two identical runs.
-	Degenerate bool `json:"degenerate_config,omitempty"`
+	// BelowNoiseFloor is true when both sides ran for less than noiseFloor:
+	// the ratio is then scheduler jitter, not the worker pool, so the gate
+	// checks only report identity on such rows.
+	BelowNoiseFloor bool `json:"below_noise_floor,omitempty"`
 }
 
 // SpeedupReport is the whole experiment, serialized to BENCH_workers.json.
 type SpeedupReport struct {
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Workers    int          `json:"workers"`
-	Scale      float64      `json:"scale"`
-	Runs       int          `json:"runs_per_cell"`
+	GOMAXPROCS int     `json:"gomaxprocs"`
+	Workers    int     `json:"workers"`
+	Scale      float64 `json:"scale"`
+	Runs       int     `json:"runs_per_cell"`
+	// Degenerate is set, and Rows left empty, when Workers resolved to 1 (a
+	// single-CPU host): both sides of every row would be the same
+	// configuration, so there is no speedup to measure and the report says
+	// so once instead of emitting a table of jitter.
+	Degenerate string       `json:"degenerate_config,omitempty"`
 	Rows       []SpeedupRow `json:"rows"`
 }
 
@@ -119,6 +123,10 @@ func SpeedupContext(ctx context.Context, layouts map[string]*layout.Layout, work
 		Scale:      scale,
 		Runs:       runs,
 	}
+	if workers == 1 {
+		out.Degenerate = "workers resolved to 1: both sides of every row would run the same configuration, so no row was measured"
+		return out, nil
+	}
 	for _, mode := range []core.Mode{core.Sequential, core.Parallel} {
 		for _, design := range DesignNames() {
 			lo := layouts[design]
@@ -137,18 +145,9 @@ func SpeedupContext(ctx context.Context, layouts map[string]*layout.Layout, work
 				Violations: len(rep1.Violations),
 				Identical: reflect.DeepEqual(rep1.Violations, repN.Violations) &&
 					rep1.Stats == repN.Stats,
+				BelowNoiseFloor: belowNoiseFloor(wall1, wallN),
 			}
-			switch {
-			case workers == 1:
-				// Workers=N resolved to 1 (single-CPU host): both sides ran
-				// the identical configuration, so the speedup is 1 by
-				// definition and the measured ratio would be pure jitter —
-				// the exact noise that used to paint sub-1.0 "regressions"
-				// on equal configs. The row is marked so gates and readers
-				// know no parallelism was exercised.
-				row.Speedup = 1.0
-				row.Degenerate = true
-			case wallN > 0:
+			if wallN > 0 {
 				row.Speedup = float64(wall1) / float64(wallN)
 			}
 			out.Rows = append(out.Rows, row)
@@ -175,6 +174,9 @@ func (r *SpeedupReport) WriteTo(w io.Writer) (int64, error) {
 	if err := p("Engine wall time, Workers=1 vs Workers=%d (GOMAXPROCS %d, scale %g, best of %d interleaved runs)\n",
 		r.Workers, r.GOMAXPROCS, r.Scale, r.Runs); err != nil {
 		return total, err
+	}
+	if r.Degenerate != "" {
+		return total, p("degenerate_config: %s\n", r.Degenerate)
 	}
 	if err := p("%-8s %-10s %12s %12s %8s %8s %10s\n",
 		"design", "mode", "workers=1", fmt.Sprintf("workers=%d", r.Workers), "speedup", "viols", "identical"); err != nil {

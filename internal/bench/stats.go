@@ -24,6 +24,20 @@ func bestDuration(s []time.Duration) time.Duration {
 	return slices.Min(s)
 }
 
+// noiseFloor is the wall time below which a ratio of two best-of-runs on a
+// shared host stops being a measurement: a check that finishes inside one
+// OS scheduling quantum moves by several percent from run to run however the
+// samples are interleaved (observed on a 2-core microVM: 0.92–0.99× on
+// identical work at 1–7 ms in the speedup experiment; sequential reuse rows
+// of 2–3 ms read 0.82–0.999× in 2 of 20 repeats). One constant serves the
+// speedup, reuse and delta experiments; check.sh runs each at a scale where
+// the rows its speed gate is about clear it.
+const noiseFloor = 10 * time.Millisecond
+
+// belowNoiseFloor reports whether both sides of an A/B row ran under the
+// noise floor; the gates check such rows for report identity only.
+func belowNoiseFloor(a, b time.Duration) bool { return a < noiseFloor && b < noiseFloor }
+
 // percentileDuration returns the p-quantile (0 < p <= 1) of the samples by
 // the nearest-rank method; zero for no samples. Unlike the A/B experiments
 // above, the fairness sweep reports tail latency — contamination from the

@@ -35,12 +35,13 @@ func TestBestDuration(t *testing.T) {
 func TestSpeedupGate(t *testing.T) {
 	rep := &SpeedupReport{Workers: 4, Rows: []SpeedupRow{
 		{Design: "a", Mode: "sequential", Speedup: 1.5, Identical: true},
-		{Design: "b", Mode: "parallel", Speedup: 1.0, Identical: true, Degenerate: true},
+		{Design: "b", Mode: "parallel", Speedup: 0.93, Identical: true, BelowNoiseFloor: true},
 	}}
 	if err := rep.Gate(); err != nil {
 		t.Errorf("clean report gated: %v", err)
 	}
-	rep.Rows = append(rep.Rows, SpeedupRow{Design: "c", Mode: "parallel", Speedup: 0.9, Identical: true})
+	// Above the floor the threshold is exactly 1.0: no tolerance band.
+	rep.Rows = append(rep.Rows, SpeedupRow{Design: "c", Mode: "parallel", Speedup: 0.99, Identical: true})
 	err := rep.Gate()
 	if err == nil || !strings.Contains(err.Error(), "c/parallel") {
 		t.Errorf("sub-1.0 speedup not gated: %v", err)
@@ -48,6 +49,48 @@ func TestSpeedupGate(t *testing.T) {
 	rep.Rows = []SpeedupRow{{Design: "d", Mode: "sequential", Speedup: 2, Identical: false}}
 	if err := rep.Gate(); err == nil {
 		t.Error("non-identical reports not gated")
+	}
+	rep.Rows = []SpeedupRow{{Design: "e", Mode: "parallel", Speedup: 1.1, Identical: false, BelowNoiseFloor: true}}
+	if err := rep.Gate(); err == nil {
+		t.Error("non-identical noise-floor row not gated")
+	}
+}
+
+// TestSpeedupDegenerateReport pins the single-worker case: one report-level
+// note, no rows (nothing was measured), and a passing gate.
+func TestSpeedupDegenerateReport(t *testing.T) {
+	lts, err := Layouts(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Speedup(lts, 1, 1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Degenerate == "" || len(rep.Rows) != 0 {
+		t.Fatalf("workers=1: degenerate_config %q with %d rows; want a note and no rows", rep.Degenerate, len(rep.Rows))
+	}
+	if err := rep.Gate(); err != nil {
+		t.Errorf("degenerate report gated: %v", err)
+	}
+	var sb strings.Builder
+	if _, err := rep.WriteTo(&sb); err != nil || !strings.Contains(sb.String(), "degenerate_config") {
+		t.Errorf("text report does not carry the note: %q (%v)", sb.String(), err)
+	}
+	// With two workers every row is measured and marked against the floor.
+	rep, err = Speedup(lts, 2, 1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Degenerate != "" || len(rep.Rows) != 2*len(DesignNames()) {
+		t.Fatalf("workers=2: degenerate_config %q with %d rows", rep.Degenerate, len(rep.Rows))
+	}
+	for _, row := range rep.Rows {
+		want := row.Wall1US < noiseFloor.Microseconds() && row.WallNUS < noiseFloor.Microseconds()
+		if row.BelowNoiseFloor != want || !row.Identical {
+			t.Errorf("%s/%s: below_noise_floor %v (walls %d/%d us), identical %v", row.Design, row.Mode,
+				row.BelowNoiseFloor, row.Wall1US, row.WallNUS, row.Identical)
+		}
 	}
 }
 
@@ -78,10 +121,46 @@ func TestReuseGate(t *testing.T) {
 	}
 }
 
-// TestReuseNoiseFloorMark pins where the marker comes from: both sides'
-// best-of-runs under the floor.
+func TestDeltaGate(t *testing.T) {
+	f := DeltaFractions()
+	small, large := f[0], f[len(f)-1]
+	rep := &DeltaReport{Rows: []DeltaRow{
+		{Design: "a", Mode: "sequential", EditFraction: small, Speedup: 3, Planned: true, Identical: true},
+		{Design: "a", Mode: "sequential", EditFraction: large, Speedup: 0.9, Planned: true, Identical: true}, // only the smallest fraction is speed-gated
+		{Design: "b", Mode: "parallel", EditFraction: small, Speedup: 0.9, Planned: true, Identical: true, BelowNoiseFloor: true},
+	}}
+	if err := rep.Gate(); err != nil {
+		t.Errorf("clean report gated: %v", err)
+	}
+	for _, bad := range []DeltaRow{
+		{Design: "c", Mode: "parallel", EditFraction: small, Speedup: 0.99, Planned: true, Identical: true},
+		{Design: "d", Mode: "parallel", EditFraction: large, Speedup: 2, Planned: false, Identical: true, BelowNoiseFloor: true},
+		{Design: "e", Mode: "parallel", EditFraction: large, Speedup: 2, Planned: true, Identical: false, BelowNoiseFloor: true},
+	} {
+		rep.Rows = []DeltaRow{bad}
+		if err := rep.Gate(); err == nil || !strings.Contains(err.Error(), bad.Design+"/parallel") {
+			t.Errorf("row %s not gated: %v", bad.Design, err)
+		}
+	}
+}
+
+// TestReuseNoiseFloorMark pins where the marker comes from — both sides'
+// best-of-runs under the floor the reuse, speedup and delta experiments
+// share — and the floor itself.
 func TestReuseNoiseFloorMark(t *testing.T) {
-	if reuseNoiseFloor != time.Millisecond {
-		t.Fatalf("noise floor = %v, want 1ms (update the docs if intentional)", reuseNoiseFloor)
+	if noiseFloor != 10*time.Millisecond {
+		t.Fatalf("noise floor = %v, want 10ms (update the docs if intentional)", noiseFloor)
+	}
+	for _, c := range []struct {
+		a, b time.Duration
+		want bool
+	}{
+		{5 * time.Millisecond, 7 * time.Millisecond, true},
+		{9 * time.Millisecond, 10 * time.Millisecond, false}, // one side at the floor: measured
+		{12 * time.Millisecond, 3 * time.Millisecond, false},
+	} {
+		if got := belowNoiseFloor(c.a, c.b); got != c.want {
+			t.Errorf("belowNoiseFloor(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }

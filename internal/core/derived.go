@@ -50,10 +50,6 @@ func derivedEmit(shape geom.Polygon, cands []geom.Polygon, r rules.Rule, emit fu
 // runDerivedSeq executes a Coverage or MinOverlap rule with the local-pass /
 // global-residue scheme.
 func (e *Engine) runDerivedSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) error {
-	type residue struct {
-		cell    *layout.Cell
-		polyIdx int
-	}
 	var deferred []residue
 
 	stop := rep.Profile.Phase("derived:cell-checks")
@@ -92,29 +88,16 @@ func (e *Engine) runDerivedSeq(ctx context.Context, lo *layout.Layout, r rules.R
 	stop()
 
 	defer rep.Profile.Phase("derived:global-residue")()
-	for _, d := range deferred {
-		if err := ctx.Err(); err != nil {
-			return err
+	return expandResidue(ctx, lo, r.Outer, 0, deferred, placements, func(d residue, gshape geom.Polygon, cands []geom.Polygon) {
+		rep.Stats.PairsChecked += len(cands)
+		rep.Stats.InstancesEmitted++
+		if derivedOK(gshape, cands, r) {
+			return
 		}
-		shape := d.cell.Polys[d.polyIdx].Shape
-		for _, t := range placements[d.cell.ID] {
-			gshape := shape.Transform(t)
-			found, _ := lo.QueryLayer(r.Outer, gshape.MBR())
-			cands := make([]geom.Polygon, len(found))
-			for i := range found {
-				cands[i] = found[i].Shape
-			}
-			rep.Stats.PairsChecked += len(cands)
-			rep.Stats.InstancesEmitted++
-			if derivedOK(gshape, cands, r) {
-				continue
-			}
-			derivedEmit(gshape, cands, r, func(m checks.Marker) {
-				rep.Violations = append(rep.Violations, rules.Violation{
-					Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m, Cell: d.cell.Name,
-				})
+		derivedEmit(gshape, cands, r, func(m checks.Marker) {
+			rep.Violations = append(rep.Violations, rules.Violation{
+				Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m, Cell: d.cell.Name,
 			})
-		}
-	}
-	return nil
+		})
+	})
 }

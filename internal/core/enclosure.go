@@ -19,12 +19,41 @@ import (
 // and re-evaluated per instance against the global metal around them (a
 // parent may supply the missing coverage).
 
+// residue is one shape its cell definition could not resolve against the
+// cell's own subtree; every instance of it is re-evaluated globally.
+type residue struct {
+	cell    *layout.Cell
+	polyIdx int
+}
+
+// expandResidue instance-expands the deferred shapes — the global half of
+// the enclosure and derived-layer rules in both modes. visit receives each
+// instance in the global frame with the outer-layer polygons a hierarchy
+// range query finds within reach of its MBR; cands is one buffer reused from
+// instance to instance, valid only during the call.
+func expandResidue(ctx context.Context, lo *layout.Layout, outer layout.Layer, reach int64, deferred []residue,
+	placements [][]geom.Transform, visit func(d residue, shape geom.Polygon, cands []geom.Polygon)) error {
+	var cands []geom.Polygon
+	for _, d := range deferred {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		shape := d.cell.Polys[d.polyIdx].Shape
+		for _, t := range placements[d.cell.ID] {
+			gshape := shape.Transform(t)
+			found, _ := lo.QueryLayer(outer, gshape.MBR().Expand(reach))
+			cands = cands[:0]
+			for i := range found {
+				cands = append(cands, found[i].Shape)
+			}
+			visit(d, gshape, cands)
+		}
+	}
+	return nil
+}
+
 // runEnclosureSeq executes one enclosure rule sequentially.
 func (e *Engine) runEnclosureSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) error {
-	type residue struct {
-		cell    *layout.Cell
-		polyIdx int
-	}
 	var deferred []residue
 
 	if !e.opts.DisablePruning {
@@ -68,29 +97,15 @@ func (e *Engine) runEnclosureSeq(ctx context.Context, lo *layout.Layout, r rules
 
 	// Globally resolve the leftovers, instance by instance.
 	defer rep.Profile.Phase("enclosure:global-residue")()
-	for _, d := range deferred {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		via := d.cell.Polys[d.polyIdx].Shape
-		for _, t := range placements[d.cell.ID] {
-			gvia := via.Transform(t)
-			window := gvia.MBR().Expand(r.Min)
-			cands, _ := lo.QueryLayer(r.Outer, window)
-			metals := make([]geom.Polygon, len(cands))
-			for i := range cands {
-				metals[i] = cands[i].Shape
-			}
-			rep.Stats.PairsChecked += len(metals)
-			rep.Stats.InstancesEmitted++
-			checks.EvaluateEnclosure(gvia, metals, r.Min, func(m checks.Marker) {
-				rep.Violations = append(rep.Violations, rules.Violation{
-					Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m, Cell: d.cell.Name,
-				})
+	return expandResidue(ctx, lo, r.Outer, r.Min, deferred, placements, func(d residue, gvia geom.Polygon, metals []geom.Polygon) {
+		rep.Stats.PairsChecked += len(metals)
+		rep.Stats.InstancesEmitted++
+		checks.EvaluateEnclosure(gvia, metals, r.Min, func(m checks.Marker) {
+			rep.Violations = append(rep.Violations, rules.Violation{
+				Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m, Cell: d.cell.Name,
 			})
-		}
-	}
-	return nil
+		})
+	})
 }
 
 // enclosureLocalPass resolves a cell definition's own vias against the metal

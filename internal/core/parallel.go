@@ -800,10 +800,6 @@ func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep
 // parent-level metal) is instance-expanded and checked with the
 // enclosure-evaluation kernel.
 func (e *Engine) runEnclosurePar(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, pc *parCtx, rep *Report) error {
-	type residue struct {
-		cell    *layout.Cell
-		polyIdx int
-	}
 	var deferred []residue
 	if err := pc.hostPhase(rep, "par:local-pruning", func() error {
 		for _, c := range lo.LayerCells(r.Layer) {
@@ -850,25 +846,15 @@ func (e *Engine) runEnclosurePar(ctx context.Context, lo *layout.Layout, r rules
 	var metals []geom.Polygon
 	var cands [][]int32
 	if err := pc.hostPhase(rep, "par:flatten", func() error {
-		for _, d := range deferred {
-			if err := ctx.Err(); err != nil {
-				return err
+		return expandResidue(ctx, lo, r.Outer, r.Min, deferred, placements, func(_ residue, gvia geom.Polygon, found []geom.Polygon) {
+			list := make([]int32, len(found))
+			for i := range found {
+				list[i] = int32(len(metals) + i)
 			}
-			via := d.cell.Polys[d.polyIdx].Shape
-			for _, t := range placements[d.cell.ID] {
-				gvia := via.Transform(t)
-				window := gvia.MBR().Expand(r.Min)
-				found, _ := lo.QueryLayer(r.Outer, window)
-				list := make([]int32, 0, len(found))
-				for _, pp := range found {
-					list = append(list, int32(len(metals)))
-					metals = append(metals, pp.Shape)
-				}
-				vias = append(vias, gvia)
-				cands = append(cands, list)
-			}
-		}
-		return nil
+			metals = append(metals, found...)
+			vias = append(vias, gvia)
+			cands = append(cands, list)
+		})
 	}); err != nil {
 		return err
 	}

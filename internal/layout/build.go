@@ -149,7 +149,9 @@ func topoSort(lib *gdsii.Library, cells map[string]*Cell) ([]*Cell, error) {
 // computeMBRs fills per-layer and total MBRs bottom-up. Cells are already in
 // topological order, so every child is finished before its parents.
 func (lo *Layout) computeMBRs() {
+	items := make(map[Layer]int) // per cell: own polygons + child placements on the layer
 	for _, c := range lo.Cells {
+		clear(items)
 		c.layerMBR = make(map[Layer]geom.Rect)
 		c.localEdgeCount = make(map[Layer]int)
 		c.polysByLayer = make(map[Layer][]int32)
@@ -163,6 +165,7 @@ func (lo *Layout) computeMBRs() {
 			c.localEdgeCount[p.Layer] += p.Shape.NumEdges()
 			c.polysByLayer[p.Layer] = append(c.polysByLayer[p.Layer], int32(i))
 			c.subtreeCount[p.Layer]++
+			items[p.Layer]++
 		}
 		for ri := range c.Refs {
 			ref := &c.Refs[ri]
@@ -187,12 +190,17 @@ func (lo *Layout) computeMBRs() {
 				// child's subtree count is final here; the whole array
 				// contributes one subtree per placement.
 				c.subtreeCount[l] += ref.NumPlacements() * child.subtreeCount[l]
+				items[l] += ref.NumPlacements()
 			}
 			if !child.mbr.Empty() {
 				for _, cr := range corners {
 					c.mbr = c.mbr.Union(ref.Placement(cr[0], cr[1]).ApplyRect(child.mbr))
 				}
 			}
+		}
+		c.numberPlacements()
+		for _, l := range c.Layers() {
+			c.setIndexed(l, items[l])
 		}
 	}
 }

@@ -3,10 +3,12 @@
 // each structure reference stores a pointer to the shared cell definition,
 // and every cell is augmented with per-layer minimum bounding rectangles so
 // that layer range queries can prune whole subtrees whose MBR for the layer
-// of interest is empty. The package also builds the layer-wise duplicated
-// hierarchy ("a separated hierarchy tree is built for each layer") and the
-// element-level inverted indices the paper describes as a space-for-speed
-// trade.
+// of interest is empty; a lazily built spatial index per (cell, layer) finds
+// the children worth testing, so a narrow query does not visit the rest of a
+// flat cell's placements (index.go). The package also builds the layer-wise
+// duplicated hierarchy ("a separated hierarchy tree is built for each
+// layer") and the element-level inverted indices the paper describes as a
+// space-for-speed trade.
 package layout
 
 import (
@@ -120,6 +122,12 @@ type Cell struct {
 	// rooted at one placement of this cell, per layer — the exact output
 	// size of a full-subtree query, used to pre-size query results.
 	subtreeCount map[Layer]int
+	// placeStart numbers the cell's child placements for the spatial index
+	// (see numberPlacements); nil for leaf cells and unindexable ones.
+	placeStart []uint32
+	// index holds the lazily built spatial index of every layer on which
+	// the cell has more than indexMinItems items (see index.go).
+	index map[Layer]*layerIndex
 }
 
 // MBR returns the cell's all-layer bounding box (local frame).
@@ -169,9 +177,6 @@ func (c *Cell) LocalPolys(l Layer) []int {
 // mutated; hot paths that only iterate use it instead of LocalPolys to
 // avoid a copy per call.
 func (c *Cell) LocalPolyIndex(l Layer) []int32 { return c.polysByLayer[l] }
-
-// localPolyIndex returns the per-layer index without copying.
-func (c *Cell) localPolyIndex(l Layer) []int32 { return c.polysByLayer[l] }
 
 // SubtreePolyCount returns the instance-expanded polygon count on the layer
 // of the subtree rooted at one placement of the cell — the exact size of a

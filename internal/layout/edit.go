@@ -15,10 +15,11 @@ import (
 // immutable; an edit that must touch library geometry is a new library.
 //
 // ApplyEdits keeps every derived index consistent (per-layer MBRs, local
-// poly indices, subtree counts, the layer-wise duplicated hierarchy, and the
-// inverted index) and reports, per layer, the dirty rectangles — the exact
-// regions where geometry appeared or disappeared — which the session layer
-// dilates by the deck's guard distance to plan incremental re-checks.
+// poly indices, subtree counts, the layer-wise duplicated hierarchy, the
+// inverted index, and the top cell's spatial index slots) and reports, per
+// layer, the dirty rectangles — the exact regions where geometry appeared or
+// disappeared — which the session layer dilates by the deck's guard distance
+// to plan incremental re-checks.
 
 // orphanLayer marks a deleted polygon slot. Slots are never compacted:
 // PlacedPoly.Src.Idx values held by downstream consumers (label lookup in
@@ -81,7 +82,8 @@ func (d *LayerDirty) Union() geom.Rect {
 // ApplyEdits applies the edits to the top cell in order and refreshes every
 // derived index the edits touched. It returns the per-layer dirty summary
 // sorted by layer. On error the layout is unchanged (edits are validated
-// before any is applied).
+// before any is applied). The caller must exclude every concurrent query for
+// the duration of the call.
 func (lo *Layout) ApplyEdits(edits []Edit) ([]LayerDirty, error) {
 	if len(edits) == 0 {
 		return nil, nil
@@ -167,7 +169,7 @@ func (lo *Layout) refreshTopLayer(l Layer) {
 		mbr = mbr.Union(top.Polys[pi].Shape.MBR())
 		edges += top.Polys[pi].Shape.NumEdges()
 	}
-	count := len(idx)
+	count, items := len(idx), len(idx)
 	for ri := range top.Refs {
 		ref := &top.Refs[ri]
 		childR := ref.Child.LayerMBR(l)
@@ -178,7 +180,15 @@ func (lo *Layout) refreshTopLayer(l Layer) {
 			mbr = mbr.Union(ref.Placement(cr[0], cr[1]).ApplyRect(childR))
 		}
 		count += ref.NumPlacements() * ref.Child.subtreeCount[l]
+		items += ref.NumPlacements()
 	}
+	// A built tree stays valid across edits: refs never change, deleted
+	// slots are filtered on visit and inserted polygons are scanned as a
+	// tail, so it is dropped only once that tail outgrows its bound.
+	if top.index[l].outgrown(idx) {
+		delete(top.index, l)
+	}
+	top.setIndexed(l, items)
 	if len(idx) == 0 {
 		delete(top.polysByLayer, l)
 	}

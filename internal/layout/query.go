@@ -1,6 +1,8 @@
 package layout
 
 import (
+	"slices"
+
 	"opendrc/internal/geom"
 )
 
@@ -12,11 +14,16 @@ type PlacedPoly struct {
 }
 
 // QueryStats counts hierarchy-tree work during a range query, exposing the
-// MBR pruning the paper credits for the O(min(n, kh)) query complexity.
+// pruning that makes a narrow query cost O(min(n, kh)). In a cell walked
+// plainly every own polygon and every child placement is examined; in a cell
+// answered from its spatial index (see index.go) only the candidates the
+// index surfaced are, so a narrow window's counts stay far below the cell's
+// item count. A window covering the whole layer takes the plain walk
+// everywhere and reports exact totals.
 type QueryStats struct {
 	NodesVisited int // cell instances whose subtree was descended
-	NodesPruned  int // cell instances skipped by layer-MBR or range tests
-	PolysTested  int // leaf polygons whose MBR was tested
+	NodesPruned  int // examined refs without the layer, and examined placements whose layer MBR missed the window
+	PolysTested  int // examined leaf polygons (their MBR was tested)
 	PolysHit     int // leaf polygons reported
 }
 
@@ -26,10 +33,10 @@ type QueryStats struct {
 // of everything — or simply a huge rect — to enumerate the whole layer; use
 // FlattenLayer for that common case.
 func (lo *Layout) QueryLayer(l Layer, window geom.Rect) ([]PlacedPoly, QueryStats) {
-	out := make([]PlacedPoly, 0, capHint(lo.Top.SubtreePolyCount(l), lo.Top.LayerMBR(l), window))
-	var st QueryStats
-	lo.queryCell(lo.Top, geom.Identity(), l, window, &out, &st)
-	return out, st
+	q := query{l: l, window: window,
+		out: make([]PlacedPoly, 0, capHint(lo.Top.SubtreePolyCount(l), lo.Top.LayerMBR(l), window))}
+	q.cell(lo.Top, geom.Identity())
+	return q.out, q.st
 }
 
 // capHint estimates how many of the total polygons spread over extent a
@@ -59,38 +66,105 @@ func capHint(total int, extent, window geom.Rect) int {
 	return h
 }
 
-func (lo *Layout) queryCell(c *Cell, t geom.Transform, l Layer, window geom.Rect, out *[]PlacedPoly, st *QueryStats) {
-	st.NodesVisited++
-	for _, pi := range c.localPolyIndex(l) {
-		i := int(pi)
-		p := &c.Polys[i]
-		st.PolysTested++
-		if !t.ApplyRect(p.Shape.MBR()).Overlaps(window) {
-			continue
-		}
-		st.PolysHit++
-		*out = append(*out, PlacedPoly{
-			Src:   PolyRef{Cell: c, Idx: i},
-			Trans: t,
-			Shape: p.Shape.Transform(t),
-		})
+// query is the state of one range query: the one walk QueryLayer,
+// QuerySubtree and FlattenLayer share.
+type query struct {
+	l      Layer
+	window geom.Rect // global frame
+	out    []PlacedPoly
+	st     QueryStats
+	// cand holds index candidates; nested indexed cells use it as a stack.
+	cand []uint32
+}
+
+// cell reports the subtree of one cell instance placed by t. It consults the
+// cell's spatial index when the cell has one and the window does not cover
+// the cell's layer extent; a covering window returns everything, so it walks
+// plainly, as do small cells (no slot) and magnified frames (the window has
+// no exact inverse image on the integer grid).
+func (q *query) cell(c *Cell, t geom.Transform) {
+	q.st.NodesVisited++
+	if ix := c.index[q.l]; ix != nil && t.PreservesDistances() &&
+		!q.window.ContainsRect(t.ApplyRect(c.LayerMBR(q.l))) {
+		q.indexed(c, t, ix.get(c, q.l))
+		return
+	}
+	for _, pi := range c.polysByLayer[q.l] {
+		q.poly(c, t, int(pi))
 	}
 	for ri := range c.Refs {
 		ref := &c.Refs[ri]
-		childR := ref.Child.LayerMBR(l)
+		childR := ref.Child.LayerMBR(q.l)
 		if childR.Empty() {
-			st.NodesPruned++ // whole subtree has nothing on this layer
+			q.st.NodesPruned++ // whole subtree has nothing on this layer
 			continue
 		}
-		ref.ForEachPlacement(func(pt geom.Transform) {
-			inst := pt.Compose(t)
-			if !inst.ApplyRect(childR).Overlaps(window) {
-				st.NodesPruned++
-				return
+		for col := 0; col < ref.Cols; col++ {
+			for row := 0; row < ref.Rows; row++ {
+				q.placement(ref, col, row, childR, t)
 			}
-			lo.queryCell(ref.Child, inst, l, window, out, st)
-		})
+		}
 	}
+}
+
+// indexed is cell's walk restricted to the candidates the index surfaces,
+// visited in the plain walk's order — own polygons ascending, then
+// placements by (ref, col, row) — with the same exact test on each.
+func (q *query) indexed(c *Cell, t geom.Transform, tree *rtree) {
+	base := len(q.cand)
+	q.cand = tree.search(t.Inverse().ApplyRect(q.window), q.cand)
+	end := len(q.cand)
+	slices.Sort(q.cand[base:end])
+	i := base
+	for ; i < end && q.cand[i] < tree.polyEnd; i++ {
+		// A slot ApplyEdits deleted since the build is an orphan.
+		if pi := int(q.cand[i]); c.Polys[pi].Layer == q.l {
+			q.poly(c, t, pi)
+		}
+	}
+	// Polygons ApplyEdits inserted since the build: the ascending tail of
+	// the per-layer list, at most indexMaxTail long.
+	own := c.polysByLayer[q.l]
+	tail := len(own)
+	for tail > 0 && uint32(own[tail-1]) >= tree.polyEnd {
+		tail--
+	}
+	for _, pi := range own[tail:] {
+		q.poly(c, t, int(pi))
+	}
+	for ; i < end; i++ {
+		// Re-read q.cand each round: a nested indexed cell may have grown it.
+		ref, col, row := c.placementAt(q.cand[i] - tree.polyEnd)
+		q.placement(ref, col, row, ref.Child.LayerMBR(q.l), t)
+	}
+	q.cand = q.cand[:base]
+}
+
+// poly tests one of c's own polygons against the window and reports a hit.
+func (q *query) poly(c *Cell, t geom.Transform, i int) {
+	p := &c.Polys[i]
+	q.st.PolysTested++
+	if !t.ApplyRect(p.Shape.MBR()).Overlaps(q.window) {
+		return
+	}
+	q.st.PolysHit++
+	q.out = append(q.out, PlacedPoly{
+		Src:   PolyRef{Cell: c, Idx: i},
+		Trans: t,
+		Shape: p.Shape.Transform(t),
+	})
+}
+
+// placement descends into instance (col, row) of ref — whose child has layer
+// extent childR — unless that extent, placed, misses the window. t places
+// the referencing cell.
+func (q *query) placement(ref *Ref, col, row int, childR geom.Rect, t geom.Transform) {
+	inst := ref.Placement(col, row).Compose(t)
+	if !inst.ApplyRect(childR).Overlaps(q.window) {
+		q.st.NodesPruned++
+		return
+	}
+	q.cell(ref.Child, inst)
 }
 
 // FlattenLayer returns every polygon instance on the layer in the global
@@ -104,10 +178,9 @@ func (lo *Layout) FlattenLayer(l Layer) []PlacedPoly {
 	// Every instance on the layer overlaps the full-layer window, so the
 	// instance count is the exact output size: one allocation instead of
 	// repeated append growth over potentially millions of entries.
-	out := make([]PlacedPoly, 0, lo.NumInstancesOnLayer(l))
-	var st QueryStats
-	lo.queryCell(lo.Top, geom.Identity(), l, window, &out, &st)
-	return out
+	q := query{l: l, window: window, out: make([]PlacedPoly, 0, lo.NumInstancesOnLayer(l))}
+	q.cell(lo.Top, geom.Identity())
+	return q.out
 }
 
 // NumInstancesOnLayer counts instance-expanded polygons on the layer (the
@@ -211,10 +284,10 @@ func (lo *Layout) Placements() [][]geom.Transform {
 // returned shapes are in the cell's local frame. Subtrees without layer
 // geometry are pruned by the layer-wise MBRs exactly as in QueryLayer.
 func (lo *Layout) QuerySubtree(cell *Cell, l Layer, window geom.Rect) []PlacedPoly {
-	out := make([]PlacedPoly, 0, capHint(cell.SubtreePolyCount(l), cell.LayerMBR(l), window))
-	var st QueryStats
-	lo.queryCell(cell, geom.Identity(), l, window, &out, &st)
-	return out
+	q := query{l: l, window: window,
+		out: make([]PlacedPoly, 0, capHint(cell.SubtreePolyCount(l), cell.LayerMBR(l), window))}
+	q.cell(cell, geom.Identity())
+	return q.out
 }
 
 // CompressionStats quantifies what preserving the hierarchy saves — the
