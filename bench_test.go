@@ -7,11 +7,13 @@
 package opendrc_test
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
 	"opendrc/internal/bench"
 	"opendrc/internal/core"
+	"opendrc/internal/gdsii"
 	"opendrc/internal/geom"
 	"opendrc/internal/gpu"
 	"opendrc/internal/kernels"
@@ -350,4 +352,114 @@ func BenchmarkSpacingSweepRow(b *testing.B) {
 	b.ReportMetric(float64(dev.DeviceBusy().Nanoseconds())/1e3, "modeled_us")
 	b.ReportMetric(float64(widest), "edges")
 	b.ReportMetric(float64(hits), "hits")
+}
+
+// BenchmarkIngest measures the path from GDSII bytes to a queryable
+// hierarchy on the batch benchmark's input (ethmac@4, ~6.3 MB): read decodes
+// the serialised library (MB/s is file bytes over decode time), build is
+// layout.FromLibrary on the decoded library, and index is the first narrow
+// query on every layer of a fresh layout — the one that bulk-loads the top
+// cell's spatial index. allocs/op is where a per-element or per-reference
+// allocation creeping back in shows.
+func BenchmarkIngest(b *testing.B) {
+	p, err := synth.Design("ethmac")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen, _ := p.Scaled(4).Generate()
+	var file bytes.Buffer
+	if err := gdsii.NewWriter(&file).WriteLibrary(gen); err != nil {
+		b.Fatal(err)
+	}
+	lib, err := gdsii.Read(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("ethmac@4/read", func(b *testing.B) {
+		b.SetBytes(int64(file.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := gdsii.Read(bytes.NewReader(file.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ethmac@4/build", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := layout.FromLibrary(lib); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("ethmac@4/index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			lo, err := layout.FromLibrary(lib)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			for _, l := range lo.Layers() {
+				ext := lo.Top.LayerMBR(l)
+				lo.QueryLayer(l, geom.R(ext.XLo, ext.YLo, ext.XLo+1, ext.YLo+1))
+			}
+		}
+	})
+}
+
+// TestIngestAllocs gates the ingest path's allocation behaviour where it
+// repeats exactly — in counts, not times. The reader may allocate a small
+// constant per structure (its element slices, point slab and text slab) and
+// the build a small constant per cell (its slices, vertex slab and layer
+// table), both independent of how many elements the structures hold: ethmac
+// at scale 2 has about twice the polygons and references of scale 1 in the
+// same cells, and must cost the same allocations give or take a table's
+// regrowth.
+func TestIngestAllocs(t *testing.T) {
+	p, err := synth.Design("ethmac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(scale float64) (read, build float64, lib *gdsii.Library) {
+		gen, _ := p.Scaled(scale).Generate()
+		var file bytes.Buffer
+		if err := gdsii.NewWriter(&file).WriteLibrary(gen); err != nil {
+			t.Fatal(err)
+		}
+		read = testing.AllocsPerRun(3, func() {
+			if lib, err = gdsii.Read(bytes.NewReader(file.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		})
+		build = testing.AllocsPerRun(3, func() {
+			if _, err := layout.FromLibrary(lib); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return read, build, lib
+	}
+	read1, build1, lib1 := measure(1)
+	read2, build2, lib2 := measure(2)
+	if len(lib1.Structures) != len(lib2.Structures) {
+		t.Fatalf("scales 1 and 2 have %d and %d structures; the comparison needs them equal", len(lib1.Structures), len(lib2.Structures))
+	}
+	elements := func(lib *gdsii.Library) (n int) {
+		for _, st := range lib.Structures {
+			n += st.NumElements()
+		}
+		return n
+	}
+	cells := float64(len(lib1.Structures))
+	t.Logf("%v structures; scale 1: %d elements, %v read + %v build allocs; scale 2: %d elements, %v + %v",
+		cells, elements(lib1), read1, build1, elements(lib2), read2, build2)
+	// Measured: 178 read and 282 build allocations for 39 structures, 257
+	// and 325 under the race detector.
+	if read1 > 8*cells+16 || build1 > 10*cells+32 {
+		t.Errorf("scale 1 ingest allocates %v (read) + %v (build) times for %v structures: more than a small constant each", read1, build1, cells)
+	}
+	if read2 > read1+8 || build2 > build1+8 {
+		t.Errorf("allocations grew with the element count: read %v -> %v, build %v -> %v", read1, read2, build1, build2)
+	}
 }

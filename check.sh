@@ -4,9 +4,10 @@
 # concurrency, no caller-slice mutation), the full test suite under the
 # race detector (the worker-pool fan-out makes -race part of tier-1
 # verification; the chaos and cancellation suites run here too), the nested
-# benchmark module's own tests, a short fuzz smoke over the GDSII reader, the
-# polygon/transform algebra and the indexed hierarchy query, and an end-to-end
-# smoke of the odrcd service over real HTTP.
+# benchmark module's own tests, a short fuzz smoke over the GDSII reader
+# (differentially, against the streaming reference reader), the
+# polygon/transform algebra, the indexed hierarchy query and the layout build,
+# and an end-to-end smoke of the odrcd service over real HTTP.
 set -e
 
 unformatted=$(gofmt -l .)
@@ -31,14 +32,16 @@ go test -C benchmark ./...
 go test -run=NONE -fuzz=FuzzReadLibrary -fuzztime=10s ./internal/gdsii
 go test -run=NONE -fuzz=FuzzPolygonTransform -fuzztime=10s ./internal/geom
 go test -run=NONE -fuzz=FuzzQueryLayer -fuzztime=10s ./internal/layout
+go test -run=NONE -fuzz=FuzzBuildLayout -fuzztime=10s ./internal/layout
 
 # Bench smoke: one iteration of the geometry-cache unit benchmarks, of one
-# sweepline-executor row and of the hierarchy range queries, so a change that
-# breaks flatten/pack or the row simulation off the engine path still fails
-# the gate (the row benchmark prints its modeled_us, where a cost-model drift
-# shows; narrow-window prints nodes_pruned per query, where a fall back to the
-# linear walk shows).
-go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation' -benchtime=1x .
+# sweepline-executor row, of the hierarchy range queries and of the ingest
+# path, so a change that breaks flatten/pack or the row simulation off the
+# engine path still fails the gate (the row benchmark prints its modeled_us,
+# where a cost-model drift shows; narrow-window prints nodes_pruned per query,
+# where a fall back to the linear walk shows; ingest prints MB/s and
+# allocs/op, where a per-element allocation creeping back shows).
+go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation|BenchmarkIngest' -benchtime=1x .
 
 # Bench gate: regenerate the speedup and reuse experiments with the
 # regression gate on — any row with a ratio below 1.0 or mismatched reports

@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"opendrc"
+	"opendrc/internal/core"
 	"opendrc/internal/layout"
 	"opendrc/internal/synth"
 )
@@ -86,7 +87,14 @@ func run() int {
 		return exitError
 	}
 
-	db, err := opendrc.ReadGDS(flag.Arg(0))
+	// The tracer exists before the file is read, so the timeline starts with
+	// the ledger's first two stages.
+	var tracer *opendrc.Tracer
+	if *traceOut != "" {
+		tracer = opendrc.NewTracer()
+		tracer.SetMeta("source", flag.Arg(0))
+	}
+	db, ingest, err := core.LoadGDS(flag.Arg(0), tracer)
 	if err != nil {
 		return fail(err)
 	}
@@ -113,10 +121,7 @@ func run() int {
 			MaxPackedEdges:  *maxEdges,
 			MaxDeviceBytes:  *maxDeviceBytes,
 		}))
-	var tracer *opendrc.Tracer
-	if *traceOut != "" {
-		tracer = opendrc.NewTracer()
-		tracer.SetMeta("source", flag.Arg(0))
+	if tracer != nil {
 		opts = append(opts, opendrc.WithTrace(tracer))
 	}
 	eng := opendrc.NewEngine(opts...)
@@ -215,6 +220,8 @@ func run() int {
 		}
 	}
 	if *stats {
+		fmt.Printf("ingest:read  %v (%d bytes, %d structures)\n", ingest.Read.Round(1e3), ingest.Bytes, ingest.Structures)
+		fmt.Printf("ingest:build %v (%d cells)\n", ingest.Build.Round(1e3), ingest.Cells)
 		fmt.Printf("stats: %+v\n", rep.Stats)
 		rep.Profile.WriteTo(os.Stdout)
 		if rep.Device != nil {

@@ -1,81 +1,23 @@
 package gdsii
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"opendrc/internal/geom"
 )
 
-// record is one decoded GDSII record.
+// record is one decoded GDSII record. data aliases the input bytes.
 type record struct {
 	typ  RecordType
 	dt   DataType
 	data []byte
 	pos  int64 // byte offset of the record header, for diagnostics
-}
-
-// recordReader streams records from r, reusing its payload buffer.
-type recordReader struct {
-	br  *bufio.Reader
-	pos int64
-	buf []byte
-}
-
-func newRecordReader(r io.Reader) *recordReader {
-	return &recordReader{br: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// next reads the next record. io.EOF is returned cleanly at a record
-// boundary; a truncated record yields io.ErrUnexpectedEOF.
-func (rr *recordReader) next() (record, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(rr.br, hdr[:1]); err != nil {
-		if err == io.EOF {
-			return record{}, io.EOF
-		}
-		return record{}, err
-	}
-	if _, err := io.ReadFull(rr.br, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return record{}, err
-	}
-	length := int(binary.BigEndian.Uint16(hdr[0:2]))
-	if length < 4 {
-		return record{}, fmt.Errorf("gdsii: record at offset %d has invalid length %d", rr.pos, length)
-	}
-	payload := length - 4
-	if cap(rr.buf) < payload {
-		rr.buf = make([]byte, payload)
-	}
-	data := rr.buf[:payload]
-	if _, err := io.ReadFull(rr.br, data); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return record{}, err
-	}
-	rec := record{
-		typ:  RecordType(hdr[2]),
-		dt:   DataType(hdr[3]),
-		data: data,
-		pos:  rr.pos,
-	}
-	rr.pos += int64(length)
-	return rec, nil
-}
-
-func (r record) int16s() []int16 {
-	out := make([]int16, len(r.data)/2)
-	for i := range out {
-		out[i] = int16(binary.BigEndian.Uint16(r.data[2*i:]))
-	}
-	return out
 }
 
 func (r record) int16At(i int) int16 {
@@ -86,59 +28,98 @@ func (r record) int32At(i int) int32 {
 	return int32(binary.BigEndian.Uint32(r.data[4*i:]))
 }
 
-func (r record) numInt32s() int { return len(r.data) / 4 }
-
 func (r record) real8At(i int) float64 {
-	var b [8]byte
-	copy(b[:], r.data[8*i:8*i+8])
-	return real8ToFloat64(b)
+	return real8ToFloat64([8]byte(r.data[8*i:]))
 }
 
-func (r record) str() string {
+// strBytes returns the record's string payload without the NULs GDSII pads
+// strings to even length with.
+func (r record) strBytes() []byte {
 	b := r.data
-	// GDSII pads strings to even length with a NUL.
 	for len(b) > 0 && b[len(b)-1] == 0 {
 		b = b[:len(b)-1]
 	}
-	return string(b)
+	return b
 }
 
-func (r record) points() []geom.Point {
-	n := r.numInt32s() / 2
-	pts := make([]geom.Point, n)
-	for i := 0; i < n; i++ {
-		pts[i] = geom.Pt(int64(r.int32At(2*i)), int64(r.int32At(2*i+1)))
-	}
-	return pts
-}
-
-// parser holds decode state for one library.
+// parser holds decode state for one library. The whole stream is in memory:
+// records are sliced out of buf in place, and each structure's slices are
+// allocated once, at the sizes a header-hop pass over the structure counted.
 type parser struct {
-	rr  *recordReader
-	lib *Library
+	buf     []byte
+	pos     int   // offset of the next record header
+	readErr error // what the source failed with after buf, if it did
+	lib     *Library
+
+	names   map[string]string // interned STRNAME/SNAME strings
+	slab    []geom.Point      // the current structure's BOUNDARY/PATH points
+	scratch []geom.Point      // XY of the element being parsed, when it is not kept
+	text    strings.Builder   // the current structure's STRING bytes
+	body    elementBody       // the element being parsed
 }
 
-// Read parses a GDSII library from r.
+// Read parses a GDSII library from r, which it reads to the end first.
 func Read(r io.Reader) (*Library, error) {
-	p := &parser{rr: newRecordReader(r), lib: &Library{}}
+	var buf bytes.Buffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(sized.Len() + bytes.MinRead) // an in-memory source: one allocation, no regrowth
+	}
+	_, err := buf.ReadFrom(r)
+	return parse(buf.Bytes(), err)
+}
+
+// ReadFile parses the GDSII file at path.
+func ReadFile(path string) (*Library, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lib, err := parse(data, nil)
+	if err != nil {
+		return nil, fmt.Errorf("gdsii: reading %s: %w", path, err)
+	}
+	return lib, nil
+}
+
+// parse decodes the stream held in data; readErr is the error that ended the
+// read short of EOF, reported where a streaming reader would have met it.
+func parse(data []byte, readErr error) (*Library, error) {
+	p := &parser{buf: data, readErr: readErr, lib: &Library{}, names: make(map[string]string)}
 	if err := p.parseLibrary(); err != nil {
 		return nil, err
 	}
 	return p.lib, nil
 }
 
-// ReadFile parses the GDSII file at path.
-func ReadFile(path string) (*Library, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// next returns the next record. io.EOF is returned cleanly at a record
+// boundary; a truncated record yields io.ErrUnexpectedEOF.
+func (p *parser) next() (record, error) {
+	rest := p.buf[p.pos:]
+	if len(rest) < 4 {
+		return record{}, p.short(len(rest) == 0)
 	}
-	defer f.Close()
-	lib, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("gdsii: reading %s: %w", path, err)
+	length := int(binary.BigEndian.Uint16(rest))
+	if length < 4 {
+		return record{}, fmt.Errorf("gdsii: record at offset %d has invalid length %d", p.pos, length)
 	}
-	return lib, nil
+	if length > len(rest) {
+		return record{}, p.short(false)
+	}
+	rec := record{typ: RecordType(rest[2]), dt: DataType(rest[3]), data: rest[4:length:length], pos: int64(p.pos)}
+	p.pos += length
+	return rec, nil
+}
+
+// short is the error for running out of input: the source's read error if it
+// had one, else EOF — unexpected unless the input ends between records.
+func (p *parser) short(atBoundary bool) error {
+	switch {
+	case p.readErr != nil:
+		return p.readErr
+	case atBoundary:
+		return io.EOF
+	}
+	return io.ErrUnexpectedEOF
 }
 
 func (p *parser) warnf(pos int64, format string, args ...any) {
@@ -147,7 +128,7 @@ func (p *parser) warnf(pos int64, format string, args ...any) {
 }
 
 func (p *parser) expect(want RecordType) (record, error) {
-	rec, err := p.rr.next()
+	rec, err := p.next()
 	if err != nil {
 		return record{}, fmt.Errorf("gdsii: expected %v: %w", want, err)
 	}
@@ -158,6 +139,17 @@ func (p *parser) expect(want RecordType) (record, error) {
 		p.warnf(rec.pos, "%v has data type %#x, expected %#x", rec.typ, rec.dt, dt)
 	}
 	return rec, nil
+}
+
+// intern returns b as a string, sharing one copy among equal names: a
+// structure's name recurs in every reference to it.
+func (p *parser) intern(b []byte) string {
+	if s, ok := p.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	p.names[s] = s
+	return s
 }
 
 func (p *parser) parseLibrary() error {
@@ -175,9 +167,9 @@ func (p *parser) parseLibrary() error {
 	if err != nil {
 		return err
 	}
-	p.lib.Name = name.str()
+	p.lib.Name = string(name.strBytes())
 	for {
-		rec, err := p.rr.next()
+		rec, err := p.next()
 		if err != nil {
 			return fmt.Errorf("gdsii: inside library: %w", err)
 		}
@@ -202,14 +194,77 @@ func (p *parser) parseLibrary() error {
 	}
 }
 
+// presize allocates st's element slices, the point slab and the text slab
+// for the structure starting at the cursor. It hops from header to header
+// through the same two states the parser moves through — between elements,
+// and inside one until its ENDEL — reading four bytes per record, so on a
+// structure that parses the counts are exact. Lengths are untrusted: the
+// pass ends at the first record that is malformed or runs past the input,
+// which bounds every count by the bytes actually present.
+func (p *parser) presize(st *Structure) {
+	var boundaries, paths, srefs, arefs, texts, points, textBytes int
+	var elem RecordType // the element the pass is inside; 0 between elements
+scan:
+	for pos := p.pos; pos+4 <= len(p.buf); {
+		length := int(binary.BigEndian.Uint16(p.buf[pos:]))
+		if length < 4 || length > len(p.buf)-pos {
+			break
+		}
+		typ := RecordType(p.buf[pos+2])
+		pos += length
+		if elem != 0 {
+			switch typ {
+			case RecEndEl:
+				elem = 0
+			case RecXY:
+				if elem == RecBoundary || elem == RecPath {
+					points += (length - 4) / 8
+				}
+			case RecString:
+				textBytes += length - 4
+			}
+			continue
+		}
+		switch typ {
+		case RecEndStr:
+			break scan
+		case RecBoundary:
+			boundaries++
+		case RecPath:
+			paths++
+		case RecSRef:
+			srefs++
+		case RecARef:
+			arefs++
+		case RecText:
+			texts++
+		case RecNode, RecBox:
+		default:
+			continue // not an element
+		}
+		elem = typ
+	}
+	// Grow leaves a slice nil when there is nothing to make room for, so a
+	// structure without elements of a kind keeps a nil slice for them.
+	st.Boundaries = slices.Grow(st.Boundaries, boundaries)
+	st.Paths = slices.Grow(st.Paths, paths)
+	st.SRefs = slices.Grow(st.SRefs, srefs)
+	st.ARefs = slices.Grow(st.ARefs, arefs)
+	st.Texts = slices.Grow(st.Texts, texts)
+	p.slab = slices.Grow([]geom.Point(nil), points)
+	p.text = strings.Builder{}
+	p.text.Grow(textBytes)
+}
+
 func (p *parser) parseStructure() (*Structure, error) {
 	name, err := p.expect(RecStrName)
 	if err != nil {
 		return nil, err
 	}
-	st := &Structure{Name: name.str()}
+	st := &Structure{Name: p.intern(name.strBytes())}
+	p.presize(st)
 	for {
-		rec, err := p.rr.next()
+		rec, err := p.next()
 		if err != nil {
 			return nil, fmt.Errorf("gdsii: inside structure %q: %w", st.Name, err)
 		}
@@ -260,7 +315,7 @@ func (p *parser) parseStructure() (*Structure, error) {
 // skipElement consumes records until ENDEL, for unsupported element kinds.
 func (p *parser) skipElement() error {
 	for {
-		rec, err := p.rr.next()
+		rec, err := p.next()
 		if err != nil {
 			return err
 		}
@@ -293,18 +348,50 @@ func need(rec record, n int) error {
 	return nil
 }
 
-func (p *parser) parseElementBody(kind string) (elementBody, error) {
-	var b elementBody
-	b.trans.Mag = 0
+// points decodes an XY payload. A BOUNDARY's or PATH's points outlive the
+// element, so they are appended to the structure's slab and returned as a
+// slice of it, capped so that a caller's append cannot reach its neighbour;
+// any other element copies the one or three points it wants out of the
+// result, which is the scratch buffer the next XY overwrites.
+func (p *parser) points(rec record, keep bool) []geom.Point {
+	pts := p.scratch[:0]
+	if keep {
+		pts = p.slab
+	}
+	start := len(pts)
+	for d := rec.data; len(d) >= 8; d = d[8:] {
+		pts = append(pts, geom.Pt(
+			int64(int32(binary.BigEndian.Uint32(d))), int64(int32(binary.BigEndian.Uint32(d[4:])))))
+	}
+	if keep {
+		p.slab = pts
+	} else {
+		p.scratch = pts
+	}
+	return pts[start:len(pts):len(pts)]
+}
+
+// str copies a STRING payload into the structure's text slab, sized by
+// presize, and returns the copy.
+func (p *parser) str(b []byte) string {
+	start := p.text.Len()
+	p.text.Write(b)
+	return p.text.String()[start:]
+}
+
+// parseElementBody reads the records of one element of the given kind.
+func (p *parser) parseElementBody(kind RecordType) (*elementBody, error) {
+	p.body = elementBody{}
+	b := &p.body
 	for {
-		rec, err := p.rr.next()
+		rec, err := p.next()
 		if err != nil {
-			return b, fmt.Errorf("gdsii: inside %s element: %w", kind, err)
+			return b, fmt.Errorf("gdsii: inside %v element: %w", kind, err)
 		}
 		switch rec.typ {
 		case RecEndEl:
 			if !b.hasXY {
-				return b, fmt.Errorf("gdsii: offset %d: %s element without XY", rec.pos, kind)
+				return b, fmt.Errorf("gdsii: offset %d: %v element without XY", rec.pos, kind)
 			}
 			return b, nil
 		case RecLayer:
@@ -333,12 +420,12 @@ func (p *parser) parseElementBody(kind string) (elementBody, error) {
 			}
 			b.width = rec.int32At(0)
 		case RecXY:
-			b.xy = rec.points()
+			b.xy = p.points(rec, kind == RecBoundary || kind == RecPath)
 			b.hasXY = true
 		case RecSName:
-			b.sname = rec.str()
+			b.sname = p.intern(rec.strBytes())
 		case RecString:
-			b.text = rec.str()
+			b.text = p.str(rec.strBytes())
 		case RecColRow:
 			if err := need(rec, 4); err != nil {
 				return b, err
@@ -366,13 +453,13 @@ func (p *parser) parseElementBody(kind string) (elementBody, error) {
 		case RecElFlags, RecPlex, RecPresentation, RecPropAttr, RecPropValue:
 			// Legal but irrelevant to DRC; ignore silently.
 		default:
-			p.warnf(rec.pos, "skipping record %v in %s element", rec.typ, kind)
+			p.warnf(rec.pos, "skipping record %v in %v element", rec.typ, kind)
 		}
 	}
 }
 
 func (p *parser) parseBoundary() (Boundary, error) {
-	b, err := p.parseElementBody("BOUNDARY")
+	b, err := p.parseElementBody(RecBoundary)
 	if err != nil {
 		return Boundary{}, err
 	}
@@ -387,7 +474,7 @@ func (p *parser) parseBoundary() (Boundary, error) {
 }
 
 func (p *parser) parsePath() (Path, error) {
-	b, err := p.parseElementBody("PATH")
+	b, err := p.parseElementBody(RecPath)
 	if err != nil {
 		return Path{}, err
 	}
@@ -401,7 +488,7 @@ func (p *parser) parsePath() (Path, error) {
 }
 
 func (p *parser) parseSRef() (SRef, error) {
-	b, err := p.parseElementBody("SREF")
+	b, err := p.parseElementBody(RecSRef)
 	if err != nil {
 		return SRef{}, err
 	}
@@ -415,7 +502,7 @@ func (p *parser) parseSRef() (SRef, error) {
 }
 
 func (p *parser) parseARef() (ARef, error) {
-	b, err := p.parseElementBody("AREF")
+	b, err := p.parseElementBody(RecARef)
 	if err != nil {
 		return ARef{}, err
 	}
@@ -435,7 +522,7 @@ func (p *parser) parseARef() (ARef, error) {
 }
 
 func (p *parser) parseText() (Text, error) {
-	b, err := p.parseElementBody("TEXT")
+	b, err := p.parseElementBody(RecText)
 	if err != nil {
 		return Text{}, err
 	}

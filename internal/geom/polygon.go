@@ -3,6 +3,7 @@ package geom
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Polygon is a simple polygon stored as its vertex ring without repeating
@@ -18,20 +19,67 @@ type Polygon struct {
 // copied and normalized to canonical clockwise order. At least 3 vertices
 // are required; collinear duplicate vertices are merged.
 func NewPolygon(pts []Point) (Polygon, error) {
-	if len(pts) < 3 {
-		return Polygon{}, fmt.Errorf("geom: polygon needs >= 3 vertices, got %d", len(pts))
-	}
-	ring := make([]Point, len(pts))
-	copy(ring, pts)
-	// Strip a repeated closing vertex if present.
-	if len(ring) > 3 && ring[0] == ring[len(ring)-1] {
-		ring = ring[:len(ring)-1]
-	}
-	ring = dedupCollinear(ring)
+	s := Slab{pts: make([]Point, 0, len(pts))}
+	return s.NewPolygon(pts)
+}
+
+// Slab is a vertex arena: the polygons built through it are stored back to
+// back in one array, so loading a cell costs one allocation however many
+// polygons it holds. Polygons never write to their vertices after
+// construction, so sharing the array is invisible to their users.
+type Slab struct {
+	pts []Point
+}
+
+// NewSlab returns a slab with room for n vertices. A slab that outgrows its
+// room moves to a larger array; the polygons built so far keep the old one.
+func NewSlab(n int) *Slab { return &Slab{pts: make([]Point, 0, n)} }
+
+// NewPolygon is the package-level NewPolygon storing into the slab: the ring
+// is copied (never modified), stripped of a repeated closing vertex, of
+// repeated vertices and of vertices that are not corners, and rewritten to
+// clockwise order starting at the lexicographically smallest vertex. On
+// error the slab is unchanged.
+func (s *Slab) NewPolygon(ring []Point) (Polygon, error) {
 	if len(ring) < 3 {
+		return Polygon{}, fmt.Errorf("geom: polygon needs >= 3 vertices, got %d", len(ring))
+	}
+	start := len(s.pts)
+	for _, p := range ring {
+		if n := len(s.pts); n == start || p != s.pts[n-1] {
+			s.pts = append(s.pts, p)
+		}
+	}
+	out := s.pts[start:]
+	if len(out) > 1 && out[0] == out[len(out)-1] {
+		out = out[:len(out)-1]
+	}
+	// Keep the vertices whose incoming and outgoing edges are not collinear,
+	// judged against their neighbours in out, compacting in place: position
+	// k <= i is written only after out[i] has been read, and the two reads
+	// that reach behind the write cursor (the previous vertex, and the first
+	// as the last one's successor) come from saved copies.
+	k := 0
+	if n := len(out); n >= 3 {
+		first, prev := out[0], out[n-1]
+		for i, cur := range out {
+			next := first
+			if i+1 < n {
+				next = out[i+1]
+			}
+			if next.Sub(cur).Cross(cur.Sub(prev)) != 0 {
+				out[k] = cur
+				k++
+			}
+			prev = cur
+		}
+	}
+	if k < 3 {
+		s.pts = s.pts[:start]
 		return Polygon{}, errors.New("geom: polygon degenerates to fewer than 3 vertices")
 	}
-	p := Polygon{pts: ring}
+	s.pts = s.pts[:start+k]
+	p := Polygon{pts: s.pts[start : start+k : start+k]}
 	p.normalize()
 	return p, nil
 }
@@ -57,58 +105,22 @@ func RectPolygon(r Rect) Polygon {
 	return MustPolygon(c[:])
 }
 
-// dedupCollinear removes repeated vertices and merges runs of collinear
-// vertices so each stored vertex is a true corner.
-func dedupCollinear(ring []Point) []Point {
-	// First remove exact duplicates of consecutive points.
-	out := ring[:0:0]
-	for i, p := range ring {
-		if i > 0 && p == out[len(out)-1] {
-			continue
-		}
-		out = append(out, p)
-	}
-	if len(out) > 1 && out[0] == out[len(out)-1] {
-		out = out[:len(out)-1]
-	}
-	// Then drop vertices where incoming and outgoing edges are collinear.
-	if len(out) < 3 {
-		return out
-	}
-	kept := make([]Point, 0, len(out))
-	n := len(out)
-	for i := 0; i < n; i++ {
-		prev := out[(i-1+n)%n]
-		cur := out[i]
-		next := out[(i+1)%n]
-		if next.Sub(cur).Cross(cur.Sub(prev)) == 0 {
-			continue // collinear; cur is not a corner
-		}
-		kept = append(kept, cur)
-	}
-	return kept
-}
-
-// normalize rewrites the ring to clockwise order starting at the
+// normalize rewrites the ring, in place, to clockwise order starting at the
 // lexicographically smallest vertex.
 func (p *Polygon) normalize() {
 	if p.SignedArea2() > 0 { // counterclockwise ⇒ reverse
-		for i, j := 0, len(p.pts)-1; i < j; i, j = i+1, j-1 {
-			p.pts[i], p.pts[j] = p.pts[j], p.pts[i]
-		}
+		slices.Reverse(p.pts)
 	}
-	// Rotate so the smallest vertex is first.
 	min := 0
 	for i, q := range p.pts {
 		if q.Less(p.pts[min]) {
 			min = i
 		}
 	}
-	if min != 0 {
-		rot := make([]Point, len(p.pts))
-		copy(rot, p.pts[min:])
-		copy(rot[len(p.pts)-min:], p.pts[:min])
-		p.pts = rot
+	if min != 0 { // rotate left by min: reverse both parts, then the whole
+		slices.Reverse(p.pts[:min])
+		slices.Reverse(p.pts[min:])
+		slices.Reverse(p.pts)
 	}
 }
 

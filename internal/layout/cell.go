@@ -13,7 +13,7 @@ package layout
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"opendrc/internal/geom"
 )
@@ -86,6 +86,20 @@ func (r *Ref) Placement(col, row int) geom.Transform {
 	return t
 }
 
+// extent returns the box, in the referencing cell's frame, of everything the
+// reference places of a child box. Array instance offsets are linear in
+// (col, row), so the four corner instances bound the whole array — no need
+// to visit all cols × rows placements.
+func (r *Ref) extent(childR geom.Rect) geom.Rect {
+	u := r.Trans.ApplyRect(childR)
+	if r.Cols > 1 || r.Rows > 1 {
+		u = u.Union(r.Placement(r.Cols-1, 0).ApplyRect(childR)).
+			Union(r.Placement(0, r.Rows-1).ApplyRect(childR)).
+			Union(r.Placement(r.Cols-1, r.Rows-1).ApplyRect(childR))
+	}
+	return u
+}
+
 // ForEachPlacement calls fn with the transform of every instance.
 func (r *Ref) ForEachPlacement(fn func(geom.Transform)) {
 	for c := 0; c < r.Cols; c++ {
@@ -105,29 +119,61 @@ type Cell struct {
 	Labels []Label
 	Refs   []Ref
 
-	// layerMBR[l] is the MBR of all layer-l geometry in the cell's frame,
-	// including geometry inside referenced children ("for a cell that spans
-	// multiple layers, separated MBRs are computed for each layer").
-	layerMBR map[Layer]geom.Rect
+	// layers is the cell's layer table (see layerSlot), sorted by layer.
+	layers []layerSlot
 	// mbr is the all-layer bounding box.
 	mbr geom.Rect
-	// localEdgeCount[l] counts the axis-aligned edges of the cell's own
-	// layer-l polygons; used by executor selection in the parallel mode.
-	localEdgeCount map[Layer]int
-	// polysByLayer indexes the cell's own polygons per layer so range
-	// queries and flattening never scan other layers' shapes (essential
-	// for top cells holding tens of thousands of routing polygons).
-	polysByLayer map[Layer][]int32
-	// subtreeCount[l] is the instance-expanded polygon count of the subtree
-	// rooted at one placement of this cell, per layer — the exact output
-	// size of a full-subtree query, used to pre-size query results.
-	subtreeCount map[Layer]int
 	// placeStart numbers the cell's child placements for the spatial index
 	// (see numberPlacements); nil for leaf cells and unindexable ones.
 	placeStart []uint32
-	// index holds the lazily built spatial index of every layer on which
-	// the cell has more than indexMinItems items (see index.go).
-	index map[Layer]*layerIndex
+}
+
+// layerSlot is one row of a cell's layer table: everything the cell knows
+// about one layer. A cell has a slot for exactly the layers its subtree has
+// geometry on — mbr is never empty, and a slot an edit empties is removed —
+// and a cell spans a handful of layers, so finding a slot is a short scan.
+type layerSlot struct {
+	layer Layer
+	// mbr bounds the layer's geometry in the cell's frame, including geometry
+	// inside referenced children ("for a cell that spans multiple layers,
+	// separated MBRs are computed for each layer").
+	mbr geom.Rect
+	// edges counts the axis-aligned edges of the cell's own polygons on the
+	// layer; used by executor selection in the parallel mode.
+	edges int
+	// polys indexes the cell's own polygons on the layer, ascending, so range
+	// queries and flattening never scan other layers' shapes (essential for
+	// top cells holding tens of thousands of routing polygons).
+	polys []int32
+	// subtree is the instance-expanded polygon count on the layer of the
+	// subtree rooted at one placement of the cell — the exact output size of
+	// a full-subtree query, used to pre-size query results.
+	subtree int
+	// index is the lazily built spatial index, nil unless the cell has more
+	// than indexMinItems items on the layer (see index.go).
+	index *layerIndex
+}
+
+// noSlot stands in for the slot of a layer a cell does not have: no geometry,
+// zero counts. It is only ever read.
+var noSlot = layerSlot{mbr: geom.EmptyRect()}
+
+// slot returns the cell's slot for the layer, or noSlot.
+func (c *Cell) slot(l Layer) *layerSlot {
+	if i, ok := c.slotIndex(l); ok {
+		return &c.layers[i]
+	}
+	return &noSlot
+}
+
+// slotIndex returns where the layer's slot is in the table, or where it
+// would be inserted.
+func (c *Cell) slotIndex(l Layer) (int, bool) {
+	i := 0
+	for i < len(c.layers) && c.layers[i].layer < l {
+		i++
+	}
+	return i, i < len(c.layers) && c.layers[i].layer == l
 }
 
 // MBR returns the cell's all-layer bounding box (local frame).
@@ -135,36 +181,28 @@ func (c *Cell) MBR() geom.Rect { return c.mbr }
 
 // LayerMBR returns the cell's bounding box for one layer (local frame); it
 // is empty when the subtree rooted at the cell has no geometry on the layer.
-func (c *Cell) LayerMBR(l Layer) geom.Rect {
-	if r, ok := c.layerMBR[l]; ok {
-		return r
-	}
-	return geom.EmptyRect()
-}
+func (c *Cell) LayerMBR(l Layer) geom.Rect { return c.slot(l).mbr }
 
 // HasLayer reports whether the subtree rooted at the cell contains any
 // geometry on the layer — the subtree-pruning predicate for range queries.
-func (c *Cell) HasLayer(l Layer) bool {
-	return !c.LayerMBR(l).Empty()
-}
+func (c *Cell) HasLayer(l Layer) bool { return !c.slot(l).mbr.Empty() }
 
 // Layers returns the layers present in the subtree, sorted.
 func (c *Cell) Layers() []Layer {
-	out := make([]Layer, 0, len(c.layerMBR))
-	for l := range c.layerMBR {
-		out = append(out, l)
+	out := make([]Layer, len(c.layers))
+	for i := range c.layers {
+		out[i] = c.layers[i].layer
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // LocalEdgeCount returns the number of polygon edges the cell itself (not
 // its children) contributes on the layer.
-func (c *Cell) LocalEdgeCount(l Layer) int { return c.localEdgeCount[l] }
+func (c *Cell) LocalEdgeCount(l Layer) int { return c.slot(l).edges }
 
 // LocalPolys returns the indices of the cell's own polygons on the layer.
 func (c *Cell) LocalPolys(l Layer) []int {
-	idx := c.polysByLayer[l]
+	idx := c.slot(l).polys
 	out := make([]int, len(idx))
 	for i, v := range idx {
 		out[i] = int(v)
@@ -176,12 +214,12 @@ func (c *Cell) LocalPolys(l Layer) []int {
 // layer without copying. The returned slice is shared and must not be
 // mutated; hot paths that only iterate use it instead of LocalPolys to
 // avoid a copy per call.
-func (c *Cell) LocalPolyIndex(l Layer) []int32 { return c.polysByLayer[l] }
+func (c *Cell) LocalPolyIndex(l Layer) []int32 { return c.slot(l).polys }
 
 // SubtreePolyCount returns the instance-expanded polygon count on the layer
 // of the subtree rooted at one placement of the cell — the exact size of a
 // full-subtree query result, precomputed at build time.
-func (c *Cell) SubtreePolyCount(l Layer) int { return c.subtreeCount[l] }
+func (c *Cell) SubtreePolyCount(l Layer) int { return c.slot(l).subtree }
 
 // Layout is the loaded hierarchical database.
 type Layout struct {
@@ -225,7 +263,7 @@ func (lo *Layout) Layers() []Layer {
 	for l := range lo.inverted {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

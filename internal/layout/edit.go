@@ -1,8 +1,9 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"opendrc/internal/geom"
 )
@@ -14,9 +15,9 @@ import (
 // fixes, fill insertion, spare-cell hookup). Child cell definitions are
 // immutable; an edit that must touch library geometry is a new library.
 //
-// ApplyEdits keeps every derived index consistent (per-layer MBRs, local
-// poly indices, subtree counts, the layer-wise duplicated hierarchy, the
-// inverted index, and the top cell's spatial index slots) and reports, per
+// ApplyEdits keeps every derived index consistent (the top cell's layer
+// table — MBRs, local poly indices, subtree counts, spatial index slots —
+// the layer-wise duplicated hierarchy and the inverted index) and reports, per
 // layer, the dirty rectangles — the exact regions where geometry appeared or
 // disappeared — which the session layer dilates by the deck's guard distance
 // to plan incremental re-checks.
@@ -101,30 +102,29 @@ func (lo *Layout) ApplyEdits(edits []Edit) ([]LayerDirty, error) {
 	}
 
 	top := lo.Top
-	acc := make(map[Layer]*LayerDirty)
-	touch := func(l Layer) *LayerDirty {
-		d := acc[l]
-		if d == nil {
-			d = &LayerDirty{Layer: l}
-			acc[l] = d
+	var out []LayerDirty // sorted by layer
+	dirty := func(l Layer) *LayerDirty {
+		i, ok := slices.BinarySearchFunc(out, l, func(d LayerDirty, l Layer) int { return cmp.Compare(d.Layer, l) })
+		if !ok {
+			out = slices.Insert(out, i, LayerDirty{Layer: l})
 		}
-		return d
+		return &out[i]
 	}
 	for _, ed := range edits {
-		d := touch(ed.Layer)
+		d := dirty(ed.Layer)
+		s := top.touch(ed.Layer) // a slot left empty is removed below
 		switch ed.Op {
 		case OpInsertRect:
-			idx := len(top.Polys)
-			top.Polys = append(top.Polys, Poly{Layer: ed.Layer, Shape: geom.RectPolygon(ed.Rect)})
 			// Appended indices are the largest so far, so the per-layer index
-			// stays in ascending poly order — the order buildIndices produced.
-			top.polysByLayer[ed.Layer] = append(top.polysByLayer[ed.Layer], int32(idx))
+			// stays in ascending poly order — the order the build produced.
+			s.polys = append(s.polys, int32(len(top.Polys)))
+			top.Polys = append(top.Polys, Poly{Layer: ed.Layer, Shape: geom.RectPolygon(ed.Rect)})
 			d.Inserted++
 			d.Rects = append(d.Rects, ed.Rect)
 		case OpDeleteRegion:
 			gone := geom.EmptyRect()
-			kept := top.polysByLayer[ed.Layer][:0]
-			for _, pi := range top.polysByLayer[ed.Layer] {
+			kept := s.polys[:0]
+			for _, pi := range s.polys {
 				p := &top.Polys[pi]
 				if p.Shape.MBR().Overlaps(ed.Rect) {
 					gone = gone.Union(p.Shape.MBR())
@@ -135,131 +135,25 @@ func (lo *Layout) ApplyEdits(edits []Edit) ([]LayerDirty, error) {
 				}
 				kept = append(kept, pi)
 			}
-			top.polysByLayer[ed.Layer] = kept
+			s.polys = kept
 			if !gone.Empty() {
 				d.Rects = append(d.Rects, gone)
 			}
 		}
 	}
 
-	layers := make([]Layer, 0, len(acc))
-	for l := range acc {
-		layers = append(layers, l)
+	top.mbr = geom.EmptyRect() // deletions can shrink it; insertions can grow it
+	for _, d := range out {
+		// Children are untouched by edits, so their slots are still valid
+		// inputs. A layer left without geometry loses its slot, as if never loaded.
+		i, _ := top.slotIndex(d.Layer)
+		if top.refresh(&top.layers[i]); top.layers[i].mbr.Empty() {
+			top.layers = slices.Delete(top.layers, i, i+1)
+		}
+		lo.reindexLayer(d.Layer)
 	}
-	sort.Slice(layers, func(i, j int) bool { return layers[i] < layers[j] })
-	out := make([]LayerDirty, 0, len(layers))
-	for _, l := range layers {
-		lo.refreshTopLayer(l)
-		out = append(out, *acc[l])
+	for i := range top.layers {
+		top.mbr = top.mbr.Union(top.layers[i].mbr)
 	}
-	lo.refreshTopMBR()
 	return out, nil
-}
-
-// refreshTopLayer recomputes the top cell's derived per-layer state and the
-// layout-level indices for one edited layer, mirroring what computeMBRs and
-// buildIndices produced at load time. Children are untouched by edits, so
-// their bottom-up aggregates are still valid inputs here.
-func (lo *Layout) refreshTopLayer(l Layer) {
-	top := lo.Top
-	idx := top.polysByLayer[l]
-	mbr := geom.EmptyRect()
-	edges := 0
-	for _, pi := range idx {
-		mbr = mbr.Union(top.Polys[pi].Shape.MBR())
-		edges += top.Polys[pi].Shape.NumEdges()
-	}
-	count, items := len(idx), len(idx)
-	for ri := range top.Refs {
-		ref := &top.Refs[ri]
-		childR := ref.Child.LayerMBR(l)
-		if childR.Empty() {
-			continue
-		}
-		for _, cr := range refCorners(ref) {
-			mbr = mbr.Union(ref.Placement(cr[0], cr[1]).ApplyRect(childR))
-		}
-		count += ref.NumPlacements() * ref.Child.subtreeCount[l]
-		items += ref.NumPlacements()
-	}
-	// A built tree stays valid across edits: refs never change, deleted
-	// slots are filtered on visit and inserted polygons are scanned as a
-	// tail, so it is dropped only once that tail outgrows its bound.
-	if top.index[l].outgrown(idx) {
-		delete(top.index, l)
-	}
-	top.setIndexed(l, items)
-	if len(idx) == 0 {
-		delete(top.polysByLayer, l)
-	}
-	setOrDelete := func(m map[Layer]int, v int) {
-		if v == 0 {
-			delete(m, l)
-		} else {
-			m[l] = v
-		}
-	}
-	setOrDelete(top.localEdgeCount, edges)
-	setOrDelete(top.subtreeCount, count)
-	if mbr.Empty() {
-		delete(top.layerMBR, l)
-	} else {
-		top.layerMBR[l] = mbr
-	}
-
-	// Rebuild the layer's duplicated-hierarchy membership and inverted index
-	// from scratch in cell order — the same order buildIndices used, so an
-	// edited layout is indistinguishable from one loaded in this state.
-	var cells []int
-	var inv []PolyRef
-	for _, c := range lo.Cells {
-		if !c.LayerMBR(l).Empty() {
-			cells = append(cells, c.ID)
-		}
-		for _, pi := range c.polysByLayer[l] {
-			inv = append(inv, PolyRef{Cell: c, Idx: int(pi)})
-		}
-	}
-	if len(cells) == 0 {
-		delete(lo.layerCells, l)
-	} else {
-		lo.layerCells[l] = cells
-	}
-	if len(inv) == 0 {
-		delete(lo.inverted, l)
-	} else {
-		lo.inverted[l] = inv
-	}
-}
-
-// refreshTopMBR recomputes the top cell's all-layer bounding box (deletions
-// can shrink it; insertions can grow it).
-func (lo *Layout) refreshTopMBR() {
-	top := lo.Top
-	m := geom.EmptyRect()
-	for i := range top.Polys {
-		if top.Polys[i].Layer == orphanLayer {
-			continue
-		}
-		m = m.Union(top.Polys[i].Shape.MBR())
-	}
-	for ri := range top.Refs {
-		ref := &top.Refs[ri]
-		if ref.Child.mbr.Empty() {
-			continue
-		}
-		for _, cr := range refCorners(ref) {
-			m = m.Union(ref.Placement(cr[0], cr[1]).ApplyRect(ref.Child.mbr))
-		}
-	}
-	top.mbr = m
-}
-
-// refCorners returns the four corner instances of an array reference (all
-// four collapse to (0,0) for single placements); array offsets are linear in
-// (col, row), so corner boxes bound the whole array.
-func refCorners(ref *Ref) [4][2]int {
-	return [4][2]int{
-		{0, 0}, {ref.Cols - 1, 0}, {0, ref.Rows - 1}, {ref.Cols - 1, ref.Rows - 1},
-	}
 }

@@ -65,7 +65,7 @@ func requireSameDerivedState(t *testing.T, got, want *Layout) {
 		if g, w := got.Top.SubtreePolyCount(l), want.Top.SubtreePolyCount(l); g != w {
 			t.Errorf("layer %v: subtree count %d, want %d", l, g, w)
 		}
-		if g, w := got.Top.localEdgeCount[l], want.Top.localEdgeCount[l]; g != w {
+		if g, w := got.Top.LocalEdgeCount(l), want.Top.LocalEdgeCount(l); g != w {
 			t.Errorf("layer %v: local edge count %d, want %d", l, g, w)
 		}
 		if g, w := len(got.layerCells[l]), len(want.layerCells[l]); g != w {

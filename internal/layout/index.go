@@ -1,9 +1,7 @@
 package layout
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -40,19 +38,21 @@ const (
 	indexMaxPlacements = 1 << 24
 )
 
-// layerIndex is the lazily built index slot of one (cell, layer) pair. Slots
-// exist only for pairs with more than indexMinItems items; computeMBRs and
-// ApplyEdits create and drop them, both with exclusive access to the layout.
+// layerIndex is the lazily built index of one (cell, layer) pair. It exists
+// only for pairs with more than indexMinItems items; Cell.refresh creates and
+// drops it, for the build and for ApplyEdits, both with exclusive access to
+// the layout.
 type layerIndex struct {
-	once sync.Once
+	placements int // the child placements on the layer; edits never change them
+	once       sync.Once
 	// tree is written inside once.Do and never modified afterwards, so
 	// concurrent queries read it without a lock once get has returned.
 	tree *rtree
 }
 
-// get returns the slot's tree, building it on first use.
-func (ix *layerIndex) get(c *Cell, l Layer) *rtree {
-	ix.once.Do(func() { ix.tree = buildRTree(c, l) })
+// get returns the tree over slot s of cell c, building it on first use.
+func (ix *layerIndex) get(c *Cell, s *layerSlot) *rtree {
+	ix.once.Do(func() { ix.tree = buildRTree(c, s) })
 	return ix.tree
 }
 
@@ -77,20 +77,6 @@ type rtree struct {
 	// [i*indexFanout, (i+1)*indexFanout) of levels[k]. The last level is the
 	// root's children (at most indexFanout boxes).
 	levels [][]geom.Rect
-}
-
-// setIndexed creates or drops the (c, l) slot after a build or an edit left
-// the pair with the given item count; an existing slot is kept.
-func (c *Cell) setIndexed(l Layer, items int) {
-	switch {
-	case items <= indexMinItems || c.placeStart == nil && len(c.Refs) > 0:
-		delete(c.index, l)
-	case c.index[l] == nil:
-		if c.index == nil {
-			c.index = make(map[Layer]*layerIndex)
-		}
-		c.index[l] = new(layerIndex)
-	}
 }
 
 // numberPlacements fills placeStart: ref ri's instances take the placement
@@ -120,64 +106,99 @@ func (c *Cell) placementAt(ord uint32) (ref *Ref, col, row int) {
 	return ref, k / ref.Rows, k % ref.Rows
 }
 
-// indexItem is one item during the bulk load.
-type indexItem struct {
-	id  uint32
-	box geom.Rect // cell frame
+// strEntry is one item during the bulk load: 16 bytes to sort, its box left
+// behind in a side array at ord.
+type strEntry struct {
+	key int64  // twice the box centre along the axis being sorted
+	id  uint32 // the item
+	ord uint32 // its position in generation order, which is ascending id order
 }
 
-// buildRTree bulk-loads the index of cell c on layer l by sort-tile-recursive
-// packing: items are sorted by box center in x, cut into √(leaves) vertical
-// slabs, each slab sorted by center in y and cut into leaves. Ties break by
-// item id, so the tree is a function of the cell alone.
-func buildRTree(c *Cell, l Layer) *rtree {
+// sortByKey stably sorts es by key: an LSD radix sort over the keys' range
+// (two or three passes for die coordinates) between es and tmp. It returns
+// the sorted slice and the spare one.
+func sortByKey(es, tmp []strEntry) (sorted, spare []strEntry) {
+	const bits = 11
+	lo, hi := es[0].key, es[0].key
+	for _, e := range es {
+		lo, hi = min(lo, e.key), max(hi, e.key)
+	}
+	for shift := 0; uint64(hi-lo)>>shift != 0; shift += bits {
+		var count [1 << bits]int
+		for _, e := range es {
+			count[uint64(e.key-lo)>>shift&(1<<bits-1)]++
+		}
+		for d, sum := 0, 0; d < len(count); d++ {
+			count[d], sum = sum, sum+count[d]
+		}
+		for _, e := range es {
+			d := uint64(e.key-lo) >> shift & (1<<bits - 1)
+			tmp[count[d]] = e
+			count[d]++
+		}
+		es, tmp = tmp, es
+	}
+	return es, tmp
+}
+
+// buildRTree bulk-loads the index of cell c on slot s's layer by
+// sort-tile-recursive packing: items are sorted by box center in x, cut into
+// √(leaves) vertical slabs, each slab sorted by center in y and cut into
+// leaves. Ties break by item id, so the tree is a function of the cell alone.
+func buildRTree(c *Cell, s *layerSlot) *rtree {
 	t := &rtree{polyEnd: uint32(len(c.Polys))}
 	// Size the scratch exactly: grown by append it would leave several
 	// times its final size behind as garbage, which a short run never
 	// collects and so pays for in peak memory.
-	n := len(c.polysByLayer[l])
-	for ri := range c.Refs {
-		if c.Refs[ri].Child.HasLayer(l) {
-			n += c.Refs[ri].NumPlacements()
-		}
+	n := len(s.polys) + s.index.placements
+	boxes := make([]geom.Rect, 0, n) // cell frame, by ord
+	entries := make([]strEntry, 0, n)
+	add := func(id uint32, box geom.Rect) {
+		entries = append(entries, strEntry{key: box.XLo + box.XHi, id: id, ord: uint32(len(boxes))})
+		boxes = append(boxes, box)
 	}
-	items := make([]indexItem, 0, n)
-	for _, pi := range c.polysByLayer[l] {
-		items = append(items, indexItem{id: uint32(pi), box: c.Polys[pi].Shape.MBR()})
+	for _, pi := range s.polys {
+		add(uint32(pi), c.Polys[pi].Shape.MBR())
 	}
 	for ri := range c.Refs {
 		ref := &c.Refs[ri]
-		childR := ref.Child.LayerMBR(l)
+		childR := ref.Child.LayerMBR(s.layer)
 		if childR.Empty() {
 			continue
 		}
 		id := t.polyEnd + c.placeStart[ri]
 		for col := 0; col < ref.Cols; col++ {
 			for row := 0; row < ref.Rows; row++ {
-				items = append(items, indexItem{id: id, box: ref.Placement(col, row).ApplyRect(childR)})
+				add(id, ref.Placement(col, row).ApplyRect(childR))
 				id++
 			}
 		}
 	}
 
-	byX := func(a, b indexItem) int {
-		return cmp.Or(cmp.Compare(a.box.XLo+a.box.XHi, b.box.XLo+b.box.XHi), cmp.Compare(a.id, b.id))
-	}
-	byY := func(a, b indexItem) int {
-		return cmp.Or(cmp.Compare(a.box.YLo+a.box.YHi, b.box.YLo+b.box.YHi), cmp.Compare(a.id, b.id))
-	}
-	leaves := (len(items) + indexFanout - 1) / indexFanout
+	// Both sorts are stable and start from generation order, so equal centres
+	// stay in id order. The x order only decides which slab an item falls in;
+	// the items are then sorted by y as a whole and dealt, in that order, into
+	// their slabs, which leaves each slab sorted by (y, id).
+	leaves := (n + indexFanout - 1) / indexFanout
 	slab := int(math.Ceil(math.Sqrt(float64(leaves)))) * indexFanout
-	slices.SortFunc(items, byX)
-	for s := 0; s < len(items); s += slab {
-		slices.SortFunc(items[s:min(s+slab, len(items))], byY)
+	byX, byY := sortByKey(entries, make([]strEntry, n))
+	slabOf := make([]uint32, n) // by ord
+	for rank, e := range byX {
+		slabOf[e.ord] = uint32(rank / slab)
+		byY[e.ord] = strEntry{key: boxes[e.ord].YLo + boxes[e.ord].YHi, id: e.id, ord: e.ord}
 	}
-
-	t.ids = make([]uint32, len(items))
+	byY, _ = sortByKey(byY, byX)
+	next := make([]int, (n+slab-1)/slab) // where each slab's next item goes
+	for i := range next {
+		next[i] = i * slab
+	}
+	t.ids = make([]uint32, n)
 	level := emptyRects(leaves)
-	for i, it := range items {
-		t.ids[i] = it.id
-		level[i/indexFanout] = level[i/indexFanout].Union(it.box)
+	for _, e := range byY {
+		i := next[slabOf[e.ord]]
+		next[slabOf[e.ord]]++
+		t.ids[i] = e.id
+		level[i/indexFanout] = level[i/indexFanout].Union(boxes[e.ord])
 	}
 	t.levels = append(t.levels, level)
 	for len(level) > indexFanout {

@@ -15,7 +15,7 @@ import (
 // is the reference the indexed walk must reproduce slice for slice.
 func linearQuery(c *Cell, t geom.Transform, l Layer, window geom.Rect, out *[]PlacedPoly, st *QueryStats) {
 	st.NodesVisited++
-	for _, pi := range c.polysByLayer[l] {
+	for _, pi := range c.slot(l).polys {
 		i := int(pi)
 		p := &c.Polys[i]
 		st.PolysTested++
@@ -296,13 +296,13 @@ func TestIndexedCellsAreExercised(t *testing.T) {
 	}
 	top, row := lo.Top, lo.CellByName("ROW")
 	for _, c := range []*Cell{top, row} {
-		if c.index[LayerM1] == nil {
+		if c.slot(LayerM1).index == nil {
 			t.Fatalf("%s has no M1 index slot", c.Name)
 		}
 	}
 	lo.FlattenLayer(LayerM1)
 	lo.QueryLayer(LayerM1, top.LayerMBR(LayerM1))
-	if top.index[LayerM1].tree != nil || row.index[LayerM1].tree != nil {
+	if top.slot(LayerM1).index.tree != nil || row.slot(LayerM1).index.tree != nil {
 		t.Fatal("a covering query built an index")
 	}
 	// Tile the extent with narrow windows: some fall inside TOP's
@@ -325,7 +325,7 @@ func TestIndexedCellsAreExercised(t *testing.T) {
 			linear += wst.PolysTested + wst.NodesPruned
 		}
 	}
-	if top.index[LayerM1].tree == nil || row.index[LayerM1].tree == nil {
+	if top.slot(LayerM1).index.tree == nil || row.slot(LayerM1).index.tree == nil {
 		t.Fatal("narrow queries through TOP and ROW left an index unbuilt")
 	}
 	if indexed*4 > linear {
@@ -351,7 +351,7 @@ func TestMagnifiedFrameTakesPlainWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	bigCell := lo.CellByName("BIG")
-	if bigCell.index[LayerM1] == nil {
+	if bigCell.slot(LayerM1).index == nil {
 		t.Fatal("BIG has no index slot")
 	}
 	window := geom.R(470, 700, 490, 720) // inside the magnified row, far from covering it
@@ -362,14 +362,14 @@ func TestMagnifiedFrameTakesPlainWalk(t *testing.T) {
 	if len(got) == 0 || len(got) != len(want) || st != wst {
 		t.Fatalf("got %d polygons, stats %+v; linear walk %d, %+v", len(got), st, len(want), wst)
 	}
-	if bigCell.index[LayerM1].tree != nil {
+	if bigCell.slot(LayerM1).index.tree != nil {
 		t.Fatal("a query in a magnified frame built the index")
 	}
 	// The same cell queried in its own (unmagnified) frame does use it.
 	if d := diffQuery(bigCell, LayerM1, geom.R(100, 0, 130, 10)); d != "" {
 		t.Fatal(d)
 	}
-	if bigCell.index[LayerM1].tree == nil {
+	if bigCell.slot(LayerM1).index.tree == nil {
 		t.Fatal("a narrow unmagnified query left the index unbuilt")
 	}
 }
@@ -422,7 +422,7 @@ func TestEditsKeepIndex(t *testing.T) {
 	if got, _ := lo.QueryLayer(LayerM1, probe); len(got) != 0 {
 		t.Fatalf("probe window outside the layout hit %d polygons", len(got))
 	}
-	tree := top.index[LayerM1].tree
+	tree := top.slot(LayerM1).index.tree
 	if tree == nil {
 		t.Fatal("narrow query left the top index unbuilt")
 	}
@@ -436,31 +436,31 @@ func TestEditsKeepIndex(t *testing.T) {
 		}
 	}
 	apply(Edit{Op: OpInsertRect, Layer: LayerM1, Rect: probe})
-	if got, _ := lo.QueryLayer(LayerM1, probe); len(got) != 1 || top.index[LayerM1].tree != tree {
-		t.Fatalf("after insert: %d hits (want 1), tree kept = %v", len(got), top.index[LayerM1].tree == tree)
+	if got, _ := lo.QueryLayer(LayerM1, probe); len(got) != 1 || top.slot(LayerM1).index.tree != tree {
+		t.Fatalf("after insert: %d hits (want 1), tree kept = %v", len(got), top.slot(LayerM1).index.tree == tree)
 	}
 	apply(Edit{Op: OpDeleteRegion, Layer: LayerM1, Rect: probe})
-	if got, _ := lo.QueryLayer(LayerM1, probe); len(got) != 0 || top.index[LayerM1].tree != tree {
-		t.Fatalf("after delete: %d hits (want 0), tree kept = %v", len(got), top.index[LayerM1].tree == tree)
+	if got, _ := lo.QueryLayer(LayerM1, probe); len(got) != 0 || top.slot(LayerM1).index.tree != tree {
+		t.Fatalf("after delete: %d hits (want 0), tree kept = %v", len(got), top.slot(LayerM1).index.tree == tree)
 	}
 	batch := make([]Edit, indexMaxTail)
 	for k := range batch {
 		batch[k] = Edit{Op: OpInsertRect, Layer: LayerM1, Rect: probe.Translate(geom.Pt(int64(k)*50, 0))}
 	}
 	apply(batch...)
-	if top.index[LayerM1].tree != tree {
+	if top.slot(LayerM1).index.tree != tree {
 		t.Fatalf("a tail of %d polygons dropped the tree", indexMaxTail)
 	}
 	if _, err := lo.ApplyEdits([]Edit{{Op: OpInsertRect, Layer: LayerM1, Rect: probe.Translate(geom.Pt(0, 50))}}); err != nil {
 		t.Fatal(err)
 	}
-	if top.index[LayerM1].tree != nil {
+	if top.slot(LayerM1).index.tree != nil {
 		t.Fatalf("a tail of %d polygons kept the tree", indexMaxTail+1)
 	}
 	if d := diffQuery(top, LayerM1, probe.Expand(10)); d != "" {
 		t.Fatal(d)
 	}
-	if rebuilt := top.index[LayerM1].tree; rebuilt == nil || int(rebuilt.polyEnd) != len(top.Polys) {
+	if rebuilt := top.slot(LayerM1).index.tree; rebuilt == nil || int(rebuilt.polyEnd) != len(top.Polys) {
 		t.Fatal("the next narrow query did not rebuild the tree over the edited cell")
 	}
 }

@@ -60,10 +60,7 @@ func capHint(total int, extent, window geom.Rect) int {
 	ia := float64(inter.Width()) * float64(inter.Height())
 	h := int(float64(total) * (ia / ea))
 	h += h/4 + 8 // slack: geometry clusters, and tiny windows still hit a few
-	if h > total {
-		h = total
-	}
-	return h
+	return min(h, total)
 }
 
 // query is the state of one range query: the one walk QueryLayer,
@@ -84,12 +81,12 @@ type query struct {
 // no exact inverse image on the integer grid).
 func (q *query) cell(c *Cell, t geom.Transform) {
 	q.st.NodesVisited++
-	if ix := c.index[q.l]; ix != nil && t.PreservesDistances() &&
-		!q.window.ContainsRect(t.ApplyRect(c.LayerMBR(q.l))) {
-		q.indexed(c, t, ix.get(c, q.l))
+	s := c.slot(q.l)
+	if s.index != nil && t.PreservesDistances() && !q.window.ContainsRect(t.ApplyRect(s.mbr)) {
+		q.indexed(c, t, s.polys, s.index.get(c, s))
 		return
 	}
-	for _, pi := range c.polysByLayer[q.l] {
+	for _, pi := range s.polys {
 		q.poly(c, t, int(pi))
 	}
 	for ri := range c.Refs {
@@ -108,9 +105,9 @@ func (q *query) cell(c *Cell, t geom.Transform) {
 }
 
 // indexed is cell's walk restricted to the candidates the index surfaces,
-// visited in the plain walk's order — own polygons ascending, then
+// visited in the plain walk's order — own polygons (own, ascending), then
 // placements by (ref, col, row) — with the same exact test on each.
-func (q *query) indexed(c *Cell, t geom.Transform, tree *rtree) {
+func (q *query) indexed(c *Cell, t geom.Transform, own []int32, tree *rtree) {
 	base := len(q.cand)
 	q.cand = tree.search(t.Inverse().ApplyRect(q.window), q.cand)
 	end := len(q.cand)
@@ -124,7 +121,6 @@ func (q *query) indexed(c *Cell, t geom.Transform, tree *rtree) {
 	}
 	// Polygons ApplyEdits inserted since the build: the ascending tail of
 	// the per-layer list, at most indexMaxTail long.
-	own := c.polysByLayer[q.l]
 	tail := len(own)
 	for tail > 0 && uint32(own[tail-1]) >= tree.polyEnd {
 		tail--
@@ -185,7 +181,7 @@ func (lo *Layout) FlattenLayer(l Layer) []PlacedPoly {
 
 // NumInstancesOnLayer counts instance-expanded polygons on the layer (the
 // flat size, versus NumPolysOnLayer's definition count). The count is
-// precomputed bottom-up at build time, so this is a map lookup — FlattenLayer
+// precomputed bottom-up at build time, so this is a table lookup — FlattenLayer
 // calls it per invocation to pre-size its output.
 func (lo *Layout) NumInstancesOnLayer(l Layer) int {
 	return lo.Top.SubtreePolyCount(l)

@@ -8,13 +8,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"opendrc/internal/core"
 	"opendrc/internal/faults"
+	"opendrc/internal/gdsii"
+	"opendrc/internal/infra"
 	"opendrc/internal/layout"
 	"opendrc/internal/rules"
 	"opendrc/internal/synth"
@@ -482,5 +487,54 @@ func TestServerInvalidate(t *testing.T) {
 	status, body, _ = checkOnce(t, ts.URL, "u", map[string]any{})
 	if status != http.StatusOK || string(body) != want {
 		t.Fatalf("post-invalidate check differs (status %d)", status)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to log into from handler goroutines.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSessionLoadLogDecomposes pins the session-load log line's ingest
+// fields: a session created from a GDSII file reports where its load went
+// under the names the batch CLI's ingest spans use, so server.create_ms
+// decomposes from the log alone.
+func TestSessionLoadLogDecomposes(t *testing.T) {
+	p, err := synth.Design("uart")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, _ := p.Scaled(0.2).Generate()
+	path := filepath.Join(t.TempDir(), "uart.gds")
+	if err := gdsii.WriteFile(path, lib); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logs syncBuffer
+	_, ts := newTestServer(t, Config{Logger: infra.NewLogger(&logs, infra.LevelInfo)})
+	if status, body, _ := postJSON(t, ts.URL+"/v1/sessions", map[string]any{"id": "g", "gds": path, "mode": "seq"}); status != http.StatusCreated {
+		t.Fatalf("create from GDS: %d %s", status, body)
+	}
+	line := logs.String()
+	for _, want := range []string{"session g loaded", "read_ms=", "build_ms=", fmt.Sprintf("gds_bytes=%d", st.Size())} {
+		if !strings.Contains(line, want) {
+			t.Fatalf("session-load log line lacks %q:\n%s", want, line)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"opendrc/internal/budget"
 	"opendrc/internal/core"
 	"opendrc/internal/faults"
-	"opendrc/internal/gdsii"
 	"opendrc/internal/infra"
 	"opendrc/internal/layout"
 	"opendrc/internal/rules"
@@ -38,7 +37,8 @@ type sessionHandle struct {
 	loadErr error
 	ses     *core.Session
 	deck    rules.Deck
-	design  string // "synth:uart" or "gds:<path>"
+	ingest  core.Ingest // where the load's time went, for the session-load log line
+	design  string      // "synth:uart" or "gds:<path>"
 	mode    string
 	tenant  string // fair-scheduler queue this session's checks run in
 	weight  int    // resolved scheduler weight for that tenant
@@ -301,8 +301,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "", err)
 		return
 	}
-	s.cfg.Logger.Infof("server: session %s loaded (%s, %s mode, %d rules)",
-		id, design, mode, len(h.deck))
+	s.cfg.Logger.Infof("server: session %s loaded (%s, %s mode, %d rules) read_ms=%.1f build_ms=%.1f gds_bytes=%d",
+		id, design, mode, len(h.deck), h.ingest.Read.Seconds()*1e3, h.ingest.Build.Seconds()*1e3, h.ingest.Bytes)
 	s.sessionJSON(w, http.StatusCreated, h)
 }
 
@@ -328,12 +328,12 @@ func (s *Server) load(ctx context.Context, h *sessionHandle, req createRequest, 
 		if scale == 0 {
 			scale = 1
 		}
+		// A generated design has no file to read: generating it is its build.
+		stop := infra.NewProfiler().Phase("ingest:build")
 		db, _, err = synth.Load(req.Design, scale)
+		h.ingest.Build = stop()
 	} else {
-		var lib *gdsii.Library
-		if lib, err = gdsii.ReadFile(req.GDS); err == nil {
-			db, err = layout.FromLibrary(lib)
-		}
+		db, h.ingest, err = core.LoadGDS(req.GDS, nil)
 	}
 	if err != nil {
 		h.loadErr = fmt.Errorf("server: session %s: load: %w", h.id, err)

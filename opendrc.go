@@ -79,11 +79,8 @@ const (
 // ReadGDS parses a GDSII file and builds the layout database with its
 // layer-wise bounding volume hierarchy.
 func ReadGDS(path string) (*Layout, error) {
-	lib, err := gdsii.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return layout.FromLibrary(lib)
+	lo, _, err := core.LoadGDS(path, nil)
+	return lo, err
 }
 
 // ReadGDSFrom parses a GDSII stream.
