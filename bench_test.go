@@ -8,6 +8,8 @@ package opendrc_test
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -287,6 +289,70 @@ func BenchmarkPack(b *testing.B) {
 				bytes = kernels.Pack(shapes).Bytes()
 			}
 			b.ReportMetric(float64(bytes), "bytes")
+		})
+	}
+}
+
+// BenchmarkEditCycle measures one in-process edit → delta-check cycle on a
+// resident parallel session of ethmac@2.5 — the serve_edit workload without
+// HTTP. m1-sliver inserts a 9 × 60 sub-min-width M1 rect somewhere new each
+// cycle (one row of ~200 is dirty, so the cost should be that row's, not the
+// 176 k-polygon layer's); route inserts an M2 track (a single-row layer:
+// whole-layer drop and re-derivation, the path a patch cannot shorten).
+// ms/cycle, MB/cycle (bytes allocated) and copied_B/cycle (modeled
+// host-to-device bytes) are per iteration.
+func BenchmarkEditCycle(b *testing.B) {
+	lo, _, err := synth.Load("ethmac", 2.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deck := synth.Deck()
+	ctx := context.Background()
+	ses := core.NewSession(lo, core.Options{Mode: core.Parallel})
+	defer ses.Close(ctx)
+	if _, err := ses.Check(ctx, deck); err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		layer layout.Layer
+		w, h  int64
+	}{
+		{"m1-sliver", layout.LayerM1, 9, 60},
+		{"route", layout.LayerM2, 300, 30},
+	}
+	for _, c := range cases {
+		box := lo.Top.LayerMBR(c.layer)
+		var n, copied int64
+		cycle := func() {
+			n++
+			x := box.XLo + (n*7919)%(box.Width()-c.w)
+			y := box.YLo + (n*104729)%(box.Height()-c.h)
+			ed := layout.Edit{Op: layout.OpInsertRect, Layer: c.layer, Rect: geom.R(x, y, x+c.w, y+c.h)}
+			if _, err := ses.Edit(ctx, []layout.Edit{ed}); err != nil {
+				b.Fatal(err)
+			}
+			rep, info, err := ses.DeltaCheck(ctx, deck)
+			if err != nil || !info.Planned {
+				b.Fatalf("delta check: planned=%v err=%v", info.Planned, err)
+			}
+			copied += rep.Stats.BytesCopied
+		}
+		b.Run("ethmac@2.5/"+c.name, func(b *testing.B) {
+			cycle() // the first patch grows the buffers' tail capacity once
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			copied = 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/cycle")
+			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/1e6, "MB/cycle")
+			b.ReportMetric(float64(m1.NumGC-m0.NumGC)/float64(b.N), "GCs/cycle")
+			b.ReportMetric(float64(copied)/float64(b.N), "copied_B/cycle")
 		})
 	}
 }

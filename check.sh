@@ -6,8 +6,9 @@
 # verification; the chaos and cancellation suites run here too), the nested
 # benchmark module's own tests, a short fuzz smoke over the GDSII reader
 # (differentially, against the streaming reference reader), the
-# polygon/transform algebra, the indexed hierarchy query and the layout build,
-# and an end-to-end smoke of the odrcd service over real HTTP.
+# polygon/transform algebra, the indexed hierarchy query, the layout build and
+# interleaved session operations (edit / check / delta check against a cold
+# batch model), and an end-to-end smoke of the odrcd service over real HTTP.
 set -e
 
 unformatted=$(gofmt -l .)
@@ -33,15 +34,22 @@ go test -run=NONE -fuzz=FuzzReadLibrary -fuzztime=10s ./internal/gdsii
 go test -run=NONE -fuzz=FuzzPolygonTransform -fuzztime=10s ./internal/geom
 go test -run=NONE -fuzz=FuzzQueryLayer -fuzztime=10s ./internal/layout
 go test -run=NONE -fuzz=FuzzBuildLayout -fuzztime=10s ./internal/layout
+# One FuzzSessionOps execution is tens of checks, so the engine's default
+# 60 s budget for minimising each coverage-expanding input would eat the whole
+# smoke; twenty executions per input keep it fuzzing.
+go test -run=NONE -fuzz=FuzzSessionOps -fuzztime=10s -fuzzminimizetime=20x ./internal/core
 
 # Bench smoke: one iteration of the geometry-cache unit benchmarks, of one
-# sweepline-executor row, of the hierarchy range queries and of the ingest
-# path, so a change that breaks flatten/pack or the row simulation off the
-# engine path still fails the gate (the row benchmark prints its modeled_us,
-# where a cost-model drift shows; narrow-window prints nodes_pruned per query,
-# where a fall back to the linear walk shows; ingest prints MB/s and
-# allocs/op, where a per-element allocation creeping back shows).
-go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation|BenchmarkIngest' -benchtime=1x .
+# sweepline-executor row, of the hierarchy range queries, of the ingest path
+# and of the edit → delta-check cycle, so a change that breaks flatten/pack or
+# the row simulation off the engine path still fails the gate (the row
+# benchmark prints its modeled_us, where a cost-model drift shows;
+# narrow-window prints nodes_pruned per query, where a fall back to the linear
+# walk shows; ingest prints MB/s and allocs/op, where a per-element allocation
+# creeping back shows; the edit cycle prints ms/cycle and MB/cycle, where an
+# M1 sliver costing the layer instead of its row shows — 18 ms / 6 MB patched,
+# 180 ms / 115 MB re-derived).
+go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation|BenchmarkIngest|BenchmarkEditCycle' -benchtime=1x .
 
 # Bench gate: regenerate the speedup and reuse experiments with the
 # regression gate on — any row with a ratio below 1.0 or mismatched reports

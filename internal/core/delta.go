@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"slices"
-	"sort"
 
 	"opendrc/internal/budget"
 	"opendrc/internal/geocache"
@@ -11,6 +10,7 @@ import (
 	"opendrc/internal/layout"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
+	"opendrc/internal/trace"
 )
 
 // Delta checks. After an in-place layout edit, the violations that can have
@@ -311,33 +311,38 @@ func (s *Session) markDirty(l layout.Layer, rects []geom.Rect, whole bool) {
 	}
 }
 
-// deckMaxReach is the issue's dilation rule: dirty rects invalidate cache
-// rows out to the deck's maximum interaction distance.
-func deckMaxReach(deck rules.Deck) int64 {
-	var max int64
-	for _, r := range deck {
-		if d := r.Reach(); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // applyPending pushes the session's accumulated dirty regions into the
 // resident caches: per dirty layer, a region-scoped cache invalidation
-// (dirty rects dilated by the deck's maximum reach) that keeps clean
-// partition rows, and a matching partial free of the layer's device-resident
-// edge buffer so the next bind uploads only the rebuilt slice. Whole-layer
-// dirt — and layers the cache cannot segment — falls back to full
-// invalidation and a full buffer free. Session lock held; pending state is
-// consumed.
-func (s *Session) applyPending(deck rules.Deck) {
+// (dirty rects dilated by the deck's maximum reach) that patches the layer's
+// record in place, and a matching partial free of the layer's device-resident
+// edge buffer so the next bind uploads only the re-queried tail. Whole-layer
+// dirt — and layers the cache cannot patch, which includes every layer of a
+// session running with budgets or a fault injector — falls back to full
+// invalidation and a full buffer free, so the per-upload budget charge and
+// the allocator fault site fire exactly as in batch.
+//
+// It runs inside the check that consumes the edits, as host phase
+// "delta:patch" of rep (advancing the modeled host clock when pc is the
+// session's device context), so the patch is part of the check's measured
+// wall; checks with nothing pending record no phase. Session lock held, no
+// lookup in flight — the geocache patch contract; pending state is consumed.
+func (s *Session) applyPending(deck rules.Deck, rep *Report, pc *parCtx) {
 	if len(s.pending) == 0 && len(s.pendingFull) == 0 {
 		return
 	}
-	s.smu.Lock()
-	pc := s.pc
-	s.smu.Unlock()
+	if pc != nil {
+		_ = pc.hostPhase(rep, "delta:patch", func() error { s.patchPending(deck, pc); return nil })
+		return
+	}
+	stop := rep.Profile.Phase("delta:patch")
+	s.patchPending(deck, nil)
+	stop()
+}
+
+// patchPending is applyPending's body: one InvalidateRegion (dirty rects
+// dilated by the deck's maximum reach) and one device-buffer free per dirty
+// layer, in layer order.
+func (s *Session) patchPending(deck rules.Deck, pc *parCtx) {
 	layers := make([]layout.Layer, 0, len(s.pending)+len(s.pendingFull))
 	for l := range s.pending {
 		layers = append(layers, l)
@@ -345,9 +350,9 @@ func (s *Session) applyPending(deck rules.Deck) {
 	for l := range s.pendingFull {
 		layers = append(layers, l)
 	}
-	sort.Slice(layers, func(i, j int) bool { return layers[i] < layers[j] })
+	slices.Sort(layers)
 	layers = slices.Compact(layers)
-	guard := deckMaxReach(deck)
+	guard := deck.MaxReach()
 	for _, l := range layers {
 		if s.pendingFull[l] || s.geo.cache == nil {
 			if s.geo.cache != nil {
@@ -362,12 +367,13 @@ func (s *Session) applyPending(deck rules.Deck) {
 		for i, r := range s.pending[l] {
 			rects[i] = r.Expand(guard)
 		}
+		stop := s.opts.Trace.Begin(trace.TrackGeocache, "", "patch:"+layerKey(l), "geocache")
 		out := s.geo.cache.InvalidateRegion(l, guard, s.opts.PartitionAlg, rects)
-		// Partial buffer refreshes skip the per-upload budget charge and the
-		// allocator fault site, so sessions running with either keep the
-		// full free/re-upload path and stay behaviorally identical to batch.
+		stop(trace.Arg{Key: "segmented", Val: out.Segmented},
+			trace.Arg{Key: "rows_requeried", Val: out.RowsDirty},
+			trace.Arg{Key: "polys_replaced", Val: out.PolysRequeried})
 		if pc != nil {
-			if out.Segmented && s.opts.Faults == nil && s.opts.Budgets == (budget.Limits{}) {
+			if out.Segmented {
 				s.partialFreeResident(pc, l, out.KeptEdgeBytes)
 			} else {
 				s.freeResident(pc, []layout.Layer{l})
@@ -447,8 +453,8 @@ func (s *Session) deltaFallbackReason(deck rules.Deck) string {
 }
 
 // planDelta classifies every deck rule against the pending dirty regions.
-// Session lock held; pending state is still intact (applyPending runs
-// after, sharing the same snapshot).
+// Session lock held; pending state is still intact (the check applies it
+// afterwards, sharing the same snapshot).
 func (s *Session) planDelta(deck rules.Deck) (*deltaPlan, DeltaInfo) {
 	plan := &deltaPlan{rules: make(map[string]*rulePlan, len(deck)), baseline: s.baseline.violations}
 	info := DeltaInfo{Planned: true}
@@ -527,10 +533,10 @@ func (s *Session) DeltaCheck(ctx context.Context, deck rules.Deck) (*Report, Del
 		return rep, DeltaInfo{Planned: false, Reason: reason}, err
 	}
 	plan, info := s.planDelta(deck)
-	s.applyPending(deck)
 	e.delta = plan
 	rep, err := e.checkWith(ctx, s.lo, s)
 	if err != nil {
+		s.baseline = nil // see runFull
 		return nil, DeltaInfo{}, err
 	}
 	s.stats.DeltaPlanned++
@@ -542,9 +548,12 @@ func (s *Session) DeltaCheck(ctx context.Context, deck rules.Deck) (*Report, Del
 // runFull executes a full check updating session dirty/baseline state.
 // Session lock held.
 func (s *Session) runFull(ctx context.Context, e *Engine, deck rules.Deck) (*Report, error) {
-	s.applyPending(deck)
 	rep, err := e.checkWith(ctx, s.lo, s)
 	if err != nil {
+		// The failed check may already have consumed the pending dirt; the
+		// old baseline would then pass for current on rules the next delta
+		// plan skips.
+		s.baseline = nil
 		return nil, err
 	}
 	s.updateBaseline(deck, rep)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"opendrc/internal/gdsii"
 	"opendrc/internal/geom"
 	"opendrc/internal/layout"
+	"opendrc/internal/partition"
 	"opendrc/internal/rules"
 	"opendrc/internal/synth"
 )
@@ -92,10 +94,19 @@ func TestDeltaCheckMatchesCold(t *testing.T) {
 			if info.RulesRestricted != 4 || info.RulesFull != 1 || info.RulesSkipped != len(deck)-5 {
 				t.Fatalf("%v/w%d: plan = %+v", mode, workers, info)
 			}
-			// Only the edited layer's flatten recomputes (the sequential mode
-			// checks hierarchically and never flattens at all).
-			if mode == Parallel && rep.Stats.FlattenCacheMisses != 1 {
-				t.Fatalf("%v/w%d: %d flatten misses, want 1", mode, workers, rep.Stats.FlattenCacheMisses)
+			// Nothing recomputes: the edited layer's record is patched in place
+			// (the sequential mode checks hierarchically and never flattens at
+			// all, so it has no record to patch).
+			if rep.Stats.FlattenCacheMisses != 0 || rep.Stats.PackCacheMisses != 0 {
+				t.Fatalf("%v/w%d: delta recomputed geometry: %+v", mode, workers, rep.Stats)
+			}
+			if st, err := ses.StatsSnapshot(ctx); err != nil {
+				t.Fatal(err)
+			} else if mode == Parallel && (st.Geocache.SegmentedRebuilds != 1 || st.Geocache.PatchedPolys == 0) {
+				t.Fatalf("%v/w%d: M1 record not patched: %+v", mode, workers, st.Geocache)
+			}
+			if rep.Profile.Get("delta:patch") == 0 {
+				t.Fatalf("%v/w%d: the patch is not on the report's books", mode, workers)
 			}
 			want := coldReport(t, opts, deck, edits)
 			if canonJSON(t, rep) != canonJSON(t, want) {
@@ -472,5 +483,56 @@ func TestDeltaEmptyIntersectionEdit(t *testing.T) {
 	}()
 	if buf.String() != canonJSON(t, want) {
 		t.Fatal("empty-intersection delta differs from cold check")
+	}
+}
+
+// TestRestrictedNotchMembersMatchLayerScan pins the restricted notch list —
+// drawn from the members of the rows that survive nearWorkY — to the
+// whole-layer scan it replaced: same members, same (ascending) order.
+func TestRestrictedNotchMembersMatchLayerScan(t *testing.T) {
+	designs := map[string]func() *layout.Layout{
+		"banded": func() *layout.Layout { return bandedCoreLayout(t, 8) },
+	}
+	for _, name := range []string{"uart", "ethmac"} {
+		designs[name] = func() *layout.Layout {
+			lo, _, err := synth.Load(name, 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return lo
+		}
+	}
+	const reach = synth.MinSpaceM1
+	for name, load := range designs {
+		lo := load()
+		dirty, err := lo.ApplyEdits(deltaTestEdits(lo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp := &rulePlan{mode: deltaRestrict}
+		for _, d := range dirty {
+			for _, r := range d.Rects {
+				rp.work = append(rp.work, r.Expand(2*reach))
+			}
+		}
+		flat := lo.FlattenLayer(layout.LayerM1)
+		boxes := make([]geom.Rect, len(flat))
+		var want []int32
+		for i := range flat {
+			boxes[i] = flat[i].Shape.MBR()
+			if rp.nearWork(boxes[i]) {
+				want = append(want, int32(i))
+			}
+		}
+		var kept []partition.Row
+		for _, row := range partition.Rows(boxes, reach, partition.Pigeonhole) {
+			if rp.nearWorkY(row.YLo, row.YHi) {
+				kept = append(kept, row)
+			}
+		}
+		got := notchMembersNear(kept, boxes, rp)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%s: %d members from the surviving rows, %d from the layer scan", name, len(got), len(want))
+		}
 	}
 }

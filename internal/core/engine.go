@@ -327,14 +327,17 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	// this run's delta, measured from the clock reading at entry.
 	var devStart time.Duration
 	start := rep.Profile.Elapsed()
-	var err error
-	switch e.opts.Mode {
-	case Parallel:
-		var pc *parCtx
-		if ses != nil {
+	var pc *parCtx
+	if ses != nil {
+		if e.opts.Mode == Parallel {
 			pc = ses.deviceCtx()
 			devStart = pc.dev.HostClock()
 		}
+		ses.applyPending(e.deck, rep, pc)
+	}
+	var err error
+	switch e.opts.Mode {
+	case Parallel:
 		err = e.checkParallel(ctx, lo, rep, geo, pc)
 	default:
 		err = e.checkSequential(ctx, lo, rep, geo)

@@ -1,0 +1,190 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"opendrc/internal/geom"
+	"opendrc/internal/layout"
+	"opendrc/internal/rules"
+	"opendrc/internal/synth"
+)
+
+// FuzzSessionOps interleaves everything a resident session's clients can do
+// — edits on the three metal layers, spurious invalidations, full, single-
+// rule and delta checks — on one parallel-mode session, and after every
+// check demands the canonical bytes of the trivial model: a cold batch check
+// of a fresh layout given the same edit batches. The session patches its
+// resident layer records in place between checks, so this is the property
+// that says no sequence of patches ever shows a reader stale geometry.
+//
+// The design is ethmac@0.1: 16 M1 partition rows (edits patch), single-row
+// M2/M3 (edits drop the layer), and a 1.5 ms cold check.
+
+const (
+	fuzzDesign  = "ethmac"
+	fuzzScale   = 0.1
+	fuzzOpBytes = 4  // op, layer/rule selector, x, y
+	fuzzMaxOps  = 32 // bounds one input's cost
+)
+
+var fuzzLayers = [...]layout.Layer{layout.LayerM1, layout.LayerM2, layout.LayerM3}
+
+// Op codes (data[0] % fuzzNumOps). Inserts come in three shapes so rows get
+// bridged and gaps get filled: a sub-min-width sliver, a horizontal track and
+// a tall column.
+const (
+	fuzzSliver = iota
+	fuzzTrack
+	fuzzColumn
+	fuzzDelete
+	fuzzInvalidate
+	fuzzFull
+	fuzzRule
+	fuzzDelta
+	fuzzNumOps
+)
+
+// fuzzRect places a w × h rect at byte-scaled coordinates inside the chip's
+// extent (M1's, which is never empty) grown by a margin, so edits also land
+// outside every existing row.
+func fuzzRect(lo *layout.Layout, bx, by byte, w, h int64) geom.Rect {
+	box := lo.Top.LayerMBR(layout.LayerM1).Expand(200)
+	x := box.XLo + box.Width()*int64(bx)/255
+	y := box.YLo + box.Height()*int64(by)/255
+	return geom.R(x, y, x+w, y+h)
+}
+
+// serveEditBlock is the benchmark's serve_edit pattern as fuzz input: seven
+// M1 slivers and three routing edits, a delta check after each, then a full
+// check.
+func serveEditBlock() []byte {
+	var data []byte
+	for i := byte(0); i < 10; i++ {
+		op, layer := byte(fuzzSliver), byte(0)
+		if i%3 == 2 {
+			op, layer = fuzzTrack+i%2, 1+i%2
+		}
+		data = append(data, op, layer, 20+23*i, 240-21*i, fuzzDelta, 0, 0, 0)
+	}
+	return append(data, fuzzFull, 0, 0, 0)
+}
+
+func FuzzSessionOps(f *testing.F) {
+	f.Add(serveEditBlock())
+	// A column bridging rows, a delete that can split or empty a row, inserts
+	// on (at this scale) sparsely populated M3, whole-layer dirt, a
+	// single-rule check between edit and delta (forces the deck-changed
+	// fallback), and a delta with nothing pending.
+	f.Add([]byte{
+		fuzzColumn, 0, 100, 60, fuzzDelta, 0, 0, 0,
+		fuzzDelete, 0, 100, 70, fuzzDelta, 0, 0, 0,
+		fuzzTrack, 2, 10, 10, fuzzDelete, 2, 10, 10, fuzzDelta, 0, 0, 0,
+		fuzzInvalidate, 0, 0, 1, fuzzSliver, 0, 200, 200, fuzzRule, 3, 0, 0, fuzzDelta, 0, 0, 0,
+		fuzzDelta, 0, 0, 0, fuzzFull, 0, 0, 0,
+	})
+	// Edits below and above every row (the margin), then the same spot twice.
+	f.Add([]byte{
+		fuzzSliver, 0, 0, 0, fuzzSliver, 0, 255, 255, fuzzDelta, 0, 0, 0,
+		fuzzSliver, 0, 128, 128, fuzzDelta, 0, 0, 0, fuzzDelete, 0, 128, 128, fuzzDelta, 0, 0, 0,
+	})
+
+	f.Fuzz(runSessionOps)
+}
+
+// runSessionOps executes one fuzz input.
+func runSessionOps(t *testing.T, data []byte) {
+	deck := synth.Deck()
+	ctx := context.Background()
+	{
+		lo, _, err := synth.Load(fuzzDesign, fuzzScale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Mode: Parallel, Workers: 2}
+		ses := NewSession(lo, opts)
+		defer ses.Close(ctx)
+		var batches [][]layout.Edit
+
+		// model is the cold batch check of a fresh layout given the same edits.
+		model := func(d rules.Deck) string {
+			fresh, _, err := synth.Load(fuzzDesign, fuzzScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range batches {
+				if _, err := fresh.ApplyEdits(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e := New(opts)
+			if err := e.AddRules(d...); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := e.CheckContext(ctx, fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return canonJSON(t, rep)
+		}
+
+		for n := 0; len(data) >= fuzzOpBytes && n < fuzzMaxOps; n, data = n+1, data[fuzzOpBytes:] {
+			op, sel, bx, by := data[0]%fuzzNumOps, data[1], data[2], data[3]
+			l := fuzzLayers[int(sel)%len(fuzzLayers)]
+			var ed layout.Edit
+			switch op {
+			case fuzzSliver:
+				ed = layout.Edit{Op: layout.OpInsertRect, Layer: l, Rect: fuzzRect(lo, bx, by, 9, 60)}
+			case fuzzTrack:
+				ed = layout.Edit{Op: layout.OpInsertRect, Layer: l, Rect: fuzzRect(lo, bx, by, 300, 30)}
+			case fuzzColumn:
+				ed = layout.Edit{Op: layout.OpInsertRect, Layer: l, Rect: fuzzRect(lo, bx, by, 30, 900)}
+			case fuzzDelete:
+				ed = layout.Edit{Op: layout.OpDeleteRegion, Layer: l, Rect: fuzzRect(lo, bx, by, 300, 150)}
+			case fuzzInvalidate:
+				// Dirt without a change: a region, or the whole layer.
+				reg := LayerRegion{Layer: l}
+				if by%2 == 0 {
+					reg.Rects = []geom.Rect{fuzzRect(lo, bx, by, 200, 200)}
+				}
+				if err := ses.Invalidate(ctx, reg); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			case fuzzFull:
+				rep, err := ses.Check(ctx, deck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if canonJSON(t, rep) != model(deck) {
+					t.Fatalf("op %d: full check differs from the cold model", n)
+				}
+				continue
+			case fuzzRule:
+				one := rules.Deck{deck[int(sel)%len(deck)]}
+				rep, err := ses.Check(ctx, one)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if canonJSON(t, rep) != model(one) {
+					t.Fatalf("op %d: single-rule check %s differs from the cold model", n, one[0].ID)
+				}
+				continue
+			case fuzzDelta:
+				rep, info, err := ses.DeltaCheck(ctx, deck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if canonJSON(t, rep) != model(deck) {
+					t.Fatalf("op %d: delta check (%+v) differs from the cold model", n, info)
+				}
+				continue
+			}
+			batch := []layout.Edit{ed}
+			if _, err := ses.Edit(ctx, batch); err != nil {
+				t.Fatal(err)
+			}
+			batches = append(batches, batch)
+		}
+	}
+}

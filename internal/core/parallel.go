@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -686,15 +687,14 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	defer rep.Profile.Phase(simPhase)()
 
 	// Notches are intra-polygon but belong to the spacing rule: one batched
-	// launch over every polygon.
+	// launch over every polygon — of the surviving rows, when restricted.
 	if rp != nil {
-		var members []int32
-		for i := range flat {
-			if rp.nearWork(flat[i].Shape.MBR()) {
-				members = append(members, int32(i))
-			}
+		// A delta plan exists only with the cache on (deltaFallbackReason).
+		boxes, err := pc.geo.cache.MBRs(ctx, lo, r.Layer)
+		if err != nil {
+			return err
 		}
-		if len(members) > 0 {
+		if members := notchMembersNear(rows, boxes, rp); len(members) > 0 {
 			kernels.NotchMembers(pc.cs, edges, members, lim, c)
 		}
 	} else {
@@ -751,6 +751,23 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	pc.cs.Synchronize()
 	release()
 	return nil
+}
+
+// notchMembersNear lists, ascending, the polygons whose box meets the work
+// window. A polygon near the window sits in a row whose band is, so the
+// members of the rows that survived nearWorkY are the only candidates and the
+// layer is never scanned.
+func notchMembersNear(rows []partition.Row, boxes []geom.Rect, rp *rulePlan) []int32 {
+	var members []int32
+	for _, row := range rows {
+		for _, m := range row.Members {
+			if rp.nearWork(boxes[m]) {
+				members = append(members, int32(m))
+			}
+		}
+	}
+	slices.Sort(members)
+	return members
 }
 
 // sweepRowsPar runs the sweepline executor over the large rows of one

@@ -25,13 +25,17 @@
 //   - A panic during computation is captured as a *pool.PanicError and
 //     cached as the entry's error, so the engine's per-rule guard still
 //     reports it as a panic with the original stack.
+//   - Everything known about a layer lives in one resident record. Between
+//     checks a session may patch that record in place (InvalidateRegion):
+//     the caller must hold whatever serializes its checks and have no
+//     lookup in flight, because a patch rewrites the shared slices that
+//     earlier lookups returned. Within a check the record is immutable.
 package geocache
 
 import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"sync"
 
 	"opendrc/internal/budget"
@@ -50,13 +54,15 @@ type Stats struct {
 	FlattenHits, FlattenMisses int64
 	PackHits, PackMisses       int64
 	// Region-invalidation traffic (see InvalidateRegion). Segmented counts
-	// calls that kept part of a layer; Full counts calls that degenerated to
-	// a whole-layer drop. A segmented rebuild reuses RowsReused partition
-	// rows verbatim and requeries RowsRequeried dirty rows from the
-	// hierarchy.
+	// calls that patched a layer's record in place; Full counts calls that
+	// degenerated to a whole-layer drop. Each patch (SegmentedRebuilds) keeps
+	// RowsReused rows of the segmenting partition untouched, re-queries
+	// RowsRequeried dirty ones from the hierarchy, and splices PatchedPolys
+	// re-queried polygons in at the tail.
 	SegmentedInvalidations, FullInvalidations int64
 	SegmentedRebuilds                         int64
 	RowsReused, RowsRequeried                 int64
+	PatchedPolys                              int64
 }
 
 // FaultHook is the injection seam consulted before each flatten computation
@@ -78,48 +84,85 @@ type Event struct {
 // recorder's geocache track). The hook runs outside the cache lock.
 type EventHook func(Event)
 
-// flatEntry is one single-flight flatten computation.
-type flatEntry struct {
-	done  chan struct{}
-	polys []layout.PlacedPoly
-	err   error
+// slot is one single-flight derivation of a layer record.
+type slot[T any] struct {
+	done chan struct{}
+	val  T
+	err  error
 }
 
-// packEntry is one single-flight pack computation.
-type packEntry struct {
-	done  chan struct{}
-	edges *kernels.Edges
-	err   error
+// filled is a slot whose value is already known.
+func filled[T any](v T) *slot[T] {
+	s := &slot[T]{done: make(chan struct{}), val: v}
+	close(s.done)
+	return s
 }
 
-// mbrEntry is one single-flight per-layer MBR-table computation.
-type mbrEntry struct {
-	done  chan struct{}
-	boxes []geom.Rect
-	err   error
+// ready reports whether the slot holds a successfully computed value.
+func (s *slot[T]) ready() bool {
+	if s == nil {
+		return false
+	}
+	select {
+	case <-s.done:
+		return s.err == nil
+	default:
+		return false
+	}
 }
 
-// rowsKey identifies one adaptive partition of a layer: rules with the same
+// fill runs the computation. The done channel closes on every path —
+// including a panic, which is cached as a *pool.PanicError so waiters cannot
+// wedge.
+func (s *slot[T]) fill(compute func() (T, error)) {
+	defer close(s.done)
+	defer func() {
+		if rec := recover(); rec != nil {
+			if pe, ok := rec.(*pool.PanicError); ok {
+				s.err = pe
+			} else {
+				s.err = &pool.PanicError{Value: rec, Stack: debug.Stack()}
+			}
+		}
+	}()
+	s.val, s.err = compute()
+}
+
+// partKey identifies one adaptive partition of a layer: rules with the same
 // interaction reach and algorithm produce identical rows, and the prefetcher
 // warms each key while the previous rule's kernels run.
-type rowsKey struct {
-	layer layout.Layer
+type partKey struct {
 	guard int64
 	alg   partition.Algorithm
 }
 
-// rowsEntry is one single-flight partition computation.
-type rowsEntry struct {
-	done chan struct{}
-	rows []partition.Row
-	err  error
+// part is one cached row partition of a layer record.
+type part struct {
+	key  partKey
+	rows *slot[[]partition.Row]
 }
 
-// tableEntry is one single-flight device-upload table computation.
-type tableEntry struct {
-	done chan struct{}
-	t    *kernels.MBRTable
-	err  error
+// layerRec is everything the cache knows about one layer: the flatten and
+// the derivations index-aligned with it. Each is computed on first request;
+// InvalidateRegion patches all of them together so they never disagree.
+type layerRec struct {
+	flat  *slot[[]layout.PlacedPoly]
+	boxes *slot[[]geom.Rect]
+	edges *slot[*kernels.Edges]
+	table *slot[*kernels.MBRTable]
+	parts []part // row partitions, in first-request order
+}
+
+// part returns the address of the (guard, alg) partition's slot, adding an
+// empty entry when the key is new.
+func (r *layerRec) part(k partKey) **slot[[]partition.Row] {
+	for i := range r.parts {
+		if r.parts[i].key == k {
+			return &r.parts[i].rows
+		}
+	}
+	r.parts = append(r.parts, part{key: k})
+	return &r.parts[len(r.parts)-1].rows
 }
 
 // Cache is the per-run layer-keyed geometry memo. The zero value is not
@@ -132,28 +175,15 @@ type Cache struct {
 
 	mu     sync.Mutex
 	lo     *layout.Layout // bound on first use; one cache serves one layout
-	flat   map[layout.Layer]*flatEntry
-	packs  map[layout.Layer]*packEntry
-	mbrs   map[layout.Layer]*mbrEntry
-	rows   map[rowsKey]*rowsEntry
-	tables map[layout.Layer]*tableEntry
-	plans  map[layout.Layer]*segPlan // pending segmented rebuilds (see region.go)
+	layers map[layout.Layer]*layerRec
+	remap  []int32 // InvalidateRegion's renumbering scratch
 	stats  Stats
 }
 
 // New creates a cache enforcing the given budgets (MaxFlattenPolys applies
 // to every cached flatten, exactly as the uncached paths apply it).
 func New(lim budget.Limits) *Cache {
-	return &Cache{
-		limits: lim,
-		arena:  NewArena(),
-		flat:   make(map[layout.Layer]*flatEntry),
-		packs:  make(map[layout.Layer]*packEntry),
-		mbrs:   make(map[layout.Layer]*mbrEntry),
-		rows:   make(map[rowsKey]*rowsEntry),
-		tables: make(map[layout.Layer]*tableEntry),
-		plans:  make(map[layout.Layer]*segPlan),
-	}
+	return &Cache{limits: lim, arena: NewArena(), layers: make(map[layout.Layer]*layerRec)}
 }
 
 // SetFaultHook installs the fault-injection seam. Must be called before the
@@ -168,13 +198,6 @@ func (c *Cache) Arena() *Arena { return c.arena }
 // SetEventHook installs the lookup observer. Must be called before the
 // first lookup.
 func (c *Cache) SetEventHook(h EventHook) { c.eventFn = h }
-
-// event reports one lookup to the observer; callers must not hold c.mu.
-func (c *Cache) event(op string, key string, hit bool) {
-	if c.eventFn != nil {
-		c.eventFn(Event{Op: op, Key: key, Hit: hit})
-	}
-}
 
 // layerKey renders a layer entry key for events.
 func layerKey(l layout.Layer) string { return fmt.Sprintf("layer#%d", int(l)) }
@@ -197,130 +220,92 @@ func (c *Cache) bind(lo *layout.Layout) {
 	}
 }
 
+// lookup is the single-flight core of every accessor: it finds or creates
+// the slot sel names in the layer's record, counts the hit or miss, reports
+// the event (the key is only rendered when a hook listens), and either waits
+// for the first caller's computation or runs it.
+func lookup[T any](ctx context.Context, c *Cache, lo *layout.Layout, l layout.Layer,
+	op, keySuffix string, hits, misses *int64,
+	sel func(*layerRec) **slot[T], compute func() (T, error)) (T, error) {
+	c.mu.Lock()
+	c.bind(lo)
+	rec := c.layers[l]
+	if rec == nil {
+		rec = &layerRec{}
+		c.layers[l] = rec
+	}
+	p := sel(rec)
+	s, hit := *p, *p != nil
+	if !hit {
+		s = &slot[T]{done: make(chan struct{})}
+		*p = s
+	}
+	n := misses
+	if hit {
+		n = hits
+	}
+	if n != nil {
+		*n++
+	}
+	c.mu.Unlock()
+	if c.eventFn != nil {
+		c.eventFn(Event{Op: op, Key: layerKey(l) + keySuffix, Hit: hit})
+	}
+	if !hit {
+		s.fill(compute)
+		return s.val, s.err
+	}
+	select {
+	case <-s.done:
+		return s.val, s.err
+	case <-ctx.Done():
+		var zero T
+		return zero, ctx.Err()
+	}
+}
+
 // Flatten returns the layer's instance-expanded polygons in the canonical
 // hierarchy-DFS order, computing them (flatten → flatten-polys budget) at
 // most once. The returned slice is shared and must not be mutated.
 func (c *Cache) Flatten(ctx context.Context, lo *layout.Layout, l layout.Layer) ([]layout.PlacedPoly, error) {
-	c.mu.Lock()
-	c.bind(lo)
-	if e, ok := c.flat[l]; ok {
-		c.stats.FlattenHits++
-		c.mu.Unlock()
-		c.event("flatten", layerKey(l), true)
-		return awaitFlat(ctx, e)
-	}
-	e := &flatEntry{done: make(chan struct{})}
-	c.flat[l] = e
-	plan := c.plans[l]
-	delete(c.plans, l)
-	c.stats.FlattenMisses++
-	c.mu.Unlock()
-	c.event("flatten", layerKey(l), false)
-
-	c.computeFlat(ctx, e, lo, l, plan)
-	return e.polys, e.err
-}
-
-// computeFlat fills e. The done channel closes on every path — including a
-// panic, which is cached as a *pool.PanicError so waiters cannot wedge.
-// A non-nil plan (left by InvalidateRegion) replaces the full FlattenLayer
-// with a segmented rebuild; fault-hook and budget semantics are identical.
-func (c *Cache) computeFlat(ctx context.Context, e *flatEntry, lo *layout.Layout, l layout.Layer, plan *segPlan) {
-	defer close(e.done)
-	defer func() {
-		if rec := recover(); rec != nil {
-			if pe, ok := rec.(*pool.PanicError); ok {
-				e.err = pe
-			} else {
-				e.err = &pool.PanicError{Value: rec, Stack: debug.Stack()}
+	return lookup(ctx, c, lo, l, "flatten", "", &c.stats.FlattenHits, &c.stats.FlattenMisses,
+		func(r *layerRec) **slot[[]layout.PlacedPoly] { return &r.flat },
+		func() ([]layout.PlacedPoly, error) {
+			if c.hook != nil {
+				if err := c.hook(ctx, l); err != nil {
+					return nil, err
+				}
 			}
-		}
-	}()
-	if c.hook != nil {
-		if err := c.hook(ctx, l); err != nil {
-			e.err = err
-			return
-		}
-	}
-	var polys []layout.PlacedPoly
-	if plan != nil {
-		var reused, requeried int
-		polys, reused, requeried = plan.rebuild(lo, l)
-		c.mu.Lock()
-		c.stats.SegmentedRebuilds++
-		c.stats.RowsReused += int64(reused)
-		c.stats.RowsRequeried += int64(requeried)
-		c.mu.Unlock()
-	} else {
-		polys = lo.FlattenLayer(l)
-	}
-	if err := budget.Check("flatten-polys", int64(len(polys)), c.limits.MaxFlattenPolys); err != nil {
-		e.err = err
-		return
-	}
-	e.polys = polys
-}
-
-// awaitFlat waits for a concurrent computation of the entry.
-func awaitFlat(ctx context.Context, e *flatEntry) ([]layout.PlacedPoly, error) {
-	select {
-	case <-e.done:
-		return e.polys, e.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+			polys := lo.FlattenLayer(l)
+			if err := budget.Check("flatten-polys", int64(len(polys)), c.limits.MaxFlattenPolys); err != nil {
+				return nil, err
+			}
+			return polys, nil
+		})
 }
 
 // Pack returns the layer's packed edge buffer in the canonical flatten
 // order, computing it (via Flatten) at most once. The returned buffer is
 // shared and must not be mutated.
 func (c *Cache) Pack(ctx context.Context, lo *layout.Layout, l layout.Layer) (*kernels.Edges, error) {
-	c.mu.Lock()
-	c.bind(lo)
-	if e, ok := c.packs[l]; ok {
-		c.stats.PackHits++
-		c.mu.Unlock()
-		c.event("pack", layerKey(l), true)
-		select {
-		case <-e.done:
-			return e.edges, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &packEntry{done: make(chan struct{})}
-	c.packs[l] = e
-	c.stats.PackMisses++
-	c.mu.Unlock()
-	c.event("pack", layerKey(l), false)
-
-	func() {
-		defer close(e.done)
-		defer func() {
-			if rec := recover(); rec != nil {
-				if pe, ok := rec.(*pool.PanicError); ok {
-					e.err = pe
-				} else {
-					e.err = &pool.PanicError{Value: rec, Stack: debug.Stack()}
-				}
+	return lookup(ctx, c, lo, l, "pack", "", &c.stats.PackHits, &c.stats.PackMisses,
+		func(r *layerRec) **slot[*kernels.Edges] { return &r.edges },
+		func() (*kernels.Edges, error) {
+			polys, err := c.Flatten(ctx, lo, l)
+			if err != nil {
+				return nil, err
 			}
-		}()
-		polys, err := c.Flatten(ctx, lo, l)
-		if err != nil {
-			e.err = err
-			return
-		}
-		// The shape list is pure scratch: Pack copies every coordinate into
-		// its own buffers, so the list recycles through the arena while the
-		// packed result is cached and shared.
-		shapes := c.arena.Polys(len(polys))
-		for i := range polys {
-			shapes = append(shapes, polys[i].Shape)
-		}
-		e.edges = kernels.Pack(shapes)
-		c.arena.PutPolys(shapes)
-	}()
-	return e.edges, e.err
+			// The shape list is pure scratch: Pack copies every coordinate into
+			// its own buffers, so the list recycles through the arena while the
+			// packed result is cached and shared.
+			shapes := c.arena.Polys(len(polys))
+			for i := range polys {
+				shapes = append(shapes, polys[i].Shape)
+			}
+			edges := kernels.Pack(shapes)
+			c.arena.PutPolys(shapes)
+			return edges, nil
+		})
 }
 
 // MBRs returns the per-polygon bounding boxes of the layer's flatten, index-
@@ -328,46 +313,23 @@ func (c *Cache) Pack(ctx context.Context, lo *layout.Layout, l layout.Layer) (*k
 // re-scan every vertex, so a deck of N spacing rules on one layer saves N-1
 // full passes. The returned slice is shared and must not be mutated.
 func (c *Cache) MBRs(ctx context.Context, lo *layout.Layout, l layout.Layer) ([]geom.Rect, error) {
-	c.mu.Lock()
-	c.bind(lo)
-	if e, ok := c.mbrs[l]; ok {
-		c.mu.Unlock()
-		c.event("mbrs", layerKey(l), true)
-		select {
-		case <-e.done:
-			return e.boxes, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &mbrEntry{done: make(chan struct{})}
-	c.mbrs[l] = e
-	c.mu.Unlock()
-	c.event("mbrs", layerKey(l), false)
-
-	func() {
-		defer close(e.done)
-		defer func() {
-			if rec := recover(); rec != nil {
-				if pe, ok := rec.(*pool.PanicError); ok {
-					e.err = pe
-				} else {
-					e.err = &pool.PanicError{Value: rec, Stack: debug.Stack()}
-				}
+	return lookup(ctx, c, lo, l, "mbrs", "", nil, nil,
+		func(r *layerRec) **slot[[]geom.Rect] { return &r.boxes },
+		func() ([]geom.Rect, error) {
+			polys, err := c.Flatten(ctx, lo, l)
+			if err != nil {
+				return nil, err
 			}
-		}()
-		polys, err := c.Flatten(ctx, lo, l)
-		if err != nil {
-			e.err = err
-			return
-		}
-		boxes := make([]geom.Rect, len(polys))
-		for i := range polys {
-			boxes[i] = polys[i].Shape.MBR()
-		}
-		e.boxes = boxes
-	}()
-	return e.boxes, e.err
+			return boxesOf(polys), nil
+		})
+}
+
+func boxesOf(polys []layout.PlacedPoly) []geom.Rect {
+	boxes := make([]geom.Rect, len(polys))
+	for i := range polys {
+		boxes[i] = polys[i].Shape.MBR()
+	}
+	return boxes
 }
 
 // Rows returns the layer's adaptive row partition for the given interaction
@@ -377,44 +339,19 @@ func (c *Cache) MBRs(ctx context.Context, lo *layout.Layout, l layout.Layer) ([]
 // the entry off the critical path. The returned rows (including each
 // Members slice) are shared and must not be mutated.
 func (c *Cache) Rows(ctx context.Context, lo *layout.Layout, l layout.Layer, guard int64, alg partition.Algorithm) ([]partition.Row, error) {
-	k := rowsKey{layer: l, guard: guard, alg: alg}
-	c.mu.Lock()
-	c.bind(lo)
-	rk := fmt.Sprintf("%s/reach=%d/alg=%d", layerKey(l), guard, int(alg))
-	if e, ok := c.rows[k]; ok {
-		c.mu.Unlock()
-		c.event("rows", rk, true)
-		select {
-		case <-e.done:
-			return e.rows, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	suffix := ""
+	if c.eventFn != nil {
+		suffix = fmt.Sprintf("/reach=%d/alg=%d", guard, int(alg))
 	}
-	e := &rowsEntry{done: make(chan struct{})}
-	c.rows[k] = e
-	c.mu.Unlock()
-	c.event("rows", rk, false)
-
-	func() {
-		defer close(e.done)
-		defer func() {
-			if rec := recover(); rec != nil {
-				if pe, ok := rec.(*pool.PanicError); ok {
-					e.err = pe
-				} else {
-					e.err = &pool.PanicError{Value: rec, Stack: debug.Stack()}
-				}
+	return lookup(ctx, c, lo, l, "rows", suffix, nil, nil,
+		func(r *layerRec) **slot[[]partition.Row] { return r.part(partKey{guard, alg}) },
+		func() ([]partition.Row, error) {
+			boxes, err := c.MBRs(ctx, lo, l)
+			if err != nil {
+				return nil, err
 			}
-		}()
-		boxes, err := c.MBRs(ctx, lo, l)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.rows = partition.Rows(boxes, guard, alg)
-	}()
-	return e.rows, e.err
+			return partition.Rows(boxes, guard, alg), nil
+		})
 }
 
 // Table returns the layer's device-upload MBR table — the per-polygon MBR
@@ -424,112 +361,32 @@ func (c *Cache) Rows(ctx context.Context, lo *layout.Layout, l layout.Layer, gua
 // on the device per rule. The returned table is shared and must not be
 // mutated.
 func (c *Cache) Table(ctx context.Context, lo *layout.Layout, l layout.Layer) (*kernels.MBRTable, error) {
-	c.mu.Lock()
-	c.bind(lo)
-	if e, ok := c.tables[l]; ok {
-		c.mu.Unlock()
-		c.event("table", layerKey(l), true)
-		select {
-		case <-e.done:
-			return e.t, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &tableEntry{done: make(chan struct{})}
-	c.tables[l] = e
-	c.mu.Unlock()
-	c.event("table", layerKey(l), false)
-
-	func() {
-		defer close(e.done)
-		defer func() {
-			if rec := recover(); rec != nil {
-				if pe, ok := rec.(*pool.PanicError); ok {
-					e.err = pe
-				} else {
-					e.err = &pool.PanicError{Value: rec, Stack: debug.Stack()}
-				}
+	return lookup(ctx, c, lo, l, "table", "", nil, nil,
+		func(r *layerRec) **slot[*kernels.MBRTable] { return &r.table },
+		func() (*kernels.MBRTable, error) {
+			boxes, err := c.MBRs(ctx, lo, l)
+			if err != nil {
+				return nil, err
 			}
-		}()
-		boxes, err := c.MBRs(ctx, lo, l)
-		if err != nil {
-			e.err = err
-			return
-		}
-		t := &kernels.MBRTable{
-			XLo: make([]int64, len(boxes)), XHi: make([]int64, len(boxes)),
-			YLo: make([]int64, len(boxes)), YHi: make([]int64, len(boxes)),
-			XOrder: make([]int32, len(boxes)),
-		}
-		for i, b := range boxes {
-			t.XLo[i], t.XHi[i] = b.XLo, b.XHi
-			t.YLo[i], t.YHi[i] = b.YLo, b.YHi
-			t.XOrder[i] = int32(i)
-		}
-		sort.Slice(t.XOrder, func(i, j int) bool {
-			a, b := t.XOrder[i], t.XOrder[j]
-			if t.XLo[a] != t.XLo[b] {
-				return t.XLo[a] < t.XLo[b]
-			}
-			return a < b
+			return kernels.NewMBRTable(boxes), nil
 		})
-		e.t = t
-	}()
-	return e.t, e.err
 }
 
-// Invalidate drops the cached computations for the given layers — flatten,
-// pack, MBRs, row partitions, and device-upload tables — so the next lookup
-// recomputes them; with no layers it drops every entry. The cache outlives
+// Invalidate drops the resident records of the given layers — flatten,
+// pack, MBRs, row partitions, and device-upload table — so the next lookup
+// recomputes them; with no layers it drops every record. The cache outlives
 // a single run inside a resident session, and Invalidate is the session's
 // hook for layouts mutated in place between checks. In-flight computations
-// are unaffected: their waiters hold the entry pointers and resolve
-// normally, while post-invalidate lookups start fresh entries.
+// are unaffected: their waiters hold the slot pointers and resolve
+// normally, while post-invalidate lookups start a fresh record.
 func (c *Cache) Invalidate(layers ...layout.Layer) {
-	all := len(layers) == 0
-	match := func(l layout.Layer) bool {
-		if all {
-			return true
-		}
-		for _, x := range layers {
-			if x == l {
-				return true
-			}
-		}
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for l := range c.flat {
-		if match(l) {
-			delete(c.flat, l)
-		}
+	if len(layers) == 0 {
+		clear(c.layers)
 	}
-	for l := range c.packs {
-		if match(l) {
-			delete(c.packs, l)
-		}
-	}
-	for l := range c.mbrs {
-		if match(l) {
-			delete(c.mbrs, l)
-		}
-	}
-	for k := range c.rows {
-		if match(k.layer) {
-			delete(c.rows, k)
-		}
-	}
-	for l := range c.tables {
-		if match(l) {
-			delete(c.tables, l)
-		}
-	}
-	for l := range c.plans {
-		if match(l) {
-			delete(c.plans, l)
-		}
+	for _, l := range layers {
+		delete(c.layers, l)
 	}
 }
 
@@ -539,18 +396,13 @@ func (c *Cache) Invalidate(layers ...layout.Layer) {
 // KLayout tiling baseline) use it as an opportunistic read.
 func (c *Cache) PeekFlatten(l layout.Layer) ([]layout.PlacedPoly, bool) {
 	c.mu.Lock()
-	e, ok := c.flat[l]
+	var flat *slot[[]layout.PlacedPoly]
+	if rec := c.layers[l]; rec != nil {
+		flat = rec.flat
+	}
 	c.mu.Unlock()
-	if !ok {
+	if !flat.ready() {
 		return nil, false
 	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return nil, false
-		}
-		return e.polys, true
-	default:
-		return nil, false
-	}
+	return flat.val, true
 }

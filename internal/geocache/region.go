@@ -1,22 +1,31 @@
 // Region-scoped invalidation. Whole-layer Invalidate throws away everything
 // a resident session knows about a layer when one corner of it changed; the
-// region path instead segments the cached flatten by its adaptive row
-// partition (rows separated by more than the guard distance cannot
-// interact), marks only the rows a dirty rectangle touches, and rebuilds the
-// flatten at next use as "clean-row polygons kept verbatim + a hierarchy
-// range query over the dirty bands". The rebuilt polygon list is set-equal
-// to a cold FlattenLayer of the edited layout — kept rows hold unedited
-// geometry by construction, deleted polygons always fall in dirty rows
-// (callers pass dirty rects covering every changed polygon's MBR), and new
-// polygons never land inside a clean row's band (their extent would have
-// marked it dirty) — so downstream packs, partitions, and checks see the
-// same geometry multiset, merely permuted; canonical reports are unaffected
-// because violation serialization is order-free.
+// region path instead patches the layer's record by row. Rows of the adaptive
+// partition separated by more than the guard distance cannot interact, so a
+// dirty rectangle (dilated by that guard) condemns only the rows it touches:
+// their polygons are spliced out of every structure of the record, the
+// hierarchy is re-queried over the dirty bands alone, and the answer is
+// spliced in at the tail.
+//
+// The invariant, which is also the test oracle: after a patch the record
+// equals, slice for slice, what the cold derivations (Shape.MBR,
+// kernels.Pack, partition.Rows, kernels.NewMBRTable) produce from the
+// patched polygon list, and that list is multiset-equal to a cold
+// FlattenLayer of the edited layout — kept rows hold unedited geometry by
+// construction, deleted polygons always fall in dirty rows (callers pass
+// dirty rects covering every changed polygon's MBR), and new polygons never
+// land inside a clean row's band (their extent would have marked it dirty).
+// So every reader sees one representation with no liveness state; only the
+// polygon order differs from a cold flatten, and canonical reports are
+// unaffected because violation serialization is order-free.
 package geocache
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
+	"opendrc/internal/budget"
 	"opendrc/internal/geom"
 	"opendrc/internal/kernels"
 	"opendrc/internal/layout"
@@ -27,238 +36,204 @@ import (
 // width without risking int64 overflow in window arithmetic).
 const queryHalfSpan = int64(1) << 60
 
-// yspan is one inclusive dirty y-interval.
-type yspan struct{ lo, hi int64 }
-
-// segPlan is a pending segmented rebuild for one layer: the pre-edit flatten
-// with its row segmentation, which rows are dirty, and the extra dirty
-// y-intervals (edit rects can fall in inter-row gaps where no row exists).
-// Repeated region invalidations before the next Flatten compose into the
-// same plan; the rebuild consumes it.
-type segPlan struct {
-	polys []layout.PlacedPoly // pre-edit flatten (shared, immutable)
-	rows  []partition.Row     // segmentation of polys
-	dirty []bool              // per row
-	spans []yspan             // dirty rect y-extents (requeried regardless of rows)
-	edges *kernels.Edges      // pre-edit pack, for kept-byte accounting; may be nil
-}
-
 // RegionOutcome reports what one InvalidateRegion call did, so sessions can
 // free only the stale slice of a device-resident edge buffer.
 type RegionOutcome struct {
 	// Segmented is false when the call degenerated to a whole-layer drop:
-	// no completed flatten to segment, an empty or single-row partition, or
-	// dirty rects touching every row.
+	// no completed flatten to patch, every row dirty (an empty or single-row
+	// layer included), or a cache running with budgets or a fault hook.
 	Segmented            bool
 	RowsTotal, RowsDirty int
-	PolysKept            int
-	// KeptEdgeBytes is the device-byte size of the still-valid prefix of the
-	// layer's packed edges (proportional byte shares of the pre-edit pack;
-	// zero when not segmented or the layer was never packed). The next pack
-	// of the rebuilt flatten is at least this large, so sessions free
-	// (resident bytes - KeptEdgeBytes) and later upload only the delta.
+	// PolysKept polygons stayed where the clean rows had them;
+	// PolysRequeried came back from the hierarchy and sit at the tail.
+	PolysKept, PolysRequeried int
+	// KeptEdgeBytes is the exact device-byte size of the untouched rows'
+	// packed edges, which the patch left as the buffer's prefix (zero when
+	// not segmented or the layer was never packed). Sessions free
+	// (resident bytes - KeptEdgeBytes) and later upload only the tail.
 	KeptEdgeBytes int64
 }
 
-// InvalidateRegion drops the layer's cached geometry only where the dirty
-// rects (already dilated by the caller's guard distance) intersect its row
-// segmentation, scheduling a segmented rebuild for the next Flatten. The
-// partition uses the given guard and algorithm — sessions pass the deck's
+// InvalidateRegion patches the layer's record where the dirty rects (already
+// dilated by the caller's guard distance) intersect its row segmentation.
+// The segmentation is the (guard, alg) partition — sessions pass the deck's
 // maximum interaction reach, so a clean row's geometry cannot interact with
-// anything inside the dirty region. With no completed flatten (or when every
-// row is dirty) the call degrades to Invalidate(l). Empty rects contribute
+// anything inside the dirty region; it is computed on the first call and
+// kept patched like every other cached partition afterwards. With no
+// completed flatten, when every row is dirty, or on a cache with budgets or
+// a fault hook (whose flatten-polys check and fault site a patch would
+// bypass) the call degrades to Invalidate(l). Empty rects contribute
 // nothing; zero rects degrade to a whole-layer drop (matching Invalidate's
 // "no qualifier means everything" convention).
+//
+// The patch rewrites slices earlier lookups returned: callers hold the lock
+// that serializes their checks and have none in flight.
 func (c *Cache) InvalidateRegion(l layout.Layer, guard int64, alg partition.Algorithm, rects []geom.Rect) RegionOutcome {
-	spans := make([]yspan, 0, len(rects))
+	spans := make([]partition.Band, 0, len(rects))
 	for _, r := range rects {
 		if !r.Empty() {
-			spans = append(spans, yspan{lo: r.YLo, hi: r.YHi})
+			spans = append(spans, partition.Band{Lo: r.YLo, Hi: r.YHi})
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(spans) == 0 {
-		c.stats.FullInvalidations++
-		c.dropLayerLocked(l)
-		return RegionOutcome{}
-	}
-
-	plan := c.plans[l]
-	if plan == nil {
-		var ok bool
-		plan, ok = c.buildPlanLocked(l, guard, alg)
-		if !ok {
-			c.stats.FullInvalidations++
-			c.dropLayerLocked(l)
-			return RegionOutcome{}
+	rec := c.layers[l]
+	if len(spans) > 0 && rec != nil && rec.flat.ready() && c.hook == nil && c.limits == (budget.Limits{}) {
+		if out, ok := c.patch(rec, l, partKey{guard, alg}, mergeSpans(spans)); ok {
+			c.stats.SegmentedInvalidations++
+			c.stats.SegmentedRebuilds++
+			c.stats.RowsReused += int64(out.RowsTotal - out.RowsDirty)
+			c.stats.RowsRequeried += int64(out.RowsDirty)
+			c.stats.PatchedPolys += int64(out.PolysRequeried)
+			return out
 		}
 	}
-	for ri := range plan.rows {
-		if plan.dirty[ri] {
+	c.stats.FullInvalidations++
+	delete(c.layers, l)
+	return RegionOutcome{}
+}
+
+// patch splices the rows of the seg partition that the (merged) dirty spans
+// touch out of every structure of rec and the re-queried bands in (c.mu
+// held). It reports false, leaving rec for the caller to drop, when no row
+// would survive.
+func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partition.Band) (RegionOutcome, bool) {
+	polys := rec.flat.val
+	if !rec.boxes.ready() {
+		rec.boxes = filled(boxesOf(polys))
+	}
+	boxes := rec.boxes.val
+	sp := rec.part(seg)
+	if !(*sp).ready() {
+		*sp = filled(partition.Rows(boxes, seg.guard, seg.alg))
+	}
+	rows := (*sp).val
+
+	// remap[i] is polygon i's index after the splice, -1 for members of dirty
+	// rows; nothing below first moves.
+	if cap(c.remap) < len(polys) {
+		c.remap = make([]int32, len(polys)+len(polys)/8)
+	}
+	remap := c.remap[:len(polys)]
+	clear(remap)
+	out := RegionOutcome{Segmented: true, RowsTotal: len(rows)}
+	first := len(polys)
+	var dirty, clean []partition.Band
+	for _, row := range rows {
+		band := partition.Band{Lo: row.YLo, Hi: row.YHi}
+		if !overlapsSpan(spans, band) {
+			clean = append(clean, band)
+			out.PolysKept += len(row.Members)
 			continue
 		}
-		band := yspan{lo: plan.rows[ri].YLo, hi: plan.rows[ri].YHi}
-		for _, sp := range spans {
-			if sp.lo <= band.hi && band.lo <= sp.hi {
-				plan.dirty[ri] = true
-				break
-			}
+		out.RowsDirty++
+		dirty = append(dirty, band)
+		for _, m := range row.Members {
+			remap[m] = -1
 		}
-	}
-	plan.spans = append(plan.spans, spans...)
-
-	out := RegionOutcome{RowsTotal: len(plan.rows)}
-	keptEdges, totalEdges := 0, 0
-	for ri, row := range plan.rows {
-		n := len(row.Members)
-		var rowEdges int
-		if plan.edges != nil {
-			for _, m := range row.Members {
-				elo, ehi := plan.edges.PolyEdges(m)
-				rowEdges += ehi - elo
-			}
-			totalEdges += rowEdges
-		}
-		if plan.dirty[ri] {
-			out.RowsDirty++
-			continue
-		}
-		out.PolysKept += n
-		keptEdges += rowEdges
+		first = min(first, row.Members[0])
 	}
 	if out.RowsDirty == out.RowsTotal {
-		// Nothing survives; fall back to the whole-layer drop so the next
-		// flatten takes the cold path instead of an all-dirty "rebuild".
-		delete(c.plans, l)
-		c.stats.FullInvalidations++
-		c.dropLayerLocked(l)
-		return RegionOutcome{}
+		return RegionOutcome{}, false
 	}
-	if plan.edges != nil && totalEdges > 0 {
-		out.KeptEdgeBytes = plan.edges.Bytes() * int64(keptEdges) / int64(totalEdges)
-	}
-	out.Segmented = true
-	c.plans[l] = plan
-	c.stats.SegmentedInvalidations++
-	c.dropLayerLocked(l)
-	return out
-}
-
-// buildPlanLocked snapshots the layer's completed flatten (and pack, when
-// present) into a fresh all-clean plan segmented with the given guard.
-// Returns false when the layer has no successfully completed flatten to
-// segment, or when the partition is too coarse to save anything.
-func (c *Cache) buildPlanLocked(l layout.Layer, guard int64, alg partition.Algorithm) (*segPlan, bool) {
-	fe, ok := c.flat[l]
-	if !ok || !entryDone(fe.done) || fe.err != nil {
-		return nil, false
-	}
-	boxes := make([]geom.Rect, len(fe.polys))
-	for i := range fe.polys {
-		boxes[i] = fe.polys[i].Shape.MBR()
-	}
-	rows := partition.Rows(boxes, guard, alg)
-	if len(rows) < 2 {
-		return nil, false
-	}
-	plan := &segPlan{polys: fe.polys, rows: rows, dirty: make([]bool, len(rows))}
-	if pe, ok := c.packs[l]; ok && entryDone(pe.done) && pe.err == nil {
-		plan.edges = pe.edges
-	}
-	return plan, true
-}
-
-// entryDone reports whether a single-flight entry's computation finished.
-func entryDone(done chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
-// dropLayerLocked removes every cached entry of one layer (c.mu held).
-func (c *Cache) dropLayerLocked(l layout.Layer) {
-	delete(c.flat, l)
-	delete(c.packs, l)
-	delete(c.mbrs, l)
-	delete(c.tables, l)
-	for k := range c.rows {
-		if k.layer == l {
-			delete(c.rows, k)
+	tail := 0
+	for i, r := range remap {
+		if r >= 0 {
+			remap[i] = int32(tail)
+			tail++
 		}
 	}
-}
 
-// rebuild materializes the post-edit flatten: clean-row polygons in their
-// old canonical order, then the dirty bands' polygons from full-width
-// hierarchy range queries. Every post-edit polygon appears exactly once:
-// clean-row members are kept and rejected from query results (a polygon's
-// extent is contained in its own row's band, and bands are disjoint with
-// positive-measure extents), dirty-row and new polygons are accepted by the
-// first query span their extent overlaps.
-func (p *segPlan) rebuild(lo *layout.Layout, l layout.Layer) ([]layout.PlacedPoly, int, int) {
-	kept, dirtyRows := 0, 0
-	var clean []yspan
-	var query []yspan
-	for ri, row := range p.rows {
-		if p.dirty[ri] {
-			dirtyRows++
-			query = append(query, yspan{lo: row.YLo, hi: row.YHi})
+	// Edit rects can fall in inter-row gaps where no row exists, so the spans
+	// are re-queried alongside the dirty rows' bands.
+	bands := mergeSpans(append(dirty, spans...))
+	fresh, freshBoxes := c.requery(l, bands, clean)
+	out.PolysRequeried = len(fresh)
+
+	rec.flat.val = append(kernels.Compact(polys, remap, first), fresh...)
+	rec.boxes.val = append(kernels.Compact(boxes, remap, first), freshBoxes...)
+	if rec.edges.ready() {
+		shapes := c.arena.Polys(len(fresh))
+		for i := range fresh {
+			shapes = append(shapes, fresh[i].Shape)
+		}
+		out.KeptEdgeBytes = rec.edges.val.Splice(remap, first, shapes)
+		c.arena.PutPolys(shapes)
+	} else {
+		rec.edges = nil
+	}
+	if rec.table.ready() {
+		rec.table.val.Splice(remap, first, freshBoxes)
+	} else {
+		rec.table = nil
+	}
+	// A partition with a guard up to the segmentation's refines it, so its
+	// rows inside the bands are whole rows and splice the same way; a coarser
+	// one may straddle a band edge and is recomputed on next use.
+	parts := rec.parts[:0]
+	for _, p := range rec.parts {
+		if !p.rows.ready() || p.key.guard > seg.guard {
 			continue
 		}
-		kept += len(row.Members)
-		clean = append(clean, yspan{lo: row.YLo, hi: row.YHi})
-	}
-	out := make([]layout.PlacedPoly, 0, kept)
-	for ri, row := range p.rows {
-		if p.dirty[ri] {
-			continue
+		add := partition.Rows(freshBoxes, p.key.guard, p.key.alg)
+		for _, row := range add {
+			for i := range row.Members {
+				row.Members[i] += tail
+			}
 		}
-		for _, m := range row.Members {
-			out = append(out, p.polys[m])
-		}
+		p.rows.val = partition.Splice(p.rows.val, bands, remap, first, add)
+		parts = append(parts, p)
 	}
-	query = mergeSpans(append(query, p.spans...))
+	clear(rec.parts[len(parts):])
+	rec.parts = parts
+	return out, true
+}
+
+// requery returns the post-edit polygons of the dirty bands from full-width
+// hierarchy range queries, with their boxes. Together with the clean rows'
+// polygons every post-edit polygon appears exactly once: clean-row members
+// are rejected (a polygon's extent is contained in its own row's band, and
+// bands are disjoint with positive-measure extents), dirty-row and new
+// polygons are accepted by the first band their extent overlaps.
+func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]layout.PlacedPoly, []geom.Rect) {
+	var out []layout.PlacedPoly
+	var boxes []geom.Rect
 	prevHi := int64(0)
-	for qi, sp := range query {
-		window := geom.Rect{XLo: -queryHalfSpan, YLo: sp.lo, XHi: queryHalfSpan, YHi: sp.hi}
-		found, _ := lo.QueryLayer(l, window)
+	for qi, sp := range bands {
+		window := geom.Rect{XLo: -queryHalfSpan, YLo: sp.Lo, XHi: queryHalfSpan, YHi: sp.Hi}
+		found, _ := c.lo.QueryLayer(l, window)
 		for _, pp := range found {
 			m := pp.Shape.MBR()
 			if qi > 0 && m.YLo <= prevHi {
-				continue // already returned by an earlier (lower) span
+				continue // already returned by an earlier (lower) band
 			}
 			if containedInSpan(clean, m.YLo, m.YHi) {
-				continue // clean-row polygon, kept verbatim above
+				continue // clean-row polygon, kept in place
 			}
 			out = append(out, pp)
+			boxes = append(boxes, m)
 		}
-		prevHi = sp.hi
+		prevHi = sp.Hi
 	}
-	return out, len(p.rows) - dirtyRows, dirtyRows
+	return out, boxes
 }
 
 // mergeSpans sorts and merges inclusive intervals (touching merges).
-func mergeSpans(spans []yspan) []yspan {
+func mergeSpans(spans []partition.Band) []partition.Band {
 	if len(spans) < 2 {
 		return spans
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].lo != spans[j].lo {
-			return spans[i].lo < spans[j].lo
+	slices.SortFunc(spans, func(a, b partition.Band) int {
+		if c := cmp.Compare(a.Lo, b.Lo); c != 0 {
+			return c
 		}
-		return spans[i].hi < spans[j].hi
+		return cmp.Compare(a.Hi, b.Hi)
 	})
 	out := spans[:1]
 	for _, sp := range spans[1:] {
 		last := &out[len(out)-1]
-		if sp.lo <= last.hi {
-			if sp.hi > last.hi {
-				last.hi = sp.hi
-			}
+		if sp.Lo <= last.Hi {
+			last.Hi = max(last.Hi, sp.Hi)
 			continue
 		}
 		out = append(out, sp)
@@ -266,9 +241,15 @@ func mergeSpans(spans []yspan) []yspan {
 	return out
 }
 
+// overlapsSpan reports whether b intersects one of the sorted disjoint spans.
+func overlapsSpan(spans []partition.Band, b partition.Band) bool {
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].Hi >= b.Lo })
+	return i < len(spans) && spans[i].Lo <= b.Hi
+}
+
 // containedInSpan reports whether [lo, hi] is contained in one of the sorted
 // disjoint spans.
-func containedInSpan(spans []yspan, lo, hi int64) bool {
-	i := sort.Search(len(spans), func(i int) bool { return spans[i].hi >= lo })
-	return i < len(spans) && spans[i].lo <= lo && hi <= spans[i].hi
+func containedInSpan(spans []partition.Band, lo, hi int64) bool {
+	i := sort.Search(len(spans), func(i int) bool { return spans[i].Hi >= lo })
+	return i < len(spans) && spans[i].Lo <= lo && hi <= spans[i].Hi
 }

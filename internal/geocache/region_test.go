@@ -80,8 +80,9 @@ func warm(t *testing.T, c *Cache, lo *layout.Layout) {
 }
 
 // TestInvalidateRegionDirtiesOnlyTouchedRows pins the row accounting: a rect
-// abutting one band's boundary dirties exactly that row, and the next
-// Flatten requeries only the dirty band while reusing every clean row.
+// abutting one band's boundary dirties exactly that row, and the patch
+// requeries only the dirty band while every clean row stays in place — the
+// next Flatten is a hit on the patched record.
 func TestInvalidateRegionDirtiesOnlyTouchedRows(t *testing.T) {
 	lo := bandedLayout(t, 10)
 	c := New(budget.Limits{})
@@ -94,11 +95,13 @@ func TestInvalidateRegionDirtiesOnlyTouchedRows(t *testing.T) {
 	if !out.Segmented {
 		t.Fatalf("not segmented: %+v", out)
 	}
-	if out.RowsTotal != 10 || out.RowsDirty != 1 || out.PolysKept != 9 {
-		t.Fatalf("outcome = %+v, want 10 rows / 1 dirty / 9 kept", out)
+	if out.RowsTotal != 10 || out.RowsDirty != 1 || out.PolysKept != 9 || out.PolysRequeried != 1 {
+		t.Fatalf("outcome = %+v, want 10 rows / 1 dirty / 9 kept / 1 requeried", out)
 	}
-	if out.KeptEdgeBytes <= 0 {
-		t.Fatalf("kept edge bytes = %d, want > 0 (layer was packed)", out.KeptEdgeBytes)
+	// Exactly the nine untouched rectangles' share of the pack: 36 edges at
+	// 52 B plus a ten-entry offset table.
+	if want := int64(36*52 + 10*4); out.KeptEdgeBytes != want {
+		t.Fatalf("kept edge bytes = %d, want %d", out.KeptEdgeBytes, want)
 	}
 
 	got, err := c.Flatten(context.Background(), lo, layout.LayerM1)
@@ -112,8 +115,11 @@ func TestInvalidateRegionDirtiesOnlyTouchedRows(t *testing.T) {
 	if s.SegmentedInvalidations != 1 || s.FullInvalidations != 0 {
 		t.Fatalf("stats = %+v, want 1 segmented / 0 full invalidations", s)
 	}
-	if s.SegmentedRebuilds != 1 || s.RowsReused != 9 || s.RowsRequeried != 1 {
-		t.Fatalf("stats = %+v, want 1 rebuild reusing 9 rows, requerying 1", s)
+	if s.SegmentedRebuilds != 1 || s.RowsReused != 9 || s.RowsRequeried != 1 || s.PatchedPolys != 1 {
+		t.Fatalf("stats = %+v, want 1 patch reusing 9 rows, requerying 1 row / 1 polygon", s)
+	}
+	if s.FlattenMisses != 1 || s.PackMisses != 1 {
+		t.Fatalf("stats = %+v: the patched layer was derived again", s)
 	}
 }
 
@@ -132,8 +138,8 @@ func TestInvalidateRegionGapSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := c.InvalidateRegion(layout.LayerM1, testGuard, partition.Pigeonhole, []geom.Rect{gap})
-	if !out.Segmented || out.RowsDirty != 0 || out.PolysKept != 5 {
-		t.Fatalf("outcome = %+v, want segmented with 0 dirty rows, 5 kept", out)
+	if !out.Segmented || out.RowsDirty != 0 || out.PolysKept != 5 || out.PolysRequeried != 1 {
+		t.Fatalf("outcome = %+v, want segmented with 0 dirty rows, 5 kept, the insert requeried", out)
 	}
 	got, err := c.Flatten(context.Background(), lo, layout.LayerM1)
 	if err != nil {
@@ -166,8 +172,10 @@ func TestInvalidateRegionRebuildAfterEdits(t *testing.T) {
 		}
 	}
 	out := c.InvalidateRegion(layout.LayerM1, testGuard, partition.Pigeonhole, rects)
-	if !out.Segmented || out.RowsDirty != 2 {
-		t.Fatalf("outcome = %+v, want segmented with 2 dirty rows", out)
+	// Band 2 comes back with its old rectangle and the insert; band 5 comes
+	// back empty.
+	if !out.Segmented || out.RowsDirty != 2 || out.PolysKept != 6 || out.PolysRequeried != 2 {
+		t.Fatalf("outcome = %+v, want segmented with 2 dirty rows, 6 kept, 2 requeried", out)
 	}
 	got, err := c.Flatten(context.Background(), lo, layout.LayerM1)
 	if err != nil {
@@ -196,7 +204,7 @@ func TestInvalidateRegionDegenerateCases(t *testing.T) {
 		if s := c.Stats(); s.FullInvalidations != 1 || s.SegmentedInvalidations != 0 {
 			t.Fatalf("stats = %+v, want 1 full / 0 segmented", s)
 		}
-		// The next flatten is a plain cold recompute, not a rebuild.
+		// The next flatten is a plain cold recompute, not a patch.
 		if _, err := c.Flatten(ctx, lo, layout.LayerM1); err != nil {
 			t.Fatal(err)
 		}

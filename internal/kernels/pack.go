@@ -31,10 +31,7 @@ type Edges struct {
 // block of 6·n coordinates followed by the two index tables, which is what
 // Bytes() prices.
 func Pack(polys []geom.Polygon) *Edges {
-	total := 0
-	for _, p := range polys {
-		total += p.NumEdges()
-	}
+	total := countEdges(polys)
 	coords := make([]int64, 6*total)
 	e := &Edges{
 		X0:        coords[0*total : 1*total : 1*total],
@@ -46,8 +43,22 @@ func Pack(polys []geom.Polygon) *Edges {
 		Poly:      make([]int32, total),
 		PolyStart: make([]int32, len(polys)+1),
 	}
-	k := 0
-	for pi, p := range polys {
+	e.put(0, 0, polys)
+	return e
+}
+
+func countEdges(polys []geom.Polygon) int {
+	total := 0
+	for _, p := range polys {
+		total += p.NumEdges()
+	}
+	return total
+}
+
+// put writes polys into the (already sized) buffer as polygons pi, pi+1, …
+// starting at edge slot k.
+func (e *Edges) put(k, pi int, polys []geom.Polygon) {
+	for _, p := range polys {
 		n := p.NumEdges()
 		for i := 0; i < n; i++ {
 			a := p.Vertex(i)
@@ -62,9 +73,9 @@ func Pack(polys []geom.Polygon) *Edges {
 			e.Poly[k] = int32(pi)
 			k++
 		}
-		e.PolyStart[pi+1] = int32(k)
+		pi++
+		e.PolyStart[pi] = int32(k)
 	}
-	return e
 }
 
 // Len returns the edge count.
@@ -75,8 +86,10 @@ func (e *Edges) NumPolys() int { return len(e.PolyStart) - 1 }
 
 // Bytes returns the buffer size for transfer modeling: 6 coordinates plus a
 // polygon id per edge, plus the offset table.
-func (e *Edges) Bytes() int64 {
-	return int64(e.Len())*(6*8+4) + int64(len(e.PolyStart))*4
+func (e *Edges) Bytes() int64 { return edgeBytes(e.Len(), e.NumPolys()) }
+
+func edgeBytes(edges, polys int) int64 {
+	return int64(edges)*(6*8+4) + int64(polys+1)*4
 }
 
 // Edge returns the i-th packed edge.

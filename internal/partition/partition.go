@@ -197,3 +197,50 @@ func Rows(boxes []geom.Rect, guard int64, alg Algorithm) []Row {
 	}
 	return out
 }
+
+// Band is a closed y-interval.
+type Band struct {
+	Lo, Hi int64
+}
+
+// Splice patches a partition in place after a polygon splice instead of
+// re-partitioning the layer. bands are the sorted, disjoint y-intervals
+// whose geometry was replaced: every row overlapping one is dropped (when
+// the bands are unions of rows of a partition with a guard at least this
+// one's, those are exactly the rows inside them — a smaller guard only
+// splits rows, never joins them across a coarser row's boundary). The
+// surviving rows' members are renumbered through remap (the identity below
+// first, increasing above it, so members stay ascending), and fresh — the
+// partition of the bands' new boxes alone, already in final indices — is
+// merged in by YLo. The result equals Rows over the spliced box list.
+func Splice(rows []Row, bands []Band, remap []int32, first int, fresh []Row) []Row {
+	kept, bi := rows[:0], 0
+	for _, r := range rows {
+		for bi < len(bands) && bands[bi].Hi < r.YLo {
+			bi++
+		}
+		if bi < len(bands) && bands[bi].Lo <= r.YHi {
+			continue
+		}
+		if r.Members[len(r.Members)-1] >= first {
+			for i, m := range r.Members {
+				r.Members[i] = int(remap[m])
+			}
+		}
+		kept = append(kept, r)
+	}
+	n := len(kept)
+	out := append(kept, fresh...)
+	clear(rows[min(len(out), len(rows)):])
+	i, k := n-1, len(out)-1
+	for j := len(fresh) - 1; j >= 0; k-- {
+		if i >= 0 && out[i].YLo > fresh[j].YLo {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = fresh[j]
+			j--
+		}
+	}
+	return out
+}

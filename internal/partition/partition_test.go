@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -243,5 +244,39 @@ func TestRowsCompleteAndDisjointProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSpliceMatchesRows replaces the geometry of one band — a row goes, its
+// neighbour loses a box and splits — and requires the spliced partition to
+// equal a cold one of the spliced box list, for the segmenting guard and a
+// finer one.
+func TestSpliceMatchesRows(t *testing.T) {
+	boxes := []geom.Rect{
+		geom.R(0, 0, 10, 100),     // row A
+		geom.R(0, 1000, 10, 1100), // row B: a chain of three, 20 apart
+		geom.R(0, 2000, 10, 2100), // row C
+		geom.R(0, 1120, 10, 1220),
+		geom.R(0, 1240, 10, 1340),
+		geom.R(0, 3000, 10, 3100), // row D
+	}
+	// Rows B and C are dirty: box 3 (the chain's middle) and box 2 leave, the
+	// rest of B is re-queried to the tail with one new box in a former gap.
+	remap := []int32{0, -1, -1, -1, -1, 1}
+	fresh := []geom.Rect{boxes[1], boxes[4], geom.R(0, 2500, 10, 2600)}
+	after := append([]geom.Rect{boxes[0], boxes[5]}, fresh...)
+	bands := []Band{{1000, 2600}}
+	for _, guard := range []int64{50, 10} {
+		rows := Rows(boxes, guard, Pigeonhole)
+		add := Rows(fresh, guard, Pigeonhole)
+		for _, r := range add {
+			for i := range r.Members {
+				r.Members[i] += 2
+			}
+		}
+		got := Splice(rows, bands, remap, 1, add)
+		if want := Rows(after, guard, Pigeonhole); !reflect.DeepEqual(got, want) {
+			t.Fatalf("guard %d: spliced rows %+v, cold rows %+v", guard, got, want)
+		}
 	}
 }
