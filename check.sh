@@ -8,8 +8,14 @@
 # (differentially, against the streaming reference reader), the
 # polygon/transform algebra, the indexed hierarchy query, the layout build and
 # interleaved session operations (edit / check / delta check against a cold
-# batch model), and an end-to-end smoke of the odrcd service over real HTTP.
+# batch model), a bench smoke of the unit benchmarks, the one timing gate that
+# has no test or benchmark/ counterpart (cross-tenant fairness), a traced run
+# validated structurally, and an end-to-end smoke of the odrcd service over
+# real HTTP. Speed is judged by benchmark/ (BENCHMARK.json); identity across
+# worker counts, cache on/off and delta vs cold is pinned by go test
+# (DESIGN.md, "Retired gates").
 set -e
+start=$(date +%s)
 
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -51,33 +57,12 @@ go test -run=NONE -fuzz=FuzzSessionOps -fuzztime=10s -fuzzminimizetime=20x ./int
 # 180 ms / 115 MB re-derived).
 go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation|BenchmarkIngest|BenchmarkEditCycle' -benchtime=1x .
 
-# Bench gate: regenerate the speedup and reuse experiments with the
-# regression gate on — any row with a ratio below 1.0 or mismatched reports
-# between configurations fails the build. Best-of-interleaved runs keep the
-# gate robust to scheduler noise, rows whose two sides both finish under the
-# shared 10 ms noise floor gate on report identity only, and a single-CPU host
-# gets one report-level degenerate_config note instead of rows. The JSON
-# artifacts are written before gating, so a failed gate still leaves them
-# for inspection (CI uploads them).
-#
-# Speedup runs at scale 0.3, where every row is under the floor on a small
-# host: what it enforces there is reports_identical across worker counts. Two
-# workers on two cores measure 0.95–1.13x on most rows at every scale from 1
-# to 4 (EXPERIMENTS.md), so no scale makes a 1.0 threshold on that ratio
-# stable here. Reuse runs at scale 1 with 25 runs a side: nine or ten of its
-# twelve rows clear the floor, and best-of-25 resolves the sequential rows'
-# ~1.05x from 1.0 (ten of ten repeats; best-of-15 read 0.998x once in
-# sixteen, best-of-5 0.99x about one run in ten).
-go run ./cmd/odrc-bench -speedup -runs 5 -scale 0.3 -out BENCH_workers.json -gate
-go run ./cmd/odrc-bench -reuse -runs 25 -scale 1 -out BENCH_reuse.json -gate
-
-# Delta gate: the incremental re-check experiment. Every row cross-checks
-# the delta report byte-for-byte against a cold full check of the edited
-# design (reports_identical), requires the incremental plan (no fallback),
-# and the smallest edit fraction must beat the full re-check it replaces.
-# Scale 2 puts the sha3 and aes rows (four of the six speed-gated ones) above
-# the noise floor.
-go run ./cmd/odrc-bench -delta -runs 3 -scale 2 -out BENCH_delta.json -gate
+# The remaining odrc-bench invocations share one build instead of paying a
+# `go run` link each; its scratch directory also takes the trace export, so
+# the only file this script leaves in the worktree is BENCH_fair.json.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+go build -o "$tmp/odrc-bench" ./cmd/odrc-bench
 
 # Fairness gate: the cross-tenant scheduling experiment. A light tenant's
 # closed-loop checks are measured against six saturating co-tenant streams:
@@ -85,14 +70,17 @@ go run ./cmd/odrc-bench -delta -runs 3 -scale 2 -out BENCH_delta.json -gate
 # co-tenant must stay saturated, and the equal-weight fair policy must
 # improve the light tenant's p95 at least 2x over the FIFO baseline. Scale 3
 # makes a light check span several OS scheduling quanta — smaller checks
-# finish inside one quantum and cannot observe queueing policy at all.
-go run ./cmd/odrc-bench -fairness -scale 3 -out BENCH_fair.json -gate
+# finish inside one quantum and cannot observe queueing policy at all. The
+# JSON is written before gating, so a failed gate still leaves it for
+# inspection (CI uploads it).
+"$tmp/odrc-bench" -fairness -scale 3 -out BENCH_fair.json -gate
 
 # Trace smoke: one traced full-deck run at reduced scale, then a structural
 # validation of the exported Chrome-trace JSON (required processes, paired
-# flows, well-formed events). Catches export regressions off the test path.
-go run ./cmd/odrc-bench -trace BENCH_trace.json -scale 0.1
-go run ./cmd/odrc-bench -validate-trace BENCH_trace.json
+# flows, well-formed events). Catches export regressions off the test path;
+# the schema itself is held by TestTraceExportValidates.
+"$tmp/odrc-bench" -trace "$tmp/trace.json" -scale 0.1
+"$tmp/odrc-bench" -validate-trace "$tmp/trace.json"
 
 # Service smoke: start odrcd on an ephemeral port, load a generated GDS as a
 # resident session, run full-deck and single-rule checks over HTTP, and
@@ -100,4 +88,4 @@ go run ./cmd/odrc-bench -validate-trace BENCH_trace.json
 # steady-state check and a clean SIGTERM drain.
 ./smoke_odrcd.sh
 
-echo "check.sh: all green"
+echo "check.sh: all green in $(($(date +%s) - start)) s"

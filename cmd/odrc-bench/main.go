@@ -6,25 +6,14 @@
 //	odrc-bench -fig 3                    print the sweepline trace (Fig. 3)
 //	odrc-bench -fig 4 [-scale f]         runtime breakdown (Fig. 4)
 //	odrc-bench -ablation [-scale f]      design-choice ablations
-//	odrc-bench -speedup [-workers n] [-runs k] [-out f.json] [-gate]
-//	                                     multi-core speedup, both engine modes
-//	                                     (Workers=1 vs Workers=n wall time,
-//	                                     medians of interleaved runs)
-//	odrc-bench -reuse [-runs k] [-out f.json] [-gate]
-//	                                     cross-rule geometry reuse (cache on
-//	                                     vs off); -gate exits non-zero when a
-//	                                     row regresses
-//	odrc-bench -delta [-runs k] [-out f.json] [-gate]
-//	                                     incremental re-check after edits vs a
-//	                                     cold full check, swept over edit
-//	                                     fractions; every row cross-checks the
-//	                                     two reports byte-for-byte
 //	odrc-bench -fairness [-fair-checks n] [-out f.json] [-gate]
 //	                                     cross-tenant fair scheduling: light-
 //	                                     tenant p50/p95 under heavy co-tenant
 //	                                     load, FIFO baseline vs weighted fair;
 //	                                     every row cross-checks the light
-//	                                     reports against an unloaded solo run
+//	                                     reports against an unloaded solo run;
+//	                                     -gate exits non-zero when a row
+//	                                     regresses
 //	odrc-bench -trace f.json [-trace-design d] [-trace-mode seq|par]
 //	                                     run the full deck once with the
 //	                                     timeline recorder attached and write
@@ -32,7 +21,8 @@
 //	odrc-bench -validate-trace f.json    structural check of an exported trace
 //
 // Every experiment accepts -timeout d; an expired deadline aborts between
-// cells and exits with code 3 (the same taxonomy as cmd/odrc).
+// checks and exits with code 3. Exit codes follow cmd/odrc: 1 error, 2 usage
+// (no experiment selected, or a flag value outside its range), 3 timeout.
 //
 // Time semantics: CPU checkers report measured wall time divided by the
 // host calibration constant; GPU checkers report modeled CPU+GPU time from
@@ -44,24 +34,43 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"opendrc/internal/bench"
 	"opendrc/internal/core"
-	"opendrc/internal/partition"
-	"opendrc/internal/synth"
 	"opendrc/internal/trace"
 )
 
+// Exit codes, the taxonomy of cmd/odrc.
+const (
+	exitError   = 1
+	exitUsage   = 2
+	exitTimeout = 3
+)
+
+// usageError is a command-line mistake: main prints it with the flag summary
+// and exits exitUsage.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 func main() {
-	if err := run(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "odrc-bench: timeout:", err)
-			os.Exit(3)
-		}
+	err := run()
+	var usage usageError
+	switch {
+	case err == nil:
+	case errors.As(err, &usage):
 		fmt.Fprintln(os.Stderr, "odrc-bench:", err)
-		os.Exit(1)
+		flag.Usage()
+		os.Exit(exitUsage)
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		fmt.Fprintln(os.Stderr, "odrc-bench: timeout:", err)
+		os.Exit(exitTimeout)
+	default:
+		fmt.Fprintln(os.Stderr, "odrc-bench:", err)
+		os.Exit(exitError)
 	}
 }
 
@@ -69,19 +78,15 @@ func run() error {
 	table := flag.Int("table", 0, "reproduce table 1 (intra-polygon) or 2 (inter-polygon)")
 	fig := flag.Int("fig", 0, "reproduce figure 3 (sweepline trace) or 4 (runtime breakdown)")
 	ablation := flag.Bool("ablation", false, "run the design-choice ablations")
-	speedup := flag.Bool("speedup", false, "run the multi-core speedup experiment (both engine modes)")
-	reuse := flag.Bool("reuse", false, "run the cross-rule geometry reuse experiment (cache on vs off)")
-	delta := flag.Bool("delta", false, "run the incremental re-check experiment (delta vs cold full check after edits)")
 	fairness := flag.Bool("fairness", false, "run the cross-tenant fair-scheduling experiment (light tenant latency under heavy co-tenant load, FIFO vs weighted fair)")
 	fairChecks := flag.Int("fair-checks", 40, "light-tenant checks measured per -fairness row")
 	traceOut := flag.String("trace", "", "run the full deck once with tracing and write the Chrome-trace JSON to this file")
 	traceDesign := flag.String("trace-design", "aes", "design for the -trace run")
 	traceMode := flag.String("trace-mode", "par", "engine mode for the -trace run: seq or par")
 	validateTrace := flag.String("validate-trace", "", "validate the structure of an exported trace file and print its summary")
-	workers := flag.Int("workers", 0, "worker-pool size for -speedup and -trace (0 = GOMAXPROCS)")
-	runs := flag.Int("runs", 3, "repetitions per -speedup/-reuse/-delta cell (best-of interleaved runs are reported)")
-	out := flag.String("out", "", "also write the -speedup/-reuse/-delta report as JSON to this file")
-	gate := flag.Bool("gate", false, "for -speedup/-reuse/-delta: exit non-zero when any row regresses (ratio < 1.0 or reports not identical)")
+	workers := flag.Int("workers", 0, "worker-pool size for -trace (0 = GOMAXPROCS)")
+	out := flag.String("out", "", "also write the -fairness report as JSON to this file")
+	gate := flag.Bool("gate", false, "for -fairness: exit non-zero when a row's reports differ from the solo run, the co-tenant never saturated, or the p95 improvement is under 2x")
 	scale := flag.Float64("scale", 1, "design scale factor (1 = full synthetic size)")
 	timeout := flag.Duration("timeout", 0, "abort the experiment after this duration (0 = no deadline); exits 3 on expiry")
 	flag.Parse()
@@ -102,6 +107,8 @@ func run() error {
 		return runTable(ctx, "Table I — intra-polygon checks (width, area)", bench.TableIRules(), *scale)
 	case *table == 2:
 		return runTable(ctx, "Table II — inter-polygon checks (spacing, enclosure)", bench.TableIIRules(), *scale)
+	case *table != 0:
+		return usageError(fmt.Sprintf("-table %d: want 1 or 2", *table))
 	case *fig == 3:
 		return bench.Fig3(os.Stdout)
 	case *fig == 4:
@@ -115,18 +122,50 @@ func run() error {
 		}
 		bench.WriteFig4(os.Stdout, rows)
 		return nil
+	case *fig != 0:
+		return usageError(fmt.Sprintf("-fig %d: want 3 or 4", *fig))
 	case *ablation:
-		return runAblations(*scale)
-	case *speedup:
-		return runSpeedup(ctx, *scale, *workers, *runs, *out, *gate)
-	case *reuse:
-		return runReuse(ctx, *scale, *runs, *out, *gate)
-	case *delta:
-		return runDelta(ctx, *scale, *runs, *out, *gate)
+		return bench.AblationsContext(ctx, os.Stdout, *scale)
 	case *fairness:
-		return runFairness(ctx, *scale, *fairChecks, *out, *gate)
+		rep, err := bench.FairnessContext(ctx, *fairChecks, *scale)
+		if err != nil {
+			return err
+		}
+		return emit(rep, *out, *gate)
 	}
-	flag.Usage()
+	return usageError("no experiment selected")
+}
+
+// writeFile creates path, fills it with write and closes it; a failed Close
+// is a failed write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// emit prints the report's table, writes its JSON to outPath when one is
+// given, and then applies the gate when asked — in that order, so a failing
+// gate still leaves the artifact for inspection.
+func emit(rep *bench.FairReport, outPath string, gate bool) error {
+	if _, err := rep.WriteTo(os.Stdout); err != nil {
+		return err
+	}
+	if outPath != "" {
+		if err := writeFile(outPath, rep.WriteJSON); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", outPath)
+	}
+	if gate {
+		return rep.Gate()
+	}
 	return nil
 }
 
@@ -139,22 +178,14 @@ func runTrace(ctx context.Context, outPath, design, mode string, scale float64, 
 	case "par":
 		m = core.Parallel
 	default:
-		return fmt.Errorf("unknown -trace-mode %q (want seq or par)", mode)
+		return usageError(fmt.Sprintf("-trace-mode %q: want seq or par", mode))
 	}
 	rec := trace.New()
 	rep, err := bench.TraceRunContext(ctx, design, m, scale, workers, rec)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFile(outPath, rec.WriteJSON); err != nil {
 		return err
 	}
 	fmt.Printf("%s %s (scale %g): %d violations in %v; %d trace events -> %s\n",
@@ -181,123 +212,6 @@ func runValidateTrace(path string) error {
 	return nil
 }
 
-// runSpeedup measures Workers=1 vs Workers=N wall time on the six designs.
-func runSpeedup(ctx context.Context, scale float64, workers, runs int, outPath string, gate bool) error {
-	lts, err := bench.Layouts(scale)
-	if err != nil {
-		return err
-	}
-	rep, err := bench.SpeedupContext(ctx, lts, workers, runs, scale)
-	if err != nil {
-		return err
-	}
-	if _, err := rep.WriteTo(os.Stdout); err != nil {
-		return err
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	if gate {
-		// The JSON is written before gating so a failing run still leaves
-		// the artifact for inspection.
-		return rep.Gate()
-	}
-	return nil
-}
-
-// runReuse compares cache-on and cache-off runs of the multi-rule spacing
-// deck on the six designs, in both engine modes.
-func runReuse(ctx context.Context, scale float64, runs int, outPath string, gate bool) error {
-	lts, err := bench.Layouts(scale)
-	if err != nil {
-		return err
-	}
-	rep, err := bench.ReuseContext(ctx, lts, runs, scale)
-	if err != nil {
-		return err
-	}
-	if _, err := rep.WriteTo(os.Stdout); err != nil {
-		return err
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	if gate {
-		return rep.Gate()
-	}
-	return nil
-}
-
-// runDelta measures an edited resident session's incremental re-check
-// against the cold full check a client without delta support would run.
-func runDelta(ctx context.Context, scale float64, runs int, outPath string, gate bool) error {
-	rep, err := bench.DeltaContext(ctx, runs, scale)
-	if err != nil {
-		return err
-	}
-	if _, err := rep.WriteTo(os.Stdout); err != nil {
-		return err
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	if gate {
-		return rep.Gate()
-	}
-	return nil
-}
-
-// runFairness measures the light tenant's latency distribution under heavy
-// co-tenant load, FIFO baseline vs the weighted-fair stride policy.
-func runFairness(ctx context.Context, scale float64, checks int, outPath string, gate bool) error {
-	rep, err := bench.FairnessContext(ctx, checks, scale)
-	if err != nil {
-		return err
-	}
-	if _, err := rep.WriteTo(os.Stdout); err != nil {
-		return err
-	}
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	if gate {
-		return rep.Gate()
-	}
-	return nil
-}
-
 func runTable(ctx context.Context, title string, rules []string, scale float64) error {
 	lts, err := bench.Layouts(scale)
 	if err != nil {
@@ -309,64 +223,4 @@ func runTable(ctx context.Context, title string, rules []string, scale float64) 
 	}
 	_, err = tbl.WriteTo(os.Stdout)
 	return err
-}
-
-// runAblations times the design choices DESIGN.md calls out.
-func runAblations(scale float64) error {
-	lo, _, err := synth.Load("aes", scale)
-	if err != nil {
-		return err
-	}
-	r, err := synth.RuleByID("M1.S.1")
-	if err != nil {
-		return err
-	}
-
-	timeRun := func(opts core.Options) (time.Duration, error) {
-		eng := core.New(opts)
-		if err := eng.AddRules(r); err != nil {
-			return 0, err
-		}
-		rep, err := eng.Check(lo)
-		if err != nil {
-			return 0, err
-		}
-		return rep.Modeled, nil
-	}
-
-	fmt.Println("Ablations on aes / M1.S.1 (modeled or wall time):")
-	seqOn, err := timeRun(core.Options{Mode: core.Sequential})
-	if err != nil {
-		return err
-	}
-	seqOff, err := timeRun(core.Options{Mode: core.Sequential, DisablePruning: true})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  hierarchy pruning   : on %v   off %v   (%.1fx)\n",
-		seqOn.Round(time.Microsecond), seqOff.Round(time.Microsecond),
-		float64(seqOff)/float64(seqOn))
-
-	parPig, err := timeRun(core.Options{Mode: core.Parallel, PartitionAlg: partition.Pigeonhole})
-	if err != nil {
-		return err
-	}
-	parSort, err := timeRun(core.Options{Mode: core.Parallel, PartitionAlg: partition.SortBased})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  interval merging    : pigeonhole %v   sort-based %v\n",
-		parPig.Round(time.Microsecond), parSort.Round(time.Microsecond))
-
-	parBrute, err := timeRun(core.Options{Mode: core.Parallel, BruteEdgeThreshold: 1 << 30})
-	if err != nil {
-		return err
-	}
-	parSweep, err := timeRun(core.Options{Mode: core.Parallel, BruteEdgeThreshold: 1})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  executor selection  : all-brute %v   all-sweep %v\n",
-		parBrute.Round(time.Microsecond), parSweep.Round(time.Microsecond))
-	return nil
 }

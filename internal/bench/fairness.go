@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -94,6 +95,15 @@ type FairReport struct {
 
 	// ImprovementP95 is the headline: FIFO p95 / fair p95 at equal weights.
 	ImprovementP95 float64 `json:"light_p95_improvement"`
+}
+
+// canonBytes renders a report's canonical form.
+func canonBytes(rep *core.Report) (string, error) {
+	var buf bytes.Buffer
+	if err := rep.WriteCanonicalJSON(&buf); err != nil {
+		return "", err
+	}
+	return buf.String(), nil
 }
 
 // fairLoad is the heavy tenant's saturation harness: looping full-deck

@@ -11,6 +11,7 @@ import (
 	"opendrc/internal/infra"
 	"opendrc/internal/interval"
 	"opendrc/internal/layout"
+	"opendrc/internal/partition"
 	"opendrc/internal/synth"
 )
 
@@ -107,7 +108,7 @@ func Fig4Context(ctx context.Context, layouts map[string]*layout.Layout) ([]Fig4
 		}
 		// The phases are sub-millisecond at small scales, so one GC cycle or
 		// preemption inside a phase reshapes a single run's breakdown: keep
-		// the fastest of a few runs, as the A/B experiments do.
+		// the fastest of a few runs (contamination only ever adds time).
 		var rep *core.Report
 		for k := 0; k < fig4Runs; k++ {
 			got, err := eng.CheckContext(ctx, lo)
@@ -141,6 +142,65 @@ func WriteFig4(w io.Writer, rows []Fig4Row) {
 			r.Design, r.Total.Round(time.Microsecond),
 			r.Partition*100, r.Sweepline*100, r.EdgeCheck*100, r.Other*100)
 	}
+}
+
+// AblationsContext times the design choices DESIGN.md calls out — hierarchy
+// pruning, the interval-merging algorithm and the row executor — as A/B pairs
+// of one M1.S.1 check on aes, printing each pair's modeled times. Cancellation
+// aborts between checks.
+func AblationsContext(ctx context.Context, w io.Writer, scale float64) error {
+	lo, _, err := synth.Load("aes", scale)
+	if err != nil {
+		return err
+	}
+	r, err := synth.RuleByID("M1.S.1")
+	if err != nil {
+		return err
+	}
+	modeled := func(opts core.Options) (time.Duration, error) {
+		eng := core.New(opts)
+		if err := eng.AddRules(r); err != nil {
+			return 0, err
+		}
+		rep, err := eng.CheckContext(ctx, lo)
+		if err != nil {
+			return 0, err
+		}
+		return rep.Modeled, nil
+	}
+
+	fmt.Fprintln(w, "Ablations on aes / M1.S.1 (modeled or wall time):")
+	for _, ab := range []struct {
+		choice, a, b string
+		optsA, optsB core.Options
+		ratio        bool
+	}{
+		{"hierarchy pruning", "on", "off",
+			core.Options{Mode: core.Sequential},
+			core.Options{Mode: core.Sequential, DisablePruning: true}, true},
+		{"interval merging", "pigeonhole", "sort-based",
+			core.Options{Mode: core.Parallel, PartitionAlg: partition.Pigeonhole},
+			core.Options{Mode: core.Parallel, PartitionAlg: partition.SortBased}, false},
+		{"executor selection", "all-brute", "all-sweep",
+			core.Options{Mode: core.Parallel, BruteEdgeThreshold: 1 << 30},
+			core.Options{Mode: core.Parallel, BruteEdgeThreshold: 1}, false},
+	} {
+		ta, err := modeled(ab.optsA)
+		if err != nil {
+			return err
+		}
+		tb, err := modeled(ab.optsB)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "  %-20s: %s %v   %s %v", ab.choice,
+			ab.a, ta.Round(time.Microsecond), ab.b, tb.Round(time.Microsecond))
+		if ab.ratio {
+			fmt.Fprintf(w, "   (%.1fx)", float64(tb)/float64(ta))
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
 // BreakdownProfile exposes the raw profiler of a sequential spacing run for

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -40,11 +41,33 @@ func deltaTestEdits(lo *layout.Layout) []layout.Edit {
 	}
 }
 
+// stripEdits is the retired `odrc-bench -delta` sweep's batch: three
+// sub-min-width slivers (fresh width violations) and one delete window, all
+// inside a y-strip of fraction × the M1 extent, centred vertically — a tiny
+// ECO-style fix at 0.02, a local region at 0.10, a large swath at 0.30.
+func stripEdits(fraction float64) func(*layout.Layout) []layout.Edit {
+	return func(lo *layout.Layout) []layout.Edit {
+		m := lo.Top.LayerMBR(layout.LayerM1)
+		w, h := m.Width(), m.Height()
+		stripH := max(int64(float64(h)*fraction), 120)
+		sliverH := max(stripH/4, 30)
+		y0 := m.YLo + (h-stripH)/2
+		var edits []layout.Edit
+		for i := int64(0); i < 3; i++ {
+			x, y := m.XLo+(i+1)*w/4, y0+i*(stripH-sliverH)/3
+			edits = append(edits, layout.Edit{Op: layout.OpInsertRect, Layer: layout.LayerM1,
+				Rect: geom.Rect{XLo: x, YLo: y, XHi: x + synth.MinWidthM1/2, YHi: y + sliverH}})
+		}
+		return append(edits, layout.Edit{Op: layout.OpDeleteRegion, Layer: layout.LayerM1,
+			Rect: geom.Rect{XLo: m.XLo, YLo: y0, XHi: m.XLo + w/20, YHi: y0 + stripH}})
+	}
+}
+
 // coldReport builds the ground truth: a fresh layout with the same edits
 // applied, checked by a batch engine.
-func coldReport(t *testing.T, opts Options, deck rules.Deck, edits []layout.Edit) *Report {
+func coldReport(t *testing.T, design string, scale float64, opts Options, deck rules.Deck, edits []layout.Edit) *Report {
 	t.Helper()
-	lo, _, err := synth.Load("uart", 0.2)
+	lo, _, err := synth.Load(design, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,83 +88,112 @@ func coldReport(t *testing.T, opts Options, deck rules.Deck, edits []layout.Edit
 }
 
 func TestDeltaCheckMatchesCold(t *testing.T) {
-	deck := synth.Deck()
-	ctx := context.Background()
-	for _, mode := range []Mode{Sequential, Parallel} {
-		for _, workers := range []int{1, 3} {
-			opts := Options{Mode: mode, Workers: workers}
-			lo, _, err := synth.Load("uart", 0.2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ses := NewSession(lo, opts)
-			if _, err := ses.Check(ctx, deck); err != nil {
-				t.Fatalf("%v/w%d: baseline: %v", mode, workers, err)
-			}
-			edits := deltaTestEdits(lo)
-			if _, err := ses.Edit(ctx, edits); err != nil {
-				t.Fatalf("%v/w%d: edit: %v", mode, workers, err)
-			}
-			rep, info, err := ses.DeltaCheck(ctx, deck)
-			if err != nil {
-				t.Fatalf("%v/w%d: delta check: %v", mode, workers, err)
-			}
-			if !info.Planned {
-				t.Fatalf("%v/w%d: delta fell back: %+v", mode, workers, info)
-			}
-			// M1 edits touch the four restrictable M1 rules and the V1-in-M1
-			// enclosure; every other rule skips.
-			if info.RulesRestricted != 4 || info.RulesFull != 1 || info.RulesSkipped != len(deck)-5 {
-				t.Fatalf("%v/w%d: plan = %+v", mode, workers, info)
-			}
-			// Nothing recomputes: the edited layer's record is patched in place
-			// (the sequential mode checks hierarchically and never flattens at
-			// all, so it has no record to patch).
-			if rep.Stats.FlattenCacheMisses != 0 || rep.Stats.PackCacheMisses != 0 {
-				t.Fatalf("%v/w%d: delta recomputed geometry: %+v", mode, workers, rep.Stats)
-			}
-			if st, err := ses.StatsSnapshot(ctx); err != nil {
-				t.Fatal(err)
-			} else if mode == Parallel && (st.Geocache.SegmentedRebuilds != 1 || st.Geocache.PatchedPolys == 0) {
-				t.Fatalf("%v/w%d: M1 record not patched: %+v", mode, workers, st.Geocache)
-			}
-			if rep.Profile.Get("delta:patch") == 0 {
-				t.Fatalf("%v/w%d: the patch is not on the report's books", mode, workers)
-			}
-			want := coldReport(t, opts, deck, edits)
-			if canonJSON(t, rep) != canonJSON(t, want) {
-				t.Fatalf("%v/w%d: delta report differs from cold check", mode, workers)
-			}
-			if mode == Parallel && rep.Stats.DeviceReuses == 0 {
-				t.Fatalf("%v/w%d: delta check reused no resident buffers: %+v", mode, workers, rep.Stats)
-			}
-
-			// A delta check with nothing dirty skips every rule, touches no
-			// geometry, and reproduces its own baseline.
-			again, info2, err := ses.DeltaCheck(ctx, deck)
-			if err != nil {
-				t.Fatalf("%v/w%d: empty delta: %v", mode, workers, err)
-			}
-			if !info2.Planned || info2.RulesSkipped != len(deck) {
-				t.Fatalf("%v/w%d: empty delta plan = %+v", mode, workers, info2)
-			}
-			if again.Stats.FlattenCacheMisses != 0 || again.Stats.PackCacheMisses != 0 {
-				t.Fatalf("%v/w%d: empty delta recomputed geometry: %+v", mode, workers, again.Stats)
-			}
-			if canonJSON(t, again) != canonJSON(t, rep) {
-				t.Fatalf("%v/w%d: empty delta differs from its baseline", mode, workers)
-			}
-			st, err := ses.StatsSnapshot(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.FullChecks != 1 || st.DeltaChecks != 2 || st.DeltaPlanned != 2 || st.DeltaFallbacks != 0 {
-				t.Fatalf("%v/w%d: session stats = %+v", mode, workers, st)
-			}
-			if err := ses.Close(ctx); err != nil {
-				t.Fatal(err)
+	type row struct {
+		design  string
+		scale   float64
+		batch   string
+		edits   func(*layout.Layout) []layout.Edit
+		workers []int
+	}
+	rows := []row{{"uart", 0.2, "close-pair", deltaTestEdits, []int{1, 3}}}
+	for _, design := range []string{"uart", "sha3", "aes"} {
+		for _, f := range []float64{0.02, 0.10, 0.30} {
+			rows = append(rows, row{design, deltaStripScale, fmt.Sprintf("strip-%g", f), stripEdits(f), []int{2}})
+		}
+	}
+	for _, r := range rows {
+		for _, mode := range []Mode{Sequential, Parallel} {
+			for _, workers := range r.workers {
+				t.Run(fmt.Sprintf("%s@%g/%s/%v/w%d", r.design, r.scale, r.batch, mode, workers), func(t *testing.T) {
+					deltaMatchesCold(t, r.design, r.scale, r.edits, Options{Mode: mode, Workers: workers})
+				})
 			}
 		}
+	}
+}
+
+// deltaStripScale sizes the strip rows so all eighteen cost the package
+// under 0.1 s; the parallel ones still patch the M1 record by row rather
+// than drop it (asserted per row below).
+const deltaStripScale = 0.25
+
+// deltaMatchesCold is one TestDeltaCheckMatchesCold row: baseline, edit,
+// delta check — which must plan incrementally, recompute no geometry and
+// produce the canonical bytes of a cold check of the edited layout — then a
+// second delta check with nothing dirty.
+func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*layout.Layout) []layout.Edit, opts Options) {
+	deck := synth.Deck()
+	ctx := context.Background()
+	lo, _, err := synth.Load(design, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses := NewSession(lo, opts)
+	if _, err := ses.Check(ctx, deck); err != nil {
+		t.Fatalf("baseline: %v", err)
+	}
+	edits := mkEdits(lo)
+	if _, err := ses.Edit(ctx, edits); err != nil {
+		t.Fatalf("edit: %v", err)
+	}
+	rep, info, err := ses.DeltaCheck(ctx, deck)
+	if err != nil {
+		t.Fatalf("delta check: %v", err)
+	}
+	if !info.Planned {
+		t.Fatalf("delta fell back: %+v", info)
+	}
+	// M1 edits touch the four restrictable M1 rules and the V1-in-M1
+	// enclosure; every other rule skips.
+	if info.RulesRestricted != 4 || info.RulesFull != 1 || info.RulesSkipped != len(deck)-5 {
+		t.Fatalf("plan = %+v", info)
+	}
+	// Nothing recomputes: the edited layer's record is patched in place
+	// (the sequential mode checks hierarchically and never flattens at
+	// all, so it has no record to patch).
+	if rep.Stats.FlattenCacheMisses != 0 || rep.Stats.PackCacheMisses != 0 {
+		t.Fatalf("delta recomputed geometry: %+v", rep.Stats)
+	}
+	if st, err := ses.StatsSnapshot(ctx); err != nil {
+		t.Fatal(err)
+	} else if opts.Mode == Parallel && (st.Geocache.SegmentedRebuilds != 1 || st.Geocache.PatchedPolys == 0) {
+		t.Fatalf("M1 record not patched: %+v", st.Geocache)
+	}
+	if rep.Profile.Get("delta:patch") == 0 {
+		t.Fatal("the patch is not on the report's books")
+	}
+	want := coldReport(t, design, scale, opts, deck, edits)
+	if canonJSON(t, rep) != canonJSON(t, want) {
+		t.Fatal("delta report differs from cold check")
+	}
+	if opts.Mode == Parallel && rep.Stats.DeviceReuses == 0 {
+		t.Fatalf("delta check reused no resident buffers: %+v", rep.Stats)
+	}
+
+	// A delta check with nothing dirty skips every rule, touches no
+	// geometry, and reproduces its own baseline.
+	again, info2, err := ses.DeltaCheck(ctx, deck)
+	if err != nil {
+		t.Fatalf("empty delta: %v", err)
+	}
+	if !info2.Planned || info2.RulesSkipped != len(deck) {
+		t.Fatalf("empty delta plan = %+v", info2)
+	}
+	if again.Stats.FlattenCacheMisses != 0 || again.Stats.PackCacheMisses != 0 {
+		t.Fatalf("empty delta recomputed geometry: %+v", again.Stats)
+	}
+	if canonJSON(t, again) != canonJSON(t, rep) {
+		t.Fatal("empty delta differs from its baseline")
+	}
+	st, err := ses.StatsSnapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FullChecks != 1 || st.DeltaChecks != 2 || st.DeltaPlanned != 2 || st.DeltaFallbacks != 0 {
+		t.Fatalf("session stats = %+v", st)
+	}
+	if err := ses.Close(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -247,7 +299,7 @@ func TestDeltaCheckFallbacks(t *testing.T) {
 		if info.Planned || info.Reason != "no baseline check" {
 			t.Fatalf("info = %+v", info)
 		}
-		if canonJSON(t, rep) != canonJSON(t, coldReport(t, Options{Mode: Sequential}, deck, nil)) {
+		if canonJSON(t, rep) != canonJSON(t, coldReport(t, "uart", 0.2, Options{Mode: Sequential}, deck, nil)) {
 			t.Fatal("fallback report differs from cold check")
 		}
 	})
@@ -276,7 +328,7 @@ func TestDeltaCheckFallbacks(t *testing.T) {
 		if info.Planned || info.Reason != "fault injection active" {
 			t.Fatalf("info = %+v", info)
 		}
-		if canonJSON(t, rep) != canonJSON(t, coldReport(t, Options{Mode: Parallel}, deck, edits)) {
+		if canonJSON(t, rep) != canonJSON(t, coldReport(t, "uart", 0.2, Options{Mode: Parallel}, deck, edits)) {
 			t.Fatal("fault-mode fallback differs from cold check")
 		}
 		st, err := ses.StatsSnapshot(ctx)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"opendrc/internal/geom"
@@ -12,9 +14,10 @@ import (
 
 // FuzzSessionOps interleaves everything a resident session's clients can do
 // — edits on the three metal layers, spurious invalidations, full, single-
-// rule and delta checks — on one parallel-mode session, and after every
-// check demands the canonical bytes of the trivial model: a cold batch check
-// of a fresh layout given the same edit batches. The session patches its
+// rule and delta checks, checks cancelled before or while they run — on one
+// parallel-mode session, and after every check that returns a report demands
+// the canonical bytes of the trivial model: a cold batch check of a fresh
+// layout given the same edit batches. The session patches its
 // resident layer records in place between checks, so this is the property
 // that says no sequence of patches ever shows a reader stale geometry.
 //
@@ -24,7 +27,7 @@ import (
 const (
 	fuzzDesign  = "ethmac"
 	fuzzScale   = 0.1
-	fuzzOpBytes = 4  // op, layer/rule selector, x, y
+	fuzzOpBytes = 4  // op, layer/rule selector, x (or polls before a cancel), y
 	fuzzMaxOps  = 32 // bounds one input's cost
 )
 
@@ -32,7 +35,7 @@ var fuzzLayers = [...]layout.Layer{layout.LayerM1, layout.LayerM2, layout.LayerM
 
 // Op codes (data[0] % fuzzNumOps). Inserts come in three shapes so rows get
 // bridged and gaps get filled: a sub-min-width sliver, a horizontal track and
-// a tall column.
+// a tall column. New codes are appended, so the seeds keep their meaning.
 const (
 	fuzzSliver = iota
 	fuzzTrack
@@ -42,8 +45,41 @@ const (
 	fuzzFull
 	fuzzRule
 	fuzzDelta
+	fuzzCancel
 	fuzzNumOps
 )
+
+// cancelAfter is a context that turns cancelled at its after-th Err poll
+// — a deterministic stand-in for a client disconnecting mid-check. after == 0
+// is cancelled from the start; a small count lands once the check has taken
+// the session's pending dirt, the path where a failed check must not leave a
+// baseline that passes for current.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+	done chan struct{}
+}
+
+func newCancelAfter(parent context.Context, after int64) *cancelAfter {
+	c := &cancelAfter{Context: parent, done: make(chan struct{})}
+	c.left.Store(after)
+	if after == 0 {
+		close(c.done)
+	}
+	return c
+}
+
+func (c *cancelAfter) Done() <-chan struct{} { return c.done }
+
+func (c *cancelAfter) Err() error {
+	switch left := c.left.Add(-1); {
+	case left > 0:
+		return nil
+	case left == 0:
+		close(c.done)
+	}
+	return context.Canceled
+}
 
 // fuzzRect places a w × h rect at byte-scaled coordinates inside the chip's
 // extent (M1's, which is never empty) grown by a margin, so edits also land
@@ -87,6 +123,16 @@ func FuzzSessionOps(f *testing.F) {
 	f.Add([]byte{
 		fuzzSliver, 0, 0, 0, fuzzSliver, 0, 255, 255, fuzzDelta, 0, 0, 0,
 		fuzzSliver, 0, 128, 128, fuzzDelta, 0, 0, 0, fuzzDelete, 0, 128, 128, fuzzDelta, 0, 0, 0,
+	})
+	// Cancels between an edit and its delta check: a full check cancelled
+	// before it starts, then full and delta checks cancelled a few polls in,
+	// after they consumed the edit's dirt.
+	f.Add([]byte{
+		fuzzSliver, 0, 90, 90, fuzzCancel, 0, 0, 0, fuzzDelta, 0, 0, 0,
+		fuzzSliver, 0, 60, 150, fuzzCancel, 0, 3, 0, fuzzDelta, 0, 0, 0,
+		fuzzTrack, 1, 40, 200, fuzzCancel, 1, 2, 0, fuzzDelta, 0, 0, 0,
+		fuzzColumn, 0, 200, 30, fuzzCancel, 1, 9, 0, fuzzCancel, 0, 40, 0, fuzzDelta, 0, 0, 0,
+		fuzzFull, 0, 0, 0,
 	})
 
 	f.Fuzz(runSessionOps)
@@ -168,6 +214,26 @@ func runSessionOps(t *testing.T, data []byte) {
 				}
 				if canonJSON(t, rep) != model(one) {
 					t.Fatalf("op %d: single-rule check %s differs from the cold model", n, one[0].ID)
+				}
+				continue
+			case fuzzCancel:
+				// The check fails with the cancellation — or finished inside
+				// its bx polls and is then held to the model like any other.
+				cctx := newCancelAfter(ctx, int64(bx))
+				var rep *Report
+				var err error
+				if sel%2 == 0 {
+					rep, err = ses.Check(cctx, deck)
+				} else {
+					rep, _, err = ses.DeltaCheck(cctx, deck)
+				}
+				switch {
+				case err == nil && bx == 0:
+					t.Fatalf("op %d: check succeeded under an already-cancelled context", n)
+				case err == nil && canonJSON(t, rep) != model(deck):
+					t.Fatalf("op %d: check that outran its cancel differs from the cold model", n)
+				case err != nil && !errors.Is(err, context.Canceled):
+					t.Fatalf("op %d: cancelled check: %v", n, err)
 				}
 				continue
 			case fuzzDelta:
