@@ -15,6 +15,7 @@ import (
 
 	"opendrc/internal/bench"
 	"opendrc/internal/core"
+	"opendrc/internal/faults"
 	"opendrc/internal/gdsii"
 	"opendrc/internal/geom"
 	"opendrc/internal/gpu"
@@ -353,6 +354,48 @@ func BenchmarkEditCycle(b *testing.B) {
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/1e6, "MB/cycle")
 			b.ReportMetric(float64(m1.NumGC-m0.NumGC)/float64(b.N), "GCs/cycle")
 			b.ReportMetric(float64(copied)/float64(b.N), "copied_B/cycle")
+		})
+	}
+}
+
+// BenchmarkWarmCheck measures one warm full-deck check on a resident parallel
+// session of ethmac@2.5 — serve_read's operation without HTTP — answered the
+// two ways a session can: replayed from the rule records, and executed. The
+// executed session carries an inert fault injector, which is one of the
+// conditions under which a session keeps no records (core.Session.recordsOff),
+// so every check re-runs every rule. modeled_us and launches are the last
+// check's: launches must be equal on both sides, modeled_us differs by the
+// host phases a replay does not execute.
+func BenchmarkWarmCheck(b *testing.B) {
+	lo, _, err := synth.Load("ethmac", 2.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deck := synth.Deck()
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		opts core.Options
+	}{
+		{"executed", core.Options{Mode: core.Parallel, Faults: faults.New(1)}},
+		{"replayed", core.Options{Mode: core.Parallel}},
+	} {
+		b.Run("ethmac@2.5/"+c.name, func(b *testing.B) {
+			ses := core.NewSession(lo, c.opts)
+			defer ses.Close(ctx)
+			if _, err := ses.Check(ctx, deck); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var rep *core.Report
+			for i := 0; i < b.N; i++ {
+				if rep, err = ses.Check(ctx, deck); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rep.Modeled.Microseconds()), "modeled_us")
+			b.ReportMetric(float64(rep.Stats.KernelLaunches), "launches")
 		})
 	}
 }

@@ -46,16 +46,19 @@ go test -run=NONE -fuzz=FuzzBuildLayout -fuzztime=10s ./internal/layout
 go test -run=NONE -fuzz=FuzzSessionOps -fuzztime=10s -fuzzminimizetime=20x ./internal/core
 
 # Bench smoke: one iteration of the geometry-cache unit benchmarks, of one
-# sweepline-executor row, of the hierarchy range queries, of the ingest path
-# and of the edit → delta-check cycle, so a change that breaks flatten/pack or
+# sweepline-executor row, of the hierarchy range queries, of the ingest path,
+# of the edit → delta-check cycle and of a warm session check executed and
+# replayed, so a change that breaks flatten/pack or
 # the row simulation off the engine path still fails the gate (the row
 # benchmark prints its modeled_us, where a cost-model drift shows;
 # narrow-window prints nodes_pruned per query, where a fall back to the linear
 # walk shows; ingest prints MB/s and allocs/op, where a per-element allocation
 # creeping back shows; the edit cycle prints ms/cycle and MB/cycle, where an
 # M1 sliver costing the layer instead of its row shows — 18 ms / 6 MB patched,
-# 180 ms / 115 MB re-derived).
-go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation|BenchmarkIngest|BenchmarkEditCycle' -benchtime=1x .
+# 180 ms / 115 MB re-derived; the warm check prints ns/op, allocs/op,
+# modeled_us and launches for both ways of answering it, where a replay that
+# drops a launch, or costs what an execution costs, shows).
+go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation|BenchmarkIngest|BenchmarkEditCycle|BenchmarkWarmCheck' -benchtime=1x .
 
 # The remaining odrc-bench invocations share one build instead of paying a
 # `go run` link each; its scratch directory also takes the trace export, so

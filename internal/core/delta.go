@@ -19,13 +19,13 @@ import (
 // its marker inside the edit region dilated by that reach. A session
 // therefore tracks the undilated dirty rectangles of each edit, and a
 // DeltaCheck re-runs each rule only over the dirty neighborhood, retaining
-// the prior check's violations everywhere else:
+// the violations of the rule's record (record.go) everywhere else:
 //
 //   - U   = union of dirty rects on the rule's layer (undilated)
 //   - C_r = U dilated by the rule's reach — the CLAIM region. Any violation
 //     whose marker box center lies in C_r is re-derived by the delta run;
 //     any whose center lies outside is provably unchanged and is retained
-//     from the baseline. (The marker box of a pair violation lies between
+//     from the record. (The marker box of a pair violation lies between
 //     the two edges, both within reach of each other, so a violation
 //     involving edited geometry — which is inside U — has its whole box,
 //     center included, inside C_r. The center predicate is evaluated on the
@@ -39,31 +39,36 @@ import (
 // The merged stream (claimed ∪ retained) is the same violation multiset a
 // cold full check of the edited layout produces; Report.WriteCanonicalJSON
 // serializes violations as an order-normalized multiset, so delta reports
-// are byte-identical to cold reports. Rules untouched by any dirty layer
-// skip execution entirely (their baseline violations are retained
-// wholesale); rules whose kinds have no restricted executor — enclosure,
-// derived-layer booleans, custom predicates — re-run in full, which is
-// trivially identical.
+// are byte-identical to cold reports. Rules whose record is current skip
+// execution entirely (its violations are retained wholesale); rules whose
+// kinds have no restricted executor — enclosure, derived-layer booleans,
+// custom predicates — and rules whose record is older than the pending dirt
+// re-run in full, which is trivially identical.
 
-// deltaMode classifies one rule's execution inside a delta check.
-type deltaMode uint8
+// planMode is how one rule of a session check runs.
+type planMode uint8
 
 const (
-	deltaFull     deltaMode = iota // re-run completely, own all its violations
-	deltaSkip                      // not run; baseline violations retained wholesale
-	deltaRestrict                  // run restricted to W, claim inside C, retain the rest
+	planFull     planMode = iota // execute completely and re-record
+	planReplay                   // plain check, record current: replay violations, Stats and device commands
+	planSkip                     // delta check, record current: retain its violations, device-silent
+	planRestrict                 // delta check, record one batch behind: run restricted to W, claim inside C, retain the rest
 )
 
-// rulePlan is one rule's delta classification with its claim/work regions.
+// rulePlan is one rule's classification against its record, with the
+// claim/work regions of a restricted run.
 type rulePlan struct {
-	mode  deltaMode
+	mode  planMode
+	key   ruleKey
+	vers  [2]uint64   // Session.ver of ruleLayers now: the stamp of what this check commits
+	rec   *ruleRecord // the record replayed, retained or restricted against
 	claim []geom.Rect // C_r
 	work  []geom.Rect // W_r
 }
 
 // claims reports whether the rule's delta run owns a violation with this
 // marker box: the box center lies in the claim region. The same predicate
-// filters retained baseline violations, so the two streams partition.
+// filters retained record violations, so the two streams partition.
 func (rp *rulePlan) claims(box geom.Rect) bool {
 	ctr := box.Center()
 	for _, r := range rp.claim {
@@ -111,59 +116,60 @@ func (rp *rulePlan) anyPlacementNear(localBox geom.Rect, insts []geom.Transform)
 	return false
 }
 
-// deltaPlan is one delta check's per-rule classification plus the baseline
-// violations the retained stream draws from.
-type deltaPlan struct {
+// checkPlan is one session check's per-rule classification, by rule ID. A
+// nil plan — a batch run, or a session that keeps no records — executes
+// every rule and records nothing.
+type checkPlan struct {
+	delta    bool // an incremental DeltaCheck: current records skip instead of replaying
+	retained int  // violations the records will contribute: the report's starting capacity
 	rules    map[string]*rulePlan
-	baseline []rules.Violation // shared with the session; read-only
 }
 
-// of returns the rule's plan; nil means full (unplanned rules own their
-// violations like a normal run).
-func (p *deltaPlan) of(id string) *rulePlan {
+// of returns the rule's plan (nil under a nil plan).
+func (p *checkPlan) of(id string) *rulePlan {
 	if p == nil {
 		return nil
 	}
 	return p.rules[id]
 }
 
+// executes reports whether any rule of the deck runs an executor — whether
+// the check needs the instance enumeration at all.
+func (p *checkPlan) executes(deck rules.Deck) bool {
+	for _, r := range deck {
+		if rp := p.of(r.ID); rp == nil || rp.mode == planFull || rp.mode == planRestrict {
+			return true
+		}
+	}
+	return false
+}
+
 // restrictFor returns the rule's plan only when it runs restricted — the
 // hook the executors use to prune rows, cells, and kernel member lists.
 func (e *Engine) restrictFor(id string) *rulePlan {
-	rp := e.delta.of(id)
-	if rp != nil && rp.mode == deltaRestrict {
+	rp := e.plan.of(id)
+	if rp != nil && rp.mode == planRestrict {
 		return rp
 	}
 	return nil
 }
 
-// mergeDelta replaces the restricted rules' out-of-claim violations with the
-// baseline's, producing the cold multiset. Runs before sortViolations.
-func (e *Engine) mergeDelta(rep *Report) {
-	if e.delta == nil {
-		return
-	}
-	kept := rep.Violations[:0]
-	for _, v := range rep.Violations {
-		if rp := e.delta.of(v.Rule); rp != nil && rp.mode == deltaRestrict && !rp.claims(v.Marker.Box) {
-			continue
+// mergeDelta turns a restricted run's output, rep.Violations[mark:], into the
+// rule's cold multiset: of what the run emitted only the claimed survive, and
+// the record supplies everything outside the claim.
+func mergeDelta(rep *Report, mark int, rp *rulePlan) {
+	kept := rep.Violations[:mark]
+	for _, v := range rep.Violations[mark:] {
+		if rp.claims(v.Marker.Box) {
+			kept = append(kept, v)
 		}
-		kept = append(kept, v)
+	}
+	for _, v := range rp.rec.violations {
+		if !rp.claims(v.Marker.Box) {
+			kept = append(kept, v)
+		}
 	}
 	rep.Violations = kept
-	failed := make(map[string]bool, len(rep.Failures))
-	for _, f := range rep.Failures {
-		failed[f.Rule] = true
-	}
-	for _, v := range e.delta.baseline {
-		rp := e.delta.of(v.Rule)
-		if rp == nil || rp.mode == deltaFull || failed[v.Rule] {
-			continue
-		}
-		if rp.mode == deltaSkip || !rp.claims(v.Marker.Box) {
-			rep.Violations = append(rep.Violations, v)
-		}
-	}
 }
 
 // LayerRegion names a dirty region of one layer for Session.Invalidate. An
@@ -171,15 +177,6 @@ func (e *Engine) mergeDelta(rep *Report) {
 type LayerRegion struct {
 	Layer layout.Layer
 	Rects []geom.Rect
-}
-
-// sessionBaseline is the last successful check's result, the retained-stream
-// source for the next delta check. One slot: delta checks chain off the most
-// recent full or delta result for the same deck.
-type sessionBaseline struct {
-	deckIDs    []string
-	violations []rules.Violation
-	failed     map[string]bool
 }
 
 // SessionStats is a point-in-time snapshot of a session's resident-state
@@ -196,6 +193,12 @@ type SessionStats struct {
 	DeltaPlanned       int64 `json:"delta_planned"`
 	DeltaFallbacks     int64 `json:"delta_fallbacks"`
 	DeviceDeltaUploads int64 `json:"device_delta_uploads"`
+	// RulesReplayed counts rules a plain check answered from their record,
+	// RulesExecuted rules that ran an executor (in full or restricted, in
+	// either kind of check); ResultBytes is the records' retained size.
+	RulesReplayed int64 `json:"rules_replayed"`
+	RulesExecuted int64 `json:"rules_executed"`
+	ResultBytes   int64 `json:"result_bytes"`
 }
 
 // DeltaInfo reports how a DeltaCheck executed. When Planned is false the
@@ -258,7 +261,9 @@ func (s *Session) Invalidate(ctx context.Context, regions ...LayerRegion) error 
 }
 
 // InvalidateAll drops every piece of resident state — caches, device
-// buffers, the delta baseline — so the next check is cold.
+// buffers, rule records, the instance enumeration — so the next check is
+// cold. It is the call for a mutation that adds, moves or deletes a
+// reference, which no dirty region describes.
 func (s *Session) InvalidateAll(ctx context.Context) error {
 	if err := s.lock(ctx); err != nil {
 		return err
@@ -276,38 +281,43 @@ func (s *Session) InvalidateAll(ctx context.Context) error {
 	if pc != nil {
 		s.freeResident(pc, nil)
 	}
-	s.baseline = nil
+	s.records.reset()
+	s.placements = nil
 	s.pending = nil
 	s.pendingFull = nil
 	return nil
 }
 
-// markDirty records pending dirty rects for a layer (session lock held).
+// dirtPending reports whether the layer's pending batch is open.
+func (s *Session) dirtPending(l layout.Layer) bool {
+	return len(s.pending[l]) > 0 || s.pendingFull[l]
+}
+
+// markDirty records pending dirty rects for a layer (session lock held). The
+// first dirt a layer takes after a check opens its pending batch and advances
+// its version — which is all it takes to put every record that read the layer
+// behind; more dirt before the next check joins the same batch.
 func (s *Session) markDirty(l layout.Layer, rects []geom.Rect, whole bool) {
+	open := s.dirtPending(l)
 	if whole {
 		if s.pendingFull == nil {
 			s.pendingFull = make(map[layout.Layer]bool)
 		}
 		s.pendingFull[l] = true
-		return
-	}
-	live := false
-	for _, r := range rects {
-		if !r.Empty() {
-			live = true
-			break
-		}
-	}
-	if !live {
-		return
-	}
-	if s.pending == nil {
-		s.pending = make(map[layout.Layer][]geom.Rect)
 	}
 	for _, r := range rects {
 		if !r.Empty() {
+			if s.pending == nil {
+				s.pending = make(map[layout.Layer][]geom.Rect)
+			}
 			s.pending[l] = append(s.pending[l], r)
 		}
+	}
+	if !open && s.dirtPending(l) {
+		if s.ver == nil {
+			s.ver = make(map[layout.Layer]uint64)
+		}
+		s.ver[l]++
 	}
 }
 
@@ -386,52 +396,37 @@ func (s *Session) patchPending(deck rules.Deck, pc *parCtx) {
 
 // partialFreeResident frees the stale suffix of a layer's device-resident
 // edge buffer, keeping keptBytes resident; the next bindEdges uploads only
-// the delta. Session lock held.
+// the delta. A patch that displaced nothing (an insert outside every row)
+// keeps the whole buffer and frees nothing. Session lock held.
 func (s *Session) partialFreeResident(pc *parCtx, l layout.Layer, keptBytes int64) {
 	for _, b := range pc.resident {
 		if b.layer != l {
 			continue
 		}
-		if keptBytes <= 0 || keptBytes >= b.bytes {
+		if keptBytes <= 0 || keptBytes > b.bytes {
 			s.freeResident(pc, []layout.Layer{l})
 			return
 		}
-		pc.io.WaitEvent(pc.cs.RecordEvent())
-		pc.io.FreeAsync(b.bytes - keptBytes)
-		b.bytes = keptBytes
+		if keptBytes < b.bytes {
+			pc.io.WaitEvent(pc.cs.RecordEvent())
+			pc.io.FreeAsync(b.bytes - keptBytes)
+			b.bytes = keptBytes
+		}
 		b.partial = true
 		b.mbr = nil // derived table is stale with the geometry
 		return
 	}
 }
 
-// updateBaseline stores a successful check's result as the session's delta
-// baseline. Session lock held.
-func (s *Session) updateBaseline(deck rules.Deck, rep *Report) {
-	b := &sessionBaseline{
-		deckIDs:    make([]string, len(deck)),
-		violations: append([]rules.Violation(nil), rep.Violations...),
-	}
-	for i, r := range deck {
-		b.deckIDs[i] = r.ID
-	}
-	if len(rep.Failures) > 0 {
-		b.failed = make(map[string]bool, len(rep.Failures))
-		for _, f := range rep.Failures {
-			b.failed[f.Rule] = true
-		}
-	}
-	s.baseline = b
-}
-
-// deltaFallbackReason returns why a delta check cannot run incrementally
-// ("" when it can). Budgets and fault injection change which rules fail —
-// failure sets are part of the report, so an incremental run under either
-// could diverge from a cold one; both force the fallback.
-func (s *Session) deltaFallbackReason(deck rules.Deck) string {
+// recordsOff returns why the session keeps no rule records — and so plans
+// nothing: every check executes every rule, a delta check falls back — or ""
+// when it keeps them. Budgets and fault injection change which rules fail,
+// and failure sets are part of the report, so a replayed or incremental run
+// under either could diverge from a cold one; with the geometry cache or the
+// pruning off there is no resident layer state for a record to be current
+// against.
+func (s *Session) recordsOff() string {
 	switch {
-	case s.baseline == nil:
-		return "no baseline check"
 	case s.opts.Faults != nil:
 		return "fault injection active"
 	case s.opts.Budgets != (budget.Limits{}):
@@ -441,46 +436,53 @@ func (s *Session) deltaFallbackReason(deck rules.Deck) string {
 	case s.opts.DisablePruning:
 		return "hierarchy pruning disabled"
 	}
-	if len(s.baseline.deckIDs) != len(deck) {
-		return "deck changed since baseline"
-	}
-	for i, r := range deck {
-		if s.baseline.deckIDs[i] != r.ID {
-			return "deck changed since baseline"
-		}
-	}
 	return ""
 }
 
-// planDelta classifies every deck rule against the pending dirty regions.
-// Session lock held; pending state is still intact (the check applies it
-// afterwards, sharing the same snapshot).
-func (s *Session) planDelta(deck rules.Deck) (*deltaPlan, DeltaInfo) {
-	plan := &deltaPlan{rules: make(map[string]*rulePlan, len(deck)), baseline: s.baseline.violations}
-	info := DeltaInfo{Planned: true}
+// planCheck classifies every deck rule against its record and the pending
+// dirty regions. On each layer a rule reads, its record is current (stamped
+// with the layer's version), exactly the pending batch behind (stamped one
+// below, with that batch still pending), or stale. A plain check replays
+// current full records and executes the rest; a delta check skips current
+// records, restricts the restrictable kinds one rect-only batch behind, and
+// executes the rest — reported as not planned when no rule had a record to
+// go by. Session lock held; pending state is still intact (the check applies
+// it afterwards, sharing the same snapshot).
+func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo) {
+	plan := &checkPlan{rules: make(map[string]*rulePlan, len(deck))}
+	var info DeltaInfo
 	for _, r := range deck {
-		layers := []layout.Layer{r.Layer}
-		switch r.Kind {
-		case rules.Enclosure, rules.Coverage, rules.MinOverlap:
-			layers = append(layers, r.Outer)
-		}
-		full := s.baseline.failed[r.ID]
+		rp := &rulePlan{key: keyOf(r)}
+		rp.rec = s.records.get(rp.key)
+		behind, whole, stale := false, false, rp.rec == nil
 		var dirty []geom.Rect
-		for _, l := range layers {
-			if s.pendingFull[l] {
-				full = true
+		ls, n := ruleLayers(r)
+		for i, l := range ls[:n] {
+			rp.vers[i] = s.ver[l]
+			switch {
+			case stale || rp.rec.vers[i] == rp.vers[i]:
+			case rp.rec.vers[i]+1 == rp.vers[i] && s.dirtPending(l):
+				behind = true
+				whole = whole || s.pendingFull[l]
+				dirty = append(dirty, s.pending[l]...)
+			default:
+				stale = true
 			}
-			dirty = append(dirty, s.pending[l]...)
 		}
-		rp := &rulePlan{}
+		if !stale {
+			info.Planned = true
+		}
 		switch {
-		case full:
-			rp.mode = deltaFull
-		case len(dirty) == 0:
-			rp.mode = deltaSkip
-		case r.Kind == rules.Spacing || r.Kind == rules.Width ||
-			r.Kind == rules.Area || r.Kind == rules.Rectilinear:
-			rp.mode = deltaRestrict
+		case stale:
+		case !behind && delta:
+			rp.mode = planSkip
+		case !behind:
+			if rp.rec.full && !s.forceExec {
+				rp.mode = planReplay
+			}
+		case delta && !whole && (r.Kind == rules.Spacing || r.Kind == rules.Width ||
+			r.Kind == rules.Area || r.Kind == rules.Rectilinear):
+			rp.mode = planRestrict
 			reach := r.Reach()
 			rp.claim = make([]geom.Rect, len(dirty))
 			rp.work = make([]geom.Rect, len(dirty))
@@ -488,29 +490,37 @@ func (s *Session) planDelta(deck rules.Deck) (*deltaPlan, DeltaInfo) {
 				rp.claim[i] = d.Expand(reach)
 				rp.work[i] = rp.claim[i].Expand(reach)
 			}
-		default:
-			rp.mode = deltaFull
 		}
 		plan.rules[r.ID] = rp
+		if rp.mode != planFull {
+			plan.retained += len(rp.rec.violations)
+		}
 		switch rp.mode {
-		case deltaSkip:
+		case planSkip:
 			info.RulesSkipped++
-		case deltaRestrict:
+		case planRestrict:
 			info.RulesRestricted++
-		default:
+		case planFull:
 			info.RulesFull++
 		}
 	}
+	if !info.Planned {
+		info = DeltaInfo{Reason: "no baseline check"}
+	}
+	plan.delta = delta && info.Planned
 	return plan, info
 }
 
 // DeltaCheck runs deck incrementally against the session's layout: rules
-// untouched by the dirty regions recorded since the last check are skipped
-// (their baseline violations retained), restrictable rules re-check only the
-// dirty neighborhood, and the merged report is byte-identical (canonical
-// JSON) to a cold full check of the edited layout. When incremental
-// execution is unsafe — no baseline, a changed deck, active fault injection
-// or budgets — it falls back to a full check; DeltaInfo says which happened.
+// whose record is current — untouched by the dirty regions recorded since it
+// was made — are skipped (its violations retained), restrictable rules
+// re-check only the dirty neighborhood, and the merged report is
+// byte-identical (canonical JSON) to a cold full check of the edited layout.
+// Rules are planned one by one, so the deck may differ from any checked
+// before. When incremental execution is unsafe or pointless — active fault
+// injection or budgets, the cache or the pruning off, no rule of the deck with
+// a record to go by — it falls back to a full check; DeltaInfo says which
+// happened.
 func (s *Session) DeltaCheck(ctx context.Context, deck rules.Deck) (*Report, DeltaInfo, error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, DeltaInfo{}, err
@@ -521,43 +531,38 @@ func (s *Session) DeltaCheck(ctx context.Context, deck rules.Deck) (*Report, Del
 	}
 	// Presence spans the whole check, like Session.Check.
 	defer pool.EnterCtx(ctx)()
+	s.stats.DeltaChecks++
+	return s.run(ctx, deck, true)
+}
+
+// run plans and executes one check, plain or delta, and books it. Session
+// lock held.
+func (s *Session) run(ctx context.Context, deck rules.Deck, delta bool) (*Report, DeltaInfo, error) {
 	e := New(s.opts)
 	if err := e.AddRules(deck...); err != nil {
 		return nil, DeltaInfo{}, err
 	}
-	deck = e.Deck() // IDs assigned
-	s.stats.DeltaChecks++
-	if reason := s.deltaFallbackReason(deck); reason != "" {
-		s.stats.DeltaFallbacks++
-		rep, err := s.runFull(ctx, e, deck)
-		return rep, DeltaInfo{Planned: false, Reason: reason}, err
+	info := DeltaInfo{Reason: s.recordsOff()}
+	if info.Reason == "" {
+		e.plan, info = s.planCheck(e.Deck(), delta)
 	}
-	plan, info := s.planDelta(deck)
-	e.delta = plan
+	if delta && !info.Planned {
+		s.stats.DeltaFallbacks++
+	}
 	rep, err := e.checkWith(ctx, s.lo, s)
 	if err != nil {
-		s.baseline = nil // see runFull
 		return nil, DeltaInfo{}, err
 	}
-	s.stats.DeltaPlanned++
-	s.stats.DeviceDeltaUploads += rep.Stats.DeviceDeltaUploads
-	s.updateBaseline(deck, rep)
-	return rep, info, nil
-}
-
-// runFull executes a full check updating session dirty/baseline state.
-// Session lock held.
-func (s *Session) runFull(ctx context.Context, e *Engine, deck rules.Deck) (*Report, error) {
-	rep, err := e.checkWith(ctx, s.lo, s)
-	if err != nil {
-		// The failed check may already have consumed the pending dirt; the
-		// old baseline would then pass for current on rules the next delta
-		// plan skips.
-		s.baseline = nil
-		return nil, err
+	if delta && info.Planned {
+		s.stats.DeltaPlanned++
+		s.stats.DeviceDeltaUploads += rep.Stats.DeviceDeltaUploads
 	}
-	s.updateBaseline(deck, rep)
-	return rep, nil
+	s.stats.RulesReplayed += int64(rep.replayed)
+	s.stats.RulesExecuted += int64(rep.executed)
+	s.opts.Logger.Infof("core: check %s: %d rules, %d replayed, %d executed, %d skipped, host_wall_us=%d modeled_us=%d",
+		trace.RequestID(ctx), len(deck), rep.replayed, rep.executed, len(deck)-rep.replayed-rep.executed,
+		rep.HostWall.Microseconds(), rep.Modeled.Microseconds())
+	return rep, info, nil
 }
 
 // StatsSnapshot returns the session's resident-state footprint and check
@@ -572,6 +577,7 @@ func (s *Session) StatsSnapshot(ctx context.Context) (SessionStats, error) {
 		return SessionStats{}, ErrSessionClosed
 	}
 	out := s.stats
+	out.ResultBytes = s.records.bytes()
 	if s.geo.cache != nil {
 		out.Geocache = s.geo.cache.Stats()
 	}

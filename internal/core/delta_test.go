@@ -279,8 +279,10 @@ func TestDeltaPartialDeviceRefresh(t *testing.T) {
 	}
 }
 
-// TestDeltaCheckFallbacks drives every deltaFallbackReason branch and demands
-// each fallback still produce the cold canonical bytes.
+// TestDeltaCheckFallbacks drives every reason a delta check is not planned —
+// the conditions under which a session keeps no records, and a deck none of
+// whose rules has a record to go by — and demands each fallback still produce
+// the cold canonical bytes; "deck changed" pins the fallback that is gone.
 func TestDeltaCheckFallbacks(t *testing.T) {
 	deck := synth.Deck()
 	ctx := context.Background()
@@ -301,6 +303,17 @@ func TestDeltaCheckFallbacks(t *testing.T) {
 		}
 		if canonJSON(t, rep) != canonJSON(t, coldReport(t, "uart", 0.2, Options{Mode: Sequential}, deck, nil)) {
 			t.Fatal("fallback report differs from cold check")
+		}
+		// The fallback recorded every rule, so the next delta check plans —
+		// until InvalidateAll drops the records again.
+		if _, info, err := ses.DeltaCheck(ctx, deck); err != nil || !info.Planned || info.RulesSkipped != len(deck) {
+			t.Fatalf("after the fallback: info = %+v, err %v", info, err)
+		}
+		if err := ses.InvalidateAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, info, err := ses.DeltaCheck(ctx, deck[:3]); err != nil || info.Planned || info.Reason != "no baseline check" {
+			t.Fatalf("after InvalidateAll: info = %+v, err %v", info, err)
 		}
 	})
 
@@ -401,21 +414,50 @@ func TestDeltaCheckFallbacks(t *testing.T) {
 	})
 
 	t.Run("deck changed", func(t *testing.T) {
-		lo, _, err := synth.Load("uart", 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ses := NewSession(lo, Options{Mode: Sequential})
-		defer ses.Close(ctx)
-		if _, err := ses.Check(ctx, deck); err != nil {
-			t.Fatal(err)
-		}
-		_, info, err := ses.DeltaCheck(ctx, deck[1:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Planned || info.Reason != "deck changed since baseline" {
-			t.Fatalf("info = %+v", info)
+		// Records are per rule, so a deck that differs from every deck checked
+		// before still plans: a sub-deck skips wholesale, and a single-rule
+		// check between an edit and its delta check costs a full run only for
+		// the rules whose record it left behind the consumed dirt.
+		for _, mode := range []Mode{Sequential, Parallel} {
+			lo, _, err := synth.Load("uart", 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Mode: mode}
+			ses := NewSession(lo, opts)
+			defer ses.Close(ctx)
+			if _, err := ses.Check(ctx, deck); err != nil {
+				t.Fatal(err)
+			}
+			_, info, err := ses.DeltaCheck(ctx, deck[1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !info.Planned || info.RulesSkipped != len(deck)-1 {
+				t.Fatalf("%v: sub-deck info = %+v", mode, info)
+			}
+			edits := deltaTestEdits(lo)
+			if _, err := ses.Edit(ctx, edits); err != nil {
+				t.Fatal(err)
+			}
+			one := deck[1:2] // M1.W.1: consumes the edit's dirt, refreshes only itself
+			if rep, err := ses.Check(ctx, one); err != nil {
+				t.Fatal(err)
+			} else if canonJSON(t, rep) != canonJSON(t, coldReport(t, "uart", 0.2, opts, one, edits)) {
+				t.Fatalf("%v: single-rule check differs from cold", mode)
+			}
+			rep, info, err := ses.DeltaCheck(ctx, deck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The other three M1 rules and the V1-in-M1 enclosure are stale and
+			// run in full; M1.W.1 and everything off M1 skip.
+			if !info.Planned || info.RulesFull != 4 || info.RulesRestricted != 0 || info.RulesSkipped != len(deck)-4 {
+				t.Fatalf("%v: info = %+v", mode, info)
+			}
+			if canonJSON(t, rep) != canonJSON(t, coldReport(t, "uart", 0.2, opts, deck, edits)) {
+				t.Fatalf("%v: delta check after a single-rule check differs from cold", mode)
+			}
 		}
 	})
 }
@@ -514,6 +556,12 @@ func TestDeltaEmptyIntersectionEdit(t *testing.T) {
 	if len(rep.Violations) != 0 {
 		t.Fatalf("clean insert produced %d violations", len(rep.Violations))
 	}
+	// The insert displaced nothing, so the resident buffer is kept whole and
+	// grown by the new polygon's edges: no re-upload of the layer.
+	if rep.Stats.DeviceUploads != 0 || rep.Stats.DeviceDeltaUploads != 1 || rep.Stats.BytesCopied >= base.Stats.BytesCopied {
+		t.Fatalf("insert outside every row: %d uploads, %d delta uploads, %d bytes copied (cold check copied %d)",
+			rep.Stats.DeviceUploads, rep.Stats.DeviceDeltaUploads, rep.Stats.BytesCopied, base.Stats.BytesCopied)
+	}
 	var buf bytes.Buffer
 	if err := rep.WriteCanonicalJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -561,7 +609,7 @@ func TestRestrictedNotchMembersMatchLayerScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp := &rulePlan{mode: deltaRestrict}
+		rp := &rulePlan{mode: planRestrict}
 		for _, d := range dirty {
 			for _, r := range d.Rects {
 				rp.work = append(rp.work, r.Expand(2*reach))

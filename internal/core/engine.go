@@ -19,6 +19,7 @@ import (
 	"opendrc/internal/budget"
 	"opendrc/internal/faults"
 	"opendrc/internal/geocache"
+	"opendrc/internal/geom"
 	"opendrc/internal/gpu"
 	"opendrc/internal/infra"
 	"opendrc/internal/layout"
@@ -110,10 +111,10 @@ type Engine struct {
 	// collect.go); a deterministic freelist, so engine runs stay pure
 	// functions of their inputs.
 	shards shardPool
-	// delta is the incremental-check plan of a Session.DeltaCheck (nil for
-	// normal runs): per-rule skip/restrict/full classification, claim
-	// regions, and the baseline violations retained outside them.
-	delta *deltaPlan
+	// plan is a session check's per-rule classification against the
+	// session's rule records (nil for batch runs and sessions that keep none):
+	// replay, skip, restrict with claim regions, or execute and re-record.
+	plan *checkPlan
 }
 
 // New creates an engine.
@@ -261,6 +262,9 @@ type Report struct {
 	// trace export; unexported — the summary is the public view.
 	ruleWindows []ruleWindow
 	hostSpans   []modeledSpan
+	// How many rules were answered from their record and how many ran an
+	// executor — the session's books.
+	replayed, executed int
 }
 
 // CountByRule returns violation counts keyed by rule ID.
@@ -305,6 +309,9 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	// trace events) and reports every completed Phase as a span; the
 	// recorder rides the context so the pool traces task lanes.
 	rep := &Report{Mode: e.opts.Mode, Profile: infra.NewProfilerWithClock(rec.Clock())}
+	if e.plan != nil && e.plan.retained > 0 {
+		rep.Violations = make([]rules.Violation, 0, e.plan.retained)
+	}
 	if rec != nil {
 		rep.Profile.OnPhase(func(name string, from, to time.Duration) {
 			rec.Span(trace.TrackPhases, "", name, "phase", from, to)
@@ -338,9 +345,9 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	var err error
 	switch e.opts.Mode {
 	case Parallel:
-		err = e.checkParallel(ctx, lo, rep, geo, pc)
+		err = e.checkParallel(ctx, lo, rep, ses, geo, pc)
 	default:
-		err = e.checkSequential(ctx, lo, rep, geo)
+		err = e.checkSequential(ctx, lo, rep, ses, geo)
 	}
 	if err != nil {
 		return nil, err
@@ -362,9 +369,125 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 		rep.Stats.Trace = buildTraceSummary(rep)
 		exportRunTrace(rec, rep, e.opts)
 	}
-	e.mergeDelta(rep)
 	sortViolations(rep.Violations)
 	return rep, nil
+}
+
+// instancePlacements is what a check that executes at least one rule needs
+// of the layout's references: the magnification restriction checked against
+// the deck, and the instance enumeration. A check that only replays and skips
+// gets neither — every record it answers from was made by a check that passed
+// the first and needs no second. A session computes the enumeration once: no
+// edit adds, moves or deletes a reference (InvalidateAll drops it). phase runs
+// the enumeration as the mode's host phase, on the check that computes it.
+func (e *Engine) instancePlacements(lo *layout.Layout, ses *Session, phase func(fn func())) ([][]geom.Transform, error) {
+	if !e.plan.executes(e.deck) {
+		return nil, nil
+	}
+	if err := checkMagRestriction(lo, e.deck); err != nil {
+		return nil, err
+	}
+	if ses != nil && ses.placements != nil {
+		return ses.placements, nil
+	}
+	var placements [][]geom.Transform
+	phase(func() { placements = lo.Placements() })
+	if ses != nil {
+		ses.placements = placements
+	}
+	return placements, nil
+}
+
+// runRule runs one deck rule the way its plan says. Without a plan exec just
+// runs under the guard. A current record replays. Anything else executes —
+// restricted to the dirty neighborhood when the plan says so — and, having
+// succeeded, commits the rule's new record to the session: its violations
+// (a restricted run's merged with the retained ones) and, for a complete run,
+// what recordRun collected. pc is nil in sequential mode.
+func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rulePlan, ses *Session, pc *parCtx, exec func() error) error {
+	run := func() error { return e.guardRule(ctx, rep, r, "ok", exec) }
+	switch {
+	case rp == nil:
+		rep.executed++
+		return run()
+	case rp.mode == planReplay:
+		rep.replayed++
+		return e.replay(ctx, rep, r, rp.rec, pc)
+	}
+	rep.executed++
+	mark, failed := len(rep.Violations), len(rep.Failures)
+	rec := &ruleRecord{key: rp.key, vers: rp.vers, full: rp.mode == planFull}
+	var err error
+	if rec.full {
+		err = recordRun(rep, rec, pc, run)
+	} else {
+		err = run()
+	}
+	if err != nil || len(rep.Failures) != failed {
+		return err // cancelled, or failed and isolated: nothing to commit
+	}
+	if rp.mode == planRestrict {
+		mergeDelta(rep, mark, rp)
+	}
+	rec.violations = append([]rules.Violation(nil), rep.Violations[mark:]...)
+	ses.records.put(rec)
+	return nil
+}
+
+// recordRun runs fn, one rule's complete execution, collecting into rec the
+// Stats it writes and (parallel mode) the device commands it enqueues. The
+// rule runs against a zeroed Stats — what is there afterwards is its own —
+// which is then folded back into the report's; residency plumbing keeps out
+// of both through parCtx.live. (A zeroed EdgesPacked would blind the
+// cumulative packed-edges budget, but a session with budgets keeps no records.)
+func recordRun(rep *Report, rec *ruleRecord, pc *parCtx, fn func() error) error {
+	sum := rep.Stats
+	rep.Stats = Stats{}
+	if pc != nil {
+		rec.tape.Reset(pc.dev.Props())
+		pc.rec = rec
+		pc.dev.Capture(&rec.tape)
+	}
+	err := fn()
+	if pc != nil {
+		pc.dev.Capture(nil)
+		pc.rec = nil
+		sum.add(pc.liveStats)
+		pc.liveStats = Stats{}
+	}
+	rec.stats = rep.Stats
+	sum.add(rec.stats)
+	rep.Stats = sum
+	return err
+}
+
+// replay answers a rule from its record: the violations, the Stats its
+// executor wrote and, in parallel mode, the device commands it enqueued,
+// re-issued on the live streams after its resident layers are bound live. It
+// is host phase "replay" — the guard included, which is most of what a
+// replayed rule costs — and so advances the modeled host clock by what the
+// replay really takes.
+func (e *Engine) replay(ctx context.Context, rep *Report, r rules.Rule, rec *ruleRecord, pc *parCtx) error {
+	emit := func() error {
+		return e.guardRule(ctx, rep, r, "replayed", func() error {
+			rep.Violations = append(rep.Violations, rec.violations...)
+			rep.Stats.add(rec.stats)
+			if pc == nil {
+				return nil
+			}
+			for _, l := range rec.binds {
+				if err := pc.rebind(rep, l); err != nil {
+					return err
+				}
+			}
+			return pc.cs.Replay(&rec.tape)
+		})
+	}
+	if pc != nil {
+		return pc.hostPhase(rep, "replay", emit)
+	}
+	defer rep.Profile.Phase("replay")()
+	return emit()
 }
 
 // cancelled reports whether err stems from context cancellation or a
@@ -378,13 +501,14 @@ func cancelled(err error) bool {
 // RuleFailure on the report, the rule's partial violations are discarded
 // (so degraded reports stay bit-identical across worker counts), and the
 // run continues. Cancellation is the exception: it aborts the whole check.
-func (e *Engine) guardRule(ctx context.Context, rep *Report, r rules.Rule, fn func() error) error {
+// status is the rule span's status when fn succeeds: "ok" for an executed
+// rule, "replayed" for one answered from its record.
+func (e *Engine) guardRule(ctx context.Context, rep *Report, r rules.Rule, status string, fn func() error) error {
 	mark := len(rep.Violations)
 	stop := e.opts.Trace.Begin(trace.TrackRules, "", r.ID, "rule")
-	status := "ok"
 	defer func() {
 		emitted := len(rep.Violations) - mark
-		if status != "ok" {
+		if status == "cancelled" || status == "failed" {
 			emitted = 0
 		}
 		stop(trace.Arg{Key: "kind", Val: r.Kind.String()},

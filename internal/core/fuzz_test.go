@@ -53,7 +53,7 @@ const (
 // — a deterministic stand-in for a client disconnecting mid-check. after == 0
 // is cancelled from the start; a small count lands once the check has taken
 // the session's pending dirt, the path where a failed check must not leave a
-// baseline that passes for current.
+// record that passes for current.
 type cancelAfter struct {
 	context.Context
 	left atomic.Int64
@@ -110,8 +110,9 @@ func FuzzSessionOps(f *testing.F) {
 	f.Add(serveEditBlock())
 	// A column bridging rows, a delete that can split or empty a row, inserts
 	// on (at this scale) sparsely populated M3, whole-layer dirt, a
-	// single-rule check between edit and delta (forces the deck-changed
-	// fallback), and a delta with nothing pending.
+	// single-rule check between edit and delta (it consumes the dirt, so the
+	// layer's other rules are stale rather than one batch behind), and a delta
+	// with nothing pending.
 	f.Add([]byte{
 		fuzzColumn, 0, 100, 60, fuzzDelta, 0, 0, 0,
 		fuzzDelete, 0, 100, 70, fuzzDelta, 0, 0, 0,
@@ -133,6 +134,19 @@ func FuzzSessionOps(f *testing.F) {
 		fuzzTrack, 1, 40, 200, fuzzCancel, 1, 2, 0, fuzzDelta, 0, 0, 0,
 		fuzzColumn, 0, 200, 30, fuzzCancel, 1, 9, 0, fuzzCancel, 0, 40, 0, fuzzDelta, 0, 0, 0,
 		fuzzFull, 0, 0, 0,
+	})
+	// Replays: a full check, a single rule and the full deck again with
+	// nothing between (the second and third answer from records); whole-layer
+	// dirt on M1 and on M3 between two replays; and edit → single-rule check →
+	// delta check on each metal layer, then a replay of the result.
+	f.Add([]byte{
+		fuzzFull, 0, 0, 0, fuzzRule, 7, 0, 0, fuzzFull, 0, 0, 0,
+		fuzzInvalidate, 0, 0, 1, fuzzFull, 0, 0, 0, fuzzFull, 0, 0, 0,
+		fuzzInvalidate, 2, 0, 1, fuzzRule, 9, 0, 0, fuzzFull, 0, 0, 0,
+		fuzzSliver, 0, 120, 40, fuzzRule, 1, 0, 0, fuzzDelta, 0, 0, 0,
+		fuzzTrack, 1, 30, 220, fuzzRule, 8, 0, 0, fuzzDelta, 0, 0, 0,
+		fuzzColumn, 2, 220, 90, fuzzRule, 13, 0, 0, fuzzDelta, 0, 0, 0,
+		fuzzFull, 0, 0, 0, fuzzDelta, 0, 0, 0,
 	})
 
 	f.Fuzz(runSessionOps)

@@ -48,6 +48,51 @@ type parCtx struct {
 	persistent bool           // session-owned: residents outlive the check
 	resident   []*residentBuf // slice, not map: eviction scans must be deterministic
 	useCtr     int64
+
+	// rec is the record of the rule executing right now (nil when it is not
+	// being recorded); liveStats collects what residency plumbing wrote to
+	// the report's Stats meanwhile. See live.
+	rec       *ruleRecord
+	liveStats Stats
+}
+
+// live brackets residency plumbing — a layer's upload, reuse or partial
+// refresh, the mbr-table copy — inside a rule that is being recorded, and
+// returns the func that ends the bracket. Whether a layer is resident is
+// session state, not the rule's result: a record made by a cold check must
+// not replay its uploads into a warm one. So the bracket suspends the
+// device capture, and the Stats written inside it go to liveStats (onto the
+// report, not into the record) by the same zeroed-struct swap recordRun uses.
+func (pc *parCtx) live(rep *Report) func() {
+	rec := pc.rec
+	if rec == nil {
+		return func() {}
+	}
+	pc.dev.Capture(nil)
+	rule := rep.Stats
+	rep.Stats = Stats{}
+	return func() {
+		pc.liveStats.add(rep.Stats)
+		rep.Stats = rule
+		pc.dev.Capture(&rec.tape)
+	}
+}
+
+// rebind is bindEdges on replay. A current record means no dirt reached the
+// layer since the recorded run bound it, and nothing else frees a resident
+// buffer while records are kept (no budgets: no eviction), so the buffer is
+// there and whole: this is the reuse path, taken live.
+func (pc *parCtx) rebind(rep *Report, l layout.Layer) error {
+	for _, b := range pc.resident {
+		if b.layer == l && !b.partial {
+			pc.useCtr++
+			b.lastUse = pc.useCtr
+			pc.cs.WaitEvent(b.ready)
+			rep.Stats.DeviceReuses++
+			return nil
+		}
+	}
+	return fmt.Errorf("core: replay: layer %d is not device-resident under a current record", l)
 }
 
 // residentBuf is one layer's packed edge buffer kept device-resident across
@@ -78,6 +123,7 @@ func (pc *parCtx) mbrTable(ctx context.Context, lo *layout.Layout, rep *Report, 
 	if !pc.residentOn {
 		return nil, nil
 	}
+	defer pc.live(rep)()
 	for _, b := range pc.resident {
 		if b.layer == l {
 			if b.mbr == nil {
@@ -134,10 +180,7 @@ const simPhase = "par:kernel-sim"
 // geometry is usually a cache hit costing ~zero host time. Prefetching only
 // warms the cache — it never touches streams, the report, or rule state — so
 // reports stay bit-identical with and without it.
-func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Report, geo *geoSource, pc *parCtx) error {
-	if err := checkMagRestriction(lo, e.deck); err != nil {
-		return err
-	}
+func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, geo *geoSource, pc *parCtx) error {
 	if pc == nil {
 		pc = &parCtx{dev: gpu.NewDevice(e.opts.Device), geo: geo, residentOn: geo.cache != nil}
 		pc.io = pc.dev.NewStream("h2d")
@@ -168,8 +211,9 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 	// race.
 	// Delta runs touch a small neighborhood of a few layers; sweeping the
 	// whole deck's geometry ahead of them would recompute exactly the work
-	// the delta plan avoids, so the prefetcher only runs on full checks.
-	if geo.cache != nil && e.delta == nil {
+	// the delta plan avoids, so the prefetcher only runs on full checks — and
+	// there only for the rules that execute.
+	if geo.cache != nil && (e.plan == nil || !e.plan.delta) {
 		gc := geo.cache
 		alg := e.opts.PartitionAlg
 		type warmGroup struct {
@@ -179,7 +223,7 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		var groups []*warmGroup
 		for _, r := range e.deck[1:] {
 			nl, ok := prefetchLayer(r, e.opts.DisablePruning)
-			if !ok {
+			if rp := e.plan.of(r.ID); !ok || rp != nil && rp.mode != planFull {
 				continue
 			}
 			var g *warmGroup
@@ -226,11 +270,10 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		}
 	}
 
-	var placements [][]geom.Transform
-	if err := pc.hostPhase(rep, "par:instance-enumeration", func() error {
-		placements = lo.Placements()
-		return nil
-	}); err != nil {
+	placements, err := e.instancePlacements(lo, ses, func(fn func()) {
+		_ = pc.hostPhase(rep, "par:instance-enumeration", func() error { fn(); return nil })
+	})
+	if err != nil {
 		return err
 	}
 
@@ -238,8 +281,11 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: check cancelled: %w", err)
 		}
-		if rp := e.delta.of(r.ID); rp != nil && rp.mode == deltaSkip {
-			continue // untouched by the edits; baseline violations retained
+		rp := e.plan.of(r.ID)
+		if rp != nil && rp.mode == planSkip {
+			// Record current: its violations are the rule's. Device-silent.
+			rep.Violations = append(rep.Violations, rp.rec.violations...)
+			continue
 		}
 		// Rule boundary: let a lagging co-tenant's check run ahead of this
 		// one's next serial stretch (no-op without a context scheduler).
@@ -248,7 +294,7 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		r := r
 		w := ruleWindow{rule: r.ID, m0: pc.dev.HostClock(), c0: pc.dev.OpCount()}
 		h0 := len(rep.hostSpans)
-		err := e.guardRule(ctx, rep, r, func() error {
+		err := e.runRule(ctx, rep, r, rp, ses, pc, func() error {
 			switch r.Kind {
 			case rules.Spacing:
 				return e.runSpacingPar(ctx, lo, r, pc, rep)
@@ -377,6 +423,10 @@ func (e *Engine) allocEvict(pc *parCtx, rep *Report, n int64) error {
 // The packed-edges budget is charged per upload: once per layer when
 // resident, once per rule otherwise (see Options.Budgets).
 func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kernels.Edges) (func(), error) {
+	defer pc.live(rep)()
+	if pc.rec != nil {
+		pc.rec.binds = append(pc.rec.binds, l)
+	}
 	noop := func() {}
 	pc.useCtr++
 	if pc.residentOn {
@@ -670,7 +720,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	// Delta restriction: rows whose y-band misses the work window cannot
 	// hold a claimed violation (a violation's marker lies between its two
 	// edges, both inside the row), so they are skipped outright — their
-	// baseline violations are retained by the merge. Notches restrict the
+	// record violations are retained by the merge. Notches restrict the
 	// same way at polygon granularity.
 	rp := e.restrictFor(r.ID)
 	if rp != nil {
@@ -805,7 +855,10 @@ func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep
 		return err
 	}
 	for i := range tbl.s {
-		pc.cs.Replay(&tbl.s[i].tape)
+		if err := pc.cs.Replay(&tbl.s[i].tape); err != nil {
+			tbl.discard()
+			return err
+		}
 	}
 	tbl.mergeViolations(rep)
 	return nil

@@ -13,13 +13,14 @@ import (
 // rule executes under the engine's fault-isolation guard: a failing rule
 // degrades the report instead of aborting the run, while cancellation
 // aborts between (and inside) rules.
-func (e *Engine) checkSequential(ctx context.Context, lo *layout.Layout, rep *Report, geo *geoSource) error {
-	if err := checkMagRestriction(lo, e.deck); err != nil {
+func (e *Engine) checkSequential(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, geo *geoSource) error {
+	placements, err := e.instancePlacements(lo, ses, func(fn func()) {
+		defer rep.Profile.Phase("instance-enumeration")()
+		fn()
+	})
+	if err != nil {
 		return err
 	}
-	stop := rep.Profile.Phase("instance-enumeration")
-	placements := lo.Placements()
-	stop()
 	for _, r := range e.deck {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: check cancelled: %w", err)
@@ -27,13 +28,16 @@ func (e *Engine) checkSequential(ctx context.Context, lo *layout.Layout, rep *Re
 		// Rule boundary: let a lagging co-tenant's check run ahead of this
 		// one's next serial stretch (no-op without a context scheduler).
 		pool.YieldCtx(ctx)
-		if rp := e.delta.of(r.ID); rp != nil && rp.mode == deltaSkip {
-			continue // untouched by the edits; baseline violations retained
+		rp := e.plan.of(r.ID)
+		if rp != nil && rp.mode == planSkip {
+			// Record current: its violations are the rule's.
+			rep.Violations = append(rep.Violations, rp.rec.violations...)
+			continue
 		}
 		e.opts.Logger.Debugf("seq: rule %s", r)
 		r := r
 		w := ruleWindow{rule: r.ID, m0: rep.Profile.Elapsed()}
-		err := e.guardRule(ctx, rep, r, func() error {
+		err := e.runRule(ctx, rep, r, rp, ses, nil, func() error {
 			switch r.Kind {
 			case rules.Spacing:
 				return e.runSpacingSeq(ctx, lo, r, placements, rep, geo)

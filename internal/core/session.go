@@ -45,14 +45,23 @@ type Session struct {
 	pc     *parCtx    //odrc:guardedby smu
 	closed bool       // written with mu held
 
-	// Delta-check state, all guarded by the session lock: the last
-	// successful check's result, the dirty regions recorded since (undilated;
-	// pendingFull marks whole-layer dirt), and the check-traffic counters
-	// behind StatsSnapshot.
-	baseline    *sessionBaseline
+	// Results across time, all guarded by the session lock: one record per
+	// rule (record.go); the per-layer versions records are stamped with, which
+	// markDirty advances when dirt is recorded; the dirty regions pending since
+	// the last check (undilated; pendingFull marks whole-layer dirt); the
+	// instance enumeration, which no edit can change; and the check-traffic
+	// counters behind StatsSnapshot.
+	records     recordStore
+	ver         map[layout.Layer]uint64
 	pending     map[layout.Layer][]geom.Rect
 	pendingFull map[layout.Layer]bool
+	placements  [][]geom.Transform
 	stats       SessionStats
+
+	// forceExec makes plain checks execute rules whose record they would
+	// replay. Tests set it to get the executed run a replayed one must be
+	// indistinguishable from; nothing else does.
+	forceExec bool
 }
 
 // NewSession pins a layout and options into a resident session. The options
@@ -89,11 +98,14 @@ func (s *Session) unlock() { <-s.mu }
 func (s *Session) Layout() *layout.Layout { return s.lo }
 
 // Check runs deck against the session's layout, reusing the resident
-// geometry cache and device buffers. The deck is per-call: a session serves
-// full-deck and single-rule checks interchangeably. Cancellation semantics
-// match Engine.CheckContext; the resident state stays consistent whether
-// the check completes, degrades, or is cancelled (partial uploads are
-// session state like any other and are freed on Close).
+// geometry cache and device buffers, and replaying — violations, Stats and
+// the modeled device work — every rule whose record is current instead of
+// executing it. The deck is per-call: a session serves full-deck and
+// single-rule checks interchangeably. Cancellation semantics match
+// Engine.CheckContext; the resident state stays consistent whether the check
+// completes, degrades, or is cancelled (partial uploads are session state
+// like any other and are freed on Close; records commit rule by rule, each
+// only once its rule succeeded).
 func (s *Session) Check(ctx context.Context, deck rules.Deck) (*Report, error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, err
@@ -105,12 +117,9 @@ func (s *Session) Check(ctx context.Context, deck rules.Deck) (*Report, error) {
 	// Presence spans the whole check — serial sections included — so a
 	// context-carried scheduler can fair-share it against co-tenant load.
 	defer pool.EnterCtx(ctx)()
-	e := New(s.opts)
-	if err := e.AddRules(deck...); err != nil {
-		return nil, err
-	}
 	s.stats.FullChecks++
-	return s.runFull(ctx, e, e.Deck())
+	rep, _, err := s.run(ctx, deck, false)
+	return rep, err
 }
 
 // deviceCtx returns the session's persistent device context, creating it on

@@ -123,6 +123,7 @@ type Device struct {
 	pool      poolStats
 	memLimit  int64               // pool byte budget; 0 = unlimited
 	allocHook func(n int64) error // fault-injection seam; nil = none
+	capture   *Tape               // commands are logged here while set (Capture)
 }
 
 type poolStats struct {
@@ -313,6 +314,9 @@ func (s *Stream) enqueue(kind OpKind, name string, dur time.Duration, threads in
 	if kind == OpKernel {
 		d.launches++
 	}
+	if t := d.capture; t != nil {
+		t.cmds = append(t.cmds, tapeCmd{stream: s, kind: kind, name: name, dur: dur, threads: threads, ops: ops, bytes: bytes})
+	}
 	d.mu.Unlock()
 	return end
 }
@@ -430,46 +434,111 @@ func (p Props) Evaluate(name string, n int, body KernelFunc) Kernel {
 // enqueue. Returns the total ops executed, for callers' statistics.
 func (s *Stream) Launch(name string, n int, body KernelFunc) int64 {
 	k := s.dev.props.Evaluate(name, n, body)
-	s.enqueueKernel(k)
+	s.enqueue(OpKernel, k.Name, k.Dur, k.Threads, k.Ops, 0)
 	return k.Ops
 }
 
-func (s *Stream) enqueueKernel(k Kernel) {
-	s.enqueue(OpKernel, k.Name, k.Dur, k.Threads, k.Ops, 0)
-}
-
-// Tape records evaluated launches off-stream, in program order, for a later
-// Replay. It is what lets independent launch sequences (partition rows) be
-// simulated concurrently: each sequence evaluates onto its own tape, and the
-// tapes replay onto the stream in the order a single goroutine would have
-// launched them, yielding the same records. A Tape is single-goroutine; Reset
+// Tape records device work in program order for a later Replay. Two things
+// fill it. Launch evaluates a kernel off-stream, which is what lets
+// independent launch sequences (partition rows) be simulated concurrently:
+// each sequence evaluates onto its own tape, and the tapes replay onto the
+// stream in the order a single goroutine would have launched them, yielding
+// the same records. Device.Capture logs every command the device's streams
+// accept while it is installed — kernels, copies, allocations, frees,
+// synchronizations, event records and waits, each with its stream — so a
+// whole stretch of a run (one rule of a resident session) can be enqueued
+// again without re-executing a thread body. A Tape is single-goroutine; Reset
 // recycles its storage.
 type Tape struct {
-	props   Props
-	kernels []Kernel
+	props Props
+	cmds  []tapeCmd
 }
+
+// tapeCmd is one recorded command: a timeline record's kind and payload, or
+// one of the two event commands, which leave no record but order streams.
+type tapeCmd struct {
+	stream  *Stream // issuing stream; nil for an off-stream Launch (replays on Replay's receiver)
+	kind    OpKind
+	name    string
+	dur     time.Duration
+	threads int
+	ops     int64
+	bytes   int64
+	ev      Event // opRecord: the event as last recorded; opWait: the event waited on
+	src     int   // opWait: index of the tape's own opRecord of ev, -1 when ev predates the tape
+}
+
+// Event commands on a tape (never on the timeline).
+const (
+	opRecord OpKind = "event-record"
+	opWait   OpKind = "event-wait"
+)
 
 // Reset empties the tape and binds it to the device properties its launches
 // are priced with.
 func (t *Tape) Reset(p Props) {
 	t.props = p
-	t.kernels = t.kernels[:0]
+	t.cmds = t.cmds[:0]
 }
+
+// Len returns the number of commands on the tape.
+func (t *Tape) Len() int { return len(t.cmds) }
 
 // Launch evaluates the kernel and appends it to the tape.
 func (t *Tape) Launch(name string, n int, body KernelFunc) int64 {
 	k := t.props.Evaluate(name, n, body)
-	t.kernels = append(t.kernels, k)
+	t.cmds = append(t.cmds, tapeCmd{kind: OpKernel, name: k.Name, dur: k.Dur, threads: k.Threads, ops: k.Ops})
 	return k.Ops
 }
 
-// Replay enqueues the tape's launches on s in recorded order. Provided the
-// tape was priced with the device's properties, the resulting records equal
-// the ones direct Launch calls at this point would have produced.
-func (s *Stream) Replay(t *Tape) {
-	for _, k := range t.kernels {
-		s.enqueueKernel(k)
+// Capture appends every command the device's streams accept from now on to t
+// as well (without resetting it, so a capture can be suspended and resumed);
+// Capture(nil) stops. Commands execute normally while captured.
+func (d *Device) Capture(t *Tape) {
+	d.mu.Lock()
+	d.capture = t
+	d.mu.Unlock()
+}
+
+// Replay enqueues the tape's commands in recorded order: an off-stream launch
+// on s, a captured command on the stream it was captured from. Kernels and
+// copies keep their recorded durations and start wherever the live host clock
+// and stream frontiers put them, exactly as if issued afresh; allocations and
+// frees go through the pool accounting (so an allocation can fail, which ends
+// the replay with its error); an event recorded on the tape is recorded anew
+// and waits on it follow the new recording, while a wait on an event older
+// than the tape waits on that event as captured. Provided the tape was priced
+// with the device's properties, the resulting records equal the ones the
+// original calls would produce at this point.
+func (s *Stream) Replay(t *Tape) error {
+	for i := range t.cmds {
+		c := &t.cmds[i]
+		st := c.stream
+		if st == nil {
+			st = s
+		}
+		switch c.kind {
+		case OpAlloc:
+			if err := st.AllocAsync(c.bytes); err != nil {
+				return err
+			}
+		case OpFree:
+			st.FreeAsync(c.bytes)
+		case OpSync:
+			st.Synchronize()
+		case opRecord:
+			c.ev = st.RecordEvent()
+		case opWait:
+			ev := c.ev
+			if c.src >= 0 {
+				ev = t.cmds[c.src].ev
+			}
+			st.WaitEvent(ev)
+		default: // kernel, copy
+			st.enqueue(c.kind, c.name, c.dur, c.threads, c.ops, c.bytes)
+		}
 	}
+	return nil
 }
 
 // Synchronize blocks the modeled host until every operation enqueued on the
@@ -484,6 +553,9 @@ func (s *Stream) Synchronize() {
 	d.seq++
 	if s.ready > d.hostClock {
 		d.hostClock = s.ready
+	}
+	if t := d.capture; t != nil {
+		t.cmds = append(t.cmds, tapeCmd{stream: s, kind: OpSync})
 	}
 	d.mu.Unlock()
 }
@@ -511,9 +583,12 @@ func (s *Stream) RecordEvent() Event {
 	d := s.dev
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	id := d.eventSeq
+	e := Event{at: s.ready, id: d.eventSeq, stream: s.name}
 	d.eventSeq++
-	return Event{at: s.ready, id: id, stream: s.name}
+	if t := d.capture; t != nil {
+		t.cmds = append(t.cmds, tapeCmd{stream: s, kind: opRecord, ev: e})
+	}
+	return e
 }
 
 // WaitEvent makes subsequent operations on s wait for the event. An edge is
@@ -525,6 +600,13 @@ func (s *Stream) WaitEvent(e Event) {
 	if e.at > s.ready {
 		s.ready = e.at
 		d.waits = append(d.waits, WaitEdge{From: e.stream, To: s.name, At: e.at, ID: e.id})
+	}
+	if t := d.capture; t != nil {
+		src := len(t.cmds) - 1
+		for src >= 0 && (t.cmds[src].kind != opRecord || t.cmds[src].ev.id != e.id) {
+			src--
+		}
+		t.cmds = append(t.cmds, tapeCmd{stream: s, kind: opWait, ev: e, src: src})
 	}
 	d.mu.Unlock()
 }

@@ -1,8 +1,11 @@
 package gpu
 
 import (
+	"errors"
 	"testing"
 	"time"
+
+	"opendrc/internal/budget"
 )
 
 func TestKernelFunctionalExecution(t *testing.T) {
@@ -446,5 +449,101 @@ func TestEvaluateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm Tape.Launch allocated %v times", allocs)
+	}
+}
+
+// captureProgram is one rule's worth of device traffic across two streams:
+// a rule-local upload, a kernel ordered after it by an event, a wait on an
+// event that predates the capture, a synchronization and the free.
+func captureProgram(t *testing.T, io, cs *Stream, old Event) {
+	t.Helper()
+	if err := io.AllocAsync(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	io.MemcpyAsync("edges", 1<<20)
+	cs.WaitEvent(io.RecordEvent())
+	cs.WaitEvent(old)
+	cs.Launch("check", 100, func(tid int) int64 { return int64(tid%5) + 1 })
+	cs.Synchronize()
+	io.FreeAsync(1 << 20)
+}
+
+// TestCaptureReplayEqualsReissue: replaying a captured stretch yields exactly
+// the records, wait edges and pool accounting that issuing the same commands
+// again yields — with the host clock somewhere else than at capture time, so
+// the replayed event has to be a new recording, not the captured one.
+func TestCaptureReplayEqualsReissue(t *testing.T) {
+	run := func(replay bool) ([]Record, []WaitEdge, [4]int64) {
+		d := NewDevice(GTX1660Ti())
+		io, cs := d.NewStream("h2d"), d.NewStream("checks")
+		old := io.RecordEvent()
+		var tape Tape
+		tape.Reset(d.Props())
+		d.Capture(&tape)
+		captureProgram(t, io, cs, old)
+		// Residency plumbing in the middle of the rule stays off the tape.
+		d.Capture(nil)
+		io.MemcpyAsync("mbr-table", 4096)
+		cs.WaitEvent(io.RecordEvent())
+		d.Capture(&tape)
+		cs.Launch("tail", 7, func(int) int64 { return 3 })
+		cs.Synchronize()
+		d.Capture(nil)
+		if got := tape.Len(); got != 10 {
+			t.Fatalf("tape holds %d commands, want 10", got)
+		}
+
+		d.TrimTimeline()
+		d.HostAdvance(2 * time.Millisecond)
+		if replay {
+			if err := cs.Replay(&tape); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			captureProgram(t, io, cs, old)
+			cs.Launch("tail", 7, func(int) int64 { return 3 })
+			cs.Synchronize()
+		}
+		inUse, peak, total, allocs := d.PoolStats()
+		return d.Timeline(), d.WaitEdges(), [4]int64{inUse, peak, total, int64(allocs)}
+	}
+	wantRecs, wantWaits, wantPool := run(false)
+	gotRecs, gotWaits, gotPool := run(true)
+	if len(gotRecs) != len(wantRecs) || len(wantRecs) != 7 {
+		t.Fatalf("replay enqueued %d records, reissue %d (want 7)", len(gotRecs), len(wantRecs))
+	}
+	for i := range wantRecs {
+		if gotRecs[i] != wantRecs[i] {
+			t.Errorf("record %d differs:\n reissued %+v\n replayed %+v", i, wantRecs[i], gotRecs[i])
+		}
+	}
+	if len(gotWaits) != 1 || len(wantWaits) != 1 || gotWaits[0] != wantWaits[0] {
+		t.Errorf("wait edges: reissued %+v, replayed %+v", wantWaits, gotWaits)
+	}
+	if gotPool != wantPool {
+		t.Errorf("pool accounting: reissued %v, replayed %v", wantPool, gotPool)
+	}
+}
+
+// TestReplayAllocFailure: a replayed allocation goes through the pool, so it
+// can fail — and ends the replay with the allocator's error.
+func TestReplayAllocFailure(t *testing.T) {
+	d := NewDevice(GTX1660Ti())
+	s := d.NewStream("s")
+	var tape Tape
+	tape.Reset(d.Props())
+	d.Capture(&tape)
+	if err := s.AllocAsync(100); err != nil {
+		t.Fatal(err)
+	}
+	s.Launch("k", 1, func(int) int64 { return 1 })
+	d.Capture(nil)
+	d.SetMemLimit(150)
+	n := d.OpCount()
+	if err := s.Replay(&tape); !errors.Is(err, budget.ErrExceeded) {
+		t.Fatalf("Replay = %v, want a device-pool budget error", err)
+	}
+	if d.OpCount() != n {
+		t.Fatal("commands after the failed allocation were enqueued")
 	}
 }

@@ -173,9 +173,8 @@ func (s *Server) respondCheck(w http.ResponseWriter, reqID string, req checkRequ
 	rep := out.rep
 	s.svc.note(rep.HostWall)
 	if req.Dedup == nil || *req.Dedup {
-		// Dedup on a copy: for delta checks the report's violation slice can
-		// be shared with session-resident baseline state, and a response-
-		// shaping option must never mutate what the session will reuse.
+		// Dedup on a copy: a response-shaping option never rewrites the
+		// report the engine returned.
 		dd := *rep
 		dd.Violations = core.DedupViolations(rep.Violations)
 		rep = &dd

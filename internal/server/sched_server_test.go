@@ -147,6 +147,16 @@ func TestCheckBytesInvariantUnderCoTenantLoad(t *testing.T) {
 		t.Fatalf("solo check: %d: %s", status, solo)
 	}
 
+	// A session answers a repeated identical check from its rule records;
+	// dropping its resident state first makes every check below real work.
+	executed := func(id string) (int, []byte) {
+		if status, body, _ := postJSON(t, ts.URL+"/v1/sessions/"+id+"/invalidate", map[string]any{}); status != http.StatusNoContent {
+			t.Errorf("invalidate %s: %d: %s", id, status, body)
+		}
+		status, body, _ := checkOnce(t, ts.URL, id, map[string]any{})
+		return status, body
+	}
+
 	// Heavy co-tenant: two loops of back-to-back full-deck checks.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -160,12 +170,12 @@ func TestCheckBytesInvariantUnderCoTenantLoad(t *testing.T) {
 					return
 				default:
 				}
-				checkOnce(t, ts.URL, "heavy", map[string]any{})
+				executed("heavy")
 			}
 		}()
 	}
 	for i := 0; i < 3; i++ {
-		status, body, _ := checkOnce(t, ts.URL, "light", map[string]any{})
+		status, body := executed("light")
 		if status != http.StatusOK {
 			t.Fatalf("check %d under load: %d: %s", i, status, body)
 		}

@@ -218,12 +218,21 @@ func Dedup(vs []Violation) []Violation { return core.DedupViolations(vs) }
 //
 //	ses := opendrc.NewSession(db, opendrc.WithMode(opendrc.Parallel))
 //	defer ses.Close(context.Background())
-//	rep, err := ses.Check(ctx, deck)        // cold: flatten, pack, upload
-//	rep2, err := ses.Check(ctx, deck[2:3])  // warm: resident buffers reused
+//	rep, err := ses.Check(ctx, deck)        // cold: flatten, pack, upload, execute
+//	rep2, err := ses.Check(ctx, deck[2:3])  // warm: answered from the rule's record
+//
+// A session also keeps each rule's last result — violations, the Stats its
+// executor wrote, the modeled device work — keyed by the rule's value and
+// stamped with the version of the layers it read. A check replays every rule
+// whose record is current and executes the rest; Edit and Invalidate put the
+// records of the layers they dirty behind, InvalidateAll drops them. Custom
+// predicates must therefore be pure functions of their Obj: a record is
+// shared by every rule equal in all fields and in the predicate's code.
 //
 // Reports from a session are bit-identical to batch runs of the same deck
-// in their canonical form (Report.WriteCanonicalJSON); only cost counters
-// and timings differ. ErrSessionClosed fails checks after Close.
+// in their canonical form (Report.WriteCanonicalJSON), replayed or executed;
+// only cost counters and timings differ. ErrSessionClosed fails checks after
+// Close.
 type Session = core.Session
 
 // ErrSessionClosed is returned by Session.Check after Session.Close.

@@ -3,7 +3,8 @@
 # build the daemon and the batch CLI, generate a benchmark GDS, load it as a
 # resident session, run cold/warm full-deck checks and a warm single-rule
 # check via curl, and require every response body byte-identical to
-# `odrc -canon` on the same file. Then verify the daemon sheds no goroutines
+# `odrc -canon` on the same file — the warm one answered entirely from the
+# session's rule records. Then verify the daemon sheds no goroutines
 # while idle and drains cleanly on SIGTERM (exit 0). check.sh runs it at
 # scale 0.2; CI re-runs it at its own scale via the SCALE env var.
 set -e
@@ -45,10 +46,19 @@ base="http://$(cat "$tmp/addr" | tr -d '\n')"
 curl -fsS "$base/healthz" >/dev/null
 g0="$(curl -fsS "$base/debug/goroutines" | jq .goroutines)"
 
-curl -fsS -X POST "$base/v1/sessions" \
-	-d "{\"id\":\"uart\",\"gds\":\"$tmp/uart.gds\"}" >/dev/null
+deck="$(curl -fsS -X POST "$base/v1/sessions" \
+	-d "{\"id\":\"uart\",\"gds\":\"$tmp/uart.gds\"}" | jq .rules)"
 curl -fsS -X POST "$base/v1/sessions/uart/check" -d '{}' >"$tmp/http_cold.json"
 curl -fsS -X POST "$base/v1/sessions/uart/check" -d '{}' >"$tmp/http_warm.json"
+# The warm check replayed every rule the cold one executed (and still has to
+# cmp equal to batch below).
+stats="$(curl -fsS "$base/v1/sessions/uart/stats")"
+for want in ".stats.rules_executed == $deck" ".stats.rules_replayed == $deck" '.stats.result_bytes > 0'; do
+	echo "$stats" | jq -e "$want" >/dev/null || {
+		echo "smoke_odrcd: warm check was not replayed ($want): $stats" >&2
+		exit 1
+	}
+done
 curl -fsS -X POST "$base/v1/sessions/uart/check" \
 	-d "{\"rules\":[\"$RULE\"]}" >"$tmp/http_one.json"
 
