@@ -59,7 +59,6 @@ func run() int {
 	maxFlatten := flag.Int64("max-flatten", 0, "fail a rule that would flatten more than this many polygons (0 = unlimited)")
 	maxEdges := flag.Int64("max-edges", 0, "fail a rule that would pack more than this many device edges (0 = unlimited)")
 	maxDeviceBytes := flag.Int64("max-device-bytes", 0, "simulated device memory pool limit in bytes (0 = unlimited)")
-	noGeoCache := flag.Bool("no-geocache", false, "disable the cross-rule geometry cache and pipelined schedule (ablation; results are identical)")
 	traceOut := flag.String("trace", "", "write a Chrome-trace/Perfetto JSON timeline of the run to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: odrc [flags] file.gds\n")
@@ -110,9 +109,6 @@ func run() int {
 	default:
 		fmt.Fprintf(os.Stderr, "odrc: unknown mode %q (want seq or par)\n", *mode)
 		return exitUsage
-	}
-	if *noGeoCache {
-		opts = append(opts, opendrc.WithoutGeoCache())
 	}
 	opts = append(opts,
 		opendrc.WithWorkers(*workers),

@@ -272,14 +272,12 @@ func (s *Session) InvalidateAll(ctx context.Context) error {
 	if s.closed {
 		return ErrSessionClosed
 	}
-	if s.geo.cache != nil {
-		s.geo.cache.Invalidate()
-	}
+	s.geo.Invalidate()
 	s.smu.Lock()
 	pc := s.pc
 	s.smu.Unlock()
 	if pc != nil {
-		s.freeResident(pc, nil)
+		pc.freeResident()
 	}
 	s.records.reset()
 	s.placements = nil
@@ -364,12 +362,10 @@ func (s *Session) patchPending(deck rules.Deck, pc *parCtx) {
 	layers = slices.Compact(layers)
 	guard := deck.MaxReach()
 	for _, l := range layers {
-		if s.pendingFull[l] || s.geo.cache == nil {
-			if s.geo.cache != nil {
-				s.geo.cache.Invalidate(l)
-			}
+		if s.pendingFull[l] {
+			s.geo.Invalidate(l)
 			if pc != nil {
-				s.freeResident(pc, []layout.Layer{l})
+				pc.freeResident(l)
 			}
 			continue
 		}
@@ -378,15 +374,15 @@ func (s *Session) patchPending(deck rules.Deck, pc *parCtx) {
 			rects[i] = r.Expand(guard)
 		}
 		stop := s.opts.Trace.Begin(trace.TrackGeocache, "", "patch:"+layerKey(l), "geocache")
-		out := s.geo.cache.InvalidateRegion(l, guard, s.opts.PartitionAlg, rects)
+		out := s.geo.InvalidateRegion(l, guard, s.opts.PartitionAlg, rects)
 		stop(trace.Arg{Key: "segmented", Val: out.Segmented},
 			trace.Arg{Key: "rows_requeried", Val: out.RowsDirty},
 			trace.Arg{Key: "polys_replaced", Val: out.PolysRequeried})
 		if pc != nil {
 			if out.Segmented {
-				s.partialFreeResident(pc, l, out.KeptEdgeBytes)
+				pc.partialFreeResident(l, out.KeptEdgeBytes)
 			} else {
-				s.freeResident(pc, []layout.Layer{l})
+				pc.freeResident(l)
 			}
 		}
 	}
@@ -398,13 +394,13 @@ func (s *Session) patchPending(deck rules.Deck, pc *parCtx) {
 // edge buffer, keeping keptBytes resident; the next bindEdges uploads only
 // the delta. A patch that displaced nothing (an insert outside every row)
 // keeps the whole buffer and frees nothing. Session lock held.
-func (s *Session) partialFreeResident(pc *parCtx, l layout.Layer, keptBytes int64) {
+func (pc *parCtx) partialFreeResident(l layout.Layer, keptBytes int64) {
 	for _, b := range pc.resident {
 		if b.layer != l {
 			continue
 		}
 		if keptBytes <= 0 || keptBytes > b.bytes {
-			s.freeResident(pc, []layout.Layer{l})
+			pc.freeResident(l)
 			return
 		}
 		if keptBytes < b.bytes {
@@ -422,17 +418,14 @@ func (s *Session) partialFreeResident(pc *parCtx, l layout.Layer, keptBytes int6
 // nothing: every check executes every rule, a delta check falls back — or ""
 // when it keeps them. Budgets and fault injection change which rules fail,
 // and failure sets are part of the report, so a replayed or incremental run
-// under either could diverge from a cold one; with the geometry cache or the
-// pruning off there is no resident layer state for a record to be current
-// against.
+// under either could diverge from a cold one; with the pruning off there is
+// no resident layer state for a record to be current against.
 func (s *Session) recordsOff() string {
 	switch {
 	case s.opts.Faults != nil:
 		return "fault injection active"
 	case s.opts.Budgets != (budget.Limits{}):
 		return "resource budgets active"
-	case s.geo.cache == nil:
-		return "geometry cache disabled"
 	case s.opts.DisablePruning:
 		return "hierarchy pruning disabled"
 	}
@@ -518,9 +511,8 @@ func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo)
 // byte-identical (canonical JSON) to a cold full check of the edited layout.
 // Rules are planned one by one, so the deck may differ from any checked
 // before. When incremental execution is unsafe or pointless — active fault
-// injection or budgets, the cache or the pruning off, no rule of the deck with
-// a record to go by — it falls back to a full check; DeltaInfo says which
-// happened.
+// injection or budgets, the pruning off, no rule of the deck with a record to
+// go by — it falls back to a full check; DeltaInfo says which happened.
 func (s *Session) DeltaCheck(ctx context.Context, deck rules.Deck) (*Report, DeltaInfo, error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, DeltaInfo{}, err
@@ -578,9 +570,7 @@ func (s *Session) StatsSnapshot(ctx context.Context) (SessionStats, error) {
 	}
 	out := s.stats
 	out.ResultBytes = s.records.bytes()
-	if s.geo.cache != nil {
-		out.Geocache = s.geo.cache.Stats()
-	}
+	out.Geocache = s.geo.Stats()
 	s.smu.Lock()
 	pc := s.pc
 	s.smu.Unlock()

@@ -26,6 +26,7 @@ import (
 	"opendrc/internal/partition"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
+	"opendrc/internal/sweep"
 	"opendrc/internal/trace"
 )
 
@@ -72,18 +73,11 @@ type Options struct {
 	// result slots that merge in a fixed order.
 	Workers int
 
-	// DisableGeoCache turns off the per-run cross-rule geometry cache (the
-	// -no-geocache escape hatch for A/B runs): every rule re-flattens and
-	// re-packs its layer and the parallel mode re-uploads per rule instead
-	// of keeping edge buffers device-resident. Reports are bit-identical
-	// either way; only cost changes.
-	DisableGeoCache bool
-
 	// Budgets are the run's resource limits (flatten size, packed edges,
 	// device pool bytes). A rule that trips a budget becomes a RuleFailure
 	// in the report instead of aborting the run. The zero value imposes no
-	// limits. With the geometry cache enabled, the packed-edges budget is
-	// charged per *upload* (once per layer) rather than once per rule.
+	// limits. The packed-edges budget is charged per *upload* (once per
+	// layer) rather than once per rule.
 	Budgets budget.Limits
 
 	// Faults is the deterministic fault injector driving the chaos test
@@ -108,9 +102,10 @@ type Engine struct {
 	opts Options
 	deck rules.Deck
 	// shards recycles fan-out output tables across the engine's rules (see
-	// collect.go); a deterministic freelist, so engine runs stay pure
-	// functions of their inputs.
+	// collect.go) and sweeps the sweepline scratch; deterministic freelists,
+	// so engine runs stay pure functions of their inputs.
 	shards shardPool
+	sweeps sweep.Pool
 	// plan is a session check's per-rule classification against the
 	// session's rule records (nil for batch runs and sessions that keep none):
 	// replay, skip, restrict with claim regions, or execute and re-record.
@@ -119,14 +114,45 @@ type Engine struct {
 
 // New creates an engine.
 func New(opts Options) *Engine {
+	return &Engine{opts: withDefaults(opts)}
+}
+
+// withDefaults fills the options' zero-valued defaults: the executor cutoff
+// and the device model.
+func withDefaults(opts Options) Options {
 	if opts.BruteEdgeThreshold == 0 {
 		opts.BruteEdgeThreshold = defaultBruteEdgeThreshold
 	}
 	if opts.Device.SMs == 0 {
 		opts.Device = gpu.GTX1660Ti()
 	}
-	return &Engine{opts: opts}
+	return opts
 }
+
+// newGeoCache builds the geometry cache of a batch run or a session, wiring
+// the flatten fault seam and the trace recorder's geocache track into it.
+func newGeoCache(opts Options) *geocache.Cache {
+	gc := geocache.New(opts.Budgets)
+	if inj := opts.Faults; inj != nil {
+		gc.SetFaultHook(func(ctx context.Context, l layout.Layer) error {
+			return inj.Hit(ctx, faults.SiteFlatten, layerKey(l))
+		})
+	}
+	if rec := opts.Trace; rec != nil {
+		gc.SetEventHook(func(ev geocache.Event) {
+			result := "miss"
+			if ev.Hit {
+				result = "hit"
+			}
+			rec.Instant(trace.TrackGeocache, "", ev.Op+":"+ev.Key, "geocache",
+				trace.Arg{Key: "result", Val: result})
+		})
+	}
+	return gc
+}
+
+// layerKey is the deterministic fault-injection key of a layer's flatten.
+func layerKey(l layout.Layer) string { return fmt.Sprintf("layer#%d", int(l)) }
 
 // AddRules appends validated rules to the deck, assigning sequential IDs to
 // anonymous rules.
@@ -165,19 +191,18 @@ type Stats struct {
 	EdgesPacked    int
 	BytesCopied    int64
 
-	// Cross-rule geometry reuse (zero when the cache is disabled). Hits and
-	// misses count every flatten/pack request including the rule
-	// prefetcher's; misses equal the number of distinct layers computed, so
-	// both are deterministic for a fixed deck regardless of worker count or
-	// prefetch timing.
+	// Cross-rule geometry reuse. Hits and misses count every flatten/pack
+	// request including the rule prefetcher's; misses equal the number of
+	// distinct layers computed, so both are deterministic for a fixed deck
+	// regardless of worker count or prefetch timing.
 	FlattenCacheHits   int64
 	FlattenCacheMisses int64
 	PackCacheHits      int64
 	PackCacheMisses    int64
 
-	// Device residency (parallel mode with the cache enabled): layer edge
-	// buffers uploaded once, reused by event, and LRU-evicted when the
-	// device pool budget would otherwise trip.
+	// Device residency (parallel mode): layer edge buffers uploaded once,
+	// reused by event, and LRU-evicted when the device pool budget would
+	// otherwise trip.
 	DeviceUploads   int64
 	DeviceReuses    int64
 	DeviceEvictions int64
@@ -292,10 +317,10 @@ func (e *Engine) CheckContext(ctx context.Context, lo *layout.Layout) (*Report, 
 }
 
 // checkWith is CheckContext with optionally session-owned state: a non-nil
-// session contributes its resident geometry source and (parallel mode) its
+// session contributes its resident geometry cache and (parallel mode) its
 // persistent device context, so the expensive cross-rule state survives the
 // run instead of being rebuilt per check. A nil session is the batch path —
-// per-run geometry source, per-run device. The caller (Session.Check) holds
+// per-run geometry cache, per-run device. The caller (Session.Check) holds
 // the session lock.
 func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session) (*Report, error) {
 	if err := e.deck.Validate(); err != nil {
@@ -318,34 +343,35 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 		})
 		ctx = trace.WithRecorder(ctx, rec)
 	}
-	var geo *geoSource
+	var geo *geocache.Cache
 	if ses != nil {
 		geo = ses.geo
 	} else {
-		geo = newGeoSource(e.opts, rec)
+		geo = newGeoCache(e.opts)
 	}
 	// Session cache counters accumulate across checks; snapshot so the
 	// report carries this run's traffic (a warm session reports pure hits).
-	var cs0 geocache.Stats
-	if geo.cache != nil {
-		cs0 = geo.cache.Stats()
-	}
+	cs0 := geo.Stats()
 	// On a session device the modeled clock is cumulative; Modeled must be
 	// this run's delta, measured from the clock reading at entry.
 	var devStart time.Duration
 	start := rep.Profile.Elapsed()
 	var pc *parCtx
-	if ses != nil {
-		if e.opts.Mode == Parallel {
+	if e.opts.Mode == Parallel {
+		if ses != nil {
 			pc = ses.deviceCtx()
-			devStart = pc.dev.HostClock()
+		} else {
+			pc = newParCtx(e.opts, geo, false)
 		}
+		devStart = pc.dev.HostClock()
+	}
+	if ses != nil {
 		ses.applyPending(e.deck, rep, pc)
 	}
 	var err error
 	switch e.opts.Mode {
 	case Parallel:
-		err = e.checkParallel(ctx, lo, rep, ses, geo, pc)
+		err = e.checkParallel(ctx, lo, rep, ses, pc)
 	default:
 		err = e.checkSequential(ctx, lo, rep, ses, geo)
 	}
@@ -358,13 +384,11 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	} else {
 		rep.Modeled = rep.Device.HostClock() - devStart
 	}
-	if geo.cache != nil {
-		cs := geo.cache.Stats()
-		rep.Stats.FlattenCacheHits = cs.FlattenHits - cs0.FlattenHits
-		rep.Stats.FlattenCacheMisses = cs.FlattenMisses - cs0.FlattenMisses
-		rep.Stats.PackCacheHits = cs.PackHits - cs0.PackHits
-		rep.Stats.PackCacheMisses = cs.PackMisses - cs0.PackMisses
-	}
+	cs := geo.Stats()
+	rep.Stats.FlattenCacheHits = cs.FlattenHits - cs0.FlattenHits
+	rep.Stats.FlattenCacheMisses = cs.FlattenMisses - cs0.FlattenMisses
+	rep.Stats.PackCacheHits = cs.PackHits - cs0.PackHits
+	rep.Stats.PackCacheMisses = cs.PackMisses - cs0.PackMisses
 	if rec != nil {
 		rep.Stats.Trace = buildTraceSummary(rep)
 		exportRunTrace(rec, rep, e.opts)
@@ -558,7 +582,7 @@ func (e *Engine) guardRule(ctx context.Context, rep *Report, r rules.Rule, statu
 
 // sortViolations orders the report deterministically. rules.Less is a total
 // order, so equal violation multisets sort into identical slices regardless
-// of emission order (kernel schedule, cache configuration, worker count).
+// of emission order (kernel schedule, worker count, replay or execution).
 func sortViolations(vs []rules.Violation) {
 	sort.Slice(vs, func(i, j int) bool { return rules.Less(&vs[i], &vs[j]) })
 }

@@ -9,14 +9,15 @@ import (
 	"opendrc/internal/faults"
 	"opendrc/internal/geom"
 	"opendrc/internal/kernels"
+	"opendrc/internal/klayout"
 	"opendrc/internal/layout"
 	"opendrc/internal/rules"
 	"opendrc/internal/synth"
 )
 
 // The geometry-cache suite: the cross-rule cache, device residency, and the
-// prefetch pipeline change cost, never results. Reports must be
-// bit-identical across cache configurations and worker counts, and a fault
+// prefetch pipeline change cost, never results. Reports must match an
+// uncached reference and be bit-identical across worker counts, and a fault
 // on a cached computation must degrade exactly the rules sharing that
 // layer.
 
@@ -46,10 +47,11 @@ func checkWith(t *testing.T, lo *layout.Layout, deck rules.Deck, opts Options) *
 	return rep
 }
 
-// TestGeoCacheIdentityMatrix checks every synth design in both modes:
-// violations are bit-identical with the cache on and off, and — per cache
-// configuration — the full report (violations and scheduling counters) is
-// identical across worker counts.
+// TestGeoCacheIdentityMatrix checks every synth design in both modes against
+// an independent reference that shares no geometry code path with the cache:
+// the KLayout flat baseline, which flattens straight from the hierarchy. The
+// deduplicated violations of every run equal the baseline's, and per mode the
+// scheduling counters are identical across worker counts.
 func TestGeoCacheIdentityMatrix(t *testing.T) {
 	for _, profile := range synth.Designs() {
 		design := profile.Name
@@ -57,34 +59,31 @@ func TestGeoCacheIdentityMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var flat []rules.Violation
+		for _, r := range reuseTestDeck() {
+			res, err := klayout.Check(lo, r, klayout.Options{Mode: klayout.Flat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat = append(flat, res.Violations...)
+		}
+		want := violationKeys(flat)
+		if len(want) == 0 {
+			t.Errorf("%s: flat reference found no violations; matrix is vacuous", design)
+		}
 		for _, mode := range []Mode{Sequential, Parallel} {
-			var base *Report
-			for _, noCache := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
-					rep := checkWith(t, lo, reuseTestDeck(), Options{
-						Mode: mode, Workers: workers, DisableGeoCache: noCache,
-					})
-					if base == nil {
-						base = rep
-						if len(rep.Violations) == 0 {
-							t.Errorf("%s %v: deck found no violations; matrix is vacuous", design, mode)
-						}
-						continue
-					}
-					if !reflect.DeepEqual(base.Violations, rep.Violations) {
-						t.Errorf("%s %v cache=%v workers=%d: violations differ from baseline",
-							design, mode, !noCache, workers)
-					}
+			var stats []Stats
+			for _, workers := range []int{1, 4} {
+				rep := checkWith(t, lo, reuseTestDeck(), Options{Mode: mode, Workers: workers})
+				if got := violationKeys(rep.Violations); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %v workers=%d: %d deduplicated violations, flat reference %d",
+						design, mode, workers, len(got), len(want))
 				}
-				// Per cache configuration, the counters are also schedule-
-				// independent: rerun with both worker counts and compare whole
-				// stats.
-				r1 := checkWith(t, lo, reuseTestDeck(), Options{Mode: mode, Workers: 1, DisableGeoCache: noCache})
-				rN := checkWith(t, lo, reuseTestDeck(), Options{Mode: mode, Workers: 4, DisableGeoCache: noCache})
-				if r1.Stats != rN.Stats {
-					t.Errorf("%s %v cache=%v: stats differ across worker counts:\n  w1=%+v\n  wN=%+v",
-						design, mode, !noCache, r1.Stats, rN.Stats)
-				}
+				stats = append(stats, rep.Stats)
+			}
+			if stats[0] != stats[1] {
+				t.Errorf("%s %v: stats differ across worker counts:\n  w1=%+v\n  wN=%+v",
+					design, mode, stats[0], stats[1])
 			}
 		}
 	}
@@ -118,65 +117,48 @@ func TestGeoCacheCounters(t *testing.T) {
 	if s.DeviceEvictions != 0 {
 		t.Errorf("DeviceEvictions = %d on an unlimited pool", s.DeviceEvictions)
 	}
-
-	off := checkWith(t, lo, reuseTestDeck(), Options{Mode: Parallel, DisableGeoCache: true})
-	if off.Stats.FlattenCacheMisses != 0 || off.Stats.DeviceUploads != 0 {
-		t.Errorf("cache-off run reported cache counters: %+v", off.Stats)
-	}
-	if !reflect.DeepEqual(off.Violations, rep.Violations) {
-		t.Error("cache on/off violations differ")
-	}
 }
 
 // TestChaosFlattenFaultScopedToLayer injects an error into the cached
 // flatten of M1 and demands that exactly the rules sharing M1 degrade — the
 // cached error must not leak into M2's rules, and the degradation must be
-// identical across worker counts and cache configurations (the uncached
-// path hits the same seam per rule).
+// identical across worker counts.
 func TestChaosFlattenFaultScopedToLayer(t *testing.T) {
 	lo, _, err := synth.Load("uart", 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := "layer#" + strconv.Itoa(int(layout.LayerM1))
-	for _, noCache := range []bool{false, true} {
-		var fp string
-		for _, workers := range []int{1, 4} {
-			inj := faults.New(1, faults.Injection{Site: faults.SiteFlatten, Key: key, Mode: faults.Error})
-			rep := checkWith(t, lo, reuseTestDeck(), Options{
-				Mode: Parallel, Workers: workers, Faults: inj, DisableGeoCache: noCache,
-			})
-			if !rep.Degraded {
-				t.Fatalf("cache=%v: injected flatten fault degraded nothing", !noCache)
+	var fp string
+	for _, workers := range []int{1, 4} {
+		inj := faults.New(1, faults.Injection{Site: faults.SiteFlatten, Key: key, Mode: faults.Error})
+		rep := checkWith(t, lo, reuseTestDeck(), Options{Mode: Parallel, Workers: workers, Faults: inj})
+		if !rep.Degraded {
+			t.Fatal("injected flatten fault degraded nothing")
+		}
+		failed := map[string]bool{}
+		for _, f := range rep.Failures {
+			failed[f.Rule] = true
+		}
+		if !failed["GC.M1.base"] || !failed["GC.M1.prl"] || len(failed) != 2 {
+			t.Errorf("workers=%d: failed rules %v, want exactly the two M1 rules", workers, failed)
+		}
+		m2 := 0
+		for _, v := range rep.Violations {
+			switch v.Layer {
+			case layout.LayerM1:
+				t.Fatalf("workers=%d: failed M1 rules still produced violations", workers)
+			case layout.LayerM2:
+				m2++
 			}
-			failed := map[string]bool{}
-			for _, f := range rep.Failures {
-				failed[f.Rule] = true
-			}
-			if !failed["GC.M1.base"] || !failed["GC.M1.prl"] || len(failed) != 2 {
-				t.Errorf("cache=%v workers=%d: failed rules %v, want exactly the two M1 rules",
-					!noCache, workers, failed)
-			}
-			for _, v := range rep.Violations {
-				if v.Layer == layout.LayerM1 {
-					t.Errorf("cache=%v: failed M1 rules still produced violations", !noCache)
-					break
-				}
-			}
-			m2 := 0
-			for _, v := range rep.Violations {
-				if v.Layer == layout.LayerM2 {
-					m2++
-				}
-			}
-			if m2 == 0 {
-				t.Errorf("cache=%v: M2 rules found nothing; fault leaked across layers", !noCache)
-			}
-			if fp == "" {
-				fp = failureFingerprint(rep.Failures)
-			} else if got := failureFingerprint(rep.Failures); got != fp {
-				t.Errorf("cache=%v workers=%d: failure fingerprint differs:\n%s\nvs\n%s", !noCache, workers, got, fp)
-			}
+		}
+		if m2 == 0 {
+			t.Errorf("workers=%d: M2 rules found nothing; fault leaked across layers", workers)
+		}
+		if fp == "" {
+			fp = failureFingerprint(rep.Failures)
+		} else if got := failureFingerprint(rep.Failures); got != fp {
+			t.Errorf("workers=%d: failure fingerprint differs:\n%s\nvs\n%s", workers, got, fp)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"opendrc/internal/budget"
 	"opendrc/internal/checks"
 	"opendrc/internal/faults"
+	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/gpu"
 	"opendrc/internal/kernels"
@@ -43,8 +44,7 @@ type parCtx struct {
 	io  *gpu.Stream // async copies host->device
 	cs  *gpu.Stream // check kernels
 
-	geo        *geoSource
-	residentOn bool           // keep layer buffers on the device across rules
+	geo        *geocache.Cache
 	persistent bool           // session-owned: residents outlive the check
 	resident   []*residentBuf // slice, not map: eviction scans must be deterministic
 	useCtr     int64
@@ -54,6 +54,43 @@ type parCtx struct {
 	// the report's Stats meanwhile. See live.
 	rec       *ruleRecord
 	liveStats Stats
+}
+
+// newParCtx builds the device plumbing of a batch run (persistent false) or
+// a session: the device, its h2d and checks streams, and the pool limit of
+// the device-bytes budget.
+func newParCtx(opts Options, geo *geocache.Cache, persistent bool) *parCtx {
+	pc := &parCtx{dev: gpu.NewDevice(opts.Device), geo: geo, persistent: persistent}
+	pc.io = pc.dev.NewStream("h2d")
+	pc.cs = pc.dev.NewStream("checks")
+	if n := opts.Budgets.MaxDeviceBytes; n > 0 {
+		pc.dev.SetMemLimit(n)
+	}
+	return pc
+}
+
+// freeResident frees the device-resident buffers of the given layers (all
+// when none given), ordered after every kernel enqueued so far, mirroring how
+// they were uploaded: the end of a batch run, an LRU eviction, a session's
+// invalidation and its Close all free this way.
+func (pc *parCtx) freeResident(layers ...layout.Layer) {
+	keep := pc.resident[:0]
+	var doomed []*residentBuf
+	for _, b := range pc.resident {
+		if len(layers) == 0 || slices.Contains(layers, b.layer) {
+			doomed = append(doomed, b)
+		} else {
+			keep = append(keep, b)
+		}
+	}
+	if len(doomed) == 0 {
+		return
+	}
+	pc.io.WaitEvent(pc.cs.RecordEvent())
+	for _, b := range doomed {
+		pc.io.FreeAsync(b.bytes)
+	}
+	pc.resident = keep
 }
 
 // live brackets residency plumbing — a layer's upload, reuse or partial
@@ -115,19 +152,14 @@ type residentBuf struct {
 // mbrTable returns the layer's resident derived MBR table, uploading it on
 // first use: the host has already computed the MBR arrays and x-order for
 // the row partition (memoized in the geometry cache, usually warmed by the
-// prefetch sweep), so residency turns per-rule device derivation (poly-mbr +
-// sort-mbrs launches) into one small async copy per layer. Residency off
-// (cache disabled) returns nil and callers fall back to the per-rule
-// discovery kernels.
+// prefetch sweep), so one small async copy per layer replaces any device-side
+// derivation. The layer must be bound (bindEdges) first.
 func (pc *parCtx) mbrTable(ctx context.Context, lo *layout.Layout, rep *Report, l layout.Layer) (*kernels.MBRTable, error) {
-	if !pc.residentOn {
-		return nil, nil
-	}
 	defer pc.live(rep)()
 	for _, b := range pc.resident {
 		if b.layer == l {
 			if b.mbr == nil {
-				t, err := pc.geo.cache.Table(ctx, lo, l)
+				t, err := pc.geo.Table(ctx, lo, l)
 				if err != nil {
 					return nil, err
 				}
@@ -139,7 +171,7 @@ func (pc *parCtx) mbrTable(ctx context.Context, lo *layout.Layout, rep *Report, 
 			return b.mbr, nil
 		}
 	}
-	return nil, nil
+	return nil, fmt.Errorf("core: MBR table: layer %d is not device-resident", l)
 }
 
 // hostPhase measures fn as host work: it is charged to the profiler (whose
@@ -173,22 +205,13 @@ const simPhase = "par:kernel-sim"
 // (the device-pool-bytes budget) surfaces through AllocAsync as an error
 // the guard converts into a RuleFailure.
 //
-// With the geometry cache enabled the schedule is pipelined: a single-worker
-// prefetch pool sweeps the deck ahead of the executing rule, flattening,
-// packing, and partitioning upcoming layers on the host while the device
-// executes the current rule's kernels — by the time rule k starts, its
-// geometry is usually a cache hit costing ~zero host time. Prefetching only
-// warms the cache — it never touches streams, the report, or rule state — so
-// reports stay bit-identical with and without it.
-func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, geo *geoSource, pc *parCtx) error {
-	if pc == nil {
-		pc = &parCtx{dev: gpu.NewDevice(e.opts.Device), geo: geo, residentOn: geo.cache != nil}
-		pc.io = pc.dev.NewStream("h2d")
-		pc.cs = pc.dev.NewStream("checks")
-		if n := e.opts.Budgets.MaxDeviceBytes; n > 0 {
-			pc.dev.SetMemLimit(n)
-		}
-	}
+// The schedule is pipelined: a prefetch pool sweeps the deck ahead of the
+// executing rule, flattening, packing, and partitioning upcoming layers on the
+// host while the device executes the current rule's kernels — by the time
+// rule k starts, its geometry is usually a cache hit costing ~zero host time.
+// Prefetching only warms the cache — it never touches streams, the report, or
+// rule state — so reports stay bit-identical with and without it.
+func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, pc *parCtx) error {
 	rep.Device = pc.dev
 	launches0 := pc.dev.KernelCount()
 	if e.opts.Faults != nil {
@@ -198,10 +221,9 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		})
 	}
 
-	// With the cache on, a prefetch pool sweeps the rest of the deck ahead of
-	// the executing rule, warming each upcoming layer's flatten, pack, and
-	// (for spacing rules) row partitions while rule 0's kernels execute on
-	// this goroutine. The sweep groups by layer — one looping closure per
+	// A prefetch pool sweeps the rest of the deck ahead of the executing
+	// rule, warming each upcoming layer's flatten, pack, and (for spacing
+	// rules) row partitions while rule 0's kernels execute on this goroutine. The sweep groups by layer — one looping closure per
 	// distinct upcoming layer, warming that layer's pack and then its reach
 	// partitions in deck order — so layers warm concurrently instead of
 	// queueing behind each other's partition computations. The sweep only
@@ -213,8 +235,8 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 	// whole deck's geometry ahead of them would recompute exactly the work
 	// the delta plan avoids, so the prefetcher only runs on full checks — and
 	// there only for the rules that execute.
-	if geo.cache != nil && (e.plan == nil || !e.plan.delta) {
-		gc := geo.cache
+	if e.plan == nil || !e.plan.delta {
+		gc := pc.geo
 		alg := e.opts.PartitionAlg
 		type warmGroup struct {
 			l       layout.Layer
@@ -329,16 +351,11 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		}
 		rep.ruleWindows = append(rep.ruleWindows, w)
 	}
-	// Return the resident layer buffers to the pool: the frees are ordered
-	// after every kernel enqueued so far, mirroring how they were uploaded.
-	// A persistent (session-owned) context keeps them — that residency across
-	// checks is the point of a session; Session.Close frees them the same way.
-	if !pc.persistent && len(pc.resident) > 0 {
-		pc.io.WaitEvent(pc.cs.RecordEvent())
-		for _, b := range pc.resident {
-			pc.io.FreeAsync(b.bytes)
-		}
-		pc.resident = nil
+	// Return the resident layer buffers to the pool. A persistent
+	// (session-owned) context keeps them — that residency across checks is
+	// the point of a session; Session.Close frees them the same way.
+	if !pc.persistent {
+		pc.freeResident()
 	}
 	pc.cs.Synchronize()
 	pc.io.Synchronize()
@@ -404,79 +421,63 @@ func (e *Engine) allocEvict(pc *parCtx, rep *Report, n int64) error {
 		if victim < 0 {
 			return err
 		}
-		b := pc.resident[victim]
-		pc.resident = append(pc.resident[:victim], pc.resident[victim+1:]...)
-		pc.io.WaitEvent(pc.cs.RecordEvent())
-		pc.io.FreeAsync(b.bytes)
+		pc.freeResident(pc.resident[victim].layer)
 		rep.Stats.DeviceEvictions++
 	}
 }
 
 // bindEdges makes a layer's packed buffer addressable by the compute
-// stream. With device residency on (geometry cache enabled), the first rule
-// touching a layer uploads it once and later rules reuse the resident copy
-// by waiting on its upload event; an evicted layer re-uploads on next use.
-// Without residency, the upload is transient and the returned release frees
-// it — callers invoke release after the compute stream synchronizes (it is
-// a no-op for resident buffers, which the run frees at the end).
+// stream: the first rule touching a layer uploads it once and later rules
+// reuse the resident copy by waiting on its upload event; an evicted layer
+// re-uploads on next use. The run (or the session) frees residents.
 //
-// The packed-edges budget is charged per upload: once per layer when
-// resident, once per rule otherwise (see Options.Budgets).
-func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kernels.Edges) (func(), error) {
+// The packed-edges budget is charged per upload (see Options.Budgets).
+func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kernels.Edges) error {
 	defer pc.live(rep)()
 	if pc.rec != nil {
 		pc.rec.binds = append(pc.rec.binds, l)
 	}
-	noop := func() {}
 	pc.useCtr++
-	if pc.residentOn {
-		for bi, b := range pc.resident {
-			if b.layer != l {
-				continue
-			}
-			b.lastUse = pc.useCtr
-			if b.partial {
-				// Grow the kept prefix back to the full rebuilt buffer with
-				// one delta copy. Deliberately a plain allocation, not
-				// allocEvict: eviction could pick this very buffer as the LRU
-				// victim. Partial buffers only exist in budget-free sessions
-				// (see Session.applyPending), so failure here means the pool
-				// itself is wedged — drop the prefix and upload fresh.
-				delta := edges.Bytes() - b.bytes
-				if delta > 0 {
-					if err := pc.io.AllocAsync(delta); err != nil {
-						pc.resident = append(pc.resident[:bi], pc.resident[bi+1:]...)
-						pc.io.WaitEvent(pc.cs.RecordEvent())
-						pc.io.FreeAsync(b.bytes)
-						break
-					}
-					pc.io.MemcpyAsync("edges-delta", delta)
-					rep.Stats.BytesCopied += delta
-					b.bytes = edges.Bytes()
-				}
-				b.partial = false
-				b.ready = pc.io.RecordEvent()
-				rep.Stats.DeviceDeltaUploads++
-			}
-			pc.cs.WaitEvent(b.ready)
-			rep.Stats.DeviceReuses++
-			return noop, nil
+	for _, b := range pc.resident {
+		if b.layer != l {
+			continue
 		}
+		b.lastUse = pc.useCtr
+		if b.partial {
+			// Grow the kept prefix back to the full rebuilt buffer with one
+			// delta copy. Deliberately a plain allocation, not allocEvict:
+			// eviction could pick this very buffer as the LRU victim. Partial
+			// buffers only exist in budget-free sessions (see
+			// Session.applyPending), so failure here means the pool itself is
+			// wedged — drop the prefix and upload fresh.
+			delta := edges.Bytes() - b.bytes
+			if delta > 0 {
+				if err := pc.io.AllocAsync(delta); err != nil {
+					pc.freeResident(l)
+					break
+				}
+				pc.io.MemcpyAsync("edges-delta", delta)
+				rep.Stats.BytesCopied += delta
+				b.bytes = edges.Bytes()
+			}
+			b.partial = false
+			b.ready = pc.io.RecordEvent()
+			rep.Stats.DeviceDeltaUploads++
+		}
+		pc.cs.WaitEvent(b.ready)
+		rep.Stats.DeviceReuses++
+		return nil
 	}
 	if err := e.transfer(pc, rep, edges); err != nil {
-		return noop, err
+		return err
 	}
 	ev := pc.io.RecordEvent()
 	pc.cs.WaitEvent(ev)
-	if pc.residentOn {
-		rep.Stats.DeviceUploads++
-		pc.resident = append(pc.resident, &residentBuf{
-			layer: l, bytes: edges.Bytes(), ready: ev, lastUse: pc.useCtr,
-		})
-		return noop, nil
-	}
-	n := edges.Bytes()
-	return func() { pc.io.FreeAsync(n) }, nil
+	rep.Stats.DeviceUploads++
+	pc.resident = append(pc.resident, &residentBuf{
+		layer: l, bytes: edges.Bytes(), ready: ev, lastUse: pc.useCtr,
+	})
+	return nil
 }
 
 // hitViolation is the report entry of one kernel hit of rule r.
@@ -608,12 +609,12 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 
 // runIntraParFlat is the pruning-off ablation: one kernel over every
 // flattened polygon instance, subject to the flatten-polys budget (applied
-// inside the geometry source).
+// inside the geometry cache).
 func (e *Engine) runIntraParFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, pc *parCtx, rep *Report) error {
 	var flat []layout.PlacedPoly
 	if err := pc.hostPhase(rep, "par:flatten", func() error {
 		var err error
-		flat, err = pc.geo.flatten(ctx, lo, r.Layer)
+		flat, err = pc.geo.Flatten(ctx, lo, r.Layer)
 		return err
 	}); err != nil {
 		return err
@@ -627,13 +628,12 @@ func (e *Engine) runIntraParFlat(ctx context.Context, lo *layout.Layout, r rules
 	var edges *kernels.Edges
 	if err := pc.hostPhase(rep, "par:edge-packing", func() error {
 		var err error
-		edges, err = pc.geo.packFrom(ctx, lo, r.Layer, flat)
+		edges, err = pc.geo.Pack(ctx, lo, r.Layer)
 		return err
 	}); err != nil {
 		return err
 	}
-	release, err := e.bindEdges(pc, rep, r.Layer, edges)
-	if err != nil {
+	if err := e.bindEdges(pc, rep, r.Layer, edges); err != nil {
 		return err
 	}
 	c := collect(rep, r)
@@ -657,7 +657,6 @@ func (e *Engine) runIntraParFlat(ctx context.Context, lo *layout.Layout, r rules
 	rep.Stats.DefsChecked += len(flat)
 	rep.Stats.InstancesEmitted += len(flat)
 	pc.cs.Synchronize()
-	release()
 	return nil
 }
 
@@ -679,13 +678,13 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	// order and start the one-time async transfer, then partition — the
 	// copy is hidden behind the partitioning, per Section V-C. The flatten
 	// is where the memory blow-up happens, so the flatten-polys budget
-	// applies there (inside the geometry source). Rows address subsets of
+	// applies there (inside the geometry cache). Rows address subsets of
 	// the shared buffer by polygon index, so every spacing rule on the
 	// layer — whatever its reach partitions into — reuses one packed copy.
 	var flat []layout.PlacedPoly
 	if err := pc.hostPhase(rep, "par:flatten", func() error {
 		var err error
-		flat, err = pc.geo.flatten(ctx, lo, r.Layer)
+		flat, err = pc.geo.Flatten(ctx, lo, r.Layer)
 		return err
 	}); err != nil {
 		return err
@@ -700,7 +699,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	var rows []partition.Row
 	if err := pc.hostPhase(rep, "par:partition", func() error {
 		var err error
-		rows, err = pc.geo.rows(ctx, lo, r.Layer, lim.Reach(), e.opts.PartitionAlg, flat)
+		rows, err = pc.geo.Rows(ctx, lo, r.Layer, lim.Reach(), e.opts.PartitionAlg)
 		return err
 	}); err != nil {
 		return err
@@ -708,13 +707,12 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	var edges *kernels.Edges
 	if err := pc.hostPhase(rep, "par:edge-packing", func() error {
 		var err error
-		edges, err = pc.geo.packFrom(ctx, lo, r.Layer, flat)
+		edges, err = pc.geo.Pack(ctx, lo, r.Layer)
 		return err
 	}); err != nil {
 		return err
 	}
-	release, err := e.bindEdges(pc, rep, r.Layer, edges)
-	if err != nil {
+	if err := e.bindEdges(pc, rep, r.Layer, edges); err != nil {
 		return err
 	}
 	// Delta restriction: rows whose y-band misses the work window cannot
@@ -739,8 +737,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	// Notches are intra-polygon but belong to the spacing rule: one batched
 	// launch over every polygon — of the surviving rows, when restricted.
 	if rp != nil {
-		// A delta plan exists only with the cache on (deltaFallbackReason).
-		boxes, err := pc.geo.cache.MBRs(ctx, lo, r.Layer)
+		boxes, err := pc.geo.MBRs(ctx, lo, r.Layer)
 		if err != nil {
 			return err
 		}
@@ -777,21 +774,15 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	if len(bruteRows) > 0 {
 		// The device discovers candidate pairs by expanded-MBR overlap
 		// (Section IV-C's check pruning as kernels), then one thread per
-		// surviving pair enumerates its edge cross product. With the buffer
-		// resident, the MBR table and global x-order are built once per layer
-		// and later rules gather their row orders from it (a stable filter of
-		// the same total order), so discovery emits identical pairs in
-		// identical order at a fraction of the modeled cost.
-		var pairs [][2]int32
-		t, terr := pc.mbrTable(ctx, lo, rep, r.Layer)
-		if terr != nil {
-			return terr
+		// surviving pair enumerates its edge cross product. The MBR table and
+		// global x-order are built once per resident layer and every rule
+		// gathers its row orders from them (a stable filter of the same total
+		// order).
+		t, err := pc.mbrTable(ctx, lo, rep, r.Layer)
+		if err != nil {
+			return err
 		}
-		if t != nil {
-			pairs = kernels.PairDiscoveryTable(pc.cs, edges, t, bruteRows, lim.Reach())
-		} else {
-			pairs = kernels.PairDiscoveryMembers(pc.cs, edges, bruteRows, lim.Reach())
-		}
+		pairs := kernels.PairDiscoveryTable(pc.cs, edges, t, bruteRows, lim.Reach())
 		rep.Stats.PairsConsidered += len(pairs)
 		rep.Stats.PairsChecked += len(pairs)
 		if len(pairs) > 0 {
@@ -799,7 +790,6 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 		}
 	}
 	pc.cs.Synchronize()
-	release()
 	return nil
 }
 
@@ -843,8 +833,8 @@ func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep
 		}
 		res := &tbl.s[ri]
 		res.tape.Reset(props)
-		sc := pc.geo.arena.Sweep()
-		defer pc.geo.arena.PutSweep(sc)
+		sc := pc.geo.Arena().Sweep()
+		defer pc.geo.Arena().PutSweep(sc)
 		sc.SweepPolys(&res.tape, edges, rows[ri], lim, kernels.FilterSpacing, func(h kernels.Hit) {
 			res.vs = append(res.vs, hitViolation(r, h))
 		})

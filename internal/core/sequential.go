@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"opendrc/internal/geocache"
 	"opendrc/internal/layout"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
@@ -13,7 +14,7 @@ import (
 // rule executes under the engine's fault-isolation guard: a failing rule
 // degrades the report instead of aborting the run, while cancellation
 // aborts between (and inside) rules.
-func (e *Engine) checkSequential(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, geo *geoSource) error {
+func (e *Engine) checkSequential(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, geo *geocache.Cache) error {
 	placements, err := e.instancePlacements(lo, ses, func(fn func()) {
 		defer rep.Profile.Phase("instance-enumeration")()
 		fn()

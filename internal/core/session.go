@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/gpu"
 	"opendrc/internal/layout"
@@ -39,7 +40,7 @@ type Session struct {
 	lo   *layout.Layout
 
 	mu  chan struct{} // 1-token semaphore: a mutex Check could not hold across ctx waits
-	geo *geoSource
+	geo *geocache.Cache
 
 	smu    sync.Mutex // guards the pc pointer so observers need not queue behind checks
 	pc     *parCtx    //odrc:guardedby smu
@@ -70,15 +71,8 @@ type Session struct {
 // recorder accumulates spans across checks on one timeline; pass nil for
 // the usual zero-cost default.)
 func NewSession(lo *layout.Layout, opts Options) *Session {
-	if opts.BruteEdgeThreshold == 0 {
-		opts.BruteEdgeThreshold = defaultBruteEdgeThreshold
-	}
-	if opts.Device.SMs == 0 {
-		opts.Device = gpu.GTX1660Ti()
-	}
-	s := &Session{opts: opts, lo: lo, mu: make(chan struct{}, 1)}
-	s.geo = newGeoSource(opts, opts.Trace)
-	return s
+	opts = withDefaults(opts)
+	return &Session{opts: opts, lo: lo, mu: make(chan struct{}, 1), geo: newGeoCache(opts)}
 }
 
 // lock acquires the session lock, honoring ctx so a caller queued behind a
@@ -131,15 +125,7 @@ func (s *Session) deviceCtx() *parCtx {
 	pc := s.pc
 	s.smu.Unlock()
 	if pc == nil {
-		pc = &parCtx{
-			dev: gpu.NewDevice(s.opts.Device), geo: s.geo,
-			residentOn: s.geo.cache != nil, persistent: true,
-		}
-		pc.io = pc.dev.NewStream("h2d")
-		pc.cs = pc.dev.NewStream("checks")
-		if n := s.opts.Budgets.MaxDeviceBytes; n > 0 {
-			pc.dev.SetMemLimit(n)
-		}
+		pc = newParCtx(s.opts, s.geo, true)
 		s.smu.Lock()
 		s.pc = pc
 		s.smu.Unlock()
@@ -147,36 +133,6 @@ func (s *Session) deviceCtx() *parCtx {
 	}
 	pc.dev.TrimTimeline()
 	return pc
-}
-
-// freeResident frees the device-resident buffers of the given layers (all
-// when none given), ordered after every kernel enqueued so far — the same
-// ordering the LRU eviction and the end-of-run free use. Session lock held.
-func (s *Session) freeResident(pc *parCtx, layers []layout.Layer) {
-	keep := pc.resident[:0]
-	var doomed []*residentBuf
-	for _, b := range pc.resident {
-		drop := len(layers) == 0
-		for _, l := range layers {
-			if b.layer == l {
-				drop = true
-				break
-			}
-		}
-		if drop {
-			doomed = append(doomed, b)
-		} else {
-			keep = append(keep, b)
-		}
-	}
-	if len(doomed) == 0 {
-		return
-	}
-	pc.io.WaitEvent(pc.cs.RecordEvent())
-	for _, b := range doomed {
-		pc.io.FreeAsync(b.bytes)
-	}
-	pc.resident = keep
 }
 
 // Close releases the session's resident state: every device-resident buffer
@@ -200,7 +156,7 @@ func (s *Session) Close(ctx context.Context) error {
 	s.pc = nil
 	s.smu.Unlock()
 	if pc != nil {
-		s.freeResident(pc, nil)
+		pc.freeResident()
 		pc.cs.Synchronize()
 		pc.io.Synchronize()
 	}

@@ -6,6 +6,7 @@ import (
 
 	"opendrc/internal/checks"
 	"opendrc/internal/faults"
+	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/layout"
 	"opendrc/internal/partition"
@@ -37,8 +38,9 @@ type spaceItem struct {
 
 // runSpacingSeq executes one spacing rule sequentially. The pruned path
 // never flattens (the hierarchy is the point), so only the pruning-off
-// ablation consults the geometry source.
-func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, geo *geoSource) error {
+// ablation reads the geometry cache; the pruned path draws scratch from its
+// arena.
+func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, geo *geocache.Cache) error {
 	if e.opts.DisablePruning {
 		return e.runSpacingFlat(ctx, lo, r, rep, geo)
 	}
@@ -58,7 +60,7 @@ func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.R
 		if rp != nil && !rp.anyPlacementNear(c.LayerMBR(r.Layer), placements[c.ID]) {
 			continue
 		}
-		markers, err := e.cellSpacingMarkers(ctx, lo, c, r, rep, geo, rp, placements[c.ID])
+		markers, err := e.cellSpacingMarkers(ctx, lo, c, r, rep, geo.Arena(), rp, placements[c.ID])
 		if err != nil {
 			return err
 		}
@@ -78,7 +80,7 @@ func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.R
 // (Fig. 1 / Fig. 4), the cell's participants are first split into
 // independent rows by the adaptive partition, then each row runs the MBR
 // sweepline, and surviving pairs get edge-to-edge checks.
-func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *layout.Cell, r rules.Rule, rep *Report, geo *geoSource, rp *rulePlan, insts []geom.Transform) ([]checks.Marker, error) {
+func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *layout.Cell, r rules.Rule, rep *Report, arena *geocache.Arena, rp *rulePlan, insts []geom.Transform) ([]checks.Marker, error) {
 	lim := r.SpacingLimit()
 	min := lim.Reach()
 	var out []checks.Marker
@@ -106,11 +108,11 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 	// Both MBR lists are scratch — this loop runs once per cell definition
 	// per rule, so they recycle through the run's arena.
 	var items []spaceItem
-	raw := geo.arena.Rects(len(c.Polys))
-	boxes := geo.arena.Rects(len(c.Polys))
+	raw := arena.Rects(len(c.Polys))
+	boxes := arena.Rects(len(c.Polys))
 	defer func() {
-		geo.arena.PutRects(raw)
-		geo.arena.PutRects(boxes)
+		arena.PutRects(raw)
+		arena.PutRects(boxes)
 	}()
 	for _, pi := range c.LocalPolyIndex(r.Layer) {
 		items = append(items, spaceItem{polyIdx: int(pi)})
@@ -168,18 +170,18 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 		// buffers (the pools are concurrency-safe), and the sweepline keeps
 		// nothing — the interval tree copies its coordinate skeleton — so
 		// both go back as soon as the row is done with them.
-		rowBoxes := geo.arena.Rects(len(row.Members))
+		rowBoxes := arena.Rects(len(row.Members))
 		for _, mi := range row.Members {
 			rowBoxes = append(rowBoxes, boxes[mi])
 		}
 		stopSweep := rep.Profile.Phase("spacing:sweepline")
-		pairs := geo.arena.Pairs()
-		defer func() { geo.arena.PutPairs(pairs) }()
-		_, err := geo.sweeps.Overlaps(rowBoxes, func(a, b int) {
+		pairs := arena.Pairs()
+		defer func() { arena.PutPairs(pairs) }()
+		_, err := e.sweeps.Overlaps(rowBoxes, func(a, b int) {
 			pairs = append(pairs, [2]int{row.Members[a], row.Members[b]})
 		})
 		stopSweep()
-		geo.arena.PutRects(rowBoxes)
+		arena.PutRects(rowBoxes)
 		if err != nil {
 			return err
 		}
@@ -260,24 +262,25 @@ func (e *Engine) spacingSubtreeVsSubtree(lo *layout.Layout, a, b spaceItem, l la
 
 // runSpacingFlat is the pruning-off ablation: instance-expand the whole
 // layer and sweep globally. The flatten is subject to the flatten-polys
-// budget (applied inside the geometry source) — the ablation materializes
+// budget (applied inside the geometry cache) — the ablation materializes
 // every instance, which is exactly the blow-up the budget exists to catch.
-// With the cache enabled, spacing rules sharing a layer flatten it once.
-func (e *Engine) runSpacingFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, rep *Report, geo *geoSource) error {
+// Spacing rules sharing a layer flatten it once.
+func (e *Engine) runSpacingFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, rep *Report, geo *geocache.Cache) error {
 	defer rep.Profile.Phase("spacing:flat")()
 	lim := r.SpacingLimit()
-	polys, err := geo.flatten(ctx, lo, r.Layer)
+	polys, err := geo.Flatten(ctx, lo, r.Layer)
 	if err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	boxes := geo.arena.Rects(len(polys))
+	arena := geo.Arena()
+	boxes := arena.Rects(len(polys))
 	for i := range polys {
 		boxes = append(boxes, polys[i].Shape.MBR().Expand(lim.Reach()))
 	}
-	defer geo.arena.PutRects(boxes)
+	defer arena.PutRects(boxes)
 	emit := func(m checks.Marker) {
 		rep.Violations = append(rep.Violations, rules.Violation{
 			Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m,
@@ -287,7 +290,7 @@ func (e *Engine) runSpacingFlat(ctx context.Context, lo *layout.Layout, r rules.
 		rep.Stats.PairsChecked++
 		checks.CheckNotchLim(polys[i].Shape, lim, emit)
 	}
-	_, err = geo.sweeps.Overlaps(boxes, func(a, b int) {
+	_, err = e.sweeps.Overlaps(boxes, func(a, b int) {
 		rep.Stats.PairsConsidered++
 		rep.Stats.PairsChecked++
 		checks.CheckSpacingLim(polys[a].Shape, polys[b].Shape, lim, emit)

@@ -62,8 +62,7 @@ func TestSweepRowsWorkerIndependence(t *testing.T) {
 
 // TestKernelLaunchesCountsRecords pins Stats.KernelLaunches to the launches
 // the device actually recorded, on all six designs, with every row on the
-// sweepline side, at the default cutoff, and on the cache-off path (per-rule
-// uploads and device-side MBR derivation).
+// sweepline side and at the default cutoff.
 func TestKernelLaunchesCountsRecords(t *testing.T) {
 	deck := synth.Deck()
 	for _, p := range synth.Designs() {
@@ -74,7 +73,6 @@ func TestKernelLaunchesCountsRecords(t *testing.T) {
 		for _, opts := range []Options{
 			{Mode: Parallel, BruteEdgeThreshold: 1},
 			{Mode: Parallel},
-			{Mode: Parallel, DisableGeoCache: true},
 		} {
 			rep := runEngine(t, lo, opts, deck)
 			kernels := 0
@@ -84,8 +82,8 @@ func TestKernelLaunchesCountsRecords(t *testing.T) {
 				}
 			}
 			if rep.Stats.KernelLaunches != kernels || kernels == 0 {
-				t.Errorf("%s threshold=%d nocache=%v: KernelLaunches = %d, timeline has %d kernel records",
-					p.Name, opts.BruteEdgeThreshold, opts.DisableGeoCache, rep.Stats.KernelLaunches, kernels)
+				t.Errorf("%s threshold=%d: KernelLaunches = %d, timeline has %d kernel records",
+					p.Name, opts.BruteEdgeThreshold, rep.Stats.KernelLaunches, kernels)
 			}
 		}
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // Arena is the per-run recycled scratch allocator for the host hot paths.
-// One Arena accompanies one run's geometry source (it is created next to
-// the Cache and shares its lifetime), and hands out the short-lived buffers
+// Each Cache owns one Arena (created with it, sharing its lifetime; the zero
+// value is ready to use), which hands out the short-lived buffers
 // the flatten/pack/sweep pipeline used to allocate fresh per rule or per
 // row: polygon shape lists fed to kernels.Pack, expanded-MBR lists fed to
 // the sweepline, candidate-pair lists, and the gathered sweep columns of the
@@ -43,9 +43,6 @@ type Arena struct {
 	pairs [][][2]int         //odrc:guardedby mu
 	sweep []*kernels.Scratch //odrc:guardedby mu
 }
-
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
 
 // Polys returns a zero-length polygon scratch buffer with capacity at least
 // n (growing an older buffer if needed).

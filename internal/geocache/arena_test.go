@@ -10,7 +10,7 @@ import (
 // zero-length with its grown capacity intact, and a fresh Get never aliases
 // a buffer that is still outstanding.
 func TestArenaRecycles(t *testing.T) {
-	a := NewArena()
+	a := new(Arena)
 
 	r := a.Rects(8)
 	for i := 0; i < 50; i++ {
@@ -49,7 +49,7 @@ func TestArenaRecycles(t *testing.T) {
 // TestArenaAllocsSteadyState verifies the point of the arena: once warm, a
 // get/fill/put cycle performs no allocations.
 func TestArenaAllocsSteadyState(t *testing.T) {
-	a := NewArena()
+	a := new(Arena)
 	// Warm the pools.
 	a.PutRects(a.Rects(64)[:0])
 	allocs := testing.AllocsPerRun(100, func() {

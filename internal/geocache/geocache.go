@@ -181,9 +181,9 @@ type Cache struct {
 }
 
 // New creates a cache enforcing the given budgets (MaxFlattenPolys applies
-// to every cached flatten, exactly as the uncached paths apply it).
+// to every flatten it computes).
 func New(lim budget.Limits) *Cache {
-	return &Cache{limits: lim, arena: NewArena(), layers: make(map[layout.Layer]*layerRec)}
+	return &Cache{limits: lim, arena: new(Arena), layers: make(map[layout.Layer]*layerRec)}
 }
 
 // SetFaultHook installs the fault-injection seam. Must be called before the
@@ -388,21 +388,4 @@ func (c *Cache) Invalidate(layers ...layout.Layer) {
 	for _, l := range layers {
 		delete(c.layers, l)
 	}
-}
-
-// PeekFlatten returns the layer's flattened polygons only when a previous
-// Flatten already completed successfully; it never computes and never
-// blocks. Consumers that must not materialize a flatten themselves (the
-// KLayout tiling baseline) use it as an opportunistic read.
-func (c *Cache) PeekFlatten(l layout.Layer) ([]layout.PlacedPoly, bool) {
-	c.mu.Lock()
-	var flat *slot[[]layout.PlacedPoly]
-	if rec := c.layers[l]; rec != nil {
-		flat = rec.flat
-	}
-	c.mu.Unlock()
-	if !flat.ready() {
-		return nil, false
-	}
-	return flat.val, true
 }

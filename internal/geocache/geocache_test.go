@@ -244,29 +244,6 @@ func TestTableMatchesMBRs(t *testing.T) {
 	}
 }
 
-func TestPeekFlatten(t *testing.T) {
-	lo := testLayout(t)
-	c := New(budget.Limits{})
-	ctx := context.Background()
-	if _, ok := c.PeekFlatten(layout.LayerM1); ok {
-		t.Fatal("Peek hit before any Flatten")
-	}
-	if _, err := c.Flatten(ctx, lo, layout.LayerM1); err != nil {
-		t.Fatal(err)
-	}
-	if polys, ok := c.PeekFlatten(layout.LayerM1); !ok || len(polys) == 0 {
-		t.Fatal("Peek missed after a successful Flatten")
-	}
-	// Errors never become peek hits.
-	cErr := New(budget.Limits{MaxFlattenPolys: 1})
-	if _, err := cErr.Flatten(ctx, lo, layout.LayerM1); err == nil {
-		t.Fatal("want budget error")
-	}
-	if _, ok := cErr.PeekFlatten(layout.LayerM1); ok {
-		t.Fatal("Peek hit on a failed flatten")
-	}
-}
-
 func TestOneCacheOneLayout(t *testing.T) {
 	lo := testLayout(t)
 	lo2, _, err := synth.Load("uart", 0.2)

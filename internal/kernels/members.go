@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"opendrc/internal/checks"
-	"opendrc/internal/geom"
-)
+import "opendrc/internal/checks"
 
 // Member-indexed kernel variants. The cross-rule geometry cache packs each
 // layer once in the canonical flatten order and keeps the buffer resident on
@@ -19,10 +16,9 @@ import (
 // MBRTable is the device-resident derived geometry of a packed buffer: the
 // per-polygon MBR arrays plus the global x-order over every polygon. Both
 // depend only on the buffer, never on the rule — and the host has already
-// computed them for the row partition — so with the geometry cache on the
-// engine uploads the table once per resident layer (one small async copy)
-// instead of re-deriving it on the device per rule (poly-mbr + sort-mbrs
-// launches). Per-rule pair discovery then shrinks to the single scan launch.
+// computed them for the row partition — so the engine uploads the table once
+// per resident layer (one small async copy), and per-rule pair discovery is
+// the single scan launch.
 type MBRTable struct {
 	XLo, XHi, YLo, YHi []int64
 	XOrder             []int32 // every polygon, sorted by (XLo, index)
@@ -32,12 +28,14 @@ type MBRTable struct {
 // int32 order entry per polygon.
 func (t *MBRTable) Bytes() int64 { return int64(len(t.XLo))*4*8 + int64(len(t.XOrder))*4 }
 
-// PairDiscoveryTable is PairDiscoveryMembers against a prebuilt MBRTable.
-// Each row's x-sorted member sequence is gathered from the table's global
-// x-order: (XLo, index) is a strict total order, so a stable filter of
-// XOrder down to a row's members IS the sequence the per-rule sort produced
-// — the scan kernel sees identical input and emits identical pairs. The
-// whole discovery is the single scan launch.
+// PairDiscoveryTable finds, on the device, every polygon pair of a row whose
+// rule-distance-expanded MBRs overlap — the MBR check pruning of Section
+// IV-C as a kernel — against the layer's prebuilt MBRTable. Each row's
+// x-sorted member sequence is gathered from the table's global x-order:
+// (XLo, index) is a strict total order, so a stable filter of XOrder down to
+// a row's members IS the row sorted by MBR x. The whole discovery is the
+// single scan launch, each thread walking its member's x-window within its
+// own row. Pairs are global polygon indices into the shared buffer.
 func PairDiscoveryTable(s Launcher, e *Edges, t *MBRTable, rows [][]int32, min int64) [][2]int32 {
 	nP := e.NumPolys()
 	if nP == 0 || len(rows) == 0 {
@@ -74,12 +72,6 @@ func PairDiscoveryTable(s Launcher, e *Edges, t *MBRTable, rows [][]int32, min i
 			rowEnd = append(rowEnd, int32(len(order)))
 		}
 	}
-	return pairScan(s, t, order, rowEnd, min)
-}
-
-// pairScan is the shared scan kernel of the discovery variants: each thread
-// walks its row's x-window emitting expanded-MBR-overlapping pairs.
-func pairScan(s Launcher, t *MBRTable, order, rowEnd []int32, min int64) [][2]int32 {
 	// Launch executes thread bodies sequentially in tid order, so appending
 	// to one shared slice produces exactly the concatenation order the old
 	// per-thread lists had, without a slice header per thread or the final
@@ -107,62 +99,6 @@ func pairScan(s Launcher, t *MBRTable, order, rowEnd []int32, min int64) [][2]in
 		return ops + 1
 	})
 	return out
-}
-
-// PairDiscoveryMembers finds, on the device, every polygon pair of a row
-// whose rule-distance-expanded MBRs overlap — the MBR check pruning of
-// Section IV-C executed as kernels, for buffers without a resident MBRTable.
-// The MBR kernel covers every polygon of the buffer (the rows jointly own
-// it), each row's members are sorted by MBR x in one modeled sort, and the
-// scan kernel walks each member's x-window within its own row. Pairs are
-// global polygon indices into the shared buffer.
-func PairDiscoveryMembers(s Launcher, e *Edges, rows [][]int32, min int64) [][2]int32 {
-	nP := e.NumPolys()
-	if nP == 0 || len(rows) == 0 {
-		return nil
-	}
-	t := &MBRTable{
-		XLo: make([]int64, nP), XHi: make([]int64, nP),
-		YLo: make([]int64, nP), YHi: make([]int64, nP),
-	}
-	s.Launch("poly-mbr", nP, func(tid int) int64 {
-		lo, hi := e.PolyEdges(tid)
-		box := geom.EmptyRect()
-		for i := lo; i < hi; i++ {
-			box = box.Include(geom.Pt(e.X0[i], e.Y0[i]))
-		}
-		t.XLo[tid], t.XHi[tid] = box.XLo, box.XHi
-		t.YLo[tid], t.YHi[tid] = box.YLo, box.YHi
-		return int64(hi - lo)
-	})
-	total := 0
-	for _, r := range rows {
-		total += len(r)
-	}
-	order := make([]int32, 0, total)
-	rowEnd := make([]int32, 0, total)
-	var byX []keyIdx
-	maxRow := 1
-	for _, r := range rows {
-		byX = byX[:0]
-		for _, p := range r {
-			byX = append(byX, keyIdx{t.XLo[p], p})
-		}
-		sortKeyIdx(byX)
-		for _, o := range byX {
-			order = append(order, o.idx)
-		}
-		for range r {
-			rowEnd = append(rowEnd, int32(len(order)))
-		}
-		maxRow = max(maxRow, len(r))
-	}
-	logn := int64(1)
-	for 1<<logn < maxRow {
-		logn++
-	}
-	s.Launch("sort-mbrs", len(order), func(int) int64 { return logn * logn })
-	return pairScan(s, t, order, rowEnd, min)
 }
 
 // NotchMembers launches the brute-force intra-polygon notch executor over an

@@ -34,7 +34,6 @@ import (
 	"opendrc/internal/budget"
 	"opendrc/internal/checks"
 	"opendrc/internal/faults"
-	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/layout"
 	"opendrc/internal/rules"
@@ -87,15 +86,6 @@ type Options struct {
 	// Faults is the deterministic fault injector driving the chaos suite;
 	// nil (the production value) is inert.
 	Faults *faults.Injector
-
-	// Cache is an optional cross-rule geometry cache shared by the rules of
-	// one run over one layout. Flat mode flattens each layer through it
-	// (once per layer instead of once per rule); tiling mode consults it
-	// non-blockingly — a tile filters an already-cached flatten instead of
-	// re-walking the hierarchy, but never *forces* a full flatten, so the
-	// budget-driven flat→tiling fallback still avoids the materialization
-	// it fell back from. Results are identical with or without a cache.
-	Cache *geocache.Cache
 }
 
 // Result is the outcome of checking one rule.
@@ -209,16 +199,6 @@ func checkPolyIntra(p geom.Polygon, name string, r rules.Rule, emit func(checks.
 	}
 }
 
-// flattenVia flattens a layer through the run's geometry cache when one is
-// configured (one materialization per layer per run, with the cache's
-// flatten-polys budget applied), or directly otherwise.
-func flattenVia(ctx context.Context, cache *geocache.Cache, lo *layout.Layout, l layout.Layer) ([]layout.PlacedPoly, error) {
-	if cache == nil {
-		return lo.FlattenLayer(l), nil
-	}
-	return cache.Flatten(ctx, lo, l)
-}
-
 // flatName resolves the label of a flattened polygon from its definition
 // cell (labels transform with the cell, so the local containment test is
 // equivalent).
@@ -235,7 +215,10 @@ func flatName(pp layout.PlacedPoly) string {
 	return ""
 }
 
-// checkFlat is the flat mode: full instantiation, one global sweepline.
+// checkFlat is the flat mode: full instantiation, one global sweepline. It
+// flattens straight from the hierarchy, never through the engine's geometry
+// cache, so it is the uncached reference that cache is tested against
+// (core's TestGeoCacheIdentityMatrix).
 // When the estimated flatten size trips the flatten-polys budget, the run
 // degrades gracefully to tiling mode (which never materializes more than a
 // tile window at a time) instead of exhausting memory.
@@ -251,10 +234,7 @@ func checkFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Option
 		}
 	}
 	emit := emitFn(res, r)
-	polys, err := flattenVia(ctx, opts.Cache, lo, r.Layer)
-	if err != nil {
-		return err
-	}
+	polys := lo.FlattenLayer(r.Layer)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -272,10 +252,7 @@ func checkFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Option
 			return err
 		}
 	case rules.Enclosure:
-		metals, err := flattenVia(ctx, opts.Cache, lo, r.Outer)
-		if err != nil {
-			return err
-		}
+		metals := lo.FlattenLayer(r.Outer)
 		viaBoxes := make([]geom.Rect, len(polys))
 		for i := range polys {
 			viaBoxes[i] = polys[i].Shape.MBR().Expand(r.Min)

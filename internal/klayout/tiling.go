@@ -8,7 +8,6 @@ import (
 
 	"opendrc/internal/checks"
 	"opendrc/internal/faults"
-	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/layout"
 	"opendrc/internal/pool"
@@ -72,7 +71,7 @@ func checkTiling(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Opti
 		tile := tiles[i]
 		tr := &results[i]
 		start := time.Now() //odrc:allow clock — per-tile wall time; input to the Threads-worker LPT makespan model
-		processed, err := tileCheck(lo, r, tile, halo, opts.Cache, func(m checks.Marker) {
+		processed, err := tileCheck(lo, r, tile, halo, func(m checks.Marker) {
 			// Ownership: the tile containing the marker center reports
 			// it; halo copies elsewhere are dropped.
 			if tile.Contains(m.Box.Center()) {
@@ -108,9 +107,9 @@ func checkTiling(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Opti
 
 // tileCheck runs the flat algorithms restricted to one tile+halo window;
 // returns false when the window holds no geometry.
-func tileCheck(lo *layout.Layout, r rules.Rule, tile geom.Rect, halo int64, cache *geocache.Cache, emit func(checks.Marker)) (bool, error) {
+func tileCheck(lo *layout.Layout, r rules.Rule, tile geom.Rect, halo int64, emit func(checks.Marker)) (bool, error) {
 	window := tile.Expand(halo)
-	polys := tileQuery(cache, lo, r.Layer, window)
+	polys, _ := lo.QueryLayer(r.Layer, window)
 	if len(polys) == 0 {
 		return false, nil
 	}
@@ -128,7 +127,7 @@ func tileCheck(lo *layout.Layout, r rules.Rule, tile geom.Rect, halo int64, cach
 			return false, err
 		}
 	case rules.Enclosure:
-		metals := tileQuery(cache, lo, r.Outer, window)
+		metals, _ := lo.QueryLayer(r.Outer, window)
 		viaBoxes := make([]geom.Rect, len(polys))
 		for i := range polys {
 			viaBoxes[i] = polys[i].Shape.MBR().Expand(r.Min)
@@ -152,29 +151,6 @@ func tileCheck(lo *layout.Layout, r rules.Rule, tile geom.Rect, halo int64, cach
 		}
 	}
 	return true, nil
-}
-
-// tileQuery returns the layer polygons overlapping the window. When the
-// run's geometry cache already holds the layer's flatten (a previous rule
-// paid for it), the tile filters that list with the same transformed-MBR
-// overlap test the hierarchy query applies at its leaves — identical
-// content in identical DFS order — instead of re-walking the hierarchy per
-// tile. The peek never blocks and never forces a flatten, so tiling keeps
-// its bounded-memory guarantee when it is the budget fallback.
-func tileQuery(cache *geocache.Cache, lo *layout.Layout, l layout.Layer, window geom.Rect) []layout.PlacedPoly {
-	if cache != nil {
-		if flat, ok := cache.PeekFlatten(l); ok {
-			var out []layout.PlacedPoly
-			for _, pp := range flat {
-				if pp.Shape.MBR().Overlaps(window) {
-					out = append(out, pp)
-				}
-			}
-			return out
-		}
-	}
-	polys, _ := lo.QueryLayer(l, window)
-	return polys
 }
 
 // makespan models LPT scheduling of tile durations onto the worker pool.

@@ -128,13 +128,6 @@ func WithoutPruning() Option {
 	return func(o *core.Options) { o.DisablePruning = true }
 }
 
-// WithoutGeoCache disables the cross-rule geometry cache, device-resident
-// edge buffers, and the pipelined rule schedule (ablation). Reports are
-// bit-identical with and without the cache; only the cost changes.
-func WithoutGeoCache() Option {
-	return func(o *core.Options) { o.DisableGeoCache = true }
-}
-
 // WithWorkers bounds the host worker pool used by the engine's fan-out
 // phases — per cell definition in the intra checks, per partition row in
 // the spacing sweep (<= 0 selects GOMAXPROCS). Reports are bit-identical
