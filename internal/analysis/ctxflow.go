@@ -15,8 +15,8 @@ import (
 //     not hand that callee a fresh Background/TODO — that drops the caller's
 //     cancellation on the floor mid-chain.
 //  3. A function that received a ctx must not fan out through a callee that
-//     transitively reaches the worker pool (pool.SubmitCtx / ForEachCtx /
-//     ForEachChunkCtx / WaitCtx) but takes no ctx itself — the fan-out below
+//     transitively reaches the worker pool (pool.ForEachCtx / pool.Go) but
+//     takes no ctx itself — the fan-out below
 //     becomes uncancellable. This one is interprocedural: the pool
 //     reachability comes from the bottom-up summaries, and the finding
 //     carries the call chain down to the pool entry point.

@@ -30,7 +30,7 @@ type summary struct {
 	retScratch []chain  // result i may alias scratch-pool memory
 	retParams  []uint64 // result i may alias these parameters (bitmask)
 	persist    []chain  // param i is stored somewhere that outlives the call
-	poolReach  chain    // transitively reaches a pool SubmitCtx/ForEachCtx
+	poolReach  chain    // transitively reaches a pool ForEachCtx/Go
 }
 
 func newSummary() *summary { return &summary{} }
@@ -475,7 +475,7 @@ func (ev *evaluator) evalTuple(e ast.Expr, n int) []absval {
 // the callee's signature, so self-contained fixtures work like the real
 // internal/pool.
 var poolFanOutNames = map[string]bool{
-	"SubmitCtx": true, "WaitCtx": true, "ForEachCtx": true, "ForEachChunkCtx": true,
+	"ForEachCtx": true, "Go": true,
 }
 
 // evalCall computes per-result abstract values of a call, applies call-site

@@ -205,7 +205,7 @@ const simPhase = "par:kernel-sim"
 // (the device-pool-bytes budget) surfaces through AllocAsync as an error
 // the guard converts into a RuleFailure.
 //
-// The schedule is pipelined: a prefetch pool sweeps the deck ahead of the
+// The schedule is pipelined: a prefetch fan-out sweeps the deck ahead of the
 // executing rule, flattening, packing, and partitioning upcoming layers on the
 // host while the device executes the current rule's kernels — by the time
 // rule k starts, its geometry is usually a cache hit costing ~zero host time.
@@ -221,16 +221,16 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		})
 	}
 
-	// A prefetch pool sweeps the rest of the deck ahead of the executing
+	// A prefetch fan-out sweeps the rest of the deck ahead of the executing
 	// rule, warming each upcoming layer's flatten, pack, and (for spacing
-	// rules) row partitions while rule 0's kernels execute on this goroutine. The sweep groups by layer — one looping closure per
-	// distinct upcoming layer, warming that layer's pack and then its reach
-	// partitions in deck order — so layers warm concurrently instead of
-	// queueing behind each other's partition computations. The sweep only
-	// warms the cache (never streams, the report, or rule state), so reports
-	// are bit-identical with and without it, and the cache's call totals —
-	// hence its hit/miss counters — are fixed by the deck, not by who wins a
-	// race.
+	// rules) row partitions while rule 0's kernels execute on this
+	// goroutine. The sweep groups by layer — one index per distinct upcoming
+	// layer, warming that layer's pack and then its reach partitions in deck
+	// order — so layers warm concurrently instead of queueing behind each
+	// other's partition computations. The sweep only warms the cache (never
+	// streams, the report, or rule state), so reports are bit-identical with
+	// and without it, and the cache's call totals — hence its hit/miss
+	// counters — are fixed by the deck, not by who wins a race.
 	// Delta runs touch a small neighborhood of a few layers; sweeping the
 	// whole deck's geometry ahead of them would recompute exactly the work
 	// the delta plan avoids, so the prefetcher only runs on full checks — and
@@ -264,31 +264,22 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 			}
 		}
 		if len(groups) > 0 {
-			w := len(groups)
-			if w > 8 {
-				w = 8
-			}
-			prefetch := pool.New(w)
-			defer prefetch.Close()
 			pctx := trace.WithTask(ctx, "prefetch")
-			for _, g := range groups {
-				g := g
-				_ = prefetch.SubmitCtx(pctx, func() {
+			wait := pool.Go(pctx, min(len(groups), 8), len(groups), func(i int) error {
+				g := groups[i]
+				_, _ = gc.Pack(ctx, lo, g.l)
+				for _, reach := range g.reaches {
 					if ctx.Err() != nil {
-						return
+						return nil
 					}
-					_, _ = gc.Pack(ctx, lo, g.l)
-					for _, reach := range g.reaches {
-						if ctx.Err() != nil {
-							return
-						}
-						_, _ = gc.Rows(ctx, lo, g.l, reach, alg)
-					}
-					if len(g.reaches) > 0 && ctx.Err() == nil {
-						_, _ = gc.Table(ctx, lo, g.l)
-					}
-				})
-			}
+					_, _ = gc.Rows(ctx, lo, g.l, reach, alg)
+				}
+				if len(g.reaches) > 0 && ctx.Err() == nil {
+					_, _ = gc.Table(ctx, lo, g.l)
+				}
+				return nil
+			})
+			defer func() { _ = wait() }()
 		}
 	}
 

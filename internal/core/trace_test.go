@@ -13,7 +13,7 @@ import (
 // tickClock returns an injectable clock advancing 1µs per reading —
 // schedule-independent only while a single goroutine reads it, which holds
 // for the sequential mode at workers=1 and never for the parallel mode: its
-// prefetch pool reads the clock (geocache events) beside the engine
+// prefetch fan-out reads the clock (geocache events) beside the engine
 // goroutine whatever Workers says.
 func tickClock() func() time.Duration {
 	var mu sync.Mutex
@@ -52,7 +52,7 @@ func exportTrace(t *testing.T, mode Mode, workers int, clock func() time.Duratio
 // TestTraceExportByteIdentical pins the determinism contract: repeated runs
 // at the same worker count under an injectable clock export byte-identical
 // files. Sequential mode uses a ticking clock on the inline path; parallel
-// mode uses a fixed clock at every worker count, so the prefetch pool and
+// mode uses a fixed clock at every worker count, so the prefetch fan-out and
 // the row workers record identical content regardless of scheduling.
 func TestTraceExportByteIdentical(t *testing.T) {
 	cases := []struct {

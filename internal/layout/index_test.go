@@ -376,7 +376,7 @@ func TestMagnifiedFrameTakesPlainWalk(t *testing.T) {
 
 // TestConcurrentFirstQueries fires the first queries a fresh layout ever
 // sees from many goroutines at once — same layer and different layers, as
-// geocache's per-layer flattens, KLayout tiles and the prefetch pool do —
+// geocache's per-layer flattens, KLayout tiles and the prefetch fan-out do —
 // so the lazy index build is raced (run under -race). Every result must
 // equal the linear reference.
 func TestConcurrentFirstQueries(t *testing.T) {

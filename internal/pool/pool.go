@@ -1,21 +1,21 @@
-// Package pool is OpenDRC's bounded host worker pool: the execution layer
-// behind the engine's multi-core fan-out (per cell definition in the intra
-// checks, per partition row in the spacing sweep, per tile in the KLayout
-// tiling baseline). The pool is deliberately small: fixed workers pulling
-// from a bounded queue, panic propagation to the waiter, and an indexed
-// ForEach whose callers write results into per-index slots so merged output
-// is bit-identical regardless of the worker count.
+// Package pool is OpenDRC's host fan-out: the execution layer behind the
+// engine's multi-core work (per cell definition in the intra checks, per
+// partition row in the spacing sweep, per tile in the KLayout tiling
+// baseline). It is deliberately small: an indexed ForEach whose callers
+// write results into per-index slots, so merged output is bit-identical
+// regardless of the worker count, with panic propagation to the caller; Go,
+// the same fan-out detached into the background; and the tenant-fair
+// Scheduler (sched.go), which routes the same fan-out's chunks through a
+// shared worker set.
 //
-// Failure semantics: misuse (Submit after Close, double Close) returns
-// ErrClosed instead of panicking or deadlocking; SubmitCtx/WaitCtx/
-// ForEachCtx honor context cancellation by refusing new work and draining
-// the tasks already in flight — a cancelled fan-out never abandons a
-// running worker.
+// Failure semantics: ForEachCtx and Go honor context cancellation by
+// refusing new indices and draining the ones already running — a cancelled
+// fan-out never abandons a running worker — and report the lowest failing
+// index's error, so degraded results are deterministic.
 package pool
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -24,10 +24,6 @@ import (
 
 	"opendrc/internal/trace"
 )
-
-// ErrClosed is returned by Submit and Close when the pool is already
-// closed.
-var ErrClosed = errors.New("pool: closed")
 
 // Workers resolves a configured worker count: values <= 0 select
 // runtime.GOMAXPROCS(0), the number of usable host cores.
@@ -38,9 +34,8 @@ func Workers(n int) int {
 	return n
 }
 
-// PanicError wraps a panic recovered inside a worker so Wait (or ForEach)
-// can re-panic it on the submitting goroutine with the worker's stack
-// preserved.
+// PanicError wraps a panic recovered inside a worker so ForEach can
+// re-panic it on the calling goroutine with the worker's stack preserved.
 type PanicError struct {
 	Value any    // the original panic value
 	Stack []byte // the panicking worker's stack
@@ -49,178 +44,6 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("pool: worker panic: %v\n%s", e.Value, e.Stack)
-}
-
-// Pool is a bounded worker pool: a fixed set of goroutines executing
-// submitted tasks. Submit blocks when the queue is full (bounded memory);
-// Wait blocks until every submitted task finished and re-panics the first
-// worker panic, if any. A Pool must be Closed when no longer needed.
-type Pool struct {
-	tasks   chan func()
-	pending sync.WaitGroup // open tasks
-	workers sync.WaitGroup // live worker goroutines
-	// submitting counts Submit/SubmitCtx calls between their closed-check
-	// and their channel send, so Close can wait them out before closing the
-	// task channel: a submitter that won the race against Close completes
-	// its send (the workers are still draining) instead of panicking on a
-	// closed channel.
-	submitting sync.WaitGroup
-	taskSeq    atomic.Uint64 // numbers traced SubmitCtx tasks in submission order
-
-	mu     sync.Mutex
-	closed bool //odrc:guardedby mu
-	// err is the first worker panic, cleared by Wait.
-	err *PanicError //odrc:guardedby mu
-}
-
-// New starts a pool with the given number of workers (<= 0 selects
-// GOMAXPROCS).
-func New(workers int) *Pool {
-	workers = Workers(workers)
-	p := &Pool{tasks: make(chan func(), 2*workers)}
-	p.workers.Add(workers)
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *Pool) worker() {
-	defer p.workers.Done()
-	for fn := range p.tasks {
-		p.run(fn)
-	}
-}
-
-// run executes one task, converting a panic into the pool's stored error.
-func (p *Pool) run(fn func()) {
-	defer p.pending.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			p.mu.Lock()
-			if p.err == nil {
-				p.err = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-			p.mu.Unlock()
-		}
-	}()
-	fn()
-}
-
-// Submit enqueues one task; it blocks while the queue is full. After Close
-// it returns ErrClosed. Submit may race Close: a task accepted before Close
-// observed the pool open still runs to completion (drain-on-close).
-func (p *Pool) Submit(fn func()) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.pending.Add(1)
-	p.submitting.Add(1)
-	p.mu.Unlock()
-	p.tasks <- fn
-	p.submitting.Done()
-	return nil
-}
-
-// SubmitCtx is Submit that gives up when ctx is cancelled while the queue
-// is full, returning ctx.Err(); tasks already queued keep draining. When
-// ctx carries a trace recorder the task records a span on the pool track,
-// named by the ctx task label and the pool-wide submission order.
-func (p *Pool) SubmitCtx(ctx context.Context, fn func()) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if rec := trace.FromContext(ctx); rec != nil {
-		name := fmt.Sprintf("%s#%d", trace.TaskLabel(ctx), p.taskSeq.Add(1)-1)
-		tenant := tenantTag(ctx)
-		inner := fn
-		fn = func() {
-			stop := rec.Begin(trace.TrackPool, "", name, "pool")
-			if tenant != "" {
-				defer stop(trace.Arg{Key: "tenant", Val: tenant})
-			} else {
-				defer stop()
-			}
-			inner()
-		}
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.pending.Add(1)
-	p.submitting.Add(1)
-	p.mu.Unlock()
-	select {
-	case p.tasks <- fn:
-		p.submitting.Done()
-		return nil
-	case <-ctx.Done():
-		p.pending.Done()
-		p.submitting.Done()
-		return ctx.Err()
-	}
-}
-
-// Wait blocks until all submitted tasks completed. If any task panicked,
-// Wait re-panics the first captured *PanicError; the pool stays usable for
-// further Submit/Wait rounds either way.
-func (p *Pool) Wait() {
-	p.pending.Wait()
-	p.mu.Lock()
-	err := p.err
-	p.err = nil
-	p.mu.Unlock()
-	if err != nil {
-		panic(err)
-	}
-}
-
-// WaitCtx blocks until all submitted tasks completed or ctx is cancelled.
-// On cancellation it returns ctx.Err() immediately while the submitted
-// tasks keep draining on the workers (call Wait or Close to rejoin them).
-// A worker panic is returned as a *PanicError instead of re-panicking.
-func (p *Pool) WaitCtx(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		p.pending.Wait()
-		close(done)
-	}()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-done:
-	}
-	p.mu.Lock()
-	err := p.err
-	p.err = nil
-	p.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return nil
-}
-
-// Close stops the workers after the queued tasks drain, including tasks
-// whose Submit/SubmitCtx raced Close and had already been accepted — the
-// channel closes only once every in-flight submitter finished its send
-// (the workers keep consuming until then, so those sends cannot wedge). A
-// second Close returns ErrClosed without touching the pool.
-func (p *Pool) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
-	p.closed = true
-	p.mu.Unlock()
-	p.submitting.Wait()
-	close(p.tasks)
-	p.workers.Wait()
-	return nil
 }
 
 // ForEach runs fn(0..n-1) on up to `workers` goroutines (<= 0 selects
@@ -274,22 +97,21 @@ func chunkFor(workers, n int) int {
 // panic is wrapped in a *PanicError carrying the worker's stack). When ctx
 // is cancelled the handout stops the same way and ctx.Err() is returned.
 // The choice of the lowest-index error keeps degraded results deterministic
-// across worker counts and chunk sizes.
+// across worker counts and chunk sizes. When the context carries a
+// Scheduler (WithScheduler), the multi-worker path routes its chunks
+// through the shared tenant-fair worker set instead of spawning its own
+// goroutines; results and error semantics are identical either way.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
-	return ForEachChunkCtx(ctx, workers, n, 0, fn)
+	return forEachChunkCtx(ctx, workers, n, 0, fn)
 }
 
-// ForEachChunkCtx is ForEachCtx with an explicit chunk size: indices are
+// forEachChunkCtx is ForEachCtx with an explicit chunk size: indices are
 // handed to workers in spans of `chunk` consecutive indices (the last span
 // may be shorter). chunk <= 0 selects the adaptive size, which targets
 // chunksPerWorker chunks per worker. Error, panic, cancellation, and result
 // semantics are identical for every chunk size; the equivalence tests pin
-// that down. Exported so callers with known task granularity (and the
-// chunking-equivalence tests) can force a size. When the context carries a
-// Scheduler (WithScheduler), the multi-worker path routes its chunks
-// through the shared tenant-fair worker set instead of spawning its own
-// goroutines; results and error semantics are identical either way.
-func ForEachChunkCtx(ctx context.Context, workers, n, chunk int, fn func(i int) error) error {
+// that down.
+func forEachChunkCtx(ctx context.Context, workers, n, chunk int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -307,9 +129,9 @@ func ForEachChunkCtx(ctx context.Context, workers, n, chunk int, fn func(i int) 
 	}
 	if workers == 1 || n == 1 {
 		// Inline fast path: no goroutines, no synchronization, and — with no
-		// recorder attached — no allocations at all. Kept out of line so the
-		// worker path's goroutine closures cannot force rec/label/fn onto
-		// the heap for this branch (escape analysis is per-function).
+		// recorder attached — no allocations at all. The worker path lives in
+		// fanout's methods so its goroutine closures cannot force rec/label/fn
+		// onto the heap for this branch (escape analysis is per-function).
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -322,98 +144,27 @@ func ForEachChunkCtx(ctx context.Context, workers, n, chunk int, fn func(i int) 
 	}
 	// The scheduler lookup happens only on the multi-worker path, so the
 	// inline branch above stays allocation-free even under a scheduler.
-	if s := SchedulerFromContext(ctx); s != nil {
-		return s.forEach(ctx, rec, label, TenantFromContext(ctx), workers, n, chunk, fn)
+	if s := schedulerFromContext(ctx); s != nil {
+		return s.forEach(newFanout(ctx, rec, label, tenantFromContext(ctx), workers, n, chunk, fn))
 	}
-	return forEachChunked(ctx, rec, label, workers, n, chunk, fn)
+	return newFanout(ctx, rec, label, "", workers, n, chunk, fn).run()
 }
 
-// forEachChunked is the multi-worker body of ForEachChunkCtx. It lives in
-// its own function so the goroutine closures below (which capture their
-// surroundings and therefore heap-allocate them) never tax the inline fast
-// path above.
-func forEachChunked(ctx context.Context, rec *trace.Recorder, label string, workers, n, chunk int, fn func(i int) error) error {
-	if chunk <= 0 {
-		chunk = chunkFor(workers, n)
+// Go starts fn(0..n-1) in the background on min(workers, n) goroutines
+// (workers <= 0 selects GOMAXPROCS), handing out one index at a time, and
+// returns wait, which blocks until every started index finished and then
+// reports like ForEachCtx: the lowest failing index's error (a panic as a
+// *PanicError) or ctx.Err(). Cancelling ctx stops the handout; indices
+// already running drain. With a recorder in ctx each index is a "label#i"
+// span on the pool track. Go never routes through a context Scheduler: it
+// is for detached warm-up work that stays out of tenant accounting.
+func Go(ctx context.Context, workers, n int, fn func(i int) error) (wait func() error) {
+	f := newFanout(ctx, trace.FromContext(ctx), trace.TaskLabel(ctx), "", Workers(workers), max(n, 0), 1, fn)
+	join := f.start(f.cap)
+	return func() error {
+		join()
+		return f.result()
 	}
-	nChunks := (n + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var (
-		next    int64
-		failIdx atomic.Int64 // lowest recorded failure index; n = none
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		fail    *indexedErr
-	)
-	failIdx.Store(int64(n))
-	record := func(i int, err error) {
-		mu.Lock()
-		if fail == nil || i < fail.idx {
-			fail = &indexedErr{idx: i, err: err}
-			failIdx.Store(int64(i))
-		}
-		mu.Unlock()
-	}
-	body := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				record(i, &PanicError{Value: r, Stack: debug.Stack()})
-			}
-		}()
-		if err := fn(i); err != nil {
-			record(i, err)
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				// One cancellation check per chunk: ctx.Err() takes a lock
-				// inside the context, so probing it per index would serialize
-				// the workers on exactly the hot path chunking exists to
-				// relieve.
-				if ctx.Err() != nil {
-					return
-				}
-				c := int(atomic.AddInt64(&next, 1)) - 1
-				lo := c * chunk
-				// After a failure, indices at or above the lowest recorded
-				// failing index may be skipped — but every index below it
-				// still runs, so the reported error is the globally lowest
-				// failing index, deterministic for every worker count and
-				// chunk size. Chunks are handed out in ascending order, so
-				// once lo passes the watermark nothing below it remains.
-				if lo >= n || int64(lo) > failIdx.Load() {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				var stopSpan func(args ...trace.Arg)
-				if rec != nil {
-					stopSpan = rec.Begin(trace.TrackPool, "", chunkName(label, lo, hi), "pool")
-				}
-				for i := lo; i < hi; i++ {
-					if int64(i) > failIdx.Load() {
-						break
-					}
-					body(i)
-				}
-				if stopSpan != nil {
-					stopSpan()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if fail != nil {
-		return fail.err
-	}
-	return ctx.Err()
 }
 
 // runSpan executes one inline-path index, tracing it as its own span when a
@@ -440,4 +191,146 @@ func chunkName(label string, lo, hi int) string {
 		return fmt.Sprintf("%s#%d", label, lo)
 	}
 	return fmt.Sprintf("%s#%d-%d", label, lo, hi)
+}
+
+// fanout is one multi-worker fan-out, whoever drives it — the caller plus
+// helper goroutines (run), helpers alone (Go), or a Scheduler's shared
+// workers beside the caller: the chunk handout, the lowest-index failure
+// watermark, per-index panic recovery, and the pool-track chunk span.
+type fanout struct {
+	ctx    context.Context
+	rec    *trace.Recorder
+	label  string
+	tenant string // "" off the scheduler: chunk spans then carry no tenant arg
+	fn     func(int) error
+
+	n, chunk, cap int
+	nextLo        atomic.Int64 // next index to hand out; chunks go out in ascending order
+	failIdx       atomic.Int64 // lowest recorded failure index; n = none
+	fmu           sync.Mutex
+	fail          *indexedErr
+
+	// Scheduled path only, guarded by the scheduler's mu.
+	arrival   uint64
+	t         *schedTenant
+	running   int  // chunks currently executing
+	queued    bool // still linked in the tenant queue
+	completed bool // done has been closed
+	done      chan struct{}
+}
+
+// newFanout resolves the chunk size (chunk <= 0 selects the adaptive size)
+// and caps the worker count at the number of chunks.
+func newFanout(ctx context.Context, rec *trace.Recorder, label, tenant string, workers, n, chunk int, fn func(int) error) *fanout {
+	if chunk <= 0 {
+		chunk = chunkFor(workers, n)
+	}
+	f := &fanout{
+		ctx: ctx, rec: rec, label: label, tenant: tenant, fn: fn,
+		n: n, chunk: chunk, cap: min(workers, (n+chunk-1)/chunk),
+	}
+	f.failIdx.Store(int64(n))
+	return f
+}
+
+// take claims the next chunk [lo, hi); lo >= n once the index space is
+// consumed.
+func (f *fanout) take() (lo, hi int) {
+	lo = int(f.nextLo.Add(int64(f.chunk))) - f.chunk
+	return lo, min(lo+f.chunk, f.n)
+}
+
+// run drives the fan-out directly: the calling goroutine drains the handout
+// beside cap-1 helper goroutines, then reports.
+func (f *fanout) run() error {
+	join := f.start(f.cap - 1)
+	f.drain()
+	join()
+	return f.result()
+}
+
+// start launches k helper goroutines draining the handout; join waits for
+// them.
+func (f *fanout) start(k int) (join func()) {
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for w := 0; w < k; w++ {
+		go func() {
+			defer wg.Done()
+			f.drain()
+		}()
+	}
+	return wg.Wait
+}
+
+// drain runs chunks until the handout is exhausted. One cancellation check
+// per chunk: ctx.Err() takes a lock inside the context, so probing it per
+// index would serialize the workers on exactly the hot path chunking exists
+// to relieve.
+func (f *fanout) drain() {
+	for f.ctx.Err() == nil {
+		lo, hi := f.take()
+		// After a failure, indices at or above the lowest recorded failing
+		// index may be skipped — but every index below it still runs, so the
+		// reported error is the globally lowest failing index, deterministic
+		// for every worker count and chunk size. Chunks are handed out in
+		// ascending order, so once lo passes the watermark nothing below it
+		// remains.
+		if lo >= f.n || int64(lo) > f.failIdx.Load() {
+			return
+		}
+		f.runChunk(lo, hi)
+	}
+}
+
+// runChunk executes the chunk [lo, hi) under the failure watermark, traced
+// as one pool-track span (tagged with the tenant on the scheduled path).
+func (f *fanout) runChunk(lo, hi int) {
+	var stopSpan func(args ...trace.Arg)
+	if f.rec != nil {
+		stopSpan = f.rec.Begin(trace.TrackPool, "", chunkName(f.label, lo, hi), "pool")
+	}
+	for i := lo; i < hi && int64(i) <= f.failIdx.Load(); i++ {
+		f.runIndex(i)
+	}
+	switch {
+	case stopSpan == nil:
+	case f.tenant != "":
+		stopSpan(trace.Arg{Key: "tenant", Val: f.tenant})
+	default:
+		stopSpan()
+	}
+}
+
+// runIndex executes one index with panic recovery.
+func (f *fanout) runIndex(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			f.record(i, &PanicError{Value: r, Stack: debug.Stack()})
+		}
+	}()
+	if err := f.fn(i); err != nil {
+		f.record(i, err)
+	}
+}
+
+// record keeps the lowest-index error and lowers the watermark to it.
+func (f *fanout) record(i int, err error) {
+	f.fmu.Lock()
+	if f.fail == nil || i < f.fail.idx {
+		f.fail = &indexedErr{idx: i, err: err}
+		f.failIdx.Store(int64(i))
+	}
+	f.fmu.Unlock()
+}
+
+// result reports a drained fan-out: the lowest-index error, else ctx.Err().
+func (f *fanout) result() error {
+	f.fmu.Lock()
+	fail := f.fail
+	f.fmu.Unlock()
+	if fail != nil {
+		return fail.err
+	}
+	return f.ctx.Err()
 }

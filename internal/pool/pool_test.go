@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,53 +26,6 @@ func TestWorkersDefault(t *testing.T) {
 	if got := Workers(5); got != 5 {
 		t.Fatalf("Workers(5) = %d", got)
 	}
-}
-
-func TestPoolSubmitWait(t *testing.T) {
-	p := New(4)
-	defer p.Close()
-	var sum int64
-	for i := 1; i <= 100; i++ {
-		i := i
-		p.Submit(func() { atomic.AddInt64(&sum, int64(i)) })
-	}
-	p.Wait()
-	if sum != 5050 {
-		t.Fatalf("sum = %d, want 5050", sum)
-	}
-	// The pool is reusable after Wait.
-	p.Submit(func() { atomic.AddInt64(&sum, 1) })
-	p.Wait()
-	if sum != 5051 {
-		t.Fatalf("second round sum = %d, want 5051", sum)
-	}
-}
-
-func TestPoolPanicPropagation(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	p.Submit(func() { panic("boom") })
-	p.Submit(func() {}) // healthy task alongside the panicking one
-	func() {
-		defer func() {
-			r := recover()
-			pe, ok := r.(*PanicError)
-			if !ok {
-				t.Fatalf("recovered %T (%v), want *PanicError", r, r)
-			}
-			if pe.Value != "boom" {
-				t.Fatalf("panic value = %v, want boom", pe.Value)
-			}
-			if len(pe.Stack) == 0 {
-				t.Fatal("panic stack not captured")
-			}
-		}()
-		p.Wait()
-		t.Fatal("Wait returned instead of panicking")
-	}()
-	// The panic is consumed: the next round is clean.
-	p.Submit(func() {})
-	p.Wait()
 }
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -118,93 +70,6 @@ func TestForEachPanic(t *testing.T) {
 
 func TestForEachZeroItems(t *testing.T) {
 	ForEach(4, 0, func(int) { t.Fatal("fn called for n=0") })
-}
-
-func TestSubmitAfterClose(t *testing.T) {
-	p := New(2)
-	if err := p.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
-	}
-	if err := p.Submit(func() { t.Error("task ran after Close") }); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
-	}
-	if err := p.SubmitCtx(context.Background(), func() {}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitCtx after Close = %v, want ErrClosed", err)
-	}
-}
-
-func TestDoubleClose(t *testing.T) {
-	p := New(2)
-	if err := p.Close(); err != nil {
-		t.Fatalf("first Close: %v", err)
-	}
-	if err := p.Close(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("second Close = %v, want ErrClosed", err)
-	}
-}
-
-func TestSubmitCtxCancelled(t *testing.T) {
-	p := New(1)
-	defer p.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := p.SubmitCtx(ctx, func() { t.Error("task ran under cancelled ctx") }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SubmitCtx(cancelled) = %v, want context.Canceled", err)
-	}
-	// The refused submission must not leak a pending count: Wait returns.
-	p.Wait()
-}
-
-func TestSubmitCtxFullQueue(t *testing.T) {
-	p := New(1)
-	defer p.Close()
-	// Block the single worker and fill the queue so the next SubmitCtx
-	// has to wait on the channel, then cancel it.
-	release := make(chan struct{})
-	p.Submit(func() { <-release })
-	for i := 0; i < cap(p.tasks); i++ {
-		p.Submit(func() {})
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	err := p.SubmitCtx(ctx, func() { t.Error("task ran after cancelled enqueue") })
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("SubmitCtx on full queue = %v, want DeadlineExceeded", err)
-	}
-	close(release)
-	p.Wait()
-}
-
-func TestWaitCtxCancelDrains(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	var done atomic.Int32
-	release := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		p.Submit(func() { <-release; done.Add(1) })
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := p.WaitCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("WaitCtx(cancelled) = %v, want context.Canceled", err)
-	}
-	// Cancellation abandoned the wait but not the tasks: they drain.
-	close(release)
-	p.Wait()
-	if got := done.Load(); got != 4 {
-		t.Fatalf("drained %d tasks after cancelled WaitCtx, want 4", got)
-	}
-}
-
-func TestWaitCtxReturnsPanicError(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	p.Submit(func() { panic("boom") })
-	err := p.WaitCtx(context.Background())
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Value != "boom" {
-		t.Fatalf("WaitCtx = %v, want *PanicError{boom}", err)
-	}
 }
 
 func TestForEachCtxLowestIndexError(t *testing.T) {
@@ -303,22 +168,77 @@ func TestForEachCtxNoRecorderNoSpans(t *testing.T) {
 	}
 }
 
-func TestSubmitCtxRecordsTaskSpans(t *testing.T) {
-	rec := trace.NewWithClock(func() time.Duration { return 0 })
-	ctx := trace.WithTask(trace.WithRecorder(context.Background(), rec), "prefetch")
-	p := New(2)
-	defer p.Close()
-	for i := 0; i < 3; i++ {
-		if err := p.SubmitCtx(ctx, func() {}); err != nil {
+// TestGo pins the background fan-out: wait returns only after every index
+// ran, a panic comes back as a *PanicError, a cancelled context stops the
+// handout, and each index is traced as "label#i" on the pool track.
+func TestGo(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		n, workers int
+		cancelAt   int32 // cancel ctx when this many indices have started; 0 = never
+		fn         func(i int) error
+		check      func(t *testing.T, err error, ran int32)
+	}{
+		{
+			name: "waits_for_every_index", n: 20, workers: 4,
+			fn: func(int) error { time.Sleep(time.Millisecond); return nil },
+			check: func(t *testing.T, err error, ran int32) {
+				if err != nil || ran != 20 {
+					t.Fatalf("wait = %v after %d of 20 indices, want nil after all", err, ran)
+				}
+			},
+		},
+		{
+			name: "panic", n: 8, workers: 2,
+			fn: func(i int) error {
+				if i == 3 {
+					panic("boom")
+				}
+				return nil
+			},
+			check: func(t *testing.T, err error, ran int32) {
+				var pe *PanicError
+				if !errors.As(err, &pe) || pe.Value != "boom" || len(pe.Stack) == 0 {
+					t.Fatalf("wait = %v, want *PanicError{boom} with a stack", err)
+				}
+			},
+		},
+		{
+			name: "cancel_stops_handout", n: 1000, workers: 2, cancelAt: 5,
+			fn: func(int) error { return nil },
+			check: func(t *testing.T, err error, ran int32) {
+				if !errors.Is(err, context.Canceled) || ran == 1000 {
+					t.Fatalf("wait = %v after %d of 1000 indices, want context.Canceled before the end", err, ran)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var ran atomic.Int32
+			wait := Go(ctx, tc.workers, tc.n, func(i int) error {
+				if ran.Add(1) == tc.cancelAt {
+					cancel()
+				}
+				return tc.fn(i)
+			})
+			err := wait()
+			tc.check(t, err, ran.Load())
+		})
+	}
+	t.Run("spans", func(t *testing.T) {
+		rec := trace.NewWithClock(func() time.Duration { return 0 })
+		ctx := trace.WithTask(trace.WithRecorder(context.Background(), rec), "prefetch")
+		if err := Go(ctx, 2, 3, func(int) error { return nil })(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	p.Wait()
-	got := traceNames(t, rec)
-	want := []string{"prefetch#0", "prefetch#1", "prefetch#2"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("spans %v, want %v (named by submission order)", got, want)
-	}
+		got := traceNames(t, rec)
+		want := []string{"prefetch#0", "prefetch#1", "prefetch#2"}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("spans %v, want %v (one per index)", got, want)
+		}
+	})
 }
 
 // TestForEachChunkCtxEquivalence pins the chunking contract: for forced
@@ -332,7 +252,7 @@ func TestForEachChunkCtxEquivalence(t *testing.T) {
 		for _, chunk := range []int{1, 7, n} {
 			// Results land in per-index slots, the callers' merge pattern.
 			slots := make([]int, n)
-			err := ForEachChunkCtx(context.Background(), workers, n, chunk, func(i int) error {
+			err := forEachChunkCtx(context.Background(), workers, n, chunk, func(i int) error {
 				slots[i] = i * i
 				return nil
 			})
@@ -346,7 +266,7 @@ func TestForEachChunkCtxEquivalence(t *testing.T) {
 			}
 
 			// Lowest-index error, independent of chunk size.
-			err = ForEachChunkCtx(context.Background(), workers, n, chunk, func(i int) error {
+			err = forEachChunkCtx(context.Background(), workers, n, chunk, func(i int) error {
 				if i%7 == 3 {
 					return fmt.Errorf("fail@%d", i)
 				}
@@ -357,7 +277,7 @@ func TestForEachChunkCtxEquivalence(t *testing.T) {
 			}
 
 			// Panic wrapped as *PanicError with the same lowest-index rule.
-			err = ForEachChunkCtx(context.Background(), workers, n, chunk, func(i int) error {
+			err = forEachChunkCtx(context.Background(), workers, n, chunk, func(i int) error {
 				if i == 5 {
 					panic("kaput")
 				}
@@ -371,7 +291,7 @@ func TestForEachChunkCtxEquivalence(t *testing.T) {
 			// Cancellation surfaces ctx.Err() and stops the handout.
 			ctx, cancel := context.WithCancel(context.Background())
 			var ran atomic.Int32
-			err = ForEachChunkCtx(ctx, workers, n, chunk, func(i int) error {
+			err = forEachChunkCtx(ctx, workers, n, chunk, func(i int) error {
 				if ran.Add(1) == 5 {
 					cancel()
 				}
@@ -391,7 +311,7 @@ func TestForEachChunkCtxEquivalence(t *testing.T) {
 func TestForEachCtxLowestErrorAcrossChunks(t *testing.T) {
 	const n = 90
 	var gate atomic.Bool
-	err := ForEachChunkCtx(context.Background(), 2, n, 30, func(i int) error {
+	err := forEachChunkCtx(context.Background(), 2, n, 30, func(i int) error {
 		switch {
 		case i == 60:
 			// Fail immediately in the last chunk, before index 3 runs.
@@ -447,136 +367,12 @@ func TestForEachCtxNoRecorderAllocFree(t *testing.T) {
 func TestForEachChunkCtxTraceSpansPerChunk(t *testing.T) {
 	rec := trace.NewWithClock(func() time.Duration { return 0 })
 	ctx := trace.WithTask(trace.WithRecorder(context.Background(), rec), "row")
-	if err := ForEachChunkCtx(ctx, 2, 10, 4, func(i int) error { return nil }); err != nil {
+	if err := forEachChunkCtx(ctx, 2, 10, 4, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	got := traceNames(t, rec)
 	want := []string{"row#0-4", "row#4-8", "row#8-10"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("spans %v, want %v (one span per chunk)", got, want)
-	}
-}
-
-// TestCloseRacesSubmitCtx pins drain-on-close semantics under a genuine
-// race: submitters hammering SubmitCtx while Close runs concurrently. Every
-// submission the pool accepted (nil error) must execute before Close
-// returns — no panic on a closed channel, no dropped task — and every
-// refused submission must report ErrClosed or the submitter's context
-// error, nothing else.
-func TestCloseRacesSubmitCtx(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		p := New(2)
-		var accepted, executed atomic.Int64
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for i := 0; i < 50; i++ {
-					err := p.SubmitCtx(context.Background(), func() {
-						executed.Add(1)
-					})
-					switch {
-					case err == nil:
-						accepted.Add(1)
-					case errors.Is(err, ErrClosed):
-						return
-					default:
-						t.Errorf("SubmitCtx = %v, want nil or ErrClosed", err)
-						return
-					}
-				}
-			}()
-		}
-		closed := make(chan struct{})
-		go func() {
-			<-start
-			// Let some submissions through before closing so both sides of
-			// the race occur across rounds.
-			runtime.Gosched()
-			if err := p.Close(); err != nil {
-				t.Errorf("Close = %v", err)
-			}
-			close(closed)
-		}()
-		close(start)
-		wg.Wait()
-		<-closed
-		// Close returns only after the queue drained: at this point every
-		// accepted task has run.
-		if a, e := accepted.Load(), executed.Load(); a != e {
-			t.Fatalf("round %d: accepted %d tasks but executed %d (drain-on-close violated)", round, a, e)
-		}
-	}
-}
-
-// TestCloseRacesSubmit is the same race through the blocking Submit path.
-func TestCloseRacesSubmit(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		p := New(1)
-		var accepted, executed atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < 3; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 30; i++ {
-					if err := p.Submit(func() { executed.Add(1) }); err != nil {
-						if !errors.Is(err, ErrClosed) {
-							t.Errorf("Submit = %v, want nil or ErrClosed", err)
-						}
-						return
-					}
-					accepted.Add(1)
-				}
-			}()
-		}
-		if err := p.Close(); err != nil {
-			t.Fatalf("Close = %v", err)
-		}
-		wg.Wait()
-		if a, e := accepted.Load(), executed.Load(); a != e {
-			t.Fatalf("round %d: accepted %d executed %d", round, a, e)
-		}
-	}
-}
-
-// TestForEachCtxErrorDuringPoolClose runs a failing ForEachCtx fan-out while
-// an unrelated Pool is closing on the same scheduler: the fan-out's
-// lowest-index error guarantee must hold regardless of concurrent pool
-// teardown activity, and the closing pool must still drain its own queue.
-func TestForEachCtxErrorDuringPoolClose(t *testing.T) {
-	p := New(2)
-	var executed atomic.Int64
-	for i := 0; i < 8; i++ {
-		if err := p.Submit(func() {
-			time.Sleep(time.Millisecond)
-			executed.Add(1)
-		}); err != nil {
-			t.Fatalf("Submit: %v", err)
-		}
-	}
-	closed := make(chan struct{})
-	go func() {
-		if err := p.Close(); err != nil {
-			t.Errorf("Close = %v", err)
-		}
-		close(closed)
-	}()
-	errAt := func(i int) error { return fmt.Errorf("fail@%d", i) }
-	err := ForEachCtx(context.Background(), 4, 64, func(i int) error {
-		if i%5 == 3 { // fails at 3, 8, 13, ... — lowest is 3
-			return errAt(i)
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "fail@3" {
-		t.Fatalf("ForEachCtx error = %v, want fail@3 (lowest index)", err)
-	}
-	<-closed
-	if got := executed.Load(); got != 8 {
-		t.Fatalf("closing pool executed %d of 8 queued tasks", got)
 	}
 }

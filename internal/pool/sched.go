@@ -24,8 +24,9 @@
 // Determinism is untouched: the scheduler only reorders chunk execution,
 // and fan-out callers write results into per-index slots (reports are
 // sorted and merged independent of schedule), so canonical reports stay
-// byte-identical under any co-tenant load. The equivalence tests pin error,
-// panic, and cancellation semantics to the direct forEachChunked path.
+// byte-identical under any co-tenant load. Scheduled and direct fan-outs
+// are the same fanout (pool.go), so error, panic, and cancellation
+// semantics are one implementation; the equivalence tests pin them.
 package pool
 
 import (
@@ -34,7 +35,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"opendrc/internal/faults"
 	"opendrc/internal/trace"
@@ -79,9 +79,9 @@ const strideOne = 1 << 20
 // collects credit, so sustained loads still split by weight alone.
 const rejoinWarp = 256 * strideOne
 
-// DefaultTenant is the queue shared by fan-outs without an explicit tenant
+// defaultTenant is the queue shared by fan-outs without an explicit tenant
 // tag.
-const DefaultTenant = "default"
+const defaultTenant = "default"
 
 // SchedConfig tunes a Scheduler.
 type SchedConfig struct {
@@ -110,7 +110,7 @@ type schedTenant struct {
 	burstUntil uint64    // pass front at the last idle join; below it the tenant is bursting
 	queue      []*fanout // FIFO of fan-outs with chunks left to hand out
 	inflight   int       // chunks currently executing
-	present    int       // open Enter spans (checks in flight)
+	present    int       // open presence spans (checks in flight)
 	dispatched uint64    // chunks handed to shared workers
 	selfServed uint64    // chunks run by the fan-outs' own callers
 	gatedWaits uint64    // times a caller yielded to a lagging tenant
@@ -118,10 +118,9 @@ type schedTenant struct {
 }
 
 // Scheduler is the tenant-aware dispatch layer. Attach one to a context
-// with WithScheduler and every multi-worker ForEachCtx/ForEachChunkCtx
-// below it routes its chunks through the shared, weighted-fair worker set.
-// The zero value is not usable; construct with NewScheduler and Close when
-// done.
+// with WithScheduler and every multi-worker ForEachCtx below it routes its
+// chunks through the shared, weighted-fair worker set. The zero value is not
+// usable; construct with NewScheduler and Close when done.
 type Scheduler struct {
 	policy        SchedPolicy
 	defaultWeight int
@@ -245,83 +244,28 @@ func (s *Scheduler) Snapshot() SchedSnapshot {
 	return snap
 }
 
-// fanout is one scheduled ForEachChunkCtx call: the work description plus
-// the same failure-watermark bookkeeping forEachChunked keeps, so the
-// scheduled and direct paths report identical errors.
-type fanout struct {
-	ctx    context.Context
-	rec    *trace.Recorder
-	label  string
-	tenant string
-	fn     func(int) error
-
-	n, chunk, cap int
-	arrival       uint64
-	t             *schedTenant
-
-	// Guarded by the scheduler's mu.
-	nextLo    int  // next index to hand out (chunks go out in ascending order)
-	running   int  // chunks currently executing
-	queued    bool // still linked in the tenant queue
-	completed bool // done has been closed
-
-	failIdx atomic.Int64 // lowest recorded failure index; n = none
-	fmu     sync.Mutex
-	fail    *indexedErr
-	done    chan struct{}
-}
-
 // exhaustedLocked reports that no further chunks will be handed out: the
 // index space is consumed, a failure watermark was passed (chunks go out in
 // ascending order, so nothing below it remains), or the fan-out's context
 // is cancelled.
 func (f *fanout) exhaustedLocked() bool {
-	return f.nextLo >= f.n || int64(f.nextLo) > f.failIdx.Load() || f.ctx.Err() != nil
+	lo := f.nextLo.Load()
+	return lo >= int64(f.n) || lo > f.failIdx.Load() || f.ctx.Err() != nil
 }
 
 // takeLocked hands out the next chunk.
 func (f *fanout) takeLocked() (lo, hi int) {
-	lo = f.nextLo
-	hi = lo + f.chunk
-	if hi > f.n {
-		hi = f.n
-	}
-	f.nextLo = hi
 	f.running++
-	return lo, hi
+	return f.take()
 }
 
-// record keeps the lowest-index error, mirroring forEachChunked.
-func (f *fanout) record(i int, err error) {
-	f.fmu.Lock()
-	if f.fail == nil || i < f.fail.idx {
-		f.fail = &indexedErr{idx: i, err: err}
-		f.failIdx.Store(int64(i))
+// execute runs the chunk [lo, hi) outside the scheduler lock — behind the
+// SiteSched chaos seam — and retires it.
+func (s *Scheduler) execute(f *fanout, lo, hi int) {
+	if s.faults == nil || f.hitSched(s.faults, lo) {
+		f.runChunk(lo, hi)
 	}
-	f.fmu.Unlock()
-}
-
-// runChunk executes the chunk [lo, hi) outside the scheduler lock: the
-// SiteSched chaos seam first, then the indices under the same per-index
-// failure watermark and panic recovery as the direct path, traced as one
-// pool-track span tagged with the tenant.
-func (f *fanout) runChunk(inj *faults.Injector, lo, hi int) {
-	if inj != nil && !f.hitSched(inj, lo) {
-		return
-	}
-	var stopSpan func(args ...trace.Arg)
-	if f.rec != nil {
-		stopSpan = f.rec.Begin(trace.TrackPool, "", chunkName(f.label, lo, hi), "pool")
-	}
-	for i := lo; i < hi; i++ {
-		if int64(i) > f.failIdx.Load() {
-			break
-		}
-		f.runIndex(i)
-	}
-	if stopSpan != nil {
-		stopSpan(trace.Arg{Key: "tenant", Val: f.tenant})
-	}
+	s.chunkDone(f)
 }
 
 // hitSched evaluates the SiteSched seam for the chunk starting at lo,
@@ -341,50 +285,20 @@ func (f *fanout) hitSched(inj *faults.Injector, lo int) (ok bool) {
 	return true
 }
 
-// runIndex executes one index with panic recovery.
-func (f *fanout) runIndex(i int) {
-	defer func() {
-		if r := recover(); r != nil {
-			f.record(i, &PanicError{Value: r, Stack: debug.Stack()})
-		}
-	}()
-	if err := f.fn(i); err != nil {
-		f.record(i, err)
-	}
-}
-
-// forEach is the scheduled counterpart of forEachChunked: enqueue the
-// fan-out on the tenant's queue, serve its chunks from the calling
-// goroutine while shared workers interleave it fairly with other tenants,
-// then report with the direct path's exact semantics.
-func (s *Scheduler) forEach(ctx context.Context, rec *trace.Recorder, label, tenant string, workers, n, chunk int, fn func(int) error) error {
-	if chunk <= 0 {
-		chunk = chunkFor(workers, n)
-	}
-	nChunks := (n + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	f := &fanout{
-		ctx: ctx, rec: rec, label: label, tenant: tenant,
-		fn: fn, n: n, chunk: chunk, cap: workers,
-		done: make(chan struct{}),
-	}
-	f.failIdx.Store(int64(n))
+// forEach is the scheduled way to drive a fan-out: enqueue it on the
+// tenant's queue, serve its chunks from the calling goroutine while shared
+// workers interleave it fairly with other tenants, then report.
+func (s *Scheduler) forEach(f *fanout) error {
+	f.done = make(chan struct{})
 	if !s.enqueue(f) {
 		// The scheduler has shut down: run directly. Semantics are identical,
-		// only cross-tenant interleaving is lost.
-		return forEachChunked(ctx, rec, label, workers, n, chunk, fn)
+		// only cross-tenant interleaving (and the span's tenant tag) is lost.
+		f.tenant = ""
+		return f.run()
 	}
 	s.serveOwn(f)
 	<-f.done
-	f.fmu.Lock()
-	fail := f.fail
-	f.fmu.Unlock()
-	if fail != nil {
-		return fail.err
-	}
-	return ctx.Err()
+	return f.result()
 }
 
 // enqueue registers the fan-out under its tenant. False when the scheduler
@@ -448,7 +362,7 @@ func (s *Scheduler) burstingLocked(t *schedTenant) bool {
 	return s.policy == FairShare && t.pass < t.burstUntil
 }
 
-// Enter opens a presence span for tenant: the whole latency-sensitive work
+// enter opens a presence span for tenant: the whole latency-sensitive work
 // unit (one service check), not just the instants its fan-outs are queued.
 // While a lagging tenant is present, co-tenant callers yield between their
 // chunk takes (gatedLocked) even during its serial sections — on a busy
@@ -457,7 +371,7 @@ func (s *Scheduler) burstingLocked(t *schedTenant) bool {
 // leave func closes the span (idempotent). Shared workers are never gated,
 // so a present tenant that stalls degrades co-tenants to worker-only
 // bandwidth at worst until its context dies.
-func (s *Scheduler) Enter(tenant string) (leave func()) {
+func (s *Scheduler) enter(tenant string) (leave func()) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -483,11 +397,11 @@ func (s *Scheduler) Enter(tenant string) (leave func()) {
 // scheduler, returning the leave func. A no-op closure when the context
 // carries no scheduler.
 func EnterCtx(ctx context.Context) func() {
-	s := SchedulerFromContext(ctx)
+	s := schedulerFromContext(ctx)
 	if s == nil {
 		return func() {}
 	}
-	return s.Enter(TenantFromContext(ctx))
+	return s.enter(tenantFromContext(ctx))
 }
 
 // YieldCtx parks the caller while its tenant is gated behind a lagging
@@ -500,28 +414,40 @@ func EnterCtx(ctx context.Context) func() {
 // closed or not fair-share, the tenant is not gated, or the context is
 // done; a parked caller wakes on any scheduling event or cancellation.
 func YieldCtx(ctx context.Context) {
-	s := SchedulerFromContext(ctx)
+	s := schedulerFromContext(ctx)
 	if s == nil {
 		return
 	}
-	s.yield(ctx, TenantFromContext(ctx))
+	s.yield(ctx, tenantFromContext(ctx))
 }
 
+// yield checks the gate before arming anything, so the common ungated call
+// — every rule boundary of every service check — allocates nothing.
 func (s *Scheduler) yield(ctx context.Context, tenant string) {
-	// Cancellation must wake the cond wait: nothing else is guaranteed to
-	// broadcast while the gating tenant sits present but idle.
-	stop := context.AfterFunc(ctx, func() { s.cond.Broadcast() })
-	defer stop()
+	var stop func() bool
 	s.mu.Lock()
 	for !s.closed && ctx.Err() == nil {
 		t := s.tenants[tenant]
 		if t == nil || !s.gatedLocked(t) {
 			break
 		}
+		if stop == nil {
+			// Cancellation must wake the cond wait: nothing else is guaranteed
+			// to broadcast while the gating tenant sits present but idle. The
+			// broadcast takes mu, so it cannot slip in before this Wait parks.
+			stop = context.AfterFunc(ctx, func() {
+				s.mu.Lock()
+				s.cond.Broadcast()
+				s.mu.Unlock()
+			})
+		}
 		t.gatedWaits++
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
 }
 
 // Weight reports the stride weight tenant would be scheduled with (its
@@ -602,8 +528,7 @@ func (s *Scheduler) serveOwn(f *fanout) {
 		s.advancePassLocked(f.t)
 		s.mu.Unlock()
 		s.cond.Broadcast()
-		f.runChunk(s.faults, lo, hi)
-		s.chunkDone(f)
+		s.execute(f, lo, hi)
 	}
 }
 
@@ -653,8 +578,7 @@ func (s *Scheduler) worker(reserved bool) {
 		if !ok {
 			return
 		}
-		f.runChunk(s.faults, lo, hi)
-		s.chunkDone(f)
+		s.execute(f, lo, hi)
 	}
 }
 
@@ -819,9 +743,9 @@ func WithScheduler(ctx context.Context, s *Scheduler) context.Context {
 	return context.WithValue(ctx, schedulerKey, s)
 }
 
-// SchedulerFromContext returns the scheduler attached by WithScheduler, or
+// schedulerFromContext returns the scheduler attached by WithScheduler, or
 // nil.
-func SchedulerFromContext(ctx context.Context) *Scheduler {
+func schedulerFromContext(ctx context.Context) *Scheduler {
 	s, _ := ctx.Value(schedulerKey).(*Scheduler)
 	return s
 }
@@ -835,18 +759,11 @@ func WithTenant(ctx context.Context, tenant string) context.Context {
 	return context.WithValue(ctx, tenantKey, tenant)
 }
 
-// TenantFromContext returns the tenant tag attached by WithTenant;
-// untagged contexts share DefaultTenant.
-func TenantFromContext(ctx context.Context) string {
+// tenantFromContext returns the tenant tag attached by WithTenant;
+// untagged contexts share defaultTenant.
+func tenantFromContext(ctx context.Context) string {
 	if t, ok := ctx.Value(tenantKey).(string); ok {
 		return t
 	}
-	return DefaultTenant
-}
-
-// tenantTag is TenantFromContext without the default — "" means untagged,
-// so tracing can omit the tag entirely.
-func tenantTag(ctx context.Context) string {
-	t, _ := ctx.Value(tenantKey).(string)
-	return t
+	return defaultTenant
 }

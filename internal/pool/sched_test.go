@@ -32,13 +32,8 @@ func newBareScheduler(policy SchedPolicy, weights map[string]int) *Scheduler {
 // enqueueBare registers a fan-out without a serving caller.
 func enqueueBare(t *testing.T, s *Scheduler, tenant string, n int) *fanout {
 	t.Helper()
-	f := &fanout{
-		ctx: context.Background(), tenant: tenant,
-		fn: func(int) error { return nil },
-		n:  n, chunk: 1, cap: n,
-		done: make(chan struct{}),
-	}
-	f.failIdx.Store(int64(n))
+	f := newFanout(context.Background(), nil, "", tenant, n, n, 1, func(int) error { return nil })
+	f.done = make(chan struct{})
 	if !s.enqueue(f) {
 		t.Fatalf("enqueue %s refused", tenant)
 	}
@@ -163,7 +158,7 @@ func TestSchedulerForEachEquivalence(t *testing.T) {
 	for _, workers := range []int{3, 8} {
 		for _, chunk := range []int{1, 7, n} {
 			slots := make([]int, n)
-			err := ForEachChunkCtx(base, workers, n, chunk, func(i int) error {
+			err := forEachChunkCtx(base, workers, n, chunk, func(i int) error {
 				slots[i] = i * i
 				return nil
 			})
@@ -176,7 +171,7 @@ func TestSchedulerForEachEquivalence(t *testing.T) {
 				}
 			}
 
-			err = ForEachChunkCtx(base, workers, n, chunk, func(i int) error {
+			err = forEachChunkCtx(base, workers, n, chunk, func(i int) error {
 				if i%7 == 3 {
 					return fmt.Errorf("fail@%d", i)
 				}
@@ -186,7 +181,7 @@ func TestSchedulerForEachEquivalence(t *testing.T) {
 				t.Fatalf("workers=%d chunk=%d: err = %v, want fail@3", workers, chunk, err)
 			}
 
-			err = ForEachChunkCtx(base, workers, n, chunk, func(i int) error {
+			err = forEachChunkCtx(base, workers, n, chunk, func(i int) error {
 				if i == 5 {
 					panic("kaput")
 				}
@@ -199,7 +194,7 @@ func TestSchedulerForEachEquivalence(t *testing.T) {
 
 			ctx, cancel := context.WithCancel(base)
 			var ran atomic.Int32
-			err = ForEachChunkCtx(ctx, workers, n, chunk, func(i int) error {
+			err = forEachChunkCtx(ctx, workers, n, chunk, func(i int) error {
 				if ran.Add(1) == 5 {
 					cancel()
 				}
@@ -226,7 +221,7 @@ func TestSchedulerStarvation(t *testing.T) {
 		var largeDone, largeStarted atomic.Bool
 		heavy := make(chan error, 1)
 		go func() {
-			heavy <- ForEachChunkCtx(hctx, 2, 10, 1, func(i int) error {
+			heavy <- forEachChunkCtx(hctx, 2, 10, 1, func(i int) error {
 				largeStarted.Store(true)
 				time.Sleep(30 * time.Millisecond)
 				return nil
@@ -238,7 +233,7 @@ func TestSchedulerStarvation(t *testing.T) {
 		}
 
 		var sum atomic.Int64
-		if err := ForEachChunkCtx(lctx, 2, 1000, chunk, func(i int) error {
+		if err := forEachChunkCtx(lctx, 2, 1000, chunk, func(i int) error {
 			sum.Add(int64(i))
 			return nil
 		}); err != nil {
@@ -283,6 +278,20 @@ func TestSchedulerInlineAllocFree(t *testing.T) {
 	}
 }
 
+// TestYieldCtxUngatedAllocFree: the engine yields at every rule boundary
+// of every service check, so a yield that does not park (scheduler attached,
+// tenant present, no lagging co-tenant) must not allocate.
+func TestYieldCtxUngatedAllocFree(t *testing.T) {
+	sched := NewScheduler(SchedConfig{Workers: 2})
+	defer sched.Close()
+	ctx := WithTenant(WithScheduler(context.Background(), sched), "t")
+	leave := EnterCtx(ctx)
+	defer leave()
+	if allocs := testing.AllocsPerRun(20, func() { YieldCtx(ctx) }); allocs != 0 {
+		t.Errorf("ungated YieldCtx allocs = %v, want 0", allocs)
+	}
+}
+
 // TestSchedulerClosedFallsBack: fan-outs submitted after Close still run
 // (directly), with identical results.
 func TestSchedulerClosedFallsBack(t *testing.T) {
@@ -314,7 +323,7 @@ func TestSchedulerChaosSiteSched(t *testing.T) {
 	vctx := WithTenant(WithScheduler(context.Background(), sched), "victim")
 	octx := WithTenant(WithScheduler(context.Background(), sched), "ok")
 
-	err := ForEachChunkCtx(vctx, 2, 50, 5, func(i int) error { return nil })
+	err := forEachChunkCtx(vctx, 2, 50, 5, func(i int) error { return nil })
 	var ie *faults.InjectedError
 	if !errors.As(err, &ie) || ie.Site != faults.SiteSched {
 		t.Fatalf("victim err = %v, want injected SiteSched error", err)
@@ -343,7 +352,7 @@ func TestSchedulerChaosSiteSched(t *testing.T) {
 	var victimDone atomic.Bool
 	vdone := make(chan error, 1)
 	go func() {
-		vdone <- ForEachChunkCtx(vctx, 2, 10, 1, func(i int) error { return nil })
+		vdone <- forEachChunkCtx(vctx, 2, 10, 1, func(i int) error { return nil })
 		victimDone.Store(true)
 	}()
 	var ran atomic.Int64
@@ -375,7 +384,7 @@ func TestSchedulerTraceDecisions(t *testing.T) {
 	ctx = WithTenant(WithScheduler(ctx, sched), "tn")
 	// A gate keeps chunks busy long enough that the shared workers (not
 	// only the serving caller) dispatch some of them.
-	if err := ForEachChunkCtx(ctx, 3, 30, 1, func(i int) error {
+	if err := forEachChunkCtx(ctx, 3, 30, 1, func(i int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	}); err != nil {
