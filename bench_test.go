@@ -22,6 +22,7 @@ import (
 	"opendrc/internal/kernels"
 	"opendrc/internal/layout"
 	"opendrc/internal/partition"
+	"opendrc/internal/rules"
 	"opendrc/internal/synth"
 )
 
@@ -397,6 +398,66 @@ func BenchmarkWarmCheck(b *testing.B) {
 			b.ReportMetric(float64(rep.Modeled.Microseconds()), "modeled_us")
 			b.ReportMetric(float64(rep.Stats.KernelLaunches), "launches")
 		})
+	}
+}
+
+// replayedSession is a resident parallel session of ethmac@2.5 after its cold
+// check: every later full-deck check on it is a replay, as on a warm odrcd
+// session.
+func replayedSession(tb testing.TB) (*core.Session, rules.Deck) {
+	tb.Helper()
+	lo, _, err := synth.Load("ethmac", 2.5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	deck := synth.Deck()
+	ctx := context.Background()
+	ses := core.NewSession(lo, core.Options{Mode: core.Parallel})
+	tb.Cleanup(func() { ses.Close(ctx) })
+	if _, err := ses.Check(ctx, deck); err != nil {
+		tb.Fatal(err)
+	}
+	return ses, deck
+}
+
+// BenchmarkReplayedRequest measures serve_read's request in process, without
+// HTTP: a replayed full-deck check of ethmac@2.5, the default dedup (on a
+// copy, as odrcd does) and the canonical encode into a reused buffer. bytes
+// is the encoded report's size.
+func BenchmarkReplayedRequest(b *testing.B) {
+	ses, deck := replayedSession(b)
+	ctx := context.Background()
+	b.Run("ethmac@2.5", func(b *testing.B) {
+		var buf []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rep, err := ses.Check(ctx, deck)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dd := *rep
+			dd.Violations = core.DedupViolations(rep.Violations)
+			buf = dd.AppendCanonicalJSON(buf[:0])
+		}
+		b.ReportMetric(float64(len(buf)), "bytes")
+	})
+}
+
+// TestCanonicalEncodeAllocs gates the canonical encoder's allocations: the
+// 519-violation ethmac@2.5 report rendered into a buffer already large
+// enough allocates at most twice (in practice not at all).
+func TestCanonicalEncodeAllocs(t *testing.T) {
+	ses, deck := replayedSession(t)
+	rep, err := ses.Check(context.Background(), deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 519 {
+		t.Fatalf("the report has %d violations, want ethmac@2.5's 519", len(rep.Violations))
+	}
+	buf := make([]byte, 0, 2*len(rep.AppendCanonicalJSON(nil)))
+	if n := testing.AllocsPerRun(20, func() { buf = rep.AppendCanonicalJSON(buf[:0]) }); n > 2 {
+		t.Fatalf("canonical encode into a pre-sized buffer: %v allocs, want <= 2", n)
 	}
 }
 

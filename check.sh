@@ -6,9 +6,10 @@
 # verification; the chaos and cancellation suites run here too), the nested
 # benchmark module's own tests, a short fuzz smoke over the GDSII reader
 # (differentially, against the streaming reference reader), the
-# polygon/transform algebra, the indexed hierarchy query, the layout build and
+# polygon/transform algebra, the indexed hierarchy query, the layout build,
 # interleaved session operations (edit / check / delta check against a cold
-# batch model), a bench smoke of the unit benchmarks, the one timing gate that
+# batch model) and the report encoder (both JSON forms against encoding/json),
+# a bench smoke of the unit benchmarks, the one timing gate that
 # has no test or benchmark/ counterpart (cross-tenant fairness), a traced run
 # validated structurally, and an end-to-end smoke of the odrcd service over
 # real HTTP. Speed is judged by benchmark/ (BENCHMARK.json); identity across
@@ -44,6 +45,9 @@ go test -run=NONE -fuzz=FuzzBuildLayout -fuzztime=10s ./internal/layout
 # 60 s budget for minimising each coverage-expanding input would eat the whole
 # smoke; twenty executions per input keep it fuzzing.
 go test -run=NONE -fuzz=FuzzSessionOps -fuzztime=10s -fuzzminimizetime=20x ./internal/core
+# Report inputs grow long, and minimising one for the default 60 s stalls the
+# smoke just the same.
+go test -run=NONE -fuzz=FuzzReportJSON -fuzztime=10s -fuzzminimizetime=200x ./internal/core
 
 # Bench smoke: one iteration of the geometry-cache unit benchmarks, of one
 # sweepline-executor row, of the hierarchy range queries, of the ingest path,
@@ -57,8 +61,10 @@ go test -run=NONE -fuzz=FuzzSessionOps -fuzztime=10s -fuzzminimizetime=20x ./int
 # M1 sliver costing the layer instead of its row shows — 18 ms / 6 MB patched,
 # 180 ms / 115 MB re-derived; the warm check prints ns/op, allocs/op,
 # modeled_us and launches for both ways of answering it, where a replay that
-# drops a launch, or costs what an execution costs, shows).
-go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation|BenchmarkIngest|BenchmarkEditCycle|BenchmarkWarmCheck' -benchtime=1x .
+# drops a launch, or costs what an execution costs, shows; the replayed
+# request — replay, dedup, canonical encode — prints bytes and allocs/op,
+# where an encoder falling back to reflection shows).
+go test -run=NONE -bench 'BenchmarkFlattenLayer|BenchmarkPack|BenchmarkSpacingSweepRow|BenchmarkBVHAblation|BenchmarkIngest|BenchmarkEditCycle|BenchmarkWarmCheck|BenchmarkReplayedRequest' -benchtime=1x .
 
 # The remaining odrc-bench invocations share one build instead of paying a
 # `go run` link each; its scratch directory also takes the trace export, so

@@ -297,3 +297,17 @@ func TestDedupViolations(t *testing.T) {
 		t.Errorf("dedup = %d, want 3", len(out))
 	}
 }
+
+// TestDedupKeepsSmallestCell: the dedup predicate is rule, box, distance and
+// corner — not full identity — so violations differing only in Cell collapse,
+// and the survivor is the first in rules.Less order: the smaller Cell.
+func TestDedupKeepsSmallestCell(t *testing.T) {
+	v := rules.Violation{Rule: "A", Marker: checks.Marker{Box: geom.R(0, 0, 1, 1), Dist: 3}}
+	a, b := v, v
+	a.Cell, b.Cell = "inv_x1", "and2_x1"
+	for _, in := range [][]rules.Violation{{a, b}, {b, a}} {
+		if out := DedupViolations(in); len(out) != 1 || out[0].Cell != "and2_x1" {
+			t.Fatalf("dedup of %q and %q kept %+v", in[0].Cell, in[1].Cell, out)
+		}
+	}
+}

@@ -37,8 +37,8 @@ import (
 //     member lists to W_r's neighborhood.
 //
 // The merged stream (claimed ∪ retained) is the same violation multiset a
-// cold full check of the edited layout produces; Report.WriteCanonicalJSON
-// serializes violations as an order-normalized multiset, so delta reports
+// cold full check of the edited layout produces; every report leaves the
+// engine in the canonical total order (Report.canonicalize), so delta reports
 // are byte-identical to cold reports. Rules whose record is current skip
 // execution entirely (its violations are retained wholesale); rules whose
 // kinds have no restricted executor — enclosure, derived-layer booleans,
@@ -116,28 +116,28 @@ func (rp *rulePlan) anyPlacementNear(localBox geom.Rect, insts []geom.Transform)
 	return false
 }
 
-// checkPlan is one session check's per-rule classification, by rule ID. A
-// nil plan — a batch run, or a session that keeps no records — executes
-// every rule and records nothing.
+// checkPlan is one session check's per-rule classification, by rule value
+// (two deck rules may share an ID, never a key). A nil plan — a batch run, or
+// a session that keeps no records — executes every rule and records nothing.
 type checkPlan struct {
 	delta    bool // an incremental DeltaCheck: current records skip instead of replaying
 	retained int  // violations the records will contribute: the report's starting capacity
-	rules    map[string]*rulePlan
+	rules    map[ruleKey]*rulePlan
 }
 
 // of returns the rule's plan (nil under a nil plan).
-func (p *checkPlan) of(id string) *rulePlan {
+func (p *checkPlan) of(r rules.Rule) *rulePlan {
 	if p == nil {
 		return nil
 	}
-	return p.rules[id]
+	return p.rules[keyOf(r)]
 }
 
 // executes reports whether any rule of the deck runs an executor — whether
 // the check needs the instance enumeration at all.
 func (p *checkPlan) executes(deck rules.Deck) bool {
 	for _, r := range deck {
-		if rp := p.of(r.ID); rp == nil || rp.mode == planFull || rp.mode == planRestrict {
+		if rp := p.of(r); rp == nil || rp.mode == planFull || rp.mode == planRestrict {
 			return true
 		}
 	}
@@ -146,8 +146,8 @@ func (p *checkPlan) executes(deck rules.Deck) bool {
 
 // restrictFor returns the rule's plan only when it runs restricted — the
 // hook the executors use to prune rows, cells, and kernel member lists.
-func (e *Engine) restrictFor(id string) *rulePlan {
-	rp := e.plan.of(id)
+func (e *Engine) restrictFor(r rules.Rule) *rulePlan {
+	rp := e.plan.of(r)
 	if rp != nil && rp.mode == planRestrict {
 		return rp
 	}
@@ -442,7 +442,7 @@ func (s *Session) recordsOff() string {
 // go by. Session lock held; pending state is still intact (the check applies
 // it afterwards, sharing the same snapshot).
 func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo) {
-	plan := &checkPlan{rules: make(map[string]*rulePlan, len(deck))}
+	plan := &checkPlan{rules: make(map[ruleKey]*rulePlan, len(deck))}
 	var info DeltaInfo
 	for _, r := range deck {
 		rp := &rulePlan{key: keyOf(r)}
@@ -484,7 +484,7 @@ func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo)
 				rp.work[i] = rp.claim[i].Expand(reach)
 			}
 		}
-		plan.rules[r.ID] = rp
+		plan.rules[rp.key] = rp
 		if rp.mode != planFull {
 			plan.retained += len(rp.rec.violations)
 		}

@@ -13,7 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"opendrc/internal/budget"
@@ -290,6 +292,66 @@ type Report struct {
 	// How many rules were answered from their record and how many ran an
 	// executor — the session's books.
 	replayed, executed int
+	// segs delimits Violations by deck rule, in deck order, until
+	// canonicalize lays them out by rule ID.
+	segs []segment
+}
+
+// segment is one deck rule's run of a report's violations, [lo, hi); every
+// violation in it carries rule. sorted says the run is already in rules.Less
+// order: a record's, or an executed rule's sorted at commit.
+type segment struct {
+	rule   string
+	lo, hi int
+	sorted bool
+}
+
+// endSegment closes the current deck rule's run of violations.
+func (rep *Report) endSegment(rule string, sorted bool) {
+	lo := 0
+	if n := len(rep.segs); n > 0 {
+		lo = rep.segs[n-1].hi
+	}
+	rep.segs = append(rep.segs, segment{rule: rule, lo: lo, hi: len(rep.Violations), sorted: sorted})
+}
+
+// canonicalize puts the violations in rules.Less order without sorting the
+// report. rules.Less orders by rule ID first, so a canonical report is its
+// rules' runs, each sorted, laid out by ID: a run not sorted yet (an executed
+// rule with no record to commit) is sorted in place, the runs are copied out
+// once in ID order when the deck is not in ID order already, and only where
+// two deck rules share an ID — Deck.Validate allows it — is their joined run
+// sorted again.
+func (rep *Report) canonicalize() {
+	segs := slices.DeleteFunc(rep.segs, func(s segment) bool { return s.lo == s.hi })
+	rep.segs = nil
+	for _, s := range segs {
+		if !s.sorted {
+			sortViolations(rep.Violations[s.lo:s.hi])
+		}
+	}
+	byRule := func(a, b segment) int { return strings.Compare(a.rule, b.rule) }
+	if !slices.IsSortedFunc(segs, byRule) {
+		slices.SortStableFunc(segs, byRule)
+		out := make([]rules.Violation, 0, len(rep.Violations))
+		for i := range segs {
+			s := &segs[i]
+			n := len(out)
+			out = append(out, rep.Violations[s.lo:s.hi]...)
+			s.lo, s.hi = n, len(out)
+		}
+		rep.Violations = out
+	}
+	for i := 0; i < len(segs); {
+		j := i + 1
+		for j < len(segs) && segs[j].rule == segs[i].rule {
+			j++
+		}
+		if j > i+1 {
+			sortViolations(rep.Violations[segs[i].lo:segs[j-1].hi])
+		}
+		i = j
+	}
 }
 
 // CountByRule returns violation counts keyed by rule ID.
@@ -333,7 +395,8 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	// The profiler shares the recorder's clock (one timeline for phases and
 	// trace events) and reports every completed Phase as a span; the
 	// recorder rides the context so the pool traces task lanes.
-	rep := &Report{Mode: e.opts.Mode, Profile: infra.NewProfilerWithClock(rec.Clock())}
+	rep := &Report{Mode: e.opts.Mode, Profile: infra.NewProfilerWithClock(rec.Clock()),
+		segs: make([]segment, 0, len(e.deck))}
 	if e.plan != nil && e.plan.retained > 0 {
 		rep.Violations = make([]rules.Violation, 0, e.plan.retained)
 	}
@@ -393,7 +456,7 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 		rep.Stats.Trace = buildTraceSummary(rep)
 		exportRunTrace(rec, rep, e.opts)
 	}
-	sortViolations(rep.Violations)
+	rep.canonicalize()
 	return rep, nil
 }
 
@@ -427,16 +490,22 @@ func (e *Engine) instancePlacements(lo *layout.Layout, ses *Session, phase func(
 // restricted to the dirty neighborhood when the plan says so — and, having
 // succeeded, commits the rule's new record to the session: its violations
 // (a restricted run's merged with the retained ones) and, for a complete run,
-// what recordRun collected. pc is nil in sequential mode.
+// what recordRun collected. The committed violations are sorted first, so a
+// record holds its rule's run in canonical order and a replay appends a
+// sorted run. pc is nil in sequential mode.
 func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rulePlan, ses *Session, pc *parCtx, exec func() error) error {
 	run := func() error { return e.guardRule(ctx, rep, r, "ok", exec) }
 	switch {
 	case rp == nil:
 		rep.executed++
-		return run()
+		err := run()
+		rep.endSegment(r.ID, false)
+		return err
 	case rp.mode == planReplay:
 		rep.replayed++
-		return e.replay(ctx, rep, r, rp.rec, pc)
+		err := e.replay(ctx, rep, r, rp.rec, pc)
+		rep.endSegment(r.ID, true)
+		return err
 	}
 	rep.executed++
 	mark, failed := len(rep.Violations), len(rep.Failures)
@@ -447,15 +516,18 @@ func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rul
 	} else {
 		err = run()
 	}
-	if err != nil || len(rep.Failures) != failed {
-		return err // cancelled, or failed and isolated: nothing to commit
+	// Cancelled, or failed and isolated (no violations left): nothing to
+	// commit.
+	if err == nil && len(rep.Failures) == failed {
+		if rp.mode == planRestrict {
+			mergeDelta(rep, mark, rp)
+		}
+		sortViolations(rep.Violations[mark:])
+		rec.violations = append([]rules.Violation(nil), rep.Violations[mark:]...)
+		ses.records.put(rec)
 	}
-	if rp.mode == planRestrict {
-		mergeDelta(rep, mark, rp)
-	}
-	rec.violations = append([]rules.Violation(nil), rep.Violations[mark:]...)
-	ses.records.put(rec)
-	return nil
+	rep.endSegment(r.ID, true)
+	return err
 }
 
 // recordRun runs fn, one rule's complete execution, collecting into rec the
@@ -580,18 +652,20 @@ func (e *Engine) guardRule(ctx context.Context, rep *Report, r rules.Rule, statu
 	return nil
 }
 
-// sortViolations orders the report deterministically. rules.Less is a total
+// sortViolations puts violations in canonical order. rules.Less is a total
 // order, so equal violation multisets sort into identical slices regardless
 // of emission order (kernel schedule, worker count, replay or execution).
 func sortViolations(vs []rules.Violation) {
 	sort.Slice(vs, func(i, j int) bool { return rules.Less(&vs[i], &vs[j]) })
 }
 
-// DedupViolations removes exactly-identical violations (same rule, box,
-// distance and corner flag); repeated hierarchy instances of one physical
-// defect collapse into one marker, as layout viewers do. The input slice is
-// left untouched; the deduplicated result is a freshly allocated, sorted
-// slice.
+// DedupViolations collapses violations that share rule, box, distance and
+// corner flag — repeated hierarchy instances of one physical defect become
+// one marker, as layout viewers do. The predicate is not full identity:
+// violations differing only in Cell, Kind or their edges collapse too, and
+// the one first in rules.Less order survives (so of two differing only in
+// Cell, the smaller Cell). The input slice is left untouched; the result is a
+// freshly allocated, sorted slice.
 func DedupViolations(vs []rules.Violation) []rules.Violation {
 	sorted := append([]rules.Violation(nil), vs...)
 	sortViolations(sorted)

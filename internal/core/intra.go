@@ -105,7 +105,7 @@ func rescaleMarker(m checks.Marker, t geom.Transform, r rules.Rule) checks.Marke
 func (e *Engine) runIntraSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) error {
 	defer rep.Profile.Phase("intra:" + r.Kind.String())()
 	cells := lo.LayerCells(r.Layer)
-	rp := e.restrictFor(r.ID)
+	rp := e.restrictFor(r)
 	tbl := e.shards.get(len(cells))
 	err := pool.ForEachCtx(trace.WithTask(ctx, "cell"), e.opts.Workers, len(cells), func(i int) error {
 		c := cells[i]

@@ -245,7 +245,7 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		var groups []*warmGroup
 		for _, r := range e.deck[1:] {
 			nl, ok := prefetchLayer(r, e.opts.DisablePruning)
-			if rp := e.plan.of(r.ID); !ok || rp != nil && rp.mode != planFull {
+			if rp := e.plan.of(r); !ok || rp != nil && rp.mode != planFull {
 				continue
 			}
 			var g *warmGroup
@@ -294,10 +294,11 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: check cancelled: %w", err)
 		}
-		rp := e.plan.of(r.ID)
+		rp := e.plan.of(r)
 		if rp != nil && rp.mode == planSkip {
 			// Record current: its violations are the rule's. Device-silent.
 			rep.Violations = append(rep.Violations, rp.rec.violations...)
+			rep.endSegment(r.ID, true)
 			continue
 		}
 		// Rule boundary: let a lagging co-tenant's check run ahead of this
@@ -493,7 +494,7 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 		// Ablation: flatten every instance and run one big kernel.
 		return e.runIntraParFlat(ctx, lo, r, pc, rep)
 	}
-	rp := e.restrictFor(r.ID)
+	rp := e.restrictFor(r)
 	for _, c := range lo.LayerCells(r.Layer) {
 		if len(c.LocalPolyIndex(r.Layer)) == 0 || len(placements[c.ID]) == 0 {
 			continue
@@ -711,7 +712,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	// edges, both inside the row), so they are skipped outright — their
 	// record violations are retained by the merge. Notches restrict the
 	// same way at polygon granularity.
-	rp := e.restrictFor(r.ID)
+	rp := e.restrictFor(r)
 	if rp != nil {
 		kept := rows[:0:0]
 		for _, row := range rows {

@@ -61,7 +61,7 @@ func ruleLayers(r rules.Rule) (ls [2]layout.Layer, n int) {
 type ruleRecord struct {
 	key        ruleKey
 	vers       [2]uint64         // Session.ver of ruleLayers at the run
-	violations []rules.Violation // own backing array, never a Report's
+	violations []rules.Violation // in rules.Less order; own backing array, never a Report's
 
 	// A full record also holds what a complete run wrote besides violations —
 	// the Stats fields of its executor, the resident layers it bound, and the

@@ -29,10 +29,11 @@ func (e *Engine) checkSequential(ctx context.Context, lo *layout.Layout, rep *Re
 		// Rule boundary: let a lagging co-tenant's check run ahead of this
 		// one's next serial stretch (no-op without a context scheduler).
 		pool.YieldCtx(ctx)
-		rp := e.plan.of(r.ID)
+		rp := e.plan.of(r)
 		if rp != nil && rp.mode == planSkip {
 			// Record current: its violations are the rule's.
 			rep.Violations = append(rep.Violations, rp.rec.violations...)
+			rep.endSegment(r.ID, true)
 			continue
 		}
 		e.opts.Logger.Debugf("seq: rule %s", r)

@@ -46,7 +46,7 @@ func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.R
 	}
 	// Each definition appears once in the layer tree, so computing inside
 	// this loop *is* the memoization: the result replays per instance.
-	rp := e.restrictFor(r.ID)
+	rp := e.restrictFor(r)
 	for _, c := range lo.LayerCells(r.Layer) {
 		if err := ctx.Err(); err != nil {
 			return err

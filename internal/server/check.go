@@ -157,7 +157,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 }
 
 // respondCheck maps a finished check onto the wire: the canonical report on
-// success, a status-coded JSON error otherwise.
+// success, a status-coded JSON error otherwise. The report is rendered into
+// one buffer before anything is written, so the reply carries a
+// Content-Length and goes out in one Write — and nothing, status line
+// included, is on the wire until the whole body exists.
 func (s *Server) respondCheck(w http.ResponseWriter, reqID string, req checkRequest, out checkOutcome) {
 	if out.err != nil {
 		status := http.StatusInternalServerError
@@ -179,6 +182,7 @@ func (s *Server) respondCheck(w http.ResponseWriter, reqID string, req checkRequ
 		dd.Violations = core.DedupViolations(rep.Violations)
 		rep = &dd
 	}
+	body := rep.AppendCanonicalJSON(nil)
 	w.Header().Set("X-Odrc-Request", reqID)
 	w.Header().Set("X-Odrc-Degraded", strconv.FormatBool(rep.Degraded))
 	if out.delta != nil {
@@ -195,8 +199,9 @@ func (s *Server) respondCheck(w http.ResponseWriter, reqID string, req checkRequ
 	setIntHeader(w, "X-Odrc-Host-Wall-Us", rep.HostWall.Microseconds())
 	setIntHeader(w, "X-Odrc-Modeled-Us", rep.Modeled.Microseconds())
 	w.Header().Set("Content-Type", "application/json")
+	setIntHeader(w, "Content-Length", int64(len(body)))
 	w.WriteHeader(http.StatusOK)
-	if err := rep.WriteCanonicalJSON(w); err != nil {
+	if _, err := w.Write(body); err != nil {
 		s.cfg.Logger.Warnf("server: %s: write response: %v", reqID, err)
 	}
 }

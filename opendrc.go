@@ -198,8 +198,9 @@ func (e *Engine) CheckContext(ctx context.Context, db *Layout) (*Report, error) 
 	return e.inner.CheckContext(ctx, db)
 }
 
-// Dedup collapses exactly-identical violations (same rule, box, distance),
-// the way layout viewers merge markers.
+// Dedup collapses violations sharing rule, box, distance and corner flag,
+// the way layout viewers merge markers. Violations differing only in Cell,
+// Kind or edges collapse too; the first in canonical order survives.
 func Dedup(vs []Violation) []Violation { return core.DedupViolations(vs) }
 
 // Session pins one loaded layout's expensive check state — the cross-rule
