@@ -466,7 +466,10 @@ func TestCanonicalEncodeAllocs(t *testing.T) {
 // executor cutoff (the widest M1 row of ethmac@3), on warm scratch as the
 // engine's row loop runs it. modeled_us is the device time the cost model
 // charges the row's seven launches: it must not move when the simulation
-// gets faster.
+// gets faster. window_ops is the sweep-check candidates the device threads
+// scan (and are charged), visited the ones the simulation took from its
+// candidate index and prescreened to find the same hits; the gap between
+// them is what the index saves.
 func BenchmarkSpacingSweepRow(b *testing.B) {
 	lo, _, err := synth.Load("ethmac", 3)
 	if err != nil {
@@ -522,6 +525,9 @@ func BenchmarkSpacingSweepRow(b *testing.B) {
 	b.ReportMetric(float64(dev.DeviceBusy().Nanoseconds())/1e3, "modeled_us")
 	b.ReportMetric(float64(widest), "edges")
 	b.ReportMetric(float64(hits), "hits")
+	window, visited := sc.Candidates()
+	b.ReportMetric(float64(window), "window_ops/op")
+	b.ReportMetric(float64(visited), "visited/op")
 }
 
 // BenchmarkIngest measures the path from GDSII bytes to a queryable

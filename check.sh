@@ -8,8 +8,9 @@
 # (differentially, against the streaming reference reader), the
 # polygon/transform algebra, the indexed hierarchy query, the layout build,
 # interleaved session operations (edit / check / delta check against a cold
-# batch model) and the report encoder (both JSON forms against encoding/json),
-# a bench smoke of the unit benchmarks, the one timing gate that
+# batch model), the report encoder (both JSON forms against encoding/json)
+# and the sweepline executor (against its reference bodies), a bench smoke
+# of the unit benchmarks, the one timing gate that
 # has no test or benchmark/ counterpart (cross-tenant fairness), a traced run
 # validated structurally, and an end-to-end smoke of the odrcd service over
 # real HTTP. Speed is judged by benchmark/ (BENCHMARK.json); identity across
@@ -48,13 +49,18 @@ go test -run=NONE -fuzz=FuzzSessionOps -fuzztime=10s -fuzzminimizetime=20x ./int
 # Report inputs grow long, and minimising one for the default 60 s stalls the
 # smoke just the same.
 go test -run=NONE -fuzz=FuzzReportJSON -fuzztime=10s -fuzzminimizetime=200x ./internal/core
+# The sweepline executor against its reference bodies (hits in order, every
+# kernel record); one execution simulates both twelve times, so minimising
+# is bounded here too.
+go test -run=NONE -fuzz=FuzzSweepMatchesReference -fuzztime=10s -fuzzminimizetime=100x ./internal/kernels
 
 # Bench smoke: one iteration of the geometry-cache unit benchmarks, of one
 # sweepline-executor row, of the hierarchy range queries, of the ingest path,
 # of the edit → delta-check cycle and of a warm session check executed and
 # replayed, so a change that breaks flatten/pack or
 # the row simulation off the engine path still fails the gate (the row
-# benchmark prints its modeled_us, where a cost-model drift shows;
+# benchmark prints its modeled_us, where a cost-model drift shows, and
+# window_ops/visited, where a sweep that stopped using its candidate index shows;
 # narrow-window prints nodes_pruned per query, where a fall back to the linear
 # walk shows; ingest prints MB/s and allocs/op, where a per-element allocation
 # creeping back shows; the edit cycle prints ms/cycle and MB/cycle, where an

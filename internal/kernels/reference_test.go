@@ -1,9 +1,12 @@
 package kernels
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -342,29 +345,318 @@ func TestSweepMatchesReferenceSynth(t *testing.T) {
 	}
 }
 
+// cellRow lays n cell-like shapes — rectangles, L- and U-shapes, off any
+// grid — side by side on one y, abutting or a few units apart, between two rails that
+// span the whole row, all shifted by (dx, dy). Equal lo's are everywhere (a
+// rectangle's top and bottom edges, an L's two horizontal edges). Every
+// horizontal window covers the whole row width while a thread's edge
+// overlaps only its neighbours' in x, so the sweep serves it from the
+// candidate index; the rails are the index's long list.
+func cellRow(rng *rand.Rand, n int, dx, dy int64) []geom.Polygon {
+	poly := func(xy ...int64) geom.Polygon {
+		pts := make([]geom.Point, 0, len(xy)/2)
+		for i := 0; i < len(xy); i += 2 {
+			pts = append(pts, geom.Point{X: xy[i] + dx, Y: xy[i+1] + dy})
+		}
+		return geom.MustPolygon(pts)
+	}
+	polys := make([]geom.Polygon, 0, n+2)
+	x := int64(0)
+	for range n {
+		w, h := int64(rng.Intn(27)+6), int64(rng.Intn(20)+25)
+		switch rng.Intn(4) {
+		case 0: // L
+			polys = append(polys, poly(x, 0, x, h, x+w, h, x+w, 10, x+2*w, 10, x+2*w, 0))
+			x += 2 * w
+		case 1: // U: a notch of width w
+			polys = append(polys, poly(x, 0, x, h, x+w, h, x+w, 10, x+2*w, 10, x+2*w, h, x+3*w, h, x+3*w, 0))
+			x += 3 * w
+		default:
+			polys = append(polys, poly(x, 0, x, h, x+w, h, x+w, 0))
+			x += w
+		}
+		x += []int64{0, 0, 1, 3, 7, 12}[rng.Intn(6)]
+	}
+	return append(polys,
+		poly(-20, -25, -20, -15, x+20, -15, x+20, -25), // 15 below the cells
+		poly(-20, 50, -20, 60, x+20, 60, x+20, 50))     // 6 to 25 above them
+}
+
+func allMembers(e *Edges) []int32 {
+	members := make([]int32, e.NumPolys())
+	for i := range members {
+		members[i] = int32(i)
+	}
+	return members
+}
+
+// TestSweepIndexedMatchesReference: rows the candidate index serves, at
+// negative coordinates; the same with a second row 2^33 above, so the
+// horizontal view's key span passes 32 bits; and with a second row 2^33 to
+// the right, which does that for the vertical and corner views. Every
+// filter, plain and PRL limits; where the rows share x, the index must
+// actually have served threads.
+func TestSweepIndexedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	row := cellRow(rng, 300, -1_000_000, -7_000)
+	layouts := []struct {
+		name    string
+		polys   []geom.Polygon
+		indexed bool
+	}{
+		{"row", row, true},
+		{"row+above", append(slices.Clone(row), cellRow(rng, 300, -1_000_000, 1<<33)...), true},
+		{"row+right", append(slices.Clone(row), cellRow(rng, 300, 1<<33, -7_000)...), false},
+	}
+	hits := make(map[string]int)
+	for _, l := range layouts {
+		e := Pack(l.polys)
+		for _, f := range diffFilters {
+			for _, lim := range diffLimits {
+				label := fmt.Sprintf("%s %s/%s", l.name, f.name, lim.name)
+				var sc Scratch
+				hits[f.name] += diffSweep(t, label, e, allMembers(e), lim.lim, f.filter, &sc)
+				if window, visited := sc.Candidates(); l.indexed && visited >= window {
+					t.Errorf("%s: visited %d of %d window candidates: the index served no thread", label, visited, window)
+				}
+			}
+		}
+	}
+	for _, f := range diffFilters {
+		if hits[f.name] == 0 {
+			t.Errorf("%s: the rows produced no hits", f.name)
+		}
+	}
+}
+
+// TestCandIndexCoversEveryOverlap checks the index's soundness argument
+// directly, on spans that overlap by single units across every bucket
+// boundary: every position sits in exactly one bucket or the long list,
+// ascending, and every short span that overlaps a thread's lies in the
+// thread's bucket range. Trial 0 makes three quarters of the spans 4 long
+// and the rest 12, so the width is 12 and the longest short spans are
+// exactly as long as a bucket is wide.
+func TestCandIndexCoversEveryOverlap(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 40; trial++ {
+		n, maxSpan := 50+rng.Intn(250), int64(1+rng.Intn(40))
+		if trial == 0 {
+			n = 200
+		}
+		lo, hi := make([]int64, n), make([]int64, n)
+		for i := range lo {
+			lo[i] = int64(rng.Intn(400)) - 200
+			hi[i] = lo[i] + 1 + rng.Int63n(maxSpan)
+			switch {
+			case trial == 0 && i%4 == 0:
+				hi[i] = lo[i] + 12
+			case trial == 0:
+				hi[i] = lo[i] + 4
+			case rng.Intn(20) == 0:
+				hi[i] = lo[i] + 1000 // a rail
+			}
+		}
+		var ix candIndex
+		ix.build(lo, hi)
+		if trial == 0 && ix.w != 12 {
+			t.Fatalf("bucket width %d, want twice the mean span, 12", ix.w)
+		}
+		seen := make([]int, n)
+		for b := 0; b <= ix.long; b++ {
+			ks := ix.pos[ix.start[b]:ix.start[b+1]]
+			if !slices.IsSorted(ks) {
+				t.Fatalf("trial %d: bucket %d not ascending: %v", trial, b, ks)
+			}
+			for _, k := range ks {
+				seen[k]++
+				want := ix.long
+				if uint64(hi[k]-lo[k]) <= ix.w {
+					want = int(uint64(lo[k]-ix.base) / ix.w)
+				}
+				if b != want {
+					t.Fatalf("trial %d: position %d (span %d..%d) in bucket %d, want %d (width %d)", trial, k, lo[k], hi[k], b, want, ix.w)
+				}
+			}
+		}
+		for k, c := range seen {
+			if c != 1 {
+				t.Fatalf("trial %d: position %d indexed %d times", trial, k, c)
+			}
+		}
+		for tid := range lo {
+			b0, b1 := ix.buckets(lo[tid], hi[tid])
+			for k := range lo {
+				if min(hi[k], hi[tid]) <= max(lo[k], lo[tid]) || uint64(hi[k]-lo[k]) > ix.w {
+					continue
+				}
+				if b := int(uint64(lo[k]-ix.base) / ix.w); b < b0 || b > b1 {
+					t.Fatalf("trial %d: span %d..%d overlaps %d..%d but its bucket %d is outside [%d, %d] (width %d)",
+						trial, lo[k], hi[k], lo[tid], hi[tid], b, b0, b1, ix.w)
+				}
+			}
+		}
+	}
+}
+
+// fuzzLayout decodes five bytes per polygon, in a small window around the
+// origin (so coordinates coincide often): a triangle, rectangle, L or U (as
+// randomRectilinear draws them), a rail across the whole window, or a run of
+// eight abutting cells on one y. The first byte's high bit moves the polygon
+// 2^33 up.
+func fuzzLayout(data []byte) []geom.Polygon {
+	var polys []geom.Polygon
+	add := func(pts ...geom.Point) {
+		if p, err := geom.NewPolygon(pts); err == nil {
+			polys = append(polys, p)
+		}
+	}
+	rect := func(x, y, w, h int64) {
+		add(geom.Point{X: x, Y: y}, geom.Point{X: x, Y: y + h}, geom.Point{X: x + w, Y: y + h}, geom.Point{X: x + w, Y: y})
+	}
+	for ; len(data) >= 5 && len(polys) < 256; data = data[5:] {
+		x, y := int64(data[1])-128, int64(data[2]%64)-32
+		w, h := int64(data[3]%32+1), int64(data[4]%32+1)
+		if data[0]&0x80 != 0 {
+			y += 1 << 33
+		}
+		switch data[0] % 8 {
+		case 0:
+			add(geom.Point{X: x, Y: y}, geom.Point{X: x, Y: y + h}, geom.Point{X: x + w, Y: y})
+		case 1, 2:
+			rect(x, y, w, h)
+		case 3:
+			add(geom.Point{X: x, Y: y}, geom.Point{X: x, Y: y + 2*h}, geom.Point{X: x + w, Y: y + 2*h}, geom.Point{X: x + w, Y: y + h},
+				geom.Point{X: x + 2*w, Y: y + h}, geom.Point{X: x + 2*w, Y: y})
+		case 4:
+			add(geom.Point{X: x, Y: y}, geom.Point{X: x, Y: y + 2*h}, geom.Point{X: x + w, Y: y + 2*h}, geom.Point{X: x + w, Y: y + h},
+				geom.Point{X: x + 2*w, Y: y + h}, geom.Point{X: x + 2*w, Y: y + 2*h}, geom.Point{X: x + 3*w, Y: y + 2*h}, geom.Point{X: x + 3*w, Y: y})
+		case 5:
+			rect(-160, y, 512, h)
+		default:
+			for i := range int64(8) {
+				rect(x+i*w, y, w, h)
+			}
+		}
+	}
+	return polys
+}
+
+// FuzzSweepMatchesReference holds the executor to the reference on fuzzed
+// layouts (fuzzLayout) and member subsets: bit i%8 of mask[i/8 % len(mask)]
+// drops polygon i, an empty mask keeps every polygon. min picks the limit,
+// prl makes it conditional.
+func FuzzSweepMatchesReference(f *testing.F) {
+	row := make([]byte, 0, 5*40)
+	for i := range 40 {
+		row = append(row, byte(6+8*(i%2)), byte(10*i), 4, byte(i), byte(3+i%5))
+	}
+	row = append(row, 5, 0, 1, 0, 1, 5, 0, 12, 0, 1)
+	f.Add(row, []byte{}, uint8(15), false)
+	f.Add(row, []byte{0x5a}, uint8(11), true)
+	f.Add(append(row, 0x81, 128, 4, 3, 3, 0x86, 100, 4, 2, 4), []byte{0x01, 0x80}, uint8(15), false)
+	f.Add([]byte{1, 120, 10, 3, 3, 1, 124, 12, 3, 3, 3, 110, 8, 2, 2, 4, 140, 4, 1, 4, 0, 118, 15, 4, 4}, []byte{}, uint8(20), true)
+	f.Fuzz(func(t *testing.T, layout, mask []byte, min uint8, prl bool) {
+		e := Pack(fuzzLayout(layout))
+		var members []int32
+		for i := range e.NumPolys() {
+			if len(mask) == 0 || mask[i/8%len(mask)]>>(i%8)&1 == 0 {
+				members = append(members, int32(i))
+			}
+		}
+		lim := checks.Lim(int64(min%40) + 1)
+		if prl {
+			lim.PRLLength, lim.PRLMin = 3*lim.Min, lim.Min+10
+		}
+		var sc Scratch
+		for _, f := range diffFilters {
+			diffSweep(t, f.name+" whole", e, nil, lim, f.filter, nil)
+			diffSweep(t, f.name+" members", e, members, lim, f.filter, &sc)
+		}
+	})
+}
+
+// TestSweepMembersMustAscend: the views are sorted stably from edges
+// gathered in member order, so a member list out of ascending order would
+// reorder hits; it panics instead.
+func TestSweepMembersMustAscend(t *testing.T) {
+	e := Pack(randomRectilinear(rand.New(rand.NewSource(3)), 6))
+	for _, members := range [][]int32{{2, 1}, {0, 3, 3}, {4, 5, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("members %v: no panic", members)
+				}
+			}()
+			SpacingSweepPolys(newStream(), e, members, checks.Lim(16), FilterSpacing, func(Hit) {})
+		}()
+	}
+}
+
+// TestRadixSortMatchesComparator: keys at both ends of int64 (a span that
+// wraps int64 and needs every byte) and many ties, over an ascending subset
+// of the indices as the sweep's gathers pass them.
+func TestRadixSortMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, 1 << 40, -(1 << 40)}
+	for _, spread := range []int64{1, 300, 1 << 20, 1 << 50} {
+		key := make([]int64, 3000)
+		var perm []int32
+		for i := range key {
+			key[i] = rng.Int63n(spread) - spread/2
+			if rng.Intn(50) == 0 {
+				key[i] = extremes[rng.Intn(len(extremes))]
+			}
+			if rng.Intn(3) != 0 {
+				perm = append(perm, int32(i))
+			}
+		}
+		want := slices.Clone(perm)
+		slices.SortFunc(want, func(a, b int32) int {
+			if c := cmp.Compare(key[a], key[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		if got, _ := radixSort(perm, nil, key); !slices.Equal(got, want) {
+			t.Errorf("spread %d: radix order differs from the (key, index) order", spread)
+		}
+	}
+}
+
 // TestSweepRowSteadyStateAllocs: with warm scratch, simulating a row costs a
 // fixed handful of allocations (the launch closures) however many edges the
-// row has — none per edge, none per thread.
+// row has and whichever way its threads find their candidates — none per
+// edge, none per thread.
 func TestSweepRowSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var sc Scratch
 	var tape gpu.Tape
 	discard := func(Hit) {}
+	rows := []struct {
+		name  string
+		polys []geom.Polygon
+	}{
+		{"50 random", randomRectilinear(rng, 50)},
+		{"800 random", randomRectilinear(rng, 800)},
+		{"600 cells", cellRow(rng, 600, 0, 0)},
+	}
 	var perRow []float64
-	for _, n := range []int{50, 800} {
-		e := Pack(randomRectilinear(rng, n))
-		polys := make([]int32, e.NumPolys())
-		for i := range polys {
-			polys[i] = int32(i)
-		}
+	for _, r := range rows {
+		e := Pack(r.polys)
+		polys := allMembers(e)
 		run := func() {
 			tape.Reset(gpu.GTX1660Ti())
 			sc.SweepPolys(&tape, e, polys, checks.Lim(18), FilterSpacing, discard)
 		}
 		run() // warm the scratch and the tape
 		perRow = append(perRow, testing.AllocsPerRun(10, run))
+		if window, visited := sc.Candidates(); r.name == "600 cells" && visited >= window {
+			t.Errorf("%s: visited %d of %d window candidates: the index served no thread", r.name, visited, window)
+		}
 	}
-	if perRow[1] > perRow[0] || perRow[1] > 16 {
-		t.Errorf("allocations per row grew with the row: %v for 50 polygons, %v for 800", perRow[0], perRow[1])
+	for i, n := range perRow {
+		if n > perRow[0] || n > 16 {
+			t.Errorf("allocations per row grew with the row: %v for %s, %v for %s", perRow[0], rows[0].name, n, rows[i].name)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"slices"
 	"sort"
 
 	"opendrc/internal/geom"
@@ -98,11 +97,9 @@ func (e *Edges) resize(edges, polys int) {
 }
 
 // NewMBRTable builds the table of the given per-polygon boxes: the four
-// coordinate arrays and the (XLo, index) x-order. The order comes from one
-// sort of packed (XLo - min XLo, index) words — slices.Sort's comparator-free
-// path, less than half the time of any comparator sort here, reflective or
-// typed — whenever the layer's x-extent fits 32 bits; sortKeyIdx, which
-// Splice also uses for the tail, defines the same order and takes the rest.
+// coordinate arrays and the (XLo, index) x-order, from one radix sort of the
+// indices by XLo (the sort Splice uses for the tail and the sweep executor
+// for its views).
 func NewMBRTable(boxes []geom.Rect) *MBRTable {
 	n := len(boxes)
 	t := &MBRTable{
@@ -110,36 +107,12 @@ func NewMBRTable(boxes []geom.Rect) *MBRTable {
 		YLo: make([]int64, n), YHi: make([]int64, n),
 		XOrder: make([]int32, n),
 	}
-	lo, hi := int64(0), int64(0)
 	for i, b := range boxes {
 		t.XLo[i], t.XHi[i] = b.XLo, b.XHi
 		t.YLo[i], t.YHi[i] = b.YLo, b.YHi
-		if i == 0 || b.XLo < lo {
-			lo = b.XLo
-		}
-		if i == 0 || b.XLo > hi {
-			hi = b.XLo
-		}
+		t.XOrder[i] = int32(i)
 	}
-	if uint64(hi-lo) < 1<<32 {
-		words := make([]uint64, n)
-		for i, x := range t.XLo {
-			words[i] = uint64(x-lo)<<32 | uint64(i)
-		}
-		slices.Sort(words)
-		for i, w := range words {
-			t.XOrder[i] = int32(uint32(w))
-		}
-		return t
-	}
-	keys := make([]keyIdx, n)
-	for i, x := range t.XLo {
-		keys[i] = keyIdx{x, int32(i)}
-	}
-	sortKeyIdx(keys)
-	for i, k := range keys {
-		t.XOrder[i] = k.idx
-	}
+	t.XOrder, _ = radixSort(t.XOrder, nil, t.XLo)
 	return t
 }
 
@@ -150,13 +123,13 @@ func (t *MBRTable) Splice(remap []int32, first int, add []geom.Rect) {
 	t.XLo, t.XHi = Compact(t.XLo, remap, first), Compact(t.XHi, remap, first)
 	t.YLo, t.YHi = Compact(t.YLo, remap, first), Compact(t.YHi, remap, first)
 	tail := len(t.XLo)
-	keys := make([]keyIdx, len(add))
+	added := make([]int32, len(add))
 	for i, b := range add {
 		t.XLo, t.XHi = append(t.XLo, b.XLo), append(t.XHi, b.XHi)
 		t.YLo, t.YHi = append(t.YLo, b.YLo), append(t.YHi, b.YHi)
-		keys[i] = keyIdx{b.XLo, int32(tail + i)}
+		added[i] = int32(tail + i)
 	}
-	sortKeyIdx(keys)
+	added, _ = radixSort(added, nil, t.XLo)
 
 	w := 0
 	for _, p := range t.XOrder {
@@ -165,16 +138,17 @@ func (t *MBRTable) Splice(remap []int32, first int, add []geom.Rect) {
 			w++
 		}
 	}
-	// Open a gap for each key from the back: a binary search finds where it
-	// belongs among the survivors and one block move shifts what follows.
-	// Tail indices exceed every survivor's, so on equal XLo the survivor
-	// sorts first and the search only compares keys.
-	order := append(t.XOrder[:w], make([]int32, len(keys))...)
+	// Open a gap for each added box from the back: a binary search finds
+	// where it belongs among the survivors and one block move shifts what
+	// follows. Tail indices exceed every survivor's, so on equal XLo the
+	// survivor sorts first and the search only compares keys.
+	order := append(t.XOrder[:w], make([]int32, len(added))...)
 	end := w
-	for j := len(keys) - 1; j >= 0; j-- {
-		at := sort.Search(end, func(i int) bool { return t.XLo[order[i]] > keys[j].key })
+	for j := len(added) - 1; j >= 0; j-- {
+		key := t.XLo[added[j]]
+		at := sort.Search(end, func(i int) bool { return t.XLo[order[i]] > key })
 		copy(order[at+j+1:], order[at:end])
-		order[at+j] = keys[j].idx
+		order[at+j] = added[j]
 		end = at
 	}
 	t.XOrder = order

@@ -27,7 +27,7 @@ func referenceXOrder(boxes []geom.Rect) []int32 {
 	return order
 }
 
-// TestMBRTableOrderUnchanged pins the typed key sort to the order the
+// TestMBRTableOrderUnchanged pins the radix key sort to the order the
 // reflective one produced, on every metal layer of the six synth designs.
 func TestMBRTableOrderUnchanged(t *testing.T) {
 	for _, design := range synth.Designs() {
@@ -54,8 +54,8 @@ func TestMBRTableOrderUnchanged(t *testing.T) {
 	}
 }
 
-// TestMBRTableOrderWideLayer covers the comparator fallback: an x-extent past
-// 32 bits, ties included.
+// TestMBRTableOrderWideLayer: an x-extent past 32 bits (five radix passes),
+// ties included.
 func TestMBRTableOrderWideLayer(t *testing.T) {
 	var boxes []geom.Rect
 	for i := int64(0); i < 64; i++ {

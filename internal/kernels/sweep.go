@@ -1,7 +1,8 @@
 package kernels
 
 import (
-	"cmp"
+	"fmt"
+	"math/bits"
 	"slices"
 
 	"opendrc/internal/checks"
@@ -24,36 +25,84 @@ import (
 // rejected candidate still counts its modeled op: hits, hit order and every
 // thread's op count are those of the straightforward bodies kept in
 // reference_test.go.
+//
+// Two things keep the simulation's cost near the candidates that can hit
+// rather than the windows the device threads scan. The views are sorted by a
+// stable LSD radix sort of edges gathered in ascending packed index, which is
+// exactly the (key, index) order. And sweep-check finds each thread's
+// candidates in a bucketed index of the view by parallel span (candIndex)
+// instead of walking its window; the survivors are merged into ascending
+// position, so the predicate sees them in window order. Standard cells share
+// y across a row, so a horizontal window covers the whole row width while
+// only a handful of its edges overlap the thread's edge in x.
 
-// keyIdx is one entry of a sorted order: the sort key and the packed index
-// that breaks ties. (key, idx) is a strict total order, so the sorted
-// sequence does not depend on the sort algorithm.
-type keyIdx struct {
-	key int64
-	idx int32
-}
-
-func sortKeyIdx(v []keyIdx) {
-	slices.SortFunc(v, func(a, b keyIdx) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+// radixSort sorts the indices perm by key[perm[i]] with a stable LSD radix
+// sort on key − min key: 8-bit digits, one counting pass per byte of the key
+// span, a pass skipped when every index shares its digit. Stability makes
+// the result the (key, index) order exactly when perm arrives ascending, the
+// precondition every caller meets by gathering in index order. tmp is the
+// ping-pong buffer; the sorted slice and the spare buffer come back, either
+// of which may be tmp.
+func radixSort(perm, tmp []int32, key []int64) (sorted, spare []int32) {
+	if len(perm) < 2 {
+		return perm, tmp
+	}
+	lo, hi := key[perm[0]], key[perm[0]]
+	for _, p := range perm[1:] {
+		lo, hi = min(lo, key[p]), max(hi, key[p])
+	}
+	passes := (bits.Len64(uint64(hi-lo)) + 7) / 8
+	var count [8][256]int
+	for _, p := range perm {
+		d := uint64(key[p] - lo)
+		for q := range passes {
+			count[q][d>>(8*q)&0xff]++
 		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	}
+	tmp = grow(tmp, len(perm))
+	for q := range passes {
+		c, shift := &count[q], 8*q
+		if c[uint64(key[perm[0]]-lo)>>shift&0xff] == len(perm) {
+			continue // one digit throughout: the pass would copy perm
+		}
+		sum := 0
+		for d, n := range c {
+			c[d], sum = sum, sum+n
+		}
+		for _, p := range perm {
+			d := uint64(key[p]-lo) >> shift & 0xff
+			tmp[c[d]] = p
+			c[d]++
+		}
+		perm, tmp = tmp, perm
+	}
+	return perm, tmp
 }
 
 // Scratch is the host working set of one sweep simulation: the current
-// pass's sorted order and its gathered columns. It holds no results — every
-// pass overwrites it — so a warm Scratch may be reused for any row of any
-// buffer and a steady-state row simulation allocates nothing per edge. Not
-// safe for concurrent use; concurrent rows take one each.
+// pass's sorted order, its gathered columns and its candidate index. It holds
+// no results — every pass overwrites it — so a warm Scratch may be reused for
+// any row of any buffer and a steady-state row simulation allocates nothing
+// per edge. Not safe for concurrent use; concurrent rows take one each.
 type Scratch struct {
-	order  []keyIdx // (perpendicular coordinate | corner x, edge index), sorted
-	lo, hi []int64  // parallel span of the edge at each view position (corner pass: lo is the corner's y)
-	fwd    []bool   // direction bit: P1 lies beyond P0 along the edge's axis
+	order  []int32 // edge index at each view position, in (key, edge index) order
+	spare  []int32 // the radix sort's ping-pong buffer
+	key    []int64 // sort key at each view position: perpendicular coordinate | corner x
+	lo, hi []int64 // parallel span of the edge at each view position (corner pass: lo is the corner's y)
+	fwd    []bool  // direction bit: P1 lies beyond P0 along the edge's axis
 	poly   []int32
 	ranges []int32 // scan kernel output: each position's check-range end
+	idx    candIndex
+	cand   []int32 // one sweep-check thread's prescreen survivors
+
+	window, visited int64 // sweep-check candidates of the last SweepPolys: charged, and prescreened on the host
 }
+
+// Candidates reports, for the last SweepPolys call, the sweep-check
+// candidates its device threads scan — the ops they are charged — and the
+// ones the host simulation took from the candidate index and prescreened to
+// find the same hits.
+func (sc *Scratch) Candidates() (window, visited int64) { return sc.window, sc.visited }
 
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -62,12 +111,16 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// sorted sorts the collected order and sizes the columns to it.
-func (sc *Scratch) sorted() {
-	sortKeyIdx(sc.order)
+// sortBy sorts the collected order by key, sizes the columns to it and
+// gathers the key column.
+func (sc *Scratch) sortBy(key []int64) {
+	sc.order, sc.spare = radixSort(sc.order, sc.spare, key)
 	n := len(sc.order)
-	sc.lo, sc.hi = grow(sc.lo, n), grow(sc.hi, n)
+	sc.key, sc.lo, sc.hi = grow(sc.key, n), grow(sc.lo, n), grow(sc.hi, n)
 	sc.fwd, sc.poly, sc.ranges = grow(sc.fwd, n), grow(sc.poly, n), grow(sc.ranges, n)
+	for t, i := range sc.order {
+		sc.key[t] = key[i]
+	}
 }
 
 // loadAxis loads the view of the members' edges that run along one axis:
@@ -80,13 +133,12 @@ func (sc *Scratch) loadAxis(e *Edges, polys []int32, total int, perp0, perp1, a,
 		lo, hi := e.PolyEdges(int(p))
 		for i := lo; i < hi; i++ {
 			if perp0[i] == perp1[i] && a[i] != b[i] {
-				sc.order = append(sc.order, keyIdx{perp0[i], int32(i)})
+				sc.order = append(sc.order, int32(i))
 			}
 		}
 	}
-	sc.sorted()
-	for t, o := range sc.order {
-		i := o.idx
+	sc.sortBy(perp0)
+	for t, i := range sc.order {
 		sc.lo[t], sc.hi[t] = min(a[i], b[i]), max(a[i], b[i])
 		sc.fwd[t] = b[i] > a[i]
 		sc.poly[t] = e.Poly[i]
@@ -100,13 +152,13 @@ func (sc *Scratch) loadCorners(e *Edges, polys []int32, total int) {
 	for _, p := range polys {
 		lo, hi := e.PolyEdges(int(p))
 		for i := lo; i < hi; i++ {
-			sc.order = append(sc.order, keyIdx{e.X1[i], int32(i)})
+			sc.order = append(sc.order, int32(i))
 		}
 	}
-	sc.sorted()
-	for t, o := range sc.order {
-		sc.lo[t] = e.Y1[o.idx]
-		sc.poly[t] = e.Poly[o.idx]
+	sc.sortBy(e.X1)
+	for t, i := range sc.order {
+		sc.lo[t] = e.Y1[i]
+		sc.poly[t] = e.Poly[i]
 	}
 }
 
@@ -117,20 +169,103 @@ func (sc *Scratch) loadCorners(e *Edges, polys []int32, total int) {
 // resume from its predecessor's end instead of rescanning. The op count
 // charged is that of the full scan the device thread performs.
 func (sc *Scratch) scanRange(s Launcher, name string, dist int64) {
-	order, ranges := sc.order, sc.ranges
-	n := len(order)
+	key, ranges := sc.key, sc.ranges
+	n := len(key)
 	s.Launch(name, n, func(tid int) int64 {
 		end := tid + 1
 		if tid > 0 && int(ranges[tid-1]) > end {
 			end = int(ranges[tid-1])
 		}
-		limit := order[tid].key + dist
-		for end < n && order[end].key <= limit {
+		limit := key[tid] + dist
+		for end < n && key[end] <= limit {
 			end++
 		}
 		ranges[tid] = int32(end)
 		return int64(end-tid) + 1
 	})
+}
+
+// candIndex indexes an axis view by parallel span, so that a sweep-check
+// thread can find the positions whose span can overlap its own without
+// walking its window. An edge whose span is at most w (short) sits in the
+// bucket of its lo, (lo − base) / w; longer edges (rails) sit in the last
+// bucket, long. Bucket b holds pos[start[b]:start[b+1]], ascending. A short
+// edge k with positive overlap has lo[k] < hi and hi[k] > lo, so
+// lo[k] > lo − w: its bucket lies between those of lo − w + 1 and hi − 1.
+//
+// next[b] is bucket b's cursor: the first of its entries not at or before
+// the last thread that visited it. Threads visit in tid order, so a cursor
+// only advances and each entry is passed over once in the whole launch.
+type candIndex struct {
+	base  int64
+	w     uint64
+	long  int
+	start []int32
+	pos   []int32
+	next  []int32
+}
+
+// build indexes the view with spans lo[t]..hi[t]. The bucket width is twice
+// the mean span, doubled until there are no more buckets than edges; any
+// width is sound, this one keeps both the bucket count and the entries per
+// bucket small.
+func (ix *candIndex) build(lo, hi []int64) {
+	n := len(lo)
+	base, top := lo[0], lo[0]
+	var sum uint64
+	for t := range lo {
+		base, top = min(base, lo[t]), max(top, lo[t])
+		sum += uint64(hi[t] - lo[t])
+	}
+	w, extent := max(2*(sum/uint64(n)), 1), uint64(top-base)
+	for extent/w >= uint64(n) {
+		w *= 2
+	}
+	ix.base, ix.w, ix.long = base, w, int(extent/w)+1
+	bucket := func(t int) int {
+		if uint64(hi[t]-lo[t]) > w {
+			return ix.long
+		}
+		return int(uint64(lo[t]-base) / w)
+	}
+	start := grow(ix.start, ix.long+2)
+	clear(start)
+	for t := range lo {
+		start[bucket(t)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	pos := grow(ix.pos, n)
+	for t := range lo {
+		b := bucket(t)
+		pos[start[b]] = int32(t)
+		start[b]++
+	}
+	copy(start[1:], start) // the fill advanced each bucket's start to its end
+	start[0] = 0
+	ix.start, ix.pos = start, pos
+	ix.next = append(ix.next[:0], start[:ix.long+1]...)
+}
+
+// buckets returns the bucket range [b0, b1] that holds every short edge
+// whose span can overlap lo..hi (hi > lo).
+func (ix *candIndex) buckets(lo, hi int64) (b0, b1 int) {
+	if d := uint64(lo - ix.base); d >= ix.w-1 {
+		b0 = int((d - (ix.w - 1)) / ix.w)
+	}
+	return b0, min(int(uint64(hi-1-ix.base)/ix.w), ix.long-1)
+}
+
+// after advances bucket b's cursor past the positions at or before tid and
+// returns the entries from there on.
+func (ix *candIndex) after(b, tid int) []int32 {
+	k, stop := ix.next[b], ix.start[b+1]
+	for k < stop && int(ix.pos[k]) <= tid {
+		k++
+	}
+	ix.next[b] = k
+	return ix.pos[k:stop]
 }
 
 // sweepAxis runs the scan and check kernels over the loaded axis view. The
@@ -139,40 +274,69 @@ func (sc *Scratch) scanRange(s Launcher, name string, dist int64) {
 // filter's same/different-polygon test, runs anti-parallel to the thread's
 // edge, and shares positive projection with it — the first two exits of
 // both EdgePairSpacingLim and EdgePairWidth.
+//
+// A thread takes its prescreen survivors from the candidate index: it
+// enters each bucket of its range, then the long bucket, at the bucket's
+// cursor (past position tid) and leaves it at the window's end; the
+// survivors are sorted into ascending position, and the predicate runs over
+// them in that order — the order a walk of the window meets them in. The
+// thread is charged its whole window.
 func (sc *Scratch) sweepAxis(s Launcher, e *Edges, lim checks.SpacingLimit, filter PairFilter, c Collector) {
 	n := len(sc.order)
 	if n == 0 {
 		return
 	}
 	sc.scanRange(s, "scan-range", lim.Reach()-1)
+	sc.idx.build(sc.lo, sc.hi)
 
 	order, lo, hi, fwd, poly, ranges := sc.order, sc.lo, sc.hi, sc.fwd, sc.poly, sc.ranges
+	ix := &sc.idx
 	samePoly := filter != FilterSpacing
 	s.Launch("sweep-check", n, func(tid int) int64 {
 		end := int(ranges[tid])
-		ei := e.Edge(int(order[tid].idx))
-		for k := tid + 1; k < end; k++ {
-			if min(hi[k], hi[tid]) <= max(lo[k], lo[tid]) || fwd[k] == fwd[tid] ||
-				(poly[k] == poly[tid]) != samePoly {
-				continue
-			}
-			ej := e.Edge(int(order[k].idx))
-			var m checks.Marker
-			var ok bool
-			if filter == FilterWidth {
-				m, ok = checks.EdgePairWidth(ei, ej, lim.Min)
-			} else {
-				m, ok = checks.EdgePairSpacingLim(ei, ej, lim)
-			}
-			if ok {
-				b := int32(-1)
-				if filter == FilterSpacing {
-					b = poly[k]
+		window := end - tid - 1
+		sc.window += int64(window)
+		loT, hiT, fwdT, polyT := lo[tid], hi[tid], fwd[tid], poly[tid]
+		cand := sc.cand[:0]
+		visit := func(b int) {
+			for _, k := range ix.after(b, tid) {
+				if int(k) >= end {
+					return
 				}
-				c(Hit{Marker: m, A: poly[tid], B: b})
+				sc.visited++
+				if min(hi[k], hiT) > max(lo[k], loT) && fwd[k] != fwdT && (poly[k] == polyT) == samePoly {
+					cand = append(cand, k)
+				}
 			}
 		}
-		return int64(end - tid - 1) // one op per candidate, screened or not
+		b0, b1 := ix.buckets(loT, hiT)
+		for b := b0; b <= b1; b++ {
+			visit(b)
+		}
+		visit(ix.long)
+		slices.Sort(cand)
+		if len(cand) > 0 {
+			ei := e.Edge(int(order[tid]))
+			for _, k := range cand {
+				ej := e.Edge(int(order[k]))
+				var m checks.Marker
+				var ok bool
+				if filter == FilterWidth {
+					m, ok = checks.EdgePairWidth(ei, ej, lim.Min)
+				} else {
+					m, ok = checks.EdgePairSpacingLim(ei, ej, lim)
+				}
+				if ok {
+					b := int32(-1)
+					if filter == FilterSpacing {
+						b = poly[k]
+					}
+					c(Hit{Marker: m, A: polyT, B: b})
+				}
+			}
+		}
+		sc.cand = cand
+		return int64(window) // one op per candidate, screened or not
 	})
 }
 
@@ -190,7 +354,7 @@ func (sc *Scratch) sweepCorners(s Launcher, e *Edges, min int64, c Collector) {
 
 	order, y, poly, ranges := sc.order, sc.lo, sc.poly, sc.ranges
 	s.Launch("corner-check", n, func(tid int) int64 {
-		i := int(order[tid].idx)
+		i := int(order[tid])
 		var ei, eo geom.Edge
 		loaded := false
 		var ops int64
@@ -210,7 +374,7 @@ func (sc *Scratch) sweepCorners(s Launcher, e *Edges, min int64, c Collector) {
 				ei, eo = e.Edge(i), e.NextEdge(i)
 				loaded = true
 			}
-			j := int(order[k].idx)
+			j := int(order[k])
 			if m, ok := checks.CornerSpacing(ei, eo, e.Edge(j), e.NextEdge(j), min); ok {
 				c(Hit{Marker: m, A: poly[tid], B: poly[k]})
 			}
@@ -224,12 +388,21 @@ func (sc *Scratch) sweepCorners(s Launcher, e *Edges, min int64, c Collector) {
 // The sweep orders are sorted on the host and charged to the device as one
 // bitonic-sort-equivalent kernel (n threads × log² n ops over the member
 // edge count), matching how X-Check prepares its orders on device.
+//
+// polys must be strictly ascending — partition rows and SpacingSweep's
+// identity list are — because the views are sorted stably from edges
+// gathered in member order; any other order panics rather than reorder hits.
 func (sc *Scratch) SweepPolys(s Launcher, e *Edges, polys []int32, lim checks.SpacingLimit, filter PairFilter, c Collector) {
-	total := 0
+	total, prev := 0, int32(-1)
 	for _, p := range polys {
+		if p <= prev {
+			panic(fmt.Sprintf("kernels: sweep members not strictly ascending: polygon %d follows %d", p, prev))
+		}
+		prev = p
 		lo, hi := e.PolyEdges(int(p))
 		total += hi - lo
 	}
+	sc.window, sc.visited = 0, 0
 	if total > 0 {
 		logn := int64(1)
 		for 1<<logn < total {
