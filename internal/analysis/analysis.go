@@ -132,7 +132,7 @@ func pkgIs(pkgPath, suffix string) bool {
 
 // deterministicPkgNames lists the packages whose outputs must be
 // bit-identical across runs and worker counts; maprange applies only here.
-var deterministicPkgNames = []string{"core", "checks", "kernels", "klayout", "layout", "rules", "boolop"}
+var deterministicPkgNames = []string{"core", "checks", "kernels", "klayout", "layout", "rules"}
 
 func isDeterministicPkg(pkgPath string) bool {
 	for _, name := range deterministicPkgNames {

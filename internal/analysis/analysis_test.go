@@ -44,7 +44,7 @@ func TestPkgIs(t *testing.T) {
 }
 
 func TestDeterministicPkgs(t *testing.T) {
-	for _, p := range []string{"m/internal/core", "m/internal/layout", "m/internal/boolop"} {
+	for _, p := range []string{"m/internal/core", "m/internal/layout", "m/internal/rules"} {
 		if !isDeterministicPkg(p) {
 			t.Errorf("%s should be deterministic", p)
 		}

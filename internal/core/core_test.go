@@ -35,6 +35,21 @@ func runEngine(t *testing.T, lo *layout.Layout, opts Options, deck rules.Deck) *
 	return rep
 }
 
+func buildLayout(t *testing.T, lib *gdsii.Library) *layout.Layout {
+	t.Helper()
+	lo, err := layout.FromLibrary(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lo
+}
+
+func ring(x0, y0, x1, y1 int64) []geom.Point {
+	return []geom.Point{
+		geom.Pt(x0, y0), geom.Pt(x0, y1), geom.Pt(x1, y1), geom.Pt(x1, y0),
+	}
+}
+
 // expectedByRule maps injected counts onto deck rule IDs.
 func expectedByRule(exp synth.Expected) map[string]int {
 	return map[string]int{

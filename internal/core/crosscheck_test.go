@@ -94,7 +94,6 @@ func TestRandomLayoutsAllConfigurationsAgree(t *testing.T) {
 		rules.Layer(layout.LayerM1).Spacing().AtLeast(10).
 			WhenProjectionAtLeast(25, 16).Named("SPRL"),
 		rules.Layer(layout.LayerV1).EnclosedBy(layout.LayerM1).AtLeast(4).Named("EN"),
-		rules.Layer(layout.LayerV1).CoveredBy(layout.LayerM1).Named("COV"),
 	}
 	configs := []struct {
 		name string

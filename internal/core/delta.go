@@ -41,9 +41,9 @@ import (
 // engine in the canonical total order (Report.canonicalize), so delta reports
 // are byte-identical to cold reports. Rules whose record is current skip
 // execution entirely (its violations are retained wholesale); rules whose
-// kinds have no restricted executor — enclosure, derived-layer booleans,
-// custom predicates — and rules whose record is older than the pending dirt
-// re-run in full, which is trivially identical.
+// kinds have no restricted executor — enclosure, custom predicates — and
+// rules whose record is older than the pending dirt re-run in full, which is
+// trivially identical.
 
 // planMode is how one rule of a session check runs.
 type planMode uint8

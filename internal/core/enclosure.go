@@ -27,10 +27,10 @@ type residue struct {
 }
 
 // expandResidue instance-expands the deferred shapes — the global half of
-// the enclosure and derived-layer rules in both modes. visit receives each
-// instance in the global frame with the outer-layer polygons a hierarchy
-// range query finds within reach of its MBR; cands is one buffer reused from
-// instance to instance, valid only during the call.
+// the enclosure rule in both modes. visit receives each instance in the
+// global frame with the outer-layer polygons a hierarchy range query finds
+// within reach of its MBR; cands is one buffer reused from instance to
+// instance, valid only during the call.
 func expandResidue(ctx context.Context, lo *layout.Layout, outer layout.Layer, reach int64, deferred []residue,
 	placements [][]geom.Transform, visit func(d residue, shape geom.Polygon, cands []geom.Polygon)) error {
 	var cands []geom.Polygon

@@ -318,16 +318,10 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 				// User callables cannot run on the device; the paper's
 				// ensures() predicates execute host-side in both modes, with
 				// the same per-definition pruning as the sequential branch.
-				// Like the derived-layer rules, the work is host time and must
-				// advance the modeled device clock.
+				// The work is host time and must advance the modeled device
+				// clock.
 				return pc.hostPhase(rep, "par:custom", func() error {
 					return e.runIntraSeq(ctx, lo, r, placements, rep)
-				})
-			case rules.Coverage, rules.MinOverlap:
-				// Derived-layer boolean rules are host-side in both modes
-				// (roadmap features beyond the paper's kernels).
-				return pc.hostPhase(rep, "par:derived", func() error {
-					return e.runDerivedSeq(ctx, lo, r, placements, rep)
 				})
 			default:
 				return e.runIntraPar(ctx, lo, r, placements, pc, rep)
@@ -359,7 +353,7 @@ func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Repo
 
 // prefetchLayer reports which layer the rule's executor will flatten and
 // pack, if any — spacing always flattens; intra rules only in the
-// pruning-off ablation; enclosure, custom, and derived rules never do.
+// pruning-off ablation; enclosure and custom rules never do.
 func prefetchLayer(r rules.Rule, pruningOff bool) (layout.Layer, bool) {
 	switch r.Kind {
 	case rules.Spacing:

@@ -43,12 +43,10 @@ func keyOf(r rules.Rule) ruleKey {
 }
 
 // ruleLayers lists the layers whose geometry the rule reads — its own and,
-// for the two-layer kinds, Outer: the layers whose dirt makes its record
-// stale.
+// for enclosure, Outer: the layers whose dirt makes its record stale.
 func ruleLayers(r rules.Rule) (ls [2]layout.Layer, n int) {
 	ls[0] = r.Layer
-	switch r.Kind {
-	case rules.Enclosure, rules.Coverage, rules.MinOverlap:
+	if r.Kind == rules.Enclosure {
 		ls[1] = r.Outer
 		return ls, 2
 	}

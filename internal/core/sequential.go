@@ -45,8 +45,6 @@ func (e *Engine) checkSequential(ctx context.Context, lo *layout.Layout, rep *Re
 				return e.runSpacingSeq(ctx, lo, r, placements, rep, geo)
 			case rules.Enclosure:
 				return e.runEnclosureSeq(ctx, lo, r, placements, rep)
-			case rules.Coverage, rules.MinOverlap:
-				return e.runDerivedSeq(ctx, lo, r, placements, rep)
 			default:
 				return e.runIntraSeq(ctx, lo, r, placements, rep)
 			}

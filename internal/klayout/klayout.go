@@ -118,9 +118,6 @@ func CheckContext(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Opt
 	if err := r.Validate(); err != nil {
 		return nil, err
 	}
-	if r.Kind == rules.Coverage || r.Kind == rules.MinOverlap {
-		return nil, fmt.Errorf("klayout: derived-layer rule %s not supported by this baseline", r)
-	}
 	if opts.Threads <= 0 {
 		opts.Threads = 8
 	}

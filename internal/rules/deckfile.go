@@ -21,8 +21,6 @@ import (
 //	rule M1.A.1     area        M1        500
 //	rule M1.RECT.1  rectilinear M1
 //	rule V1.EN.1    enclosure   V1  M1    5
-//	rule V1.COV.1   coverage    V1  M1
-//	rule V1.OV.1    overlap     V1  M1    350
 //
 // Layers may be referenced by declared symbolic names or directly by GDS
 // layer number. Custom (ensures) rules cannot be expressed in a file; they
@@ -60,6 +58,9 @@ func ParseDeck(r io.Reader) (Deck, error) {
 				return fail("rule needs: rule <id> <kind> <layer> ...")
 			}
 			rule, err := parseRule(fields[1:], names)
+			if err == nil {
+				err = rule.Validate()
+			}
 			if err != nil {
 				return fail("%v", err)
 			}
@@ -142,34 +143,22 @@ func parseRule(f []string, names map[string]layout.Layer) (Rule, error) {
 			return Rule{}, fmt.Errorf("trailing tokens %v", rest)
 		}
 		return Layer(l).Polygons().AreRectilinear().Named(id), nil
-	case "enclosure", "coverage", "overlap":
+	case "enclosure":
 		if len(rest) < 1 {
-			return Rule{}, fmt.Errorf("%s rule needs the outer layer", kind)
+			return Rule{}, fmt.Errorf("enclosure rule needs the outer layer")
 		}
 		outer, err := layerOf(rest[0])
 		if err != nil {
 			return Rule{}, err
 		}
-		rest = rest[1:]
-		switch kind {
-		case "coverage":
-			if len(rest) != 0 {
-				return Rule{}, fmt.Errorf("trailing tokens %v", rest)
-			}
-			return Layer(l).CoveredBy(outer).Named(id), nil
-		case "enclosure", "overlap":
-			if len(rest) != 1 {
-				return Rule{}, fmt.Errorf("%s rule needs a value", kind)
-			}
-			v, err := num(rest[0])
-			if err != nil {
-				return Rule{}, err
-			}
-			if kind == "enclosure" {
-				return Layer(l).EnclosedBy(outer).AtLeast(v).Named(id), nil
-			}
-			return Layer(l).OverlapWith(outer).AtLeast(v).Named(id), nil
+		if len(rest) != 2 {
+			return Rule{}, fmt.Errorf("enclosure rule needs a value")
 		}
+		v, err := num(rest[1])
+		if err != nil {
+			return Rule{}, err
+		}
+		return Layer(l).EnclosedBy(outer).AtLeast(v).Named(id), nil
 	}
 	return Rule{}, fmt.Errorf("unknown rule kind %q", kind)
 }
@@ -195,10 +184,6 @@ func WriteDeck(w io.Writer, deck Deck) error {
 			_, err = fmt.Fprintf(w, "rule %s rectilinear %d\n", r.ID, int16(r.Layer))
 		case Enclosure:
 			_, err = fmt.Fprintf(w, "rule %s enclosure %d %d %d\n", r.ID, int16(r.Layer), int16(r.Outer), r.Min)
-		case Coverage:
-			_, err = fmt.Fprintf(w, "rule %s coverage %d %d\n", r.ID, int16(r.Layer), int16(r.Outer))
-		case MinOverlap:
-			_, err = fmt.Fprintf(w, "rule %s overlap %d %d %d\n", r.ID, int16(r.Layer), int16(r.Outer), r.Min)
 		case Custom:
 			_, err = fmt.Fprintf(w, "# custom rule %s (%s) has no file representation\n", r.ID, r.Desc)
 		}

@@ -24,13 +24,9 @@ const (
 	Area                    // minimum polygon area, intra-polygon
 	Rectilinear             // all edges axis-aligned, intra-polygon
 	Custom                  // user predicate over polygons
-
-	// Derived-layer rules (boolean mask operations, see internal/boolop):
-	Coverage   // the NOT CUT residue Layer \ Outer must be empty per shape
-	MinOverlap // each Layer shape must overlap Outer by at least Min area
 )
 
-var kindNames = [...]string{"width", "spacing", "enclosure", "area", "rectilinear", "custom", "coverage", "min-overlap"}
+var kindNames = [...]string{"width", "spacing", "enclosure", "area", "rectilinear", "custom"}
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
@@ -61,7 +57,7 @@ type Rule struct {
 	ID    string
 	Kind  Kind
 	Layer layout.Layer
-	Outer layout.Layer // enclosure/derived: the other layer
+	Outer layout.Layer // enclosure: the other layer
 	Min   int64        // threshold: distance, or area (units²)
 	Desc  string
 	Pred  func(Obj) bool // Custom only
@@ -102,10 +98,6 @@ func (r Rule) String() string {
 	switch r.Kind {
 	case Enclosure:
 		return fmt.Sprintf("%s.%s.EN(%d)", layout.LayerName(r.Layer), layout.LayerName(r.Outer), r.Min)
-	case Coverage:
-		return fmt.Sprintf("%s.%s.COV", layout.LayerName(r.Layer), layout.LayerName(r.Outer))
-	case MinOverlap:
-		return fmt.Sprintf("%s.%s.OV(%d)", layout.LayerName(r.Layer), layout.LayerName(r.Outer), r.Min)
 	case Custom:
 		return fmt.Sprintf("%s.custom(%s)", layout.LayerName(r.Layer), r.Desc)
 	default:
@@ -120,11 +112,11 @@ func (r Rule) Validate() error {
 		if r.Min <= 0 {
 			return fmt.Errorf("rules: %v rule needs a positive minimum, got %d", r.Kind, r.Min)
 		}
-		if r.PRLLength != 0 {
+		if r.PRLLength != 0 || r.PRLMin != 0 {
 			if r.Kind != Spacing {
 				return fmt.Errorf("rules: projection condition only applies to spacing rules")
 			}
-			if r.PRLLength < 0 || r.PRLMin <= r.Min {
+			if r.PRLLength <= 0 || r.PRLMin <= r.Min {
 				return fmt.Errorf("rules: projection condition needs PRLLength > 0 and PRLMin > Min")
 			}
 		}
@@ -139,17 +131,6 @@ func (r Rule) Validate() error {
 	case Custom:
 		if r.Pred == nil {
 			return fmt.Errorf("rules: custom rule %q without predicate", r.Desc)
-		}
-	case Coverage:
-		if r.Outer == r.Layer {
-			return fmt.Errorf("rules: coverage rule with identical layers %d", r.Layer)
-		}
-	case MinOverlap:
-		if r.Min <= 0 {
-			return fmt.Errorf("rules: min-overlap rule needs a positive area, got %d", r.Min)
-		}
-		if r.Outer == r.Layer {
-			return fmt.Errorf("rules: min-overlap rule with identical layers %d", r.Layer)
 		}
 	default:
 		return fmt.Errorf("rules: unknown kind %d", int(r.Kind))
@@ -213,20 +194,6 @@ func (s Selector) Spacing() DistanceBuilder {
 // layer's shapes (via-in-metal enclosure).
 func (s Selector) EnclosedBy(outer layout.Layer) DistanceBuilder {
 	return DistanceBuilder{rule: Rule{Kind: Enclosure, Layer: s.layer, Outer: outer}}
-}
-
-// CoveredBy requires every shape on this layer to be fully covered by the
-// union of the outer layer's shapes — the paper's empty-NOT-CUT constraint.
-// Unlike EnclosedBy, coverage by several abutting shapes counts.
-func (s Selector) CoveredBy(outer layout.Layer) Rule {
-	return Rule{Kind: Coverage, Layer: s.layer, Outer: outer}
-}
-
-// OverlapWith selects the overlap area between this layer's shapes and the
-// outer layer — the paper's minimum overlapping area constraint. Finish
-// with AtLeast(area).
-func (s Selector) OverlapWith(outer layout.Layer) DistanceBuilder {
-	return DistanceBuilder{rule: Rule{Kind: MinOverlap, Layer: s.layer, Outer: outer}}
 }
 
 // Area selects the polygon area on the layer.
@@ -367,21 +334,4 @@ func (d Deck) MaxReach() int64 {
 		}
 	}
 	return m
-}
-
-// Layers returns the set of layers any rule in the deck touches.
-func (d Deck) Layers() []layout.Layer {
-	seen := make(map[layout.Layer]bool)
-	var out []layout.Layer
-	for _, r := range d {
-		if !seen[r.Layer] {
-			seen[r.Layer] = true
-			out = append(out, r.Layer)
-		}
-		if r.Kind == Enclosure && !seen[r.Outer] {
-			seen[r.Outer] = true
-			out = append(out, r.Outer)
-		}
-	}
-	return out
 }

@@ -98,18 +98,6 @@ func TestKindIntra(t *testing.T) {
 	}
 }
 
-func TestDeckLayers(t *testing.T) {
-	d := Deck{
-		Layer(layout.LayerM1).Width().AtLeast(18),
-		Layer(layout.LayerM1).Spacing().AtLeast(25),
-		Layer(layout.LayerV1).EnclosedBy(layout.LayerM1).AtLeast(7),
-	}
-	ls := d.Layers()
-	if len(ls) != 2 {
-		t.Fatalf("layers = %v", ls)
-	}
-}
-
 func TestRuleStrings(t *testing.T) {
 	r := Layer(layout.LayerM1).Width().AtLeast(18)
 	if s := r.String(); !strings.Contains(s, "M1") || !strings.Contains(s, "width") {

@@ -61,7 +61,7 @@ func CheckContext(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Opt
 		return nil, err
 	}
 	switch r.Kind {
-	case rules.Area, rules.Custom, rules.Rectilinear, rules.Coverage, rules.MinOverlap:
+	case rules.Area, rules.Custom, rules.Rectilinear:
 		return nil, ErrUnsupported
 	}
 	if err := ctx.Err(); err != nil {
