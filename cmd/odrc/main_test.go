@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -30,6 +31,12 @@ func TestExitCodes(t *testing.T) {
 	if err := gdsii.WriteFile(gds, lib); err != nil {
 		t.Fatal(err)
 	}
+	// A deck file holding only a comment is an empty deck: an empty report
+	// in either mode.
+	emptyDeck := filepath.Join(dir, "empty.deck")
+	if err := os.WriteFile(emptyDeck, []byte("# no rules\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	run := func(args ...string) (int, []byte) {
 		t.Helper()
 		out, err := exec.Command(bin, args...).Output()
@@ -52,6 +59,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{"-timeout", "1ns", gds}, exitTimeout},
 		{[]string{"-mode", "par", "-max-flatten", "1", gds}, exitDegraded},
 		{[]string{gds}, exitOK},
+		{[]string{"-mode", "par", "-deck", emptyDeck, gds}, exitOK},
 	} {
 		if got, _ := run(c.args...); got != c.want {
 			t.Errorf("odrc %v: exit %d, want %d", c.args, got, c.want)

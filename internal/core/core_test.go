@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"opendrc/internal/checks"
@@ -220,12 +222,18 @@ func TestMagnifiedIntraChecks(t *testing.T) {
 		t.Fatal(err)
 	}
 	deck := rules.Deck{rules.Layer(layout.LayerM1).Width().AtLeast(18).Named("W")}
-	rep := runEngine(t, lo, Options{Mode: Sequential}, deck)
-	if n := len(rep.Violations); n != 1 {
-		t.Fatalf("violations = %d, want 1 (only the mag-1 instance)", n)
-	}
-	if rep.Violations[0].Marker.Box != geom.R(0, 0, 16, 100) {
-		t.Errorf("violation at %v", rep.Violations[0].Marker.Box)
+	for _, mode := range []Mode{Sequential, Parallel} {
+		rep := runEngine(t, lo, Options{Mode: mode}, deck)
+		if n := len(rep.Violations); n != 1 {
+			t.Fatalf("%v: violations = %d, want 1 (only the mag-1 instance)", mode, n)
+		}
+		if rep.Violations[0].Marker.Box != geom.R(0, 0, 16, 100) {
+			t.Errorf("%v: violation at %v", mode, rep.Violations[0].Marker.Box)
+		}
+		if rep.Stats.DefsChecked != 2 || rep.Stats.ChecksReused != 0 {
+			t.Errorf("%v: %d definition checks, %d reused; want one per magnification, none reused",
+				mode, rep.Stats.DefsChecked, rep.Stats.ChecksReused)
+		}
 	}
 }
 
@@ -323,6 +331,97 @@ func TestDedupKeepsSmallestCell(t *testing.T) {
 	for _, in := range [][]rules.Violation{{a, b}, {b, a}} {
 		if out := DedupViolations(in); len(out) != 1 || out[0].Cell != "and2_x1" {
 			t.Fatalf("dedup of %q and %q kept %+v", in[0].Cell, in[1].Cell, out)
+		}
+	}
+}
+
+// TestEmptyDeck: a deck with no rules yields an empty report in both modes,
+// batch and session.
+func TestEmptyDeck(t *testing.T) {
+	lo, _ := loadDesign(t, "uart", 0.3)
+	ctx := context.Background()
+	for _, mode := range []Mode{Sequential, Parallel} {
+		batch, err := New(Options{Mode: mode}).CheckContext(ctx, lo)
+		if err != nil {
+			t.Fatalf("%v batch: %v", mode, err)
+		}
+		ses := NewSession(lo, Options{Mode: mode})
+		warm, err := ses.Check(ctx, nil)
+		ses.Close(ctx)
+		if err != nil {
+			t.Fatalf("%v session: %v", mode, err)
+		}
+		for _, rep := range []*Report{batch, warm} {
+			if len(rep.Violations) != 0 || rep.Degraded || rep.Stats.KernelLaunches != 0 {
+				t.Errorf("%v: empty deck reported %d violations, degraded %v, %d launches",
+					mode, len(rep.Violations), rep.Degraded, rep.Stats.KernelLaunches)
+			}
+		}
+	}
+}
+
+// TestParallelRejectsDisablePruning: the pruning ablation is sequential-only,
+// so a parallel check with it fails, batch and session alike.
+func TestParallelRejectsDisablePruning(t *testing.T) {
+	lo, _ := loadDesign(t, "uart", 0.3)
+	ctx := context.Background()
+	opts := Options{Mode: Parallel, DisablePruning: true}
+	if _, err := New(opts).CheckContext(ctx, lo); !errors.Is(err, errParallelUnpruned) {
+		t.Errorf("batch: err = %v, want %v", err, errParallelUnpruned)
+	}
+	ses := NewSession(lo, opts)
+	defer ses.Close(ctx)
+	if _, err := ses.Check(ctx, synth.Deck()); !errors.Is(err, errParallelUnpruned) {
+		t.Errorf("session: err = %v, want %v", err, errParallelUnpruned)
+	}
+}
+
+// TestChecksReusedPerRule: every executor that replays a definition's result
+// books its own rule's reuse, so the pruning counters agree between the
+// modes on the rules both prune by definition, and Stats depend neither on
+// deck order nor on batch vs session.
+func TestChecksReusedPerRule(t *testing.T) {
+	lo, _ := loadDesign(t, "uart", 0.3)
+	ctx := context.Background()
+	pick := func(ids ...string) rules.Deck {
+		var d rules.Deck
+		for _, id := range ids {
+			r, err := synth.RuleByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = append(d, r)
+		}
+		return d
+	}
+	for _, id := range []string{"M1.W.1", "V1.M1.EN.1"} {
+		seq := runEngine(t, lo, Options{Mode: Sequential}, pick(id)).Stats
+		par := runEngine(t, lo, Options{Mode: Parallel}, pick(id)).Stats
+		if seq.DefsChecked != par.DefsChecked || seq.InstancesEmitted != par.InstancesEmitted ||
+			seq.ChecksReused != par.ChecksReused {
+			t.Errorf("%s: seq defs/instances/reused %d/%d/%d, par %d/%d/%d", id,
+				seq.DefsChecked, seq.InstancesEmitted, seq.ChecksReused,
+				par.DefsChecked, par.InstancesEmitted, par.ChecksReused)
+		}
+		if seq.ChecksReused == 0 {
+			t.Errorf("%s: nothing reused; the comparison is vacuous", id)
+		}
+	}
+	deck := pick("V1.M1.EN.1", "M1.S.1", "M1.W.1")
+	rev := pick("M1.W.1", "M1.S.1", "V1.M1.EN.1")
+	for _, mode := range []Mode{Sequential, Parallel} {
+		want := runEngine(t, lo, Options{Mode: mode}, deck).Stats
+		if got := runEngine(t, lo, Options{Mode: mode}, rev).Stats; got != want {
+			t.Errorf("%v: reversed deck Stats %+v, want %+v", mode, got, want)
+		}
+		ses := NewSession(lo, Options{Mode: mode})
+		rep, err := ses.Check(ctx, deck)
+		ses.Close(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Stats != want {
+			t.Errorf("%v: session Stats %+v, want batch %+v", mode, rep.Stats, want)
 		}
 	}
 }

@@ -338,13 +338,7 @@ func (s *Session) applyPending(deck rules.Deck, rep *Report, pc *parCtx) {
 	if len(s.pending) == 0 && len(s.pendingFull) == 0 {
 		return
 	}
-	if pc != nil {
-		_ = pc.hostPhase(rep, "delta:patch", func() error { s.patchPending(deck, pc); return nil })
-		return
-	}
-	stop := rep.Profile.Phase("delta:patch")
-	s.patchPending(deck, nil)
-	stop()
+	_ = hostPhase(rep, pc, "delta:patch", func() error { s.patchPending(deck, pc); return nil })
 }
 
 // patchPending is applyPending's body: one InvalidateRegion (dirty rects

@@ -52,38 +52,49 @@ func expandResidue(ctx context.Context, lo *layout.Layout, outer layout.Layer, r
 	return nil
 }
 
+// enclosureDefs is the Section IV-C definition pass of an enclosure rule,
+// shared by both modes (each runs it inside its own phase): every cell
+// definition resolves its own vias against its subtree once, a via resolved
+// there passes in every instance, and the unresolved ones come back as the
+// residue to evaluate instance by instance.
+func (e *Engine) enclosureDefs(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) ([]residue, error) {
+	var deferred []residue
+	for _, c := range lo.LayerCells(r.Layer) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if len(placements[c.ID]) == 0 {
+			continue
+		}
+		local := c.LocalPolys(r.Layer)
+		if len(local) == 0 {
+			continue
+		}
+		rep.Stats.DefsChecked++
+		unresolved, err := e.enclosureLocalPass(lo, c, local, r, rep)
+		if err != nil {
+			return nil, err
+		}
+		resolved := len(local) - len(unresolved)
+		rep.Stats.InstancesEmitted += resolved * len(placements[c.ID])
+		rep.Stats.ChecksReused += resolved * (len(placements[c.ID]) - 1)
+		for _, pi := range unresolved {
+			deferred = append(deferred, residue{cell: c, polyIdx: pi})
+		}
+	}
+	return deferred, nil
+}
+
 // runEnclosureSeq executes one enclosure rule sequentially.
 func (e *Engine) runEnclosureSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) error {
 	var deferred []residue
-
 	if !e.opts.DisablePruning {
-		stop := rep.Profile.Phase("enclosure:cell-checks")
-		for _, c := range lo.LayerCells(r.Layer) {
-			if err := ctx.Err(); err != nil {
-				stop()
-				return err
-			}
-			if len(placements[c.ID]) == 0 {
-				continue
-			}
-			local := c.LocalPolys(r.Layer)
-			if len(local) == 0 {
-				continue
-			}
-			rep.Stats.DefsChecked++
-			unresolved, err := e.enclosureLocalPass(lo, c, local, r, rep)
-			if err != nil {
-				stop()
-				return err
-			}
-			resolved := len(local) - len(unresolved)
-			rep.Stats.InstancesEmitted += resolved * len(placements[c.ID])
-			rep.Stats.ChecksReused += resolved * (len(placements[c.ID]) - 1)
-			for _, pi := range unresolved {
-				deferred = append(deferred, residue{cell: c, polyIdx: pi})
-			}
+		if err := hostPhase(rep, nil, "enclosure:cell-checks", func() (err error) {
+			deferred, err = e.enclosureDefs(ctx, lo, r, placements, rep)
+			return err
+		}); err != nil {
+			return err
 		}
-		stop()
 	} else {
 		for _, c := range lo.LayerCells(r.Layer) {
 			if len(placements[c.ID]) == 0 {

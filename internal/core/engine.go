@@ -15,6 +15,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -62,7 +63,9 @@ type Options struct {
 	BruteEdgeThreshold int
 
 	// DisablePruning turns off hierarchy task pruning (ablation): every
-	// instance is checked independently.
+	// instance is checked independently. It is a sequential-mode ablation:
+	// the parallel mode always prunes, and a check with Mode Parallel and
+	// DisablePruning fails.
 	DisablePruning bool
 
 	// PartitionAlg selects the interval-merging implementation (ablation).
@@ -98,6 +101,8 @@ type Options struct {
 }
 
 const defaultBruteEdgeThreshold = 4096
+
+var errParallelUnpruned = errors.New("core: Options.DisablePruning is a sequential-mode ablation; Mode Parallel always prunes")
 
 // Engine schedules and runs design rule checks.
 type Engine struct {
@@ -177,10 +182,14 @@ func (e *Engine) Deck() rules.Deck { return e.deck }
 // Stats aggregates scheduling counters across a check run, exposing the
 // effect of the hierarchy pruning and the row partition.
 type Stats struct {
-	// Intra-polygon pruning.
+	// Hierarchy pruning. ChecksReused counts instance results served by a
+	// computation made for another instance of the same definition: each
+	// executor that replays a definition's result adds its own rule's
+	// instances minus computations, so the total depends on neither deck
+	// order, mode, nor batch vs session.
 	DefsChecked      int // cell-definition check computations performed
 	InstancesEmitted int // instance results replayed from definition memos
-	ChecksReused     int // InstancesEmitted - DefsChecked (never negative)
+	ChecksReused     int
 
 	// Inter-polygon work.
 	PairsConsidered int // candidate pairs after MBR sweep
@@ -240,6 +249,13 @@ func (s *Stats) add(s2 Stats) {
 	s.DeviceReuses += s2.DeviceReuses
 	s.DeviceEvictions += s2.DeviceEvictions
 	s.DeviceDeltaUploads += s2.DeviceDeltaUploads
+}
+
+// reuse books one definition computation whose result serves n instances.
+func (s *Stats) reuse(n int) {
+	s.DefsChecked++
+	s.InstancesEmitted += n
+	s.ChecksReused += n - 1
 }
 
 // RuleFailure records one rule whose check failed — a panic, an injected
@@ -388,6 +404,9 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	if err := e.deck.Validate(); err != nil {
 		return nil, err
 	}
+	if e.opts.Mode == Parallel && e.opts.DisablePruning {
+		return nil, errParallelUnpruned
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: check cancelled: %w", err)
 	}
@@ -418,6 +437,7 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	// On a session device the modeled clock is cumulative; Modeled must be
 	// this run's delta, measured from the clock reading at entry.
 	var devStart time.Duration
+	var launches0 int
 	start := rep.Profile.Elapsed()
 	var pc *parCtx
 	if e.opts.Mode == Parallel {
@@ -427,25 +447,48 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 			pc = newParCtx(e.opts, geo, false)
 		}
 		devStart = pc.dev.HostClock()
+		launches0 = pc.dev.KernelCount()
+		rep.Device = pc.dev
+		// Device OOM (the device-pool-bytes budget) and injected allocator
+		// faults surface through AllocAsync as errors the rule guard converts
+		// into RuleFailures.
+		if inj := e.opts.Faults; inj != nil {
+			pc.dev.SetAllocHook(func(n int64) error {
+				return inj.Hit(ctx, faults.SiteAlloc, strconv.FormatInt(n, 10))
+			})
+		}
 	}
 	if ses != nil {
 		ses.applyPending(e.deck, rep, pc)
 	}
-	var err error
-	switch e.opts.Mode {
-	case Parallel:
-		err = e.checkParallel(ctx, lo, rep, ses, pc)
-	default:
-		err = e.checkSequential(ctx, lo, rep, ses, geo)
+	wait := func() {}
+	if pc != nil {
+		wait = e.prefetch(ctx, lo, geo)
 	}
+	err := e.runDeck(ctx, lo, rep, ses, geo, pc)
+	wait()
 	if err != nil {
 		return nil, err
 	}
+	if pc != nil {
+		// Return the resident layer buffers to the pool. A persistent
+		// (session-owned) context keeps them — that residency across checks
+		// is the point of a session; Session.Close frees them the same way.
+		if !pc.persistent {
+			pc.freeResident()
+		}
+		pc.cs.Synchronize()
+		pc.io.Synchronize()
+		// Counted where launches are recorded, so no call site can drift from
+		// the timeline (a session's device outlives the check, hence the
+		// bracket).
+		rep.Stats.KernelLaunches = pc.dev.KernelCount() - launches0
+	}
 	rep.HostWall = rep.Profile.Elapsed() - start
-	if rep.Device == nil {
+	if pc == nil {
 		rep.Modeled = rep.HostWall
 	} else {
-		rep.Modeled = rep.Device.HostClock() - devStart
+		rep.Modeled = pc.dev.HostClock() - devStart
 	}
 	cs := geo.Stats()
 	rep.Stats.FlattenCacheHits = cs.FlattenHits - cs0.FlattenHits
@@ -460,14 +503,128 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	return rep, nil
 }
 
+// runDeck runs the deck, rule by rule, in either mode: the Section IV-C
+// pruning is part of each executor, so both branches of the paper's flow
+// (Fig. 1) share this loop and differ only in the executor execRule picks
+// and the clock a rule's window reads. Each rule executes under the engine's
+// fault-isolation guard: a failing rule degrades the report instead of
+// aborting the run, while cancellation aborts between (and inside) rules.
+func (e *Engine) runDeck(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, geo *geocache.Cache, pc *parCtx) error {
+	placements, err := e.instancePlacements(lo, ses, rep, pc)
+	if err != nil {
+		return err
+	}
+	for _, r := range e.deck {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: check cancelled: %w", err)
+		}
+		rp := e.plan.of(r)
+		if rp != nil && rp.mode == planSkip {
+			// Record current: its violations are the rule's. Device-silent.
+			rep.Violations = append(rep.Violations, rp.rec.violations...)
+			rep.endSegment(r.ID, true)
+			continue
+		}
+		// Rule boundary: let a lagging co-tenant's check run ahead of this
+		// one's next serial stretch (no-op without a context scheduler).
+		pool.YieldCtx(ctx)
+		e.opts.Logger.Debugf("%s: rule %s", e.opts.Mode, r)
+		w := ruleWindow{rule: r.ID}
+		w.m0, w.c0 = windowClock(rep, pc)
+		h0 := len(rep.hostSpans)
+		err := e.runRule(ctx, rep, r, rp, ses, pc, func() error {
+			return e.execRule(ctx, lo, r, placements, rep, geo, pc)
+		})
+		if err != nil {
+			return err
+		}
+		w.m1, w.c1 = windowClock(rep, pc)
+		if pc == nil {
+			w.host = w.m1 - w.m0
+		} else {
+			for _, h := range rep.hostSpans[h0:] {
+				w.host += h.e - h.s
+			}
+		}
+		rep.ruleWindows = append(rep.ruleWindows, w)
+	}
+	return nil
+}
+
+// windowClock reads the clocks a rule window brackets: the modeled host clock
+// and the device's record-sequence watermark in parallel mode, the profiler
+// clock in sequential mode.
+func windowClock(rep *Report, pc *parCtx) (time.Duration, int) {
+	if pc == nil {
+		return rep.Profile.Elapsed(), 0
+	}
+	return pc.dev.HostClock(), pc.dev.OpCount()
+}
+
+// execRule runs rule r's executor for the engine's mode: the simulated
+// device in parallel mode (pc non-nil), the hierarchical host sweeps
+// otherwise.
+func (e *Engine) execRule(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, geo *geocache.Cache, pc *parCtx) error {
+	switch r.Kind {
+	case rules.Spacing:
+		if pc != nil {
+			return e.runSpacingPar(ctx, lo, r, pc, rep)
+		}
+		return e.runSpacingSeq(ctx, lo, r, placements, rep, geo)
+	case rules.Enclosure:
+		if pc != nil {
+			return e.runEnclosurePar(ctx, lo, r, placements, pc, rep)
+		}
+		return e.runEnclosureSeq(ctx, lo, r, placements, rep)
+	case rules.Custom:
+		// User callables cannot run on the device; the paper's ensures()
+		// predicates execute host-side in both modes, with the same
+		// per-definition pruning. In parallel mode the work is host time and
+		// must advance the modeled clock.
+		if pc != nil {
+			return hostPhase(rep, pc, "par:custom", func() error {
+				return e.runIntraSeq(ctx, lo, r, placements, rep)
+			})
+		}
+	default:
+		if pc != nil {
+			return e.runIntraPar(ctx, lo, r, placements, pc, rep)
+		}
+	}
+	// Sequential intra-polygon and custom rules.
+	return e.runIntraSeq(ctx, lo, r, placements, rep)
+}
+
+// hostPhase measures fn as host work under the profiler phase name (whose
+// clock the trace recorder shares). In parallel mode (pc non-nil) it also
+// advances the modeled host clock, during which the device may still be
+// executing previously enqueued work, and keeps the modeled window on the
+// report as a modeled-host span — the host side of the trace's overlap
+// analysis. fn's error passes through after the clock is charged (the failed
+// work still spent host time). hostPhase runs on the engine goroutine only.
+func hostPhase(rep *Report, pc *parCtx, name string, fn func() error) error {
+	stop := rep.Profile.Phase(name)
+	err := fn()
+	d := stop()
+	if pc == nil {
+		return err
+	}
+	m0 := pc.dev.HostClock()
+	pc.dev.HostAdvance(d)
+	if m1 := pc.dev.HostClock(); m1 > m0 {
+		rep.hostSpans = append(rep.hostSpans, modeledSpan{name: name, s: m0, e: m1})
+	}
+	return err
+}
+
 // instancePlacements is what a check that executes at least one rule needs
 // of the layout's references: the magnification restriction checked against
 // the deck, and the instance enumeration. A check that only replays and skips
 // gets neither — every record it answers from was made by a check that passed
 // the first and needs no second. A session computes the enumeration once: no
-// edit adds, moves or deletes a reference (InvalidateAll drops it). phase runs
-// the enumeration as the mode's host phase, on the check that computes it.
-func (e *Engine) instancePlacements(lo *layout.Layout, ses *Session, phase func(fn func())) ([][]geom.Transform, error) {
+// edit adds, moves or deletes a reference (InvalidateAll drops it). The check
+// that computes it runs the enumeration as the mode's host phase.
+func (e *Engine) instancePlacements(lo *layout.Layout, ses *Session, rep *Report, pc *parCtx) ([][]geom.Transform, error) {
 	if !e.plan.executes(e.deck) {
 		return nil, nil
 	}
@@ -477,8 +634,12 @@ func (e *Engine) instancePlacements(lo *layout.Layout, ses *Session, phase func(
 	if ses != nil && ses.placements != nil {
 		return ses.placements, nil
 	}
+	name := "instance-enumeration"
+	if pc != nil {
+		name = "par:" + name
+	}
 	var placements [][]geom.Transform
-	phase(func() { placements = lo.Placements() })
+	_ = hostPhase(rep, pc, name, func() error { placements = lo.Placements(); return nil })
 	if ses != nil {
 		ses.placements = placements
 	}
@@ -564,7 +725,7 @@ func recordRun(rep *Report, rec *ruleRecord, pc *parCtx, fn func() error) error 
 // replayed rule costs — and so advances the modeled host clock by what the
 // replay really takes.
 func (e *Engine) replay(ctx context.Context, rep *Report, r rules.Rule, rec *ruleRecord, pc *parCtx) error {
-	emit := func() error {
+	return hostPhase(rep, pc, "replay", func() error {
 		return e.guardRule(ctx, rep, r, "replayed", func() error {
 			rep.Violations = append(rep.Violations, rec.violations...)
 			rep.Stats.add(rec.stats)
@@ -578,12 +739,7 @@ func (e *Engine) replay(ctx context.Context, rep *Report, r rules.Rule, rec *rul
 			}
 			return pc.cs.Replay(&rec.tape)
 		})
-	}
-	if pc != nil {
-		return pc.hostPhase(rep, "replay", emit)
-	}
-	defer rep.Profile.Phase("replay")()
-	return emit()
+	})
 }
 
 // cancelled reports whether err stems from context cancellation or a

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -14,10 +15,10 @@ import (
 
 // FuzzSessionOps interleaves everything a resident session's clients can do
 // — edits on the three metal layers, spurious invalidations, full, single-
-// rule and delta checks, checks cancelled before or while they run — on one
-// parallel-mode session, and after every check that returns a report demands
-// the canonical bytes of the trivial model: a cold batch check of a fresh
-// layout given the same edit batches. The session patches its
+// rule, sub-deck and delta checks, checks cancelled before or while they
+// run — on one parallel-mode session, and after every check that returns a
+// report demands the canonical bytes of the trivial model: a cold batch
+// check of a fresh layout given the same edit batches. The session patches its
 // resident layer records in place between checks, so this is the property
 // that says no sequence of patches ever shows a reader stale geometry.
 //
@@ -46,6 +47,7 @@ const (
 	fuzzRule
 	fuzzDelta
 	fuzzCancel
+	fuzzSubDeck
 	fuzzNumOps
 )
 
@@ -148,6 +150,12 @@ func FuzzSessionOps(f *testing.F) {
 		fuzzColumn, 2, 220, 90, fuzzRule, 13, 0, 0, fuzzDelta, 0, 0, 0,
 		fuzzFull, 0, 0, 0, fuzzDelta, 0, 0, 0,
 	})
+	// Sub-decks: the empty deck, then M1.W.1 and M1.S.1 (bits 1 and 7 of x)
+	// in deck order, an edit, and the same pair reversed.
+	f.Add([]byte{
+		fuzzSubDeck, 0, 0, 0, fuzzSubDeck, 0, 0x82, 0,
+		fuzzSliver, 0, 120, 40, fuzzSubDeck, 1, 0x82, 0, fuzzDelta, 0, 0, 0,
+	})
 
 	f.Fuzz(runSessionOps)
 }
@@ -248,6 +256,27 @@ func runSessionOps(t *testing.T, data []byte) {
 					t.Fatalf("op %d: check that outran its cancel differs from the cold model", n)
 				case err != nil && !errors.Is(err, context.Canceled):
 					t.Fatalf("op %d: cancelled check: %v", n, err)
+				}
+				continue
+			case fuzzSubDeck:
+				// The rules the bits of x (deck rules 0–7) and y (8–15) pick, in
+				// deck order, reversed when sel is odd; x = y = 0 is the empty
+				// deck.
+				var sub rules.Deck
+				for i, r := range deck {
+					if (uint16(bx)|uint16(by)<<8)&(1<<i) != 0 {
+						sub = append(sub, r)
+					}
+				}
+				if sel%2 == 1 {
+					slices.Reverse(sub)
+				}
+				rep, err := ses.Check(ctx, sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if canonJSON(t, rep) != model(sub) {
+					t.Fatalf("op %d: sub-deck check of %d rules differs from the cold model", n, len(sub))
 				}
 				continue
 			case fuzzDelta:

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"opendrc/internal/checks"
 	"opendrc/internal/faults"
@@ -127,56 +128,16 @@ func (e *Engine) runIntraSeq(ctx context.Context, lo *layout.Layout, r rules.Rul
 		sh := &tbl.s[i]
 		if e.opts.DisablePruning {
 			for _, t := range insts {
-				mag := t.Mag
-				if mag == 0 {
-					mag = 1
-				}
-				sh.markers = intraMarkers(sh.markers[:0], c, r, scaledIntraMin(r, mag))
-				sh.stats.DefsChecked++
-				sh.stats.InstancesEmitted++
+				sh.markers = intraMarkers(sh.markers[:0], c, r, scaledIntraMin(r, t.Magnification()))
+				sh.stats.reuse(1)
 				sh.vs = appendMarkers(sh.vs, r, c.Name, sh.markers, t)
 			}
 			return nil
 		}
-		// Magnified instances are rare: scan first and take the map-free
-		// path when every placement is at unit scale — one computation, one
-		// replay loop, no per-cell grouping allocation.
-		uniform := true
-		for _, t := range insts {
-			if t.Mag > 1 {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
-			sh.markers = intraMarkers(sh.markers[:0], c, r, scaledIntraMin(r, 1))
-			sh.stats.DefsChecked++
-			for _, t := range insts {
-				sh.stats.InstancesEmitted++
-				sh.vs = appendMarkers(sh.vs, r, c.Name, sh.markers, t)
-			}
-			return nil
-		}
-		// Group instances by magnification: one computation per group,
-		// groups visited in ascending mag order for a deterministic report.
-		byMag := make(map[int64][]geom.Transform)
-		for _, t := range insts {
-			mag := t.Mag
-			if mag == 0 {
-				mag = 1
-			}
-			byMag[mag] = append(byMag[mag], t)
-		}
-		mags := make([]int64, 0, len(byMag))
-		for mag := range byMag {
-			mags = append(mags, mag)
-		}
-		sort.Slice(mags, func(a, b int) bool { return mags[a] < mags[b] })
-		for _, mag := range mags {
-			sh.markers = intraMarkers(sh.markers[:0], c, r, scaledIntraMin(r, mag))
-			sh.stats.DefsChecked++
-			for _, t := range byMag[mag] {
-				sh.stats.InstancesEmitted++
+		for _, g := range magGroups(insts) {
+			sh.markers = intraMarkers(sh.markers[:0], c, r, scaledIntraMin(r, g.mag))
+			sh.stats.reuse(len(g.insts))
+			for _, t := range g.insts {
 				sh.vs = appendMarkers(sh.vs, r, c.Name, sh.markers, t)
 			}
 		}
@@ -189,10 +150,38 @@ func (e *Engine) runIntraSeq(ctx context.Context, lo *layout.Layout, r rules.Rul
 		return err
 	}
 	tbl.mergeViolations(rep)
-	if extra := rep.Stats.InstancesEmitted - rep.Stats.DefsChecked; extra > 0 {
-		rep.Stats.ChecksReused = extra
-	}
 	return nil
+}
+
+// magGroup is the instances of one cell definition that share a
+// magnification: the definition is checked once per group, and the result
+// replays for every instance in it.
+type magGroup struct {
+	mag   int64
+	insts []geom.Transform
+}
+
+// magGroups splits a definition's instances by magnification, groups in
+// ascending mag order and instances in placement order, so reports are
+// deterministic in both modes. Magnified instances are rare: when every
+// placement is at unit scale the one group shares insts instead of copying
+// it.
+func magGroups(insts []geom.Transform) []magGroup {
+	if !slices.ContainsFunc(insts, func(t geom.Transform) bool { return t.Mag > 1 }) {
+		return []magGroup{{mag: 1, insts: insts}}
+	}
+	var out []magGroup
+	for _, t := range insts {
+		mag := t.Magnification()
+		i := slices.IndexFunc(out, func(g magGroup) bool { return g.mag == mag })
+		if i < 0 {
+			i = len(out)
+			out = append(out, magGroup{mag: mag})
+		}
+		out[i].insts = append(out[i].insts, t)
+	}
+	slices.SortFunc(out, func(a, b magGroup) int { return cmp.Compare(a.mag, b.mag) })
+	return out
 }
 
 // appendMarkers appends instance-frame violations for the cell's local
@@ -205,10 +194,4 @@ func appendMarkers(dst []rules.Violation, r rules.Rule, cell string, markers []c
 		})
 	}
 	return dst
-}
-
-// emitMarkers appends instance-frame violations for the cell's local
-// markers to the report.
-func (e *Engine) emitMarkers(rep *Report, r rules.Rule, cell string, markers []checks.Marker, t geom.Transform) {
-	rep.Violations = appendMarkers(rep.Violations, r, cell, markers, t)
 }

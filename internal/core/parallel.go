@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"strconv"
 
 	"opendrc/internal/budget"
 	"opendrc/internal/checks"
@@ -174,196 +172,68 @@ func (pc *parCtx) mbrTable(ctx context.Context, lo *layout.Layout, rep *Report, 
 	return nil, fmt.Errorf("core: MBR table: layer %d is not device-resident", l)
 }
 
-// hostPhase measures fn as host work: it is charged to the profiler (whose
-// clock the trace recorder shares) and advances the modeled host clock,
-// during which the device may still be executing previously enqueued work.
-// The modeled window is also kept on the report as a modeled-host span —
-// the host side of the trace's overlap analysis. fn's error passes through
-// after the clock is charged (the failed work still spent host time).
-// hostPhase runs on the engine goroutine only.
-func (p *parCtx) hostPhase(rep *Report, name string, fn func() error) error {
-	stop := rep.Profile.Phase(name)
-	err := fn()
-	d := stop()
-	m0 := p.dev.HostClock()
-	p.dev.HostAdvance(d)
-	m1 := p.dev.HostClock()
-	if m1 > m0 {
-		rep.hostSpans = append(rep.hostSpans, modeledSpan{name: name, s: m0, e: m1})
-	}
-	return err
-}
-
 // simPhase names the profiler phase of a stretch in which the host executes
 // simulated thread bodies. They stand in for device time the cost model
 // already charges, so the stretch is wall the ledger can name but never a
 // hostPhase: it must not advance the modeled host clock.
 const simPhase = "par:kernel-sim"
 
-// checkParallel runs the deck through the GPU branch. Rules execute under
-// the same per-rule fault isolation as the sequential branch; device OOM
-// (the device-pool-bytes budget) surfaces through AllocAsync as an error
-// the guard converts into a RuleFailure.
+// prefetch starts the parallel mode's pipelined schedule: a fan-out sweeps
+// the deck after its first rule, warming each upcoming spacing layer's
+// flatten, pack, row partitions and MBR table on the host while the device
+// executes the current rule's kernels — by the time rule k starts, its
+// geometry is usually a cache hit costing ~zero host time. The sweep groups
+// by layer — one index per distinct upcoming layer, warming that layer's pack
+// and then its reach partitions in deck order — so layers warm concurrently
+// instead of queueing behind each other's partition computations. It only
+// warms the cache (never streams, the report, or rule state), so reports are
+// bit-identical with and without it, and the cache's call totals — hence its
+// hit/miss counters — are fixed by the deck, not by who wins a race.
 //
-// The schedule is pipelined: a prefetch fan-out sweeps the deck ahead of the
-// executing rule, flattening, packing, and partitioning upcoming layers on the
-// host while the device executes the current rule's kernels — by the time
-// rule k starts, its geometry is usually a cache hit costing ~zero host time.
-// Prefetching only warms the cache — it never touches streams, the report, or
-// rule state — so reports stay bit-identical with and without it.
-func (e *Engine) checkParallel(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, pc *parCtx) error {
-	rep.Device = pc.dev
-	launches0 := pc.dev.KernelCount()
-	if e.opts.Faults != nil {
-		inj := e.opts.Faults
-		pc.dev.SetAllocHook(func(n int64) error {
-			return inj.Hit(ctx, faults.SiteAlloc, strconv.FormatInt(n, 10))
-		})
+// Delta runs touch a small neighborhood of a few layers; sweeping the whole
+// deck's geometry ahead of them would recompute exactly the work the delta
+// plan avoids, so the sweep only runs on full checks — and there only for the
+// rules that execute. The returned wait blocks until the sweep is done; the
+// check calls it before it reads the cache's counters.
+func (e *Engine) prefetch(ctx context.Context, lo *layout.Layout, gc *geocache.Cache) func() {
+	if e.plan != nil && e.plan.delta {
+		return func() {}
 	}
-
-	// A prefetch fan-out sweeps the rest of the deck ahead of the executing
-	// rule, warming each upcoming layer's flatten, pack, and (for spacing
-	// rules) row partitions while rule 0's kernels execute on this
-	// goroutine. The sweep groups by layer — one index per distinct upcoming
-	// layer, warming that layer's pack and then its reach partitions in deck
-	// order — so layers warm concurrently instead of queueing behind each
-	// other's partition computations. The sweep only warms the cache (never
-	// streams, the report, or rule state), so reports are bit-identical with
-	// and without it, and the cache's call totals — hence its hit/miss
-	// counters — are fixed by the deck, not by who wins a race.
-	// Delta runs touch a small neighborhood of a few layers; sweeping the
-	// whole deck's geometry ahead of them would recompute exactly the work
-	// the delta plan avoids, so the prefetcher only runs on full checks — and
-	// there only for the rules that execute.
-	if e.plan == nil || !e.plan.delta {
-		gc := pc.geo
-		alg := e.opts.PartitionAlg
-		type warmGroup struct {
-			l       layout.Layer
-			reaches []int64
-		}
-		var groups []*warmGroup
-		for _, r := range e.deck[1:] {
-			nl, ok := prefetchLayer(r, e.opts.DisablePruning)
-			if rp := e.plan.of(r); !ok || rp != nil && rp.mode != planFull {
-				continue
-			}
-			var g *warmGroup
-			for _, h := range groups {
-				if h.l == nl {
-					g = h
-					break
-				}
-			}
-			if g == nil {
-				g = &warmGroup{l: nl}
-				groups = append(groups, g)
-			}
-			if r.Kind == rules.Spacing {
-				g.reaches = append(g.reaches, r.SpacingLimit().Reach())
-			}
-		}
-		if len(groups) > 0 {
-			pctx := trace.WithTask(ctx, "prefetch")
-			wait := pool.Go(pctx, min(len(groups), 8), len(groups), func(i int) error {
-				g := groups[i]
-				_, _ = gc.Pack(ctx, lo, g.l)
-				for _, reach := range g.reaches {
-					if ctx.Err() != nil {
-						return nil
-					}
-					_, _ = gc.Rows(ctx, lo, g.l, reach, alg)
-				}
-				if len(g.reaches) > 0 && ctx.Err() == nil {
-					_, _ = gc.Table(ctx, lo, g.l)
-				}
-				return nil
-			})
-			defer func() { _ = wait() }()
-		}
+	type warmGroup struct {
+		l       layout.Layer
+		reaches []int64
 	}
-
-	placements, err := e.instancePlacements(lo, ses, func(fn func()) {
-		_ = pc.hostPhase(rep, "par:instance-enumeration", func() error { fn(); return nil })
-	})
-	if err != nil {
-		return err
-	}
-
-	for _, r := range e.deck {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: check cancelled: %w", err)
-		}
-		rp := e.plan.of(r)
-		if rp != nil && rp.mode == planSkip {
-			// Record current: its violations are the rule's. Device-silent.
-			rep.Violations = append(rep.Violations, rp.rec.violations...)
-			rep.endSegment(r.ID, true)
+	var groups []*warmGroup
+	for i, r := range e.deck {
+		if rp := e.plan.of(r); i == 0 || r.Kind != rules.Spacing || rp != nil && rp.mode != planFull {
 			continue
 		}
-		// Rule boundary: let a lagging co-tenant's check run ahead of this
-		// one's next serial stretch (no-op without a context scheduler).
-		pool.YieldCtx(ctx)
-		e.opts.Logger.Debugf("par: rule %s", r)
-		r := r
-		w := ruleWindow{rule: r.ID, m0: pc.dev.HostClock(), c0: pc.dev.OpCount()}
-		h0 := len(rep.hostSpans)
-		err := e.runRule(ctx, rep, r, rp, ses, pc, func() error {
-			switch r.Kind {
-			case rules.Spacing:
-				return e.runSpacingPar(ctx, lo, r, pc, rep)
-			case rules.Enclosure:
-				return e.runEnclosurePar(ctx, lo, r, placements, pc, rep)
-			case rules.Custom:
-				// User callables cannot run on the device; the paper's
-				// ensures() predicates execute host-side in both modes, with
-				// the same per-definition pruning as the sequential branch.
-				// The work is host time and must advance the modeled device
-				// clock.
-				return pc.hostPhase(rep, "par:custom", func() error {
-					return e.runIntraSeq(ctx, lo, r, placements, rep)
-				})
-			default:
-				return e.runIntraPar(ctx, lo, r, placements, pc, rep)
+		j := slices.IndexFunc(groups, func(g *warmGroup) bool { return g.l == r.Layer })
+		if j < 0 {
+			j = len(groups)
+			groups = append(groups, &warmGroup{l: r.Layer})
+		}
+		groups[j].reaches = append(groups[j].reaches, r.SpacingLimit().Reach())
+	}
+	if len(groups) == 0 {
+		return func() {}
+	}
+	alg := e.opts.PartitionAlg
+	wait := pool.Go(trace.WithTask(ctx, "prefetch"), min(len(groups), 8), len(groups), func(i int) error {
+		g := groups[i]
+		_, _ = gc.Pack(ctx, lo, g.l)
+		for _, reach := range g.reaches {
+			if ctx.Err() != nil {
+				return nil
 			}
-		})
-		if err != nil {
-			return err
+			_, _ = gc.Rows(ctx, lo, g.l, reach, alg)
 		}
-		w.m1 = pc.dev.HostClock()
-		w.c1 = pc.dev.OpCount()
-		for _, h := range rep.hostSpans[h0:] {
-			w.host += h.e - h.s
+		if ctx.Err() == nil {
+			_, _ = gc.Table(ctx, lo, g.l)
 		}
-		rep.ruleWindows = append(rep.ruleWindows, w)
-	}
-	// Return the resident layer buffers to the pool. A persistent
-	// (session-owned) context keeps them — that residency across checks is
-	// the point of a session; Session.Close frees them the same way.
-	if !pc.persistent {
-		pc.freeResident()
-	}
-	pc.cs.Synchronize()
-	pc.io.Synchronize()
-	// Counted where launches are recorded, so no call site can drift from the
-	// timeline (a session's device outlives the check, hence the bracket).
-	rep.Stats.KernelLaunches = pc.dev.KernelCount() - launches0
-	return nil
-}
-
-// prefetchLayer reports which layer the rule's executor will flatten and
-// pack, if any — spacing always flattens; intra rules only in the
-// pruning-off ablation; enclosure and custom rules never do.
-func prefetchLayer(r rules.Rule, pruningOff bool) (layout.Layer, bool) {
-	switch r.Kind {
-	case rules.Spacing:
-		return r.Layer, true
-	case rules.Width, rules.Area, rules.Rectilinear:
-		if pruningOff {
-			return r.Layer, true
-		}
-	}
-	return 0, false
+		return nil
+	})
+	return func() { _ = wait() }
 }
 
 // transfer models the one-time buffer upload: stream-ordered allocation and
@@ -483,11 +353,11 @@ func collect(rep *Report, r rules.Rule) kernels.Collector {
 // intra checks (the paper's Table I observation).
 func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, pc *parCtx, rep *Report) error {
 	// Group definitions by magnification (one kernel per distinct mag).
-	groups := make(map[int64][]*layout.Cell)
-	if e.opts.DisablePruning {
-		// Ablation: flatten every instance and run one big kernel.
-		return e.runIntraParFlat(ctx, lo, r, pc, rep)
+	type def struct {
+		c     *layout.Cell
+		insts []geom.Transform
 	}
+	groups := make(map[int64][]def)
 	rp := e.restrictFor(r)
 	for _, c := range lo.LayerCells(r.Layer) {
 		if len(c.LocalPolyIndex(r.Layer)) == 0 || len(placements[c.ID]) == 0 {
@@ -498,41 +368,28 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 		if rp != nil && !rp.anyPlacementNear(localIntraMBR(c, r.Layer), placements[c.ID]) {
 			continue
 		}
-		magSet := make(map[int64]bool)
-		for _, t := range placements[c.ID] {
-			mag := t.Mag
-			if mag == 0 {
-				mag = 1
-			}
-			magSet[mag] = true
-		}
-		cellMags := make([]int64, 0, len(magSet))
-		for mag := range magSet {
-			cellMags = append(cellMags, mag)
-		}
-		sort.Slice(cellMags, func(i, j int) bool { return cellMags[i] < cellMags[j] })
-		for _, mag := range cellMags {
-			groups[mag] = append(groups[mag], c)
+		for _, g := range magGroups(placements[c.ID]) {
+			groups[g.mag] = append(groups[g.mag], def{c, g.insts})
 		}
 	}
 	mags := make([]int64, 0, len(groups))
 	for mag := range groups {
 		mags = append(mags, mag)
 	}
-	sort.Slice(mags, func(i, j int) bool { return mags[i] < mags[j] })
+	slices.Sort(mags)
 
 	for _, mag := range mags {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cells := groups[mag]
+		defs := groups[mag]
 		var shapes []geom.Polygon
-		var owner []*layout.Cell
-		if err := pc.hostPhase(rep, "par:edge-packing", func() error {
-			for _, c := range cells {
-				for _, pi := range c.LocalPolyIndex(r.Layer) {
-					shapes = append(shapes, c.Polys[pi].Shape)
-					owner = append(owner, c)
+		var owner []int // shape → index into defs
+		if err := hostPhase(rep, pc, "par:edge-packing", func() error {
+			for i, d := range defs {
+				for _, pi := range d.c.LocalPolyIndex(r.Layer) {
+					shapes = append(shapes, d.c.Polys[pi].Shape)
+					owner = append(owner, i)
 				}
 			}
 			return nil
@@ -545,10 +402,10 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 		}
 		pc.cs.WaitEvent(pc.io.RecordEvent())
 
-		defMarkers := make(map[*layout.Cell][]checks.Marker)
+		defMarkers := make([][]checks.Marker, len(defs))
 		hit := func(h kernels.Hit) {
-			c := owner[h.A]
-			defMarkers[c] = append(defMarkers[c], h.Marker)
+			i := owner[h.A]
+			defMarkers[i] = append(defMarkers[i], h.Marker)
 		}
 		min := scaledIntraMin(r, mag)
 		stopSim := rep.Profile.Phase(simPhase)
@@ -569,20 +426,11 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 		pc.io.FreeAsync(edges.Bytes())
 
 		// Replay definition results per instance (host).
-		if err := pc.hostPhase(rep, "par:marker-replay", func() error {
-			for _, c := range cells {
-				rep.Stats.DefsChecked++
-				markers := defMarkers[c]
-				for _, t := range placements[c.ID] {
-					tm := t.Mag
-					if tm == 0 {
-						tm = 1
-					}
-					if tm != mag {
-						continue
-					}
-					rep.Stats.InstancesEmitted++
-					e.emitMarkers(rep, r, c.Name, markers, t)
+		if err := hostPhase(rep, pc, "par:marker-replay", func() error {
+			for i, d := range defs {
+				rep.Stats.reuse(len(d.insts))
+				for _, t := range d.insts {
+					rep.Violations = appendMarkers(rep.Violations, r, d.c.Name, defMarkers[i], t)
 				}
 			}
 			return nil
@@ -590,59 +438,6 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 			return err
 		}
 	}
-	return nil
-}
-
-// runIntraParFlat is the pruning-off ablation: one kernel over every
-// flattened polygon instance, subject to the flatten-polys budget (applied
-// inside the geometry cache).
-func (e *Engine) runIntraParFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, pc *parCtx, rep *Report) error {
-	var flat []layout.PlacedPoly
-	if err := pc.hostPhase(rep, "par:flatten", func() error {
-		var err error
-		flat, err = pc.geo.Flatten(ctx, lo, r.Layer)
-		return err
-	}); err != nil {
-		return err
-	}
-	if len(flat) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	var edges *kernels.Edges
-	if err := pc.hostPhase(rep, "par:edge-packing", func() error {
-		var err error
-		edges, err = pc.geo.Pack(ctx, lo, r.Layer)
-		return err
-	}); err != nil {
-		return err
-	}
-	if err := e.bindEdges(pc, rep, r.Layer, edges); err != nil {
-		return err
-	}
-	c := collect(rep, r)
-	stopSim := rep.Profile.Phase(simPhase)
-	switch r.Kind {
-	case rules.Width:
-		// Same executor selection as the pruned path, so the pruning
-		// ablation isolates pruning instead of conflating it with a
-		// different executor choice.
-		if maxPolyEdges(edges) > 32 {
-			kernels.SpacingSweep(pc.cs, edges, checks.Lim(r.Min), kernels.FilterWidth, c)
-		} else {
-			kernels.WidthBrute(pc.cs, edges, r.Min, c)
-		}
-	case rules.Area:
-		kernels.AreaKernel(pc.cs, edges, 2*r.Min, c)
-	case rules.Rectilinear:
-		kernels.RectilinearKernel(pc.cs, edges, c)
-	}
-	stopSim()
-	rep.Stats.DefsChecked += len(flat)
-	rep.Stats.InstancesEmitted += len(flat)
-	pc.cs.Synchronize()
 	return nil
 }
 
@@ -668,7 +463,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	// the shared buffer by polygon index, so every spacing rule on the
 	// layer — whatever its reach partitions into — reuses one packed copy.
 	var flat []layout.PlacedPoly
-	if err := pc.hostPhase(rep, "par:flatten", func() error {
+	if err := hostPhase(rep, pc, "par:flatten", func() error {
 		var err error
 		flat, err = pc.geo.Flatten(ctx, lo, r.Layer)
 		return err
@@ -683,7 +478,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	}
 	lim := r.SpacingLimit()
 	var rows []partition.Row
-	if err := pc.hostPhase(rep, "par:partition", func() error {
+	if err := hostPhase(rep, pc, "par:partition", func() error {
 		var err error
 		rows, err = pc.geo.Rows(ctx, lo, r.Layer, lim.Reach(), e.opts.PartitionAlg)
 		return err
@@ -691,7 +486,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 		return err
 	}
 	var edges *kernels.Edges
-	if err := pc.hostPhase(rep, "par:edge-packing", func() error {
+	if err := hostPhase(rep, pc, "par:edge-packing", func() error {
 		var err error
 		edges, err = pc.geo.Pack(ctx, lo, r.Layer)
 		return err
@@ -847,37 +642,9 @@ func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep
 // enclosure-evaluation kernel.
 func (e *Engine) runEnclosurePar(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, pc *parCtx, rep *Report) error {
 	var deferred []residue
-	if err := pc.hostPhase(rep, "par:local-pruning", func() error {
-		for _, c := range lo.LayerCells(r.Layer) {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if len(placements[c.ID]) == 0 {
-				continue
-			}
-			local := c.LocalPolys(r.Layer)
-			if len(local) == 0 {
-				continue
-			}
-			rep.Stats.DefsChecked++
-			if e.opts.DisablePruning {
-				for _, pi := range local {
-					deferred = append(deferred, residue{cell: c, polyIdx: pi})
-				}
-				continue
-			}
-			unresolved, err := e.enclosureLocalPass(lo, c, local, r, rep)
-			if err != nil {
-				return err
-			}
-			resolved := len(local) - len(unresolved)
-			rep.Stats.InstancesEmitted += resolved * len(placements[c.ID])
-			rep.Stats.ChecksReused += resolved * (len(placements[c.ID]) - 1)
-			for _, pi := range unresolved {
-				deferred = append(deferred, residue{cell: c, polyIdx: pi})
-			}
-		}
-		return nil
+	if err := hostPhase(rep, pc, "par:local-pruning", func() (err error) {
+		deferred, err = e.enclosureDefs(ctx, lo, r, placements, rep)
+		return err
 	}); err != nil {
 		return err
 	}
@@ -891,7 +658,7 @@ func (e *Engine) runEnclosurePar(ctx context.Context, lo *layout.Layout, r rules
 	var vias []geom.Polygon
 	var metals []geom.Polygon
 	var cands [][]int32
-	if err := pc.hostPhase(rep, "par:flatten", func() error {
+	if err := hostPhase(rep, pc, "par:flatten", func() error {
 		return expandResidue(ctx, lo, r.Outer, r.Min, deferred, placements, func(_ residue, gvia geom.Polygon, found []geom.Polygon) {
 			list := make([]int32, len(found))
 			for i := range found {

@@ -64,10 +64,9 @@ func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.R
 		if err != nil {
 			return err
 		}
-		rep.Stats.DefsChecked++
+		rep.Stats.reuse(len(placements[c.ID]))
 		for _, t := range placements[c.ID] {
-			rep.Stats.InstancesEmitted++
-			e.emitMarkers(rep, r, c.Name, markers, t)
+			rep.Violations = appendMarkers(rep.Violations, r, c.Name, markers, t)
 		}
 	}
 	return nil

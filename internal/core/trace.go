@@ -218,24 +218,24 @@ func exportRunTrace(rec *trace.Recorder, rep *Report, opts Options) {
 	for _, h := range rep.hostSpans {
 		rec.Span(trace.TrackDevice, "host", h.name, "host-modeled", h.s, h.e)
 	}
-	for _, r := range rep.Device.Timeline() {
-		switch r.Kind {
+	for _, op := range rep.Device.Timeline() {
+		switch op.Kind {
 		case gpu.OpKernel:
-			rec.Span(trace.TrackDevice, r.Stream, r.Name, string(r.Kind), r.Start, r.End,
-				trace.Arg{Key: "seq", Val: r.Seq},
-				trace.Arg{Key: "threads", Val: r.Threads},
-				trace.Arg{Key: "ops", Val: r.Ops})
+			rec.Span(trace.TrackDevice, op.Stream, op.Name, string(op.Kind), op.Start, op.End,
+				trace.Arg{Key: "seq", Val: op.Seq},
+				trace.Arg{Key: "threads", Val: op.Threads},
+				trace.Arg{Key: "ops", Val: op.Ops})
 		case gpu.OpCopy:
-			rec.Span(trace.TrackDevice, r.Stream, r.Name, string(r.Kind), r.Start, r.End,
-				trace.Arg{Key: "seq", Val: r.Seq},
-				trace.Arg{Key: "bytes", Val: r.Bytes})
+			rec.Span(trace.TrackDevice, op.Stream, op.Name, string(op.Kind), op.Start, op.End,
+				trace.Arg{Key: "seq", Val: op.Seq},
+				trace.Arg{Key: "bytes", Val: op.Bytes})
 		case gpu.OpAlloc, gpu.OpFree:
-			rec.InstantAt(trace.TrackDevice, r.Stream, r.Name, string(r.Kind), r.Start,
-				trace.Arg{Key: "seq", Val: r.Seq},
-				trace.Arg{Key: "bytes", Val: r.Bytes})
+			rec.InstantAt(trace.TrackDevice, op.Stream, op.Name, string(op.Kind), op.Start,
+				trace.Arg{Key: "seq", Val: op.Seq},
+				trace.Arg{Key: "bytes", Val: op.Bytes})
 		default: // sync
-			rec.InstantAt(trace.TrackDevice, r.Stream, r.Name, string(r.Kind), r.Start,
-				trace.Arg{Key: "seq", Val: r.Seq})
+			rec.InstantAt(trace.TrackDevice, op.Stream, op.Name, string(op.Kind), op.Start,
+				trace.Arg{Key: "seq", Val: op.Seq})
 		}
 	}
 	for _, w := range rep.Device.WaitEdges() {

@@ -103,8 +103,8 @@ func Identity() Transform { return Transform{Mag: 1} }
 // Translate returns a pure-translation transform.
 func Translate(p Point) Transform { return Transform{Mag: 1, Offset: p} }
 
-// mag returns the effective magnification (0 ⇒ 1).
-func (t Transform) mag() int64 {
+// Magnification returns the effective magnification (0 ⇒ 1).
+func (t Transform) Magnification() int64 {
 	if t.Mag == 0 {
 		return 1
 	}
@@ -113,13 +113,13 @@ func (t Transform) mag() int64 {
 
 // IsIdentity reports whether the transform maps every point to itself.
 func (t Transform) IsIdentity() bool {
-	return t.Orient == R0 && t.mag() == 1 && t.Offset == Point{}
+	return t.Orient == R0 && t.Magnification() == 1 && t.Offset == Point{}
 }
 
 // Apply maps a point through the transform.
 func (t Transform) Apply(p Point) Point {
 	p = t.Orient.Apply(p)
-	m := t.mag()
+	m := t.Magnification()
 	if m != 1 {
 		p = p.Scale(m)
 	}
@@ -142,7 +142,7 @@ func (t Transform) ApplyRect(r Rect) Rect {
 func (t Transform) Compose(u Transform) Transform {
 	return Transform{
 		Orient: t.Orient.Compose(u.Orient),
-		Mag:    t.mag() * u.mag(),
+		Mag:    t.Magnification() * u.Magnification(),
 		Offset: u.Apply(t.Offset),
 	}
 }
@@ -151,11 +151,11 @@ func (t Transform) Compose(u Transform) Transform {
 // cell's frame survive the transform unchanged — the invariance condition
 // for reusing intra-cell check results in the hierarchy pruning pass. All
 // eight orientations preserve distances; magnification does not.
-func (t Transform) PreservesDistances() bool { return t.mag() == 1 }
+func (t Transform) PreservesDistances() bool { return t.Magnification() == 1 }
 
 // String implements fmt.Stringer.
 func (t Transform) String() string {
-	return fmt.Sprintf("T{%s mag=%d off=%s}", t.Orient, t.mag(), t.Offset)
+	return fmt.Sprintf("T{%s mag=%d off=%s}", t.Orient, t.Magnification(), t.Offset)
 }
 
 // Inverse returns the transform undoing t. Only defined for magnification 1
@@ -163,7 +163,7 @@ func (t Transform) String() string {
 // otherwise, which callers prevent via the engine's magnification
 // restriction for inter-polygon rules.
 func (t Transform) Inverse() Transform {
-	if t.mag() != 1 {
+	if t.Magnification() != 1 {
 		panic("geom: Inverse of magnified transform")
 	}
 	inv := t.Orient.Inverse()

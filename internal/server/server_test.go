@@ -429,6 +429,25 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// waitUnreferenced polls until no request holds the session handle.
+func waitUnreferenced(t *testing.T, h *sessionHandle) {
+	t.Helper()
+	deadline := time.After(30 * time.Second)
+	for {
+		h.mu.Lock()
+		refs := h.refs
+		h.mu.Unlock()
+		if refs == 0 {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("session %s still holds %d references", h.id, refs)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
 // TestServerDrain covers graceful shutdown: draining rejects new sessions
 // and checks with 503 while the registry closes everything deterministically.
 func TestServerDrain(t *testing.T) {
@@ -459,6 +478,10 @@ func TestServerDrain(t *testing.T) {
 	if h.Status != "draining" {
 		t.Fatalf("healthz status = %q, want draining", h.Status)
 	}
+	// The check child sends its outcome before it releases its session
+	// reference, so the reply can arrive while the session is still held:
+	// wait for the release, or CloseAll rightly defers the close to it.
+	waitUnreferenced(t, srv.reg.lookup("u"))
 	if n := srv.CloseAll(context.Background()); n != 1 {
 		t.Fatalf("CloseAll closed %d sessions, want 1", n)
 	}
@@ -487,6 +510,25 @@ func TestServerInvalidate(t *testing.T) {
 	status, body, _ = checkOnce(t, ts.URL, "u", map[string]any{})
 	if status != http.StatusOK || string(body) != want {
 		t.Fatalf("post-invalidate check differs (status %d)", status)
+	}
+}
+
+// TestServerEmptyDeck: a parallel session created with a deck text that
+// holds only a comment answers a check with the empty batch report.
+func TestServerEmptyDeck(t *testing.T) {
+	lo, _, err := synth.Load("uart", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	status, body, _ := postJSON(t, ts.URL+"/v1/sessions",
+		map[string]any{"id": "e", "design": "uart", "scale": 0.2, "mode": "par", "deck": "# no rules\n"})
+	if status != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", status, body)
+	}
+	status, body, _ = checkOnce(t, ts.URL, "e", map[string]any{})
+	if status != http.StatusOK || string(body) != batchCanon(t, lo, nil, core.Parallel, nil) {
+		t.Fatalf("empty-deck check: status %d: %s", status, body)
 	}
 }
 

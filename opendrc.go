@@ -123,7 +123,7 @@ func WithBruteEdgeThreshold(n int) Option {
 	return func(o *core.Options) { o.BruteEdgeThreshold = n }
 }
 
-// WithoutPruning disables hierarchy task pruning (ablation).
+// WithoutPruning disables hierarchy task pruning: a sequential-only ablation, so a parallel check with it fails.
 func WithoutPruning() Option {
 	return func(o *core.Options) { o.DisablePruning = true }
 }

@@ -3,6 +3,7 @@ package opendrc_test
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"opendrc"
@@ -92,14 +93,16 @@ func TestFacadeOptions(t *testing.T) {
 	}
 	deck := synth.Deck()
 	variants := []struct {
-		name string
-		opts []opendrc.Option
+		name    string
+		opts    []opendrc.Option
+		wantErr string // the check must fail with an error containing it
 	}{
-		{"sequential", nil},
-		{"parallel", []opendrc.Option{opendrc.WithMode(opendrc.Parallel)}},
-		{"no-pruning", []opendrc.Option{opendrc.WithoutPruning()}},
-		{"sort-partition", []opendrc.Option{opendrc.WithMode(opendrc.Parallel), opendrc.WithSortPartition()}},
-		{"tiny-threshold", []opendrc.Option{opendrc.WithMode(opendrc.Parallel), opendrc.WithBruteEdgeThreshold(1)}},
+		{"sequential", nil, ""},
+		{"parallel", []opendrc.Option{opendrc.WithMode(opendrc.Parallel)}, ""},
+		{"no-pruning", []opendrc.Option{opendrc.WithoutPruning()}, ""},
+		{"sort-partition", []opendrc.Option{opendrc.WithMode(opendrc.Parallel), opendrc.WithSortPartition()}, ""},
+		{"tiny-threshold", []opendrc.Option{opendrc.WithMode(opendrc.Parallel), opendrc.WithBruteEdgeThreshold(1)}, ""},
+		{"parallel-no-pruning", []opendrc.Option{opendrc.WithMode(opendrc.Parallel), opendrc.WithoutPruning()}, "DisablePruning"},
 	}
 	var want int = -1
 	for _, v := range variants {
@@ -108,6 +111,12 @@ func TestFacadeOptions(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep, err := e.Check(lo)
+		if v.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), v.wantErr) {
+				t.Errorf("%s: err = %v, want one naming %s", v.name, err, v.wantErr)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
