@@ -275,7 +275,10 @@ func BenchmarkFlattenLayer(b *testing.B) {
 
 // BenchmarkPack measures packing a flattened layer into the SoA edge buffer
 // — the second half of the per-layer work the cache memoizes and the device
-// keeps resident.
+// keeps resident. bytes is the modeled device size (52 B per edge); host_B/edge
+// is what Pack allocates per edge beyond the PolyStart table: 16 for the two
+// vertex columns, plus allocator rounding (about 1 on these small layers), so
+// a column creeping back into the host layout shows as 4 or 8 more.
 func BenchmarkPack(b *testing.B) {
 	layouts := benchLayouts(b)
 	for _, design := range bench.DesignNames() {
@@ -286,11 +289,16 @@ func BenchmarkPack(b *testing.B) {
 			shapes[i] = flat[i].Shape
 		}
 		b.Run(design, func(b *testing.B) {
-			var bytes int64
+			var e *kernels.Edges
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			for i := 0; i < b.N; i++ {
-				bytes = kernels.Pack(shapes).Bytes()
+				e = kernels.Pack(shapes)
 			}
-			b.ReportMetric(float64(bytes), "bytes")
+			runtime.ReadMemStats(&m1)
+			perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(b.N)
+			b.ReportMetric(float64(e.Bytes()), "bytes")
+			b.ReportMetric((perOp-float64(4*(e.NumPolys()+1)))/float64(e.Len()), "host_B/edge")
 		})
 	}
 }

@@ -60,7 +60,9 @@ go test -run=NONE -fuzz=FuzzDeckFile -fuzztime=10s ./internal/rules
 # sweepline-executor row, of the hierarchy range queries, of the ingest path,
 # of the edit → delta-check cycle and of a warm session check executed and
 # replayed, so a change that breaks flatten/pack or
-# the row simulation off the engine path still fails the gate (the row
+# the row simulation off the engine path still fails the gate (the pack
+# benchmark prints host_B/edge, about 16 for the two vertex columns, where a
+# per-edge column creeping back into the host layout shows; the row
 # benchmark prints its modeled_us, where a cost-model drift shows, and
 # window_ops/visited, where a sweep that stopped using its candidate index shows;
 # narrow-window prints nodes_pruned per query, where a fall back to the linear

@@ -24,10 +24,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/metrics"
 	"strings"
 
 	"opendrc"
 	"opendrc/internal/core"
+	"opendrc/internal/geocache"
 	"opendrc/internal/layout"
 	"opendrc/internal/synth"
 )
@@ -227,6 +229,22 @@ func run() int {
 		if rep.Stats.Trace != nil {
 			fmt.Printf("trace: %s\n", rep.Stats.Trace)
 		}
+		fmt.Println(hostLine(rep.HostBytes))
 	}
 	return code
+}
+
+// hostLine renders the host memory at exit: the Go heap's object bytes (read
+// with runtime/metrics) and what of it the geometry cache's records hold, by
+// kind.
+func hostLine(r geocache.Resident) string {
+	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(sample)
+	var heap uint64
+	if sample[0].Value.Kind() == metrics.KindUint64 {
+		heap = sample[0].Value.Uint64()
+	}
+	mb := func(b int64) string { return fmt.Sprintf("%.1f", float64(b)/1e6) }
+	return fmt.Sprintf("host: heap %s MB; geocache %s MB (flatten %s, boxes %s, edges %s, tables %s, rows %s)",
+		mb(int64(heap)), mb(r.Total()), mb(r.Flatten), mb(r.Boxes), mb(r.Edges), mb(r.Tables), mb(r.Rows))
 }

@@ -7,18 +7,21 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"opendrc/internal/gdsii"
 	"opendrc/internal/synth"
 )
 
-// TestExitCodes runs the built binary (go run would mask the program's exit
-// code with its own) through the exit-code taxonomy of the package comment,
-// and checks that -canon reports the same verdict in both modes.
-func TestExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "odrc")
+// buildWithUART builds the binary into a temporary directory and writes the
+// uart design beside it.
+func buildWithUART(t *testing.T) (dir, bin, gds string) {
+	t.Helper()
+	dir = t.TempDir()
+	bin = filepath.Join(dir, "odrc")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
@@ -27,10 +30,18 @@ func TestExitCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib, _ := p.Generate()
-	gds := filepath.Join(dir, "uart.gds")
+	gds = filepath.Join(dir, "uart.gds")
 	if err := gdsii.WriteFile(gds, lib); err != nil {
 		t.Fatal(err)
 	}
+	return dir, bin, gds
+}
+
+// TestExitCodes runs the built binary (go run would mask the program's exit
+// code with its own) through the exit-code taxonomy of the package comment,
+// and checks that -canon reports the same verdict in both modes.
+func TestExitCodes(t *testing.T) {
+	dir, bin, gds := buildWithUART(t)
 	// A deck file holding only a comment is an empty deck: an empty report
 	// in either mode.
 	emptyDeck := filepath.Join(dir, "empty.deck")
@@ -97,5 +108,48 @@ func TestExitCodes(t *testing.T) {
 	if !reflect.DeepEqual(verdicts[0], verdicts[1]) {
 		t.Errorf("-canon verdicts differ: seq %d violations, par %d",
 			len(verdicts[0].Violations), len(verdicts[1].Violations))
+	}
+}
+
+// TestStatsHostLine: -stats prints one host line, the heap at exit and the
+// geometry cache's bytes by record kind; a parallel run holds packed edges
+// and a sequential one none. -json and -canon print no such line.
+func TestStatsHostLine(t *testing.T) {
+	_, bin, gds := buildWithUART(t)
+	line := regexp.MustCompile(`^host: heap (\d+\.\d) MB; geocache (\d+\.\d) MB ` +
+		`\(flatten (\d+\.\d), boxes (\d+\.\d), edges (\d+\.\d), tables (\d+\.\d), rows (\d+\.\d)\)$`)
+	for _, mode := range []string{"seq", "par"} {
+		out, err := exec.Command(bin, "-mode", mode, "-stats", gds).Output()
+		if err != nil {
+			t.Fatalf("odrc -mode %s -stats: %v", mode, err)
+		}
+		var hosts [][]string
+		for _, l := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(l, "host:") {
+				m := line.FindStringSubmatch(l)
+				if m == nil {
+					t.Fatalf("-mode %s: malformed host line %q", mode, l)
+				}
+				hosts = append(hosts, m)
+			}
+		}
+		if len(hosts) != 1 {
+			t.Fatalf("-mode %s: %d host lines, want 1", mode, len(hosts))
+		}
+		if heap, _ := strconv.ParseFloat(hosts[0][1], 64); heap <= 0 {
+			t.Errorf("-mode %s: heap %v MB at exit", mode, heap)
+		}
+		if edges := hosts[0][5]; (edges != "0.0") != (mode == "par") {
+			t.Errorf("-mode %s: packed edges hold %s MB", mode, edges)
+		}
+		for _, flag := range []string{"-json", "-canon"} {
+			out, err := exec.Command(bin, "-mode", mode, "-stats", flag, gds).Output()
+			if err != nil {
+				t.Fatalf("odrc -mode %s -stats %s: %v", mode, flag, err)
+			}
+			if strings.Contains(string(out), "host:") {
+				t.Errorf("odrc -mode %s %s prints a host line", mode, flag)
+			}
+		}
 	}
 }

@@ -31,7 +31,7 @@ var sharedBufProducers = []string{
 var sharedBufTypes = map[string]bool{
 	"PlacedPoly": true, // cached flatten: []PlacedPoly shared across rules
 	"Edges":      true, // packed SoA edge buffer, device-resident
-	"MBRTable":   true, // per-layer MBR arrays + global x-order
+	"MBRTable":   true, // per-layer MBRs (the cached boxes) + global x-order
 }
 
 func runSharedBuf(p *Pass) {

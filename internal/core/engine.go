@@ -300,6 +300,9 @@ type Report struct {
 	// Device exposes the simulated GPU used by the parallel mode (nil in
 	// sequential mode) for timeline inspection.
 	Device *gpu.Device
+	// HostBytes is the host memory the geometry cache holds at the end of
+	// the run, by record kind (a session's cache: everything resident).
+	HostBytes geocache.Resident
 
 	// Raw per-rule and modeled-host windows behind Stats.Trace and the
 	// trace export; unexported — the summary is the public view.
@@ -495,6 +498,7 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	rep.Stats.FlattenCacheMisses = cs.FlattenMisses - cs0.FlattenMisses
 	rep.Stats.PackCacheHits = cs.PackHits - cs0.PackHits
 	rep.Stats.PackCacheMisses = cs.PackMisses - cs0.PackMisses
+	rep.HostBytes = geo.Resident()
 	if rec != nil {
 		rep.Stats.Trace = buildTraceSummary(rep)
 		exportRunTrace(rec, rep, e.opts)

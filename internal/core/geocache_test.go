@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"opendrc/internal/budget"
@@ -13,6 +16,7 @@ import (
 	"opendrc/internal/layout"
 	"opendrc/internal/rules"
 	"opendrc/internal/synth"
+	"opendrc/internal/trace"
 )
 
 // The geometry-cache suite: the cross-rule cache, device residency, and the
@@ -214,4 +218,61 @@ func shapesOf(lo *layout.Layout, l layout.Layer) []geom.Polygon {
 		out[i] = flat[i].Shape
 	}
 	return out
+}
+
+// TestPrefetchWarmsOnlyReadTables pins that the prefetch builds a layer's MBR
+// table only where a row will read it. With every row over the executor
+// cutoff the rows all take the sweepline and no table is built at all; with
+// the cutoff raised so that they all go brute, each spacing layer builds its
+// table exactly once. The canonical reports are equal either way.
+func TestPrefetchWarmsOnlyReadTables(t *testing.T) {
+	lo, _, err := synth.Load("uart", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(cutoff int) (tableMisses int, rep *Report) {
+		rec := trace.New()
+		rep = runEngine(t, lo, Options{Mode: Parallel, BruteEdgeThreshold: cutoff, Trace: rec}, reuseTestDeck())
+		var buf bytes.Buffer
+		if err := rec.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string         `json:"name"`
+				Args map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range doc.TraceEvents {
+			if strings.HasPrefix(ev.Name, "table:") && ev.Args["result"] == "miss" {
+				tableMisses++
+			}
+		}
+		return tableMisses, rep
+	}
+	sweepMisses, sweep := run(1)
+	bruteMisses, brute := run(1 << 30)
+	if sweep.Stats.Rows == 0 || sweep.Stats.PairsConsidered != 0 || brute.Stats.PairsConsidered == 0 {
+		t.Fatalf("rows %d, pairs considered %d (sweep) and %d (brute): the cutoffs did not split the executors",
+			sweep.Stats.Rows, sweep.Stats.PairsConsidered, brute.Stats.PairsConsidered)
+	}
+	if sweepMisses != 0 {
+		t.Errorf("all rows on the sweepline built %d MBR tables, want 0", sweepMisses)
+	}
+	if layers := 2; bruteMisses != layers {
+		t.Errorf("all rows brute built %d MBR tables, want one per spacing layer, %d", bruteMisses, layers)
+	}
+	var a, b bytes.Buffer
+	if err := sweep.WriteCanonicalJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := brute.WriteCanonicalJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("the canonical reports differ between the executors")
+	}
 }

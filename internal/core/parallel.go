@@ -180,13 +180,15 @@ const simPhase = "par:kernel-sim"
 
 // prefetch starts the parallel mode's pipelined schedule: a fan-out sweeps
 // the deck after its first rule, warming each upcoming spacing layer's
-// flatten, pack, row partitions and MBR table on the host while the device
-// executes the current rule's kernels — by the time rule k starts, its
-// geometry is usually a cache hit costing ~zero host time. The sweep groups
-// by layer — one index per distinct upcoming layer, warming that layer's pack
-// and then its reach partitions in deck order — so layers warm concurrently
-// instead of queueing behind each other's partition computations. It only
-// warms the cache (never streams, the report, or rule state), so reports are
+// flatten, pack and row partitions on the host while the device executes the
+// current rule's kernels — by the time rule k starts, its geometry is
+// usually a cache hit costing ~zero host time. The layer's MBR table is
+// warmed too, but only when one of those partitions has a row the brute
+// executor takes: nothing else reads it. The sweep groups by layer — one
+// index per distinct upcoming layer, warming that layer's pack and then its
+// reach partitions in deck order — so layers warm concurrently instead of
+// queueing behind each other's partition computations. It only warms the
+// cache (never streams, the report, or rule state), so reports are
 // bit-identical with and without it, and the cache's call totals — hence its
 // hit/miss counters — are fixed by the deck, not by who wins a race.
 //
@@ -221,19 +223,37 @@ func (e *Engine) prefetch(ctx context.Context, lo *layout.Layout, gc *geocache.C
 	alg := e.opts.PartitionAlg
 	wait := pool.Go(trace.WithTask(ctx, "prefetch"), min(len(groups), 8), len(groups), func(i int) error {
 		g := groups[i]
-		_, _ = gc.Pack(ctx, lo, g.l)
+		edges, perr := gc.Pack(ctx, lo, g.l)
+		readsTable := false
 		for _, reach := range g.reaches {
 			if ctx.Err() != nil {
 				return nil
 			}
-			_, _ = gc.Rows(ctx, lo, g.l, reach, alg)
+			rows, err := gc.Rows(ctx, lo, g.l, reach, alg)
+			if perr == nil && err == nil && !readsTable {
+				readsTable = slices.ContainsFunc(rows, func(row partition.Row) bool { return e.bruteRow(edges, row.Members) })
+			}
 		}
-		if ctx.Err() == nil {
+		if readsTable && ctx.Err() == nil {
 			_, _ = gc.Table(ctx, lo, g.l)
 		}
 		return nil
 	})
 	return func() { _ = wait() }
+}
+
+// bruteRow is the executor selection of a spacing row: a row whose members
+// pack at most BruteEdgeThreshold edges takes the brute-force executor (and
+// reads the layer's MBR table), a larger one the sweepline.
+func (e *Engine) bruteRow(edges *kernels.Edges, members []int) bool {
+	total := 0
+	for _, m := range members {
+		lo, hi := edges.PolyEdges(m)
+		if total += hi - lo; total > e.opts.BruteEdgeThreshold {
+			return false
+		}
+	}
+	return true
 }
 
 // transfer models the one-time buffer upload: stream-ordered allocation and
@@ -537,13 +557,10 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	var bruteRows, sweepRows [][]int32
 	for _, row := range rows {
 		members := make([]int32, len(row.Members))
-		total := 0
 		for i, m := range row.Members {
 			members[i] = int32(m)
-			elo, ehi := edges.PolyEdges(m)
-			total += ehi - elo
 		}
-		if total <= e.opts.BruteEdgeThreshold {
+		if e.bruteRow(edges, row.Members) {
 			bruteRows = append(bruteRows, members)
 		} else {
 			sweepRows = append(sweepRows, members)

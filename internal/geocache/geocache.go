@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"unsafe"
 
 	"opendrc/internal/budget"
 	"opendrc/internal/geom"
@@ -151,6 +152,9 @@ type layerRec struct {
 	edges *slot[*kernels.Edges]
 	table *slot[*kernels.MBRTable]
 	parts []part // row partitions, in first-request order
+	// verts counts the flatten's vertices once Resident has asked (0 before);
+	// a patch keeps it current.
+	verts int64
 }
 
 // part returns the address of the (guard, alg) partition's slot, adding an
@@ -207,6 +211,61 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
+}
+
+// Resident is the host memory a cache's completed records hold, in bytes of
+// the slices they keep (capacity, not length), by record kind. A table's
+// boxes are the cached MBRs and count once, under Boxes; a flatten counts its
+// entries and their vertices.
+type Resident struct {
+	Flatten, Boxes, Edges, Tables, Rows int64
+}
+
+// Total is the sum over the record kinds.
+func (r Resident) Total() int64 { return r.Flatten + r.Boxes + r.Edges + r.Tables + r.Rows }
+
+// Resident sums the host bytes of every layer's completed records.
+func (c *Cache) Resident() Resident {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var r Resident
+	for _, rec := range c.layers {
+		if rec.flat.ready() {
+			if rec.verts == 0 {
+				rec.verts = countVertices(rec.flat.val)
+			}
+			r.Flatten += int64(cap(rec.flat.val))*int64(unsafe.Sizeof(layout.PlacedPoly{})) +
+				rec.verts*int64(unsafe.Sizeof(geom.Point{}))
+		}
+		if rec.boxes.ready() {
+			r.Boxes += int64(cap(rec.boxes.val)) * int64(unsafe.Sizeof(geom.Rect{}))
+		}
+		if rec.edges.ready() {
+			e := rec.edges.val
+			r.Edges += int64(cap(e.X)+cap(e.Y))*8 + int64(cap(e.PolyStart))*4
+		}
+		if rec.table.ready() {
+			r.Tables += int64(cap(rec.table.val.XOrder)) * 4
+		}
+		for _, p := range rec.parts {
+			if !p.rows.ready() {
+				continue
+			}
+			r.Rows += int64(cap(p.rows.val)) * int64(unsafe.Sizeof(partition.Row{}))
+			for _, row := range p.rows.val {
+				r.Rows += int64(cap(row.Members)) * int64(unsafe.Sizeof(int(0)))
+			}
+		}
+	}
+	return r
+}
+
+func countVertices(polys []layout.PlacedPoly) int64 {
+	var n int64
+	for i := range polys {
+		n += int64(polys[i].Shape.NumEdges())
+	}
+	return n
 }
 
 // bind pins the cache to its layout on first use.

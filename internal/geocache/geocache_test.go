@@ -221,17 +221,15 @@ func TestTableMatchesMBRs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.XLo) != len(boxes) || len(tab.XOrder) != len(boxes) {
-		t.Fatalf("table sizes %d/%d, want %d", len(tab.XLo), len(tab.XOrder), len(boxes))
+	if len(tab.Boxes) != len(boxes) || len(tab.XOrder) != len(boxes) {
+		t.Fatalf("table sizes %d/%d, want %d", len(tab.Boxes), len(tab.XOrder), len(boxes))
 	}
-	for i, b := range boxes {
-		if tab.XLo[i] != b.XLo || tab.XHi[i] != b.XHi || tab.YLo[i] != b.YLo || tab.YHi[i] != b.YHi {
-			t.Fatalf("table row %d disagrees with MBR %+v", i, b)
-		}
+	if len(boxes) > 0 && &tab.Boxes[0] != &boxes[0] {
+		t.Fatal("the table copied the cached MBRs instead of sharing them")
 	}
 	for k := 1; k < len(tab.XOrder); k++ {
-		a, b := tab.XOrder[k-1], tab.XOrder[k]
-		if tab.XLo[a] > tab.XLo[b] || (tab.XLo[a] == tab.XLo[b] && a >= b) {
+		a, b := boxes[tab.XOrder[k-1]], boxes[tab.XOrder[k]]
+		if a.XLo > b.XLo || (a.XLo == b.XLo && tab.XOrder[k-1] >= tab.XOrder[k]) {
 			t.Fatalf("XOrder not sorted by (XLo, index) at %d", k)
 		}
 	}
@@ -365,5 +363,41 @@ func TestInvalidateClearsCachedError(t *testing.T) {
 	}
 	if s := c.Stats(); s.FlattenMisses != 2 {
 		t.Fatalf("invalidated error entry was not recomputed: %+v", s)
+	}
+}
+
+// TestResidentBytes: the packed buffer costs 16 B per edge and 4 B per
+// PolyStart entry, the boxes 32 B each, and a table its x-order alone — its
+// boxes are the cached MBRs, counted once.
+func TestResidentBytes(t *testing.T) {
+	lo := testLayout(t)
+	c := New(budget.Limits{})
+	ctx := context.Background()
+	if r := c.Resident(); r != (Resident{}) {
+		t.Fatalf("empty cache holds %+v", r)
+	}
+	edges, err := c.Pack(ctx, lo, layout.LayerM1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Table(ctx, lo, layout.LayerM1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Rows(ctx, lo, layout.LayerM1, 18, partition.Pigeonhole); err != nil {
+		t.Fatal(err)
+	}
+	n := int64(edges.NumPolys())
+	r := c.Resident()
+	if want := 16*int64(edges.Len()) + 4*(n+1); r.Edges != want {
+		t.Errorf("edges hold %d B, want %d", r.Edges, want)
+	}
+	if r.Boxes != 32*n || r.Tables != 4*n {
+		t.Errorf("boxes/tables hold %d/%d B, want %d/%d", r.Boxes, r.Tables, 32*n, 4*n)
+	}
+	if r.Flatten <= 16*int64(edges.Len()) || r.Rows <= 0 {
+		t.Errorf("flatten/rows hold %d/%d B", r.Flatten, r.Rows)
+	}
+	if r.Total() != r.Flatten+r.Boxes+r.Edges+r.Tables+r.Rows {
+		t.Error("Total is not the sum of the kinds")
 	}
 }

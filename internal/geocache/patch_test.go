@@ -50,6 +50,7 @@ func warmAll(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer) {
 			t.Fatal(err)
 		}
 	}
+	c.Resident() // counts the flatten's vertices, which a patch then keeps current
 }
 
 // polyKeys is the order-free fingerprint of a polygon list.
@@ -81,6 +82,12 @@ func requireColdEqual(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer)
 	if got, want := polyKeys(polys), polyKeys(lo.FlattenLayer(l)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("layer %d: served flatten has %d polygons, cold flatten %d; multisets differ", l, len(got), len(want))
 	}
+	c.mu.Lock()
+	verts := c.layers[l].verts
+	c.mu.Unlock()
+	if want := countVertices(polys); verts != 0 && verts != want {
+		t.Fatalf("layer %d: Resident counts %d flatten vertices, the served flatten has %d", l, verts, want)
+	}
 	boxes, err := c.MBRs(ctx, lo, l)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +115,9 @@ func requireColdEqual(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer)
 	}
 	if !reflect.DeepEqual(table, kernels.NewMBRTable(boxes)) {
 		t.Fatalf("layer %d: MBR table differs from a cold build", l)
+	}
+	if len(boxes) > 0 && &table.Boxes[0] != &boxes[0] {
+		t.Fatalf("layer %d: the MBR table does not share the cached MBRs", l)
 	}
 	for _, k := range oracleParts {
 		rows, err := c.Rows(ctx, lo, l, k.guard, k.alg)

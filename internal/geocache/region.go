@@ -150,6 +150,14 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 	fresh, freshBoxes := c.requery(l, bands, clean)
 	out.PolysRequeried = len(fresh)
 
+	if rec.verts > 0 {
+		rec.verts += countVertices(fresh)
+		for i := first; i < len(remap); i++ {
+			if remap[i] < 0 {
+				rec.verts -= int64(polys[i].Shape.NumEdges())
+			}
+		}
+	}
 	rec.flat.val = append(kernels.Compact(polys, remap, first), fresh...)
 	rec.boxes.val = append(kernels.Compact(boxes, remap, first), freshBoxes...)
 	if rec.edges.ready() {
@@ -163,7 +171,7 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 		rec.edges = nil
 	}
 	if rec.table.ready() {
-		rec.table.val.Splice(remap, first, freshBoxes)
+		rec.table.val.Splice(remap, rec.boxes.val)
 	} else {
 		rec.table = nil
 	}

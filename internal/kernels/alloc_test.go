@@ -1,6 +1,8 @@
 package kernels
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -8,10 +10,9 @@ import (
 )
 
 // TestPackAllocsPerRun is the regression gate for the counting-pass Pack:
-// whatever the polygon count, packing costs exactly four allocations — the
-// Edges header, the contiguous coordinate backing, the Poly ids, and the
-// PolyStart table. Growth-by-append would scale with the edge count and
-// trip this immediately.
+// whatever the polygon count, packing costs exactly three allocations — the
+// Edges header, the vertex backing, and the PolyStart table. Growth-by-append
+// would scale with the edge count and trip this immediately.
 func TestPackAllocsPerRun(t *testing.T) {
 	polys := make([]geom.Polygon, 0, 256)
 	for i := 0; i < 256; i++ {
@@ -26,15 +27,14 @@ func TestPackAllocsPerRun(t *testing.T) {
 			t.Fatalf("Len = %d", e.Len())
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("Pack allocs = %v, want <= 4 (header, coords, Poly, PolyStart)", allocs)
+	if allocs > 3 {
+		t.Errorf("Pack allocs = %v, want <= 3 (header, vertices, PolyStart)", allocs)
 	}
 }
 
-// TestPackContiguousLayout pins the SoA transfer layout: the six coordinate
-// slices are carved out of one backing array in X0,Y0,X1,Y1,X2,Y2 order —
-// the block the single modeled "edges" copy transfers — and each slice's
-// capacity is clipped so an append cannot silently bleed into its neighbor.
+// TestPackContiguousLayout pins the host layout: the X and Y columns are
+// carved out of one backing array in that order, and X's capacity is
+// clipped so an append cannot silently bleed into Y.
 func TestPackContiguousLayout(t *testing.T) {
 	polys := []geom.Polygon{
 		geom.MustPolygon([]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10), geom.Pt(0, 10)}),
@@ -44,19 +44,70 @@ func TestPackContiguousLayout(t *testing.T) {
 	if n == 0 {
 		t.Fatal("empty pack")
 	}
-	slices := [][]int64{e.X0, e.Y0, e.X1, e.Y1, e.X2, e.Y2}
-	for i, s := range slices {
+	for i, s := range [][]int64{e.X, e.Y} {
 		if len(s) != n || cap(s) != n {
-			t.Errorf("slice %d: len/cap = %d/%d, want %d/%d", i, len(s), cap(s), n, n)
-		}
-		if i > 0 {
-			// Adjacent carve: the next slice starts right after the previous
-			// one in the shared backing array.
-			prev := unsafe.Pointer(unsafe.SliceData(slices[i-1]))
-			cur := unsafe.Pointer(unsafe.SliceData(s))
-			if uintptr(cur) != uintptr(prev)+uintptr(n)*8 {
-				t.Errorf("slice %d does not follow slice %d contiguously", i, i-1)
-			}
+			t.Errorf("column %d: len/cap = %d/%d, want %d/%d", i, len(s), cap(s), n, n)
 		}
 	}
+	x := unsafe.Pointer(unsafe.SliceData(e.X))
+	if y := unsafe.Pointer(unsafe.SliceData(e.Y)); uintptr(y) != uintptr(x)+uintptr(n)*8 {
+		t.Error("Y does not follow X contiguously")
+	}
+}
+
+// allocatedBytes is the heap bytes fn allocates, the mean of runs calls.
+func allocatedBytes(runs int, fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestPackHostBytes pins the host cost of a packed buffer: 16 B per edge
+// (one X and one Y per vertex) plus 4 B per PolyStart entry, plus a constant
+// for the header and size-class rounding — not the 52 B per edge that Bytes
+// prices for the device.
+func TestPackHostBytes(t *testing.T) {
+	polys := randomRectilinear(rand.New(rand.NewSource(16)), 20_000)
+	e := Pack(polys)
+	limit := float64(16*e.Len()+4*(e.NumPolys()+1)) + 16<<10
+	if got := allocatedBytes(5, func() { Pack(polys) }); got > limit {
+		t.Errorf("Pack of %d edges allocates %.0f B, want <= %.0f (16 B/edge + 4 B/polygon + 16 KiB)", e.Len(), got, limit)
+	}
+	if e.Bytes() < int64(52*e.Len()) {
+		t.Errorf("Bytes() = %d, want the device layout's 52 B per edge", e.Bytes())
+	}
+}
+
+// TestMBRTableSharesBoxes pins that a table keeps nothing but its x-order:
+// Boxes is the caller's slice itself, and the heap a live table holds on to
+// beyond it is the 4 B-per-box order (building it also takes a transient key
+// column and sort buffer, garbage on return).
+func TestMBRTableSharesBoxes(t *testing.T) {
+	boxes := make([]geom.Rect, 200_000)
+	rng := rand.New(rand.NewSource(7))
+	for i := range boxes {
+		x, y := rng.Int63n(1<<30), rng.Int63n(1<<30)
+		boxes[i] = geom.R(x, y, x+1+rng.Int63n(100), y+1+rng.Int63n(100))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tab := NewMBRTable(boxes)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if unsafe.SliceData(tab.Boxes) != unsafe.SliceData(boxes) || len(tab.Boxes) != len(boxes) {
+		t.Fatal("the table copied its boxes")
+	}
+	if len(tab.XOrder) != len(boxes) || cap(tab.XOrder) != len(boxes) {
+		t.Fatalf("x-order len/cap = %d/%d, want %d", len(tab.XOrder), cap(tab.XOrder), len(boxes))
+	}
+	kept := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	if limit := int64(4*len(boxes)) + 64<<10; kept > limit {
+		t.Errorf("a live table keeps %d B, want <= %d (its x-order + 64 KiB)", kept, limit)
+	}
+	runtime.KeepAlive(tab)
 }

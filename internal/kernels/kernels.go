@@ -48,10 +48,10 @@ func WidthBrute(s Launcher, e *Edges, min int64, c Collector) {
 		lo, hi := e.PolyEdges(tid)
 		var ops int64
 		for i := lo; i < hi; i++ {
-			ei := e.Edge(i)
+			ei := e.Edge(tid, i)
 			for j := i + 1; j < hi; j++ {
 				ops++
-				if m, ok := checks.EdgePairWidth(ei, e.Edge(j), min); ok {
+				if m, ok := checks.EdgePairWidth(ei, e.Edge(tid, j), min); ok {
 					c(Hit{Marker: m, A: int32(tid), B: -1})
 				}
 			}
@@ -67,10 +67,10 @@ func NotchBrute(s Launcher, e *Edges, lim checks.SpacingLimit, c Collector) {
 		lo, hi := e.PolyEdges(tid)
 		var ops int64
 		for i := lo; i < hi; i++ {
-			ei := e.Edge(i)
+			ei := e.Edge(tid, i)
 			for j := i + 1; j < hi; j++ {
 				ops++
-				if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(j), lim); ok {
+				if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(tid, j), lim); ok {
 					c(Hit{Marker: m, A: int32(tid), B: -1})
 				}
 			}
@@ -87,8 +87,9 @@ func AreaKernel(s Launcher, e *Edges, minArea2 int64, c Collector) {
 		var s2 int64
 		box := geom.EmptyRect()
 		for i := lo; i < hi; i++ {
-			s2 += e.X0[i]*e.Y1[i] - e.X1[i]*e.Y0[i]
-			box = box.Include(geom.Pt(e.X0[i], e.Y0[i]))
+			j := e.succ(tid, i)
+			s2 += e.X[i]*e.Y[j] - e.X[j]*e.Y[i]
+			box = box.Include(geom.Pt(e.X[i], e.Y[i]))
 		}
 		if s2 < 0 {
 			s2 = -s2
@@ -108,8 +109,9 @@ func RectilinearKernel(s Launcher, e *Edges, c Collector) {
 		box := geom.EmptyRect()
 		bad := false
 		for i := lo; i < hi; i++ {
-			box = box.Include(geom.Pt(e.X0[i], e.Y0[i]))
-			if e.X0[i] != e.X1[i] && e.Y0[i] != e.Y1[i] {
+			j := e.succ(tid, i)
+			box = box.Include(geom.Pt(e.X[i], e.Y[i]))
+			if e.X[i] != e.X[j] && e.Y[i] != e.Y[j] {
 				bad = true
 			}
 		}
@@ -134,31 +136,36 @@ func RectilinearKernel(s Launcher, e *Edges, c Collector) {
 func SpacingBrute(s Launcher, e *Edges, pairs [][2]int32, lim checks.SpacingLimit, c Collector) {
 	reach := lim.Reach()
 	s.Launch("space-brute", len(pairs), func(tid int) int64 {
-		pa, pb := pairs[tid][0], pairs[tid][1]
-		alo, ahi := e.PolyEdges(int(pa))
-		blo, bhi := e.PolyEdges(int(pb))
+		hit := Hit{A: pairs[tid][0], B: pairs[tid][1]}
+		pa, pb := int(hit.A), int(hit.B)
+		alo, ahi := e.PolyEdges(pa)
+		blo, bhi := e.PolyEdges(pb)
 		var ops int64
 		for i := alo; i < ahi; i++ {
-			ixlo, ixhi := minI64(e.X0[i], e.X1[i]), maxI64(e.X0[i], e.X1[i])
-			iylo, iyhi := minI64(e.Y0[i], e.Y1[i]), maxI64(e.Y0[i], e.Y1[i])
+			in := e.succ(pa, i)
+			ixlo, ixhi := minI64(e.X[i], e.X[in]), maxI64(e.X[i], e.X[in])
+			iylo, iyhi := minI64(e.Y[i], e.Y[in]), maxI64(e.Y[i], e.Y[in])
 			var ei, eo geom.Edge
 			loaded := false
 			for j := blo; j < bhi; j++ {
 				ops += 2
-				if minI64(e.X0[j], e.X1[j])-ixhi >= reach || ixlo-maxI64(e.X0[j], e.X1[j]) >= reach ||
-					minI64(e.Y0[j], e.Y1[j])-iyhi >= reach || iylo-maxI64(e.Y0[j], e.Y1[j]) >= reach {
+				jn := e.succ(pb, j)
+				if minI64(e.X[j], e.X[jn])-ixhi >= reach || ixlo-maxI64(e.X[j], e.X[jn]) >= reach ||
+					minI64(e.Y[j], e.Y[jn])-iyhi >= reach || iylo-maxI64(e.Y[j], e.Y[jn]) >= reach {
 					continue
 				}
 				if !loaded {
-					ei, eo = e.Edge(i), e.NextEdge(i)
+					ei, eo = e.Edge(pa, i), e.NextEdge(pa, i)
 					loaded = true
 				}
-				fj := e.Edge(j)
+				fj := e.Edge(pb, j)
 				if m, ok := checks.EdgePairSpacingLim(ei, fj, lim); ok {
-					c(Hit{Marker: m, A: pa, B: pb})
+					hit.Marker = m
+					c(hit)
 				}
-				if m, ok := checks.CornerSpacing(ei, eo, fj, e.NextEdge(j), lim.Min); ok {
-					c(Hit{Marker: m, A: pa, B: pb})
+				if m, ok := checks.CornerSpacing(ei, eo, fj, e.NextEdge(pb, j), lim.Min); ok {
+					hit.Marker = m
+					c(hit)
 				}
 			}
 		}
@@ -179,23 +186,23 @@ func EnclosureKernel(s Launcher, inner, outer *Edges, pairs [][2]int32, min int6
 		contained := true
 		for i := ilo; i < ihi && contained; i++ {
 			ops += int64(ohi - olo)
-			if !pointInPacked(outer, olo, ohi, inner.X0[i], inner.Y0[i]) {
+			if !pointInPacked(outer, int(po), inner.X[i], inner.Y[i]) {
 				contained = false
 			}
 		}
 		if !contained {
 			box := geom.EmptyRect()
 			for i := ilo; i < ihi; i++ {
-				box = box.Include(geom.Pt(inner.X0[i], inner.Y0[i]))
+				box = box.Include(geom.Pt(inner.X[i], inner.Y[i]))
 			}
 			c(Hit{Marker: checks.Marker{Box: box, Dist: -1}, A: pi, B: po})
 			return ops
 		}
 		for i := ilo; i < ihi; i++ {
-			ei := inner.Edge(i)
+			ei := inner.Edge(int(pi), i)
 			for j := olo; j < ohi; j++ {
 				ops++
-				if m, ok := checks.EdgePairEnclosure(ei, outer.Edge(j), min); ok {
+				if m, ok := checks.EdgePairEnclosure(ei, outer.Edge(int(po), j), min); ok {
 					c(Hit{Marker: m, A: pi, B: po})
 				}
 			}
@@ -204,13 +211,15 @@ func EnclosureKernel(s Launcher, inner, outer *Edges, pairs [][2]int32, min int6
 	})
 }
 
-// pointInPacked is the crossing-number containment test over a packed edge
-// range, boundary-inclusive, matching geom.Polygon.ContainsPoint.
-func pointInPacked(e *Edges, lo, hi int, x, y int64) bool {
+// pointInPacked is the crossing-number containment test over packed polygon
+// p, boundary-inclusive, matching geom.Polygon.ContainsPoint.
+func pointInPacked(e *Edges, p int, x, y int64) bool {
 	inside := false
+	lo, hi := e.PolyEdges(p)
 	for i := lo; i < hi; i++ {
-		ax, ay := e.X0[i], e.Y0[i]
-		bx, by := e.X1[i], e.Y1[i]
+		j := e.succ(p, i)
+		ax, ay := e.X[i], e.Y[i]
+		bx, by := e.X[j], e.Y[j]
 		if ax == bx && x == ax && y >= minI64(ay, by) && y <= maxI64(ay, by) {
 			return true
 		}
@@ -254,7 +263,7 @@ func PolyFromPacked(e *Edges, p int) geom.Polygon {
 	lo, hi := e.PolyEdges(p)
 	pts := make([]geom.Point, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		pts = append(pts, geom.Pt(e.X0[i], e.Y0[i]))
+		pts = append(pts, geom.Pt(e.X[i], e.Y[i]))
 	}
 	return geom.MustPolygon(pts)
 }

@@ -101,11 +101,11 @@ func TestPackRoundTrip(t *testing.T) {
 			t.Fatalf("poly %d edge range %d..%d", pi, lo, hi)
 		}
 		for k := 0; k < p.NumEdges(); k++ {
-			if e.Edge(lo+k) != p.Edge(k) {
+			if e.Edge(pi, lo+k) != p.Edge(k) {
 				t.Errorf("poly %d edge %d mismatch", pi, k)
 			}
 			wantNext := p.Edge((k + 1) % p.NumEdges())
-			if e.NextEdge(lo+k) != wantNext {
+			if e.NextEdge(pi, lo+k) != wantNext {
 				t.Errorf("poly %d next-edge %d mismatch", pi, k)
 			}
 		}

@@ -1,32 +1,35 @@
 package kernels
 
-import "opendrc/internal/checks"
+import (
+	"opendrc/internal/checks"
+	"opendrc/internal/geom"
+)
 
 // Member-indexed kernel variants. The cross-rule geometry cache packs each
 // layer once in the canonical flatten order and keeps the buffer resident on
 // the device; partition rows then address *subsets* of that one buffer by
-// polygon index instead of re-packing a row-ordered copy per rule. These
-// variants (and the sweepline executor in sweep.go, member-indexed
-// throughout) run over an explicit member list. Because row members are
-// ascending canonical indices, every sorted order (perpendicular-coordinate
-// views with index tie-breaks, corner x-order, MBR x-order) is
-// order-isomorphic to the orders the sliced-buffer path produced, so the
-// emitted hit sequence per row is unchanged.
+// polygon index instead of re-packing a copy per rule. These variants (and
+// the sweepline executor in sweep.go, member-indexed throughout) run over an
+// explicit member list. Row members are ascending canonical indices and
+// every sorted order (perpendicular-coordinate views, corner x-order, MBR
+// x-order) breaks ties by index, so a row's hit sequence depends on its
+// members alone, not on what else the buffer holds.
 
 // MBRTable is the device-resident derived geometry of a packed buffer: the
-// per-polygon MBR arrays plus the global x-order over every polygon. Both
-// depend only on the buffer, never on the rule — and the host has already
-// computed them for the row partition — so the engine uploads the table once
-// per resident layer (one small async copy), and per-rule pair discovery is
-// the single scan launch.
+// per-polygon MBRs plus the global x-order over every polygon. Both depend
+// only on the buffer, never on the rule — and the host has already computed
+// the MBRs for the row partition — so the engine uploads the table once per
+// resident layer (one small async copy), and per-rule pair discovery is the
+// single scan launch. On the host the table owns only its x-order: Boxes is
+// the slice it was built from, the geometry cache's MBRs.
 type MBRTable struct {
-	XLo, XHi, YLo, YHi []int64
-	XOrder             []int32 // every polygon, sorted by (XLo, index)
+	Boxes  []geom.Rect
+	XOrder []int32 // every polygon, sorted by (XLo, index)
 }
 
 // Bytes is the table's upload size: four int64 MBR coordinates plus one
 // int32 order entry per polygon.
-func (t *MBRTable) Bytes() int64 { return int64(len(t.XLo))*4*8 + int64(len(t.XOrder))*4 }
+func (t *MBRTable) Bytes() int64 { return int64(len(t.Boxes))*4*8 + int64(len(t.XOrder))*4 }
 
 // PairDiscoveryTable finds, on the device, every polygon pair of a row whose
 // rule-distance-expanded MBRs overlap — the MBR check pruning of Section
@@ -79,16 +82,18 @@ func PairDiscoveryTable(s Launcher, e *Edges, t *MBRTable, rows [][]int32, min i
 	var out [][2]int32
 	s.Launch("pair-scan", len(order), func(tid int) int64 {
 		i := order[tid]
-		limit := t.XHi[i] + 2*min
+		bi := &t.Boxes[i]
+		limit := bi.XHi + 2*min
 		end := int(rowEnd[tid])
 		var ops int64
 		for k := tid + 1; k < end; k++ {
 			j := order[k]
-			if t.XLo[j] > limit {
+			bj := &t.Boxes[j]
+			if bj.XLo > limit {
 				break
 			}
 			ops++
-			if t.YLo[j] <= t.YHi[i]+2*min && t.YLo[i] <= t.YHi[j]+2*min {
+			if bj.YLo <= bi.YHi+2*min && bi.YLo <= bj.YHi+2*min {
 				a, b := i, j
 				if a > b {
 					a, b = b, a
@@ -107,15 +112,15 @@ func PairDiscoveryTable(s Launcher, e *Edges, t *MBRTable, rows [][]int32, min i
 // slot), matching what NotchBrute emits for that polygon.
 func NotchMembers(s Launcher, e *Edges, polys []int32, lim checks.SpacingLimit, c Collector) {
 	s.Launch("notch-members", len(polys), func(tid int) int64 {
-		p := polys[tid]
-		lo, hi := e.PolyEdges(int(p))
+		p := int(polys[tid])
+		lo, hi := e.PolyEdges(p)
 		var ops int64
 		for i := lo; i < hi; i++ {
-			ei := e.Edge(i)
+			ei := e.Edge(p, i)
 			for j := i + 1; j < hi; j++ {
 				ops++
-				if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(j), lim); ok {
-					c(Hit{Marker: m, A: p, B: -1})
+				if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(p, j), lim); ok {
+					c(Hit{Marker: m, A: polys[tid], B: -1})
 				}
 			}
 		}

@@ -24,8 +24,58 @@ import (
 // the production executor to this one's hit sequence (in order) and to its
 // device timeline record for record — thread counts, op totals and modeled
 // durations — so a simulator-speed change cannot move a modeled number.
+//
+// The reference bodies read the six-column layout Edges replaced, also kept
+// test-only (refEdges): every edge stores its three points and its polygon
+// id, so they index any edge with no polygon at hand and share none of the
+// vertex columns' accessors.
 
-func refViews(s *gpu.Stream, e *Edges, polys []int32) (horiz, vert []int32, total int) {
+// refEdges is the six-column packed layout: per edge P0 (X0, Y0), P1
+// (X1, Y1), P2 (X2, Y2) — the vertex after P1 — and the owning polygon.
+type refEdges struct {
+	X0, Y0, X1, Y1, X2, Y2 []int64
+	Poly                   []int32
+	PolyStart              []int32
+}
+
+func refPack(polys []geom.Polygon) *refEdges {
+	r := &refEdges{PolyStart: []int32{0}}
+	for pi, p := range polys {
+		n := p.NumEdges()
+		for i := range n {
+			a, b, c := p.Vertex(i), p.Vertex((i+1)%n), p.Vertex((i+2)%n)
+			r.X0, r.Y0 = append(r.X0, a.X), append(r.Y0, a.Y)
+			r.X1, r.Y1 = append(r.X1, b.X), append(r.Y1, b.Y)
+			r.X2, r.Y2 = append(r.X2, c.X), append(r.Y2, c.Y)
+			r.Poly = append(r.Poly, int32(pi))
+		}
+		r.PolyStart = append(r.PolyStart, int32(len(r.X0)))
+	}
+	return r
+}
+
+// packBoth packs polys in both layouts.
+func packBoth(polys []geom.Polygon) (*Edges, *refEdges) { return Pack(polys), refPack(polys) }
+
+func (r *refEdges) NumPolys() int { return len(r.PolyStart) - 1 }
+
+func (r *refEdges) PolyEdges(p int) (int, int) { return int(r.PolyStart[p]), int(r.PolyStart[p+1]) }
+
+func (r *refEdges) Edge(i int) geom.Edge {
+	return geom.Edge{P0: geom.Pt(r.X0[i], r.Y0[i]), P1: geom.Pt(r.X1[i], r.Y1[i])}
+}
+
+func (r *refEdges) NextEdge(i int) geom.Edge {
+	return geom.Edge{P0: geom.Pt(r.X1[i], r.Y1[i]), P1: geom.Pt(r.X2[i], r.Y2[i])}
+}
+
+// bytes is the six-column layout's size: what Edges.Bytes prices.
+func (r *refEdges) bytes() int64 {
+	return int64(len(r.X0)+len(r.Y0)+len(r.X1)+len(r.Y1)+len(r.X2)+len(r.Y2))*8 +
+		int64(len(r.Poly)+len(r.PolyStart))*4
+}
+
+func refViews(s *gpu.Stream, e *refEdges, polys []int32) (horiz, vert []int32, total int) {
 	for _, p := range polys {
 		lo, hi := e.PolyEdges(int(p))
 		total += hi - lo
@@ -62,7 +112,7 @@ func refViews(s *gpu.Stream, e *Edges, polys []int32) (horiz, vert []int32, tota
 	return horiz, vert, total
 }
 
-func refSweepAxis(s *gpu.Stream, e *Edges, view []int32, perpOf func(int32) int64, lim checks.SpacingLimit, filter PairFilter, c Collector) {
+func refSweepAxis(s *gpu.Stream, e *refEdges, view []int32, perpOf func(int32) int64, lim checks.SpacingLimit, filter PairFilter, c Collector) {
 	if len(view) == 0 {
 		return
 	}
@@ -112,7 +162,7 @@ func refSweepAxis(s *gpu.Stream, e *Edges, view []int32, perpOf func(int32) int6
 	})
 }
 
-func refCornerSweep(s *gpu.Stream, e *Edges, order []int32, min int64, c Collector) {
+func refCornerSweep(s *gpu.Stream, e *refEdges, order []int32, min int64, c Collector) {
 	n := len(order)
 	if n == 0 {
 		return
@@ -152,7 +202,7 @@ func refCornerSweep(s *gpu.Stream, e *Edges, order []int32, min int64, c Collect
 	})
 }
 
-func refSpacingSweepPolys(s *gpu.Stream, e *Edges, polys []int32, lim checks.SpacingLimit, filter PairFilter, c Collector) {
+func refSpacingSweepPolys(s *gpu.Stream, e *refEdges, polys []int32, lim checks.SpacingLimit, filter PairFilter, c Collector) {
 	horiz, vert, total := refViews(s, e, polys)
 	refSweepAxis(s, e, horiz, func(i int32) int64 { return e.Y0[i] }, lim, filter, c)
 	refSweepAxis(s, e, vert, func(i int32) int64 { return e.X0[i] }, lim, filter, c)
@@ -165,6 +215,84 @@ func refSpacingSweepPolys(s *gpu.Stream, e *Edges, polys []int32, lim checks.Spa
 			}
 		}
 		refCornerSweep(s, e, list, lim.Min, c)
+	}
+}
+
+// starPolygons draws n star-shaped polygons of 3 to 9 vertices at random
+// angles and radii around random centres: non-rectilinear shapes with
+// diagonal edges everywhere, triangles among them.
+func starPolygons(rng *rand.Rand, n int) []geom.Polygon {
+	polys := make([]geom.Polygon, 0, n)
+	for len(polys) < n {
+		cx, cy := rng.Int63n(10_000)-5_000, rng.Int63n(10_000)-5_000
+		k := 3 + rng.Intn(7)
+		angles := make([]float64, k)
+		for i := range angles {
+			angles[i] = rng.Float64() * 2 * math.Pi
+		}
+		slices.Sort(angles)
+		pts := make([]geom.Point, k)
+		for i, a := range angles {
+			r := 10 + rng.Float64()*200
+			pts[i] = geom.Pt(cx+int64(r*math.Cos(a)), cy+int64(r*math.Sin(a)))
+		}
+		if p, err := geom.NewPolygon(pts); err == nil {
+			polys = append(polys, p)
+		}
+	}
+	return polys
+}
+
+// TestPackedVerticesMatchSixColumnLayout holds the vertex columns to the
+// six-column layout they replaced: the same polygon ranges, and for every
+// edge the same Edge and NextEdge as the stored P0-P1 and P1-P2 of its
+// polygon; PolyFromPacked gives the polygon back, and Bytes still prices
+// the six columns. The six synth designs' M1 layers, random rectilinear
+// layouts (triangles included) and random star-shaped polygons.
+func TestPackedVerticesMatchSixColumnLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	layouts := map[string][]geom.Polygon{
+		"rectilinear": randomRectilinear(rng, 400),
+		"stars":       starPolygons(rng, 400),
+	}
+	for _, design := range synth.Designs() {
+		lo, _, err := synth.Load(design.Name, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pp := range lo.FlattenLayer(layout.LayerM1) {
+			layouts[design.Name] = append(layouts[design.Name], pp.Shape)
+		}
+	}
+	for name, polys := range layouts {
+		e, ref := packBoth(polys)
+		if !slices.Equal(e.PolyStart, ref.PolyStart) || e.Len() != len(ref.X0) {
+			t.Fatalf("%s: polygon ranges differ from the six-column layout", name)
+		}
+		if e.Bytes() != ref.bytes() {
+			t.Errorf("%s: Bytes() = %d, the six-column layout is %d", name, e.Bytes(), ref.bytes())
+		}
+		for p := range e.NumPolys() {
+			lo, hi := e.PolyEdges(p)
+			for i := lo; i < hi; i++ {
+				if int(ref.Poly[i]) != p {
+					t.Fatalf("%s: edge %d belongs to polygon %d, the six-column layout says %d", name, i, p, ref.Poly[i])
+				}
+				if e.Edge(p, i) != ref.Edge(i) || e.NextEdge(p, i) != ref.NextEdge(i) {
+					t.Fatalf("%s: polygon %d edge %d: %v then %v, want %v then %v",
+						name, p, i, e.Edge(p, i), e.NextEdge(p, i), ref.Edge(i), ref.NextEdge(i))
+				}
+			}
+			// MustPolygon may rotate the ring to its canonical start, so the
+			// polygon is compared after the same normalisation.
+			pts := make([]geom.Point, polys[p].NumEdges())
+			for i := range pts {
+				pts[i] = polys[p].Vertex(i)
+			}
+			if got, want := PolyFromPacked(e, p), geom.MustPolygon(pts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: PolyFromPacked(%d) = %v, want %v", name, p, got, want)
+			}
+		}
 	}
 }
 
@@ -186,20 +314,21 @@ func kernelShapes(d *gpu.Device) []launchShape {
 	return out
 }
 
-// diffSweep runs the reference and the production executor over the same
-// members and compares hits (in order) and kernel records. polys == nil
-// takes the whole-buffer entry point.
-func diffSweep(t *testing.T, label string, e *Edges, polys []int32, lim checks.SpacingLimit, filter PairFilter, sc *Scratch) (hits int) {
+// diffSweep runs the reference executor over ref and the production one
+// over e — the same polygons in the two layouts — on the same members and
+// compares hits (in order) and kernel records. polys == nil takes the
+// whole-buffer entry point.
+func diffSweep(t *testing.T, label string, e *Edges, ref *refEdges, polys []int32, lim checks.SpacingLimit, filter PairFilter, sc *Scratch) (hits int) {
 	t.Helper()
 	refDev := gpu.NewDevice(gpu.GTX1660Ti())
 	var want []Hit
 	refPolys := polys
 	if refPolys == nil {
-		for p := 0; p < e.NumPolys(); p++ {
+		for p := 0; p < ref.NumPolys(); p++ {
 			refPolys = append(refPolys, int32(p))
 		}
 	}
-	refSpacingSweepPolys(refDev.NewStream("ref"), e, refPolys, lim, filter, func(h Hit) { want = append(want, h) })
+	refSpacingSweepPolys(refDev.NewStream("ref"), ref, refPolys, lim, filter, func(h Hit) { want = append(want, h) })
 
 	dev := gpu.NewDevice(gpu.GTX1660Ti())
 	s := dev.NewStream("ref")
@@ -274,7 +403,7 @@ func TestSweepMatchesReferenceRandom(t *testing.T) {
 	var warm Scratch
 	hits := make(map[string]int) // per filter: the comparison must not be vacuous
 	for trial := 0; trial < 25; trial++ {
-		e := Pack(randomRectilinear(rng, 20+rng.Intn(120)))
+		e, ref := packBoth(randomRectilinear(rng, 20+rng.Intn(120)))
 		// A member list: a random ascending subset, as partition rows are.
 		var members []int32
 		for p := 0; p < e.NumPolys(); p++ {
@@ -285,9 +414,9 @@ func TestSweepMatchesReferenceRandom(t *testing.T) {
 		for _, f := range diffFilters {
 			for _, l := range diffLimits {
 				label := fmt.Sprintf("trial %d %s/%s", trial, f.name, l.name)
-				hits[f.name] += diffSweep(t, label+" whole", e, nil, l.lim, f.filter, nil)
-				diffSweep(t, label+" members", e, members, l.lim, f.filter, nil)
-				hits[f.name] += diffSweep(t, label+" members/warm", e, members, l.lim, f.filter, &warm)
+				hits[f.name] += diffSweep(t, label+" whole", e, ref, nil, l.lim, f.filter, nil)
+				diffSweep(t, label+" members", e, ref, members, l.lim, f.filter, nil)
+				hits[f.name] += diffSweep(t, label+" members/warm", e, ref, members, l.lim, f.filter, &warm)
 			}
 		}
 	}
@@ -301,9 +430,9 @@ func TestSweepMatchesReferenceRandom(t *testing.T) {
 // TestSweepMatchesReferenceEmpty pins the degenerate launches: an empty
 // buffer and an empty member list launch nothing.
 func TestSweepMatchesReferenceEmpty(t *testing.T) {
-	diffSweep(t, "empty buffer", Pack(nil), nil, checks.Lim(10), FilterSpacing, nil)
-	e := Pack(randomRectilinear(rand.New(rand.NewSource(1)), 5))
-	diffSweep(t, "empty members", e, []int32{}, checks.Lim(10), FilterSpacing, nil)
+	diffSweep(t, "empty buffer", Pack(nil), refPack(nil), nil, checks.Lim(10), FilterSpacing, nil)
+	e, ref := packBoth(randomRectilinear(rand.New(rand.NewSource(1)), 5))
+	diffSweep(t, "empty members", e, ref, []int32{}, checks.Lim(10), FilterSpacing, nil)
 }
 
 // TestSweepMatchesReferenceSynth: the six synth designs' M1 layers under the
@@ -330,7 +459,7 @@ func TestSweepMatchesReferenceSynth(t *testing.T) {
 		for _, pp := range lo.FlattenLayer(layout.LayerM1) {
 			shapes = append(shapes, pp.Shape)
 		}
-		e := Pack(shapes)
+		e, ref := packBoth(shapes)
 		var members []int32
 		for p := 0; p < e.NumPolys(); p += 2 {
 			members = append(members, int32(p))
@@ -338,8 +467,8 @@ func TestSweepMatchesReferenceSynth(t *testing.T) {
 		for _, f := range diffFilters {
 			for _, l := range limits {
 				label := fmt.Sprintf("%s %s/%s", design.Name, f.name, l.name)
-				diffSweep(t, label+" whole", e, nil, l.lim, f.filter, nil)
-				diffSweep(t, label+" members", e, members, l.lim, f.filter, &warm)
+				diffSweep(t, label+" whole", e, ref, nil, l.lim, f.filter, nil)
+				diffSweep(t, label+" members", e, ref, members, l.lim, f.filter, &warm)
 			}
 		}
 	}
@@ -410,12 +539,12 @@ func TestSweepIndexedMatchesReference(t *testing.T) {
 	}
 	hits := make(map[string]int)
 	for _, l := range layouts {
-		e := Pack(l.polys)
+		e, ref := packBoth(l.polys)
 		for _, f := range diffFilters {
 			for _, lim := range diffLimits {
 				label := fmt.Sprintf("%s %s/%s", l.name, f.name, lim.name)
 				var sc Scratch
-				hits[f.name] += diffSweep(t, label, e, allMembers(e), lim.lim, f.filter, &sc)
+				hits[f.name] += diffSweep(t, label, e, ref, allMembers(e), lim.lim, f.filter, &sc)
 				if window, visited := sc.Candidates(); l.indexed && visited >= window {
 					t.Errorf("%s: visited %d of %d window candidates: the index served no thread", label, visited, window)
 				}
@@ -556,7 +685,7 @@ func FuzzSweepMatchesReference(f *testing.F) {
 	f.Add(append(row, 0x81, 128, 4, 3, 3, 0x86, 100, 4, 2, 4), []byte{0x01, 0x80}, uint8(15), false)
 	f.Add([]byte{1, 120, 10, 3, 3, 1, 124, 12, 3, 3, 3, 110, 8, 2, 2, 4, 140, 4, 1, 4, 0, 118, 15, 4, 4}, []byte{}, uint8(20), true)
 	f.Fuzz(func(t *testing.T, layout, mask []byte, min uint8, prl bool) {
-		e := Pack(fuzzLayout(layout))
+		e, ref := packBoth(fuzzLayout(layout))
 		var members []int32
 		for i := range e.NumPolys() {
 			if len(mask) == 0 || mask[i/8%len(mask)]>>(i%8)&1 == 0 {
@@ -569,8 +698,8 @@ func FuzzSweepMatchesReference(f *testing.F) {
 		}
 		var sc Scratch
 		for _, f := range diffFilters {
-			diffSweep(t, f.name+" whole", e, nil, lim, f.filter, nil)
-			diffSweep(t, f.name+" members", e, members, lim, f.filter, &sc)
+			diffSweep(t, f.name+" whole", e, ref, nil, lim, f.filter, nil)
+			diffSweep(t, f.name+" members", e, ref, members, lim, f.filter, &sc)
 		}
 	})
 }

@@ -51,16 +51,11 @@ func Compact[T any](s []T, remap []int32, first int) []T {
 // copy of the buffer still holds valid.
 func (e *Edges) Splice(remap []int32, first int, add []geom.Polygon) int64 {
 	w, np := int(e.PolyStart[first]), first
-	cols := [...][]int64{e.X0, e.Y0, e.X1, e.Y1, e.X2, e.Y2}
 	survivorRuns(remap, first, func(p, q int) {
 		lo, hi := int(e.PolyStart[p]), int(e.PolyStart[q])
-		for _, c := range cols {
-			copy(c[w:], c[lo:hi])
-		}
-		dp, de := int32(p-np), int32(lo-w)
-		for k := lo; k < hi; k++ {
-			e.Poly[k-lo+w] = e.Poly[k] - dp
-		}
+		copy(e.X[w:], e.X[lo:hi])
+		copy(e.Y[w:], e.Y[lo:hi])
+		de := int32(lo - w)
 		for i := p; i < q; i++ {
 			e.PolyStart[i-p+np] = e.PolyStart[i] - de
 		}
@@ -74,63 +69,43 @@ func (e *Edges) Splice(remap []int32, first int, add []geom.Polygon) int64 {
 }
 
 // resize sets the buffer's length to edges/polys, reallocating with one
-// eighth of headroom when a column's capacity is exceeded. The six
-// coordinate columns stay carved from one backing array, each with the same
-// spare capacity behind it.
+// eighth of headroom when a column's capacity is exceeded. The two vertex
+// columns stay carved from one backing array, each with the same spare
+// capacity behind it.
 func (e *Edges) resize(edges, polys int) {
-	if edges > cap(e.X0) {
+	if edges > cap(e.X) {
 		c := edges + edges/8
-		coords := make([]int64, 6*c)
-		for i, col := range [...]*[]int64{&e.X0, &e.Y0, &e.X1, &e.Y1, &e.X2, &e.Y2} {
-			n := copy(coords[i*c:(i+1)*c], *col)
-			*col = coords[i*c : i*c+n : (i+1)*c]
-		}
-		e.Poly = append(make([]int32, 0, c), e.Poly...)
+		coords := make([]int64, 2*c)
+		e.X = coords[:copy(coords, e.X):c]
+		e.Y = coords[c : c+copy(coords[c:], e.Y)]
 	}
 	if polys+1 > cap(e.PolyStart) {
 		e.PolyStart = append(make([]int32, 0, polys+1+polys/8), e.PolyStart...)
 	}
-	e.X0, e.Y0, e.X1 = e.X0[:edges], e.Y0[:edges], e.X1[:edges]
-	e.Y1, e.X2, e.Y2 = e.Y1[:edges], e.X2[:edges], e.Y2[:edges]
-	e.Poly = e.Poly[:edges]
+	e.X, e.Y = e.X[:edges], e.Y[:edges]
 	e.PolyStart = e.PolyStart[:polys+1]
 }
 
-// NewMBRTable builds the table of the given per-polygon boxes: the four
-// coordinate arrays and the (XLo, index) x-order, from one radix sort of the
-// indices by XLo (the sort Splice uses for the tail and the sweep executor
-// for its views).
+// NewMBRTable builds the table of the given per-polygon boxes, which it
+// keeps rather than copies: the (XLo, index) x-order, from one radix sort of
+// the indices by XLo (the sort Splice uses for the tail and the sweep
+// executor for its views).
 func NewMBRTable(boxes []geom.Rect) *MBRTable {
-	n := len(boxes)
-	t := &MBRTable{
-		XLo: make([]int64, n), XHi: make([]int64, n),
-		YLo: make([]int64, n), YHi: make([]int64, n),
-		XOrder: make([]int32, n),
-	}
+	order := make([]int32, len(boxes))
+	xlo := make([]int64, len(boxes))
 	for i, b := range boxes {
-		t.XLo[i], t.XHi[i] = b.XLo, b.XHi
-		t.YLo[i], t.YHi[i] = b.YLo, b.YHi
-		t.XOrder[i] = int32(i)
+		order[i], xlo[i] = int32(i), b.XLo
 	}
-	t.XOrder, _ = radixSort(t.XOrder, nil, t.XLo)
-	return t
+	order, _ = radixSort(order, nil, xlo)
+	return &MBRTable{Boxes: boxes, XOrder: order}
 }
 
-// Splice removes the polygons remap marks and appends the boxes of the
-// re-queried ones. The x-order is filtered and renumbered in one pass, then
-// the tail's keys — sorted on their own — merge in from the back.
-func (t *MBRTable) Splice(remap []int32, first int, add []geom.Rect) {
-	t.XLo, t.XHi = Compact(t.XLo, remap, first), Compact(t.XHi, remap, first)
-	t.YLo, t.YHi = Compact(t.YLo, remap, first), Compact(t.YHi, remap, first)
-	tail := len(t.XLo)
-	added := make([]int32, len(add))
-	for i, b := range add {
-		t.XLo, t.XHi = append(t.XLo, b.XLo), append(t.XHi, b.XHi)
-		t.YLo, t.YHi = append(t.YLo, b.YLo), append(t.YHi, b.YHi)
-		added[i] = int32(tail + i)
-	}
-	added, _ = radixSort(added, nil, t.XLo)
-
+// Splice follows a splice of the boxes the table was built from: boxes is
+// that slice afterwards — the survivors compacted in order (Compact, same
+// remap) and the re-queried polygons' boxes appended — and becomes the
+// table's. The x-order is filtered and renumbered in one pass, then the
+// tail's keys — sorted on their own — merge in from the back.
+func (t *MBRTable) Splice(remap []int32, boxes []geom.Rect) {
 	w := 0
 	for _, p := range t.XOrder {
 		if n := remap[p]; n >= 0 {
@@ -138,6 +113,13 @@ func (t *MBRTable) Splice(remap []int32, first int, add []geom.Rect) {
 			w++
 		}
 	}
+	added := make([]int32, len(boxes)-w)
+	keys := make([]int64, len(added))
+	for i := range added {
+		added[i], keys[i] = int32(i), boxes[w+i].XLo
+	}
+	added, _ = radixSort(added, nil, keys)
+
 	// Open a gap for each added box from the back: a binary search finds
 	// where it belongs among the survivors and one block move shifts what
 	// follows. Tail indices exceed every survivor's, so on equal XLo the
@@ -145,11 +127,12 @@ func (t *MBRTable) Splice(remap []int32, first int, add []geom.Rect) {
 	order := append(t.XOrder[:w], make([]int32, len(added))...)
 	end := w
 	for j := len(added) - 1; j >= 0; j-- {
-		key := t.XLo[added[j]]
-		at := sort.Search(end, func(i int) bool { return t.XLo[order[i]] > key })
+		p := int32(w) + added[j]
+		key := boxes[p].XLo
+		at := sort.Search(end, func(i int) bool { return boxes[order[i]].XLo > key })
 		copy(order[at+j+1:], order[at:end])
-		order[at+j] = added[j]
+		order[at+j] = p
 		end = at
 	}
-	t.XOrder = order
+	t.Boxes, t.XOrder = boxes, order
 }

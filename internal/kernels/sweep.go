@@ -28,13 +28,14 @@ import (
 //
 // Two things keep the simulation's cost near the candidates that can hit
 // rather than the windows the device threads scan. The views are sorted by a
-// stable LSD radix sort of edges gathered in ascending packed index, which is
-// exactly the (key, index) order. And sweep-check finds each thread's
-// candidates in a bucketed index of the view by parallel span (candIndex)
-// instead of walking its window; the survivors are merged into ascending
-// position, so the predicate sees them in window order. Standard cells share
-// y across a row, so a horizontal window covers the whole row width while
-// only a handful of its edges overlap the thread's edge in x.
+// stable LSD radix sort of their gather positions; edges are gathered in
+// ascending packed index, so that is exactly the (key, index) order. And
+// sweep-check finds each thread's candidates in a bucketed index of the view
+// by parallel span (candIndex) instead of walking its window; the survivors
+// are merged into ascending position, so the predicate sees them in window
+// order. Standard cells share y across a row, so a horizontal window covers
+// the whole row width while only a handful of its edges overlap the thread's
+// edge in x.
 
 // radixSort sorts the indices perm by key[perm[i]] with a stable LSD radix
 // sort on key − min key: 8-bit digits, one counting pass per byte of the key
@@ -86,11 +87,12 @@ func radixSort(perm, tmp []int32, key []int64) (sorted, spare []int32) {
 // per edge. Not safe for concurrent use; concurrent rows take one each.
 type Scratch struct {
 	order  []int32 // edge index at each view position, in (key, edge index) order
+	poly   []int32 // the polygon of the edge at each view position
+	perm   []int32 // the gather position at each view position
 	spare  []int32 // the radix sort's ping-pong buffer
 	key    []int64 // sort key at each view position: perpendicular coordinate | corner x
 	lo, hi []int64 // parallel span of the edge at each view position (corner pass: lo is the corner's y)
 	fwd    []bool  // direction bit: P1 lies beyond P0 along the edge's axis
-	poly   []int32
 	ranges []int32 // scan kernel output: each position's check-range end
 	idx    candIndex
 	cand   []int32 // one sweep-check thread's prescreen survivors
@@ -111,54 +113,79 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// sortBy sorts the collected order by key, sizes the columns to it and
-// gathers the key column.
-func (sc *Scratch) sortBy(key []int64) {
-	sc.order, sc.spare = radixSort(sc.order, sc.spare, key)
-	n := len(sc.order)
-	sc.key, sc.lo, sc.hi = grow(sc.key, n), grow(sc.lo, n), grow(sc.hi, n)
-	sc.fwd, sc.poly, sc.ranges = grow(sc.fwd, n), grow(sc.poly, n), grow(sc.ranges, n)
-	for t, i := range sc.order {
-		sc.key[t] = key[i]
+// permute returns dst, grown to len(perm), holding src[perm[t]] at each t.
+func permute[T any](dst, src []T, perm []int32) []T {
+	dst = grow(dst, len(perm))
+	for t, q := range perm {
+		dst[t] = src[q]
 	}
+	return dst
+}
+
+// gather empties the view's order, polygon and key columns, to be appended
+// to for at most n edges.
+func (sc *Scratch) gather(n int) {
+	sc.order, sc.poly, sc.key = grow(sc.order, n)[:0], grow(sc.poly, n)[:0], grow(sc.key, n)[:0]
+}
+
+// sortView sorts the gathered view — edges appended in ascending index, with
+// their polygons and keys — into (key, edge index) order, and sizes the other
+// columns to it. The radix sort orders the gather positions, which arrive
+// ascending, so ties keep edge index order; the three columns then follow
+// the sorted positions.
+func (sc *Scratch) sortView() {
+	n := len(sc.order)
+	perm := grow(sc.perm, n)
+	for t := range perm {
+		perm[t] = int32(t)
+	}
+	sc.perm, sc.spare = radixSort(perm, sc.spare, sc.key)
+	sc.order, sc.spare = permute(sc.spare, sc.order, sc.perm), sc.order
+	sc.poly, sc.spare = permute(sc.spare, sc.poly, sc.perm), sc.poly
+	sc.key, sc.lo = permute(sc.lo, sc.key, sc.perm), sc.key
+	sc.lo, sc.hi = grow(sc.lo, n), grow(sc.hi, n)
+	sc.fwd, sc.ranges = grow(sc.fwd, n), grow(sc.ranges, n)
 }
 
 // loadAxis loads the view of the members' edges that run along one axis:
-// those whose perpendicular coordinate is constant (perp0 == perp1) and
-// whose parallel coordinates a -> b differ, sorted by perpendicular
+// those whose perpendicular coordinate perp is the same at both ends and
+// whose parallel coordinate para differs, sorted by perpendicular
 // coordinate. total is the members' edge count, an upper bound on the view.
-func (sc *Scratch) loadAxis(e *Edges, polys []int32, total int, perp0, perp1, a, b []int64) {
-	sc.order = grow(sc.order, total)[:0]
+func (sc *Scratch) loadAxis(e *Edges, polys []int32, total int, perp, para []int64) {
+	sc.gather(total)
 	for _, p := range polys {
 		lo, hi := e.PolyEdges(int(p))
 		for i := lo; i < hi; i++ {
-			if perp0[i] == perp1[i] && a[i] != b[i] {
+			if j := e.succ(int(p), i); perp[i] == perp[j] && para[i] != para[j] {
 				sc.order = append(sc.order, int32(i))
+				sc.poly = append(sc.poly, p)
+				sc.key = append(sc.key, perp[i])
 			}
 		}
 	}
-	sc.sortBy(perp0)
+	sc.sortView()
 	for t, i := range sc.order {
-		sc.lo[t], sc.hi[t] = min(a[i], b[i]), max(a[i], b[i])
-		sc.fwd[t] = b[i] > a[i]
-		sc.poly[t] = e.Poly[i]
+		a, b := para[i], para[e.succ(int(sc.poly[t]), int(i))]
+		sc.lo[t], sc.hi[t] = min(a, b), max(a, b)
+		sc.fwd[t] = b > a
 	}
 }
 
 // loadCorners loads the corner view: one corner (P1) per member edge, sorted
 // by x.
 func (sc *Scratch) loadCorners(e *Edges, polys []int32, total int) {
-	sc.order = grow(sc.order, total)[:0]
+	sc.gather(total)
 	for _, p := range polys {
 		lo, hi := e.PolyEdges(int(p))
 		for i := lo; i < hi; i++ {
 			sc.order = append(sc.order, int32(i))
+			sc.poly = append(sc.poly, p)
+			sc.key = append(sc.key, e.X[e.succ(int(p), i)])
 		}
 	}
-	sc.sortBy(e.X1)
+	sc.sortView()
 	for t, i := range sc.order {
-		sc.lo[t] = e.Y1[i]
-		sc.poly[t] = e.Poly[i]
+		sc.lo[t] = e.Y[e.succ(int(sc.poly[t]), int(i))]
 	}
 }
 
@@ -316,9 +343,9 @@ func (sc *Scratch) sweepAxis(s Launcher, e *Edges, lim checks.SpacingLimit, filt
 		visit(ix.long)
 		slices.Sort(cand)
 		if len(cand) > 0 {
-			ei := e.Edge(int(order[tid]))
+			ei := e.Edge(int(polyT), int(order[tid]))
 			for _, k := range cand {
-				ej := e.Edge(int(order[k]))
+				ej := e.Edge(int(poly[k]), int(order[k]))
 				var m checks.Marker
 				var ok bool
 				if filter == FilterWidth {
@@ -354,7 +381,7 @@ func (sc *Scratch) sweepCorners(s Launcher, e *Edges, min int64, c Collector) {
 
 	order, y, poly, ranges := sc.order, sc.lo, sc.poly, sc.ranges
 	s.Launch("corner-check", n, func(tid int) int64 {
-		i := int(order[tid])
+		i, pi := int(order[tid]), int(poly[tid])
 		var ei, eo geom.Edge
 		loaded := false
 		var ops int64
@@ -371,11 +398,11 @@ func (sc *Scratch) sweepCorners(s Launcher, e *Edges, min int64, c Collector) {
 				continue
 			}
 			if !loaded {
-				ei, eo = e.Edge(i), e.NextEdge(i)
+				ei, eo = e.Edge(pi, i), e.NextEdge(pi, i)
 				loaded = true
 			}
-			j := int(order[k])
-			if m, ok := checks.CornerSpacing(ei, eo, e.Edge(j), e.NextEdge(j), min); ok {
+			j, pj := int(order[k]), int(poly[k])
+			if m, ok := checks.CornerSpacing(ei, eo, e.Edge(pj, j), e.NextEdge(pj, j), min); ok {
 				c(Hit{Marker: m, A: poly[tid], B: poly[k]})
 			}
 		}
@@ -410,9 +437,9 @@ func (sc *Scratch) SweepPolys(s Launcher, e *Edges, polys []int32, lim checks.Sp
 		}
 		s.Launch("sort-edges", total, func(int) int64 { return logn * logn })
 	}
-	sc.loadAxis(e, polys, total, e.Y0, e.Y1, e.X0, e.X1) // horizontal edges, swept in y
+	sc.loadAxis(e, polys, total, e.Y, e.X) // horizontal edges, swept in y
 	sc.sweepAxis(s, e, lim, filter, c)
-	sc.loadAxis(e, polys, total, e.X0, e.X1, e.Y0, e.Y1) // vertical edges, swept in x
+	sc.loadAxis(e, polys, total, e.X, e.Y) // vertical edges, swept in x
 	sc.sweepAxis(s, e, lim, filter, c)
 	if filter == FilterSpacing {
 		sc.loadCorners(e, polys, total)
