@@ -9,8 +9,9 @@
 # polygon/transform algebra, the indexed hierarchy query, the layout build,
 # interleaved session operations (edit / check / delta check against a cold
 # batch model), the report encoder (both JSON forms against encoding/json),
-# the sweepline executor (against its reference bodies) and the rule-deck
-# file format (a written deck parses back to the same rules), a bench smoke
+# the sweepline executor (against its reference bodies), the rule-deck
+# file format (a written deck parses back to the same rules) and the
+# sequential sweepline (against brute-force pairs), a bench smoke
 # of the unit benchmarks, the one timing gate that
 # has no test or benchmark/ counterpart (cross-tenant fairness), a traced run
 # validated structurally, and an end-to-end smoke of the odrcd service over
@@ -55,6 +56,7 @@ go test -run=NONE -fuzz=FuzzReportJSON -fuzztime=10s -fuzzminimizetime=200x ./in
 # is bounded here too.
 go test -run=NONE -fuzz=FuzzSweepMatchesReference -fuzztime=10s -fuzzminimizetime=100x ./internal/kernels
 go test -run=NONE -fuzz=FuzzDeckFile -fuzztime=10s ./internal/rules
+go test -run=NONE -fuzz=FuzzOverlaps -fuzztime=10s ./internal/sweep
 
 # Bench smoke: one iteration of the geometry-cache unit benchmarks, of one
 # sweepline-executor row, of the hierarchy range queries, of the ingest path,

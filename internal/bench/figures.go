@@ -35,9 +35,11 @@ func Fig3(w io.Writer) error {
 	}
 	var events []ev
 	var coords []int64
+	var ivs []interval.Entry
 	for i, b := range boxes {
 		events = append(events, ev{b.YHi, i, true}, ev{b.YLo, i, false})
 		coords = append(coords, b.XLo, b.XHi)
+		ivs = append(ivs, interval.Entry{Lo: b.XLo, Hi: b.XHi, ID: i})
 	}
 	for i := range events {
 		for j := i + 1; j < len(events); j++ {
@@ -47,7 +49,7 @@ func Fig3(w io.Writer) error {
 			}
 		}
 	}
-	tree := interval.NewTree(coords)
+	tree := interval.NewTree(coords, ivs)
 	fmt.Fprintln(w, "Fig. 3 — sweepline over MBRs with interval tree status")
 	for _, e := range events {
 		b := boxes[e.id]
@@ -56,13 +58,13 @@ func Fig3(w io.Writer) error {
 			tree.Query(b.XLo, b.XHi, func(en interval.Entry) {
 				hits = append(hits, names[en.ID])
 			})
-			if err := tree.Insert(b.XLo, b.XHi, e.id); err != nil {
+			if err := tree.Insert(e.id); err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "y=%2d  TOP %s    insert [%d,%d]  overlaps=%v  live=%d\n",
 				e.y, names[e.id], b.XLo, b.XHi, hits, tree.Len())
 		} else {
-			tree.Delete(b.XLo, b.XHi, e.id)
+			tree.Delete(e.id)
 			fmt.Fprintf(w, "y=%2d  BOT %s    remove [%d,%d]              live=%d\n",
 				e.y, names[e.id], b.XLo, b.XHi, tree.Len())
 		}

@@ -36,29 +36,13 @@ func intraMarkers(dst []checks.Marker, c *layout.Cell, r rules.Rule, min int64) 
 				emit(m)
 			}
 		case rules.Custom:
-			obj := rules.Obj{Shape: p, Layer: r.Layer, Name: labelFor(c, p)}
+			obj := rules.Obj{Shape: p, Layer: r.Layer, Name: c.LabelIn(r.Layer, p)}
 			if !r.Pred(obj) {
 				emit(checks.Marker{Box: p.MBR()})
 			}
 		}
 	}
 	return out
-}
-
-// labelFor returns the text of a same-layer label lying on or inside the
-// polygon (the paper's polygon "name"); empty when none exists.
-func labelFor(c *layout.Cell, p geom.Polygon) string {
-	mbr := p.MBR()
-	for i := range c.Labels {
-		l := &c.Labels[i]
-		if !mbr.Contains(l.Pos) {
-			continue
-		}
-		if p.ContainsPoint(l.Pos) {
-			return l.Text
-		}
-	}
-	return ""
 }
 
 // scaledIntraMin converts the rule threshold into a cell frame instantiated

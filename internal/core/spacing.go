@@ -105,10 +105,17 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 	// Sweepline participants: raw layer MBRs for partitioning, expanded
 	// MBRs ("enlarged by a minimum rule distance") for pair generation.
 	// Both MBR lists are scratch — this loop runs once per cell definition
-	// per rule, so they recycle through the run's arena.
-	var items []spaceItem
-	raw := arena.Rects(len(c.Polys))
-	boxes := arena.Rects(len(c.Polys))
+	// per rule, so they recycle through the run's arena. All three lists are
+	// sized up front: a top cell has ~10⁵ placements.
+	n := len(c.LocalPolyIndex(r.Layer))
+	for ri := range c.Refs {
+		if ref := &c.Refs[ri]; !ref.Child.LayerMBR(r.Layer).Empty() {
+			n += ref.NumPlacements()
+		}
+	}
+	items := make([]spaceItem, 0, n)
+	raw := arena.Rects(n)
+	boxes := arena.Rects(n)
 	defer func() {
 		arena.PutRects(raw)
 		arena.PutRects(boxes)

@@ -4,12 +4,23 @@
 // a binary search tree over a fixed skeleton of candidate keys; an interval
 // is stored in the highest node whose key it contains, and every node keeps
 // its intervals in two lists — one sorted by left endpoint, one by right —
-// enabling output-sensitive stabbing and overlap queries.
+// enabling output-sensitive overlap queries.
+//
+// The tree is built for a known interval set (the sweepline knows every MBR
+// up front), which keeps it flat: the nodes are one slice, each interval's
+// node is found once at build, and a counting pass carves every node's two
+// lists out of two shared slabs, so an insert shifts entries inside its
+// node's segment and never allocates. Every node also counts the live
+// intervals in its subtree, and a query skips subtrees whose count is zero —
+// without it a query straddling many keys walks every skeleton node in its
+// range, live or not.
 package interval
 
 import (
 	"fmt"
 	"sort"
+
+	"opendrc/internal/radix"
 )
 
 // Entry is one stored interval with its caller-assigned identifier.
@@ -19,59 +30,98 @@ type Entry struct {
 }
 
 type node struct {
-	key         int64
-	left, right int32 // child indices; -1 = none
-	// byLo sorted ascending by Lo; byHi sorted descending by Hi. Every
-	// entry stored at the node contains key.
-	byLo []Entry
-	byHi []Entry
+	key                 int64
+	left, right, parent int32 // node indices; -1 = none
+	live                int32 // intervals stored in this subtree
+	// The node's lists are byLo[off:off+n] (ascending Lo) and
+	// byHi[off:off+n] (descending Hi) of a segment of cap slots, one per
+	// interval of the set whose node this is. Every entry contains key.
+	off, n, cap int32
 }
 
-// Tree is a dynamic interval tree over a fixed coordinate skeleton. Build it
-// with NewTree from every endpoint that will ever be inserted (the sweepline
-// knows all MBRs up front), then Insert/Delete freely.
+// Tree is a dynamic interval tree over a fixed coordinate skeleton and a
+// fixed interval set. Build it with NewTree (or rebuild a tree's buffers
+// with Reset), then Insert and Delete the set's intervals by position.
 type Tree struct {
-	nodes []node
-	root  int32
-	size  int
+	nodes      []node
+	root       int32
+	size       int
+	ivs        []Entry // the interval set, by position
+	at         []int32 // node of each interval of the set; -1 = none contains it
+	byLo, byHi []Entry // the slabs every node's lists are segments of
+
+	keys        []int64 // the sorted, deduplicated skeleton
+	perm, spare []int32 // radix sort of the skeleton keys
+	stack       []int32 // query's pending right subtrees
+	visited     int
 }
 
 // NewTree builds the balanced skeleton from the candidate key coordinates
-// (duplicates allowed, any order). Every interval later inserted must
-// contain at least one of these keys — guaranteed when the keys include the
-// interval endpoints.
-func NewTree(coords []int64) *Tree {
-	u := append([]int64(nil), coords...)
-	sort.Slice(u, func(i, j int) bool { return u[i] < u[j] })
-	u = dedupSorted(u)
-	t := &Tree{root: -1}
-	if len(u) == 0 {
-		return t
-	}
-	t.nodes = make([]node, 0, len(u))
-	t.root = t.build(u)
+// keys (duplicates allowed, any order) for the interval set ivs. Every
+// interval later inserted must contain at least one of the keys —
+// guaranteed when the keys include the interval endpoints.
+func NewTree(keys []int64, ivs []Entry) *Tree {
+	t := new(Tree)
+	t.Reset(keys, ivs)
 	return t
 }
 
-func dedupSorted(v []int64) []int64 {
-	out := v[:0]
-	for i, x := range v {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
+// Reset rebuilds the tree for a new skeleton and interval set, reusing its
+// buffers; the tree is left empty. The tree keeps ivs, which must not
+// change while it is in use.
+func (t *Tree) Reset(keys []int64, ivs []Entry) {
+	perm := grow(t.perm, len(keys))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	perm, t.spare = radix.Sort(perm, t.spare, keys)
+	t.perm = perm
+	u := t.keys[:0]
+	for _, p := range perm {
+		if k := keys[p]; len(u) == 0 || k != u[len(u)-1] {
+			u = append(u, k)
 		}
 	}
-	return out
+	t.keys = u
+	t.nodes = t.nodes[:0]
+	t.root = t.build(u, -1)
+	t.size, t.visited = 0, 0
+
+	// One descent per interval finds its node; a counting pass sizes every
+	// node's segment and a prefix sum places it.
+	t.ivs = ivs
+	t.at = grow(t.at, len(ivs))
+	for i, e := range ivs {
+		idx, _ := t.locate(e.Lo, e.Hi) // -1 when none; Insert reports why
+		t.at[i] = idx
+		if idx >= 0 {
+			t.nodes[idx].cap++
+		}
+	}
+	var off int32
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		n.off, off = off, off+n.cap
+	}
+	t.byLo, t.byHi = grow(t.byLo, int(off)), grow(t.byHi, int(off))
 }
 
-func (t *Tree) build(coords []int64) int32 {
-	if len(coords) == 0 {
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (t *Tree) build(keys []int64, parent int32) int32 {
+	if len(keys) == 0 {
 		return -1
 	}
-	mid := len(coords) / 2
+	mid := len(keys) / 2
 	idx := int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{key: coords[mid], left: -1, right: -1})
-	l := t.build(coords[:mid])
-	r := t.build(coords[mid+1:])
+	t.nodes = append(t.nodes, node{key: keys[mid], parent: parent})
+	l := t.build(keys[:mid], idx)
+	r := t.build(keys[mid+1:], idx)
 	t.nodes[idx].left = l
 	t.nodes[idx].right = r
 	return idx
@@ -79,6 +129,11 @@ func (t *Tree) build(coords []int64) int32 {
 
 // Len returns the number of intervals currently stored.
 func (t *Tree) Len() int { return t.size }
+
+// Visited returns the number of nodes the queries since the last Reset
+// entered. Subtrees holding no live interval are never entered, so a query
+// costs its search paths plus the paths to the intervals it reports.
+func (t *Tree) Visited() int { return t.visited }
 
 // locate descends to the highest node whose key the interval contains.
 func (t *Tree) locate(lo, hi int64) (int32, error) {
@@ -100,121 +155,117 @@ func (t *Tree) locate(lo, hi int64) (int32, error) {
 	return -1, fmt.Errorf("interval: [%d,%d] contains no skeleton key", lo, hi)
 }
 
-// Insert stores the interval. The endpoints must be covered by the skeleton.
-func (t *Tree) Insert(lo, hi int64, id int) error {
-	idx, err := t.locate(lo, hi)
-	if err != nil {
+// Insert stores interval i of the set. Its endpoints must be covered by the
+// skeleton, and it must not be stored already.
+func (t *Tree) Insert(i int) error {
+	e := t.ivs[i]
+	idx := t.at[i]
+	if idx < 0 {
+		_, err := t.locate(e.Lo, e.Hi)
 		return err
 	}
 	n := &t.nodes[idx]
-	e := Entry{Lo: lo, Hi: hi, ID: id}
-	// Insert in sorted position in both lists.
-	i := sort.Search(len(n.byLo), func(i int) bool { return n.byLo[i].Lo > lo })
-	n.byLo = append(n.byLo, Entry{})
-	copy(n.byLo[i+1:], n.byLo[i:])
-	n.byLo[i] = e
-	j := sort.Search(len(n.byHi), func(i int) bool { return n.byHi[i].Hi < hi })
-	n.byHi = append(n.byHi, Entry{})
-	copy(n.byHi[j+1:], n.byHi[j:])
-	n.byHi[j] = e
-	t.size++
+	if n.n == n.cap {
+		return fmt.Errorf("interval: [%d,%d] id %d stored twice", e.Lo, e.Hi, e.ID)
+	}
+	// Insert in sorted position in both lists, after any equal key.
+	byLo := t.byLo[n.off : n.off+n.n+1]
+	j := sort.Search(int(n.n), func(k int) bool { return byLo[k].Lo > e.Lo })
+	copy(byLo[j+1:], byLo[j:])
+	byLo[j] = e
+	byHi := t.byHi[n.off : n.off+n.n+1]
+	j = sort.Search(int(n.n), func(k int) bool { return byHi[k].Hi < e.Hi })
+	copy(byHi[j+1:], byHi[j:])
+	byHi[j] = e
+	n.n++
+	t.count(idx, 1)
 	return nil
 }
 
-// Delete removes the interval previously inserted with the same endpoints
-// and id; it reports whether the interval was found.
-func (t *Tree) Delete(lo, hi int64, id int) bool {
-	idx, err := t.locate(lo, hi)
-	if err != nil {
+// Delete removes interval i of the set; it reports whether the interval
+// was stored. The entry is found by binary search on its endpoint within
+// its node's lists.
+func (t *Tree) Delete(i int) bool {
+	e := t.ivs[i]
+	idx := t.at[i]
+	if idx < 0 {
 		return false
 	}
 	n := &t.nodes[idx]
-	if !removeEntry(&n.byLo, func(e Entry) bool { return e.Lo == lo && e.Hi == hi && e.ID == id }) {
+	byLo := t.byLo[n.off : n.off+n.n]
+	j := sort.Search(len(byLo), func(k int) bool { return byLo[k].Lo >= e.Lo })
+	for j < len(byLo) && byLo[j] != e && byLo[j].Lo == e.Lo {
+		j++
+	}
+	if j == len(byLo) || byLo[j] != e {
 		return false
 	}
-	removeEntry(&n.byHi, func(e Entry) bool { return e.Lo == lo && e.Hi == hi && e.ID == id })
-	t.size--
+	copy(byLo[j:], byLo[j+1:])
+	byHi := t.byHi[n.off : n.off+n.n]
+	j = sort.Search(len(byHi), func(k int) bool { return byHi[k].Hi <= e.Hi })
+	for byHi[j] != e {
+		j++ // present: it is in byLo
+	}
+	copy(byHi[j:], byHi[j+1:])
+	n.n--
+	t.count(idx, -1)
 	return true
 }
 
-func removeEntry(list *[]Entry, match func(Entry) bool) bool {
-	for i, e := range *list {
-		if match(e) {
-			copy((*list)[i:], (*list)[i+1:])
-			*list = (*list)[:len(*list)-1]
-			return true
-		}
+// count adds d to the live counts on the path from node idx to the root.
+func (t *Tree) count(idx int32, d int32) {
+	for ; idx >= 0; idx = t.nodes[idx].parent {
+		t.nodes[idx].live += d
 	}
-	return false
-}
-
-// Stab visits every stored interval containing x.
-func (t *Tree) Stab(x int64, visit func(Entry)) {
-	cur := t.root
-	for cur >= 0 {
-		n := &t.nodes[cur]
-		switch {
-		case x < n.key:
-			// Stored intervals contain key > x; they contain x iff Lo <= x.
-			for _, e := range n.byLo {
-				if e.Lo > x {
-					break
-				}
-				visit(e)
-			}
-			cur = n.left
-		case x > n.key:
-			for _, e := range n.byHi {
-				if e.Hi < x {
-					break
-				}
-				visit(e)
-			}
-			cur = n.right
-		default:
-			for _, e := range n.byLo {
-				visit(e)
-			}
-			cur = -1
-		}
-	}
+	t.size += int(d)
 }
 
 // Query visits every stored interval overlapping [lo, hi] (closed; touching
-// endpoints count — zero-gap geometry interacts in DRC terms).
+// endpoints count — zero-gap geometry interacts in DRC terms). The order is
+// a preorder walk, left subtree before right. visit must not modify the
+// tree.
 func (t *Tree) Query(lo, hi int64, visit func(Entry)) {
-	t.query(t.root, lo, hi, visit)
-}
-
-func (t *Tree) query(cur int32, lo, hi int64, visit func(Entry)) {
-	for cur >= 0 {
-		n := &t.nodes[cur]
-		switch {
-		case hi < n.key:
-			// Node intervals contain key; overlap iff their Lo <= hi.
-			for _, e := range n.byLo {
-				if e.Lo > hi {
-					break
+	stack := t.stack[:0]
+	cur := t.root
+	for {
+		for cur >= 0 && t.nodes[cur].live > 0 {
+			n := &t.nodes[cur]
+			t.visited++
+			switch {
+			case hi < n.key:
+				// Node intervals contain key; overlap iff their Lo <= hi.
+				for _, e := range t.byLo[n.off : n.off+n.n] {
+					if e.Lo > hi {
+						break
+					}
+					visit(e)
 				}
-				visit(e)
-			}
-			cur = n.left
-		case lo > n.key:
-			for _, e := range n.byHi {
-				if e.Hi < lo {
-					break
+				cur = n.left
+			case lo > n.key:
+				for _, e := range t.byHi[n.off : n.off+n.n] {
+					if e.Hi < lo {
+						break
+					}
+					visit(e)
 				}
-				visit(e)
+				cur = n.right
+			default:
+				// Query straddles the key: everything here overlaps, and both
+				// subtrees may hold more.
+				for _, e := range t.byLo[n.off : n.off+n.n] {
+					visit(e)
+				}
+				if n.right >= 0 && t.nodes[n.right].live > 0 {
+					stack = append(stack, n.right)
+				}
+				cur = n.left
 			}
-			cur = n.right
-		default:
-			// Query straddles the key: everything here overlaps, and both
-			// subtrees may hold more.
-			for _, e := range n.byLo {
-				visit(e)
-			}
-			t.query(n.left, lo, hi, visit)
-			cur = n.right
 		}
+		if len(stack) == 0 {
+			break
+		}
+		cur = stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 	}
+	t.stack = stack
 }

@@ -26,17 +26,18 @@ func eqInts(a, b []int) bool {
 }
 
 func TestInsertQueryBasic(t *testing.T) {
-	tr := NewTree([]int64{0, 5, 10, 15, 20, 25, 30})
-	must := func(lo, hi int64, id int) {
+	tr := NewTree([]int64{0, 5, 10, 15, 20, 25, 30},
+		[]Entry{{0, 10, 1}, {5, 15, 2}, {20, 30, 3}, {10, 20, 4}})
+	must := func(i int) {
 		t.Helper()
-		if err := tr.Insert(lo, hi, id); err != nil {
+		if err := tr.Insert(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(0, 10, 1)
-	must(5, 15, 2)
-	must(20, 30, 3)
-	must(10, 20, 4)
+	must(0)
+	must(1)
+	must(2)
+	must(3)
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d", tr.Len())
 	}
@@ -61,36 +62,23 @@ func TestInsertQueryBasic(t *testing.T) {
 	}
 }
 
-func TestStab(t *testing.T) {
-	tr := NewTree([]int64{0, 10, 20, 30})
-	tr.Insert(0, 10, 1)
-	tr.Insert(10, 20, 2)
-	tr.Insert(0, 30, 3)
-	var ids []int
-	tr.Stab(10, func(e Entry) { ids = append(ids, e.ID) })
-	sort.Ints(ids)
-	if !eqInts(ids, []int{1, 2, 3}) {
-		t.Errorf("stab(10) = %v", ids)
-	}
-	ids = nil
-	tr.Stab(25, func(e Entry) { ids = append(ids, e.ID) })
-	if !eqInts(ids, []int{3}) {
-		t.Errorf("stab(25) = %v", ids)
-	}
-}
-
 func TestDelete(t *testing.T) {
-	tr := NewTree([]int64{0, 10, 20})
-	tr.Insert(0, 10, 1)
-	tr.Insert(0, 10, 2) // identical interval, distinct id
-	tr.Insert(5, 20, 3)
-	if !tr.Delete(0, 10, 1) {
+	tr := NewTree([]int64{0, 10, 20}, []Entry{
+		{0, 10, 1},
+		{0, 10, 2}, // identical interval, distinct id
+		{5, 20, 3},
+		{0, 10, 99}, // never inserted
+	})
+	tr.Insert(0)
+	tr.Insert(1)
+	tr.Insert(2)
+	if !tr.Delete(0) {
 		t.Fatal("delete(1) failed")
 	}
-	if tr.Delete(0, 10, 1) {
+	if tr.Delete(0) {
 		t.Fatal("double delete succeeded")
 	}
-	if tr.Delete(0, 10, 99) {
+	if tr.Delete(3) {
 		t.Fatal("deleting unknown id succeeded")
 	}
 	if got := collect(tr, 0, 20); !eqInts(got, []int{2, 3}) {
@@ -102,15 +90,15 @@ func TestDelete(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	tr := NewTree([]int64{10, 20})
-	if err := tr.Insert(30, 40, 1); err == nil {
+	tr := NewTree([]int64{10, 20}, []Entry{{30, 40, 1}, {20, 10, 2}})
+	if err := tr.Insert(0); err == nil {
 		t.Error("expected error: interval misses skeleton")
 	}
-	if err := tr.Insert(20, 10, 2); err == nil {
+	if err := tr.Insert(1); err == nil {
 		t.Error("expected error: inverted interval")
 	}
-	empty := NewTree(nil)
-	if err := empty.Insert(0, 1, 1); err == nil {
+	empty := NewTree(nil, []Entry{{0, 1, 1}})
+	if err := empty.Insert(0); err == nil {
 		t.Error("expected error on empty skeleton")
 	}
 	empty.Query(0, 10, func(Entry) { t.Error("query on empty tree visited something") })
@@ -125,23 +113,30 @@ func TestRandomizedAgainstBruteForce(t *testing.T) {
 	for i := range coords {
 		coords[i] = int64(i)
 	}
-	tr := NewTree(coords)
+	// The tree is built for its interval set, so the intervals are drawn
+	// up front, one per step (more than the inserts can use).
+	const steps = 3000
+	ivs := make([]Entry, steps)
+	for i := range ivs {
+		lo := int64(rng.Intn(domain))
+		ivs[i] = Entry{Lo: lo, Hi: lo + int64(rng.Intn(domain-int(lo)+1)), ID: i}
+	}
+	tr := NewTree(coords, ivs)
 	type iv struct{ lo, hi int64 }
 	live := map[int]iv{}
 	nextID := 0
-	for step := 0; step < 3000; step++ {
+	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
 		case op < 5: // insert
-			lo := int64(rng.Intn(domain))
-			hi := lo + int64(rng.Intn(domain-int(lo)+1))
-			if err := tr.Insert(lo, hi, nextID); err != nil {
+			lo, hi := ivs[nextID].Lo, ivs[nextID].Hi
+			if err := tr.Insert(nextID); err != nil {
 				t.Fatal(err)
 			}
 			live[nextID] = iv{lo, hi}
 			nextID++
 		case op < 7: // delete random live
-			for id, v := range live {
-				if !tr.Delete(v.lo, v.hi, id) {
+			for id := range live {
+				if !tr.Delete(id) {
 					t.Fatalf("delete live id %d failed", id)
 				}
 				delete(live, id)
@@ -164,29 +159,5 @@ func TestRandomizedAgainstBruteForce(t *testing.T) {
 	}
 	if tr.Len() != len(live) {
 		t.Errorf("len = %d, want %d", tr.Len(), len(live))
-	}
-}
-
-func TestStabMatchesQueryPoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	coords := make([]int64, 101)
-	for i := range coords {
-		coords[i] = int64(i)
-	}
-	tr := NewTree(coords)
-	for i := 0; i < 300; i++ {
-		lo := int64(rng.Intn(100))
-		hi := lo + int64(rng.Intn(100-int(lo)+1))
-		tr.Insert(lo, hi, i)
-	}
-	for x := int64(0); x <= 100; x += 7 {
-		var stab, query []int
-		tr.Stab(x, func(e Entry) { stab = append(stab, e.ID) })
-		tr.Query(x, x, func(e Entry) { query = append(query, e.ID) })
-		sort.Ints(stab)
-		sort.Ints(query)
-		if !eqInts(stab, query) {
-			t.Errorf("stab(%d) != query point: %v vs %v", x, stab, query)
-		}
 	}
 }

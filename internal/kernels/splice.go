@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"opendrc/internal/geom"
+	"opendrc/internal/radix"
 )
 
 // In-place splices of the per-layer buffers. A resident session patches a
@@ -96,7 +97,7 @@ func NewMBRTable(boxes []geom.Rect) *MBRTable {
 	for i, b := range boxes {
 		order[i], xlo[i] = int32(i), b.XLo
 	}
-	order, _ = radixSort(order, nil, xlo)
+	order, _ = radix.Sort(order, nil, xlo)
 	return &MBRTable{Boxes: boxes, XOrder: order}
 }
 
@@ -118,7 +119,7 @@ func (t *MBRTable) Splice(remap []int32, boxes []geom.Rect) {
 	for i := range added {
 		added[i], keys[i] = int32(i), boxes[w+i].XLo
 	}
-	added, _ = radixSort(added, nil, keys)
+	added, _ = radix.Sort(added, nil, keys)
 
 	// Open a gap for each added box from the back: a binary search finds
 	// where it belongs among the survivors and one block move shifts what

@@ -2,11 +2,11 @@ package kernels
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"opendrc/internal/checks"
 	"opendrc/internal/geom"
+	"opendrc/internal/radix"
 )
 
 // The parallel sweepline executor, following X-Check's two-kernel structure:
@@ -36,49 +36,6 @@ import (
 // order. Standard cells share y across a row, so a horizontal window covers
 // the whole row width while only a handful of its edges overlap the thread's
 // edge in x.
-
-// radixSort sorts the indices perm by key[perm[i]] with a stable LSD radix
-// sort on key − min key: 8-bit digits, one counting pass per byte of the key
-// span, a pass skipped when every index shares its digit. Stability makes
-// the result the (key, index) order exactly when perm arrives ascending, the
-// precondition every caller meets by gathering in index order. tmp is the
-// ping-pong buffer; the sorted slice and the spare buffer come back, either
-// of which may be tmp.
-func radixSort(perm, tmp []int32, key []int64) (sorted, spare []int32) {
-	if len(perm) < 2 {
-		return perm, tmp
-	}
-	lo, hi := key[perm[0]], key[perm[0]]
-	for _, p := range perm[1:] {
-		lo, hi = min(lo, key[p]), max(hi, key[p])
-	}
-	passes := (bits.Len64(uint64(hi-lo)) + 7) / 8
-	var count [8][256]int
-	for _, p := range perm {
-		d := uint64(key[p] - lo)
-		for q := range passes {
-			count[q][d>>(8*q)&0xff]++
-		}
-	}
-	tmp = grow(tmp, len(perm))
-	for q := range passes {
-		c, shift := &count[q], 8*q
-		if c[uint64(key[perm[0]]-lo)>>shift&0xff] == len(perm) {
-			continue // one digit throughout: the pass would copy perm
-		}
-		sum := 0
-		for d, n := range c {
-			c[d], sum = sum, sum+n
-		}
-		for _, p := range perm {
-			d := uint64(key[p]-lo) >> shift & 0xff
-			tmp[c[d]] = p
-			c[d]++
-		}
-		perm, tmp = tmp, perm
-	}
-	return perm, tmp
-}
 
 // Scratch is the host working set of one sweep simulation: the current
 // pass's sorted order, its gathered columns and its candidate index. It holds
@@ -139,7 +96,7 @@ func (sc *Scratch) sortView() {
 	for t := range perm {
 		perm[t] = int32(t)
 	}
-	sc.perm, sc.spare = radixSort(perm, sc.spare, sc.key)
+	sc.perm, sc.spare = radix.Sort(perm, sc.spare, sc.key)
 	sc.order, sc.spare = permute(sc.spare, sc.order, sc.perm), sc.order
 	sc.poly, sc.spare = permute(sc.spare, sc.poly, sc.perm), sc.poly
 	sc.key, sc.lo = permute(sc.lo, sc.key, sc.perm), sc.key

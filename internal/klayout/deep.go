@@ -105,7 +105,7 @@ func deepIntra(ctx context.Context, lo *layout.Layout, r rules.Rule, emit func(c
 		var defMarkers []checks.Marker
 		for _, pi := range idx {
 			p := c.Polys[pi].Shape
-			name := deepLabel(c, pi)
+			name := c.LabelIn(c.Polys[pi].Layer, p)
 			checkPolyIntra(p, name, r, func(m checks.Marker) { defMarkers = append(defMarkers, m) })
 		}
 		for _, t := range placements[c.ID] {
@@ -123,18 +123,6 @@ func deepIntra(ctx context.Context, lo *layout.Layout, r rules.Rule, emit func(c
 		}
 	}
 	return nil
-}
-
-func deepLabel(c *layout.Cell, polyIdx int) string {
-	p := c.Polys[polyIdx].Shape
-	mbr := p.MBR()
-	for i := range c.Labels {
-		l := &c.Labels[i]
-		if l.Layer == c.Polys[polyIdx].Layer && mbr.Contains(l.Pos) && p.ContainsPoint(l.Pos) {
-			return l.Text
-		}
-	}
-	return ""
 }
 
 // deepSpacing: definition-internal results replay per instance; boundary

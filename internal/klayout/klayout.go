@@ -200,16 +200,8 @@ func checkPolyIntra(p geom.Polygon, name string, r rules.Rule, emit func(checks.
 // cell (labels transform with the cell, so the local containment test is
 // equivalent).
 func flatName(pp layout.PlacedPoly) string {
-	c := pp.Src.Cell
-	local := c.Polys[pp.Src.Idx].Shape
-	mbr := local.MBR()
-	for i := range c.Labels {
-		l := &c.Labels[i]
-		if l.Layer == c.Polys[pp.Src.Idx].Layer && mbr.Contains(l.Pos) && local.ContainsPoint(l.Pos) {
-			return l.Text
-		}
-	}
-	return ""
+	src := &pp.Src.Cell.Polys[pp.Src.Idx]
+	return pp.Src.Cell.LabelIn(src.Layer, src.Shape)
 }
 
 // checkFlat is the flat mode: full instantiation, one global sweepline. It

@@ -111,6 +111,7 @@ func (c *Cell) fill(st *gdsii.Structure, byName map[string]*Cell) error {
 	for _, t := range st.Texts {
 		c.Labels = append(c.Labels, Label{Layer: Layer(t.Layer), Pos: t.Pos, Text: t.Str})
 	}
+	c.indexLabels()
 	c.Refs = slices.Grow(c.Refs, len(st.SRefs)+len(st.ARefs))
 	place := func(name string, trans gdsii.Trans, pos geom.Point) (*Cell, geom.Transform, error) {
 		child := byName[name]

@@ -12,6 +12,7 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -126,6 +127,58 @@ type Cell struct {
 	// placeStart numbers the cell's child placements for the spatial index
 	// (see numberPlacements); nil for leaf cells and unindexable ones.
 	placeStart []uint32
+	// labelOrder lists the indices of Labels sorted by (layer, x, index),
+	// built once with the cell; edits never touch labels.
+	labelOrder []int32
+}
+
+// indexLabels builds the cell's label index (see LabelIn).
+func (c *Cell) indexLabels() {
+	if len(c.Labels) == 0 {
+		return
+	}
+	c.labelOrder = make([]int32, len(c.Labels))
+	for i := range c.labelOrder {
+		c.labelOrder[i] = int32(i)
+	}
+	slices.SortStableFunc(c.labelOrder, func(i, j int32) int {
+		a, b := &c.Labels[i], &c.Labels[j]
+		if a.Layer != b.Layer {
+			return cmp.Compare(a.Layer, b.Layer)
+		}
+		return cmp.Compare(a.Pos.X, b.Pos.X)
+	})
+}
+
+// LabelIn returns the text of the label on layer lying on or inside the
+// cell polygon p — the paper's polygon "name" — or "" when there is none.
+// When several do, the first in label order wins. The label index is
+// searched for the layer's labels within p's x-extent, so the cost is the
+// labels under p's MBR, not all of the cell's.
+func (c *Cell) LabelIn(layer Layer, p geom.Polygon) string {
+	mbr := p.MBR()
+	order := c.labelOrder
+	k, _ := slices.BinarySearchFunc(order, mbr.XLo, func(i int32, x int64) int {
+		l := &c.Labels[i]
+		if l.Layer != layer {
+			return cmp.Compare(l.Layer, layer)
+		}
+		return cmp.Compare(l.Pos.X, x)
+	})
+	best := int32(-1)
+	for _, i := range order[k:] {
+		l := &c.Labels[i]
+		if l.Layer != layer || l.Pos.X > mbr.XHi {
+			break
+		}
+		if (best < 0 || i < best) && mbr.Contains(l.Pos) && p.ContainsPoint(l.Pos) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return ""
+	}
+	return c.Labels[best].Text
 }
 
 // layerSlot is one row of a cell's layer table: everything the cell knows

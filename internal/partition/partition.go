@@ -9,10 +9,10 @@
 package partition
 
 import (
-	"slices"
 	"sort"
 
 	"opendrc/internal/geom"
+	"opendrc/internal/radix"
 )
 
 // Span is a closed interval over discrete domain indices.
@@ -112,48 +112,42 @@ const (
 // smaller than guard always share a row (the paper's rule-distance MBR
 // enlargement applied to partitioning). Empty boxes are assigned to no row.
 //
-// Discretization uses one sort of the 2k interval endpoints followed by
-// linear rank/assignment passes, so the whole partition is a single
-// O(k log k) sort plus the Θ(k + N) merge.
+// Discretization is one radix sort of the 2k interval endpoints followed by
+// linear rank/assignment passes, so the whole partition is linear in k plus
+// the Θ(k + N) merge.
 func Rows(boxes []geom.Rect, guard int64, alg Algorithm) []Row {
-	// Discretize: domain = unique interval endpoints. Sorting the bare
-	// values (slices.Sort's specialized int64 path — no comparator calls,
-	// no struct swaps) and ranking each box endpoint by binary search in
-	// the compacted result produces exactly the ranks the old
-	// endpoint-record sort did, at a fraction of the cost; this sort is
-	// the hottest host instruction stream of the partition phase.
-	vals := make([]int64, 0, 2*len(boxes))
+	// Discretize: domain = unique interval endpoints. Positions 2j and 2j+1
+	// hold the j-th non-empty box's YLo and guarded YHi; one stable sort of
+	// the positions by value, then one pass over the sorted positions gives
+	// each its dense rank — a new rank wherever the value changes — which is
+	// an endpoint of the box's span.
+	key := make([]int64, 0, 2*len(boxes))
 	for _, b := range boxes {
-		if b.Empty() {
-			continue
+		if !b.Empty() {
+			key = append(key, b.YLo, b.YHi+guard)
 		}
-		vals = append(vals, b.YLo, b.YHi+guard)
 	}
-	if len(vals) == 0 {
+	if len(key) == 0 {
 		return nil
 	}
-	slices.Sort(vals)
-	vals = slices.Compact(vals)
-	domain := len(vals)
-	spanLo := make([]int32, len(boxes))
-	spanHi := make([]int32, len(boxes))
-	for bi, b := range boxes {
-		if b.Empty() {
-			continue
-		}
-		lo, _ := slices.BinarySearch(vals, b.YLo)
-		hi, _ := slices.BinarySearch(vals, b.YHi+guard)
-		spanLo[bi] = int32(lo)
-		spanHi[bi] = int32(hi)
+	perm := make([]int32, len(key))
+	for i := range perm {
+		perm[i] = int32(i)
 	}
-
-	spans := make([]Span, 0, len(boxes))
-	for bi, b := range boxes {
-		if b.Empty() {
-			continue
+	perm, _ = radix.Sort(perm, nil, key)
+	spans := make([]Span, len(key)/2)
+	domain := 0
+	for i, p := range perm {
+		if i > 0 && key[p] != key[perm[i-1]] {
+			domain++
 		}
-		spans = append(spans, Span{int(spanLo[bi]), int(spanHi[bi])})
+		if p&1 == 0 {
+			spans[p/2].Lo = domain
+		} else {
+			spans[p/2].Hi = domain
+		}
 	}
+	domain++
 
 	var merged []Span
 	if alg == SortBased {
@@ -174,11 +168,13 @@ func Rows(boxes []geom.Rect, guard int64, alg Algorithm) []Row {
 		rows[i].YLo = int64(1)<<62 - 1
 		rows[i].YHi = -(int64(1)<<62 - 1)
 	}
+	j := 0 // spans[j] is the span of the j-th non-empty box
 	for bi, b := range boxes {
 		if b.Empty() {
 			continue
 		}
-		row := &rows[rowIdx[spanLo[bi]]]
+		row := &rows[rowIdx[spans[j].Lo]]
+		j++
 		row.Members = append(row.Members, bi)
 		if b.YLo < row.YLo {
 			row.YLo = b.YLo

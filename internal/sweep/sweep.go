@@ -8,11 +8,11 @@ package sweep
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"opendrc/internal/geom"
 	"opendrc/internal/interval"
+	"opendrc/internal/radix"
 )
 
 // Pair is an overlapping rectangle pair, reported with A < B.
@@ -22,27 +22,27 @@ type Pair struct {
 
 // Stats reports sweepline work for profiling and tests.
 type Stats struct {
-	Events      int // top/bottom events processed
-	MaxLive     int // peak interval-tree occupancy
-	PairsFound  int
-	TreeQueries int
+	Events       int // top/bottom events processed
+	MaxLive      int // peak interval-tree occupancy
+	PairsFound   int
+	TreeQueries  int
+	NodesVisited int // interval-tree nodes the queries entered
 }
 
-type event struct {
-	y   int64
-	id  int
-	top bool
-}
-
-// scratch holds the per-sweep event and coordinate buffers. Sweeps run once
-// per partition row per rule, so callers on that hot path recycle the
-// buffers through a Pool instead of reallocating them for every row;
-// contents are fully rewritten before use, so recycling cannot affect
-// results. The interval tree copies the coordinate skeleton it keeps, so
-// returning the buffers after the sweep is safe.
+// scratch holds the per-sweep buffers: the boxes' x-intervals and skeleton
+// keys, the event order, and the interval tree with its node list and slabs.
+// Sweeps run once per partition row per rule, so callers on that hot path
+// recycle the buffers through a Pool instead of reallocating them for every
+// row; contents are fully rewritten before use, so recycling cannot affect
+// results.
 type scratch struct {
-	events []event
-	coords []int64
+	ivs    []interval.Entry // x-interval of each non-empty box, ID its box index
+	coords []int64          // the tree's skeleton keys: every x-endpoint
+	// Event e < n is the top side of ivs[e], event n+e its bottom side;
+	// key is the sort key ^y, which orders y descending without overflow.
+	key         []int64
+	perm, spare []int32 // the events in sweep order, and the sort's spare buffer
+	tree        interval.Tree
 }
 
 // Pool is a freelist of sweep scratch buffers, owned by whoever runs many
@@ -103,67 +103,71 @@ func Overlaps(boxes []geom.Rect, fn func(a, b int)) (Stats, error) {
 // overlapsScratch runs one sweep using the given scratch buffers.
 func overlapsScratch(sc *scratch, boxes []geom.Rect, fn func(a, b int)) (Stats, error) {
 	var st Stats
-	events := sc.events[:0]
-	coords := sc.coords[:0]
+	ivs, coords := sc.ivs[:0], sc.coords[:0]
 	for i, b := range boxes {
 		if b.Empty() {
 			continue
 		}
-		events = append(events,
-			event{y: b.YHi, id: i, top: true},
-			event{y: b.YLo, id: i, top: false})
+		ivs = append(ivs, interval.Entry{Lo: b.XLo, Hi: b.XHi, ID: i})
 		coords = append(coords, b.XLo, b.XHi)
 	}
-	sc.events, sc.coords = events, coords
-	// Descending y; at equal y process top events (insertions) before
-	// bottom events (removals) so rectangles that merely touch in y are
-	// simultaneously live and get reported.
-	slices.SortFunc(events, func(a, b event) int {
-		if a.y != b.y {
-			if a.y > b.y {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.top && !b.top:
-			return -1
-		case b.top && !a.top:
-			return 1
-		}
-		return 0
-	})
-
-	tree := interval.NewTree(coords)
-	for _, ev := range events {
-		st.Events++
-		b := boxes[ev.id]
-		if ev.top {
-			st.TreeQueries++
-			tree.Query(b.XLo, b.XHi, func(e interval.Entry) {
-				st.PairsFound++
-				a, c := e.ID, ev.id
-				if a > c {
-					a, c = c, a
-				}
-				fn(a, c)
-			})
-			// Insert after querying so the rectangle does not report
-			// itself; endpoints are in the skeleton by construction, so a
-			// failed insert means the sweep state is corrupt — surface it
-			// to the caller instead of panicking library code.
-			if err := tree.Insert(b.XLo, b.XHi, ev.id); err != nil {
-				return st, fmt.Errorf("sweep: inserting interval [%d,%d] of box %d: %w",
-					b.XLo, b.XHi, ev.id, err)
-			}
-			if l := tree.Len(); l > st.MaxLive {
-				st.MaxLive = l
-			}
-		} else {
-			tree.Delete(b.XLo, b.XHi, ev.id)
-		}
+	sc.ivs, sc.coords = ivs, coords
+	n := len(ivs)
+	key, perm := grow(sc.key, 2*n), grow(sc.perm, 2*n)
+	for e, iv := range ivs {
+		b := &boxes[iv.ID]
+		key[e], key[n+e] = ^b.YHi, ^b.YLo
 	}
+	for e := range perm {
+		perm[e] = int32(e)
+	}
+	// Descending y; the sort is stable and every top event precedes every
+	// bottom event in perm, so at equal y insertions come before removals
+	// and rectangles that merely touch in y are simultaneously live and get
+	// reported.
+	perm, sc.spare = radix.Sort(perm, sc.spare, key)
+	sc.key, sc.perm = key, perm
+
+	tree := &sc.tree
+	tree.Reset(coords, ivs)
+	var cur int // box of the event being queried
+	report := func(e interval.Entry) {
+		st.PairsFound++
+		a, c := e.ID, cur
+		if a > c {
+			a, c = c, a
+		}
+		fn(a, c)
+	}
+	for _, ev := range perm {
+		st.Events++
+		if int(ev) >= n {
+			tree.Delete(int(ev) - n)
+			continue
+		}
+		iv := ivs[ev]
+		st.TreeQueries++
+		cur = iv.ID
+		tree.Query(iv.Lo, iv.Hi, report)
+		// Insert after querying so the rectangle does not report itself;
+		// endpoints are in the skeleton by construction, so a failed insert
+		// means the sweep state is corrupt — surface it to the caller
+		// instead of panicking library code.
+		if err := tree.Insert(int(ev)); err != nil {
+			return st, fmt.Errorf("sweep: inserting interval [%d,%d] of box %d: %w",
+				iv.Lo, iv.Hi, iv.ID, err)
+		}
+		st.MaxLive = max(st.MaxLive, tree.Len())
+	}
+	st.NodesVisited = tree.Visited()
 	return st, nil
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // OverlapsBetween reports overlapping pairs between two distinct rectangle

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -15,24 +16,23 @@ func pairsOf(boxes []geom.Rect) ([]Pair, Stats) {
 	if err != nil {
 		panic(err) // unreachable: endpoints are always in the skeleton
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	sortPairs(out)
 	return out, st
+}
+
+func sortPairs(ps []Pair) {
+	sort.Slice(ps, func(i, j int) bool {
+		if ps[i].A != ps[j].A {
+			return ps[i].A < ps[j].A
+		}
+		return ps[i].B < ps[j].B
+	})
 }
 
 func brutePairs(boxes []geom.Rect) []Pair {
 	var out []Pair
 	BruteForcePairs(boxes, func(a, b int) { out = append(out, Pair{a, b}) })
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	sortPairs(out)
 	return out
 }
 
@@ -173,4 +173,92 @@ func TestStatsReporting(t *testing.T) {
 	if st.PairsFound != 3 { // (0,1), (1,2), (0,2) corner touch
 		t.Errorf("pairs found = %d", st.PairsFound)
 	}
+}
+
+// TestQueryCostIsOutputSensitive: a staircase of thin boxes, a few live at
+// any y, plus in each y-band one wide box spanning every skeleton key. The
+// tree's skeleton holds every x-endpoint, live or not, so a tree that walked
+// every node inside a query's range would pay the whole skeleton for each
+// wide query; skipping subtrees with no live interval bounds the walk by the
+// search paths and the paths to the reported intervals.
+func TestQueryCostIsOutputSensitive(t *testing.T) {
+	const thin, band = 4096, 64
+	var boxes []geom.Rect
+	for i := int64(0); i < thin; i++ {
+		boxes = append(boxes, geom.R(3*i, i, 3*i+1, i+3))
+	}
+	for y := int64(10); y < thin; y += band {
+		boxes = append(boxes, geom.R(-1, y, 3*thin+1, y+1))
+	}
+	got, st := pairsOf(boxes)
+	if want := brutePairs(boxes); !eqPairs(got, want) {
+		t.Fatalf("%d pairs, brute force finds %d", len(got), len(want))
+	}
+	keys := 2*thin + 2 // distinct x-endpoints
+	depth := bits.Len(uint(keys - 1))
+	bound := 4 * (st.TreeQueries*depth + st.PairsFound)
+	if st.NodesVisited > bound {
+		t.Errorf("%d nodes visited for %d queries reporting %d pairs over %d keys; want <= %d",
+			st.NodesVisited, st.TreeQueries, st.PairsFound, keys, bound)
+	}
+}
+
+// fuzzBoxes decodes four bytes per box from a small grid, so empty,
+// zero-width, touching, nested and identical boxes are all common: a
+// negative extent makes the box empty, and a high x byte repeats the
+// previous box.
+func fuzzBoxes(data []byte) []geom.Rect {
+	var boxes []geom.Rect
+	for ; len(data) >= 4; data = data[4:] {
+		if data[0] >= 0xf0 && len(boxes) > 0 {
+			boxes = append(boxes, boxes[len(boxes)-1])
+			continue
+		}
+		x, y := int64(data[0]%32), int64(data[1]%32)
+		w, h := int64(data[2]%12)-1, int64(data[3]%12)-1
+		boxes = append(boxes, geom.Rect{XLo: x, YLo: y, XHi: x + w, YHi: y + h})
+	}
+	return boxes
+}
+
+// FuzzOverlaps holds Overlaps and OverlapsBetween to BruteForcePairs, the
+// pooled entry points included: the second pooled sweep reuses the first's
+// scratch, tree node list and slabs.
+func FuzzOverlaps(f *testing.F) {
+	f.Add([]byte{0, 0, 4, 4, 2, 2, 4, 4, 0xf0, 0, 0, 0, 4, 0, 0, 0}, uint8(1))
+	f.Add([]byte{1, 1, 0, 0, 1, 1, 0, 0, 5, 5, 1, 1, 9, 9, 3, 0}, uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
+		boxes := fuzzBoxes(data)
+		want := brutePairs(boxes)
+		if got, _ := pairsOf(boxes); !eqPairs(got, want) {
+			t.Fatalf("Overlaps: %v, brute force %v", got, want)
+		}
+		var p Pool
+		for _, bs := range [][]geom.Rect{boxes, boxes[:len(boxes)/2]} {
+			var got []Pair
+			if _, err := p.Overlaps(bs, func(a, b int) { got = append(got, Pair{a, b}) }); err != nil {
+				t.Fatal(err)
+			}
+			sortPairs(got)
+			if want := brutePairs(bs); !eqPairs(got, want) {
+				t.Fatalf("Pool.Overlaps over %d boxes: %v, brute force %v", len(bs), got, want)
+			}
+		}
+		na := int(split) % (len(boxes) + 1)
+		as, bs := boxes[:na], boxes[na:]
+		var got, wantB []Pair
+		if _, err := OverlapsBetween(as, bs, func(a, b int) { got = append(got, Pair{a, b}) }); err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range want {
+			if pr.A < na && pr.B >= na {
+				wantB = append(wantB, Pair{pr.A, pr.B - na})
+			}
+		}
+		sortPairs(got)
+		sortPairs(wantB)
+		if !eqPairs(got, wantB) {
+			t.Fatalf("OverlapsBetween split %d: %v, brute force %v", na, got, wantB)
+		}
+	})
 }
