@@ -135,6 +135,18 @@ func TestCheckers(t *testing.T) {
 				"arenaescape:76", "arenaescape:87", "arenaescape:101", "waiver:100"},
 		},
 		{
+			name:    "arenaescape: freelist.List handouts, whatever the instantiation",
+			file:    "arenaescape_list_src.go",
+			pkgPath: "example.com/internal/freelist",
+			want:    []string{"arenaescape:45", "arenaescape:50", "arenaescape:63"},
+		},
+		{
+			name:    "arenaescape: a List outside package freelist is not a scratch pool",
+			file:    "arenaescape_list_src.go",
+			pkgPath: "example.com/internal/other",
+			want:    []string{"arenaescape:63"},
+		},
+		{
 			name:    "ctxflow: background/todo, dropped ctx before fan-out",
 			file:    "ctxflow_src.go",
 			pkgPath: "example.com/internal/core",
@@ -151,7 +163,8 @@ func TestCheckers(t *testing.T) {
 			file:    "lockdiscipline_src.go",
 			pkgPath: "example.com/internal/geocache",
 			want: []string{"lockdiscipline:47", "lockdiscipline:50", "lockdiscipline:58",
-				"lockdiscipline:64", "lockdiscipline:75", "lockdiscipline:76"},
+				"lockdiscipline:64", "lockdiscipline:75", "lockdiscipline:76",
+				"lockdiscipline:95", "lockdiscipline:100"},
 		},
 		{
 			name:    "waivers suppress, stale waivers report",

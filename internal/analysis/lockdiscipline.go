@@ -10,14 +10,14 @@ import (
 // LockDiscipline machine-checks the mutex contracts that today live in
 // comments: a struct field annotated
 //
-//	free []*shardTable //odrc:guardedby mu
+//	free []T //odrc:guardedby mu
 //
 // may only be read or written with the named sibling mutex held in the same
 // function. Held-ness is tracked lexically through the function body —
 // base.mu.Lock()/RLock() acquires, Unlock()/RUnlock() releases, and a
 // deferred Unlock keeps the lock held to the end of the function. The base
-// expression must match between the lock and the access (p.mu guards p.free,
-// e.shards.mu guards e.shards.free), so independent instances stay
+// expression must match between the lock and the access (l.mu guards l.free,
+// a.rects.mu guards a.rects.free), so independent instances stay
 // independent. Annotations naming a nonexistent sibling are findings
 // themselves, so guards cannot rot silently.
 var LockDiscipline = &ProgramChecker{
@@ -275,6 +275,11 @@ func (lw *lockWalker) expr(n ast.Node, held map[string]bool) {
 			}
 		case *ast.SelectorExpr:
 			obj := lw.info.Uses[x.Sel]
+			if v, ok := obj.(*types.Var); ok {
+				// A generic struct's field is used through an instantiation,
+				// even in its own methods; the annotation is on the origin.
+				obj = v.Origin()
+			}
 			g, guarded := lw.guards[obj]
 			if !guarded {
 				return true

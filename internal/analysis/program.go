@@ -70,16 +70,20 @@ func typeName(t types.Type) string {
 	return t.String()
 }
 
-// exported reports whether the function is reachable from outside its
-// package: an exported name on either a package-level function or a method
-// of an exported type.
-func (fi *funcInfo) exported() bool {
+// boundary reports whether the function hands its results past the engine
+// boundary: an exported name on either a package-level function or a method
+// of an exported type — except a scratch pool's own methods, which are where
+// scratch originates rather than escapes.
+func (fi *funcInfo) boundary() bool {
 	if !fi.fn.Exported() {
 		return false
 	}
 	recv := fi.fn.Type().(*types.Signature).Recv()
 	if recv == nil {
 		return true
+	}
+	if _, pool := scratchPoolTypeName(recv.Type()); pool {
+		return false
 	}
 	t := recv.Type()
 	if p, ok := t.(*types.Pointer); ok {
@@ -223,9 +227,9 @@ func isShallowSeen(t types.Type, seen map[types.Type]bool) bool {
 
 // scratchPoolTypeName reports whether t (through pointers) is one of the
 // recycled scratch pools whose handed-out buffers must not outlive the run:
-// geocache.Arena, core's shardPool, and sweep.Pool. Arena and shardPool are
-// matched by type name (like sharedbuf, so fixtures stay self-contained);
-// the generic name "Pool" additionally requires the sweep package.
+// geocache.Arena, matched by type name (like sharedbuf, so fixtures stay
+// self-contained), and freelist.List, matched by its generic origin's name
+// and package, whatever it is instantiated with.
 func scratchPoolTypeName(t types.Type) (string, bool) {
 	for {
 		p, ok := t.(*types.Pointer)
@@ -238,13 +242,13 @@ func scratchPoolTypeName(t types.Type) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	obj := n.Obj()
+	obj := n.Origin().Obj()
 	switch obj.Name() {
-	case "Arena", "shardPool":
-		return obj.Name(), true
-	case "Pool":
-		if obj.Pkg() != nil && pkgIs(obj.Pkg().Path(), "internal/sweep") {
-			return "Pool", true
+	case "Arena":
+		return "Arena", true
+	case "List":
+		if obj.Pkg() != nil && pkgIs(obj.Pkg().Path(), "internal/freelist") {
+			return "List", true
 		}
 	}
 	return "", false
@@ -343,7 +347,7 @@ func (p *program) posString(pos token.Pos) string {
 }
 
 // exprPath flattens a selector/index chain to a stable textual key, e.g.
-// "e.shards" — used to match a mutex's base object against a guarded field's
+// "a.polys" — used to match a mutex's base object against a guarded field's
 // base object in lockdiscipline, and for readable messages.
 func exprPath(e ast.Expr) (string, bool) {
 	switch x := e.(type) {

@@ -285,7 +285,7 @@ func (ev *evaluator) returnStmt(st *ast.ReturnStmt) {
 		}
 		ev.sumSetRetScratch(k, val.scratch)
 		ev.sumOrRetParams(k, val.params)
-		if ev.reporting && val.scratch != nil && ev.fi.exported() {
+		if ev.reporting && val.scratch != nil && ev.fi.boundary() {
 			ev.report(st.Pos(),
 				"recycled scratch returned past the engine boundary: exported %s hands out a buffer that a Put will recycle under the caller (%s) — return a copy",
 				ev.fi.name(), chainString(val.scratch))

@@ -75,3 +75,27 @@ type badGuard struct {
 	n int //odrc:guardedby
 	m int //odrc:guardedby nosuch
 }
+
+// A generic guarded struct: inside its methods the field is used through
+// the instantiation, not the annotated declaration.
+type stack[T any] struct {
+	mu   sync.Mutex
+	free []T //odrc:guardedby mu
+}
+
+// TN: the generic method holds the lock.
+func (s *stack[T]) push(v T) {
+	s.mu.Lock()
+	s.free = append(s.free, v)
+	s.mu.Unlock()
+}
+
+// TP: the generic method forgot the lock (line 95).
+func (s *stack[T]) reset() {
+	s.free = nil
+}
+
+// TP: an access through a concrete instantiation (line 100).
+func peekInts(s *stack[int]) int {
+	return len(s.free)
+}

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"sync"
-
 	"opendrc/internal/checks"
+	"opendrc/internal/freelist"
 	"opendrc/internal/gpu"
 	"opendrc/internal/rules"
 )
@@ -31,34 +30,17 @@ type shard struct {
 // shardTable is a recycled slice of shards, tied to the freelist it came
 // from.
 type shardTable struct {
-	pool *shardPool
+	free *freelist.List[*shardTable]
 	s    []shard
 }
 
-// shardPool is a deterministic mutex-guarded freelist of shard tables, one
-// per engine. It is intentionally not a sync.Pool: pool contents would then
-// depend on process history (GC victim caches, race-mode put drops), and a
-// run's allocation sequence must stay a pure function of its inputs so
-// repeated identical runs interleave — and trace — identically.
-type shardPool struct {
-	mu   sync.Mutex
-	free []*shardTable //odrc:guardedby mu
-}
-
-// get returns a table of n empty shards. Backing arrays — the table and each
-// shard's violation and marker buffers — are recycled, so warm tables hand
-// out capacity without allocating.
-func (p *shardPool) get(n int) *shardTable {
-	p.mu.Lock()
-	var t *shardTable
-	if l := len(p.free); l > 0 {
-		t = p.free[l-1]
-		p.free[l-1] = nil
-		p.free = p.free[:l-1]
-	}
-	p.mu.Unlock()
+// takeShards returns a table of n empty shards from l. Backing arrays — the
+// table and each shard's violation and marker buffers — are recycled, so
+// warm tables hand out capacity without allocating.
+func takeShards(l *freelist.List[*shardTable], n int) *shardTable {
+	t := l.Get()
 	if t == nil {
-		t = &shardTable{pool: p}
+		t = &shardTable{free: l}
 	}
 	if cap(t.s) < n {
 		grown := make([]shard, n)
@@ -74,17 +56,10 @@ func (p *shardPool) get(n int) *shardTable {
 	return t
 }
 
-// put returns a table to the freelist.
-func (p *shardPool) put(t *shardTable) {
-	p.mu.Lock()
-	p.free = append(p.free, t)
-	p.mu.Unlock()
-}
-
 // discard recycles the table without merging — the fan-out failed and a
 // failed rule contributes nothing, keeping degraded reports independent of
 // which worker got how far.
-func (t *shardTable) discard() { t.pool.put(t) }
+func (t *shardTable) discard() { t.free.Put(t) }
 
 // mergeViolations appends every shard's violations and stats to the report
 // in shard-index order, then recycles the table. Appending copies the
@@ -94,7 +69,7 @@ func (t *shardTable) mergeViolations(rep *Report) {
 		rep.Violations = append(rep.Violations, t.s[i].vs...)
 		rep.Stats.add(t.s[i].stats)
 	}
-	t.pool.put(t)
+	t.free.Put(t)
 }
 
 // mergeMarkers appends every shard's markers to dst in shard-index order,
@@ -105,6 +80,6 @@ func (t *shardTable) mergeMarkers(dst []checks.Marker, rep *Report) []checks.Mar
 		dst = append(dst, t.s[i].markers...)
 		rep.Stats.add(t.s[i].stats)
 	}
-	t.pool.put(t)
+	t.free.Put(t)
 	return dst
 }

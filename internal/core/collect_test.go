@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"opendrc/internal/checks"
+	"opendrc/internal/freelist"
 	"opendrc/internal/geom"
 	"opendrc/internal/rules"
 )
@@ -11,8 +12,8 @@ import (
 // TestShardTableMergeOrder pins the determinism argument: shards merge in
 // index order regardless of which "worker" filled them first.
 func TestShardTableMergeOrder(t *testing.T) {
-	var pool shardPool
-	tbl := pool.get(3)
+	var pool freelist.List[*shardTable]
+	tbl := takeShards(&pool, 3)
 	// Fill out of order, as a racing fan-out would.
 	tbl.s[2].vs = append(tbl.s[2].vs, rules.Violation{Rule: "c"})
 	tbl.s[0].vs = append(tbl.s[0].vs, rules.Violation{Rule: "a"})
@@ -38,15 +39,15 @@ func TestShardTableMergeOrder(t *testing.T) {
 // their grown buffers, and that growing a table preserves the buffers of
 // the shards it already had.
 func TestShardTableReuse(t *testing.T) {
-	var pool shardPool
-	tbl := pool.get(2)
+	var pool freelist.List[*shardTable]
+	tbl := takeShards(&pool, 2)
 	for i := 0; i < 40; i++ {
 		tbl.s[0].vs = append(tbl.s[0].vs, rules.Violation{})
 		tbl.s[1].markers = append(tbl.s[1].markers, checks.Marker{})
 	}
 	tbl.discard()
 
-	tbl = pool.get(4) // grow past the previous size
+	tbl = takeShards(&pool, 4) // grow past the previous size
 	for i := range tbl.s {
 		if len(tbl.s[i].vs) != 0 || len(tbl.s[i].markers) != 0 {
 			t.Fatalf("shard %d not reset: %d violations, %d markers",
@@ -62,8 +63,8 @@ func TestShardTableReuse(t *testing.T) {
 // violation slice, preallocated here).
 func TestShardTableAllocsSteadyState(t *testing.T) {
 	const n = 16
-	var pool shardPool
-	warm := pool.get(n)
+	var pool freelist.List[*shardTable]
+	warm := takeShards(&pool, n)
 	for i := range warm.s {
 		for k := 0; k < 8; k++ {
 			warm.s[i].vs = append(warm.s[i].vs, rules.Violation{})
@@ -77,7 +78,7 @@ func TestShardTableAllocsSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(50, func() {
 		rep.Violations = rep.Violations[:0]
 		rep.Stats = Stats{}
-		tbl := pool.get(n)
+		tbl := takeShards(&pool, n)
 		for i := range tbl.s {
 			for k := 0; k < 8; k++ {
 				tbl.s[i].vs = append(tbl.s[i].vs, rules.Violation{Marker: m})

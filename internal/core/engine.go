@@ -21,6 +21,7 @@ import (
 
 	"opendrc/internal/budget"
 	"opendrc/internal/faults"
+	"opendrc/internal/freelist"
 	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/gpu"
@@ -109,10 +110,9 @@ type Engine struct {
 	opts Options
 	deck rules.Deck
 	// shards recycles fan-out output tables across the engine's rules (see
-	// collect.go) and sweeps the sweepline scratch; deterministic freelists,
-	// so engine runs stay pure functions of their inputs.
-	shards shardPool
-	sweeps sweep.Pool
+	// collect.go) and sweeps the sweepline scratch.
+	shards freelist.List[*shardTable]
+	sweeps freelist.List[*sweep.Scratch]
 	// plan is a session check's per-rule classification against the
 	// session's rule records (nil for batch runs and sessions that keep none):
 	// replay, skip, restrict with claim regions, or execute and re-record.

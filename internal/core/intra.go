@@ -91,7 +91,7 @@ func (e *Engine) runIntraSeq(ctx context.Context, lo *layout.Layout, r rules.Rul
 	defer rep.Profile.Phase("intra:" + r.Kind.String())()
 	cells := lo.LayerCells(r.Layer)
 	rp := e.restrictFor(r)
-	tbl := e.shards.get(len(cells))
+	tbl := takeShards(&e.shards, len(cells))
 	err := pool.ForEachCtx(trace.WithTask(ctx, "cell"), e.opts.Workers, len(cells), func(i int) error {
 		c := cells[i]
 		if err := e.opts.Faults.Hit(ctx, faults.SiteCell, c.Name); err != nil {

@@ -622,7 +622,7 @@ func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep
 		return nil
 	}
 	props := pc.dev.Props()
-	tbl := e.shards.get(len(rows))
+	tbl := takeShards(&e.shards, len(rows))
 	err := pool.ForEachCtx(trace.WithTask(ctx, "sweep-row"), e.opts.Workers, len(rows), func(ri int) error {
 		if inj := e.opts.Faults; inj != nil {
 			if err := inj.Hit(ctx, faults.SiteRow, fmt.Sprintf("%s/sweep-row#%d", r.ID, ri)); err != nil {

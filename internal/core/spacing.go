@@ -12,6 +12,7 @@ import (
 	"opendrc/internal/partition"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
+	"opendrc/internal/sweep"
 	"opendrc/internal/trace"
 )
 
@@ -154,7 +155,7 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 	// counters into its own recycled shard; shards merge in row order so the
 	// result is bit-identical for every worker count.
 	span := c.LayerMBR(r.Layer)
-	tbl := e.shards.get(len(rows))
+	tbl := takeShards(&e.shards, len(rows))
 	err := pool.ForEachCtx(trace.WithTask(ctx, "row"), e.opts.Workers, len(rows), func(ri int) error {
 		row := rows[ri]
 		if err := e.opts.Faults.Hit(ctx, faults.SiteRow,
@@ -183,7 +184,7 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 		stopSweep := rep.Profile.Phase("spacing:sweepline")
 		pairs := arena.Pairs()
 		defer func() { arena.PutPairs(pairs) }()
-		_, err := e.sweeps.Overlaps(rowBoxes, func(a, b int) {
+		_, err := e.overlaps(rowBoxes, func(a, b int) {
 			pairs = append(pairs, [2]int{row.Members[a], row.Members[b]})
 		})
 		stopSweep()
@@ -296,7 +297,7 @@ func (e *Engine) runSpacingFlat(ctx context.Context, lo *layout.Layout, r rules.
 		rep.Stats.PairsChecked++
 		checks.CheckNotchLim(polys[i].Shape, lim, emit)
 	}
-	_, err = e.sweeps.Overlaps(boxes, func(a, b int) {
+	_, err = e.overlaps(boxes, func(a, b int) {
 		rep.Stats.PairsConsidered++
 		rep.Stats.PairsChecked++
 		checks.CheckSpacingLim(polys[a].Shape, polys[b].Shape, lim, emit)
@@ -307,4 +308,15 @@ func (e *Engine) runSpacingFlat(ctx context.Context, lo *layout.Layout, r rules.
 	rep.Stats.DefsChecked += len(polys)
 	rep.Stats.InstancesEmitted += len(polys)
 	return nil
+}
+
+// overlaps is sweep.Overlaps on scratch recycled through the engine's
+// freelist; safe for concurrent row workers, each drawing its own.
+func (e *Engine) overlaps(boxes []geom.Rect, fn func(a, b int)) (sweep.Stats, error) {
+	sc := e.sweeps.Get()
+	if sc == nil {
+		sc = new(sweep.Scratch)
+	}
+	defer e.sweeps.Put(sc)
+	return sc.Overlaps(boxes, fn)
 }

@@ -107,7 +107,6 @@ type schedTenant struct {
 
 	// All guarded by the scheduler's mu.
 	pass       uint64    // stride pass: lowest pass is served next
-	burstUntil uint64    // pass front at the last idle join; below it the tenant is bursting
 	queue      []*fanout // FIFO of fan-outs with chunks left to hand out
 	inflight   int       // chunks currently executing
 	present    int       // open presence spans (checks in flight)
@@ -336,30 +335,16 @@ func (s *Scheduler) enqueue(f *fanout) bool {
 func (s *Scheduler) joinLocked(tenant string) *schedTenant {
 	t := s.tenants[tenant]
 	if t == nil {
-		t = &schedTenant{name: tenant, weight: s.weightFor(tenant)}
-		front := s.minActivePassLocked()
-		t.pass, t.burstUntil = warpedJoinPass(front), front
+		t = &schedTenant{name: tenant, weight: s.weightFor(tenant),
+			pass: warpedJoinPass(s.minActivePassLocked())}
 		s.tenants[tenant] = t
 		s.names = append(s.names, tenant)
 	} else if len(t.queue) == 0 && t.inflight == 0 && t.present == 0 {
-		front := s.minActivePassLocked()
-		if wp := warpedJoinPass(front); wp > t.pass {
+		if wp := warpedJoinPass(s.minActivePassLocked()); wp > t.pass {
 			t.pass = wp
 		}
-		t.burstUntil = front
 	}
 	return t
-}
-
-// burstingLocked reports that the tenant is still inside the latency
-// credit of its last idle join: its pass has not yet caught back up to the
-// front it joined behind. A bursting tenant is served caller-paced — the
-// reserved worker may help, the other shared workers keep out: on
-// few-core hosts, fanning a short burst across freshly-woken workers costs
-// more in switches and straggler joins than the parallelism returns, and a
-// continuously-busy tenant leaves burst within rejoinWarp takes anyway.
-func (s *Scheduler) burstingLocked(t *schedTenant) bool {
-	return s.policy == FairShare && t.pass < t.burstUntil
 }
 
 // enter opens a presence span for tenant: the whole latency-sensitive work
@@ -592,7 +577,7 @@ func (s *Scheduler) next(reserved bool) (f *fanout, lo, hi int, ok bool) {
 	s.mu.Lock()
 	for {
 		if f, t := s.pickLocked(); f != nil &&
-			(reserved || s.closed || !(s.gatedLocked(t) || s.burstingLocked(t))) {
+			(reserved || s.closed || !s.gatedLocked(t)) {
 			lo, hi := f.takeLocked()
 			t.inflight++
 			t.dispatched++

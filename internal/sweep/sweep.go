@@ -8,7 +8,6 @@ package sweep
 
 import (
 	"fmt"
-	"sync"
 
 	"opendrc/internal/geom"
 	"opendrc/internal/interval"
@@ -29,13 +28,14 @@ type Stats struct {
 	NodesVisited int // interval-tree nodes the queries entered
 }
 
-// scratch holds the per-sweep buffers: the boxes' x-intervals and skeleton
+// Scratch holds the per-sweep buffers: the boxes' x-intervals and skeleton
 // keys, the event order, and the interval tree with its node list and slabs.
 // Sweeps run once per partition row per rule, so callers on that hot path
-// recycle the buffers through a Pool instead of reallocating them for every
-// row; contents are fully rewritten before use, so recycling cannot affect
-// results.
-type scratch struct {
+// recycle a Scratch (the engine keeps a freelist.List of them) instead of
+// reallocating the buffers for every row; contents are fully rewritten
+// before use, so recycling cannot affect results. The zero value is ready
+// to use; one Scratch serves one sweep at a time.
+type Scratch struct {
 	ivs    []interval.Entry // x-interval of each non-empty box, ID its box index
 	coords []int64          // the tree's skeleton keys: every x-endpoint
 	// Event e < n is the top side of ivs[e], event n+e its bottom side;
@@ -45,63 +45,17 @@ type scratch struct {
 	tree        interval.Tree
 }
 
-// Pool is a freelist of sweep scratch buffers, owned by whoever runs many
-// sweeps (the engine allocates one per run). It is a plain mutex-guarded
-// stack rather than a package-level sync.Pool so that sweep allocation
-// behavior is a pure function of the owner's call sequence — no state
-// shared across runs, no GC- or race-detector-coupled eviction — which the
-// engine's repeated-run determinism (byte-identical traces) relies on. The
-// zero value is ready to use.
-type Pool struct {
-	mu   sync.Mutex
-	free []*scratch //odrc:guardedby mu
-}
-
-func (p *Pool) get() *scratch {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if l := len(p.free); l > 0 {
-		sc := p.free[l-1]
-		p.free[l-1] = nil
-		p.free = p.free[:l-1]
-		return sc
-	}
-	return new(scratch)
-}
-
-func (p *Pool) put(sc *scratch) {
-	p.mu.Lock()
-	p.free = append(p.free, sc)
-	p.mu.Unlock()
-}
-
-// Overlaps is the package function with recycled scratch: buffers come from
-// and return to the pool around one sweep. Safe for concurrent use.
-func (p *Pool) Overlaps(boxes []geom.Rect, fn func(a, b int)) (Stats, error) {
-	sc := p.get()
-	defer p.put(sc)
-	return overlapsScratch(sc, boxes, fn)
-}
-
-// OverlapsBetween is the package function with recycled scratch.
-func (p *Pool) OverlapsBetween(as, bs []geom.Rect, fn func(a, b int)) (Stats, error) {
-	boxes := make([]geom.Rect, 0, len(as)+len(bs))
-	boxes = append(boxes, as...)
-	boxes = append(boxes, bs...)
-	return p.Overlaps(boxes, betweenFn(len(as), fn))
-}
-
 // Overlaps reports every pair of rectangles that overlap or touch, invoking
 // fn once per pair with indices (a < b). Empty rectangles never interact.
 // The returned error reports a corrupted sweep state (an interval endpoint
 // missing from the skeleton — unreachable by construction but propagated
 // rather than panicking, per the failure-semantics policy in DESIGN.md).
 func Overlaps(boxes []geom.Rect, fn func(a, b int)) (Stats, error) {
-	return overlapsScratch(new(scratch), boxes, fn)
+	return new(Scratch).Overlaps(boxes, fn)
 }
 
-// overlapsScratch runs one sweep using the given scratch buffers.
-func overlapsScratch(sc *scratch, boxes []geom.Rect, fn func(a, b int)) (Stats, error) {
+// Overlaps is the package function on sc's recycled buffers.
+func (sc *Scratch) Overlaps(boxes []geom.Rect, fn func(a, b int)) (Stats, error) {
 	var st Stats
 	ivs, coords := sc.ivs[:0], sc.coords[:0]
 	for i, b := range boxes {
@@ -179,14 +133,8 @@ func OverlapsBetween(as, bs []geom.Rect, fn func(a, b int)) (Stats, error) {
 	boxes := make([]geom.Rect, 0, len(as)+len(bs))
 	boxes = append(boxes, as...)
 	boxes = append(boxes, bs...)
-	return Overlaps(boxes, betweenFn(len(as), fn))
-}
-
-// betweenFn adapts a two-set pair callback to union-sweep indices: pairs
-// within one set are ignored, cross-set pairs are reported as (a-index,
-// b-index).
-func betweenFn(na int, fn func(a, b int)) func(x, y int) {
-	return func(x, y int) {
+	na := len(as)
+	return Overlaps(boxes, func(x, y int) {
 		switch {
 		case x < na && y >= na:
 			fn(x, y-na)
@@ -194,7 +142,7 @@ func betweenFn(na int, fn func(a, b int)) func(x, y int) {
 			fn(y, x-na)
 		}
 		// same-set pairs are ignored
-	}
+	})
 }
 
 // BruteForcePairs is the quadratic reference used by tests and tiny inputs.

@@ -222,8 +222,8 @@ func fuzzBoxes(data []byte) []geom.Rect {
 }
 
 // FuzzOverlaps holds Overlaps and OverlapsBetween to BruteForcePairs, the
-// pooled entry points included: the second pooled sweep reuses the first's
-// scratch, tree node list and slabs.
+// recycled-scratch entry point included: the second sweep on one Scratch
+// reuses the first's buffers, tree node list and slabs.
 func FuzzOverlaps(f *testing.F) {
 	f.Add([]byte{0, 0, 4, 4, 2, 2, 4, 4, 0xf0, 0, 0, 0, 4, 0, 0, 0}, uint8(1))
 	f.Add([]byte{1, 1, 0, 0, 1, 1, 0, 0, 5, 5, 1, 1, 9, 9, 3, 0}, uint8(2))
@@ -233,15 +233,15 @@ func FuzzOverlaps(f *testing.F) {
 		if got, _ := pairsOf(boxes); !eqPairs(got, want) {
 			t.Fatalf("Overlaps: %v, brute force %v", got, want)
 		}
-		var p Pool
+		var sc Scratch
 		for _, bs := range [][]geom.Rect{boxes, boxes[:len(boxes)/2]} {
 			var got []Pair
-			if _, err := p.Overlaps(bs, func(a, b int) { got = append(got, Pair{a, b}) }); err != nil {
+			if _, err := sc.Overlaps(bs, func(a, b int) { got = append(got, Pair{a, b}) }); err != nil {
 				t.Fatal(err)
 			}
 			sortPairs(got)
 			if want := brutePairs(bs); !eqPairs(got, want) {
-				t.Fatalf("Pool.Overlaps over %d boxes: %v, brute force %v", len(bs), got, want)
+				t.Fatalf("Scratch.Overlaps over %d boxes: %v, brute force %v", len(bs), got, want)
 			}
 		}
 		na := int(split) % (len(boxes) + 1)
