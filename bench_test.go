@@ -62,7 +62,7 @@ func runTable(b *testing.B, ruleIDs []string) {
 				b.Run(name, func(b *testing.B) {
 					var modeled float64
 					for i := 0; i < b.N; i++ {
-						cell, err := bench.RunCell(lo, r, checker)
+						cell, err := bench.RunCellContext(context.Background(), lo, r, checker)
 						if err != nil {
 							b.Fatal(err)
 						}

@@ -1,10 +1,12 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
-# odrc-lint invariant suite (determinism, clock discipline, pool-only
-# concurrency, no caller-slice mutation), the full test suite under the
-# race detector (the worker-pool fan-out makes -race part of tier-1
-# verification; the chaos and cancellation suites run here too), the nested
-# benchmark module's own tests, a short fuzz smoke over the GDSII reader
+# odrc-lint invariant suite (its eight checks, DESIGN.md §5: deterministic
+# map iteration, clock discipline, pool-only concurrency, no caller-slice
+# mutation, immutable cached buffers, scratch that does not escape the run,
+# contexts that reach every fan-out, mutex-guarded fields), the full test
+# suite under the race detector (the worker-pool fan-out makes -race part of
+# tier-1 verification; the chaos and cancellation suites run here too), the
+# nested benchmark module's own tests, a short fuzz smoke over the GDSII reader
 # (differentially, against the streaming reference reader), the
 # polygon/transform algebra, the indexed hierarchy query, the layout build,
 # interleaved session operations (edit / check / delta check against a cold

@@ -9,15 +9,13 @@
 //
 // Usage:
 //
-//	odrc-lint [-C dir] [-check name[,name...]] [-json] [-workers n]
+//	odrc-lint
 //
-// It walks up from -C (default ".") to the enclosing go.mod, lints every
-// non-test package in the module, prints findings as "file:line: [check]
-// message" (or a JSON array with -json), and exits nonzero when any finding
-// (including a stale waiver) survives. -check restricts the run to the
-// named checkers — handy while developing a fixture — and rejects unknown
-// names with the list of valid ones. The per-package checkers fan out on
-// the worker pool; the summary line on stderr reports the elapsed cost so
+// It takes no flags or arguments. It walks up from the working directory to
+// the enclosing go.mod, runs every checker over every non-test package in
+// the module, prints findings as "file:line: [check] message", and exits 1
+// when any finding (including a stale waiver) survives, 2 on a usage or
+// load error. The summary line on stderr reports the elapsed cost so
 // check.sh lint time stays visible.
 package main
 
@@ -25,70 +23,30 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"opendrc/internal/analysis"
 )
 
 func main() {
-	dir := flag.String("C", ".", "directory inside the module to lint")
-	checks := flag.String("check", "", "comma-separated checker names to run (default: all)")
-	jsonOut := flag.Bool("json", false, "print findings as a JSON array instead of text")
-	workers := flag.Int("workers", 0, "per-package checker fan-out width (<= 0 selects GOMAXPROCS)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: odrc-lint (no flags or arguments)")
+		os.Exit(2)
+	}
 
 	start := time.Now() //odrc:allow clock — lint CLI self-timing for the check.sh cost line, not engine host work
-
-	root, err := findModuleRoot(*dir)
+	findings, err := analysis.Run(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "odrc-lint:", err)
 		os.Exit(2)
 	}
-	opts := analysis.Options{Workers: *workers}
-	if *checks != "" {
-		for _, name := range strings.Split(*checks, ",") {
-			opts.Checks = append(opts.Checks, strings.TrimSpace(name))
-		}
-	}
-	findings, stats, err := analysis.RunOpts(root, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "odrc-lint:", err)
-		os.Exit(2)
-	}
-	if *jsonOut {
-		if err := analysis.WriteJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "odrc-lint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	elapsed := time.Since(start).Round(time.Millisecond) //odrc:allow clock — lint CLI self-timing for the check.sh cost line, not engine host work
-	fmt.Fprintf(os.Stderr, "odrc-lint: %d package(s), %d checker(s), %d finding(s) in %s\n",
-		stats.Packages, stats.Checks, len(findings), elapsed)
+	fmt.Fprintf(os.Stderr, "odrc-lint: %d finding(s) in %s\n", len(findings), elapsed)
 	if len(findings) > 0 {
 		os.Exit(1)
-	}
-}
-
-// findModuleRoot walks up from dir to the nearest directory with a go.mod.
-func findModuleRoot(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for d := abs; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", fmt.Errorf("no go.mod above %s", abs)
-		}
-		d = parent
 	}
 }

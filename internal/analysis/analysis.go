@@ -1,20 +1,37 @@
 // Package analysis is odrc-lint: a static-analysis suite (stdlib go/ast +
 // go/types only) that machine-checks the repository's written invariants —
-// the rules DESIGN.md states in prose and PR reviews used to police by hand:
+// the rules DESIGN.md §5 states in prose and PR reviews used to police by
+// hand. Five checkers run one package at a time:
 //
 //   - maprange: deterministic packages must not iterate Go maps directly,
 //     because map order is randomized and violation/report order would come
 //     to depend on it. Keys must be collected and sorted first.
 //   - clock: host work must be timed through infra.Profiler / hostPhase so
 //     it enters the modeled CPU+GPU timeline; raw time.Now/time.Since calls
-//     outside internal/infra and internal/bench silently drift the modeled
-//     device clock.
+//     outside internal/infra, internal/bench and internal/trace silently
+//     drift the modeled device clock.
 //   - rawgo: all fan-out must ride the bounded worker pool (internal/pool);
 //     a raw `go` statement escapes the pool's panic propagation, its worker
 //     bound, and the race-tested code paths.
 //   - argmut: exported functions must not sort or append in place into a
 //     parameter slice (the DedupViolations bug class) — callers' slices must
 //     stay untouched.
+//   - sharedbuf: the geometry cache's shared buffers (PlacedPoly slices,
+//     Edges, MBRTable) are immutable outside the packages that produce them.
+//
+// Three more run over the whole module at once, on per-function dataflow
+// summaries (program.go, summary.go):
+//
+//   - arenaescape: scratch from geocache.Arena or a freelist.List must not
+//     outlive the run — no exported return, package variable or
+//     Report/cache store, across any number of calls.
+//   - ctxflow: contexts must flow — no Background/TODO outside package main,
+//     and no dropped ctx on the way to a pool fan-out.
+//   - lockdiscipline: a field annotated //odrc:guardedby mu is accessed only
+//     with the named mutex held.
+//
+// Run is the one entry point; it has no options. It feeds every package to
+// check, the same pipeline the fixture tests drive.
 //
 // Intentional exceptions are waived with a trailing comment on the offending
 // line:
@@ -82,45 +99,20 @@ var Checkers = []*Checker{MapRange, Clock, RawGo, ArgMut, SharedBuf}
 // comments themselves (malformed, unknown check, stale).
 const WaiverCheck = "waiver"
 
-// allCheckNames lists every checker, per-package and interprocedural, in
-// reporting order.
-func allCheckNames() []string {
-	var names []string
-	for _, c := range Checkers {
-		names = append(names, c.Name)
-	}
-	for _, c := range ProgramCheckers {
-		names = append(names, c.Name)
-	}
-	return names
-}
-
 // knownCheck reports whether name names a real checker (per-package or
 // interprocedural).
 func knownCheck(name string) bool {
-	for _, n := range allCheckNames() {
-		if n == name {
+	for _, c := range Checkers {
+		if c.Name == name {
+			return true
+		}
+	}
+	for _, c := range ProgramCheckers {
+		if c.Name == name {
 			return true
 		}
 	}
 	return false
-}
-
-// enabledSet validates a -check selection against the known checkers. An
-// empty selection enables everything (returned as nil).
-func enabledSet(names []string) (map[string]bool, error) {
-	if len(names) == 0 {
-		return nil, nil
-	}
-	valid := allCheckNames()
-	set := map[string]bool{}
-	for _, name := range names {
-		if !knownCheck(name) {
-			return nil, fmt.Errorf("unknown check %q (valid checks: %s)", name, strings.Join(valid, ", "))
-		}
-		set[name] = true
-	}
-	return set, nil
 }
 
 // pkgIs reports whether pkgPath's trailing segments equal suffix (e.g.
@@ -196,10 +188,8 @@ func splitWaiver(s string) (check, reason string, ok bool) {
 }
 
 // applyWaivers suppresses findings covered by a same-file same-line waiver
-// for the same check, then reports every waiver that excused nothing. A
-// waiver for a check outside the enabled set is ignored entirely (neither
-// suppressing nor stale), so -check runs do not flag unrelated waivers.
-func applyWaivers(findings []Finding, ws []*waiver, enabled map[string]bool) []Finding {
+// for the same check, then reports every waiver that excused nothing.
+func applyWaivers(findings []Finding, ws []*waiver) []Finding {
 	out := findings[:0]
 	for _, f := range findings {
 		waived := false
@@ -214,7 +204,7 @@ func applyWaivers(findings []Finding, ws []*waiver, enabled map[string]bool) []F
 		}
 	}
 	for _, w := range ws {
-		if !w.used && (enabled == nil || enabled[w.check]) {
+		if !w.used {
 			out = append(out, Finding{Pos: w.pos, Check: WaiverCheck,
 				Message: fmt.Sprintf("stale waiver: the line no longer triggers %q — remove the //odrc:allow", w.check)})
 		}
@@ -222,39 +212,32 @@ func applyWaivers(findings []Finding, ws []*waiver, enabled map[string]bool) []F
 	return out
 }
 
-// runPkgCheckers runs the enabled per-package checkers over one unit and
-// returns the raw (pre-waiver, unsorted) findings.
-func runPkgCheckers(fset *token.FileSet, u *pkgUnit, enabled map[string]bool) []Finding {
+// check runs every checker over the type-checked units — the per-package
+// checkers one package at a time, the interprocedural ones over all of them
+// as one program — applies the units' waivers module-wide, and returns the
+// surviving findings sorted. It is the one pipeline behind Run and the
+// fixture tests. Waivers apply module-wide because an interprocedural
+// finding can only be excused where it is reported, and a waiver is stale
+// when nothing in the entire run used it.
+func check(fset *token.FileSet, units []*pkgUnit) []Finding {
 	var findings []Finding
-	pass := &Pass{
-		Fset: fset, Files: u.files, Pkg: u.pkg, Info: u.info, PkgPath: u.path,
-		findings: &findings,
-	}
-	for _, c := range Checkers {
-		if enabled != nil && !enabled[c.Name] {
-			continue
+	for _, u := range units {
+		pass := &Pass{
+			Fset: fset, Files: u.files, Pkg: u.pkg, Info: u.info, PkgPath: u.path,
+			findings: &findings,
 		}
-		c.Run(pass)
+		for _, c := range Checkers {
+			c.Run(pass)
+		}
 	}
-	return findings
-}
-
-// checkPackage runs the full suite — per-package checkers plus the
-// interprocedural checkers on a one-package program — and returns the
-// post-waiver findings. It is the single-package pipeline the fixture tests
-// drive; Run composes the same pieces module-wide.
-func checkPackage(fset *token.FileSet, pkgPath string, files []*ast.File, pkg *types.Package, info *types.Info) []Finding {
-	return checkPackageChecks(fset, pkgPath, files, pkg, info, nil)
-}
-
-func checkPackageChecks(fset *token.FileSet, pkgPath string, files []*ast.File, pkg *types.Package, info *types.Info, enabled map[string]bool) []Finding {
-	unit := &pkgUnit{path: pkgPath, files: files, pkg: pkg, info: info}
-	findings := runPkgCheckers(fset, unit, enabled)
-	prog := buildProgram(fset, []*pkgUnit{unit})
-	findings = append(findings, runProgramCheckers(prog, enabled)...)
-	ws, bad := collectWaivers(fset, files)
-	findings = applyWaivers(findings, ws, enabled)
-	findings = append(findings, bad...)
+	findings = append(findings, runProgramCheckers(buildProgram(fset, units))...)
+	var ws []*waiver
+	for _, u := range units {
+		uws, bad := collectWaivers(fset, u.files)
+		ws = append(ws, uws...)
+		findings = append(findings, bad...)
+	}
+	findings = applyWaivers(findings, ws)
 	sortFindings(findings)
 	return findings
 }

@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"go/token"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -88,32 +86,11 @@ func itoa(n int) string {
 // TestRepoIsClean runs the full linter over this repository: the tree must
 // stay free of findings and stale waivers (check.sh enforces the same gate).
 func TestRepoIsClean(t *testing.T) {
-	root, err := moduleRootAbove(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := Run(root)
+	findings, err := Run(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
-	}
-}
-
-func moduleRootAbove(dir string) (string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", err
-	}
-	for d := abs; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d, nil
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", os.ErrNotExist
-		}
-		d = parent
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // lintFixture type-checks one testdata file as a package with the given
-// import path and runs the full suite (checkers + waivers) over it.
+// import path and runs it through check, the pipeline behind Run.
 func lintFixture(t *testing.T, pkgPath, file string) []Finding {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -28,7 +28,7 @@ func lintFixture(t *testing.T, pkgPath, file string) []Finding {
 	if err != nil {
 		t.Fatalf("type-check %s: %v", file, err)
 	}
-	return checkPackage(fset, pkgPath, []*ast.File{parsed}, pkg, info)
+	return check(fset, []*pkgUnit{{path: pkgPath, files: []*ast.File{parsed}, pkg: pkg, info: info}})
 }
 
 // keysOf compresses findings to "check:line" for table comparison.
@@ -138,7 +138,7 @@ func TestCheckers(t *testing.T) {
 			name:    "arenaescape: freelist.List handouts, whatever the instantiation",
 			file:    "arenaescape_list_src.go",
 			pkgPath: "example.com/internal/freelist",
-			want:    []string{"arenaescape:45", "arenaescape:50", "arenaescape:63"},
+			want:    []string{"arenaescape:45", "arenaescape:50", "arenaescape:63", "arenaescape:77"},
 		},
 		{
 			name:    "arenaescape: a List outside package freelist is not a scratch pool",

@@ -12,50 +12,22 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"opendrc/internal/pool"
 )
 
-// Options configures a lint run.
-type Options struct {
-	// Checks restricts the run to the named checkers (per-package or
-	// interprocedural). Empty means every checker.
-	Checks []string
-	// Workers bounds the per-package checker fan-out on the worker pool
-	// (<= 0 selects GOMAXPROCS). Loading and type-checking stay
-	// topo-ordered and sequential regardless.
-	Workers int
-}
-
-// Stats summarizes a lint run for the CLI's cost line.
-type Stats struct {
-	Packages int // packages loaded and checked
-	Checks   int // checkers run
-}
-
-// Run lints every non-test package under the module rooted at root (the
-// directory holding go.mod) and returns the surviving findings, sorted.
-// Finding filenames are reported relative to root.
-func Run(root string) ([]Finding, error) {
-	findings, _, err := RunOpts(root, Options{})
-	return findings, err
-}
-
-// RunOpts is Run with a checker selection and a worker bound. Packages are
-// parsed and type-checked in dependency order (imports first); the
-// per-package checkers then fan out package-parallel on the worker pool, and
-// the interprocedural checkers run once over the whole program. Findings are
-// sorted by (file, line, column, check) across all packages, so output never
-// depends on package-load or worker order.
-func RunOpts(root string, opts Options) ([]Finding, Stats, error) {
-	enabled, err := enabledSet(opts.Checks)
+// Run lints every non-test package of the module enclosing dir and returns
+// the surviving findings, sorted by (file, line, column, check) with
+// filenames relative to the module root. Packages are parsed and
+// type-checked in dependency order (imports first), then handed to check,
+// the same pipeline the fixture tests drive.
+func Run(dir string) ([]Finding, error) {
+	root, err := moduleRoot(dir)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	fset := token.NewFileSet()
 	pkgs, err := loadModule(fset, root)
 	if err != nil {
-		return nil, Stats{}, err
+		return nil, err
 	}
 	cache := map[string]*types.Package{}
 	imp := &moduleImporter{
@@ -68,38 +40,15 @@ func RunOpts(root string, opts Options) ([]Finding, Stats, error) {
 		info := newInfo()
 		tpkg, err := cfg.Check(pkg.path, fset, pkg.files, info)
 		if err != nil {
-			return nil, Stats{}, fmt.Errorf("type-checking %s: %w", pkg.path, err)
+			return nil, fmt.Errorf("type-checking %s: %w", pkg.path, err)
 		}
 		cache[pkg.path] = tpkg
 		units = append(units, &pkgUnit{path: pkg.path, files: pkg.files, pkg: tpkg, info: info})
 	}
 
-	// Per-package checkers are independent of each other: fan out one task
-	// per package, each writing its own result slot.
-	perPkg := make([][]Finding, len(units))
-	pool.ForEach(opts.Workers, len(units), func(i int) {
-		perPkg[i] = runPkgCheckers(fset, units[i], enabled)
-	})
-	var all []Finding
-	for _, fs := range perPkg {
-		all = append(all, fs...)
-	}
-
-	// The interprocedural checkers see the whole program at once.
-	prog := buildProgram(fset, units)
-	all = append(all, runProgramCheckers(prog, enabled)...)
-
-	// Waivers apply module-wide: an interprocedural finding can only be
-	// excused where it is reported, and a waiver is stale when nothing in
-	// the entire run used it.
-	var ws []*waiver
-	for _, u := range units {
-		uws, bad := collectWaivers(fset, u.files)
-		ws = append(ws, uws...)
-		all = append(all, bad...)
-	}
-	all = applyWaivers(all, ws, enabled)
-
+	// Every file lies under root, so making names root-relative keeps the
+	// sorted order.
+	all := check(fset, units)
 	prefix := root + string(filepath.Separator)
 	for i := range all {
 		if rel, err := filepath.Rel(root, all[i].Pos.Filename); err == nil {
@@ -108,12 +57,25 @@ func RunOpts(root string, opts Options) ([]Finding, Stats, error) {
 		// Escape chains embed positions too; keep them root-relative.
 		all[i].Message = strings.ReplaceAll(all[i].Message, prefix, "")
 	}
-	sortFindings(all)
-	stats := Stats{Packages: len(units), Checks: len(allCheckNames())}
-	if enabled != nil {
-		stats.Checks = len(enabled)
+	return all, nil
+}
+
+// moduleRoot walks up from dir to the nearest directory holding a go.mod.
+func moduleRoot(dir string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
 	}
-	return all, stats, nil
+	for d := abs; ; {
+		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
+			return d, nil
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return "", fmt.Errorf("no go.mod above %s", abs)
+		}
+		d = parent
+	}
 }
 
 func newInfo() *types.Info {

@@ -31,8 +31,6 @@ type program struct {
 
 	funcs   map[*types.Func]*funcInfo
 	ordered []*funcInfo // funcs in deterministic (file, position) order
-
-	summariesDone bool
 }
 
 // funcInfo is one function declaration of the module, with everything the
@@ -179,7 +177,10 @@ func (p *program) staticCallee(info *types.Info, call *ast.CallExpr) *funcInfo {
 	if !ok {
 		return nil
 	}
-	return p.funcs[fn]
+	// A method of an instantiated generic type resolves to its own
+	// *types.Func; the declaration, and so the summary, belongs to the
+	// generic origin.
+	return p.funcs[fn.Origin()]
 }
 
 // isContextType reports whether t is context.Context.
@@ -316,25 +317,13 @@ type ProgramChecker struct {
 // ProgramCheckers is the interprocedural suite, in reporting order.
 var ProgramCheckers = []*ProgramChecker{ArenaEscape, CtxFlow, LockDiscipline}
 
-// runProgramCheckers runs the selected interprocedural checkers over the
-// program and returns their findings (pre-waiver, unsorted).
-func runProgramCheckers(prog *program, enabled map[string]bool) []Finding {
+// runProgramCheckers runs the interprocedural checkers over the program and
+// returns their findings (pre-waiver, unsorted).
+func runProgramCheckers(prog *program) []Finding {
 	var findings []Finding
 	pass := &ProgPass{Prog: prog, findings: &findings, seen: map[string]bool{}}
-	need := false
-	for _, c := range ProgramCheckers {
-		if enabled == nil || enabled[c.Name] {
-			need = true
-		}
-	}
-	if !need {
-		return nil
-	}
 	computeSummaries(prog)
 	for _, c := range ProgramCheckers {
-		if enabled != nil && !enabled[c.Name] {
-			continue
-		}
 		c.Run(pass)
 	}
 	return findings

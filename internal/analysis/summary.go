@@ -39,10 +39,6 @@ func newSummary() *summary { return &summary{} }
 // bounded by the call-graph depth; the extra slack covers recursion, which
 // converges because summaries only grow.
 func computeSummaries(prog *program) {
-	if prog.summariesDone {
-		return
-	}
-	prog.summariesDone = true
 	for round := 0; round < len(prog.ordered)+2; round++ {
 		changed := false
 		for _, fi := range prog.ordered {

@@ -62,3 +62,17 @@ func (a *Arena) Buf() []int { return a.bufs.Get() }
 func LeakArena(a *Arena) []int {
 	return a.Buf()
 }
+
+var kept any
+
+// Box is a generic type whose method stores its argument persistently.
+type Box[T any] struct{}
+
+func (b *Box[T]) Keep(v T) { kept = v }
+
+// TP: scratch stored through a generic type's method; the callee is the
+// instantiated method, whose summary lives on its origin (line 77).
+func StoreViaGeneric(l *List[[]int], b *Box[[]int]) {
+	s := l.Get()
+	b.Keep(s)
+}

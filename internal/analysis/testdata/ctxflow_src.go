@@ -24,9 +24,9 @@ func RunAll(ctx context.Context, n int) error {
 	return ForEachCtx(ctx, n, func(int) error { return nil })
 }
 
-// Context-free compat wrapper, waived like the real pool.ForEach.
+// Context-free compat wrapper, waived like the real core.Engine.Check.
 func runAll(n int) error {
-	return ForEachCtx(context.Background(), n, func(int) error { return nil }) //odrc:allow ctxflow — fixture: compat wrapper, mirrors pool.ForEach
+	return ForEachCtx(context.Background(), n, func(int) error { return nil }) //odrc:allow ctxflow — fixture: compat wrapper, mirrors core.Engine.Check
 }
 
 // TP (interprocedural): Drive received a ctx but fans out through a

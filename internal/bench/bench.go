@@ -69,11 +69,6 @@ type Cell struct {
 	Supported  bool
 }
 
-// RunCell executes one rule with one checker with no deadline.
-func RunCell(lo *layout.Layout, r rules.Rule, c Checker) (Cell, error) {
-	return RunCellContext(context.Background(), lo, r, c) //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
-}
-
 // RunCellContext executes one rule with one checker under ctx. A degraded
 // engine report (a rule failure swallowed by fault isolation) is an error
 // here: benchmark numbers must come from complete runs.
@@ -182,11 +177,6 @@ func Layouts(scale float64) (map[string]*layout.Layout, error) {
 		out[name] = lo
 	}
 	return out, nil
-}
-
-// Run executes one table over the designs with no deadline.
-func Run(title string, layouts map[string]*layout.Layout, ruleIDs []string) (*Table, error) {
-	return RunContext(context.Background(), title, layouts, ruleIDs) //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
 }
 
 // RunContext executes one table over the designs under ctx; a timeout or

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func TestRunTableConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One spacing rule over all designs and all six checkers.
-	tbl, err := Run("test", lts, []string{"M2.S.1"})
+	tbl, err := RunContext(context.Background(), "test", lts, []string{"M2.S.1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestRunCellUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell, err := RunCell(lts["uart"], r, XCheck)
+	cell, err := RunCellContext(context.Background(), lts["uart"], r, XCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestFig4Breakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := Fig4(lts)
+	rows, err := Fig4Context(context.Background(), lts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +118,14 @@ func TestBreakdownProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof, err := BreakdownProfile(lts["uart"], "M1.S.1")
+	prof, err := BreakdownProfileContext(context.Background(), lts["uart"], "M1.S.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if prof.Total() <= 0 {
 		t.Error("empty profile")
 	}
-	if _, err := BreakdownProfile(lts["uart"], "NOPE"); err == nil {
+	if _, err := BreakdownProfileContext(context.Background(), lts["uart"], "NOPE"); err == nil {
 		t.Error("unknown rule accepted")
 	}
 }

@@ -82,17 +82,12 @@ type Fig4Row struct {
 	Other     float64
 }
 
-// fig4Runs is how many profiled runs Fig4 takes per design, keeping the fastest.
+// fig4Runs is how many profiled runs Fig4Context takes per design, keeping the fastest.
 const fig4Runs = 3
 
-// Fig4 profiles the sequential M1.S.1 check per design, reproducing the
-// paper's runtime breakdown (partition ≈ 15%, sweepline + interval tree ≈
-// 35%, edge-to-edge checks 40–50%).
-func Fig4(layouts map[string]*layout.Layout) ([]Fig4Row, error) {
-	return Fig4Context(context.Background(), layouts) //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
-}
-
-// Fig4Context is Fig4 under a context; cancellation aborts between designs.
+// Fig4Context profiles the sequential M1.S.1 check per design, reproducing
+// the paper's runtime breakdown (partition ≈ 15%, sweepline + interval tree
+// ≈ 35%, edge-to-edge checks 40–50%); cancellation aborts between designs.
 func Fig4Context(ctx context.Context, layouts map[string]*layout.Layout) ([]Fig4Row, error) {
 	r, err := synth.RuleByID("M1.S.1")
 	if err != nil {
@@ -205,13 +200,9 @@ func AblationsContext(ctx context.Context, w io.Writer, scale float64) error {
 	return nil
 }
 
-// BreakdownProfile exposes the raw profiler of a sequential spacing run for
-// one design (used by cmd/odrc-bench -fig 4 -design X).
-func BreakdownProfile(lo *layout.Layout, ruleID string) (*infra.Profiler, error) {
-	return BreakdownProfileContext(context.Background(), lo, ruleID) //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
-}
-
-// BreakdownProfileContext is BreakdownProfile under a context.
+// BreakdownProfileContext returns the raw profiler of a sequential run of
+// one rule on one design under ctx: the phase totals Fig4Context reduces to
+// a breakdown row.
 func BreakdownProfileContext(ctx context.Context, lo *layout.Layout, ruleID string) (*infra.Profiler, error) {
 	r, err := synth.RuleByID(ruleID)
 	if err != nil {

@@ -9,12 +9,6 @@ import (
 	"opendrc/internal/trace"
 )
 
-// TraceRun runs the full evaluation deck on one design with the given
-// recorder attached and no deadline. See TraceRunContext.
-func TraceRun(design string, mode core.Mode, scale float64, workers int, rec *trace.Recorder) (*core.Report, error) {
-	return TraceRunContext(context.Background(), design, mode, scale, workers, rec) //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
-}
-
 // TraceRunContext runs the full evaluation deck on one design under ctx
 // with the given recorder attached, producing a representative timeline of
 // a whole check (every rule kind, the geometry cache warming up, the pool

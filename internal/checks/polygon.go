@@ -126,11 +126,6 @@ func CheckRectilinear(p geom.Polygon) (Marker, bool) {
 	return Marker{Box: p.MBR()}, true
 }
 
-// InteractionDistance returns how far a rule with the given minimum can
-// reach beyond a polygon's own MBR — the amount by which MBRs must be
-// expanded so that non-overlap proves no violation (Section IV-C).
-func InteractionDistance(min int64) int64 { return min }
-
 // EvaluateEnclosure resolves the enclosure rule for one inner shape (via)
 // against its candidate outer shapes (metal polygons whose MBR is near the
 // via): the via passes when at least one candidate contains it with margin

@@ -3,15 +3,18 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"opendrc/internal/checks"
 	"opendrc/internal/gdsii"
 	"opendrc/internal/geom"
+	"opendrc/internal/klayout"
 	"opendrc/internal/layout"
 	"opendrc/internal/partition"
 	"opendrc/internal/rules"
 	"opendrc/internal/synth"
+	"opendrc/internal/xcheck"
 )
 
 // loadDesign builds a scaled benchmark design once per test binary.
@@ -221,20 +224,44 @@ func TestMagnifiedIntraChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deck := rules.Deck{rules.Layer(layout.LayerM1).Width().AtLeast(18).Named("W")}
-	for _, mode := range []Mode{Sequential, Parallel} {
-		rep := runEngine(t, lo, Options{Mode: mode}, deck)
-		if n := len(rep.Violations); n != 1 {
-			t.Fatalf("%v: violations = %d, want 1 (only the mag-1 instance)", mode, n)
+	// The bar's area, 1600, fails 2000 at mag 1 and passes (6400) at mag 2.
+	width := rules.Layer(layout.LayerM1).Width().AtLeast(18).Named("W")
+	area := rules.Layer(layout.LayerM1).Area().AtLeast(2000).Named("A")
+	wantOne := func(who string, vs []rules.Violation) {
+		t.Helper()
+		if len(vs) != 1 {
+			t.Fatalf("%s: violations = %v, want 1 (only the mag-1 instance)", who, vs)
 		}
-		if rep.Violations[0].Marker.Box != geom.R(0, 0, 16, 100) {
-			t.Errorf("%v: violation at %v", mode, rep.Violations[0].Marker.Box)
-		}
-		if rep.Stats.DefsChecked != 2 || rep.Stats.ChecksReused != 0 {
-			t.Errorf("%v: %d definition checks, %d reused; want one per magnification, none reused",
-				mode, rep.Stats.DefsChecked, rep.Stats.ChecksReused)
+		if vs[0].Marker.Box != geom.R(0, 0, 16, 100) {
+			t.Errorf("%s: violation at %v", who, vs[0].Marker.Box)
 		}
 	}
+	ctx := context.Background()
+	for _, r := range []rules.Rule{width, area} {
+		for _, mode := range []Mode{Sequential, Parallel} {
+			rep := runEngine(t, lo, Options{Mode: mode}, rules.Deck{r})
+			wantOne(fmt.Sprintf("%s %v", r, mode), rep.Violations)
+			if rep.Stats.DefsChecked != 2 || rep.Stats.ChecksReused != 0 {
+				t.Errorf("%s %v: %d definition checks, %d reused; want one per magnification, none reused",
+					r, mode, rep.Stats.DefsChecked, rep.Stats.ChecksReused)
+			}
+		}
+		// The baselines scale the same way: flat and tiling see the
+		// magnified geometry, deep replays its definition checks per
+		// magnification.
+		for _, mode := range []klayout.Mode{klayout.Flat, klayout.Deep, klayout.Tiling} {
+			res, err := klayout.CheckContext(ctx, lo, r, klayout.Options{Mode: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOne(fmt.Sprintf("%s KLayout %v", r, mode), res.Violations)
+		}
+	}
+	res, err := xcheck.CheckContext(ctx, lo, width, xcheck.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantOne("W X-Check", res.Violations)
 }
 
 func TestMagnifiedInterRuleRejected(t *testing.T) {

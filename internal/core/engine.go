@@ -866,10 +866,3 @@ func checkMagRestriction(lo *layout.Layout, deck rules.Deck) error {
 	}
 	return nil
 }
-
-func ceilDiv(a, b int64) int64 {
-	if b <= 0 {
-		return a
-	}
-	return (a + b - 1) / b
-}

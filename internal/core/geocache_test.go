@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strconv"
@@ -65,7 +66,7 @@ func TestGeoCacheIdentityMatrix(t *testing.T) {
 		}
 		var flat []rules.Violation
 		for _, r := range reuseTestDeck() {
-			res, err := klayout.Check(lo, r, klayout.Options{Mode: klayout.Flat})
+			res, err := klayout.CheckContext(context.Background(), lo, r, klayout.Options{Mode: klayout.Flat})
 			if err != nil {
 				t.Fatal(err)
 			}

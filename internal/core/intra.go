@@ -45,36 +45,6 @@ func intraMarkers(dst []checks.Marker, c *layout.Cell, r rules.Rule, min int64) 
 	return out
 }
 
-// scaledIntraMin converts the rule threshold into a cell frame instantiated
-// with magnification mag: a local measure x appears globally as x·mag
-// (x·mag² for areas), so the local threshold is the ceiling division.
-func scaledIntraMin(r rules.Rule, mag int64) int64 {
-	switch r.Kind {
-	case rules.Width:
-		return ceilDiv(r.Min, mag)
-	case rules.Area:
-		return ceilDiv(2*r.Min, mag*mag) // doubled area threshold
-	}
-	return r.Min
-}
-
-// rescaleMarker maps a local marker into the instance frame.
-func rescaleMarker(m checks.Marker, t geom.Transform, r rules.Rule) checks.Marker {
-	m.Box = t.ApplyRect(m.Box)
-	m.EdgeA = m.EdgeA.Transform(t)
-	m.EdgeB = m.EdgeB.Transform(t)
-	mag := t.Mag
-	if mag > 1 && m.Dist >= 0 {
-		switch {
-		case m.Corner || r.Kind == rules.Area:
-			m.Dist *= mag * mag // squared distances and doubled areas
-		default:
-			m.Dist *= mag
-		}
-	}
-	return m
-}
-
 // runIntraSeq executes one intra-polygon rule in the sequential mode with
 // the hierarchy task pruning of Section IV-C: each cell definition is
 // checked once per distinct magnification, and the result is replayed for
@@ -112,14 +82,14 @@ func (e *Engine) runIntraSeq(ctx context.Context, lo *layout.Layout, r rules.Rul
 		sh := &tbl.s[i]
 		if e.opts.DisablePruning {
 			for _, t := range insts {
-				sh.markers = intraMarkers(sh.markers[:0], c, r, scaledIntraMin(r, t.Magnification()))
+				sh.markers = intraMarkers(sh.markers[:0], c, r, r.IntraMin(t.Magnification()))
 				sh.stats.reuse(1)
 				sh.vs = appendMarkers(sh.vs, r, c.Name, sh.markers, t)
 			}
 			return nil
 		}
 		for _, g := range magGroups(insts) {
-			sh.markers = intraMarkers(sh.markers[:0], c, r, scaledIntraMin(r, g.mag))
+			sh.markers = intraMarkers(sh.markers[:0], c, r, r.IntraMin(g.mag))
 			sh.stats.reuse(len(g.insts))
 			for _, t := range g.insts {
 				sh.vs = appendMarkers(sh.vs, r, c.Name, sh.markers, t)
@@ -174,7 +144,7 @@ func appendMarkers(dst []rules.Violation, r rules.Rule, cell string, markers []c
 	for _, m := range markers {
 		dst = append(dst, rules.Violation{
 			Rule: r.ID, Kind: r.Kind, Layer: r.Layer,
-			Marker: rescaleMarker(m, t, r), Cell: cell,
+			Marker: r.InstanceMarker(m, t), Cell: cell,
 		})
 	}
 	return dst

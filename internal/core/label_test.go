@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestCustomRuleNamesUseSameLayerLabels(t *testing.T) {
 		func(o rules.Obj) bool { return o.Name != "" }).Named("NAME")
 	var want map[string]bool
 	for _, mode := range []klayout.Mode{klayout.Flat, klayout.Deep, klayout.Tiling} {
-		res, err := klayout.Check(lo, r, klayout.Options{Mode: mode})
+		res, err := klayout.CheckContext(context.Background(), lo, r, klayout.Options{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}

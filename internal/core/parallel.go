@@ -427,7 +427,7 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 			i := owner[h.A]
 			defMarkers[i] = append(defMarkers[i], h.Marker)
 		}
-		min := scaledIntraMin(r, mag)
+		min := r.IntraMin(mag)
 		stopSim := rep.Profile.Phase(simPhase)
 		switch r.Kind {
 		case rules.Width:

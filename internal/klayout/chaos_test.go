@@ -28,14 +28,14 @@ func TestFlatFallsBackToTiling(t *testing.T) {
 	if est := flattenEstimate(lo, r.Layer); est < 2 {
 		t.Fatalf("flattenEstimate = %d; design too small to trip a budget", est)
 	}
-	unlimited, err := Check(lo, r, Options{Mode: Flat})
+	unlimited, err := CheckContext(context.Background(), lo, r, Options{Mode: Flat})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if unlimited.FellBack {
 		t.Fatal("unlimited run fell back")
 	}
-	capped, err := Check(lo, r, Options{Mode: Flat, Budgets: budget.Limits{MaxFlattenPolys: 1}})
+	capped, err := CheckContext(context.Background(), lo, r, Options{Mode: Flat, Budgets: budget.Limits{MaxFlattenPolys: 1}})
 	if err != nil {
 		t.Fatalf("capped flat run failed instead of falling back: %v", err)
 	}
@@ -47,7 +47,7 @@ func TestFlatFallsBackToTiling(t *testing.T) {
 			len(capped.Violations), len(unlimited.Violations))
 	}
 	// A budget above the estimate must not trigger the fallback.
-	roomy, err := Check(lo, r, Options{Mode: Flat,
+	roomy, err := CheckContext(context.Background(), lo, r, Options{Mode: Flat,
 		Budgets: budget.Limits{MaxFlattenPolys: flattenEstimate(lo, r.Layer) + 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestTileFaultPropagates(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 8} {
 		inj := faults.New(5, faults.Injection{Site: faults.SiteTile, Key: "tile#0", Mode: faults.Error})
-		res, err := Check(lo, r, Options{Mode: Tiling, Workers: workers, Faults: inj})
+		res, err := CheckContext(context.Background(), lo, r, Options{Mode: Tiling, Workers: workers, Faults: inj})
 		if res != nil {
 			t.Fatalf("workers=%d: faulted tiling run returned a result", workers)
 		}

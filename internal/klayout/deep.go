@@ -2,6 +2,7 @@ package klayout
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"opendrc/internal/checks"
@@ -90,8 +91,9 @@ func checkDeep(ctx context.Context, lo *layout.Layout, r rules.Rule, res *Result
 	}
 }
 
-// deepIntra computes per definition, then builds each instance's variant
-// (transforming its geometry) and maps the markers through it.
+// deepIntra computes per definition and magnification, then builds each
+// instance's variant (transforming its geometry) and maps the markers
+// through it.
 func deepIntra(ctx context.Context, lo *layout.Layout, r rules.Rule, emit func(checks.Marker)) error {
 	placements := lo.Placements()
 	for _, c := range lo.LayerCells(r.Layer) {
@@ -102,23 +104,33 @@ func deepIntra(ctx context.Context, lo *layout.Layout, r rules.Rule, emit func(c
 		if len(idx) == 0 {
 			continue
 		}
-		var defMarkers []checks.Marker
-		for _, pi := range idx {
-			p := c.Polys[pi].Shape
-			name := c.LabelIn(c.Polys[pi].Layer, p)
-			checkPolyIntra(p, name, r, func(m checks.Marker) { defMarkers = append(defMarkers, m) })
-		}
+		// Definition results by magnification, checked on first use: a
+		// magnified instance scales the threshold, so it cannot replay the
+		// unit-scale result.
+		var mags []int64
+		var defMarkers [][]checks.Marker
 		for _, t := range placements[c.ID] {
+			mag := t.Magnification()
+			g := slices.Index(mags, mag)
+			if g < 0 {
+				var ms []checks.Marker
+				min := r.IntraMin(mag)
+				for _, pi := range idx {
+					p := c.Polys[pi].Shape
+					name := c.LabelIn(c.Polys[pi].Layer, p)
+					checkPolyIntra(p, name, r, min, func(m checks.Marker) { ms = append(ms, m) })
+				}
+				g = len(mags)
+				mags = append(mags, mag)
+				defMarkers = append(defMarkers, ms)
+			}
 			// Variant build: the instance geometry is materialized even
 			// when the definition produced no markers.
 			variant := deepItem{cell: c, trans: t}
 			shapes := variant.materialize(r.Layer)
 			_ = shapes
-			for _, m := range defMarkers {
-				m.Box = t.ApplyRect(m.Box)
-				m.EdgeA = m.EdgeA.Transform(t)
-				m.EdgeB = m.EdgeB.Transform(t)
-				emit(m)
+			for _, m := range defMarkers[g] {
+				emit(r.InstanceMarker(m, t))
 			}
 		}
 	}

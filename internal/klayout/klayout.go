@@ -106,11 +106,6 @@ type Result struct {
 	FellBack bool
 }
 
-// Check runs one rule in the configured mode with no deadline.
-func Check(lo *layout.Layout, r rules.Rule, opts Options) (*Result, error) {
-	return CheckContext(context.Background(), lo, r, opts) //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
-}
-
 // CheckContext runs one rule in the configured mode under ctx. Cancellation
 // is cooperative (checked per instance cluster, tile, or flatten batch); a
 // cancelled run returns a nil result and an error wrapping ctx.Err().
@@ -176,13 +171,14 @@ func emitFn(res *Result, r rules.Rule) func(checks.Marker) {
 	}
 }
 
-// checkPolyIntra dispatches one flat polygon through an intra-polygon rule.
-func checkPolyIntra(p geom.Polygon, name string, r rules.Rule, emit func(checks.Marker)) {
+// checkPolyIntra dispatches one polygon through an intra-polygon rule, with
+// min the rule's threshold in the polygon's frame (Rule.IntraMin).
+func checkPolyIntra(p geom.Polygon, name string, r rules.Rule, min int64, emit func(checks.Marker)) {
 	switch r.Kind {
 	case rules.Width:
-		checks.CheckWidth(p, r.Min, emit)
+		checks.CheckWidth(p, min, emit)
 	case rules.Area:
-		if m, bad := checks.CheckArea(p, 2*r.Min); bad {
+		if m, bad := checks.CheckArea(p, min); bad {
 			emit(m)
 		}
 	case rules.Rectilinear:
@@ -266,7 +262,7 @@ func checkFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Option
 					return err
 				}
 			}
-			checkPolyIntra(pp.Shape, flatName(pp), r, emit)
+			checkPolyIntra(pp.Shape, flatName(pp), r, r.IntraMin(1), emit)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package klayout
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -47,15 +48,15 @@ func eqSets(a, b map[string]bool) bool {
 func TestModesAgreeOnAllRules(t *testing.T) {
 	lo := load(t, "uart", 0.8)
 	for _, r := range synth.Deck() {
-		flat, err := Check(lo, r, Options{Mode: Flat})
+		flat, err := CheckContext(context.Background(), lo, r, Options{Mode: Flat})
 		if err != nil {
 			t.Fatalf("%s flat: %v", r.ID, err)
 		}
-		deep, err := Check(lo, r, Options{Mode: Deep})
+		deep, err := CheckContext(context.Background(), lo, r, Options{Mode: Deep})
 		if err != nil {
 			t.Fatalf("%s deep: %v", r.ID, err)
 		}
-		tile, err := Check(lo, r, Options{Mode: Tiling, TileSize: 3000})
+		tile, err := CheckContext(context.Background(), lo, r, Options{Mode: Tiling, TileSize: 3000})
 		if err != nil {
 			t.Fatalf("%s tiling: %v", r.ID, err)
 		}
@@ -80,7 +81,7 @@ func TestFlatFindsInjected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Check(lo, r, Options{Mode: Flat})
+		res, err := CheckContext(context.Background(), lo, r, Options{Mode: Flat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestFlatFindsInjected(t *testing.T) {
 func TestTilingReportsTilesAndMakespan(t *testing.T) {
 	lo := load(t, "uart", 0.8)
 	r, _ := synth.RuleByID("M1.S.1")
-	res, err := Check(lo, r, Options{Mode: Tiling, TileSize: 2000, Threads: 8})
+	res, err := CheckContext(context.Background(), lo, r, Options{Mode: Tiling, TileSize: 2000, Threads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +117,11 @@ func TestTilingOwnershipNoDuplicates(t *testing.T) {
 	lo := load(t, "uart", 1)
 	r, _ := synth.RuleByID("M2.S.1")
 	// Tiny tiles maximize halo overlap; dedup must still hold.
-	small, err := Check(lo, r, Options{Mode: Tiling, TileSize: 800})
+	small, err := CheckContext(context.Background(), lo, r, Options{Mode: Tiling, TileSize: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := Check(lo, r, Options{Mode: Flat})
+	flat, err := CheckContext(context.Background(), lo, r, Options{Mode: Flat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +161,10 @@ func TestMakespan(t *testing.T) {
 
 func TestInvalidRule(t *testing.T) {
 	lo := load(t, "uart", 0.3)
-	if _, err := Check(lo, rules.Rule{Kind: rules.Width}, Options{}); err == nil {
+	if _, err := CheckContext(context.Background(), lo, rules.Rule{Kind: rules.Width}, Options{}); err == nil {
 		t.Error("invalid rule accepted")
 	}
-	if _, err := Check(lo, synth.Deck()[0], Options{Mode: Mode(9)}); err == nil {
+	if _, err := CheckContext(context.Background(), lo, synth.Deck()[0], Options{Mode: Mode(9)}); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
@@ -233,7 +234,7 @@ func TestKLayoutAgreesWithOpenDRCOnRandomLayouts(t *testing.T) {
 			}
 			want := dedupKeys(rep.Violations)
 			for _, mode := range []Mode{Flat, Deep, Tiling} {
-				res, err := Check(lo, r, Options{Mode: mode, TileSize: 150})
+				res, err := CheckContext(context.Background(), lo, r, Options{Mode: mode, TileSize: 150})
 				if err != nil {
 					t.Fatalf("trial %d %s %v: %v", trial, r.ID, mode, err)
 				}

@@ -147,7 +147,7 @@ func tileCheck(lo *layout.Layout, r rules.Rule, tile geom.Rect, halo int64, emit
 		}
 	default:
 		for _, pp := range polys {
-			checkPolyIntra(pp.Shape, flatName(pp), r, emit)
+			checkPolyIntra(pp.Shape, flatName(pp), r, r.IntraMin(1), emit)
 		}
 	}
 	return true, nil

@@ -1,6 +1,7 @@
 package klayout
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestTilingWorkerCountDeterminism(t *testing.T) {
 		var refViols any
 		var refTiles int
 		for _, workers := range []int{1, 8} {
-			res, err := Check(lo, r, Options{Mode: Tiling, TileSize: 3000, Workers: workers})
+			res, err := CheckContext(context.Background(), lo, r, Options{Mode: Tiling, TileSize: 3000, Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", r.ID, workers, err)
 			}

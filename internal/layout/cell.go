@@ -331,10 +331,6 @@ func (lo *Layout) LayerCells(l Layer) []*Cell {
 	return out
 }
 
-// LayerPolys returns the inverted index for a layer: every polygon
-// definition on the layer across all cells.
-func (lo *Layout) LayerPolys(l Layer) []PolyRef { return lo.inverted[l] }
-
 // NumPolysOnLayer returns the number of polygon *definitions* on the layer
 // (not instance-expanded).
 func (lo *Layout) NumPolysOnLayer(l Layer) int { return len(lo.inverted[l]) }

@@ -1,10 +1,11 @@
 // Package pool is OpenDRC's host fan-out: the execution layer behind the
 // engine's multi-core work (per cell definition in the intra checks, per
 // partition row in the spacing sweep, per tile in the KLayout tiling
-// baseline). It is deliberately small: an indexed ForEach whose callers
+// baseline). It is deliberately small: an indexed ForEachCtx whose callers
 // write results into per-index slots, so merged output is bit-identical
-// regardless of the worker count, with panic propagation to the caller; Go,
-// the same fan-out detached into the background; and the tenant-fair
+// regardless of the worker count, with a worker's panic returned to the
+// caller as an error; Go, the same fan-out detached into the background;
+// and the tenant-fair
 // Scheduler (sched.go), which routes the same fan-out's chunks through a
 // shared worker set.
 //
@@ -34,8 +35,8 @@ func Workers(n int) int {
 	return n
 }
 
-// PanicError wraps a panic recovered inside a worker so ForEach can
-// re-panic it on the calling goroutine with the worker's stack preserved.
+// PanicError wraps a panic recovered inside a worker so ForEachCtx can
+// return it to the caller with the worker's stack preserved.
 type PanicError struct {
 	Value any    // the original panic value
 	Stack []byte // the panicking worker's stack
@@ -44,24 +45,6 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("pool: worker panic: %v\n%s", e.Value, e.Stack)
-}
-
-// ForEach runs fn(0..n-1) on up to `workers` goroutines (<= 0 selects
-// GOMAXPROCS) and returns when every index completed. Indices are handed
-// out dynamically in chunks, so uneven task costs balance across workers
-// without paying per-index dispatch. With one worker (or one index) fn runs
-// inline on the caller — zero overhead and byte-identical scheduling to a
-// plain loop. If any fn panics, ForEach finishes the remaining indices on
-// the surviving workers and then re-panics the first *PanicError on the
-// caller.
-func ForEach(workers, n int, fn func(i int)) {
-	err := ForEachCtx(context.Background(), workers, n, func(i int) error { //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
-		fn(i)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
 }
 
 // indexedErr pairs a task error with the index it occurred at, so the
@@ -89,9 +72,11 @@ func chunkFor(workers, n int) int {
 	return c
 }
 
-// ForEachCtx runs fn(0..n-1) on up to `workers` goroutines with cooperative
-// cancellation and error propagation. Scheduling matches ForEach (dynamic
-// chunked handout, inline fast path for one worker or one index). When fn
+// ForEachCtx runs fn(0..n-1) on up to `workers` goroutines (<= 0 selects
+// GOMAXPROCS) with cooperative cancellation and error propagation. Indices
+// are handed out dynamically in chunks, so uneven task costs balance across
+// workers without paying per-index dispatch; with one worker (or one index)
+// fn runs inline on the caller, in index order, like a plain loop. When fn
 // returns an error or panics, no new indices are handed out, in-flight
 // indices drain, and the error of the lowest failed index is returned (a
 // panic is wrapped in a *PanicError carrying the worker's stack). When ctx

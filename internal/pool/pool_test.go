@@ -32,7 +32,13 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		n := 1000
 		hits := make([]int32, n)
-		ForEach(workers, n, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		err := ForEachCtx(context.Background(), workers, n, func(i int) error {
+			atomic.AddInt32(&hits[i], 1)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
@@ -44,7 +50,13 @@ func TestForEachCoversAllIndices(t *testing.T) {
 func TestForEachInlineWhenSingle(t *testing.T) {
 	// One worker must run on the calling goroutine, in index order.
 	var order []int
-	ForEach(1, 5, func(i int) { order = append(order, i) })
+	err := ForEachCtx(context.Background(), 1, 5, func(i int) error {
+		order = append(order, i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("inline order = %v", order)
@@ -52,24 +64,14 @@ func TestForEachInlineWhenSingle(t *testing.T) {
 	}
 }
 
-func TestForEachPanic(t *testing.T) {
-	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok || pe.Value != "kaput" {
-			t.Fatalf("recovered %v, want *PanicError{kaput}", r)
-		}
-	}()
-	ForEach(4, 100, func(i int) {
-		if i == 42 {
-			panic("kaput")
-		}
-	})
-	t.Fatal("ForEach returned instead of panicking")
-}
-
 func TestForEachZeroItems(t *testing.T) {
-	ForEach(4, 0, func(int) { t.Fatal("fn called for n=0") })
+	err := ForEachCtx(context.Background(), 4, 0, func(int) error {
+		t.Fatal("fn called for n=0")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestForEachCtxLowestIndexError(t *testing.T) {

@@ -83,6 +83,45 @@ func (r Rule) SpacingLimit() checks.SpacingLimit {
 	return checks.SpacingLimit{Min: r.Min, PRLLength: r.PRLLength, PRLMin: r.PRLMin}
 }
 
+// IntraMin returns the threshold an intra-polygon rule checks in the local
+// frame of a cell instantiated with magnification mag: a local measure x
+// appears globally as x·mag (x·mag² for areas), so the local threshold is
+// the ceiling division. Area thresholds come doubled, in the units
+// checks.CheckArea compares.
+func (r Rule) IntraMin(mag int64) int64 {
+	switch r.Kind {
+	case Width:
+		return ceilDiv(r.Min, mag)
+	case Area:
+		return ceilDiv(2*r.Min, mag*mag)
+	}
+	return r.Min
+}
+
+// InstanceMarker maps a marker found in a cell's local frame into the frame
+// of an instance placed with t, scaling its measured distance by the
+// magnification (squared for corner distances and doubled areas).
+func (r Rule) InstanceMarker(m checks.Marker, t geom.Transform) checks.Marker {
+	m.Box = t.ApplyRect(m.Box)
+	m.EdgeA = m.EdgeA.Transform(t)
+	m.EdgeB = m.EdgeB.Transform(t)
+	if mag := t.Mag; mag > 1 && m.Dist >= 0 {
+		if m.Corner || r.Kind == Area {
+			m.Dist *= mag * mag
+		} else {
+			m.Dist *= mag
+		}
+	}
+	return m
+}
+
+func ceilDiv(a, b int64) int64 {
+	if b <= 0 {
+		return a
+	}
+	return (a + b - 1) / b
+}
+
 // Named returns a copy of the rule with the given identifier (e.g. "M1.W.1",
 // the paper's rule naming scheme).
 func (r Rule) Named(id string) Rule {

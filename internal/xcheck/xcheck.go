@@ -48,11 +48,6 @@ type Result struct {
 	Device *gpu.Device
 }
 
-// Check runs one rule with no deadline.
-func Check(lo *layout.Layout, r rules.Rule, opts Options) (*Result, error) {
-	return CheckContext(context.Background(), lo, r, opts) //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
-}
-
 // CheckContext runs one rule under ctx. Cancellation is cooperative: it is
 // checked between the flatten, transfer and kernel phases; a cancelled run
 // returns a nil result and an error wrapping ctx.Err().

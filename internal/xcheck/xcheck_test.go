@@ -25,7 +25,7 @@ func TestMatchesOpenDRCOnSupportedRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range synth.Deck() {
-		res, err := Check(lo, r, Options{})
+		res, err := CheckContext(context.Background(), lo, r, Options{})
 		if errors.Is(err, ErrUnsupported) {
 			continue
 		}
@@ -64,7 +64,7 @@ func TestUnsupportedRules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Check(lo, r, Options{}); !errors.Is(err, ErrUnsupported) {
+		if _, err := CheckContext(context.Background(), lo, r, Options{}); !errors.Is(err, ErrUnsupported) {
 			t.Errorf("%s: expected ErrUnsupported, got %v", id, err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestTimelinePopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := synth.RuleByID("M2.S.1")
-	res, err := Check(lo, r, Options{})
+	res, err := CheckContext(context.Background(), lo, r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestInvalidRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Check(lo, rules.Rule{Kind: rules.Spacing}, Options{}); err == nil {
+	if _, err := CheckContext(context.Background(), lo, rules.Rule{Kind: rules.Spacing}, Options{}); err == nil {
 		t.Error("invalid rule accepted")
 	}
 }
