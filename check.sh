@@ -6,7 +6,8 @@
 # contexts that reach every fan-out, mutex-guarded fields), the full test
 # suite under the race detector (the worker-pool fan-out makes -race part of
 # tier-1 verification; the chaos and cancellation suites run here too), the
-# nested benchmark module's own tests, a short fuzz smoke over the GDSII reader
+# nested benchmark module's own tests, one full-size traced batch_par pass of
+# the end-to-end benchmark, a short fuzz smoke over the GDSII reader
 # (differentially, against the streaming reference reader), the
 # polygon/transform algebra, the indexed hierarchy query, the layout build,
 # interleaved session operations (edit / check / delta check against a cold
@@ -39,6 +40,13 @@ go test -race ./...
 # geocache, pool, core.Session): its smoke is what notices one of those
 # signatures changing.
 go test -C benchmark ./...
+
+# One full-size traced batch_par pass (about 45 s). The module's own smoke
+# runs at scale 0.3, where every M1 row takes the brute executor, so the
+# probe's sweep side and its engineSplit guard (the probe's executor split
+# must equal the engine's) would otherwise first run in the benchmark
+# itself. Exits nonzero on a failed op or an incorrect report.
+bash benchmark/run.sh --workload batch_par --seed 7 --trace 1
 
 # Fuzz smoke: ten seconds per target. Regressions found by longer fuzz runs
 # land as corpus files under testdata/fuzz/, which plain `go test` replays.

@@ -61,22 +61,42 @@ func WidthBrute(s Launcher, e *Edges, min int64, c Collector) {
 }
 
 // NotchBrute launches the brute-force intra-polygon notch (self-spacing)
-// executor.
+// executor: one thread per polygon, each running notchPoly.
 func NotchBrute(s Launcher, e *Edges, lim checks.SpacingLimit, c Collector) {
 	s.Launch("notch-brute", e.NumPolys(), func(tid int) int64 {
-		lo, hi := e.PolyEdges(tid)
-		var ops int64
-		for i := lo; i < hi; i++ {
-			ei := e.Edge(tid, i)
-			for j := i + 1; j < hi; j++ {
-				ops++
-				if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(tid, j), lim); ok {
-					c(Hit{Marker: m, A: int32(tid), B: -1})
-				}
+		return notchPoly(e, int32(tid), lim, c)
+	})
+}
+
+// notchPoly is the notch executors' thread body: polygon p's edge pairs
+// through checks.EdgePairSpacingLim, hits tagged A = p. A thread is charged
+// one op per pair, n(n−1)/2 for n edges, whether or not it tests them.
+//
+// A polygon of at most four edges returns its ops without loading an edge,
+// because it cannot notch. A notch needs two antiparallel axis-parallel
+// edges at a nonzero distance with exterior between them. Two edges that
+// share a vertex and are antiparallel are collinear (distance 0); in a
+// triangle every pair shares a vertex. In a quadrilateral the only other
+// pairs are opposite sides, and opposite sides that are antiparallel and
+// apart bound a trapezoid: convex, its interior between them. Polygons are
+// clockwise (geom.NewPolygon), so each edge's interior side faces the other
+// edge, and the predicate's exterior test rejects the pair. Skipping the
+// loop changes no hit and, with ops charged in full, no kernel record.
+func notchPoly(e *Edges, p int32, lim checks.SpacingLimit, c Collector) int64 {
+	lo, hi := e.PolyEdges(int(p))
+	n := int64(hi - lo)
+	if n <= 4 {
+		return n * (n - 1) / 2
+	}
+	for i := lo; i < hi; i++ {
+		ei := e.Edge(int(p), i)
+		for j := i + 1; j < hi; j++ {
+			if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(int(p), j), lim); ok {
+				c(Hit{Marker: m, A: p, B: -1})
 			}
 		}
-		return ops
-	})
+	}
+	return n * (n - 1) / 2
 }
 
 // AreaKernel launches one thread per polygon computing the Shoelace doubled

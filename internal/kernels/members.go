@@ -107,23 +107,11 @@ func PairDiscoveryTable(s Launcher, e *Edges, t *MBRTable, rows [][]int32, min i
 }
 
 // NotchMembers launches the brute-force intra-polygon notch executor over an
-// explicit member list — one thread per member polygon, same pair loop as
+// explicit member list — one thread per member polygon, the same body as
 // NotchBrute. Hit.A carries the canonical polygon index (not the member
 // slot), matching what NotchBrute emits for that polygon.
 func NotchMembers(s Launcher, e *Edges, polys []int32, lim checks.SpacingLimit, c Collector) {
 	s.Launch("notch-members", len(polys), func(tid int) int64 {
-		p := int(polys[tid])
-		lo, hi := e.PolyEdges(p)
-		var ops int64
-		for i := lo; i < hi; i++ {
-			ei := e.Edge(p, i)
-			for j := i + 1; j < hi; j++ {
-				ops++
-				if m, ok := checks.EdgePairSpacingLim(ei, e.Edge(p, j), lim); ok {
-					c(Hit{Marker: m, A: polys[tid], B: -1})
-				}
-			}
-		}
-		return ops
+		return notchPoly(e, polys[tid], lim, c)
 	})
 }

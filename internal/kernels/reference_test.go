@@ -757,3 +757,146 @@ func TestSweepRowSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// refNotch is the notch executor without its short-cut: one thread per
+// polygon testing every edge pair of it, however few edges it has, over the
+// six-column layout.
+func refNotch(s *gpu.Stream, name string, e *refEdges, polys []int32, lim checks.SpacingLimit, c Collector) {
+	s.Launch(name, len(polys), func(tid int) int64 {
+		p := polys[tid]
+		lo, hi := e.PolyEdges(int(p))
+		var ops int64
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				ops++
+				if m, ok := checks.EdgePairSpacingLim(e.Edge(i), e.Edge(j), lim); ok {
+					c(Hit{Marker: m, A: p, B: -1})
+				}
+			}
+		}
+		return ops
+	})
+}
+
+// diffNotch runs NotchBrute over every polygon and NotchMembers over an
+// ascending subset, each beside refNotch, and compares hits (in order) and
+// kernel records.
+func diffNotch(t *testing.T, label string, polys []geom.Polygon, lim checks.SpacingLimit) (hits int) {
+	t.Helper()
+	e, ref := packBoth(polys)
+	var members []int32
+	for p := range e.NumPolys() {
+		if p%3 != 1 {
+			members = append(members, int32(p))
+		}
+	}
+	run := func(name string, prod func(Launcher, Collector), polys []int32) {
+		refDev, dev := gpu.NewDevice(gpu.GTX1660Ti()), gpu.NewDevice(gpu.GTX1660Ti())
+		var want, got []Hit
+		refNotch(refDev.NewStream("s"), name, ref, polys, lim, func(h Hit) { want = append(want, h) })
+		prod(dev.NewStream("s"), func(h Hit) { got = append(got, h) })
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s: hit sequence differs: got %d hits, reference %d", label, name, len(got), len(want))
+		}
+		if g, w := kernelShapes(dev), kernelShapes(refDev); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s %s: kernel records differ:\n got  %+v\n want %+v", label, name, g, w)
+		}
+		hits += len(want)
+	}
+	run("notch-brute", func(s Launcher, c Collector) { NotchBrute(s, e, lim, c) }, allMembers(e))
+	run("notch-members", func(s Launcher, c Collector) { NotchMembers(s, e, members, lim, c) }, members)
+	return hits
+}
+
+// orientAll maps every polygon through all eight orientations, each placed
+// at its own offset.
+func orientAll(polys []geom.Polygon) []geom.Polygon {
+	var out []geom.Polygon
+	for o := geom.R0; o <= geom.MXR270; o++ {
+		for i, p := range polys {
+			out = append(out, p.Transform(geom.Transform{Orient: o, Mag: 1, Offset: geom.Pt(int64(o)*1000, int64(i)*97)}))
+		}
+	}
+	return out
+}
+
+// ringsOf builds a polygon from each ring that geom.NewPolygon accepts.
+func ringsOf(rings ...[]geom.Point) []geom.Polygon {
+	var out []geom.Polygon
+	for _, r := range rings {
+		if p, err := geom.NewPolygon(r); err == nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// ringXY is a ring from alternating x and y coordinates.
+func ringXY(xy ...int64) []geom.Point {
+	out := make([]geom.Point, 0, len(xy)/2)
+	for i := 0; i < len(xy); i += 2 {
+		out = append(out, geom.Pt(xy[i], xy[i+1]))
+	}
+	return out
+}
+
+// TestNotchMatchesReference holds both notch executors to refNotch, which
+// tests every pair of every polygon: the executors skip polygons of at most
+// four edges, which cannot notch. Rectangles in all eight orientations;
+// trapezoids, triangles, zero-area bowties and rings with collinear or
+// repeated vertices; random 3- and 4-vertex rings on a coarse grid, random
+// rectilinear layouts and star polygons; and U shapes in all eight
+// orientations and six-edge pockets, which notch, beside L shapes, which do
+// not. The notching families must produce hits, so a short-cut that reached
+// the eight-edge U would fail here.
+func TestNotchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	var rects, us, ls []geom.Polygon
+	for range 40 {
+		x, y := rng.Int63n(400)-200, rng.Int63n(400)-200
+		w, h, g := rng.Int63n(40)+1, rng.Int63n(40)+1, rng.Int63n(30)+1
+		rects = append(rects, geom.RectPolygon(geom.R(x, y, x+w, y+h)))
+		us = append(us, geom.MustPolygon(ringXY(x, y, x, y+2*h, x+w, y+2*h, x+w, y+h,
+			x+w+g, y+h, x+w+g, y+2*h, x+2*w+g, y+2*h, x+2*w+g, y)))
+		ls = append(ls, geom.MustPolygon(ringXY(x, y, x, y+2*h, x+w, y+2*h, x+w, y+h, x+w+g, y+h, x+w+g, y)))
+	}
+	var quads []geom.Polygon
+	for len(quads) < 3000 {
+		ring := make([]geom.Point, 3+rng.Intn(2))
+		for i := range ring {
+			ring[i] = geom.Pt(int64(rng.Intn(6))*5, int64(rng.Intn(6))*5)
+		}
+		quads = append(quads, ringsOf(ring)...)
+	}
+	families := []struct {
+		name    string
+		polys   []geom.Polygon
+		notches bool
+	}{
+		{"rectangles", orientAll(rects), false},
+		{"trapezoids", orientAll(ringsOf(
+			ringXY(0, 0, 5, 10, 15, 10, 20, 0), ringXY(0, 0, 0, 10, 15, 10, 20, 0),
+			ringXY(0, 0, 10, 20, 12, 20, 3, 0), ringXY(0, 0, 4, 10, 4, 30, 0, 40))), false},
+		{"triangles", orientAll(ringsOf(
+			ringXY(0, 0, 0, 10, 10, 0), ringXY(0, 0, 5, 10, 10, 0), ringXY(0, 0, 30, 1, 2, 7))), false},
+		{"zero-area and collinear", orientAll(ringsOf(
+			ringXY(0, 0, 10, 10, 10, 0, 0, 10), ringXY(0, 0, 0, 10, 20, 0, 20, 10),
+			ringXY(0, 0, 0, 5, 0, 10, 5, 10, 10, 10, 10, 0, 0, 0), ringXY(0, 0, 0, 0, 0, 10, 10, 10, 10, 10, 10, 0),
+			ringXY(0, 0, 10, 0, 20, 0, 20, 5, 20, 10, 0, 10))), false},
+		{"random 3- and 4-vertex", quads, false},
+		{"random rectilinear", randomRectilinear(rng, 400), true},
+		{"stars", starPolygons(rng, 400), false},
+		{"U", orientAll(us), true},
+		{"pockets", orientAll(ringsOf(ringXY(0, 0, 0, 30, 30, 20, 10, 20, 10, 10, 30, 10))), true},
+		{"L", orientAll(ls), false},
+	}
+	for _, f := range families {
+		hits := 0
+		for _, l := range diffLimits {
+			hits += diffNotch(t, f.name+"/"+l.name, f.polys, l.lim)
+		}
+		if f.notches && hits == 0 {
+			t.Errorf("%s: no hits", f.name)
+		}
+	}
+}

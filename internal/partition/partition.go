@@ -9,6 +9,8 @@
 package partition
 
 import (
+	"math"
+	"math/bits"
 	"sort"
 
 	"opendrc/internal/geom"
@@ -116,38 +118,10 @@ const (
 // linear rank/assignment passes, so the whole partition is linear in k plus
 // the Θ(k + N) merge.
 func Rows(boxes []geom.Rect, guard int64, alg Algorithm) []Row {
-	// Discretize: domain = unique interval endpoints. Positions 2j and 2j+1
-	// hold the j-th non-empty box's YLo and guarded YHi; one stable sort of
-	// the positions by value, then one pass over the sorted positions gives
-	// each its dense rank — a new rank wherever the value changes — which is
-	// an endpoint of the box's span.
-	key := make([]int64, 0, 2*len(boxes))
-	for _, b := range boxes {
-		if !b.Empty() {
-			key = append(key, b.YLo, b.YHi+guard)
-		}
-	}
-	if len(key) == 0 {
+	spans, domain := endpointSpans(boxes, guard)
+	if spans == nil {
 		return nil
 	}
-	perm := make([]int32, len(key))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	perm, _ = radix.Sort(perm, nil, key)
-	spans := make([]Span, len(key)/2)
-	domain := 0
-	for i, p := range perm {
-		if i > 0 && key[p] != key[perm[i-1]] {
-			domain++
-		}
-		if p&1 == 0 {
-			spans[p/2].Lo = domain
-		} else {
-			spans[p/2].Hi = domain
-		}
-	}
-	domain++
 
 	var merged []Span
 	if alg == SortBased {
@@ -192,6 +166,81 @@ func Rows(boxes []geom.Rect, guard int64, alg Algorithm) []Row {
 		}
 	}
 	return out
+}
+
+// endpointSpans discretizes the boxes' y-extents: the domain is the set of
+// unique interval endpoints, and the j-th non-empty box's span holds the
+// dense ranks of its YLo and guarded YHi. Endpoint positions 2j and 2j+1
+// hold those two values; one stable sort of the positions by value, then one
+// pass over the sorted order gives each its rank — a new rank wherever the
+// value changes. It returns nil spans when no box is non-empty.
+//
+// The sort runs on words: one per endpoint, its offset from the lowest
+// endpoint in the high bits and its position in the low bits, so the words
+// sort as contiguous memory and carry their own position. A layer whose y
+// span leaves too few bits for the positions (never one of GDSII's int32
+// coordinates) sorts the positions by a gathered key instead.
+func endpointSpans(boxes []geom.Rect, guard int64) ([]Span, int) {
+	n, lo, hi := 0, int64(math.MaxInt64), int64(math.MinInt64)
+	for _, b := range boxes {
+		if !b.Empty() {
+			lo, hi = min(lo, b.YLo), max(hi, b.YHi+guard)
+			n += 2
+		}
+	}
+	if n == 0 {
+		return nil, 0
+	}
+	spans := make([]Span, n/2)
+	domain := 0
+	shift := uint(bits.Len(uint(n - 1)))
+	if bits.Len64(uint64(hi-lo))+int(shift) > 64 {
+		key := make([]int64, 0, n)
+		for _, b := range boxes {
+			if !b.Empty() {
+				key = append(key, b.YLo, b.YHi+guard)
+			}
+		}
+		perm := make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		perm, _ = radix.Sort(perm, nil, key)
+		for i, p := range perm {
+			if i > 0 && key[p] != key[perm[i-1]] {
+				domain++
+			}
+			spans[p/2].set(int(p), domain)
+		}
+		return spans, domain + 1
+	}
+	words := make([]uint64, 0, n)
+	for _, b := range boxes {
+		if !b.Empty() {
+			p := uint64(len(words))
+			words = append(words, uint64(b.YLo-lo)<<shift|p, uint64(b.YHi+guard-lo)<<shift|(p+1))
+		}
+	}
+	words, _ = radix.SortWords(words, nil, shift)
+	mask := uint64(1)<<shift - 1
+	for i, w := range words {
+		if i > 0 && w>>shift != words[i-1]>>shift {
+			domain++
+		}
+		p := int(w & mask)
+		spans[p/2].set(p, domain)
+	}
+	return spans, domain + 1
+}
+
+// set records rank as the span's end held by endpoint position p: its Lo for
+// an even position, its Hi for an odd one.
+func (s *Span) set(p, rank int) {
+	if p&1 == 0 {
+		s.Lo = rank
+	} else {
+		s.Hi = rank
+	}
 }
 
 // Band is a closed y-interval.

@@ -41,3 +41,25 @@ func TestSortMatchesComparator(t *testing.T) {
 		}
 	}
 }
+
+// TestSortWordsMatchesStableSort: keys of every width up to the whole word,
+// many ties, low bits that must ride along in input order, at lengths on
+// both sides of the insertion-sort cutoff.
+func TestSortWordsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for _, n := range []int{0, 1, 2, small - 1, small, 3000} {
+		for _, shift := range []uint{0, 5, 12, 40, 63} {
+			for _, spread := range []uint64{1, 300, 1 << 20, math.MaxUint64} {
+				words := make([]uint64, n)
+				for i := range words {
+					words[i] = rng.Uint64()%spread<<shift | rng.Uint64()&(1<<shift-1)
+				}
+				want := slices.Clone(words)
+				slices.SortStableFunc(want, func(a, b uint64) int { return cmp.Compare(a>>shift, b>>shift) })
+				if got, _ := SortWords(words, nil, shift); !slices.Equal(got, want) {
+					t.Errorf("n %d shift %d spread %d: radix order differs from the stable order", n, shift, spread)
+				}
+			}
+		}
+	}
+}
