@@ -273,12 +273,13 @@ func BenchmarkFlattenLayer(b *testing.B) {
 	}
 }
 
-// BenchmarkPack measures packing a flattened layer into the SoA edge buffer
-// — the second half of the per-layer work the cache memoizes and the device
-// keeps resident. bytes is the modeled device size (52 B per edge); host_B/edge
-// is what Pack allocates per edge beyond the PolyStart table: 16 for the two
-// vertex columns, plus allocator rounding (about 1 on these small layers), so
-// a column creeping back into the host layout shows as 4 or 8 more.
+// BenchmarkPack measures packing a flattened layer into the edge buffer —
+// what kernels.Pack costs the callers that pack polygons of their own (the
+// geometry cache's layers share the flatten's vertex array instead). bytes
+// is the modeled device size (52 B per edge); host_B/edge is what Pack
+// allocates per edge beyond the PolyStart table: 16 for the one point per
+// vertex, plus allocator rounding (about 1 on these small layers), so a
+// column creeping back into the host layout shows as 4 or 8 more.
 func BenchmarkPack(b *testing.B) {
 	layouts := benchLayouts(b)
 	for _, design := range bench.DesignNames() {

@@ -6,10 +6,10 @@
 # contexts that reach every fan-out, mutex-guarded fields), the full test
 # suite under the race detector (the worker-pool fan-out makes -race part of
 # tier-1 verification; the chaos and cancellation suites run here too), the
-# nested benchmark module's own tests, one full-size traced batch_par pass of
-# the end-to-end benchmark, a short fuzz smoke over the GDSII reader
-# (differentially, against the streaming reference reader), the
-# polygon/transform algebra, the indexed hierarchy query, the layout build,
+# nested benchmark module's own tests, one full-size traced batch_par pass and
+# one serve_edit pass of the end-to-end benchmark, a short fuzz smoke over
+# the GDSII reader (differentially, against the streaming reference reader),
+# the polygon/transform algebra, the indexed hierarchy query, the layout build,
 # interleaved session operations (edit / check / delta check against a cold
 # batch model), the report encoder (both JSON forms against encoding/json),
 # the sweepline executor (against its reference bodies), the rule-deck
@@ -47,6 +47,11 @@ go test -C benchmark ./...
 # must equal the engine's) would otherwise first run in the benchmark
 # itself. Exits nonzero on a failed op or an incorrect report.
 bash benchmark/run.sh --workload batch_par --seed 7 --trace 1
+# One full-size traced serve_edit pass: the edit → region-patch → delta-check
+# cycle, whose splice of the packed edge buffer copies it off the flatten's
+# shared vertex array on first use; only the benchmark runs that path at
+# full size.
+bash benchmark/run.sh --workload serve_edit --seed 7 --trace 1
 
 # Fuzz smoke: ten seconds per target. Regressions found by longer fuzz runs
 # land as corpus files under testdata/fuzz/, which plain `go test` replays.
@@ -73,7 +78,7 @@ go test -run=NONE -fuzz=FuzzOverlaps -fuzztime=10s ./internal/sweep
 # of the edit → delta-check cycle and of a warm session check executed and
 # replayed, so a change that breaks flatten/pack or
 # the row simulation off the engine path still fails the gate (the pack
-# benchmark prints host_B/edge, about 16 for the two vertex columns, where a
+# benchmark prints host_B/edge, about 16 for the one point per vertex, where a
 # per-edge column creeping back into the host layout shows; the row
 # benchmark prints its modeled_us, where a cost-model drift shows, and
 # window_ops/visited, where a sweep that stopped using its candidate index shows;

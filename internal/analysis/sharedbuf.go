@@ -30,7 +30,7 @@ var sharedBufProducers = []string{
 // the self-contained lint fixtures.
 var sharedBufTypes = map[string]bool{
 	"PlacedPoly": true, // cached flatten: []PlacedPoly shared across rules
-	"Edges":      true, // packed SoA edge buffer, device-resident
+	"Edges":      true, // packed edge buffer (the flatten's own vertex array), device-resident
 	"MBRTable":   true, // per-layer MBRs (the cached boxes) + global x-order
 }
 

@@ -1,10 +1,11 @@
 // Package geocache is OpenDRC's per-run geometry reuse layer. A check run
 // touches each layer once per *rule*, but the expensive host-side geometry
-// work — instance-expanding the layer (layout.FlattenLayer) and packing the
-// result into the flattened edge buffer (kernels.Pack) — depends only on the
-// layer. The Cache memoizes both per layer, so N rules sharing a layer cost
-// one flatten and one pack; the paper's "flattened once" claim (Section V-C)
-// then holds across the whole deck, not just within one rule. The
+// work — instance-expanding the layer (layout.FlattenLayerSlab) and packing
+// the result into the flattened edge buffer (kernels.Share, over the
+// flatten's own vertex array) — depends only on the layer. The Cache
+// memoizes both per layer, so N rules sharing a layer cost one flatten and
+// one pack; the paper's "flattened once" claim (Section V-C) then holds
+// across the whole deck, not just within one rule. The
 // downstream derivations — the per-polygon MBR table and the adaptive row
 // partition (keyed additionally by the rule's interaction reach) — are
 // memoized the same way, so the engine's prefetcher can compute a rule's
@@ -143,11 +144,19 @@ type part struct {
 	rows *slot[[]partition.Row]
 }
 
+// flattened is a layer's flatten: its polygon instances and the packed
+// edge buffer built with them over the same vertex array (kernels.Share),
+// so the layer's vertices are stored once. Pack hands out that buffer.
+type flattened struct {
+	polys []layout.PlacedPoly
+	edges *kernels.Edges
+}
+
 // layerRec is everything the cache knows about one layer: the flatten and
 // the derivations index-aligned with it. Each is computed on first request;
 // InvalidateRegion patches all of them together so they never disagree.
 type layerRec struct {
-	flat  *slot[[]layout.PlacedPoly]
+	flat  *slot[flattened]
 	boxes *slot[[]geom.Rect]
 	edges *slot[*kernels.Edges]
 	table *slot[*kernels.MBRTable]
@@ -214,9 +223,12 @@ func (c *Cache) Stats() Stats {
 }
 
 // Resident is the host memory a cache's completed records hold, in bytes of
-// the slices they keep (capacity, not length), by record kind. A table's
-// boxes are the cached MBRs and count once, under Boxes; a flatten counts its
-// entries and their vertices.
+// the slices they keep (capacity, not length), by record kind. Shared arrays
+// count once: a table's boxes are the cached MBRs, under Boxes, and the
+// flatten's vertices are its packed buffer's, under Edges, so Flatten counts
+// the instance records alone — until a patch gives the buffer its own array
+// (kernels.Edges.Splice), after which Flatten counts the vertices its shapes
+// still hold too.
 type Resident struct {
 	Flatten, Boxes, Edges, Tables, Rows int64
 }
@@ -231,18 +243,18 @@ func (c *Cache) Resident() Resident {
 	var r Resident
 	for _, rec := range c.layers {
 		if rec.flat.ready() {
+			f := rec.flat.val
 			if rec.verts == 0 {
-				rec.verts = countVertices(rec.flat.val)
+				rec.verts = countVertices(f.polys)
 			}
-			r.Flatten += int64(cap(rec.flat.val))*int64(unsafe.Sizeof(layout.PlacedPoly{})) +
-				rec.verts*int64(unsafe.Sizeof(geom.Point{}))
+			r.Flatten += int64(cap(f.polys)) * int64(unsafe.Sizeof(layout.PlacedPoly{}))
+			if !f.edges.Borrowed() {
+				r.Flatten += rec.verts * int64(unsafe.Sizeof(geom.Point{}))
+			}
+			r.Edges += int64(cap(f.edges.Pts))*int64(unsafe.Sizeof(geom.Point{})) + int64(cap(f.edges.PolyStart))*4
 		}
 		if rec.boxes.ready() {
 			r.Boxes += int64(cap(rec.boxes.val)) * int64(unsafe.Sizeof(geom.Rect{}))
-		}
-		if rec.edges.ready() {
-			e := rec.edges.val
-			r.Edges += int64(cap(e.X)+cap(e.Y))*8 + int64(cap(e.PolyStart))*4
 		}
 		if rec.table.ready() {
 			r.Tables += int64(cap(rec.table.val.XOrder)) * 4
@@ -327,43 +339,44 @@ func lookup[T any](ctx context.Context, c *Cache, lo *layout.Layout, l layout.La
 // hierarchy-DFS order, computing them (flatten → flatten-polys budget) at
 // most once. The returned slice is shared and must not be mutated.
 func (c *Cache) Flatten(ctx context.Context, lo *layout.Layout, l layout.Layer) ([]layout.PlacedPoly, error) {
+	f, err := c.flatten(ctx, lo, l)
+	return f.polys, err
+}
+
+// flatten is Flatten's lookup. Its fill also builds the layer's packed edge
+// buffer: the flatten's shapes are carved from one vertex array in output
+// order, which is the buffer's vertex array as it stands, so the fill only
+// adds the per-polygon offsets.
+func (c *Cache) flatten(ctx context.Context, lo *layout.Layout, l layout.Layer) (flattened, error) {
 	return lookup(ctx, c, lo, l, "flatten", "", &c.stats.FlattenHits, &c.stats.FlattenMisses,
-		func(r *layerRec) **slot[[]layout.PlacedPoly] { return &r.flat },
-		func() ([]layout.PlacedPoly, error) {
+		func(r *layerRec) **slot[flattened] { return &r.flat },
+		func() (flattened, error) {
 			if c.hook != nil {
 				if err := c.hook(ctx, l); err != nil {
-					return nil, err
+					return flattened{}, err
 				}
 			}
-			polys := lo.FlattenLayer(l)
+			polys, pts := lo.FlattenLayerSlab(l)
 			if err := budget.Check("flatten-polys", int64(len(polys)), c.limits.MaxFlattenPolys); err != nil {
-				return nil, err
+				return flattened{}, err
 			}
-			return polys, nil
+			starts := make([]int32, len(polys)+1)
+			for i := range polys {
+				starts[i+1] = starts[i] + int32(polys[i].Shape.NumEdges())
+			}
+			return flattened{polys: polys, edges: kernels.Share(pts, starts)}, nil
 		})
 }
 
 // Pack returns the layer's packed edge buffer in the canonical flatten
-// order, computing it (via Flatten) at most once. The returned buffer is
-// shared and must not be mutated.
+// order: the one the flatten built over its own vertex array. The returned
+// buffer is shared and must not be mutated.
 func (c *Cache) Pack(ctx context.Context, lo *layout.Layout, l layout.Layer) (*kernels.Edges, error) {
 	return lookup(ctx, c, lo, l, "pack", "", &c.stats.PackHits, &c.stats.PackMisses,
 		func(r *layerRec) **slot[*kernels.Edges] { return &r.edges },
 		func() (*kernels.Edges, error) {
-			polys, err := c.Flatten(ctx, lo, l)
-			if err != nil {
-				return nil, err
-			}
-			// The shape list is pure scratch: Pack copies every coordinate into
-			// its own buffers, so the list recycles through the arena while the
-			// packed result is cached and shared.
-			shapes := c.arena.Polys(len(polys))
-			for i := range polys {
-				shapes = append(shapes, polys[i].Shape)
-			}
-			edges := kernels.Pack(shapes)
-			c.arena.PutPolys(shapes)
-			return edges, nil
+			f, err := c.flatten(ctx, lo, l)
+			return f.edges, err
 		})
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"opendrc/internal/budget"
 	"opendrc/internal/layout"
@@ -368,7 +369,9 @@ func TestInvalidateClearsCachedError(t *testing.T) {
 
 // TestResidentBytes: the packed buffer costs 16 B per edge and 4 B per
 // PolyStart entry, the boxes 32 B each, and a table its x-order alone — its
-// boxes are the cached MBRs, counted once.
+// boxes are the cached MBRs, counted once. The flatten's vertices are the
+// packed buffer's, counted once too, so the flatten holds its instance
+// records alone.
 func TestResidentBytes(t *testing.T) {
 	lo := testLayout(t)
 	c := New(budget.Limits{})
@@ -394,8 +397,11 @@ func TestResidentBytes(t *testing.T) {
 	if r.Boxes != 32*n || r.Tables != 4*n {
 		t.Errorf("boxes/tables hold %d/%d B, want %d/%d", r.Boxes, r.Tables, 32*n, 4*n)
 	}
-	if r.Flatten <= 16*int64(edges.Len()) || r.Rows <= 0 {
-		t.Errorf("flatten/rows hold %d/%d B", r.Flatten, r.Rows)
+	if want := n * int64(unsafe.Sizeof(layout.PlacedPoly{})); r.Flatten != want {
+		t.Errorf("flatten holds %d B, want %d (its records alone)", r.Flatten, want)
+	}
+	if r.Rows <= 0 {
+		t.Errorf("rows hold %d B", r.Rows)
 	}
 	if r.Total() != r.Flatten+r.Boxes+r.Edges+r.Tables+r.Rows {
 		t.Error("Total is not the sum of the kinds")

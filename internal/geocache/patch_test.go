@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -106,7 +107,9 @@ func requireColdEqual(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(edges, kernels.Pack(shapes)) {
+	// Vertices and offsets only: whether the buffer still borrows the
+	// flatten's array is the sharing tests' business.
+	if cold := kernels.Pack(shapes); !slices.Equal(edges.Pts, cold.Pts) || !slices.Equal(edges.PolyStart, cold.PolyStart) {
 		t.Fatalf("layer %d: packed edges differ from a cold pack of the served flatten", l)
 	}
 	table, err := c.Table(ctx, lo, l)

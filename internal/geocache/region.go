@@ -98,7 +98,7 @@ func (c *Cache) InvalidateRegion(l layout.Layer, guard int64, alg partition.Algo
 // held). It reports false, leaving rec for the caller to drop, when no row
 // would survive.
 func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partition.Band) (RegionOutcome, bool) {
-	polys := rec.flat.val
+	polys := rec.flat.val.polys
 	if !rec.boxes.ready() {
 		rec.boxes = filled(boxesOf(polys))
 	}
@@ -158,15 +158,19 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 			}
 		}
 	}
-	rec.flat.val = append(kernels.Compact(polys, remap, first), fresh...)
+	rec.flat.val.polys = append(kernels.Compact(polys, remap, first), fresh...)
 	rec.boxes.val = append(kernels.Compact(boxes, remap, first), freshBoxes...)
+	// The flatten's buffer is spliced whether or not Pack has handed it out;
+	// the first splice gives it its own array, so the kept shapes, which
+	// share the old one, keep their vertices.
+	shapes := c.arena.Polys(len(fresh))
+	for i := range fresh {
+		shapes = append(shapes, fresh[i].Shape)
+	}
+	kept := rec.flat.val.edges.Splice(remap, first, shapes)
+	c.arena.PutPolys(shapes)
 	if rec.edges.ready() {
-		shapes := c.arena.Polys(len(fresh))
-		for i := range fresh {
-			shapes = append(shapes, fresh[i].Shape)
-		}
-		out.KeptEdgeBytes = rec.edges.val.Splice(remap, first, shapes)
-		c.arena.PutPolys(shapes)
+		out.KeptEdgeBytes = kept
 	} else {
 		rec.edges = nil
 	}

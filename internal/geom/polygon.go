@@ -214,6 +214,27 @@ func (p Polygon) IsRectangle() bool {
 // built by NewPolygon.
 func (p Polygon) Transform(t Transform) Polygon {
 	out := make([]Point, len(p.pts))
+	p.transformInto(out, t)
+	return Polygon{pts: out}
+}
+
+// Transform is Polygon.Transform storing the image into the slab: the same
+// ring, carved from the slab's array after the polygons built before it.
+func (s *Slab) Transform(p Polygon, t Transform) Polygon {
+	start, end := len(s.pts), len(s.pts)+len(p.pts)
+	s.pts = slices.Grow(s.pts, len(p.pts))[:end]
+	out := s.pts[start:end:end]
+	p.transformInto(out, t)
+	return Polygon{pts: out}
+}
+
+// Points returns the slab's array: every vertex stored so far, each
+// polygon's ring after the one built before it.
+func (s *Slab) Points() []Point { return s.pts }
+
+// transformInto writes p's image under t into out (len(p.pts) long),
+// reversed when t mirrors.
+func (p Polygon) transformInto(out []Point, t Transform) {
 	if t.Orient.Mirrored() {
 		n := len(p.pts)
 		for i, q := range p.pts {
@@ -224,7 +245,6 @@ func (p Polygon) Transform(t Transform) Polygon {
 			out[i] = t.Apply(q)
 		}
 	}
-	return Polygon{pts: out}
 }
 
 // ContainsPoint reports whether q lies inside or on the boundary of the

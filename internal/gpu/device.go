@@ -400,25 +400,22 @@ func (p Props) Evaluate(name string, n int, body KernelFunc) Kernel {
 	if n < 0 {
 		panic(fmt.Sprintf("gpu: kernel %q with negative thread count", name))
 	}
-	var totalOps, warpCycles, warpMax, maxThread int64
-	for tid := 0; tid < n; tid++ {
-		ops := body(tid)
-		if ops < 0 {
-			ops = 0
-		}
-		totalOps += ops
-		if ops > warpMax {
-			warpMax = ops
-		}
-		if ops > maxThread {
-			maxThread = ops
-		}
-		if (tid+1)%p.WarpSize == 0 {
-			warpCycles += warpMax
-			warpMax = 0
-		}
+	if p.WarpSize <= 0 {
+		panic(fmt.Sprintf("gpu: kernel %q on a device with warp size %d", name, p.WarpSize))
 	}
-	warpCycles += warpMax // trailing partial warp
+	// Warp by warp (the last may be partial): a warp costs its slowest
+	// thread, and the slowest thread overall is the slowest warp's.
+	var totalOps, warpCycles, maxThread int64
+	for base := 0; base < n; base += p.WarpSize {
+		var warpMax int64
+		for tid, end := base, min(base+p.WarpSize, n); tid < end; tid++ {
+			ops := max(body(tid), 0)
+			totalOps += ops
+			warpMax = max(warpMax, ops)
+		}
+		warpCycles += warpMax
+		maxThread = max(maxThread, warpMax)
+	}
 
 	concurrentWarps := float64(p.lanes()) / float64(p.WarpSize)
 	execSec := float64(warpCycles) / concurrentWarps * p.CyclesPerOp / p.ClockHz

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -450,6 +451,79 @@ func TestEvaluateAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("warm Tape.Launch allocated %v times", allocs)
 	}
+}
+
+// evaluateReference is Evaluate's fold as first written: one pass over the
+// threads with a modulo per thread to close each warp.
+func evaluateReference(p Props, name string, n int, body KernelFunc) Kernel {
+	var totalOps, warpCycles, warpMax, maxThread int64
+	for tid := 0; tid < n; tid++ {
+		ops := body(tid)
+		if ops < 0 {
+			ops = 0
+		}
+		totalOps += ops
+		if ops > warpMax {
+			warpMax = ops
+		}
+		if ops > maxThread {
+			maxThread = ops
+		}
+		if (tid+1)%p.WarpSize == 0 {
+			warpCycles += warpMax
+			warpMax = 0
+		}
+	}
+	warpCycles += warpMax // trailing partial warp
+	concurrentWarps := float64(p.lanes()) / float64(p.WarpSize)
+	execSec := float64(warpCycles) / concurrentWarps * p.CyclesPerOp / p.ClockHz
+	minSec := float64(maxThread) * p.CyclesPerOp / p.ClockHz
+	if minSec > execSec {
+		execSec = minSec
+	}
+	dur := p.LaunchOverhead + time.Duration(execSec*float64(time.Second))
+	return Kernel{Name: name, Threads: n, Ops: totalOps, Dur: dur}
+}
+
+// TestEvaluateMatchesReference holds the warp-by-warp fold to the modulo
+// one on random op vectors, negative ops included: no threads, fewer than a
+// warp, whole warps and a ragged last warp, under two warp sizes, with ops
+// small enough that the critical path binds and large enough that it does
+// not.
+func TestEvaluateMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, warp := range []int{32, 7} {
+		p := GTX1660Ti()
+		p.WarpSize = warp
+		for _, n := range []int{0, 1, warp - 1, warp, warp + 1, 3 * warp, 5*warp + 3, 1000} {
+			for _, spread := range []int64{1, 50, 1 << 20} {
+				for range 20 {
+					ops := make([]int64, n)
+					for i := range ops {
+						ops[i] = rng.Int63n(2*spread+1) - spread/2
+					}
+					body := func(tid int) int64 { return ops[tid] }
+					got, want := p.Evaluate("k", n, body), evaluateReference(p, "k", n, body)
+					if got != want {
+						t.Fatalf("warp %d, %d threads, ops %v: Evaluate = %+v, reference %+v", warp, n, ops, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluateRejectsWarpSize: a device with no warp width panics instead of
+// looping forever.
+func TestEvaluateRejectsWarpSize(t *testing.T) {
+	p := GTX1660Ti()
+	p.WarpSize = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Evaluate with warp size 0 did not panic")
+		}
+	}()
+	p.Evaluate("k", 4, func(int) int64 { return 1 })
 }
 
 // captureProgram is one rule's worth of device traffic across two streams:

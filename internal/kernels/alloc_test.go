@@ -3,6 +3,7 @@ package kernels
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -32,9 +33,8 @@ func TestPackAllocsPerRun(t *testing.T) {
 	}
 }
 
-// TestPackContiguousLayout pins the host layout: the X and Y columns are
-// carved out of one backing array in that order, and X's capacity is
-// clipped so an append cannot silently bleed into Y.
+// TestPackContiguousLayout pins the host layout: one vertex array, exactly
+// sized, that a cold pack owns (it borrows nothing).
 func TestPackContiguousLayout(t *testing.T) {
 	polys := []geom.Polygon{
 		geom.MustPolygon([]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10), geom.Pt(0, 10)}),
@@ -44,14 +44,42 @@ func TestPackContiguousLayout(t *testing.T) {
 	if n == 0 {
 		t.Fatal("empty pack")
 	}
-	for i, s := range [][]int64{e.X, e.Y} {
-		if len(s) != n || cap(s) != n {
-			t.Errorf("column %d: len/cap = %d/%d, want %d/%d", i, len(s), cap(s), n, n)
-		}
+	if len(e.Pts) != n || cap(e.Pts) != n {
+		t.Errorf("vertices: len/cap = %d/%d, want %d/%d", len(e.Pts), cap(e.Pts), n, n)
 	}
-	x := unsafe.Pointer(unsafe.SliceData(e.X))
-	if y := unsafe.Pointer(unsafe.SliceData(e.Y)); uintptr(y) != uintptr(x)+uintptr(n)*8 {
-		t.Error("Y does not follow X contiguously")
+	if e.Borrowed() {
+		t.Error("a cold pack borrows its vertices")
+	}
+}
+
+// TestSpliceOwnsBorrowedVertices: the first splice of a shared buffer moves
+// it to its own array and leaves the borrowed one as it was, so the
+// polygons sharing it still read their own rings; the next splice works in
+// place.
+func TestSpliceOwnsBorrowedVertices(t *testing.T) {
+	polys := randomRectilinear(rand.New(rand.NewSource(3)), 6)
+	packed := Pack(polys)
+	pts := slices.Clone(packed.Pts)
+	e := Share(pts, slices.Clone(packed.PolyStart))
+	if !e.Borrowed() || unsafe.SliceData(e.Pts) != unsafe.SliceData(pts) {
+		t.Fatal("Share copied its vertices")
+	}
+	remap := []int32{0, -1, 1, 2, 3, 4}
+	e.Splice(remap, 1, polys[:1])
+	if e.Borrowed() || unsafe.SliceData(e.Pts) == unsafe.SliceData(pts) {
+		t.Fatal("the first splice wrote into the borrowed array")
+	}
+	if !slices.Equal(pts, packed.Pts) {
+		t.Fatal("the borrowed vertices changed under their polygons")
+	}
+	want := Pack(append(slices.Clone(polys[2:]), polys[0], polys[0]))
+	own := unsafe.SliceData(e.Pts)
+	e.Splice([]int32{-1, 0, 1, 2, 3, 4}, 0, polys[:1])
+	if !slices.Equal(e.Pts, want.Pts) || !slices.Equal(e.PolyStart, want.PolyStart) {
+		t.Fatal("spliced buffer differs from a cold pack")
+	}
+	if unsafe.SliceData(e.Pts) != own {
+		t.Fatal("the second splice reallocated instead of working in place")
 	}
 }
 
@@ -67,7 +95,7 @@ func allocatedBytes(runs int, fn func()) float64 {
 }
 
 // TestPackHostBytes pins the host cost of a packed buffer: 16 B per edge
-// (one X and one Y per vertex) plus 4 B per PolyStart entry, plus a constant
+// (one point per vertex) plus 4 B per PolyStart entry, plus a constant
 // for the header and size-class rounding — not the 52 B per edge that Bytes
 // prices for the device.
 func TestPackHostBytes(t *testing.T) {

@@ -107,9 +107,9 @@ func AreaKernel(s Launcher, e *Edges, minArea2 int64, c Collector) {
 		var s2 int64
 		box := geom.EmptyRect()
 		for i := lo; i < hi; i++ {
-			j := e.succ(tid, i)
-			s2 += e.X[i]*e.Y[j] - e.X[j]*e.Y[i]
-			box = box.Include(geom.Pt(e.X[i], e.Y[i]))
+			a, b := e.Pts[i], e.Pts[e.succ(tid, i)]
+			s2 += a.Cross(b)
+			box = box.Include(a)
 		}
 		if s2 < 0 {
 			s2 = -s2
@@ -129,9 +129,9 @@ func RectilinearKernel(s Launcher, e *Edges, c Collector) {
 		box := geom.EmptyRect()
 		bad := false
 		for i := lo; i < hi; i++ {
-			j := e.succ(tid, i)
-			box = box.Include(geom.Pt(e.X[i], e.Y[i]))
-			if e.X[i] != e.X[j] && e.Y[i] != e.Y[j] {
+			a, b := e.Pts[i], e.Pts[e.succ(tid, i)]
+			box = box.Include(a)
+			if a.X != b.X && a.Y != b.Y {
 				bad = true
 			}
 		}
@@ -162,16 +162,16 @@ func SpacingBrute(s Launcher, e *Edges, pairs [][2]int32, lim checks.SpacingLimi
 		blo, bhi := e.PolyEdges(pb)
 		var ops int64
 		for i := alo; i < ahi; i++ {
-			in := e.succ(pa, i)
-			ixlo, ixhi := minI64(e.X[i], e.X[in]), maxI64(e.X[i], e.X[in])
-			iylo, iyhi := minI64(e.Y[i], e.Y[in]), maxI64(e.Y[i], e.Y[in])
+			a, an := e.Pts[i], e.Pts[e.succ(pa, i)]
+			ixlo, ixhi := minI64(a.X, an.X), maxI64(a.X, an.X)
+			iylo, iyhi := minI64(a.Y, an.Y), maxI64(a.Y, an.Y)
 			var ei, eo geom.Edge
 			loaded := false
 			for j := blo; j < bhi; j++ {
 				ops += 2
-				jn := e.succ(pb, j)
-				if minI64(e.X[j], e.X[jn])-ixhi >= reach || ixlo-maxI64(e.X[j], e.X[jn]) >= reach ||
-					minI64(e.Y[j], e.Y[jn])-iyhi >= reach || iylo-maxI64(e.Y[j], e.Y[jn]) >= reach {
+				b, bn := e.Pts[j], e.Pts[e.succ(pb, j)]
+				if minI64(b.X, bn.X)-ixhi >= reach || ixlo-maxI64(b.X, bn.X) >= reach ||
+					minI64(b.Y, bn.Y)-iyhi >= reach || iylo-maxI64(b.Y, bn.Y) >= reach {
 					continue
 				}
 				if !loaded {
@@ -206,14 +206,14 @@ func EnclosureKernel(s Launcher, inner, outer *Edges, pairs [][2]int32, min int6
 		contained := true
 		for i := ilo; i < ihi && contained; i++ {
 			ops += int64(ohi - olo)
-			if !pointInPacked(outer, int(po), inner.X[i], inner.Y[i]) {
+			if !pointInPacked(outer, int(po), inner.Pts[i].X, inner.Pts[i].Y) {
 				contained = false
 			}
 		}
 		if !contained {
 			box := geom.EmptyRect()
 			for i := ilo; i < ihi; i++ {
-				box = box.Include(geom.Pt(inner.X[i], inner.Y[i]))
+				box = box.Include(inner.Pts[i])
 			}
 			c(Hit{Marker: checks.Marker{Box: box, Dist: -1}, A: pi, B: po})
 			return ops
@@ -237,9 +237,9 @@ func pointInPacked(e *Edges, p int, x, y int64) bool {
 	inside := false
 	lo, hi := e.PolyEdges(p)
 	for i := lo; i < hi; i++ {
-		j := e.succ(p, i)
-		ax, ay := e.X[i], e.Y[i]
-		bx, by := e.X[j], e.Y[j]
+		a, b := e.Pts[i], e.Pts[e.succ(p, i)]
+		ax, ay := a.X, a.Y
+		bx, by := b.X, b.Y
 		if ax == bx && x == ax && y >= minI64(ay, by) && y <= maxI64(ay, by) {
 			return true
 		}
@@ -281,11 +281,7 @@ func maxI64(a, b int64) int64 {
 // enclosure-evaluation kernel, whose semantics are defined on polygons).
 func PolyFromPacked(e *Edges, p int) geom.Polygon {
 	lo, hi := e.PolyEdges(p)
-	pts := make([]geom.Point, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		pts = append(pts, geom.Pt(e.X[i], e.Y[i]))
-	}
-	return geom.MustPolygon(pts)
+	return geom.MustPolygon(e.Pts[lo:hi])
 }
 
 // EnclosureEval launches one thread per inner shape (via), resolving the

@@ -49,13 +49,18 @@ func Compact[T any](s []T, remap []int32, first int) []T {
 
 // Splice removes the polygons remap marks and appends add at the tail. It
 // returns the byte size of the surviving prefix — what a device-resident
-// copy of the buffer still holds valid.
+// copy of the buffer still holds valid. A borrowed buffer (Share) moves to
+// an array of its own first: the moves below would otherwise shift vertices
+// under the polygons that share them. Later splices work in place.
 func (e *Edges) Splice(remap []int32, first int, add []geom.Polygon) int64 {
+	if e.borrowed {
+		e.reserve(len(e.Pts))
+		e.borrowed = false
+	}
 	w, np := int(e.PolyStart[first]), first
 	survivorRuns(remap, first, func(p, q int) {
 		lo, hi := int(e.PolyStart[p]), int(e.PolyStart[q])
-		copy(e.X[w:], e.X[lo:hi])
-		copy(e.Y[w:], e.Y[lo:hi])
+		copy(e.Pts[w:], e.Pts[lo:hi])
 		de := int32(lo - w)
 		for i := p; i < q; i++ {
 			e.PolyStart[i-p+np] = e.PolyStart[i] - de
@@ -70,21 +75,22 @@ func (e *Edges) Splice(remap []int32, first int, add []geom.Polygon) int64 {
 }
 
 // resize sets the buffer's length to edges/polys, reallocating with one
-// eighth of headroom when a column's capacity is exceeded. The two vertex
-// columns stay carved from one backing array, each with the same spare
-// capacity behind it.
+// eighth of headroom when a slice's capacity is exceeded.
 func (e *Edges) resize(edges, polys int) {
-	if edges > cap(e.X) {
-		c := edges + edges/8
-		coords := make([]int64, 2*c)
-		e.X = coords[:copy(coords, e.X):c]
-		e.Y = coords[c : c+copy(coords[c:], e.Y)]
+	if edges > cap(e.Pts) {
+		e.reserve(edges)
 	}
 	if polys+1 > cap(e.PolyStart) {
 		e.PolyStart = append(make([]int32, 0, polys+1+polys/8), e.PolyStart...)
 	}
-	e.X, e.Y = e.X[:edges], e.Y[:edges]
+	e.Pts = e.Pts[:edges]
 	e.PolyStart = e.PolyStart[:polys+1]
+}
+
+// reserve moves the vertices to a new array with room for n of them and an
+// eighth more.
+func (e *Edges) reserve(n int) {
+	e.Pts = append(make([]geom.Point, 0, n+n/8), e.Pts...)
 }
 
 // NewMBRTable builds the table of the given per-polygon boxes, which it

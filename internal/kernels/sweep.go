@@ -104,25 +104,38 @@ func (sc *Scratch) sortView() {
 	sc.fwd, sc.ranges = grow(sc.fwd, n), grow(sc.ranges, n)
 }
 
-// loadAxis loads the view of the members' edges that run along one axis:
-// those whose perpendicular coordinate perp is the same at both ends and
-// whose parallel coordinate para differs, sorted by perpendicular
-// coordinate. total is the members' edge count, an upper bound on the view.
-func (sc *Scratch) loadAxis(e *Edges, polys []int32, total int, perp, para []int64) {
+// axes returns p's coordinates across and along the edges of one axis
+// view: (y, x) for horizontal edges, (x, y) for vertical ones.
+func axes(p geom.Point, vertical bool) (perp, para int64) {
+	if vertical {
+		return p.X, p.Y
+	}
+	return p.Y, p.X
+}
+
+// loadAxis loads the view of the members' edges that run along one axis
+// (vertical, or horizontal): those whose perpendicular coordinate is the
+// same at both ends and whose parallel coordinate differs, sorted by
+// perpendicular coordinate. total is the members' edge count, an upper
+// bound on the view.
+func (sc *Scratch) loadAxis(e *Edges, polys []int32, total int, vertical bool) {
 	sc.gather(total)
 	for _, p := range polys {
 		lo, hi := e.PolyEdges(int(p))
 		for i := lo; i < hi; i++ {
-			if j := e.succ(int(p), i); perp[i] == perp[j] && para[i] != para[j] {
+			perp, para := axes(e.Pts[i], vertical)
+			perpN, paraN := axes(e.Pts[e.succ(int(p), i)], vertical)
+			if perp == perpN && para != paraN {
 				sc.order = append(sc.order, int32(i))
 				sc.poly = append(sc.poly, p)
-				sc.key = append(sc.key, perp[i])
+				sc.key = append(sc.key, perp)
 			}
 		}
 	}
 	sc.sortView()
 	for t, i := range sc.order {
-		a, b := para[i], para[e.succ(int(sc.poly[t]), int(i))]
+		_, a := axes(e.Pts[i], vertical)
+		_, b := axes(e.Pts[e.succ(int(sc.poly[t]), int(i))], vertical)
 		sc.lo[t], sc.hi[t] = min(a, b), max(a, b)
 		sc.fwd[t] = b > a
 	}
@@ -137,12 +150,12 @@ func (sc *Scratch) loadCorners(e *Edges, polys []int32, total int) {
 		for i := lo; i < hi; i++ {
 			sc.order = append(sc.order, int32(i))
 			sc.poly = append(sc.poly, p)
-			sc.key = append(sc.key, e.X[e.succ(int(p), i)])
+			sc.key = append(sc.key, e.Pts[e.succ(int(p), i)].X)
 		}
 	}
 	sc.sortView()
 	for t, i := range sc.order {
-		sc.lo[t] = e.Y[e.succ(int(sc.poly[t]), int(i))]
+		sc.lo[t] = e.Pts[e.succ(int(sc.poly[t]), int(i))].Y
 	}
 }
 
@@ -394,9 +407,9 @@ func (sc *Scratch) SweepPolys(s Launcher, e *Edges, polys []int32, lim checks.Sp
 		}
 		s.Launch("sort-edges", total, func(int) int64 { return logn * logn })
 	}
-	sc.loadAxis(e, polys, total, e.Y, e.X) // horizontal edges, swept in y
+	sc.loadAxis(e, polys, total, false) // horizontal edges, swept in y
 	sc.sweepAxis(s, e, lim, filter, c)
-	sc.loadAxis(e, polys, total, e.X, e.Y) // vertical edges, swept in x
+	sc.loadAxis(e, polys, total, true) // vertical edges, swept in x
 	sc.sweepAxis(s, e, lim, filter, c)
 	if filter == FilterSpacing {
 		sc.loadCorners(e, polys, total)

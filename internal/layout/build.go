@@ -231,11 +231,12 @@ func (c *Cell) touch(l Layer) *layerSlot {
 	return &c.layers[i]
 }
 
-// refresh recomputes slot s of the cell — MBR, counts, and whether it carries
-// a spatial index — from the cell's polygons on the layer (s.polys) and its
-// children's finished slots. The build and ApplyEdits both end here, so an
-// edited cell is indistinguishable from one loaded in that state. An mbr left
-// empty means the cell has nothing on the layer any more.
+// refresh recomputes slot s of the cell — MBR, counts (own edges, subtree
+// polygons and vertices), and whether it carries a spatial index — from the
+// cell's polygons on the layer (s.polys) and its children's finished slots.
+// The build and ApplyEdits both end here, so an edited cell is
+// indistinguishable from one loaded in that state. An mbr left empty means
+// the cell has nothing on the layer any more.
 func (c *Cell) refresh(s *layerSlot) {
 	s.mbr, s.edges, s.subtree = geom.EmptyRect(), 0, len(s.polys)
 	for _, pi := range s.polys {
@@ -243,6 +244,7 @@ func (c *Cell) refresh(s *layerSlot) {
 		s.mbr = s.mbr.Union(shape.MBR())
 		s.edges += shape.NumEdges()
 	}
+	s.verts = s.edges
 	placements := 0 // of children with geometry on the layer
 	for ri := range c.Refs {
 		ref := &c.Refs[ri]
@@ -253,6 +255,7 @@ func (c *Cell) refresh(s *layerSlot) {
 		s.mbr = s.mbr.Union(ref.extent(child.mbr))
 		// The whole array contributes one subtree per placement.
 		s.subtree += ref.NumPlacements() * child.subtree
+		s.verts += ref.NumPlacements() * child.verts
 		placements += ref.NumPlacements()
 	}
 	// A built tree stays valid across edits: refs never change, deleted

@@ -202,6 +202,9 @@ type layerSlot struct {
 	// subtree rooted at one placement of the cell — the exact output size of
 	// a full-subtree query, used to pre-size query results.
 	subtree int
+	// verts is the vertex count of those subtree polygons — the exact size of
+	// the vertex array a full-layer flatten carves its shapes from.
+	verts int
 	// index is the lazily built spatial index, nil unless the cell has more
 	// than indexMinItems items on the layer (see index.go).
 	index *layerIndex

@@ -70,6 +70,8 @@ type query struct {
 	window geom.Rect // global frame
 	out    []PlacedPoly
 	st     QueryStats
+	// slab, when set, stores the reported shapes (the full-layer flatten).
+	slab *geom.Slab
 	// cand holds index candidates; nested indexed cells use it as a stack.
 	cand []uint32
 }
@@ -144,11 +146,13 @@ func (q *query) poly(c *Cell, t geom.Transform, i int) {
 		return
 	}
 	q.st.PolysHit++
-	q.out = append(q.out, PlacedPoly{
-		Src:   PolyRef{Cell: c, Idx: i},
-		Trans: t,
-		Shape: p.Shape.Transform(t),
-	})
+	var shape geom.Polygon
+	if q.slab != nil {
+		shape = q.slab.Transform(p.Shape, t)
+	} else {
+		shape = p.Shape.Transform(t)
+	}
+	q.out = append(q.out, PlacedPoly{Src: PolyRef{Cell: c, Idx: i}, Trans: t, Shape: shape})
 }
 
 // placement descends into instance (col, row) of ref — whose child has layer
@@ -167,22 +171,28 @@ func (q *query) placement(ref *Ref, col, row int, childR geom.Rect, t geom.Trans
 // frame. This is what the flat baselines and the parallel mode's edge
 // packing consume.
 func (lo *Layout) FlattenLayer(l Layer) []PlacedPoly {
-	window := lo.Top.LayerMBR(l)
-	if window.Empty() {
-		return nil
+	polys, _ := lo.FlattenLayerSlab(l)
+	return polys
+}
+
+// FlattenLayerSlab is FlattenLayer that also returns the one vertex array
+// the shapes are carved from, in output order: shape i's ring follows shape
+// i−1's. Every instance on the layer overlaps the full-layer window, so the
+// layer's subtree counts are the exact output sizes: one allocation for the
+// instances and one for their vertices, however large the layer.
+func (lo *Layout) FlattenLayerSlab(l Layer) ([]PlacedPoly, []geom.Point) {
+	s := lo.Top.slot(l)
+	if s.mbr.Empty() {
+		return nil, nil
 	}
-	// Every instance on the layer overlaps the full-layer window, so the
-	// instance count is the exact output size: one allocation instead of
-	// repeated append growth over potentially millions of entries.
-	q := query{l: l, window: window, out: make([]PlacedPoly, 0, lo.NumInstancesOnLayer(l))}
+	q := query{l: l, window: s.mbr, out: make([]PlacedPoly, 0, s.subtree), slab: geom.NewSlab(s.verts)}
 	q.cell(lo.Top, geom.Identity())
-	return q.out
+	return q.out, q.slab.Points()
 }
 
 // NumInstancesOnLayer counts instance-expanded polygons on the layer (the
 // flat size, versus NumPolysOnLayer's definition count). The count is
-// precomputed bottom-up at build time, so this is a table lookup — FlattenLayer
-// calls it per invocation to pre-size its output.
+// precomputed bottom-up at build time, so this is a table lookup.
 func (lo *Layout) NumInstancesOnLayer(l Layer) int {
 	return lo.Top.SubtreePolyCount(l)
 }

@@ -142,7 +142,18 @@ func Rows(boxes []geom.Rect, guard int64, alg Algorithm) []Row {
 		rows[i].YLo = int64(1)<<62 - 1
 		rows[i].YHi = -(int64(1)<<62 - 1)
 	}
-	j := 0 // spans[j] is the span of the j-th non-empty box
+	// Count each row's members, then carve every row's list from one array,
+	// capped at its own end so an append cannot run into the next row.
+	counts := make([]int, len(rows))
+	for _, sp := range spans { // spans[j] is the span of the j-th non-empty box
+		counts[rowIdx[sp.Lo]]++
+	}
+	members := make([]int, len(spans))
+	for ri, off := 0, 0; ri < len(rows); ri++ {
+		rows[ri].Members = members[off : off : off+counts[ri]]
+		off += counts[ri]
+	}
+	j := 0
 	for bi, b := range boxes {
 		if b.Empty() {
 			continue

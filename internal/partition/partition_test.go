@@ -280,3 +280,32 @@ func TestSpliceMatchesRows(t *testing.T) {
 		}
 	}
 }
+
+// TestRowsMembersExactCapacity: every row's member list is capped at its
+// length, so an append to one row moves it out instead of writing into the
+// row after it (all lists are carved from one array).
+func TestRowsMembersExactCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	for trial := 0; trial < 50; trial++ {
+		bs := make([]geom.Rect, 1+rng.Intn(300))
+		for i := range bs {
+			lo := rng.Int63n(5000)
+			bs[i] = geom.R(0, lo, 10, lo+1+rng.Int63n(60))
+		}
+		for _, alg := range []Algorithm{Pigeonhole, SortBased} {
+			rows := Rows(bs, rng.Int63n(30), alg)
+			for ri, r := range rows {
+				if cap(r.Members) != len(r.Members) {
+					t.Fatalf("trial %d alg %d row %d: %d members, capacity %d", trial, alg, ri, len(r.Members), cap(r.Members))
+				}
+			}
+			if len(rows) > 1 {
+				next := rows[1].Members[0]
+				_ = append(rows[0].Members, -1)
+				if rows[1].Members[0] != next {
+					t.Fatalf("trial %d alg %d: an append to row 0 wrote into row 1", trial, alg)
+				}
+			}
+		}
+	}
+}
