@@ -6,7 +6,8 @@
 # contexts that reach every fan-out, mutex-guarded fields), the full test
 # suite under the race detector (the worker-pool fan-out makes -race part of
 # tier-1 verification; the chaos and cancellation suites run here too), the
-# nested benchmark module's own tests, one full-size traced batch_par pass and
+# scheduler's tests ten more times under it, the nested benchmark module's
+# own tests, one full-size traced batch_par pass and
 # one serve_edit pass of the end-to-end benchmark, a short fuzz smoke over
 # the GDSII reader (differentially, against the streaming reference reader),
 # the polygon/transform algebra, the indexed hierarchy query, the layout build,
@@ -34,6 +35,9 @@ fi
 go vet ./...
 go run ./cmd/odrc-lint
 go test -race ./...
+# The scheduler's park and wake paths, ten times over: one -race pass rarely
+# hits the interleavings where a yield parks or wakes.
+go test -race -count=10 -run 'Sched|Yield' ./internal/pool ./internal/server
 
 # The end-to-end benchmark is a nested module the line above neither compiles
 # nor runs, and its probes call engine functions directly (kernels, gpu,

@@ -14,12 +14,8 @@
 // always helps execute its own chunks (counted against the fan-out's worker
 // cap). Every fan-out therefore makes progress even when all shared workers
 // are busy with other tenants — and a nested fan-out inside a chunk body
-// can never deadlock waiting for a free worker. Self-service is metered by
-// the same stride accounting as worker dispatch: under FairShare a caller
-// whose tenant has run ahead of a lagging tenant that can actually absorb
-// service yields until the laggard catches up (see gatedLocked), so
-// fairness holds even when callers outnumber the shared workers. The
-// lowest-pass tenant is never gated, which preserves liveness.
+// can never deadlock waiting for a free worker. Nothing gates chunk
+// execution; the one place a tenant parks is YieldCtx, between rules.
 //
 // Determinism is untouched: the scheduler only reorders chunk execution,
 // and fan-out callers write results into per-index slots (reports are
@@ -112,7 +108,7 @@ type schedTenant struct {
 	present    int       // open presence spans (checks in flight)
 	dispatched uint64    // chunks handed to shared workers
 	selfServed uint64    // chunks run by the fan-outs' own callers
-	gatedWaits uint64    // times a caller yielded to a lagging tenant
+	gatedWaits uint64    // yields that parked behind a lagging tenant
 	fanouts    uint64    // fan-outs accepted
 }
 
@@ -158,9 +154,7 @@ func NewScheduler(cfg SchedConfig) *Scheduler {
 	s.cond = sync.NewCond(&s.mu)
 	s.workers.Add(w)
 	for i := 0; i < w; i++ {
-		// Worker 0 is the reserved floor: it serves unconditionally, so every
-		// tenant's queue keeps draining no matter what the gate says.
-		go s.worker(i == 0)
+		go s.worker()
 	}
 	return s
 }
@@ -349,13 +343,11 @@ func (s *Scheduler) joinLocked(tenant string) *schedTenant {
 
 // enter opens a presence span for tenant: the whole latency-sensitive work
 // unit (one service check), not just the instants its fan-outs are queued.
-// While a lagging tenant is present, co-tenant callers yield between their
-// chunk takes (gatedLocked) even during its serial sections — on a busy
-// host the run-queue delay of those sections, not chunk dispatch order, is
-// what buries a small check under a saturating neighbor. The returned
-// leave func closes the span (idempotent). Shared workers are never gated,
-// so a present tenant that stalls degrades co-tenants to worker-only
-// bandwidth at worst until its context dies.
+// While a lagging tenant is present, co-tenant checks park at their rule
+// boundaries (YieldCtx) even during its serial sections — on a busy host
+// the run-queue delay of those sections, not chunk dispatch order, is what
+// buries a small check under a saturating neighbor. The returned leave func
+// closes the span (idempotent).
 func (s *Scheduler) enter(tenant string) (leave func()) {
 	s.mu.Lock()
 	if s.closed {
@@ -371,8 +363,8 @@ func (s *Scheduler) enter(tenant string) (leave func()) {
 			s.mu.Lock()
 			t.present--
 			s.mu.Unlock()
-			// The span's pass lag no longer gates anyone; wake yielding
-			// co-tenant callers.
+			// The span's pass lag no longer gates anyone; wake parked
+			// co-tenant yields.
 			s.cond.Broadcast()
 		})
 	}
@@ -390,14 +382,13 @@ func EnterCtx(ctx context.Context) func() {
 }
 
 // YieldCtx parks the caller while its tenant is gated behind a lagging
-// co-tenant. Fan-out callers yield automatically between chunk takes
-// (serveOwn); this is the same courtesy for a tenant's serial sections —
-// the engine calls it at rule boundaries, where it already polls for
-// cancellation, so a batch check parks within one rule of a small
-// co-tenant check starting instead of staying runnable beside it. Returns
-// immediately when the context carries no scheduler, the scheduler is
-// closed or not fair-share, the tenant is not gated, or the context is
-// done; a parked caller wakes on any scheduling event or cancellation.
+// co-tenant — the scheduler's one way to park a tenant. The engine calls it
+// at rule boundaries, where it already polls for cancellation, so a batch
+// check parks within one rule of a small co-tenant check starting instead
+// of staying runnable beside it. Returns immediately when the context
+// carries no scheduler, the scheduler is closed or not fair-share, the
+// tenant is not gated, or the context is done; a parked caller wakes on any
+// scheduling event or cancellation.
 func YieldCtx(ctx context.Context) {
 	s := schedulerFromContext(ctx)
 	if s == nil {
@@ -425,8 +416,9 @@ func (s *Scheduler) yield(ctx context.Context, tenant string) {
 				s.cond.Broadcast()
 				s.mu.Unlock()
 			})
+			// Counted once per parked call: every broadcast wakes this loop.
+			t.gatedWaits++
 		}
-		t.gatedWaits++
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -483,17 +475,11 @@ func (s *Scheduler) minActivePassLocked() uint64 {
 // count against the fan-out's worker cap and advance the tenant's stride
 // pass exactly like worker dispatches — on hosts where callers outrun the
 // shared workers, the pass would otherwise never meter the bulk of the
-// consumption and FairShare would degenerate to FIFO. Under FairShare the
-// caller additionally yields (gatedLocked) while a lagging tenant can
-// absorb service; the lowest-pass tenant is never gated, so some caller
-// always proceeds even with every shared worker stalled.
+// consumption and FairShare would degenerate to FIFO.
 func (s *Scheduler) serveOwn(f *fanout) {
 	for {
 		s.mu.Lock()
-		for !f.exhaustedLocked() && (f.running >= f.cap || s.gatedLocked(f.t)) {
-			if f.running < f.cap {
-				f.t.gatedWaits++
-			}
+		for !f.exhaustedLocked() && f.running >= f.cap {
 			s.cond.Wait()
 		}
 		if f.exhaustedLocked() {
@@ -503,7 +489,7 @@ func (s *Scheduler) serveOwn(f *fanout) {
 			s.completeIfIdleLocked(f)
 			s.mu.Unlock()
 			// The tenant's runnable front may have vanished with this fan-out;
-			// gated co-tenant callers must re-evaluate.
+			// parked co-tenant yields must re-evaluate.
 			s.cond.Broadcast()
 			return
 		}
@@ -527,16 +513,13 @@ func (s *Scheduler) advancePassLocked(t *schedTenant) {
 	}
 }
 
-// gatedLocked reports whether a tenant's caller must yield before
-// self-serving another chunk: some other tenant lags strictly behind on
-// pass AND is either present (a check span is open — its serial sections
-// need the CPU as much as its fan-outs) or has a fan-out that can accept a
-// worker right now. The yield is bounded: the laggard's worker dispatches
-// advance its pass toward the gated tenant's, its presence ends with its
-// check (or its context), and the reserved worker is never gated — so a
-// stalled or saturated (running == cap) tenant degrades co-tenants to
-// reserved-worker bandwidth at worst, and the lowest-pass tenant itself
-// is never gated.
+// gatedLocked reports whether a tenant's yield must park: some other
+// tenant lags strictly behind on pass AND is either present (a check span
+// is open — its serial sections need the CPU as much as its fan-outs) or
+// has a fan-out that can accept a worker right now. The park is bounded:
+// nothing gates chunk execution, so the laggard's fan-outs always progress
+// and advance its pass toward the parked tenant's, and its presence ends
+// with its check (or its context). The lowest-pass tenant is never gated.
 func (s *Scheduler) gatedLocked(me *schedTenant) bool {
 	if s.policy != FairShare {
 		return false
@@ -554,12 +537,11 @@ func (s *Scheduler) gatedLocked(me *schedTenant) bool {
 }
 
 // worker is one shared dispatcher goroutine: pick the next chunk under the
-// policy, run it, repeat until the scheduler closes and drains. The
-// reserved worker ignores the fairness gate so queues always drain.
-func (s *Scheduler) worker(reserved bool) {
+// policy, run it, repeat until the scheduler closes and drains.
+func (s *Scheduler) worker() {
 	defer s.workers.Done()
 	for {
-		f, lo, hi, ok := s.next(reserved)
+		f, lo, hi, ok := s.next()
 		if !ok {
 			return
 		}
@@ -569,15 +551,11 @@ func (s *Scheduler) worker(reserved bool) {
 
 // next blocks until a chunk is runnable (or the scheduler closes with
 // nothing runnable) and dispatches it, advancing the winning tenant's pass
-// and recording the decision on the fan-out's timeline. A non-reserved
-// worker declines to serve a tenant the gate says is ahead of a lagging
-// present tenant — the same yield the callers make — unless the scheduler
-// is draining for Close.
-func (s *Scheduler) next(reserved bool) (f *fanout, lo, hi int, ok bool) {
+// and recording the decision on the fan-out's timeline.
+func (s *Scheduler) next() (f *fanout, lo, hi int, ok bool) {
 	s.mu.Lock()
 	for {
-		if f, t := s.pickLocked(); f != nil &&
-			(reserved || s.closed || !s.gatedLocked(t)) {
+		if f, t := s.pickLocked(); f != nil {
 			lo, hi := f.takeLocked()
 			t.inflight++
 			t.dispatched++
@@ -585,8 +563,8 @@ func (s *Scheduler) next(reserved bool) (f *fanout, lo, hi int, ok bool) {
 			s.advancePassLocked(t)
 			queued := len(t.queue)
 			s.mu.Unlock()
-			// The take moved the tenant's pass (and may have saturated the
-			// fan-out), which can release a gated co-tenant caller.
+			// The take moved the tenant's pass, which can release a parked
+			// co-tenant yield.
 			s.cond.Broadcast()
 			s.noteDispatch(f, lo, hi, pass, queued)
 			return f, lo, hi, true

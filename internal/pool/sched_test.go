@@ -50,7 +50,7 @@ func TestSchedulerStrideWeights(t *testing.T) {
 	enqueueBare(t, s, "B", 100)
 	counts := map[string]int{}
 	for i := 0; i < 40; i++ {
-		f, _, _, ok := s.next(true)
+		f, _, _, ok := s.next()
 		if !ok {
 			t.Fatalf("dispatch %d: nothing runnable", i)
 		}
@@ -68,12 +68,12 @@ func TestSchedulerFIFOOrder(t *testing.T) {
 	enqueueBare(t, s, "first", 5)
 	enqueueBare(t, s, "second", 5)
 	for i := 0; i < 5; i++ {
-		f, _, _, _ := s.next(true)
+		f, _, _, _ := s.next()
 		if f.tenant != "first" {
 			t.Fatalf("dispatch %d went to %q before the older fan-out drained", i, f.tenant)
 		}
 	}
-	f, _, _, _ := s.next(true)
+	f, _, _, _ := s.next()
 	if f.tenant != "second" {
 		t.Fatalf("dispatch after drain went to %q, want second", f.tenant)
 	}
@@ -88,7 +88,7 @@ func TestSchedulerIdleRejoin(t *testing.T) {
 	s := newBareScheduler(FairShare, nil)
 	enqueueBare(t, s, "busy", 400)
 	for i := 0; i < 20; i++ {
-		s.next(true)
+		s.next()
 	}
 	enqueueBare(t, s, "early", 10)
 	s.mu.Lock()
@@ -104,7 +104,7 @@ func TestSchedulerIdleRejoin(t *testing.T) {
 	s = newBareScheduler(FairShare, nil)
 	enqueueBare(t, s, "busy", 400)
 	for i := 0; i < 300; i++ {
-		s.next(true)
+		s.next()
 	}
 	s.mu.Lock()
 	busy := s.tenants["busy"].pass
@@ -123,7 +123,7 @@ func TestSchedulerIdleRejoin(t *testing.T) {
 	// it must not mint fresh credit and gate co-tenants that genuinely lag.
 	bf := enqueueBare(t, s, "blip", 10)
 	for i := 0; i < 10; i++ {
-		if f, _, _, ok := s.next(true); !ok || f.tenant != "blip" {
+		if f, _, _, ok := s.next(); !ok || f.tenant != "blip" {
 			t.Fatalf("take %d: expected to drain the blip tenant's fan-out", i)
 		}
 	}
@@ -423,4 +423,126 @@ func schedInstantNames(t *testing.T, rec *trace.Recorder) []string {
 		}
 	}
 	return names
+}
+
+// TestYieldCountsParkedCallsOnce: gated_waits counts yields that parked,
+// not wakeups — every broadcast anywhere wakes a parked yield, which then
+// re-checks the gate and parks again within the same call.
+func TestYieldCountsParkedCallsOnce(t *testing.T) {
+	s := newBareScheduler(FairShare, nil)
+	s.mu.Lock()
+	s.joinLocked("ahead").pass = 10 * strideOne
+	s.mu.Unlock()
+	leave := s.enter("laggard") // present at pass 0
+	done := yieldAsync(WithTenant(WithScheduler(context.Background(), s), "ahead"))
+	// The count moves under mu just before the cond wait, so seeing it
+	// moved means the yield is parked.
+	for parked := false; !parked; time.Sleep(time.Millisecond) {
+		select {
+		case <-done:
+			t.Fatal("yield returned without parking")
+		default:
+		}
+		s.mu.Lock()
+		parked = s.tenants["ahead"].gatedWaits > 0
+		s.mu.Unlock()
+	}
+	for i := 0; i < 20; i++ {
+		s.cond.Broadcast()
+		time.Sleep(time.Millisecond)
+	}
+	leave()
+	<-done
+	s.mu.Lock()
+	got := s.tenants["ahead"].gatedWaits
+	s.mu.Unlock()
+	if got != 1 {
+		t.Fatalf("one parked yield woken by 20 broadcasts counted gated_waits = %d, want 1", got)
+	}
+}
+
+// TestYieldParksBehindLaggingPresentTenant pins the one way the scheduler
+// parks a tenant: a yield whose tenant has run ahead on pass parks while a
+// lagging co-tenant holds a presence span open, and returns when that span
+// closes or the yield's own context ends. Under FIFO passes never move, so
+// a yield never parks. Without presence spans (EnterCtx a no-op) or without
+// yields (YieldCtx a no-op) this test fails.
+func TestYieldParksBehindLaggingPresentTenant(t *testing.T) {
+	for _, policy := range []SchedPolicy{FairShare, FIFO} {
+		sched := NewScheduler(SchedConfig{Workers: 2, Policy: policy})
+		base := WithScheduler(context.Background(), sched)
+		actx := WithTenant(base, "A")
+		bctx := WithTenant(base, "B")
+
+		// A's fan-out moves its pass ahead (FairShare only); B then opens a
+		// presence span and stays at pass 0.
+		leaveA := EnterCtx(actx)
+		if err := forEachChunkCtx(actx, 2, 64, 1, func(int) error { return nil }); err != nil {
+			t.Fatalf("%s: A's fan-out: %v", policy, err)
+		}
+		leaveB := EnterCtx(bctx)
+
+		if policy == FIFO {
+			select {
+			case <-yieldAsync(actx):
+			case <-time.After(time.Second):
+				t.Fatal("fifo: yield still parked after 1s; FIFO must never park")
+			}
+			for _, ts := range sched.Snapshot().Tenants {
+				if ts.GatedWaits != 0 {
+					t.Fatalf("fifo: tenant %s gated_waits = %d, want 0", ts.Tenant, ts.GatedWaits)
+				}
+			}
+		} else {
+			snap := sched.Snapshot()
+			if len(snap.Tenants) != 2 || snap.Tenants[1].Present != 1 ||
+				snap.Tenants[1].Pass >= snap.Tenants[0].Pass {
+				t.Fatalf("fair: tenants = %+v; want B present and lagging A", snap.Tenants)
+			}
+
+			// Parked behind the present laggard until its span closes.
+			parked := yieldAsync(actx)
+			select {
+			case <-parked:
+				t.Fatal("fair: yield returned while the lagging tenant is present")
+			case <-time.After(50 * time.Millisecond):
+			}
+			leaveB()
+			select {
+			case <-parked:
+			case <-time.After(time.Second):
+				t.Fatal("fair: yield still parked 1s after the lagging tenant left")
+			}
+
+			// Parked again, released by cancelling the yield's own context.
+			leaveB = EnterCtx(bctx)
+			cctx, cancel := context.WithCancel(actx)
+			parked = yieldAsync(cctx)
+			select {
+			case <-parked:
+				t.Fatal("fair: yield returned while the lagging tenant is present")
+			case <-time.After(50 * time.Millisecond):
+			}
+			cancel()
+			select {
+			case <-parked:
+			case <-time.After(time.Second):
+				t.Fatal("fair: yield still parked 1s after its context was cancelled")
+			}
+		}
+		leaveB()
+		leaveA()
+		sched.Close()
+	}
+}
+
+// yieldAsync runs YieldCtx on its own goroutine; the channel closes when it
+// returns.
+func yieldAsync(ctx context.Context) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		YieldCtx(ctx)
+		close(done)
+	}()
+	return done
 }
