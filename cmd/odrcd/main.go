@@ -7,7 +7,7 @@
 //
 //	odrcd [-addr :9144] [-max-inflight n] [-max-queue n] [-timeout d]
 //	      [-max-timeout d] [-grace d] [-drain d] [-sched-workers n]
-//	      [-tenant-weight name=w]... [-default-tenant-weight n]
+//	      [-tenant-weight name=w]...
 //	      [-ready-file path] [-quiet]
 //
 // API (JSON bodies throughout; see internal/server):
@@ -82,9 +82,8 @@ func run() int {
 	grace := flag.Duration("grace", 0, "watchdog grace past a check's deadline before abandoning it with 504 (0 = default 2s)")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown budget for in-flight checks after SIGTERM")
 	schedWorkers := flag.Int("sched-workers", 0, "shared cross-tenant worker set for check fan-outs (0 = GOMAXPROCS)")
-	defaultWeight := flag.Int("default-tenant-weight", 0, "stride weight for tenants without a -tenant-weight entry (0 = default 1)")
 	weights := map[string]int{}
-	flag.Func("tenant-weight", "name=w: give tenant name stride weight w on the shared workers (repeatable)", func(v string) error {
+	flag.Func("tenant-weight", "name=w: give tenant name stride weight w on the shared workers (repeatable; others get 1)", func(v string) error {
 		name, w, err := parseTenantWeight(v)
 		if err != nil {
 			return err
@@ -117,15 +116,14 @@ func run() int {
 	defer stop()
 
 	srv := server.New(base, server.Config{
-		MaxInFlight:         *maxInflight,
-		MaxQueuePerSession:  *maxQueue,
-		DefaultTimeout:      *timeout,
-		MaxTimeout:          *maxTimeout,
-		WatchdogGrace:       *grace,
-		SchedWorkers:        *schedWorkers,
-		TenantWeights:       weights,
-		DefaultTenantWeight: *defaultWeight,
-		Logger:              log,
+		MaxInFlight:        *maxInflight,
+		MaxQueuePerSession: *maxQueue,
+		DefaultTimeout:     *timeout,
+		MaxTimeout:         *maxTimeout,
+		WatchdogGrace:      *grace,
+		SchedWorkers:       *schedWorkers,
+		TenantWeights:      weights,
+		Logger:             log,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -126,7 +126,7 @@ func RunCellContext(ctx context.Context, lo *layout.Layout, r rules.Rule, c Chec
 }
 
 func dedupCount(vs []rules.Violation) int {
-	return len(core.DedupViolations(append([]rules.Violation(nil), vs...)))
+	return len(core.DedupViolations(vs))
 }
 
 // Row is one table line: a design/rule pair with all checker cells.

@@ -60,7 +60,7 @@ const (
 type rulePlan struct {
 	mode  planMode
 	key   ruleKey
-	vers  [2]uint64   // Session.ver of ruleLayers now: the stamp of what this check commits
+	vers  [2]uint64   // Session.ver of the rule's Inputs now: the stamp of what this check commits
 	rec   *ruleRecord // the record replayed, retained or restricted against
 	claim []geom.Rect // C_r
 	work  []geom.Rect // W_r
@@ -443,8 +443,7 @@ func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo)
 		rp.rec = s.records.get(rp.key)
 		behind, whole, stale := false, false, rp.rec == nil
 		var dirty []geom.Rect
-		ls, n := ruleLayers(r)
-		for i, l := range ls[:n] {
+		for i, l := range r.Inputs() {
 			rp.vers[i] = s.ver[l]
 			switch {
 			case stale || rp.rec.vers[i] == rp.vers[i]:

@@ -112,9 +112,7 @@ func (e *Engine) runEnclosureSeq(ctx context.Context, lo *layout.Layout, r rules
 		rep.Stats.PairsChecked += len(metals)
 		rep.Stats.InstancesEmitted++
 		checks.EvaluateEnclosure(gvia, metals, r.Min, func(m checks.Marker) {
-			rep.Violations = append(rep.Violations, rules.Violation{
-				Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m, Cell: d.cell.Name,
-			})
+			rep.Violations = append(rep.Violations, r.Violation(m, d.cell.Name))
 		})
 	})
 }

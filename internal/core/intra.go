@@ -23,24 +23,7 @@ func intraMarkers(dst []checks.Marker, c *layout.Cell, r rules.Rule, min int64) 
 	out := dst
 	emit := func(m checks.Marker) { out = append(out, m) }
 	for _, pi := range c.LocalPolyIndex(r.Layer) {
-		p := c.Polys[pi].Shape
-		switch r.Kind {
-		case rules.Width:
-			checks.CheckWidth(p, min, emit)
-		case rules.Area:
-			if m, bad := checks.CheckArea(p, min); bad {
-				emit(m)
-			}
-		case rules.Rectilinear:
-			if m, bad := checks.CheckRectilinear(p); bad {
-				emit(m)
-			}
-		case rules.Custom:
-			obj := rules.Obj{Shape: p, Layer: r.Layer, Name: c.LabelIn(r.Layer, p)}
-			if !r.Pred(obj) {
-				emit(checks.Marker{Box: p.MBR()})
-			}
-		}
+		r.CheckPolygon(c.Polys[pi].Shape, layout.PolyRef{Cell: c, Idx: int(pi)}, min, emit)
 	}
 	return out
 }
@@ -142,10 +125,7 @@ func magGroups(insts []geom.Transform) []magGroup {
 // markers to dst.
 func appendMarkers(dst []rules.Violation, r rules.Rule, cell string, markers []checks.Marker, t geom.Transform) []rules.Violation {
 	for _, m := range markers {
-		dst = append(dst, rules.Violation{
-			Rule: r.ID, Kind: r.Kind, Layer: r.Layer,
-			Marker: r.InstanceMarker(m, t), Cell: cell,
-		})
+		dst = append(dst, r.Violation(r.InstanceMarker(m, t), cell))
 	}
 	return dst
 }

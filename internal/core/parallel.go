@@ -356,14 +356,9 @@ func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kerne
 	return nil
 }
 
-// hitViolation is the report entry of one kernel hit of rule r.
-func hitViolation(r rules.Rule, h kernels.Hit) rules.Violation {
-	return rules.Violation{Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: h.Marker}
-}
-
 // collect adapts kernel hits into report violations.
 func collect(rep *Report, r rules.Rule) kernels.Collector {
-	return func(h kernels.Hit) { rep.Violations = append(rep.Violations, hitViolation(r, h)) }
+	return func(h kernels.Hit) { rep.Violations = append(rep.Violations, r.Violation(h.Marker, "")) }
 }
 
 // runIntraPar checks an intra-polygon rule on the device with the Section
@@ -634,7 +629,7 @@ func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep
 		sc := pc.geo.Arena().Sweep()
 		defer pc.geo.Arena().PutSweep(sc)
 		sc.SweepPolys(&res.tape, edges, rows[ri], lim, kernels.FilterSpacing, func(h kernels.Hit) {
-			res.vs = append(res.vs, hitViolation(r, h))
+			res.vs = append(res.vs, r.Violation(h.Marker, ""))
 		})
 		return nil
 	})

@@ -42,23 +42,12 @@ func keyOf(r rules.Rule) ruleKey {
 	return k
 }
 
-// ruleLayers lists the layers whose geometry the rule reads — its own and,
-// for enclosure, Outer: the layers whose dirt makes its record stale.
-func ruleLayers(r rules.Rule) (ls [2]layout.Layer, n int) {
-	ls[0] = r.Layer
-	if r.Kind == rules.Enclosure {
-		ls[1] = r.Outer
-		return ls, 2
-	}
-	return ls, 1
-}
-
 // ruleRecord is one rule's last successful result. It is immutable once
 // committed (a re-run commits a new record; a replay only refreshes the event
 // slots of its tape, under the session lock), so plans may hold it unlocked.
 type ruleRecord struct {
 	key        ruleKey
-	vers       [2]uint64         // Session.ver of ruleLayers at the run
+	vers       [2]uint64         // Session.ver of the rule's Inputs at the run
 	violations []rules.Violation // in rules.Less order; own backing array, never a Report's
 
 	// A full record also holds what a complete run wrote besides violations —

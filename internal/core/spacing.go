@@ -289,9 +289,7 @@ func (e *Engine) runSpacingFlat(ctx context.Context, lo *layout.Layout, r rules.
 	}
 	defer arena.PutRects(boxes)
 	emit := func(m checks.Marker) {
-		rep.Violations = append(rep.Violations, rules.Violation{
-			Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m,
-		})
+		rep.Violations = append(rep.Violations, r.Violation(m, ""))
 	}
 	for i := range polys {
 		rep.Stats.PairsChecked++

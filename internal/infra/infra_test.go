@@ -105,41 +105,6 @@ func TestProfilerOnPhaseHook(t *testing.T) {
 	}
 }
 
-func TestProfilerMergeAndTop(t *testing.T) {
-	a := NewProfiler()
-	a.Add("x", 10*time.Millisecond)
-	b := NewProfiler()
-	b.Add("x", 5*time.Millisecond)
-	b.Add("y", 30*time.Millisecond)
-	a.Merge(b)
-	if a.Get("x") != 15*time.Millisecond || a.Get("y") != 30*time.Millisecond {
-		t.Errorf("merge: x=%v y=%v", a.Get("x"), a.Get("y"))
-	}
-	top := a.TopPhases(1)
-	if len(top) != 1 || top[0].Name != "y" {
-		t.Errorf("top = %+v", top)
-	}
-}
-
-func TestTopPhasesStableTies(t *testing.T) {
-	// Three tied phases must keep their first-seen order in every call —
-	// an unstable sort is free to permute them between runs.
-	p := NewProfiler()
-	p.Add("alpha", 10*time.Millisecond)
-	p.Add("beta", 10*time.Millisecond)
-	p.Add("gamma", 10*time.Millisecond)
-	p.Add("small", 1*time.Millisecond)
-	for i := 0; i < 10; i++ {
-		top := p.TopPhases(3)
-		if len(top) != 3 {
-			t.Fatalf("top = %d entries", len(top))
-		}
-		if top[0].Name != "alpha" || top[1].Name != "beta" || top[2].Name != "gamma" {
-			t.Fatalf("tied phases reordered: %s %s %s", top[0].Name, top[1].Name, top[2].Name)
-		}
-	}
-}
-
 func TestProfilerWriteTo(t *testing.T) {
 	p := NewProfiler()
 	p.Add("alpha", 25*time.Millisecond)

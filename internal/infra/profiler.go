@@ -6,7 +6,6 @@ package infra
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -142,20 +141,6 @@ func (p *Profiler) Get(name string) time.Duration {
 	return p.totals[name]
 }
 
-// Merge adds every phase of q into p. p and q must be distinct profilers.
-func (p *Profiler) Merge(q *Profiler) {
-	q.mu.Lock()
-	order := append([]string(nil), q.order...)
-	totals := make(map[string]time.Duration, len(q.totals))
-	for k, v := range q.totals {
-		totals[k] = v
-	}
-	q.mu.Unlock()
-	for _, name := range order {
-		p.Add(name, totals[name])
-	}
-}
-
 // WriteTo renders an aligned text breakdown (sorted by first-seen order)
 // with a bar chart, e.g. for cmd/odrc-bench -fig 4.
 func (p *Profiler) WriteTo(w io.Writer) (int64, error) {
@@ -176,16 +161,4 @@ func (p *Profiler) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return n, nil
-}
-
-// TopPhases returns the n largest phases by duration; ties keep their
-// first-seen order (Breakdown order), so tied phases render
-// deterministically in Fig. 4 output.
-func (p *Profiler) TopPhases(n int) []Share {
-	all := p.Breakdown()
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Duration > all[j].Duration })
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all
 }

@@ -25,7 +25,7 @@ func TestFlatFallsBackToTiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est := flattenEstimate(lo, r.Layer); est < 2 {
+	if est := flattenEstimate(lo, r); est < 2 {
 		t.Fatalf("flattenEstimate = %d; design too small to trip a budget", est)
 	}
 	unlimited, err := CheckContext(context.Background(), lo, r, Options{Mode: Flat})
@@ -48,7 +48,7 @@ func TestFlatFallsBackToTiling(t *testing.T) {
 	}
 	// A budget above the estimate must not trigger the fallback.
 	roomy, err := CheckContext(context.Background(), lo, r, Options{Mode: Flat,
-		Budgets: budget.Limits{MaxFlattenPolys: flattenEstimate(lo, r.Layer) + 1}})
+		Budgets: budget.Limits{MaxFlattenPolys: flattenEstimate(lo, r) + 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

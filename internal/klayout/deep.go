@@ -115,10 +115,9 @@ func deepIntra(ctx context.Context, lo *layout.Layout, r rules.Rule, emit func(c
 			if g < 0 {
 				var ms []checks.Marker
 				min := r.IntraMin(mag)
+				collect := func(m checks.Marker) { ms = append(ms, m) }
 				for _, pi := range idx {
-					p := c.Polys[pi].Shape
-					name := c.LabelIn(c.Polys[pi].Layer, p)
-					checkPolyIntra(p, name, r, min, func(m checks.Marker) { ms = append(ms, m) })
+					r.CheckPolygon(c.Polys[pi].Shape, layout.PolyRef{Cell: c, Idx: pi}, min, collect)
 				}
 				g = len(mags)
 				mags = append(mags, mag)

@@ -143,15 +143,17 @@ func CheckContext(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Opt
 	return res, nil
 }
 
-// flattenEstimate counts the polygons a full instantiation of the layer
-// would materialize — Σ (cell's local layer polygons × placements) — without
-// materializing anything, so flat mode can decide to fall back before
-// paying for the blow-up.
-func flattenEstimate(lo *layout.Layout, l layout.Layer) int64 {
+// flattenEstimate counts the polygons a full instantiation of the rule's
+// input layers would materialize — Σ (cell's local layer polygons ×
+// placements) — without materializing anything, so flat mode can decide to
+// fall back before paying for the blow-up.
+func flattenEstimate(lo *layout.Layout, r rules.Rule) int64 {
 	placements := lo.Placements()
 	var n int64
-	for _, c := range lo.LayerCells(l) {
-		n += int64(len(c.LocalPolys(l))) * int64(len(placements[c.ID]))
+	for _, l := range r.Inputs() {
+		for _, c := range lo.LayerCells(l) {
+			n += int64(len(c.LocalPolyIndex(l))) * int64(len(placements[c.ID]))
+		}
 	}
 	return n
 }
@@ -165,39 +167,8 @@ func sortViolations(vs []rules.Violation) {
 // emitFn builds a violation emitter for one rule.
 func emitFn(res *Result, r rules.Rule) func(checks.Marker) {
 	return func(m checks.Marker) {
-		res.Violations = append(res.Violations, rules.Violation{
-			Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m,
-		})
+		res.Violations = append(res.Violations, r.Violation(m, ""))
 	}
-}
-
-// checkPolyIntra dispatches one polygon through an intra-polygon rule, with
-// min the rule's threshold in the polygon's frame (Rule.IntraMin).
-func checkPolyIntra(p geom.Polygon, name string, r rules.Rule, min int64, emit func(checks.Marker)) {
-	switch r.Kind {
-	case rules.Width:
-		checks.CheckWidth(p, min, emit)
-	case rules.Area:
-		if m, bad := checks.CheckArea(p, min); bad {
-			emit(m)
-		}
-	case rules.Rectilinear:
-		if m, bad := checks.CheckRectilinear(p); bad {
-			emit(m)
-		}
-	case rules.Custom:
-		if !r.Pred(rules.Obj{Shape: p, Layer: r.Layer, Name: name}) {
-			emit(checks.Marker{Box: p.MBR()})
-		}
-	}
-}
-
-// flatName resolves the label of a flattened polygon from its definition
-// cell (labels transform with the cell, so the local containment test is
-// equivalent).
-func flatName(pp layout.PlacedPoly) string {
-	src := &pp.Src.Cell.Polys[pp.Src.Idx]
-	return pp.Src.Cell.LabelIn(src.Layer, src.Shape)
 }
 
 // checkFlat is the flat mode: full instantiation, one global sweepline. It
@@ -209,19 +180,26 @@ func flatName(pp layout.PlacedPoly) string {
 // tile window at a time) instead of exhausting memory.
 func checkFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Options, res *Result) error {
 	if limit := opts.Budgets.MaxFlattenPolys; limit > 0 {
-		est := flattenEstimate(lo, r.Layer)
-		if r.Kind == rules.Enclosure {
-			est += flattenEstimate(lo, r.Outer)
-		}
-		if err := budget.Check("flatten-polys", est, limit); err != nil {
+		if err := budget.Check("flatten-polys", flattenEstimate(lo, r), limit); err != nil {
 			res.FellBack = true
 			return checkTiling(ctx, lo, r, opts, res)
 		}
 	}
-	emit := emitFn(res, r)
-	polys := lo.FlattenLayer(r.Layer)
+	_, err := checkRegion(ctx, r, lo.FlattenLayer, emitFn(res, r))
+	return err
+}
+
+// checkRegion is the body flat and tiling mode share: it runs one rule with
+// one sweepline over flat geometry, which polysOf returns per input layer —
+// the whole layout in flat mode, a tile window in tiling mode. It reports
+// whether the region held any polygon on the rule's layer.
+func checkRegion(ctx context.Context, r rules.Rule, polysOf func(layout.Layer) []layout.PlacedPoly, emit func(checks.Marker)) (bool, error) {
+	polys := polysOf(r.Layer)
 	if err := ctx.Err(); err != nil {
-		return err
+		return false, err
+	}
+	if len(polys) == 0 {
+		return false, nil
 	}
 	switch r.Kind {
 	case rules.Spacing:
@@ -234,10 +212,10 @@ func checkFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Option
 		if _, err := sweep.Overlaps(boxes, func(a, b int) {
 			checks.CheckSpacingLim(polys[a].Shape, polys[b].Shape, lim, emit)
 		}); err != nil {
-			return err
+			return false, err
 		}
 	case rules.Enclosure:
-		metals := lo.FlattenLayer(r.Outer)
+		metals := polysOf(r.Outer)
 		viaBoxes := make([]geom.Rect, len(polys))
 		for i := range polys {
 			viaBoxes[i] = polys[i].Shape.MBR().Expand(r.Min)
@@ -250,20 +228,21 @@ func checkFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Option
 		if _, err := sweep.OverlapsBetween(viaBoxes, metalBoxes, func(v, m int) {
 			cands[v] = append(cands[v], metals[m].Shape)
 		}); err != nil {
-			return err
+			return false, err
 		}
 		for i := range polys {
 			checks.EvaluateEnclosure(polys[i].Shape, cands[i], r.Min, emit)
 		}
 	default:
+		min := r.IntraMin(1)
 		for i, pp := range polys {
 			if i%1024 == 0 {
 				if err := ctx.Err(); err != nil {
-					return err
+					return false, err
 				}
 			}
-			checkPolyIntra(pp.Shape, flatName(pp), r, r.IntraMin(1), emit)
+			r.CheckPolygon(pp.Shape, pp.Src, min, emit)
 		}
 	}
-	return nil
+	return true, nil
 }

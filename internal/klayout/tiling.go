@@ -12,7 +12,6 @@ import (
 	"opendrc/internal/layout"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
-	"opendrc/internal/sweep"
 	"opendrc/internal/trace"
 )
 
@@ -27,9 +26,9 @@ import (
 
 // checkTiling runs one rule in tiling mode.
 func checkTiling(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Options, res *Result) error {
-	bounds := lo.Top.LayerMBR(r.Layer)
-	if r.Kind == rules.Enclosure {
-		bounds = bounds.Union(lo.Top.LayerMBR(r.Outer))
+	bounds := geom.EmptyRect()
+	for _, l := range r.Inputs() {
+		bounds = bounds.Union(lo.Top.LayerMBR(l))
 	}
 	if bounds.Empty() {
 		return nil
@@ -71,13 +70,15 @@ func checkTiling(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Opti
 		tile := tiles[i]
 		tr := &results[i]
 		start := time.Now() //odrc:allow clock — per-tile wall time; input to the Threads-worker LPT makespan model
-		processed, err := tileCheck(lo, r, tile, halo, func(m checks.Marker) {
+		window := tile.Expand(halo)
+		processed, err := checkRegion(ctx, r, func(l layout.Layer) []layout.PlacedPoly {
+			polys, _ := lo.QueryLayer(l, window)
+			return polys
+		}, func(m checks.Marker) {
 			// Ownership: the tile containing the marker center reports
 			// it; halo copies elsewhere are dropped.
 			if tile.Contains(m.Box.Center()) {
-				tr.vs = append(tr.vs, rules.Violation{
-					Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m,
-				})
+				tr.vs = append(tr.vs, r.Violation(m, ""))
 			}
 		})
 		if err != nil {
@@ -103,54 +104,6 @@ func checkTiling(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Opti
 	}
 	res.Modeled = makespan(tileTimes, opts.Threads)
 	return nil
-}
-
-// tileCheck runs the flat algorithms restricted to one tile+halo window;
-// returns false when the window holds no geometry.
-func tileCheck(lo *layout.Layout, r rules.Rule, tile geom.Rect, halo int64, emit func(checks.Marker)) (bool, error) {
-	window := tile.Expand(halo)
-	polys, _ := lo.QueryLayer(r.Layer, window)
-	if len(polys) == 0 {
-		return false, nil
-	}
-	switch r.Kind {
-	case rules.Spacing:
-		lim := r.SpacingLimit()
-		boxes := make([]geom.Rect, len(polys))
-		for i := range polys {
-			boxes[i] = polys[i].Shape.MBR().Expand(lim.Reach())
-			checks.CheckNotchLim(polys[i].Shape, lim, emit)
-		}
-		if _, err := sweep.Overlaps(boxes, func(a, b int) {
-			checks.CheckSpacingLim(polys[a].Shape, polys[b].Shape, lim, emit)
-		}); err != nil {
-			return false, err
-		}
-	case rules.Enclosure:
-		metals, _ := lo.QueryLayer(r.Outer, window)
-		viaBoxes := make([]geom.Rect, len(polys))
-		for i := range polys {
-			viaBoxes[i] = polys[i].Shape.MBR().Expand(r.Min)
-		}
-		metalBoxes := make([]geom.Rect, len(metals))
-		for i := range metals {
-			metalBoxes[i] = metals[i].Shape.MBR()
-		}
-		cands := make([][]geom.Polygon, len(polys))
-		if _, err := sweep.OverlapsBetween(viaBoxes, metalBoxes, func(v, m int) {
-			cands[v] = append(cands[v], metals[m].Shape)
-		}); err != nil {
-			return false, err
-		}
-		for i := range polys {
-			checks.EvaluateEnclosure(polys[i].Shape, cands[i], r.Min, emit)
-		}
-	default:
-		for _, pp := range polys {
-			checkPolyIntra(pp.Shape, flatName(pp), r, r.IntraMin(1), emit)
-		}
-	}
-	return true, nil
 }
 
 // makespan models LPT scheduling of tile durations onto the worker pool.

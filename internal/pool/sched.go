@@ -87,9 +87,8 @@ type SchedConfig struct {
 	Workers int
 	// Policy selects the dispatch order. The zero value is FairShare.
 	Policy SchedPolicy
-	// DefaultWeight applies to tenants absent from Weights (<= 0 means 1).
-	DefaultWeight int
-	// Weights maps tenant name → stride weight (higher = larger share).
+	// Weights maps tenant name → stride weight (higher = larger share);
+	// tenants absent from it get weight 1.
 	Weights map[string]int
 	// Faults drives the chaos suite through the faults.SiteSched seam at
 	// chunk dispatch. Nil is inert.
@@ -117,11 +116,10 @@ type schedTenant struct {
 // chunks through the shared, weighted-fair worker set. The zero value is not
 // usable; construct with NewScheduler and Close when done.
 type Scheduler struct {
-	policy        SchedPolicy
-	defaultWeight int
-	weights       map[string]int
-	faults        *faults.Injector
-	nworkers      int
+	policy   SchedPolicy
+	weights  map[string]int
+	faults   *faults.Injector
+	nworkers int
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -135,21 +133,16 @@ type Scheduler struct {
 // NewScheduler starts a scheduler with its shared workers running.
 func NewScheduler(cfg SchedConfig) *Scheduler {
 	w := Workers(cfg.Workers)
-	dw := cfg.DefaultWeight
-	if dw <= 0 {
-		dw = 1
-	}
 	weights := make(map[string]int, len(cfg.Weights))
 	for name, wt := range cfg.Weights {
 		weights[name] = wt
 	}
 	s := &Scheduler{
-		policy:        cfg.Policy,
-		defaultWeight: dw,
-		weights:       weights,
-		faults:        cfg.Faults,
-		nworkers:      w,
-		tenants:       map[string]*schedTenant{},
+		policy:   cfg.Policy,
+		weights:  weights,
+		faults:   cfg.Faults,
+		nworkers: w,
+		tenants:  map[string]*schedTenant{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.workers.Add(w)
@@ -428,7 +421,7 @@ func (s *Scheduler) yield(ctx context.Context, tenant string) {
 }
 
 // Weight reports the stride weight tenant would be scheduled with (its
-// configured weight, or the default). The weight table is immutable after
+// configured weight, or 1). The weight table is immutable after
 // construction, so this needs no lock.
 func (s *Scheduler) Weight(tenant string) int { return s.weightFor(tenant) }
 
@@ -437,7 +430,7 @@ func (s *Scheduler) weightFor(tenant string) int {
 	if w, ok := s.weights[tenant]; ok && w > 0 {
 		return w
 	}
-	return s.defaultWeight
+	return 1
 }
 
 // warpedJoinPass is where a tenant entering (or re-entering) the

@@ -20,10 +20,9 @@ import (
 // for the policy tests.
 func newBareScheduler(policy SchedPolicy, weights map[string]int) *Scheduler {
 	s := &Scheduler{
-		policy:        policy,
-		defaultWeight: 1,
-		weights:       weights,
-		tenants:       map[string]*schedTenant{},
+		policy:  policy,
+		weights: weights,
+		tenants: map[string]*schedTenant{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s

@@ -1,8 +1,11 @@
 // Package rules defines OpenDRC's rule deck and the chaining programming
 // interface of the paper's Listing 1: selectors locate the target objects
 // (db.layer(19).width()) and predicates state what they must satisfy
-// (greater_than(18), is_rectilinear(), ensures(fn)). Rules are plain values;
-// the engine dispatches on Kind.
+// (greater_than(18), is_rectilinear(), ensures(fn)). Rules are plain values,
+// and what a kind means is stated here once: the layers a rule reads
+// (Inputs), its intra-polygon predicate (CheckPolygon), its reach and
+// thresholds, and the violation a marker becomes (Rule.Violation). The
+// checkers only choose how to run it.
 package rules
 
 import (
@@ -113,6 +116,48 @@ func (r Rule) InstanceMarker(m checks.Marker, t geom.Transform) checks.Marker {
 		}
 	}
 	return m
+}
+
+// Inputs returns the layers whose geometry the rule reads: Layer and, for
+// enclosure, Outer.
+func (r Rule) Inputs() []layout.Layer {
+	if r.Kind == Enclosure {
+		return []layout.Layer{r.Layer, r.Outer}
+	}
+	return []layout.Layer{r.Layer}
+}
+
+// CheckPolygon checks one polygon against an intra-polygon rule and emits
+// each marker; spacing and enclosure relate several polygons and emit
+// nothing here. min is the threshold in p's frame (IntraMin). src is the
+// cell polygon p was placed from: a Custom predicate receives its label as
+// Obj.Name, looked up in src's own frame (labels transform with their cell),
+// and no other kind reads src. Nothing is allocated per polygon.
+func (r Rule) CheckPolygon(p geom.Polygon, src layout.PolyRef, min int64, emit func(checks.Marker)) {
+	switch r.Kind {
+	case Width:
+		checks.CheckWidth(p, min, emit)
+	case Area:
+		if m, bad := checks.CheckArea(p, min); bad {
+			emit(m)
+		}
+	case Rectilinear:
+		if m, bad := checks.CheckRectilinear(p); bad {
+			emit(m)
+		}
+	case Custom:
+		name := src.Cell.LabelIn(r.Layer, src.Cell.Polys[src.Idx].Shape)
+		if !r.Pred(Obj{Shape: p, Layer: r.Layer, Name: name}) {
+			emit(checks.Marker{Box: p.MBR()})
+		}
+	}
+}
+
+// Violation is the report entry of marker m of the rule; cell names the
+// definition the geometry lives in, or is empty when the checker does not
+// attribute it to one.
+func (r Rule) Violation(m checks.Marker, cell string) Violation {
+	return Violation{Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: m, Cell: cell}
 }
 
 func ceilDiv(a, b int64) int64 {

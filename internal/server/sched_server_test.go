@@ -191,8 +191,7 @@ func TestCheckBytesInvariantUnderCoTenantLoad(t *testing.T) {
 // weight, and /debug/sched reports the per-tenant dispatch accounting.
 func TestDebugSchedSnapshot(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		TenantWeights:       map[string]int{"acme": 3},
-		DefaultTenantWeight: 1,
+		TenantWeights: map[string]int{"acme": 3},
 	})
 	// seq mode (host-side fan-outs are what the scheduler routes; par mode
 	// runs rules as device kernels) with explicit workers, so the check takes

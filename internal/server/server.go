@@ -75,11 +75,8 @@ type Config struct {
 	SchedWorkers int
 	// TenantWeights gives named tenants a larger stride share of the shared
 	// workers; a session's tenant defaults to its session id. Tenants
-	// absent from the map get DefaultTenantWeight.
+	// absent from the map get weight 1.
 	TenantWeights map[string]int
-	// DefaultTenantWeight applies to tenants absent from TenantWeights
-	// (<= 0 means 1).
-	DefaultTenantWeight int
 	// Faults drives the chaos suite through the service seams
 	// (faults.SiteRequest, faults.SiteSessionLoad) and, via each session's
 	// engine options, the engine seams. Nil is inert.
@@ -132,11 +129,10 @@ func New(base context.Context, cfg Config) *Server {
 		sem:  make(chan struct{}, cfg.MaxInFlight),
 		reg:  newRegistry(),
 		sched: pool.NewScheduler(pool.SchedConfig{
-			Workers:       cfg.SchedWorkers,
-			Policy:        pool.FairShare,
-			DefaultWeight: cfg.DefaultTenantWeight,
-			Weights:       cfg.TenantWeights,
-			Faults:        cfg.Faults,
+			Workers: cfg.SchedWorkers,
+			Policy:  pool.FairShare,
+			Weights: cfg.TenantWeights,
+			Faults:  cfg.Faults,
 		}),
 	}
 	mux := http.NewServeMux()

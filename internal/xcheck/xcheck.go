@@ -71,9 +71,7 @@ func CheckContext(ctx context.Context, lo *layout.Layout, r rules.Rule, opts Opt
 	start := time.Now() //odrc:allow clock — baseline wall measurement; feeds Result.Wall for the measured-vs-modeled comparison
 
 	collect := func(h kernels.Hit) {
-		res.Violations = append(res.Violations, rules.Violation{
-			Rule: r.ID, Kind: r.Kind, Layer: r.Layer, Marker: h.Marker,
-		})
+		res.Violations = append(res.Violations, r.Violation(h.Marker, ""))
 	}
 
 	// Host: flatten the whole layer (X-Check operates on flat layouts).
