@@ -17,8 +17,9 @@
 # file format (a written deck parses back to the same rules) and the
 # sequential sweepline (against brute-force pairs), a bench smoke
 # of the unit benchmarks, the one timing gate that
-# has no test or benchmark/ counterpart (cross-tenant fairness), a traced run
-# validated structurally, and an end-to-end smoke of the odrcd service over
+# has no test or benchmark/ counterpart (cross-tenant fairness), a traced
+# parallel run and a traced sequential run validated structurally, and an
+# end-to-end smoke of the odrcd service over
 # real HTTP. Speed is judged by benchmark/ (BENCHMARK.json); identity across
 # worker counts, cache on/off and delta vs cold is pinned by go test
 # (DESIGN.md, "Retired gates").
@@ -121,6 +122,10 @@ go build -o "$tmp/odrc-bench" ./cmd/odrc-bench
 # the schema itself is held by TestTraceExportValidates.
 "$tmp/odrc-bench" -trace "$tmp/trace.json" -scale 0.1
 "$tmp/odrc-bench" -validate-trace "$tmp/trace.json"
+# The same for a sequential run, whose rules run side by side: its rule track
+# holds overlapping spans, which the export must still render and validate.
+"$tmp/odrc-bench" -trace "$tmp/trace-seq.json" -trace-mode seq -scale 0.1
+"$tmp/odrc-bench" -validate-trace "$tmp/trace-seq.json"
 
 # Service smoke: start odrcd on an ephemeral port, load a generated GDS as a
 # resident session, run full-deck and single-rule checks over HTTP, and

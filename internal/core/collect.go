@@ -12,9 +12,9 @@ import (
 // synchronization, and the shards merge into the report in index order — the
 // same order a single worker would have produced, so the report is
 // bit-identical for every worker count. The shard tables themselves recycle
-// through the engine's freelist: rules run in sequence, so the steady state
-// is one warm table per concurrently-live fan-out and zero per-rule slot
-// allocations.
+// through the engine's freelist: the steady state is one warm table per
+// concurrently-live fan-out (one per rule running side by side) and zero
+// per-rule slot allocations.
 
 // shard is one index-owned output slot of a fan-out: violations (intra
 // rules, parallel-mode sweep rows), markers (spacing rows, still in the

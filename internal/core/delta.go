@@ -120,9 +120,8 @@ func (rp *rulePlan) anyPlacementNear(localBox geom.Rect, insts []geom.Transform)
 // (two deck rules may share an ID, never a key). A nil plan — a batch run, or
 // a session that keeps no records — executes every rule and records nothing.
 type checkPlan struct {
-	delta    bool // an incremental DeltaCheck: current records skip instead of replaying
-	retained int  // violations the records will contribute: the report's starting capacity
-	rules    map[ruleKey]*rulePlan
+	delta bool // an incremental DeltaCheck: current records skip instead of replaying
+	rules map[ruleKey]*rulePlan
 }
 
 // of returns the rule's plan (nil under a nil plan).
@@ -154,12 +153,12 @@ func (e *Engine) restrictFor(r rules.Rule) *rulePlan {
 	return nil
 }
 
-// mergeDelta turns a restricted run's output, rep.Violations[mark:], into the
-// rule's cold multiset: of what the run emitted only the claimed survive, and
-// the record supplies everything outside the claim.
-func mergeDelta(rep *Report, mark int, rp *rulePlan) {
-	kept := rep.Violations[:mark]
-	for _, v := range rep.Violations[mark:] {
+// mergeDelta turns a restricted run's output, the violations of its child
+// report rep, into the rule's cold multiset: of what the run emitted only the
+// claimed survive, and the record supplies everything outside the claim.
+func mergeDelta(rep *Report, rp *rulePlan) {
+	kept := rep.Violations[:0]
+	for _, v := range rep.Violations {
 		if rp.claims(v.Marker.Box) {
 			kept = append(kept, v)
 		}
@@ -478,9 +477,6 @@ func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo)
 			}
 		}
 		plan.rules[rp.key] = rp
-		if rp.mode != planFull {
-			plan.retained += len(rp.rec.violations)
-		}
 		switch rp.mode {
 		case planSkip:
 			info.RulesSkipped++

@@ -23,7 +23,7 @@ import (
 // cell's own subtree; every instance of it is re-evaluated globally.
 type residue struct {
 	cell    *layout.Cell
-	polyIdx int
+	polyIdx int32
 }
 
 // expandResidue instance-expands the deferred shapes — the global half of
@@ -66,7 +66,7 @@ func (e *Engine) enclosureDefs(ctx context.Context, lo *layout.Layout, r rules.R
 		if len(placements[c.ID]) == 0 {
 			continue
 		}
-		local := c.LocalPolys(r.Layer)
+		local := c.LocalPolyIndex(r.Layer)
 		if len(local) == 0 {
 			continue
 		}
@@ -100,7 +100,7 @@ func (e *Engine) runEnclosureSeq(ctx context.Context, lo *layout.Layout, r rules
 			if len(placements[c.ID]) == 0 {
 				continue
 			}
-			for _, pi := range c.LocalPolys(r.Layer) {
+			for _, pi := range c.LocalPolyIndex(r.Layer) {
 				deferred = append(deferred, residue{cell: c, polyIdx: pi})
 			}
 		}
@@ -123,7 +123,7 @@ func (e *Engine) runEnclosureSeq(ctx context.Context, lo *layout.Layout, r rules
 // via is evaluated. It returns the local polygon indices of vias that did
 // NOT resolve locally; those stay deferred rather than reported, since
 // parent-level metal may still cover them.
-func (e *Engine) enclosureLocalPass(lo *layout.Layout, c *layout.Cell, local []int, r rules.Rule, rep *Report) ([]int, error) {
+func (e *Engine) enclosureLocalPass(lo *layout.Layout, c *layout.Cell, local []int32, r rules.Rule, rep *Report) ([]int32, error) {
 	window := geom.EmptyRect()
 	viaBoxes := make([]geom.Rect, len(local))
 	for i, pi := range local {
@@ -142,7 +142,7 @@ func (e *Engine) enclosureLocalPass(lo *layout.Layout, c *layout.Cell, local []i
 	}); err != nil {
 		return nil, err
 	}
-	var unresolved []int
+	var unresolved []int32
 	for i, pi := range local {
 		rep.Stats.PairsChecked += len(cands[i])
 		ok, _ := checks.EvaluateEnclosure(c.Polys[pi].Shape, cands[i], r.Min, func(checks.Marker) {})

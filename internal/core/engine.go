@@ -311,66 +311,74 @@ type Report struct {
 	// How many rules were answered from their record and how many ran an
 	// executor — the session's books.
 	replayed, executed int
-	// segs delimits Violations by deck rule, in deck order, until
-	// canonicalize lays them out by rule ID.
+	// segs holds the report's violations as deck rules' runs, in deck order,
+	// until canonicalize lays them out by rule ID as Violations.
 	segs []segment
+	// record is what a deck rule's child report commits to the session (nil
+	// when the rule has nothing to commit).
+	record *ruleRecord
 }
 
-// segment is one deck rule's run of a report's violations, [lo, hi); every
-// violation in it carries rule. sorted says the run is already in rules.Less
-// order: a record's, or an executed rule's sorted at commit.
+// segment is one deck rule's run of violations; every violation in it
+// carries rule. sorted says the run is already in rules.Less order: a
+// record's, or an executed rule's sorted at commit. A sorted run may be a
+// record's own array, so canonicalize never sorts one in place.
 type segment struct {
 	rule   string
-	lo, hi int
+	vs     []rules.Violation
 	sorted bool
 }
 
-// endSegment closes the current deck rule's run of violations.
+// endSegment closes a rule's child report: its violations become the rule's
+// run.
 func (rep *Report) endSegment(rule string, sorted bool) {
-	lo := 0
-	if n := len(rep.segs); n > 0 {
-		lo = rep.segs[n-1].hi
-	}
-	rep.segs = append(rep.segs, segment{rule: rule, lo: lo, hi: len(rep.Violations), sorted: sorted})
+	rep.segs = append(rep.segs, segment{rule: rule, vs: rep.Violations, sorted: sorted})
 }
 
-// canonicalize puts the violations in rules.Less order without sorting the
-// report. rules.Less orders by rule ID first, so a canonical report is its
-// rules' runs, each sorted, laid out by ID: a run not sorted yet (an executed
-// rule with no record to commit) is sorted in place, the runs are copied out
-// once in ID order when the deck is not in ID order already, and only where
-// two deck rules share an ID — Deck.Validate allows it — is their joined run
-// sorted again.
+// merge folds one deck rule's child report into rep. The check merges its
+// children in deck order whatever order they finished in, so its bytes,
+// Stats and Failures do not depend on how the rules overlapped.
+func (rep *Report) merge(kid *Report) {
+	rep.Stats.add(kid.Stats)
+	rep.Failures = append(rep.Failures, kid.Failures...)
+	rep.Degraded = rep.Degraded || kid.Degraded
+	rep.segs = append(rep.segs, kid.segs...)
+	rep.ruleWindows = append(rep.ruleWindows, kid.ruleWindows...)
+	rep.hostSpans = append(rep.hostSpans, kid.hostSpans...)
+	rep.replayed += kid.replayed
+	rep.executed += kid.executed
+}
+
+// canonicalize lays the rules' runs out as Violations in rules.Less order.
+// rules.Less orders by rule ID first, so a canonical report is its rules'
+// runs, each sorted, laid out by ID: a run not sorted yet (an executed rule
+// with no record to commit, on the rule's own array) is sorted in place, the
+// runs are copied once, in ID order, into a slice of their total size, and
+// only where two deck rules share an ID — Deck.Validate allows it — is their
+// joined run sorted again.
 func (rep *Report) canonicalize() {
-	segs := slices.DeleteFunc(rep.segs, func(s segment) bool { return s.lo == s.hi })
+	segs := rep.segs
 	rep.segs = nil
+	n := 0
 	for _, s := range segs {
 		if !s.sorted {
-			sortViolations(rep.Violations[s.lo:s.hi])
+			sortViolations(s.vs)
 		}
+		n += len(s.vs)
 	}
-	byRule := func(a, b segment) int { return strings.Compare(a.rule, b.rule) }
-	if !slices.IsSortedFunc(segs, byRule) {
-		slices.SortStableFunc(segs, byRule)
-		out := make([]rules.Violation, 0, len(rep.Violations))
-		for i := range segs {
-			s := &segs[i]
-			n := len(out)
-			out = append(out, rep.Violations[s.lo:s.hi]...)
-			s.lo, s.hi = n, len(out)
-		}
-		rep.Violations = out
-	}
+	slices.SortStableFunc(segs, func(a, b segment) int { return strings.Compare(a.rule, b.rule) })
+	out := make([]rules.Violation, 0, n)
 	for i := 0; i < len(segs); {
-		j := i + 1
-		for j < len(segs) && segs[j].rule == segs[i].rule {
-			j++
+		lo, j := len(out), i
+		for ; j < len(segs) && segs[j].rule == segs[i].rule; j++ {
+			out = append(out, segs[j].vs...)
 		}
 		if j > i+1 {
-			sortViolations(rep.Violations[segs[i].lo:segs[j-1].hi])
+			sortViolations(out[lo:])
 		}
 		i = j
 	}
+	rep.Violations = out
 }
 
 // CountByRule returns violation counts keyed by rule ID.
@@ -418,10 +426,7 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	// trace events) and reports every completed Phase as a span; the
 	// recorder rides the context so the pool traces task lanes.
 	rep := &Report{Mode: e.opts.Mode, Profile: infra.NewProfilerWithClock(rec.Clock()),
-		segs: make([]segment, 0, len(e.deck))}
-	if e.plan != nil && e.plan.retained > 0 {
-		rep.Violations = make([]rules.Violation, 0, e.plan.retained)
-	}
+		segs: make([]segment, 0, len(e.deck)), ruleWindows: make([]ruleWindow, 0, len(e.deck))}
 	if rec != nil {
 		rep.Profile.OnPhase(func(name string, from, to time.Duration) {
 			rec.Span(trace.TrackPhases, "", name, "phase", from, to)
@@ -451,6 +456,7 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 		}
 		devStart = pc.dev.HostClock()
 		launches0 = pc.dev.KernelCount()
+		pc.packed = 0
 		rep.Device = pc.dev
 		// Device OOM (the device-pool-bytes budget) and injected allocator
 		// faults surface through AllocAsync as errors the rule guard converts
@@ -507,51 +513,95 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	return rep, nil
 }
 
-// runDeck runs the deck, rule by rule, in either mode: the Section IV-C
-// pruning is part of each executor, so both branches of the paper's flow
-// (Fig. 1) share this loop and differ only in the executor execRule picks
-// and the clock a rule's window reads. Each rule executes under the engine's
-// fault-isolation guard: a failing rule degrades the report instead of
-// aborting the run, while cancellation aborts between (and inside) rules.
+// runDeck runs the deck in either mode: the Section IV-C pruning is part of
+// each executor, so both branches of the paper's flow (Fig. 1) share this
+// path and differ only in the executor execRule picks and the clock a rule's
+// window reads. Rules are independent tasks, like rows and cell definitions:
+// each runs against its own child report, in a fan-out over the deck, and
+// the children merge into rep in deck order. Each rule executes under the
+// engine's fault-isolation guard: a failing rule degrades the report instead
+// of aborting the run, while cancellation aborts between (and inside) rules.
 func (e *Engine) runDeck(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, geo *geocache.Cache, pc *parCtx) error {
 	placements, err := e.instancePlacements(lo, ses, rep, pc)
 	if err != nil {
 		return err
 	}
-	for _, r := range e.deck {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: check cancelled: %w", err)
+	// Each rule runs against its own child report, which shares the check's
+	// profiler and holds the rule's violations, failures, Stats, segment,
+	// window and record. The children and their one-slot segment and window
+	// lists are carved from three arrays, not allocated rule by rule.
+	n := len(e.deck)
+	kids, segs, wins := make([]Report, n), make([]segment, n), make([]ruleWindow, n)
+	err = pool.ForEachCtx(trace.WithTask(ctx, "rule"), e.ruleWidth(ctx, pc), n, func(i int) error {
+		kids[i] = Report{Profile: rep.Profile, segs: segs[i : i : i+1], ruleWindows: wins[i : i : i+1]}
+		return e.deckRule(ctx, lo, e.deck[i], placements, &kids[i], geo, pc)
+	})
+	// Every rule that succeeded commits its record, in deck order, even when
+	// the check as a whole is cancelled and returns no report.
+	for i := range kids {
+		if rec := kids[i].record; rec != nil {
+			ses.records.put(rec)
 		}
-		rp := e.plan.of(r)
-		if rp != nil && rp.mode == planSkip {
-			// Record current: its violations are the rule's. Device-silent.
-			rep.Violations = append(rep.Violations, rp.rec.violations...)
-			rep.endSegment(r.ID, true)
-			continue
-		}
-		// Rule boundary: let a lagging co-tenant's check run ahead of this
-		// one's next serial stretch (no-op without a context scheduler).
-		pool.YieldCtx(ctx)
-		e.opts.Logger.Debugf("%s: rule %s", e.opts.Mode, r)
-		w := ruleWindow{rule: r.ID}
-		w.m0, w.c0 = windowClock(rep, pc)
-		h0 := len(rep.hostSpans)
-		err := e.runRule(ctx, rep, r, rp, ses, pc, func() error {
-			return e.execRule(ctx, lo, r, placements, rep, geo, pc)
-		})
-		if err != nil {
-			return err
-		}
-		w.m1, w.c1 = windowClock(rep, pc)
-		if pc == nil {
-			w.host = w.m1 - w.m0
-		} else {
-			for _, h := range rep.hostSpans[h0:] {
-				w.host += h.e - h.s
-			}
-		}
-		rep.ruleWindows = append(rep.ruleWindows, w)
 	}
+	if err != nil {
+		if err == ctx.Err() { // the fan-out stopped between rules
+			err = fmt.Errorf("core: check cancelled: %w", err)
+		}
+		return err
+	}
+	for i := range kids {
+		rep.merge(&kids[i])
+	}
+	return nil
+}
+
+// ruleWidth is how many rules run side by side: the worker count for a
+// sequential check, and 1 — the rules run inline on the caller, in deck
+// order — for a parallel check, whose device streams and modeled host clock
+// are deck-ordered, and for a check under a context Scheduler, whose tenants
+// share workers chunk by chunk and park only at rule boundaries on the
+// caller (DESIGN.md §13).
+func (e *Engine) ruleWidth(ctx context.Context, pc *parCtx) int {
+	if pc != nil || pool.Scheduled(ctx) {
+		return 1
+	}
+	return e.opts.Workers
+}
+
+// deckRule runs deck rule r against its child report rep the way the plan
+// says, and brackets its window.
+func (e *Engine) deckRule(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, geo *geocache.Cache, pc *parCtx) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("core: check cancelled: %w", err)
+	}
+	rp := e.plan.of(r)
+	if rp != nil && rp.mode == planSkip {
+		// Record current: its violations are the rule's. Device-silent.
+		rep.Violations = rp.rec.violations
+		rep.endSegment(r.ID, true)
+		return nil
+	}
+	// Rule boundary: let a lagging co-tenant's check run ahead of this one's
+	// next serial stretch (no-op without a context scheduler).
+	pool.YieldCtx(ctx)
+	e.opts.Logger.Debugf("%s: rule %s", e.opts.Mode, r)
+	w := ruleWindow{rule: r.ID}
+	w.m0, w.c0 = windowClock(rep, pc)
+	err := e.runRule(ctx, rep, r, rp, pc, func() error {
+		return e.execRule(ctx, lo, r, placements, rep, geo, pc)
+	})
+	if err != nil {
+		return err
+	}
+	w.m1, w.c1 = windowClock(rep, pc)
+	if pc == nil {
+		w.host = w.m1 - w.m0
+	} else {
+		for _, h := range rep.hostSpans {
+			w.host += h.e - h.s
+		}
+	}
+	rep.ruleWindows = append(rep.ruleWindows, w)
 	return nil
 }
 
@@ -605,7 +655,8 @@ func (e *Engine) execRule(ctx context.Context, lo *layout.Layout, r rules.Rule, 
 // executing previously enqueued work, and keeps the modeled window on the
 // report as a modeled-host span — the host side of the trace's overlap
 // analysis. fn's error passes through after the clock is charged (the failed
-// work still spent host time). hostPhase runs on the engine goroutine only.
+// work still spent host time). With a pc, hostPhase runs on the engine
+// goroutine only: a parallel check runs its rules inline.
 func hostPhase(rep *Report, pc *parCtx, name string, fn func() error) error {
 	stop := rep.Profile.Phase(name)
 	err := fn()
@@ -650,15 +701,16 @@ func (e *Engine) instancePlacements(lo *layout.Layout, ses *Session, rep *Report
 	return placements, nil
 }
 
-// runRule runs one deck rule the way its plan says. Without a plan exec just
-// runs under the guard. A current record replays. Anything else executes —
-// restricted to the dirty neighborhood when the plan says so — and, having
-// succeeded, commits the rule's new record to the session: its violations
-// (a restricted run's merged with the retained ones) and, for a complete run,
-// what recordRun collected. The committed violations are sorted first, so a
-// record holds its rule's run in canonical order and a replay appends a
-// sorted run. pc is nil in sequential mode.
-func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rulePlan, ses *Session, pc *parCtx, exec func() error) error {
+// runRule runs one deck rule the way its plan says, against the rule's child
+// report. Without a plan exec just runs under the guard. A current record
+// replays. Anything else executes — restricted to the dirty neighborhood
+// when the plan says so — and, having succeeded, leaves the rule's new record
+// on the child for merge to commit: its violations (a restricted run's
+// merged with the retained ones) and, for a complete run, what recordRun
+// collected. The committed violations are sorted first, so a record holds its
+// rule's run in canonical order and a replay yields a sorted run. pc is nil
+// in sequential mode.
+func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rulePlan, pc *parCtx, exec func() error) error {
 	run := func() error { return e.guardRule(ctx, rep, r, "ok", exec) }
 	switch {
 	case rp == nil:
@@ -673,7 +725,6 @@ func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rul
 		return err
 	}
 	rep.executed++
-	mark, failed := len(rep.Violations), len(rep.Failures)
 	rec := &ruleRecord{key: rp.key, vers: rp.vers, full: rp.mode == planFull}
 	var err error
 	if rec.full {
@@ -683,42 +734,37 @@ func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rul
 	}
 	// Cancelled, or failed and isolated (no violations left): nothing to
 	// commit.
-	if err == nil && len(rep.Failures) == failed {
+	if err == nil && len(rep.Failures) == 0 {
 		if rp.mode == planRestrict {
-			mergeDelta(rep, mark, rp)
+			mergeDelta(rep, rp)
 		}
-		sortViolations(rep.Violations[mark:])
-		rec.violations = append([]rules.Violation(nil), rep.Violations[mark:]...)
-		ses.records.put(rec)
+		sortViolations(rep.Violations)
+		rec.violations = slices.Clone(rep.Violations)
+		rep.record = rec
 	}
 	rep.endSegment(r.ID, true)
 	return err
 }
 
-// recordRun runs fn, one rule's complete execution, collecting into rec the
-// Stats it writes and (parallel mode) the device commands it enqueues. The
-// rule runs against a zeroed Stats — what is there afterwards is its own —
-// which is then folded back into the report's; residency plumbing keeps out
-// of both through parCtx.live. (A zeroed EdgesPacked would blind the
-// cumulative packed-edges budget, but a session with budgets keeps no records.)
+// recordRun runs fn, one rule's complete execution against its child report
+// rep, collecting into rec the Stats it writes and (parallel mode) the device
+// commands it enqueues. The child's Stats start zeroed, so what is there
+// afterwards is the rule's own; residency plumbing keeps out of both through
+// parCtx.live and is added to the child after.
 func recordRun(rep *Report, rec *ruleRecord, pc *parCtx, fn func() error) error {
-	sum := rep.Stats
-	rep.Stats = Stats{}
 	if pc != nil {
 		rec.tape.Reset(pc.dev.Props())
 		pc.rec = rec
 		pc.dev.Capture(&rec.tape)
 	}
 	err := fn()
+	rec.stats = rep.Stats
 	if pc != nil {
 		pc.dev.Capture(nil)
 		pc.rec = nil
-		sum.add(pc.liveStats)
+		rep.Stats.add(pc.liveStats)
 		pc.liveStats = Stats{}
 	}
-	rec.stats = rep.Stats
-	sum.add(rec.stats)
-	rep.Stats = sum
 	return err
 }
 
@@ -731,7 +777,7 @@ func recordRun(rep *Report, rec *ruleRecord, pc *parCtx, fn func() error) error 
 func (e *Engine) replay(ctx context.Context, rep *Report, r rules.Rule, rec *ruleRecord, pc *parCtx) error {
 	return hostPhase(rep, pc, "replay", func() error {
 		return e.guardRule(ctx, rep, r, "replayed", func() error {
-			rep.Violations = append(rep.Violations, rec.violations...)
+			rep.Violations = rec.violations
 			rep.Stats.add(rec.stats)
 			if pc == nil {
 				return nil

@@ -52,6 +52,9 @@ type parCtx struct {
 	// the report's Stats meanwhile. See live.
 	rec       *ruleRecord
 	liveStats Stats
+	// packed is the edges this check has uploaded: the packed-edges budget's
+	// running total, which no rule's child report sees whole.
+	packed int
 }
 
 // newParCtx builds the device plumbing of a batch run (persistent false) or
@@ -263,13 +266,14 @@ func (e *Engine) bruteRow(edges *kernels.Edges, members []int) bool {
 // is relieved by evicting resident layer buffers before giving up.
 func (e *Engine) transfer(pc *parCtx, rep *Report, edges *kernels.Edges) error {
 	if err := budget.Check("packed-edges",
-		int64(rep.Stats.EdgesPacked+edges.Len()), e.opts.Budgets.MaxPackedEdges); err != nil {
+		int64(pc.packed+edges.Len()), e.opts.Budgets.MaxPackedEdges); err != nil {
 		return err
 	}
 	if err := e.allocEvict(pc, rep, edges.Bytes()); err != nil {
 		return err
 	}
 	pc.io.MemcpyAsync("edges", edges.Bytes())
+	pc.packed += edges.Len()
 	rep.Stats.EdgesPacked += edges.Len()
 	rep.Stats.BytesCopied += edges.Bytes()
 	return nil

@@ -29,12 +29,11 @@ import (
 // never generated ("MBRᴹₐ ∩ MBRᴺᵦ = ∅ ... the check could be eliminated"),
 // and unordered pairs appear once (the id-ordering rule).
 
-// spaceItem is one sweepline participant inside a cell definition: either a
-// local polygon or one placement of a child reference.
+// spaceItem is one placement of a child reference inside a cell definition:
+// a sweepline participant beside the definition's local polygons.
 type spaceItem struct {
-	polyIdx int // local polygon index, or -1
-	child   *layout.Cell
-	place   geom.Transform // child placement (ref items)
+	child *layout.Cell
+	place geom.Transform
 }
 
 // runSpacingSeq executes one spacing rule sequentially. The pruned path
@@ -95,37 +94,34 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 	}
 
 	// Notches of local polygons belong to this definition.
+	local := c.LocalPolyIndex(r.Layer)
 	stopChecks := rep.Profile.Phase("spacing:edge-checks")
-	for _, pi := range c.LocalPolyIndex(r.Layer) {
+	for _, pi := range local {
 		if p := c.Polys[pi].Shape; near(p.MBR()) {
 			checks.CheckNotchLim(p, lim, emit)
 		}
 	}
 	stopChecks()
 
-	// Sweepline participants: raw layer MBRs for partitioning, expanded
-	// MBRs ("enlarged by a minimum rule distance") for pair generation.
-	// Both MBR lists are scratch — this loop runs once per cell definition
-	// per rule, so they recycle through the run's arena. All three lists are
-	// sized up front: a top cell has ~10⁵ placements.
-	n := len(c.LocalPolyIndex(r.Layer))
+	// Sweepline participants are the local polygons, then the child
+	// placements: participant i < nl is local polygon local[i], any other is
+	// placement places[i-nl]. Their raw layer MBRs are what the partition
+	// reads; each row expands its members' MBRs ("enlarged by a minimum rule
+	// distance") for pair generation. The MBR list is scratch — this loop
+	// runs once per cell definition per rule, so it recycles through the
+	// run's arena. Both lists are sized up front: a top cell has ~10⁵
+	// placements.
+	nl, n := len(local), len(local)
 	for ri := range c.Refs {
 		if ref := &c.Refs[ri]; !ref.Child.LayerMBR(r.Layer).Empty() {
 			n += ref.NumPlacements()
 		}
 	}
-	items := make([]spaceItem, 0, n)
+	places := make([]spaceItem, 0, n-nl)
 	raw := arena.Rects(n)
-	boxes := arena.Rects(n)
-	defer func() {
-		arena.PutRects(raw)
-		arena.PutRects(boxes)
-	}()
-	for _, pi := range c.LocalPolyIndex(r.Layer) {
-		items = append(items, spaceItem{polyIdx: int(pi)})
-		mbr := c.Polys[pi].Shape.MBR()
-		raw = append(raw, mbr)
-		boxes = append(boxes, mbr.Expand(min))
+	defer func() { arena.PutRects(raw) }()
+	for _, pi := range local {
+		raw = append(raw, c.Polys[pi].Shape.MBR())
 	}
 	for ri := range c.Refs {
 		ref := &c.Refs[ri]
@@ -134,13 +130,11 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 			continue
 		}
 		ref.ForEachPlacement(func(t geom.Transform) {
-			items = append(items, spaceItem{polyIdx: -1, child: ref.Child, place: t})
-			mbr := t.ApplyRect(childR)
-			raw = append(raw, mbr)
-			boxes = append(boxes, mbr.Expand(min))
+			places = append(places, spaceItem{child: ref.Child, place: t})
+			raw = append(raw, t.ApplyRect(childR))
 		})
 	}
-	if len(items) < 2 {
+	if len(raw) < 2 {
 		return out, nil
 	}
 
@@ -179,7 +173,7 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 		// both go back as soon as the row is done with them.
 		rowBoxes := arena.Rects(len(row.Members))
 		for _, mi := range row.Members {
-			rowBoxes = append(rowBoxes, boxes[mi])
+			rowBoxes = append(rowBoxes, raw[mi].Expand(min))
 		}
 		stopSweep := rep.Profile.Phase("spacing:sweepline")
 		pairs := arena.Pairs()
@@ -197,17 +191,17 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 		stopRowChecks := rep.Profile.Phase("spacing:edge-checks")
 		defer stopRowChecks()
 		for _, pr := range pairs {
-			a, b := items[pr[0]], items[pr[1]]
+			a, b := pr[0], pr[1]
 			switch {
-			case a.polyIdx >= 0 && b.polyIdx >= 0:
+			case a < nl && b < nl:
 				res.stats.PairsChecked++
-				checks.CheckSpacingLim(c.Polys[a.polyIdx].Shape, c.Polys[b.polyIdx].Shape, lim, remit)
-			case a.polyIdx >= 0:
-				e.spacingPolyVsSubtree(lo, c, a.polyIdx, b, r.Layer, lim, &res.stats, remit)
-			case b.polyIdx >= 0:
-				e.spacingPolyVsSubtree(lo, c, b.polyIdx, a, r.Layer, lim, &res.stats, remit)
+				checks.CheckSpacingLim(c.Polys[local[a]].Shape, c.Polys[local[b]].Shape, lim, remit)
+			case a < nl:
+				e.spacingPolyVsSubtree(lo, c, local[a], places[b-nl], r.Layer, lim, &res.stats, remit)
+			case b < nl:
+				e.spacingPolyVsSubtree(lo, c, local[b], places[a-nl], r.Layer, lim, &res.stats, remit)
 			default:
-				e.spacingSubtreeVsSubtree(lo, a, b, r.Layer, lim, &res.stats, remit)
+				e.spacingSubtreeVsSubtree(lo, places[a-nl], places[b-nl], r.Layer, lim, &res.stats, remit)
 			}
 		}
 		return nil
@@ -234,7 +228,7 @@ func collectSubtree(lo *layout.Layout, it spaceItem, l layout.Layer, window geom
 	return out
 }
 
-func (e *Engine) spacingPolyVsSubtree(lo *layout.Layout, c *layout.Cell, polyIdx int, ref spaceItem, l layout.Layer, lim checks.SpacingLimit, st *Stats, emit func(checks.Marker)) {
+func (e *Engine) spacingPolyVsSubtree(lo *layout.Layout, c *layout.Cell, polyIdx int32, ref spaceItem, l layout.Layer, lim checks.SpacingLimit, st *Stats, emit func(checks.Marker)) {
 	p := c.Polys[polyIdx].Shape
 	near := collectSubtree(lo, ref, l, p.MBR().Expand(lim.Reach()), st)
 	for _, q := range near {

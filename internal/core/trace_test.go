@@ -51,9 +51,10 @@ func exportTrace(t *testing.T, mode Mode, workers int, clock func() time.Duratio
 
 // TestTraceExportByteIdentical pins the determinism contract: repeated runs
 // at the same worker count under an injectable clock export byte-identical
-// files. Sequential mode uses a ticking clock on the inline path; parallel
-// mode uses a fixed clock at every worker count, so the prefetch fan-out and
-// the row workers record identical content regardless of scheduling.
+// files. Sequential mode uses a ticking clock on the inline path and a fixed
+// clock when its rules run side by side; parallel mode uses a fixed clock at
+// every worker count, so the prefetch fan-out and the row workers record
+// identical content regardless of scheduling.
 func TestTraceExportByteIdentical(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -62,6 +63,7 @@ func TestTraceExportByteIdentical(t *testing.T) {
 		clock   func() func() time.Duration
 	}{
 		{"seq-1worker-ticking", Sequential, 1, tickClock},
+		{"seq-4workers-fixed", Sequential, 4, fixedClock},
 		{"par-1worker-fixed", Parallel, 1, fixedClock},
 		{"par-4workers-fixed", Parallel, 4, fixedClock},
 	}

@@ -37,7 +37,7 @@ func deepItems(lo *layout.Layout, l layout.Layer, halo int64) []deepItem {
 		}
 		// Only instantiate definitions that own or contain layer geometry;
 		// intermediate cells are reached through their own entries.
-		if len(c.LocalPolys(l)) == 0 {
+		if len(c.LocalPolyIndex(l)) == 0 {
 			continue
 		}
 		for _, t := range placements[c.ID] {
@@ -47,7 +47,7 @@ func deepItems(lo *layout.Layout, l layout.Layer, halo int64) []deepItem {
 			})
 		}
 	}
-	for _, pi := range lo.Top.LocalPolys(l) {
+	for _, pi := range lo.Top.LocalPolyIndex(l) {
 		p := lo.Top.Polys[pi].Shape
 		items = append(items, deepItem{poly: p, box: p.MBR().Expand(halo)})
 	}
@@ -58,7 +58,7 @@ func deepItems(lo *layout.Layout, l layout.Layer, halo int64) []deepItem {
 // appear as their own deep items).
 func localLayerMBR(c *layout.Cell, l layout.Layer) geom.Rect {
 	r := geom.EmptyRect()
-	for _, pi := range c.LocalPolys(l) {
+	for _, pi := range c.LocalPolyIndex(l) {
 		r = r.Union(c.Polys[pi].Shape.MBR())
 	}
 	return r
@@ -70,7 +70,7 @@ func (it *deepItem) materialize(l layout.Layer) []geom.Polygon {
 	if it.cell == nil {
 		return []geom.Polygon{it.poly}
 	}
-	idx := it.cell.LocalPolys(l)
+	idx := it.cell.LocalPolyIndex(l)
 	out := make([]geom.Polygon, len(idx))
 	for i, pi := range idx {
 		out[i] = it.cell.Polys[pi].Shape.Transform(it.trans)
@@ -100,7 +100,7 @@ func deepIntra(ctx context.Context, lo *layout.Layout, r rules.Rule, emit func(c
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		idx := c.LocalPolys(r.Layer)
+		idx := c.LocalPolyIndex(r.Layer)
 		if len(idx) == 0 {
 			continue
 		}
@@ -117,7 +117,7 @@ func deepIntra(ctx context.Context, lo *layout.Layout, r rules.Rule, emit func(c
 				min := r.IntraMin(mag)
 				collect := func(m checks.Marker) { ms = append(ms, m) }
 				for _, pi := range idx {
-					r.CheckPolygon(c.Polys[pi].Shape, layout.PolyRef{Cell: c, Idx: pi}, min, collect)
+					r.CheckPolygon(c.Polys[pi].Shape, layout.PolyRef{Cell: c, Idx: int(pi)}, min, collect)
 				}
 				g = len(mags)
 				mags = append(mags, mag)
@@ -147,7 +147,7 @@ func deepSpacing(ctx context.Context, lo *layout.Layout, r rules.Rule, emit func
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		idx := c.LocalPolys(r.Layer)
+		idx := c.LocalPolyIndex(r.Layer)
 		if len(idx) == 0 {
 			continue
 		}

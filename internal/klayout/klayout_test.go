@@ -247,3 +247,29 @@ func TestKLayoutAgreesWithOpenDRCOnRandomLayouts(t *testing.T) {
 		}
 	}
 }
+
+// TestDeepAllocsPerRun bounds deep mode's allocations per rule. Its variant
+// builds allocate by design (the per-instance transform is the cost the
+// baseline models), but its walks over a cell's own polygons read the
+// layout's per-layer index in place: a copy of that index per cell and per
+// instance would put ethmac@0.3 at 11 650 (M1.S.1) and 5 112 (M1.W.1).
+func TestDeepAllocsPerRun(t *testing.T) {
+	lo := load(t, "ethmac", 0.3)
+	for _, tc := range []struct {
+		rule string
+		max  float64
+	}{{"M1.S.1", 9800}, {"M1.W.1", 4550}} {
+		r, err := synth.RuleByID(tc.rule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, err := CheckContext(context.Background(), lo, r, Options{Mode: Deep}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.max {
+			t.Errorf("%s deep: %.0f allocs/run, want <= %.0f", tc.rule, allocs, tc.max)
+		}
+	}
+}

@@ -256,20 +256,9 @@ func (c *Cell) Layers() []Layer {
 // its children) contributes on the layer.
 func (c *Cell) LocalEdgeCount(l Layer) int { return c.slot(l).edges }
 
-// LocalPolys returns the indices of the cell's own polygons on the layer.
-func (c *Cell) LocalPolys(l Layer) []int {
-	idx := c.slot(l).polys
-	out := make([]int, len(idx))
-	for i, v := range idx {
-		out[i] = int(v)
-	}
-	return out
-}
-
 // LocalPolyIndex returns the indices of the cell's own polygons on the
-// layer without copying. The returned slice is shared and must not be
-// mutated; hot paths that only iterate use it instead of LocalPolys to
-// avoid a copy per call.
+// layer, ascending, without copying. The returned slice is shared and must
+// not be mutated.
 func (c *Cell) LocalPolyIndex(l Layer) []int32 { return c.slot(l).polys }
 
 // SubtreePolyCount returns the instance-expanded polygon count on the layer

@@ -311,8 +311,8 @@ func TestLocalEdgeCount(t *testing.T) {
 	if got := ca.LocalEdgeCount(LayerM2); got != 0 {
 		t.Errorf("M2 edges = %d", got)
 	}
-	if idx := ca.LocalPolys(LayerV1); len(idx) != 1 || ca.Polys[idx[0]].Layer != LayerV1 {
-		t.Errorf("LocalPolys(V1) = %v", idx)
+	if idx := ca.LocalPolyIndex(LayerV1); len(idx) != 1 || ca.Polys[idx[0]].Layer != LayerV1 {
+		t.Errorf("LocalPolyIndex(V1) = %v", idx)
 	}
 }
 

@@ -107,6 +107,7 @@ type schedTenant struct {
 	present    int       // open presence spans (checks in flight)
 	dispatched uint64    // chunks handed to shared workers
 	selfServed uint64    // chunks run by the fan-outs' own callers
+	yields     uint64    // YieldCtx calls: the rule boundaries its checks passed
 	gatedWaits uint64    // yields that parked behind a lagging tenant
 	fanouts    uint64    // fan-outs accepted
 }
@@ -197,6 +198,7 @@ type SchedTenantSnapshot struct {
 	Present    int    `json:"open_checks"`
 	Dispatched uint64 `json:"dispatched_chunks"`
 	SelfServed uint64 `json:"self_served_chunks"`
+	Yields     uint64 `json:"yields"`
 	GatedWaits uint64 `json:"gated_waits"`
 	Fanouts    uint64 `json:"fanouts"`
 }
@@ -220,7 +222,7 @@ func (s *Scheduler) Snapshot() SchedSnapshot {
 			Tenant: t.name, Weight: t.weight, Pass: t.pass,
 			Queued: len(t.queue), Inflight: t.inflight, Present: t.present,
 			Dispatched: t.dispatched, SelfServed: t.selfServed,
-			GatedWaits: t.gatedWaits, Fanouts: t.fanouts,
+			Yields: t.yields, GatedWaits: t.gatedWaits, Fanouts: t.fanouts,
 		})
 	}
 	s.mu.Unlock()
@@ -395,6 +397,9 @@ func YieldCtx(ctx context.Context) {
 func (s *Scheduler) yield(ctx context.Context, tenant string) {
 	var stop func() bool
 	s.mu.Lock()
+	if t := s.tenants[tenant]; t != nil {
+		t.yields++
+	}
 	for !s.closed && ctx.Err() == nil {
 		t := s.tenants[tenant]
 		if t == nil || !s.gatedLocked(t) {
@@ -705,6 +710,10 @@ func schedulerFromContext(ctx context.Context) *Scheduler {
 	s, _ := ctx.Value(schedulerKey).(*Scheduler)
 	return s
 }
+
+// Scheduled reports whether ctx carries a scheduler: whether multi-worker
+// fan-outs below it route through shared tenant-fair workers.
+func Scheduled(ctx context.Context) bool { return schedulerFromContext(ctx) != nil }
 
 // WithTenant tags fan-outs below ctx with a tenant identity for fair
 // scheduling and tracing. An empty tenant returns ctx unchanged.
