@@ -307,11 +307,14 @@ func BenchmarkPack(b *testing.B) {
 // BenchmarkEditCycle measures one in-process edit → delta-check cycle on a
 // resident parallel session of ethmac@2.5 — the serve_edit workload without
 // HTTP. m1-sliver inserts a 9 × 60 sub-min-width M1 rect somewhere new each
-// cycle (one row of ~200 is dirty, so the cost should be that row's, not the
-// 176 k-polygon layer's); route inserts an M2 track (a single-row layer:
-// whole-layer drop and re-derivation, the path a patch cannot shorten).
-// ms/cycle, MB/cycle (bytes allocated) and copied_B/cycle (modeled
-// host-to-device bytes) are per iteration.
+// cycle; route inserts an M2 track. Either way the restricted rules query
+// their work window, so the cost should be the edit's neighbourhood's, not
+// the 176 k-polygon M1 layer's, and the geometry cache is not patched at all
+// (a delta check reads no layer through it): patches/cycle reads 0. What is
+// left of route is the enclosure and custom rules it re-runs in full.
+// ms/cycle, MB/cycle (bytes allocated), copied_B/cycle (modeled
+// host-to-device bytes) and patches/cycle (region invalidations the cache
+// took) are per iteration.
 func BenchmarkEditCycle(b *testing.B) {
 	lo, _, err := synth.Load("ethmac", 2.5)
 	if err != nil {
@@ -349,17 +352,26 @@ func BenchmarkEditCycle(b *testing.B) {
 			}
 			copied += rep.Stats.BytesCopied
 		}
+		patches := func() int64 {
+			st, err := ses.StatsSnapshot(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st.Geocache.SegmentedInvalidations + st.Geocache.FullInvalidations
+		}
 		b.Run("ethmac@2.5/"+c.name, func(b *testing.B) {
-			cycle() // the first patch grows the buffers' tail capacity once
+			cycle()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			copied = 0
+			p0 := patches()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cycle()
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(patches()-p0)/float64(b.N), "patches/cycle")
 			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/cycle")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/1e6, "MB/cycle")
 			b.ReportMetric(float64(m1.NumGC-m0.NumGC)/float64(b.N), "GCs/cycle")

@@ -52,8 +52,10 @@ go test -C benchmark ./...
 # must equal the engine's) would otherwise first run in the benchmark
 # itself. Exits nonzero on a failed op or an incorrect report.
 bash benchmark/run.sh --workload batch_par --seed 7 --trace 1
-# One full-size traced serve_edit pass: the edit → region-patch → delta-check
-# cycle, whose splice of the packed edge buffer copies it off the flatten's
+# One full-size traced serve_edit pass: edit → delta-check cycles, whose
+# restricted rules query their work window and patch nothing, and every
+# tenth cycle's plain full check, which applies the edits' deferred region
+# patch — whose splice of the packed edge buffer copies it off the flatten's
 # shared vertex array on first use; only the benchmark runs that path at
 # full size.
 bash benchmark/run.sh --workload serve_edit --seed 7 --trace 1
@@ -89,9 +91,10 @@ go test -run=NONE -fuzz=FuzzOverlaps -fuzztime=10s ./internal/sweep
 # window_ops/visited, where a sweep that stopped using its candidate index shows;
 # narrow-window prints nodes_pruned per query, where a fall back to the linear
 # walk shows; ingest prints MB/s and allocs/op, where a per-element allocation
-# creeping back shows; the edit cycle prints ms/cycle and MB/cycle, where an
-# M1 sliver costing the layer instead of its row shows — 18 ms / 6 MB patched,
-# 180 ms / 115 MB re-derived; the warm check prints ns/op, allocs/op,
+# creeping back shows; the edit cycle prints ms/cycle, MB/cycle and
+# patches/cycle, where an M1 sliver costing the layer instead of its work
+# window shows — ~2 ms / 0.5 MB and 0 patches, against ~12 ms / 2 MB when the
+# delta check patched the M1 record; the warm check prints ns/op, allocs/op,
 # modeled_us and launches for both ways of answering it, where a replay that
 # drops a launch, or costs what an execution costs, shows; the replayed
 # request — replay, dedup, canonical encode — prints bytes and allocs/op,

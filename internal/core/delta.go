@@ -32,9 +32,12 @@ import (
 //     same global box on both sides, so claimed and retained partition the
 //     cold result exactly.)
 //   - W_r = C_r dilated by the reach again — the WORK window. Geometry whose
-//     expanded MBR misses W_r cannot produce a violation centered in C_r,
-//     so the delta run restricts partition rows, cell instances, and kernel
-//     member lists to W_r's neighborhood.
+//     expanded MBR misses W_r cannot produce a violation centered in C_r.
+//     A parallel delta run therefore checks only the polygons a hierarchy
+//     range query over W_r returns (rulePlan.windowPolys), with the kernels
+//     of the full run; a sequential one, whose spacing violations name the
+//     LCA definition a range query cannot give, prunes cell definitions and
+//     their rows to W_r's neighborhood instead.
 //
 // The merged stream (claimed ∪ retained) is the same violation multiset a
 // cold full check of the edited layout produces; every report leaves the
@@ -89,21 +92,32 @@ func (rp *rulePlan) nearWork(box geom.Rect) bool {
 	return false
 }
 
-// nearWorkY reports whether a y-band can hold geometry intersecting the work
-// window (used to keep or skip whole partition rows).
-func (rp *rulePlan) nearWorkY(ylo, yhi int64) bool {
-	for _, r := range rp.work {
-		if r.YLo <= yhi && ylo <= r.YHi {
-			return true
+// windowPolys returns, each once, the layer's polygons whose box meets the
+// work window, with their boxes: one hierarchy range query per work rect.
+// The query's hit test is nearWork's, box.Overlaps(rect), so a polygon rect k
+// returns that an earlier rect also meets was returned by that rect already
+// and is dropped here; a polygon listed twice would pair with itself.
+func (rp *rulePlan) windowPolys(lo *layout.Layout, l layout.Layer) ([]layout.PlacedPoly, []geom.Rect) {
+	var polys []layout.PlacedPoly
+	var boxes []geom.Rect
+	for k, w := range rp.work {
+		found, _ := lo.QueryLayer(l, w)
+		for _, pp := range found {
+			box := pp.Shape.MBR()
+			if slices.ContainsFunc(rp.work[:k], box.Overlaps) {
+				continue
+			}
+			polys = append(polys, pp)
+			boxes = append(boxes, box)
 		}
 	}
-	return false
+	return polys, boxes
 }
 
 // anyPlacementNear reports whether any of the instance transforms maps the
-// cell-local box into the work window. Used to prune whole cell-definition
-// tasks: a definition none of whose instances land near the dirty region
-// cannot contribute a claimed violation.
+// cell-local box into the work window. The sequential executors use it to
+// prune whole cell-definition tasks: a definition none of whose instances
+// land near the dirty region cannot contribute a claimed violation.
 func (rp *rulePlan) anyPlacementNear(localBox geom.Rect, insts []geom.Transform) bool {
 	if localBox.Empty() {
 		return false
@@ -144,7 +158,8 @@ func (p *checkPlan) executes(deck rules.Deck) bool {
 }
 
 // restrictFor returns the rule's plan only when it runs restricted — the
-// hook the executors use to prune rows, cells, and kernel member lists.
+// hook that sends a parallel run to its work window and makes a sequential
+// one prune cell definitions and rows.
 func (e *Engine) restrictFor(r rules.Rule) *rulePlan {
 	rp := e.plan.of(r)
 	if rp != nil && rp.mode == planRestrict {
@@ -186,7 +201,9 @@ type SessionStats struct {
 	ResidentBytes  int64          `json:"resident_bytes"`
 	// FullChecks counts Session.Check calls; DeltaChecks counts
 	// Session.DeltaCheck calls, split into planned incremental runs and
-	// full-check fallbacks.
+	// full-check fallbacks. DeviceDeltaUploads counts partial refreshes of
+	// resident edge buffers, in either kind of check: they follow a patch,
+	// which only a check reading the layer through the cache makes.
 	FullChecks         int64 `json:"full_checks"`
 	DeltaChecks        int64 `json:"delta_checks"`
 	DeltaPlanned       int64 `json:"delta_planned"`
@@ -213,8 +230,9 @@ type DeltaInfo struct {
 
 // Edit applies in-place layout edits to the session's layout and records the
 // resulting dirty regions for the next (delta or full) check. The resident
-// caches are invalidated lazily at the next check, when the deck — and hence
-// the guard distance — is known.
+// caches are patched lazily, by the first check that reads the layer through
+// them (applyPending), when the deck — and hence the guard distance — is
+// known.
 func (s *Session) Edit(ctx context.Context, edits []layout.Edit) ([]layout.LayerDirty, error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, err
@@ -235,10 +253,11 @@ func (s *Session) Edit(ctx context.Context, edits []layout.Edit) ([]layout.Layer
 
 // Invalidate marks regions of the session's resident geometry dirty: cached
 // flattens, packs, MBR tables, row partitions, and device-resident edge
-// buffers covering the regions are refreshed by the next check, which only
-// re-derives the partition rows the regions (dilated by the deck's maximum
-// interaction reach) intersect. A region with no rects dirties its whole
-// layer. With no regions at all the call is a no-op and returns immediately
+// buffers covering the regions are refreshed by the first check that reads
+// the layer through the cache, which only re-derives the partition rows the
+// regions (dilated by the deck's maximum interaction reach) intersect. A
+// region with no rects dirties its whole layer. With no regions at all the
+// call is a no-op and returns immediately
 // without taking the session lock. For callers that mutate the layout
 // through means the session cannot see (direct mutation rather than Edit);
 // Edit records its own regions.
@@ -280,37 +299,60 @@ func (s *Session) InvalidateAll(ctx context.Context) error {
 	}
 	s.records.reset()
 	s.placements = nil
-	s.pending = nil
-	s.pendingFull = nil
+	s.pending = dirtyRegions{}
+	s.dirt = dirtyRegions{}
+	s.cached = nil
 	return nil
 }
 
-// dirtPending reports whether the layer's pending batch is open.
-func (s *Session) dirtPending(l layout.Layer) bool {
-	return len(s.pending[l]) > 0 || s.pendingFull[l]
+// dirtyRegions is undilated dirt per layer: rects, or the whole layer.
+type dirtyRegions struct {
+	rects map[layout.Layer][]geom.Rect
+	whole map[layout.Layer]bool
 }
 
-// markDirty records pending dirty rects for a layer (session lock held). The
-// first dirt a layer takes after a check opens its pending batch and advances
-// its version — which is all it takes to put every record that read the layer
-// behind; more dirt before the next check joins the same batch.
-func (s *Session) markDirty(l layout.Layer, rects []geom.Rect, whole bool) {
-	open := s.dirtPending(l)
+// has reports whether the layer has dirt.
+func (d *dirtyRegions) has(l layout.Layer) bool {
+	return len(d.rects[l]) > 0 || d.whole[l]
+}
+
+// add records dirt on a layer; empty rects add nothing.
+func (d *dirtyRegions) add(l layout.Layer, rects []geom.Rect, whole bool) {
 	if whole {
-		if s.pendingFull == nil {
-			s.pendingFull = make(map[layout.Layer]bool)
+		if d.whole == nil {
+			d.whole = make(map[layout.Layer]bool)
 		}
-		s.pendingFull[l] = true
+		d.whole[l] = true
 	}
 	for _, r := range rects {
 		if !r.Empty() {
-			if s.pending == nil {
-				s.pending = make(map[layout.Layer][]geom.Rect)
+			if d.rects == nil {
+				d.rects = make(map[layout.Layer][]geom.Rect)
 			}
-			s.pending[l] = append(s.pending[l], r)
+			d.rects[l] = append(d.rects[l], r)
 		}
 	}
-	if !open && s.dirtPending(l) {
+}
+
+// drop forgets the layer's dirt.
+func (d *dirtyRegions) drop(l layout.Layer) {
+	delete(d.rects, l)
+	delete(d.whole, l)
+}
+
+// markDirty records dirt on a layer (session lock held). The first dirt a
+// layer takes after a check opens its pending batch and advances its version
+// — which is all it takes to put every record that read the layer behind;
+// more dirt before the next check joins the same batch. The geometry cache's
+// dirt accumulates across checks, and only for a layer the cache may hold a
+// flatten of: any other layer's next flatten reads the edited layout anyway.
+func (s *Session) markDirty(l layout.Layer, rects []geom.Rect, whole bool) {
+	open := s.pending.has(l)
+	s.pending.add(l, rects, whole)
+	if s.cached[l] {
+		s.dirt.add(l, rects, whole)
+	}
+	if !open && s.pending.has(l) {
 		if s.ver == nil {
 			s.ver = make(map[layout.Layer]uint64)
 		}
@@ -318,56 +360,70 @@ func (s *Session) markDirty(l layout.Layer, rects []geom.Rect, whole bool) {
 	}
 }
 
-// applyPending pushes the session's accumulated dirty regions into the
-// resident caches: per dirty layer, a region-scoped cache invalidation
-// (dirty rects dilated by the deck's maximum reach) that patches the layer's
-// record in place, and a matching partial free of the layer's device-resident
-// edge buffer so the next bind uploads only the re-queried tail. Whole-layer
-// dirt — and layers the cache cannot patch, which includes every layer of a
-// session running with budgets or a fault injector — falls back to full
-// invalidation and a full buffer free, so the per-upload budget charge and
-// the allocator fault site fire exactly as in batch.
+// applyPending consumes the pending batch, which planned this check, and
+// brings the geometry cache up to date for the rules that read it: each
+// layer a rule of e reads through the cache (Engine.readsCache) is marked
+// cached and, when it has dirt, patched — a region-scoped cache invalidation
+// (the dirt's rects dilated by the deck's maximum reach) that patches the
+// layer's record in place, and a matching partial free of the layer's
+// device-resident edge buffer so the next bind uploads only the re-queried
+// tail. Whole-layer dirt — and layers the cache cannot patch, which includes
+// every layer of a session running with budgets or a fault injector — falls
+// back to full invalidation and a full buffer free, so the per-upload budget
+// charge and the allocator fault site fire exactly as in batch. Dirt on a
+// layer no rule of e reads that way waits, accumulating, for a check that
+// does: a delta check, whose restricted runs query their work window,
+// patches nothing.
 //
-// It runs inside the check that consumes the edits, as host phase
+// It runs before the check's rules and its prefetch, as host phase
 // "delta:patch" of rep (advancing the modeled host clock when pc is the
-// session's device context), so the patch is part of the check's measured
-// wall; checks with nothing pending record no phase. Session lock held, no
-// lookup in flight — the geocache patch contract; pending state is consumed.
-func (s *Session) applyPending(deck rules.Deck, rep *Report, pc *parCtx) {
-	if len(s.pending) == 0 && len(s.pendingFull) == 0 {
+// session's device context), so the patch is part of the measured wall of
+// the check that needs it; a check that patches nothing records no phase.
+// Session lock held, no lookup in flight — the geocache patch contract.
+func (s *Session) applyPending(e *Engine, rep *Report, pc *parCtx) {
+	s.pending = dirtyRegions{}
+	var layers []layout.Layer
+	for _, r := range e.deck {
+		if !e.readsCache(r) {
+			continue
+		}
+		if s.cached == nil {
+			s.cached = make(map[layout.Layer]bool)
+		}
+		s.cached[r.Layer] = true
+		if s.dirt.has(r.Layer) {
+			layers = append(layers, r.Layer)
+		}
+	}
+	if len(layers) == 0 {
 		return
-	}
-	_ = hostPhase(rep, pc, "delta:patch", func() error { s.patchPending(deck, pc); return nil })
-}
-
-// patchPending is applyPending's body: one InvalidateRegion (dirty rects
-// dilated by the deck's maximum reach) and one device-buffer free per dirty
-// layer, in layer order.
-func (s *Session) patchPending(deck rules.Deck, pc *parCtx) {
-	layers := make([]layout.Layer, 0, len(s.pending)+len(s.pendingFull))
-	for l := range s.pending {
-		layers = append(layers, l)
-	}
-	for l := range s.pendingFull {
-		layers = append(layers, l)
 	}
 	slices.Sort(layers)
 	layers = slices.Compact(layers)
-	guard := deck.MaxReach()
+	_ = hostPhase(rep, pc, "delta:patch", func() error { s.patch(layers, e.deck.MaxReach(), pc); return nil })
+}
+
+// patch is applyPending's body: per dirty layer, in layer order, one
+// InvalidateRegion over every rect the layer's dirt gathered since its last
+// patch (dilated by guard) and one device-buffer free.
+func (s *Session) patch(layers []layout.Layer, guard int64, pc *parCtx) {
 	for _, l := range layers {
-		if s.pendingFull[l] {
+		rects := s.dirt.rects[l]
+		whole := s.dirt.whole[l]
+		s.dirt.drop(l)
+		if whole {
 			s.geo.Invalidate(l)
 			if pc != nil {
 				pc.freeResident(l)
 			}
 			continue
 		}
-		rects := make([]geom.Rect, len(s.pending[l]))
-		for i, r := range s.pending[l] {
-			rects[i] = r.Expand(guard)
+		wide := make([]geom.Rect, len(rects))
+		for i, r := range rects {
+			wide[i] = r.Expand(guard)
 		}
 		stop := s.opts.Trace.Begin(trace.TrackGeocache, "", "patch:"+layerKey(l), "geocache")
-		out := s.geo.InvalidateRegion(l, guard, s.opts.PartitionAlg, rects)
+		out := s.geo.InvalidateRegion(l, guard, s.opts.PartitionAlg, wide)
 		stop(trace.Arg{Key: "segmented", Val: out.Segmented},
 			trace.Arg{Key: "rows_requeried", Val: out.RowsDirty},
 			trace.Arg{Key: "polys_replaced", Val: out.PolysRequeried})
@@ -379,8 +435,6 @@ func (s *Session) patchPending(deck rules.Deck, pc *parCtx) {
 			}
 		}
 	}
-	s.pending = nil
-	s.pendingFull = nil
 }
 
 // partialFreeResident frees the stale suffix of a layer's device-resident
@@ -432,8 +486,8 @@ func (s *Session) recordsOff() string {
 // current full records and executes the rest; a delta check skips current
 // records, restricts the restrictable kinds one rect-only batch behind, and
 // executes the rest — reported as not planned when no rule had a record to
-// go by. Session lock held; pending state is still intact (the check applies
-// it afterwards, sharing the same snapshot).
+// go by. Session lock held; the pending batch is still intact (the check
+// consumes it afterwards, in applyPending).
 func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo) {
 	plan := &checkPlan{rules: make(map[ruleKey]*rulePlan, len(deck))}
 	var info DeltaInfo
@@ -446,10 +500,10 @@ func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo)
 			rp.vers[i] = s.ver[l]
 			switch {
 			case stale || rp.rec.vers[i] == rp.vers[i]:
-			case rp.rec.vers[i]+1 == rp.vers[i] && s.dirtPending(l):
+			case rp.rec.vers[i]+1 == rp.vers[i] && s.pending.has(l):
 				behind = true
-				whole = whole || s.pendingFull[l]
-				dirty = append(dirty, s.pending[l]...)
+				whole = whole || s.pending.whole[l]
+				dirty = append(dirty, s.pending.rects[l]...)
 			default:
 				stale = true
 			}
@@ -536,8 +590,8 @@ func (s *Session) run(ctx context.Context, deck rules.Deck, delta bool) (*Report
 	}
 	if delta && info.Planned {
 		s.stats.DeltaPlanned++
-		s.stats.DeviceDeltaUploads += rep.Stats.DeviceDeltaUploads
 	}
+	s.stats.DeviceDeltaUploads += rep.Stats.DeviceDeltaUploads
 	s.stats.RulesReplayed += int64(rep.replayed)
 	s.stats.RulesExecuted += int64(rep.executed)
 	s.opts.Logger.Infof("core: check %s: %d rules, %d replayed, %d executed, %d skipped, host_wall_us=%d modeled_us=%d",

@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"opendrc/internal/budget"
 	"opendrc/internal/faults"
 	"opendrc/internal/gdsii"
+	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/layout"
-	"opendrc/internal/partition"
 	"opendrc/internal/rules"
 	"opendrc/internal/synth"
 )
@@ -114,13 +115,14 @@ func TestDeltaCheckMatchesCold(t *testing.T) {
 
 // deltaStripScale sizes the strip rows so all eighteen cost the package
 // under 0.1 s; the parallel ones still patch the M1 record by row rather
-// than drop it (asserted per row below).
+// than drop it (asserted per row below, at the plain check that patches).
 const deltaStripScale = 0.25
 
 // deltaMatchesCold is one TestDeltaCheckMatchesCold row: baseline, edit,
-// delta check — which must plan incrementally, recompute no geometry and
-// produce the canonical bytes of a cold check of the edited layout — then a
-// second delta check with nothing dirty.
+// delta check — which must plan incrementally, patch nothing, look up nothing
+// of the edited layer in the geometry cache and produce the canonical bytes
+// of a cold check of the edited layout — then a second delta check with
+// nothing dirty, then a plain check, which patches the edited layer once.
 func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*layout.Layout) []layout.Edit, opts Options) {
 	deck := synth.Deck()
 	ctx := context.Background()
@@ -132,9 +134,15 @@ func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*
 	if _, err := ses.Check(ctx, deck); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
+	m1Lookups := countLookups(ses, layout.LayerM1)
 	edits := mkEdits(lo)
 	if _, err := ses.Edit(ctx, edits); err != nil {
 		t.Fatalf("edit: %v", err)
+	}
+	// Only a parallel session's cache holds an M1 flatten for the dirt to
+	// wait behind; a sequential one drops it at once.
+	if ses.dirt.has(layout.LayerM1) != (opts.Mode == Parallel) {
+		t.Fatalf("%v session: M1 cache dirt kept = %v", opts.Mode, ses.dirt.has(layout.LayerM1))
 	}
 	rep, info, err := ses.DeltaCheck(ctx, deck)
 	if err != nil {
@@ -148,26 +156,27 @@ func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*
 	if info.RulesRestricted != 4 || info.RulesFull != 1 || info.RulesSkipped != len(deck)-5 {
 		t.Fatalf("plan = %+v", info)
 	}
-	// Nothing recomputes: the edited layer's record is patched in place
-	// (the sequential mode checks hierarchically and never flattens at
-	// all, so it has no record to patch).
+	// The restricted runs query their work window: the delta check reads
+	// nothing of the edited layer through the geometry cache, so it leaves
+	// the layer's record unpatched (the sequential mode checks
+	// hierarchically and never flattens at all).
+	if n := m1Lookups.Load(); n != 0 {
+		t.Fatalf("delta check made %d geocache lookups of the edited layer", n)
+	}
 	if rep.Stats.FlattenCacheMisses != 0 || rep.Stats.PackCacheMisses != 0 {
 		t.Fatalf("delta recomputed geometry: %+v", rep.Stats)
 	}
 	if st, err := ses.StatsSnapshot(ctx); err != nil {
 		t.Fatal(err)
-	} else if opts.Mode == Parallel && (st.Geocache.SegmentedRebuilds != 1 || st.Geocache.PatchedPolys == 0) {
-		t.Fatalf("M1 record not patched: %+v", st.Geocache)
+	} else if patches(st) != 0 {
+		t.Fatalf("delta check patched the cache: %+v", st.Geocache)
 	}
-	if rep.Profile.Get("delta:patch") == 0 {
-		t.Fatal("the patch is not on the report's books")
+	if rep.Profile.Get("delta:patch") != 0 {
+		t.Fatal("delta check booked a patch")
 	}
 	want := coldReport(t, design, scale, opts, deck, edits)
 	if canonJSON(t, rep) != canonJSON(t, want) {
 		t.Fatal("delta report differs from cold check")
-	}
-	if opts.Mode == Parallel && rep.Stats.DeviceReuses == 0 {
-		t.Fatalf("delta check reused no resident buffers: %+v", rep.Stats)
 	}
 
 	// A delta check with nothing dirty skips every rule, touches no
@@ -192,9 +201,57 @@ func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*
 	if st.FullChecks != 1 || st.DeltaChecks != 2 || st.DeltaPlanned != 2 || st.DeltaFallbacks != 0 {
 		t.Fatalf("session stats = %+v", st)
 	}
+
+	// The next plain check executes M1.S.1 in full through the cache, so it
+	// patches the M1 record first — once, by row, with the edit's rects —
+	// and refreshes the resident buffer with one delta upload.
+	plain, err := ses.Check(ctx, deck)
+	if err != nil {
+		t.Fatalf("plain check: %v", err)
+	}
+	if canonJSON(t, plain) != canonJSON(t, want) {
+		t.Fatal("plain check after the delta checks differs from cold check")
+	}
+	st, err = ses.StatsSnapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Mode == Parallel {
+		if patches(st) != 1 || st.Geocache.SegmentedRebuilds != 1 || st.Geocache.PatchedPolys == 0 {
+			t.Fatalf("M1 record not patched once by row: %+v", st.Geocache)
+		}
+		if plain.Profile.Get("delta:patch") == 0 {
+			t.Fatal("the patch is not on the plain check's books")
+		}
+		if plain.Stats.DeviceDeltaUploads != 1 || plain.Stats.DeviceUploads != 0 || st.DeviceDeltaUploads != 1 {
+			t.Fatalf("plain check: %d delta uploads, %d full uploads (session: %d delta uploads)",
+				plain.Stats.DeviceDeltaUploads, plain.Stats.DeviceUploads, st.DeviceDeltaUploads)
+		}
+	} else if patches(st) != 0 {
+		t.Fatalf("a sequential session patched the cache: %+v", st.Geocache)
+	}
 	if err := ses.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// patches is how many region invalidations the session's geometry cache has
+// taken, whether they patched a layer's record or dropped it.
+func patches(st SessionStats) int64 {
+	return st.Geocache.SegmentedInvalidations + st.Geocache.FullInvalidations
+}
+
+// countLookups counts, from now on, the geometry-cache lookups of one layer
+// the session's checks make (the prefetch's included).
+func countLookups(ses *Session, l layout.Layer) *atomic.Int64 {
+	n := new(atomic.Int64)
+	key := layerKey(l)
+	ses.geo.SetEventHook(func(ev geocache.Event) {
+		if ev.Key == key || strings.HasPrefix(ev.Key, key+"/") {
+			n.Add(1)
+		}
+	})
+	return n
 }
 
 // bandedCoreLayout mirrors the geocache banded fixture: n M1 rectangles
@@ -221,9 +278,10 @@ func bandedCoreLayout(t *testing.T, n int) *layout.Layout {
 }
 
 // TestDeltaPartialDeviceRefresh pins the device path end to end on a layout
-// where segmentation is guaranteed: one band edited → one row requeried, the
-// resident edge buffer freed only partially, and exactly one delta upload of
-// the grown slice.
+// where segmentation is guaranteed: the delta check leaves the resident
+// buffer alone, and the next plain check patches — one band edited → one row
+// requeried, the resident edge buffer freed only partially, and exactly one
+// delta upload of the grown slice.
 func TestDeltaPartialDeviceRefresh(t *testing.T) {
 	lo := bandedCoreLayout(t, 8)
 	deck := rules.Deck{rules.Layer(layout.LayerM1).Spacing().AtLeast(12).Named("S.1")}
@@ -248,11 +306,24 @@ func TestDeltaPartialDeviceRefresh(t *testing.T) {
 	if !info.Planned || info.RulesRestricted != 1 {
 		t.Fatalf("plan = %+v", info)
 	}
-	if rep.Stats.DeviceDeltaUploads != 1 {
-		t.Fatalf("%d delta uploads, want 1: %+v", rep.Stats.DeviceDeltaUploads, rep.Stats)
+	if rep.Stats.DeviceDeltaUploads != 0 || rep.Stats.DeviceUploads != 0 {
+		t.Fatalf("delta check touched the resident buffer: %d delta uploads, %d uploads",
+			rep.Stats.DeviceDeltaUploads, rep.Stats.DeviceUploads)
 	}
-	if rep.Stats.DeviceUploads != 0 {
-		t.Fatalf("delta check re-uploaded %d full buffers", rep.Stats.DeviceUploads)
+	plain, err := ses.Check(ctx, deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Stats.DeviceDeltaUploads != 1 {
+		t.Fatalf("%d delta uploads, want 1: %+v", plain.Stats.DeviceDeltaUploads, plain.Stats)
+	}
+	if plain.Stats.DeviceUploads != 0 {
+		t.Fatalf("plain check re-uploaded %d full buffers", plain.Stats.DeviceUploads)
+	}
+	if st, err := ses.StatsSnapshot(ctx); err != nil {
+		t.Fatal(err)
+	} else if st.Geocache.SegmentedRebuilds != 1 || st.Geocache.RowsRequeried != 1 {
+		t.Fatalf("patch = %+v, want one segmented rebuild of one row", st.Geocache)
 	}
 
 	// Ground truth: fresh layout, same edits, batch engine.
@@ -273,6 +344,9 @@ func TestDeltaPartialDeviceRefresh(t *testing.T) {
 	}()
 	if canonJSON(t, rep) != canonJSON(t, want) {
 		t.Fatal("partial-refresh delta report differs from cold check")
+	}
+	if canonJSON(t, plain) != canonJSON(t, want) {
+		t.Fatal("partial-refresh plain report differs from cold check")
 	}
 	if len(rep.Violations) == 0 {
 		t.Fatal("edit created no violations; the claim path went untested")
@@ -556,11 +630,23 @@ func TestDeltaEmptyIntersectionEdit(t *testing.T) {
 	if len(rep.Violations) != 0 {
 		t.Fatalf("clean insert produced %d violations", len(rep.Violations))
 	}
-	// The insert displaced nothing, so the resident buffer is kept whole and
-	// grown by the new polygon's edges: no re-upload of the layer.
-	if rep.Stats.DeviceUploads != 0 || rep.Stats.DeviceDeltaUploads != 1 || rep.Stats.BytesCopied >= base.Stats.BytesCopied {
-		t.Fatalf("insert outside every row: %d uploads, %d delta uploads, %d bytes copied (cold check copied %d)",
+	if rep.Stats.DeviceUploads != 0 || rep.Stats.DeviceDeltaUploads != 0 || rep.Stats.BytesCopied >= base.Stats.BytesCopied {
+		t.Fatalf("delta check: %d uploads, %d delta uploads, %d bytes copied (cold check copied %d)",
 			rep.Stats.DeviceUploads, rep.Stats.DeviceDeltaUploads, rep.Stats.BytesCopied, base.Stats.BytesCopied)
+	}
+	// At the next plain check the patch displaces nothing, so the resident
+	// buffer is kept whole and grown by the new polygon's edges: no re-upload
+	// of the layer.
+	plain, err := ses.Check(ctx, deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Stats.DeviceUploads != 0 || plain.Stats.DeviceDeltaUploads != 1 || plain.Stats.BytesCopied >= base.Stats.BytesCopied {
+		t.Fatalf("insert outside every row: %d uploads, %d delta uploads, %d bytes copied (cold check copied %d)",
+			plain.Stats.DeviceUploads, plain.Stats.DeviceDeltaUploads, plain.Stats.BytesCopied, base.Stats.BytesCopied)
+	}
+	if len(plain.Violations) != 0 {
+		t.Fatalf("clean insert produced %d violations in the plain check", len(plain.Violations))
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteCanonicalJSON(&buf); err != nil {
@@ -586,53 +672,85 @@ func TestDeltaEmptyIntersectionEdit(t *testing.T) {
 	}
 }
 
-// TestRestrictedNotchMembersMatchLayerScan pins the restricted notch list —
-// drawn from the members of the rows that survive nearWorkY — to the
-// whole-layer scan it replaced: same members, same (ascending) order.
-func TestRestrictedNotchMembersMatchLayerScan(t *testing.T) {
-	designs := map[string]func() *layout.Layout{
-		"banded": func() *layout.Layout { return bandedCoreLayout(t, 8) },
+// TestWindowPolysMatchLayerScan pins a restricted run's polygons — the
+// union of the hierarchy range queries over its work rects — to the layer
+// scan they replace: every flattened polygon whose box meets a work rect
+// under nearWork's Overlaps, each exactly once. The banded fixture adds rects
+// that only touch a polygon's edge (kept: Overlaps is closed), miss one by a
+// unit (dropped), and overlap each other over one polygon (listed once).
+func TestWindowPolysMatchLayerScan(t *testing.T) {
+	type fixture struct {
+		name  string
+		load  func() *layout.Layout
+		extra []geom.Rect
 	}
+	fixtures := []fixture{{"banded", func() *layout.Layout { return bandedCoreLayout(t, 8) }, []geom.Rect{
+		geom.R(0, 5100, 50, 5150),     // touches band 5's top edge
+		geom.R(401, 1000, 500, 1050),  // one unit right of band 1
+		geom.R(400, 2050, 450, 2060),  // touches band 2's right edge
+		geom.R(-10, 3000, 100, 3050),  // these two overlap each other
+		geom.R(50, 3020, 200, 3200),   // and band 3
+		geom.R(-100, 4101, 900, 4200), // one unit above band 4
+	}}}
 	for _, name := range []string{"uart", "ethmac"} {
-		designs[name] = func() *layout.Layout {
+		fixtures = append(fixtures, fixture{name: name, load: func() *layout.Layout {
 			lo, _, err := synth.Load(name, 0.2)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return lo
-		}
+		}})
 	}
 	const reach = synth.MinSpaceM1
-	for name, load := range designs {
-		lo := load()
+	type key struct {
+		src   layout.PolyRef
+		trans geom.Transform
+	}
+	for _, f := range fixtures {
+		lo := f.load()
 		dirty, err := lo.ApplyEdits(deltaTestEdits(lo))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rp := &rulePlan{mode: planRestrict}
+		rp := &rulePlan{mode: planRestrict, work: f.extra}
 		for _, d := range dirty {
 			for _, r := range d.Rects {
 				rp.work = append(rp.work, r.Expand(2*reach))
 			}
 		}
-		flat := lo.FlattenLayer(layout.LayerM1)
-		boxes := make([]geom.Rect, len(flat))
-		var want []int32
-		for i := range flat {
-			boxes[i] = flat[i].Shape.MBR()
-			if rp.nearWork(boxes[i]) {
-				want = append(want, int32(i))
+		want := map[key]bool{}
+		for _, pp := range lo.FlattenLayer(layout.LayerM1) {
+			if rp.nearWork(pp.Shape.MBR()) {
+				want[key{pp.Src, pp.Trans}] = true
 			}
 		}
-		var kept []partition.Row
-		for _, row := range partition.Rows(boxes, reach, partition.Pigeonhole) {
-			if rp.nearWorkY(row.YLo, row.YHi) {
-				kept = append(kept, row)
+		got, boxes := rp.windowPolys(lo, layout.LayerM1)
+		seen := map[key]bool{}
+		for i, pp := range got {
+			k := key{pp.Src, pp.Trans}
+			if seen[k] {
+				t.Fatalf("%s: polygon %v listed twice", f.name, pp.Shape.MBR())
+			}
+			seen[k] = true
+			if !want[k] || boxes[i] != pp.Shape.MBR() {
+				t.Fatalf("%s: window returned %v, which the layer scan does not", f.name, pp.Shape.MBR())
 			}
 		}
-		got := notchMembersNear(kept, boxes, rp)
-		if len(want) == 0 || !slices.Equal(got, want) {
-			t.Fatalf("%s: %d members from the surviving rows, %d from the layer scan", name, len(got), len(want))
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("%s: %d polygons from the window queries, %d from the layer scan", f.name, len(got), len(want))
+		}
+		if f.name == "banded" {
+			// Bands 2, 3 and 5 by the extra rects (the edits delete band 0).
+			for _, y := range []int64{2000, 3000, 5000} {
+				if !want[key{layout.PolyRef{Cell: lo.Top, Idx: int(y / 1000)}, geom.Identity()}] {
+					t.Fatalf("band at y=%d not in the window", y)
+				}
+			}
+			for _, y := range []int64{1000, 4000} {
+				if want[key{layout.PolyRef{Cell: lo.Top, Idx: int(y / 1000)}, geom.Identity()}] {
+					t.Fatalf("band at y=%d, a unit off every rect, in the window", y)
+				}
+			}
 		}
 	}
 }

@@ -468,7 +468,7 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 		}
 	}
 	if ses != nil {
-		ses.applyPending(e.deck, rep, pc)
+		ses.applyPending(e, rep, pc)
 	}
 	wait := func() {}
 	if pc != nil {
@@ -647,6 +647,19 @@ func (e *Engine) execRule(ctx context.Context, lo *layout.Layout, r rules.Rule, 
 	}
 	// Sequential intra-polygon and custom rules.
 	return e.runIntraSeq(ctx, lo, r, placements, rep)
+}
+
+// readsCache reports whether rule r, as this check runs it, reads its layer
+// through the geometry cache: a spacing rule executed in full, on the device
+// or by the pruning-off flat path. Replays, skips and restricted runs (which
+// query their work window) read no cache, and neither do the other kinds. It
+// decides which layers a session patches before the check
+// (Session.applyPending) and which the prefetch warms — the same layers, so
+// the prefetch never reads a record with dirt on it.
+func (e *Engine) readsCache(r rules.Rule) bool {
+	rp := e.plan.of(r)
+	return r.Kind == rules.Spacing && (e.opts.Mode == Parallel || e.opts.DisablePruning) &&
+		(rp == nil || rp.mode == planFull)
 }
 
 // hostPhase measures fn as host work under the profiler phase name (whose

@@ -19,8 +19,10 @@ import (
 // run — on one parallel-mode session, and after every check that returns a
 // report demands the canonical bytes of the trivial model: a cold batch
 // check of a fresh layout given the same edit batches. The session patches its
-// resident layer records in place between checks, so this is the property
-// that says no sequence of patches ever shows a reader stale geometry.
+// resident layer records in place, each at the first check that reads the
+// layer through the cache and with all the dirt gathered since the last
+// patch, so this is the property that says no sequence of deferred patches
+// ever shows a reader stale geometry.
 //
 // The design is ethmac@0.1: 16 M1 partition rows (edits patch), single-row
 // M2/M3 (edits drop the layer), and a 1.5 ms cold check.

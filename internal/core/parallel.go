@@ -198,8 +198,9 @@ const simPhase = "par:kernel-sim"
 // Delta runs touch a small neighborhood of a few layers; sweeping the whole
 // deck's geometry ahead of them would recompute exactly the work the delta
 // plan avoids, so the sweep only runs on full checks — and there only for the
-// rules that execute. The returned wait blocks until the sweep is done; the
-// check calls it before it reads the cache's counters.
+// rules that read the cache (Engine.readsCache), whose layers the session has
+// patched before the sweep starts. The returned wait blocks until the sweep
+// is done; the check calls it before it reads the cache's counters.
 func (e *Engine) prefetch(ctx context.Context, lo *layout.Layout, gc *geocache.Cache) func() {
 	if e.plan != nil && e.plan.delta {
 		return func() {}
@@ -210,7 +211,7 @@ func (e *Engine) prefetch(ctx context.Context, lo *layout.Layout, gc *geocache.C
 	}
 	var groups []*warmGroup
 	for i, r := range e.deck {
-		if rp := e.plan.of(r); i == 0 || r.Kind != rules.Spacing || rp != nil && rp.mode != planFull {
+		if i == 0 || !e.readsCache(r) {
 			continue
 		}
 		j := slices.IndexFunc(groups, func(g *warmGroup) bool { return g.l == r.Layer })
@@ -365,30 +366,41 @@ func collect(rep *Report, r rules.Rule) kernels.Collector {
 	return func(h kernels.Hit) { rep.Violations = append(rep.Violations, r.Violation(h.Marker, "")) }
 }
 
+// intraUnit is one computation of an intra-polygon rule on the device: the
+// local shapes of cell c's polygons polys, checked once, whose markers replay
+// for every instance transform in insts.
+type intraUnit struct {
+	c     *layout.Cell
+	polys []int32
+	insts []geom.Transform
+}
+
 // runIntraPar checks an intra-polygon rule on the device with the Section
 // IV-C pruning: the kernel runs once per cell definition's polygons (per
 // distinct magnification), and definition markers replay per instance on
 // the host — which is why sequential and parallel modes run equally fast on
-// intra checks (the paper's Table I observation).
+// intra checks (the paper's Table I observation). A restricted run checks
+// only the polygons its work window returns, each a unit of its own: its
+// local shape at its instance's magnification, its markers replayed with its
+// own transform and definition name — the records of the full run.
 func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, pc *parCtx, rep *Report) error {
-	// Group definitions by magnification (one kernel per distinct mag).
-	type def struct {
-		c     *layout.Cell
-		insts []geom.Transform
-	}
-	groups := make(map[int64][]def)
-	rp := e.restrictFor(r)
-	for _, c := range lo.LayerCells(r.Layer) {
-		if len(c.LocalPolyIndex(r.Layer)) == 0 || len(placements[c.ID]) == 0 {
-			continue
+	// Group units by magnification (one kernel per distinct mag).
+	groups := make(map[int64][]intraUnit)
+	if rp := e.restrictFor(r); rp != nil {
+		var found []layout.PlacedPoly
+		_ = hostPhase(rep, pc, "delta:window", func() error { found, _ = rp.windowPolys(lo, r.Layer); return nil })
+		for _, pp := range found {
+			mag := pp.Trans.Magnification()
+			groups[mag] = append(groups[mag], intraUnit{pp.Src.Cell, []int32{int32(pp.Src.Idx)}, []geom.Transform{pp.Trans}})
 		}
-		// Delta restriction: a definition none of whose instances lands near
-		// the dirty region cannot contribute a claimed violation.
-		if rp != nil && !rp.anyPlacementNear(localIntraMBR(c, r.Layer), placements[c.ID]) {
-			continue
-		}
-		for _, g := range magGroups(placements[c.ID]) {
-			groups[g.mag] = append(groups[g.mag], def{c, g.insts})
+	} else {
+		for _, c := range lo.LayerCells(r.Layer) {
+			if len(c.LocalPolyIndex(r.Layer)) == 0 || len(placements[c.ID]) == 0 {
+				continue
+			}
+			for _, g := range magGroups(placements[c.ID]) {
+				groups[g.mag] = append(groups[g.mag], intraUnit{c, c.LocalPolyIndex(r.Layer), g.insts})
+			}
 		}
 	}
 	mags := make([]int64, 0, len(groups))
@@ -401,13 +413,13 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		defs := groups[mag]
+		units := groups[mag]
 		var shapes []geom.Polygon
-		var owner []int // shape → index into defs
+		var owner []int // shape → index into units
 		if err := hostPhase(rep, pc, "par:edge-packing", func() error {
-			for i, d := range defs {
-				for _, pi := range d.c.LocalPolyIndex(r.Layer) {
-					shapes = append(shapes, d.c.Polys[pi].Shape)
+			for i, u := range units {
+				for _, pi := range u.polys {
+					shapes = append(shapes, u.c.Polys[pi].Shape)
 					owner = append(owner, i)
 				}
 			}
@@ -421,10 +433,10 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 		}
 		pc.cs.WaitEvent(pc.io.RecordEvent())
 
-		defMarkers := make([][]checks.Marker, len(defs))
+		unitMarkers := make([][]checks.Marker, len(units))
 		hit := func(h kernels.Hit) {
 			i := owner[h.A]
-			defMarkers[i] = append(defMarkers[i], h.Marker)
+			unitMarkers[i] = append(unitMarkers[i], h.Marker)
 		}
 		min := r.IntraMin(mag)
 		stopSim := rep.Profile.Phase(simPhase)
@@ -444,12 +456,12 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 		pc.cs.Synchronize()
 		pc.io.FreeAsync(edges.Bytes())
 
-		// Replay definition results per instance (host).
+		// Replay unit results per instance (host).
 		if err := hostPhase(rep, pc, "par:marker-replay", func() error {
-			for i, d := range defs {
-				rep.Stats.reuse(len(d.insts))
-				for _, t := range d.insts {
-					rep.Violations = appendMarkers(rep.Violations, r, d.c.Name, defMarkers[i], t)
+			for i, u := range units {
+				rep.Stats.reuse(len(u.insts))
+				for _, t := range u.insts {
+					rep.Violations = appendMarkers(rep.Violations, r, u.c.Name, unitMarkers[i], t)
 				}
 			}
 			return nil
@@ -473,6 +485,9 @@ func maxPolyEdges(e *kernels.Edges) int {
 
 // runSpacingPar checks one spacing rule row by row on the device.
 func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.Rule, pc *parCtx, rep *Report) error {
+	if rp := e.restrictFor(r); rp != nil {
+		return e.runSpacingWindow(ctx, lo, r, rp, pc, rep)
+	}
 	// Host: flatten the layer once (hierarchy range query, memoized across
 	// rules by the geometry cache), pack edges in the canonical flatten
 	// order and start the one-time async transfer, then partition — the
@@ -495,11 +510,10 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	lim := r.SpacingLimit()
 	var rows []partition.Row
 	if err := hostPhase(rep, pc, "par:partition", func() error {
 		var err error
-		rows, err = pc.geo.Rows(ctx, lo, r.Layer, lim.Reach(), e.opts.PartitionAlg)
+		rows, err = pc.geo.Rows(ctx, lo, r.Layer, r.SpacingLimit().Reach(), e.opts.PartitionAlg)
 		return err
 	}); err != nil {
 		return err
@@ -515,38 +529,62 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	if err := e.bindEdges(pc, rep, r.Layer, edges); err != nil {
 		return err
 	}
-	// Delta restriction: rows whose y-band misses the work window cannot
-	// hold a claimed violation (a violation's marker lies between its two
-	// edges, both inside the row), so they are skipped outright — their
-	// record violations are retained by the merge. Notches restrict the
-	// same way at polygon granularity.
-	rp := e.restrictFor(r)
-	if rp != nil {
-		kept := rows[:0:0]
-		for _, row := range rows {
-			if rp.nearWorkY(row.YLo, row.YHi) {
-				kept = append(kept, row)
-			}
+	return e.spacingRows(ctx, r, pc, rep, edges, rows, func() (*kernels.MBRTable, error) {
+		return pc.mbrTable(ctx, lo, rep, r.Layer)
+	})
+}
+
+// runSpacingWindow is a restricted spacing run: the polygons its work window
+// returns, in the global frame, packed into a buffer of their own and
+// partitioned into rows, then checked by the full run's row executors, pair
+// discovery reading an MBR table of the window's polygons. Nothing of the
+// resident layer is read — not its cache record, which may wait for a patch,
+// nor its device buffer.
+func (e *Engine) runSpacingWindow(ctx context.Context, lo *layout.Layout, r rules.Rule, rp *rulePlan, pc *parCtx, rep *Report) error {
+	var edges *kernels.Edges
+	var boxes []geom.Rect
+	var rows []partition.Row
+	_ = hostPhase(rep, pc, "delta:window", func() error {
+		found, bs := rp.windowPolys(lo, r.Layer)
+		shapes := make([]geom.Polygon, len(found))
+		for i := range found {
+			shapes[i] = found[i].Shape
 		}
-		rows = kept
+		edges, boxes = kernels.Pack(shapes), bs
+		rows = partition.Rows(boxes, r.SpacingLimit().Reach(), e.opts.PartitionAlg)
+		return nil
+	})
+	if len(boxes) == 0 {
+		return nil
 	}
+	if err := e.transfer(pc, rep, edges); err != nil {
+		return err
+	}
+	pc.cs.WaitEvent(pc.io.RecordEvent())
+	err := e.spacingRows(ctx, r, pc, rep, edges, rows, func() (*kernels.MBRTable, error) {
+		t := kernels.NewMBRTable(boxes)
+		pc.io.MemcpyAsync("mbr-table", t.Bytes())
+		pc.cs.WaitEvent(pc.io.RecordEvent())
+		rep.Stats.BytesCopied += t.Bytes()
+		return t, nil
+	})
+	pc.io.FreeAsync(edges.Bytes())
+	return err
+}
+
+// spacingRows runs one spacing rule's kernels over the rows of a packed
+// buffer on the device: notches over every polygon, then the executor each
+// row selects. table supplies the MBR table brute rows discover pairs in; it
+// is only called when a row takes the brute executor.
+func (e *Engine) spacingRows(ctx context.Context, r rules.Rule, pc *parCtx, rep *Report, edges *kernels.Edges, rows []partition.Row, table func() (*kernels.MBRTable, error)) error {
+	lim := r.SpacingLimit()
 	rep.Stats.Rows += len(rows)
 	c := collect(rep, r)
 	defer rep.Profile.Phase(simPhase)()
 
 	// Notches are intra-polygon but belong to the spacing rule: one batched
-	// launch over every polygon — of the surviving rows, when restricted.
-	if rp != nil {
-		boxes, err := pc.geo.MBRs(ctx, lo, r.Layer)
-		if err != nil {
-			return err
-		}
-		if members := notchMembersNear(rows, boxes, rp); len(members) > 0 {
-			kernels.NotchMembers(pc.cs, edges, members, lim, c)
-		}
-	} else {
-		kernels.NotchBrute(pc.cs, edges, lim, c)
-	}
+	// launch over every polygon.
+	kernels.NotchBrute(pc.cs, edges, lim, c)
 
 	// Executor selection per row; the brute rows batch into one launch set
 	// (rows become grid blocks), large rows take the sweepline executor on
@@ -571,11 +609,11 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	if len(bruteRows) > 0 {
 		// The device discovers candidate pairs by expanded-MBR overlap
 		// (Section IV-C's check pruning as kernels), then one thread per
-		// surviving pair enumerates its edge cross product. The MBR table and
-		// global x-order are built once per resident layer and every rule
+		// surviving pair enumerates its edge cross product. A resident
+		// layer's MBR table and global x-order are built once and every rule
 		// gathers its row orders from them (a stable filter of the same total
 		// order).
-		t, err := pc.mbrTable(ctx, lo, rep, r.Layer)
+		t, err := table()
 		if err != nil {
 			return err
 		}
@@ -588,23 +626,6 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	}
 	pc.cs.Synchronize()
 	return nil
-}
-
-// notchMembersNear lists, ascending, the polygons whose box meets the work
-// window. A polygon near the window sits in a row whose band is, so the
-// members of the rows that survived nearWorkY are the only candidates and the
-// layer is never scanned.
-func notchMembersNear(rows []partition.Row, boxes []geom.Rect, rp *rulePlan) []int32 {
-	var members []int32
-	for _, row := range rows {
-		for _, m := range row.Members {
-			if rp.nearWork(boxes[m]) {
-				members = append(members, int32(m))
-			}
-		}
-	}
-	slices.Sort(members)
-	return members
 }
 
 // sweepRowsPar runs the sweepline executor over the large rows of one

@@ -49,15 +49,18 @@ type Session struct {
 	// Results across time, all guarded by the session lock: one record per
 	// rule (record.go); the per-layer versions records are stamped with, which
 	// markDirty advances when dirt is recorded; the dirty regions pending since
-	// the last check (undilated; pendingFull marks whole-layer dirt); the
-	// instance enumeration, which no edit can change; and the check-traffic
-	// counters behind StatsSnapshot.
-	records     recordStore
-	ver         map[layout.Layer]uint64
-	pending     map[layout.Layer][]geom.Rect
-	pendingFull map[layout.Layer]bool
-	placements  [][]geom.Transform
-	stats       SessionStats
+	// the last check, which plan it; the geometry cache's own dirt, kept until
+	// a check reads the layer through the cache, and the layers the cache may
+	// hold a flatten of (delta.go, applyPending); the instance enumeration,
+	// which no edit can change; and the check-traffic counters behind
+	// StatsSnapshot.
+	records    recordStore
+	ver        map[layout.Layer]uint64
+	pending    dirtyRegions
+	dirt       dirtyRegions
+	cached     map[layout.Layer]bool
+	placements [][]geom.Transform
+	stats      SessionStats
 
 	// forceExec makes plain checks execute rules whose record they would
 	// replay. Tests set it to get the executed run a replayed one must be

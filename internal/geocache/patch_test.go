@@ -286,6 +286,44 @@ func TestPatchedLayerEqualsColdDerivation(t *testing.T) {
 	})
 }
 
+// TestPatchAcrossBatchesEqualsColdDerivation is a session's deferred patch:
+// three edit batches land on the layout while the cache record waits, the
+// third deleting a polygon the first inserted, and then one InvalidateRegion
+// carries every batch's rects. The dirty rects cover every polygon that
+// changed since the record was made, so the patch still meets the oracle.
+func TestPatchAcrossBatchesEqualsColdDerivation(t *testing.T) {
+	lo := handBuilt(t)
+	c := New(budget.Limits{})
+	warmAll(t, c, lo, layout.LayerM1)
+	s0 := c.Stats()
+	batches := [][]layout.Edit{
+		{insertRect(layout.LayerM1, geom.R(600, 2000, 700, 2100)), insertRect(layout.LayerM1, geom.R(900, 4000, 950, 4060))},
+		{insertRect(layout.LayerM1, geom.R(0, 2500, 80, 2560)), deleteRegion(layout.LayerM1, geom.R(0, 5000, 200, 5100))},
+		{deleteRegion(layout.LayerM1, geom.R(600, 2000, 700, 2100))}, // the first batch's first insert
+	}
+	var rects []geom.Rect
+	for _, b := range batches {
+		dirty, err := lo.ApplyEdits(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirty {
+			for _, r := range d.Rects {
+				rects = append(rects, r.Expand(segGuard))
+			}
+		}
+	}
+	out := c.InvalidateRegion(layout.LayerM1, segGuard, partition.Pigeonhole, rects)
+	// Rows 2000, 4000 and 5000 are dirty; the gap insert falls between rows.
+	if !out.Segmented || out.RowsTotal != 6 || out.RowsDirty != 3 {
+		t.Fatalf("outcome %+v, want segmented with 3 of 6 rows dirty", out)
+	}
+	requireColdEqual(t, c, lo, layout.LayerM1)
+	if s := c.Stats(); s.FlattenMisses != s0.FlattenMisses || s.PackMisses != s0.PackMisses || s.SegmentedRebuilds != s0.SegmentedRebuilds+1 {
+		t.Fatalf("one patch over three batches: %+v after %+v", s, s0)
+	}
+}
+
 // TestPatchRefusedUnderBudgetsAndFaults pins the whole-layer fallback for
 // caches whose flatten carries a budget check or a fault site: a patch would
 // bypass both, so sessions configured with either degrade exactly as batch.

@@ -3,6 +3,7 @@ package infra
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,16 +21,56 @@ func TestProfilerBreakdown(t *testing.T) {
 	if len(b) != 3 {
 		t.Fatalf("phases = %d", len(b))
 	}
-	if b[0].Name != "partition" || math.Abs(b[0].Fraction-0.15) > 1e-9 {
-		t.Errorf("partition share = %+v", b[0])
+	// Name order: edge-checks, partition, sweepline.
+	if b[1].Name != "partition" || math.Abs(b[1].Fraction-0.15) > 1e-9 {
+		t.Errorf("partition share = %+v", b[1])
 	}
-	if b[2].Name != "edge-checks" || math.Abs(b[2].Fraction-0.50) > 1e-9 {
-		t.Errorf("edge-checks share = %+v", b[2])
+	if b[0].Name != "edge-checks" || math.Abs(b[0].Fraction-0.50) > 1e-9 {
+		t.Errorf("edge-checks share = %+v", b[0])
 	}
 	// Accumulation into an existing phase.
 	p.Add("partition", 5*time.Millisecond)
 	if p.Get("partition") != 20*time.Millisecond {
 		t.Errorf("accumulated = %v", p.Get("partition"))
+	}
+}
+
+// TestProfilerBreakdownOrderFree feeds two profilers the same phases
+// finishing in different orders — as rules running side by side do — and
+// demands the same breakdown and rendering from both.
+func TestProfilerBreakdownOrderFree(t *testing.T) {
+	phases := []struct {
+		name string
+		d    time.Duration
+	}{
+		{"intra:width", 3 * time.Millisecond},
+		{"intra:rectilinear", 2 * time.Millisecond},
+		{"spacing:sweepline", 5 * time.Millisecond},
+		{"intra:width", time.Millisecond},
+	}
+	var now time.Duration
+	feed := func(order []int) *Profiler {
+		p := NewProfilerWithClock(func() time.Duration { return now })
+		for _, i := range order {
+			stop := p.Phase(phases[i].name)
+			now += phases[i].d
+			stop()
+		}
+		return p
+	}
+	a, b := feed([]int{0, 1, 2, 3}), feed([]int{2, 1, 3, 0})
+	if !reflect.DeepEqual(a.Breakdown(), b.Breakdown()) {
+		t.Fatalf("breakdowns differ:\n%+v\n%+v", a.Breakdown(), b.Breakdown())
+	}
+	var wa, wb bytes.Buffer
+	a.WriteTo(&wa)
+	b.WriteTo(&wb)
+	if wa.String() != wb.String() {
+		t.Fatalf("renderings differ:\n%s\n%s", wa.String(), wb.String())
+	}
+	if got := a.Breakdown(); len(got) != 3 || got[0].Name != "intra:rectilinear" || got[1].Name != "intra:width" ||
+		got[1].Duration != 4*time.Millisecond {
+		t.Fatalf("breakdown = %+v", got)
 	}
 }
 

@@ -6,6 +6,7 @@ package infra
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -19,7 +20,6 @@ type Profiler struct {
 	clock func() time.Duration
 
 	mu     sync.Mutex
-	order  []string
 	totals map[string]time.Duration
 	hook   func(name string, start, end time.Duration)
 }
@@ -87,9 +87,6 @@ func (p *Profiler) Phase(name string) func() time.Duration {
 func (p *Profiler) Add(name string, d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.totals[name]; !ok {
-		p.order = append(p.order, name)
-	}
 	p.totals[name] += d
 }
 
@@ -116,21 +113,23 @@ type Share struct {
 	Fraction float64 // of the profiler total
 }
 
-// Breakdown returns the phases in first-seen order with their fractions —
-// the data behind Fig. 4.
+// Breakdown returns the phases in name order with their fractions — the
+// data behind Fig. 4. Name order, not the order phases were first recorded:
+// phases of concurrent work finish in whatever order the schedule gives, and
+// a breakdown must not depend on it.
 func (p *Profiler) Breakdown() []Share {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := p.total()
-	out := make([]Share, 0, len(p.order))
-	for _, name := range p.order {
-		d := p.totals[name]
+	out := make([]Share, 0, len(p.totals))
+	for name, d := range p.totals {
 		frac := 0.0
 		if total > 0 {
 			frac = float64(d) / float64(total)
 		}
 		out = append(out, Share{Name: name, Duration: d, Fraction: frac})
 	}
+	slices.SortFunc(out, func(a, b Share) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -141,7 +140,7 @@ func (p *Profiler) Get(name string) time.Duration {
 	return p.totals[name]
 }
 
-// WriteTo renders an aligned text breakdown (sorted by first-seen order)
+// WriteTo renders an aligned text breakdown (in Breakdown's name order)
 // with a bar chart, e.g. for cmd/odrc-bench -fig 4.
 func (p *Profiler) WriteTo(w io.Writer) (int64, error) {
 	var n int64

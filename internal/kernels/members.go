@@ -1,16 +1,13 @@
 package kernels
 
-import (
-	"opendrc/internal/checks"
-	"opendrc/internal/geom"
-)
+import "opendrc/internal/geom"
 
 // Member-indexed kernel variants. The cross-rule geometry cache packs each
 // layer once in the canonical flatten order and keeps the buffer resident on
 // the device; partition rows then address *subsets* of that one buffer by
-// polygon index instead of re-packing a copy per rule. These variants (and
-// the sweepline executor in sweep.go, member-indexed throughout) run over an
-// explicit member list. Row members are ascending canonical indices and
+// polygon index instead of re-packing a copy per rule. Pair discovery (and
+// the sweepline executor in sweep.go, member-indexed throughout) runs over
+// explicit member lists. Row members are ascending canonical indices and
 // every sorted order (perpendicular-coordinate views, corner x-order, MBR
 // x-order) breaks ties by index, so a row's hit sequence depends on its
 // members alone, not on what else the buffer holds.
@@ -104,14 +101,4 @@ func PairDiscoveryTable(s Launcher, e *Edges, t *MBRTable, rows [][]int32, min i
 		return ops + 1
 	})
 	return out
-}
-
-// NotchMembers launches the brute-force intra-polygon notch executor over an
-// explicit member list — one thread per member polygon, the same body as
-// NotchBrute. Hit.A carries the canonical polygon index (not the member
-// slot), matching what NotchBrute emits for that polygon.
-func NotchMembers(s Launcher, e *Edges, polys []int32, lim checks.SpacingLimit, c Collector) {
-	s.Launch("notch-members", len(polys), func(tid int) int64 {
-		return notchPoly(e, polys[tid], lim, c)
-	})
 }

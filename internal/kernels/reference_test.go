@@ -778,34 +778,22 @@ func refNotch(s *gpu.Stream, name string, e *refEdges, polys []int32, lim checks
 	})
 }
 
-// diffNotch runs NotchBrute over every polygon and NotchMembers over an
-// ascending subset, each beside refNotch, and compares hits (in order) and
-// kernel records.
+// diffNotch runs NotchBrute over every polygon beside refNotch and compares
+// hits (in order) and kernel records.
 func diffNotch(t *testing.T, label string, polys []geom.Polygon, lim checks.SpacingLimit) (hits int) {
 	t.Helper()
 	e, ref := packBoth(polys)
-	var members []int32
-	for p := range e.NumPolys() {
-		if p%3 != 1 {
-			members = append(members, int32(p))
-		}
+	refDev, dev := gpu.NewDevice(gpu.GTX1660Ti()), gpu.NewDevice(gpu.GTX1660Ti())
+	var want, got []Hit
+	refNotch(refDev.NewStream("s"), "notch-brute", ref, allMembers(e), lim, func(h Hit) { want = append(want, h) })
+	NotchBrute(dev.NewStream("s"), e, lim, func(h Hit) { got = append(got, h) })
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: hit sequence differs: got %d hits, reference %d", label, len(got), len(want))
 	}
-	run := func(name string, prod func(Launcher, Collector), polys []int32) {
-		refDev, dev := gpu.NewDevice(gpu.GTX1660Ti()), gpu.NewDevice(gpu.GTX1660Ti())
-		var want, got []Hit
-		refNotch(refDev.NewStream("s"), name, ref, polys, lim, func(h Hit) { want = append(want, h) })
-		prod(dev.NewStream("s"), func(h Hit) { got = append(got, h) })
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s %s: hit sequence differs: got %d hits, reference %d", label, name, len(got), len(want))
-		}
-		if g, w := kernelShapes(dev), kernelShapes(refDev); !reflect.DeepEqual(g, w) {
-			t.Errorf("%s %s: kernel records differ:\n got  %+v\n want %+v", label, name, g, w)
-		}
-		hits += len(want)
+	if g, w := kernelShapes(dev), kernelShapes(refDev); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: kernel records differ:\n got  %+v\n want %+v", label, g, w)
 	}
-	run("notch-brute", func(s Launcher, c Collector) { NotchBrute(s, e, lim, c) }, allMembers(e))
-	run("notch-members", func(s Launcher, c Collector) { NotchMembers(s, e, members, lim, c) }, members)
-	return hits
+	return len(want)
 }
 
 // orientAll maps every polygon through all eight orientations, each placed
