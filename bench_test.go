@@ -148,8 +148,8 @@ func BenchmarkPartitionAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkPruningAblation measures hierarchy task pruning on the
-// sequential engine: identical rule, pruning on versus off.
+// BenchmarkPruningAblation measures hierarchy task pruning: the identical
+// rule on the sequential engine and on KLayout flat, the unpruned baseline.
 func BenchmarkPruningAblation(b *testing.B) {
 	lo := benchLayouts(b)["aes"]
 	r, err := synth.RuleByID("M1.W.1")
@@ -157,19 +157,15 @@ func BenchmarkPruningAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, cfg := range []struct {
-		name string
-		opts core.Options
+		name    string
+		checker bench.Checker
 	}{
-		{"pruning-on", core.Options{Mode: core.Sequential}},
-		{"pruning-off", core.Options{Mode: core.Sequential, DisablePruning: true}},
+		{"pruning-on", bench.OpenDRCSeq},
+		{"pruning-off", bench.KLayoutFlat},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := core.New(cfg.opts)
-				if err := eng.AddRules(r); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := eng.Check(lo); err != nil {
+				if _, err := bench.RunCellContext(context.Background(), lo, r, cfg.checker); err != nil {
 					b.Fatal(err)
 				}
 			}

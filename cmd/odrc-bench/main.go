@@ -125,7 +125,8 @@ func run() error {
 	case *fig != 0:
 		return usageError(fmt.Sprintf("-fig %d: want 3 or 4", *fig))
 	case *ablation:
-		return bench.AblationsContext(ctx, os.Stdout, *scale)
+		_, err := bench.AblationsContext(ctx, os.Stdout, *scale)
+		return err
 	case *fairness:
 		rep, err := bench.FairnessContext(ctx, *fairChecks, *scale)
 		if err != nil {

@@ -58,7 +58,7 @@ func run() int {
 	verbose := flag.Bool("v", false, "print every violation (default: per-rule counts only)")
 	stats := flag.Bool("stats", false, "print scheduling statistics and phase breakdown")
 	dedup := flag.Bool("dedup", true, "merge identical violation markers")
-	maxFlatten := flag.Int64("max-flatten", 0, "fail a rule that would flatten more than this many polygons (0 = unlimited)")
+	maxFlatten := flag.Int64("max-flatten", 0, "fail a rule that would flatten more than this many polygons (0 = unlimited; -mode par only: seq never flattens)")
 	maxEdges := flag.Int64("max-edges", 0, "fail a rule that would pack more than this many device edges (0 = unlimited)")
 	maxDeviceBytes := flag.Int64("max-device-bytes", 0, "simulated device memory pool limit in bytes (0 = unlimited)")
 	traceOut := flag.String("trace", "", "write a Chrome-trace/Perfetto JSON timeline of the run to this file")

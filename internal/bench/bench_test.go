@@ -129,3 +129,24 @@ func TestBreakdownProfile(t *testing.T) {
 		t.Error("unknown rule accepted")
 	}
 }
+
+// TestAblations runs the ablation pairs: three of them, each of whose two
+// sides finds the same thing.
+func TestAblations(t *testing.T) {
+	var buf bytes.Buffer
+	abs, err := AblationsContext(context.Background(), &buf, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(abs) != 3 {
+		t.Fatalf("%d ablation pairs, want 3:\n%s", len(abs), buf.String())
+	}
+	for _, ab := range abs {
+		if ab.CountA != ab.CountB || ab.CountA == 0 {
+			t.Errorf("%s: %s found %d, %s found %d", ab.Choice, ab.A, ab.CountA, ab.B, ab.CountB)
+		}
+		if !strings.Contains(buf.String(), ab.Choice) {
+			t.Errorf("output misses %q:\n%s", ab.Choice, buf.String())
+		}
+	}
+}

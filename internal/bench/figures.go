@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"opendrc/internal/core"
@@ -141,63 +142,98 @@ func WriteFig4(w io.Writer, rows []Fig4Row) {
 	}
 }
 
-// AblationsContext times the design choices DESIGN.md calls out — hierarchy
-// pruning, the interval-merging algorithm and the row executor — as A/B pairs
-// of one M1.S.1 check on aes, printing each pair's modeled times. Cancellation
-// aborts between checks.
-func AblationsContext(ctx context.Context, w io.Writer, scale float64) error {
+// Ablation is one A/B pair of AblationsContext: what each side took and what
+// it found — deduplicated violations, or, for the interval-merging pair,
+// which times the partition alone, partition rows. The two counts must agree.
+type Ablation struct {
+	Choice, A, B   string
+	TimeA, TimeB   time.Duration
+	CountA, CountB int
+	Ratio          bool // print B/A
+}
+
+// AblationsContext times the design choices DESIGN.md calls out on aes /
+// M1.S.1 as A/B pairs, prints each pair's times and returns the pairs:
+//   - hierarchy pruning: the sequential engine against KLayout flat, the
+//     unpruned baseline (calibrated host wall, as in the tables);
+//   - interval merging: partition.Rows over the flattened layer's boxes at
+//     the rule's reach, pigeonhole against sort-based (host wall, best of 5);
+//   - executor selection: the parallel engine with every row forced onto the
+//     brute-force executor, then onto the sweepline (modeled).
+//
+// Cancellation aborts between checks.
+func AblationsContext(ctx context.Context, w io.Writer, scale float64) ([]Ablation, error) {
 	lo, _, err := synth.Load("aes", scale)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r, err := synth.RuleByID("M1.S.1")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	modeled := func(opts core.Options) (time.Duration, error) {
-		eng := core.New(opts)
-		if err := eng.AddRules(r); err != nil {
-			return 0, err
+	type side func() (time.Duration, int, error)
+	checker := func(c Checker) side {
+		return func() (time.Duration, int, error) {
+			cell, err := RunCellContext(ctx, lo, r, c)
+			return cell.Time, cell.Violations, err
 		}
-		rep, err := eng.CheckContext(ctx, lo)
-		if err != nil {
-			return 0, err
-		}
-		return rep.Modeled, nil
 	}
-
-	fmt.Fprintln(w, "Ablations on aes / M1.S.1 (modeled or wall time):")
-	for _, ab := range []struct {
-		choice, a, b string
-		optsA, optsB core.Options
-		ratio        bool
-	}{
-		{"hierarchy pruning", "on", "off",
-			core.Options{Mode: core.Sequential},
-			core.Options{Mode: core.Sequential, DisablePruning: true}, true},
-		{"interval merging", "pigeonhole", "sort-based",
-			core.Options{Mode: core.Parallel, PartitionAlg: partition.Pigeonhole},
-			core.Options{Mode: core.Parallel, PartitionAlg: partition.SortBased}, false},
-		{"executor selection", "all-brute", "all-sweep",
-			core.Options{Mode: core.Parallel, BruteEdgeThreshold: 1 << 30},
-			core.Options{Mode: core.Parallel, BruteEdgeThreshold: 1}, false},
-	} {
-		ta, err := modeled(ab.optsA)
-		if err != nil {
-			return err
+	flat := lo.FlattenLayer(r.Layer)
+	boxes := make([]geom.Rect, len(flat))
+	for i := range flat {
+		boxes[i] = flat[i].Shape.MBR()
+	}
+	merge := func(alg partition.Algorithm) side {
+		return func() (time.Duration, int, error) {
+			best, n := time.Duration(math.MaxInt64), 0
+			for range 5 {
+				t0 := time.Now()
+				n = len(partition.Rows(boxes, r.SpacingLimit().Reach(), alg))
+				best = min(best, time.Since(t0))
+			}
+			return best, n, nil
 		}
-		tb, err := modeled(ab.optsB)
-		if err != nil {
-			return err
+	}
+	executor := func(threshold int) side {
+		return func() (time.Duration, int, error) {
+			eng := core.New(core.Options{Mode: core.Parallel, BruteEdgeThreshold: threshold})
+			if err := eng.AddRules(r); err != nil {
+				return 0, 0, err
+			}
+			rep, err := eng.CheckContext(ctx, lo)
+			if err != nil {
+				return 0, 0, err
+			}
+			return rep.Modeled, dedupCount(rep.Violations), nil
 		}
-		fmt.Fprintf(w, "  %-20s: %s %v   %s %v", ab.choice,
-			ab.a, ta.Round(time.Microsecond), ab.b, tb.Round(time.Microsecond))
-		if ab.ratio {
-			fmt.Fprintf(w, "   (%.1fx)", float64(tb)/float64(ta))
+	}
+	abs := []Ablation{
+		{Choice: "hierarchy pruning", A: "on", B: "off (KL-flat)", Ratio: true},
+		{Choice: "interval merging", A: "pigeonhole", B: "sort-based"},
+		{Choice: "executor selection", A: "all-brute", B: "all-sweep"},
+	}
+	sides := [][2]side{
+		{checker(OpenDRCSeq), checker(KLayoutFlat)},
+		{merge(partition.Pigeonhole), merge(partition.SortBased)},
+		{executor(1 << 30), executor(1)},
+	}
+	fmt.Fprintln(w, "Ablations on aes / M1.S.1 (calibrated host wall, host wall or modeled time):")
+	for i := range abs {
+		ab := &abs[i]
+		if ab.TimeA, ab.CountA, err = sides[i][0](); err != nil {
+			return nil, err
+		}
+		if ab.TimeB, ab.CountB, err = sides[i][1](); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(w, "  %-20s: %s %v   %s %v", ab.Choice,
+			ab.A, ab.TimeA.Round(time.Microsecond), ab.B, ab.TimeB.Round(time.Microsecond))
+		if ab.Ratio {
+			fmt.Fprintf(w, "   (%.1fx)", float64(ab.TimeB)/float64(ab.TimeA))
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
+	return abs, nil
 }
 
 // BreakdownProfileContext returns the raw profiler of a sequential run of

@@ -59,9 +59,9 @@ func Check(resource string, used, limit int64) error {
 // limits.
 type Limits struct {
 	// MaxFlattenPolys caps the number of polygon instances any single
-	// layer flatten may materialize (parallel-mode flatten phases, the
-	// flat ablations, and KLayout flat mode — which falls back to tiling
-	// instead of failing).
+	// layer flatten may materialize: the parallel mode's flatten phases,
+	// and KLayout flat mode, which falls back to tiling instead of failing.
+	// The sequential mode never flattens, so it never trips this budget.
 	MaxFlattenPolys int64
 	// MaxPackedEdges caps the packed edge count of one device batch.
 	MaxPackedEdges int64

@@ -220,12 +220,12 @@ func TestChaosDeviceOOM(t *testing.T) {
 	}
 }
 
-// TestChaosFlattenBudget trips the flatten budget in the pruning-off
-// ablation, where spacing rules materialize every instance.
+// TestChaosFlattenBudget trips the flatten budget in the parallel mode,
+// whose spacing rules materialize every instance (the sequential mode never
+// flattens).
 func TestChaosFlattenBudget(t *testing.T) {
 	lo := chaosLoad(t, "uart")
-	e := New(Options{Mode: Sequential, DisablePruning: true,
-		Budgets: budget.Limits{MaxFlattenPolys: 1}})
+	e := New(Options{Mode: Parallel, Budgets: budget.Limits{MaxFlattenPolys: 1}})
 	spacing, err := synth.RuleByID("M1.S.1")
 	if err != nil {
 		t.Fatal(err)

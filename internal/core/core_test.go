@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"opendrc/internal/checks"
@@ -11,7 +11,6 @@ import (
 	"opendrc/internal/geom"
 	"opendrc/internal/klayout"
 	"opendrc/internal/layout"
-	"opendrc/internal/partition"
 	"opendrc/internal/rules"
 	"opendrc/internal/synth"
 	"opendrc/internal/xcheck"
@@ -144,37 +143,33 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPruningAblationSameViolations holds the pruned sequential engine to
+// KLayout flat, the unpruned baseline, rule by rule, and requires that the
+// pruning reused something.
 func TestPruningAblationSameViolations(t *testing.T) {
 	lo, _ := loadDesign(t, "uart", 0.7)
-	on := runEngine(t, lo, Options{Mode: Sequential}, synth.Deck())
-	off := runEngine(t, lo, Options{Mode: Sequential, DisablePruning: true}, synth.Deck())
-	ov := DedupViolations(append([]rules.Violation(nil), on.Violations...))
-	fv := DedupViolations(append([]rules.Violation(nil), off.Violations...))
+	deck := synth.Deck()
+	on := runEngine(t, lo, Options{Mode: Sequential}, deck)
+	var off []rules.Violation
+	for _, r := range deck {
+		res, err := klayout.CheckContext(context.Background(), lo, r, klayout.Options{Mode: klayout.Flat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		off = append(off, res.Violations...)
+	}
+	ov := DedupViolations(on.Violations)
+	fv := DedupViolations(off)
 	if len(ov) != len(fv) {
-		t.Fatalf("pruning changed results: %d vs %d", len(ov), len(fv))
+		t.Fatalf("pruning changed results: %d vs %d (KLayout flat)", len(ov), len(fv))
 	}
 	for i := range ov {
 		if ov[i].Rule != fv[i].Rule || ov[i].Marker.Box != fv[i].Marker.Box {
-			t.Fatalf("violation %d differs with pruning off", i)
+			t.Fatalf("violation %d differs from KLayout flat", i)
 		}
 	}
 	if on.Stats.ChecksReused == 0 {
 		t.Error("hierarchy pruning reused nothing")
-	}
-	if on.Stats.DefsChecked >= off.Stats.DefsChecked {
-		t.Errorf("pruning did not reduce definition checks: %d vs %d",
-			on.Stats.DefsChecked, off.Stats.DefsChecked)
-	}
-}
-
-func TestPartitionAblationSameViolations(t *testing.T) {
-	lo, _ := loadDesign(t, "uart", 0.7)
-	a := runEngine(t, lo, Options{Mode: Parallel, PartitionAlg: partition.Pigeonhole}, synth.Deck())
-	b := runEngine(t, lo, Options{Mode: Parallel, PartitionAlg: partition.SortBased}, synth.Deck())
-	av := DedupViolations(append([]rules.Violation(nil), a.Violations...))
-	bv := DedupViolations(append([]rules.Violation(nil), b.Violations...))
-	if len(av) != len(bv) {
-		t.Fatalf("partition algorithm changed results: %d vs %d", len(av), len(bv))
 	}
 }
 
@@ -264,35 +259,42 @@ func TestMagnifiedIntraChecks(t *testing.T) {
 	wantOne("W X-Check", res.Violations)
 }
 
+// TestMagnifiedInterRuleRejected: a magnified reference fails a check with
+// an inter-polygon rule only when its subtree holds geometry on one of the
+// rule's input layers. A mag-2 reference to an M3-only cell under an M1
+// spacing deck checks cleanly in both modes; a mag-2 reference holding M1
+// fails, naming the reference.
 func TestMagnifiedInterRuleRejected(t *testing.T) {
-	lib := &gdsii.Library{
-		Name: "mag",
-		Structures: []*gdsii.Structure{
-			{
-				Name: "BAR",
-				Boundaries: []gdsii.Boundary{{
-					Layer: int16(layout.LayerM1),
-					XY: []geom.Point{
-						geom.Pt(0, 0), geom.Pt(0, 100), geom.Pt(20, 100), geom.Pt(20, 0),
-					},
-				}},
-			},
-			{
-				Name:  "TOP",
-				SRefs: []gdsii.SRef{{Name: "BAR", Pos: geom.Pt(0, 0), Trans: gdsii.Trans{Mag: 3}}},
-			},
-		},
+	bar := func(name string, l layout.Layer) *gdsii.Structure {
+		return &gdsii.Structure{Name: name, Boundaries: []gdsii.Boundary{{
+			Layer: int16(l),
+			XY:    []geom.Point{geom.Pt(0, 0), geom.Pt(0, 100), geom.Pt(20, 100), geom.Pt(20, 0)},
+		}}}
 	}
-	lo, err := layout.FromLibrary(lib)
-	if err != nil {
-		t.Fatal(err)
+	layoutWith := func(magnified string) *layout.Layout {
+		return buildLayout(t, &gdsii.Library{Name: "mag", Structures: []*gdsii.Structure{
+			bar("BAR1", layout.LayerM1), bar("BAR3", layout.LayerM3),
+			{Name: "TOP", SRefs: []gdsii.SRef{
+				{Name: "BAR1", Pos: geom.Pt(0, 0)},
+				{Name: "BAR1", Pos: geom.Pt(30, 0)}, // 10 apart: one spacing violation
+				{Name: magnified, Pos: geom.Pt(500, 0), Trans: gdsii.Trans{Mag: 2}},
+			}},
+		}})
 	}
-	e := New(Options{Mode: Sequential})
-	if err := e.AddRules(rules.Layer(layout.LayerM1).Spacing().AtLeast(18)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Check(lo); err == nil {
-		t.Error("magnified instance with spacing rule must be rejected")
+	deck := rules.Deck{rules.Layer(layout.LayerM1).Spacing().AtLeast(18).Named("S")}
+	for _, mode := range []Mode{Sequential, Parallel} {
+		rep := runEngine(t, layoutWith("BAR3"), Options{Mode: mode}, deck)
+		if len(rep.Violations) != 1 {
+			t.Errorf("%v: mag-2 M3-only reference: %d violations, want 1", mode, len(rep.Violations))
+		}
+		e := New(Options{Mode: mode})
+		if err := e.AddRules(deck...); err != nil {
+			t.Fatal(err)
+		}
+		_, err := e.Check(layoutWith("BAR1"))
+		if err == nil || !strings.Contains(err.Error(), "TOP -> BAR1") {
+			t.Errorf("%v: mag-2 M1 reference under an M1 spacing rule: err = %v, want one naming TOP -> BAR1", mode, err)
+		}
 	}
 }
 
@@ -384,22 +386,6 @@ func TestEmptyDeck(t *testing.T) {
 					mode, len(rep.Violations), rep.Degraded, rep.Stats.KernelLaunches)
 			}
 		}
-	}
-}
-
-// TestParallelRejectsDisablePruning: the pruning ablation is sequential-only,
-// so a parallel check with it fails, batch and session alike.
-func TestParallelRejectsDisablePruning(t *testing.T) {
-	lo, _ := loadDesign(t, "uart", 0.3)
-	ctx := context.Background()
-	opts := Options{Mode: Parallel, DisablePruning: true}
-	if _, err := New(opts).CheckContext(ctx, lo); !errors.Is(err, errParallelUnpruned) {
-		t.Errorf("batch: err = %v, want %v", err, errParallelUnpruned)
-	}
-	ses := NewSession(lo, opts)
-	defer ses.Close(ctx)
-	if _, err := ses.Check(ctx, synth.Deck()); !errors.Is(err, errParallelUnpruned) {
-		t.Errorf("session: err = %v, want %v", err, errParallelUnpruned)
 	}
 }
 

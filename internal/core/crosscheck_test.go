@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"opendrc/internal/gdsii"
 	"opendrc/internal/geom"
+	"opendrc/internal/klayout"
 	"opendrc/internal/layout"
 	"opendrc/internal/rules"
 )
@@ -85,7 +87,9 @@ func violationKeys(vs []rules.Violation) map[string]bool {
 
 // TestRandomLayoutsAllConfigurationsAgree runs every engine configuration
 // over randomized hierarchical layouts and demands identical deduplicated
-// violation sets: sequential, pruning-off, parallel with each executor.
+// violation sets: sequential, parallel with each executor, and KLayout flat
+// and deep rule by rule — unpruned references that share no executor with
+// the engine.
 func TestRandomLayoutsAllConfigurationsAgree(t *testing.T) {
 	deck := rules.Deck{
 		rules.Layer(layout.LayerM1).Width().AtLeast(12).Named("W"),
@@ -95,14 +99,31 @@ func TestRandomLayoutsAllConfigurationsAgree(t *testing.T) {
 			WhenProjectionAtLeast(25, 16).Named("SPRL"),
 		rules.Layer(layout.LayerV1).EnclosedBy(layout.LayerM1).AtLeast(4).Named("EN"),
 	}
+	engine := func(opts Options) func(*layout.Layout) []rules.Violation {
+		return func(lo *layout.Layout) []rules.Violation { return runEngine(t, lo, opts, deck).Violations }
+	}
+	kl := func(mode klayout.Mode) func(*layout.Layout) []rules.Violation {
+		return func(lo *layout.Layout) []rules.Violation {
+			var vs []rules.Violation
+			for _, r := range deck {
+				res, err := klayout.CheckContext(context.Background(), lo, r, klayout.Options{Mode: mode})
+				if err != nil {
+					t.Fatalf("KLayout %v %s: %v", mode, r.ID, err)
+				}
+				vs = append(vs, res.Violations...)
+			}
+			return vs
+		}
+	}
 	configs := []struct {
 		name string
-		opts Options
+		run  func(*layout.Layout) []rules.Violation
 	}{
-		{"seq", Options{Mode: Sequential}},
-		{"seq-noprune", Options{Mode: Sequential, DisablePruning: true}},
-		{"par-brute", Options{Mode: Parallel, BruteEdgeThreshold: 1 << 30}},
-		{"par-sweep", Options{Mode: Parallel, BruteEdgeThreshold: 1}},
+		{"seq", engine(Options{Mode: Sequential})},
+		{"par-brute", engine(Options{Mode: Parallel, BruteEdgeThreshold: 1 << 30})},
+		{"par-sweep", engine(Options{Mode: Parallel, BruteEdgeThreshold: 1})},
+		{"kl-flat", kl(klayout.Flat)},
+		{"kl-deep", kl(klayout.Deep)},
 	}
 	for trial := 0; trial < 12; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial) * 7919))
@@ -114,8 +135,7 @@ func TestRandomLayoutsAllConfigurationsAgree(t *testing.T) {
 		var ref map[string]bool
 		var refName string
 		for _, cfg := range configs {
-			rep := runEngine(t, lo, cfg.opts, deck)
-			keys := violationKeys(rep.Violations)
+			keys := violationKeys(cfg.run(lo))
 			if ref == nil {
 				ref, refName = keys, cfg.name
 				continue

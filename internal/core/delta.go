@@ -8,6 +8,7 @@ import (
 	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/layout"
+	"opendrc/internal/partition"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
 	"opendrc/internal/trace"
@@ -33,10 +34,10 @@ import (
 //     cold result exactly.)
 //   - W_r = C_r dilated by the reach again — the WORK window. Geometry whose
 //     expanded MBR misses W_r cannot produce a violation centered in C_r.
-//     A parallel delta run therefore checks only the polygons a hierarchy
-//     range query over W_r returns (rulePlan.windowPolys), with the kernels
-//     of the full run; a sequential one, whose spacing violations name the
-//     LCA definition a range query cannot give, prunes cell definitions and
+//     A delta run therefore checks only the polygons a hierarchy range query
+//     over W_r returns (rulePlan.windowPolys), with the executors of the
+//     full run — except sequential spacing, whose violations name the LCA
+//     definition a range query cannot give: it prunes cell definitions and
 //     their rows to W_r's neighborhood instead.
 //
 // The merged stream (claimed ∪ retained) is the same violation multiset a
@@ -115,9 +116,9 @@ func (rp *rulePlan) windowPolys(lo *layout.Layout, l layout.Layer) ([]layout.Pla
 }
 
 // anyPlacementNear reports whether any of the instance transforms maps the
-// cell-local box into the work window. The sequential executors use it to
-// prune whole cell-definition tasks: a definition none of whose instances
-// land near the dirty region cannot contribute a claimed violation.
+// cell-local box into the work window. Sequential spacing uses it to prune
+// whole cell-definition tasks: a definition none of whose instances land near
+// the dirty region cannot contribute a claimed violation.
 func (rp *rulePlan) anyPlacementNear(localBox geom.Rect, insts []geom.Transform) bool {
 	if localBox.Empty() {
 		return false
@@ -158,8 +159,8 @@ func (p *checkPlan) executes(deck rules.Deck) bool {
 }
 
 // restrictFor returns the rule's plan only when it runs restricted — the
-// hook that sends a parallel run to its work window and makes a sequential
-// one prune cell definitions and rows.
+// hook that sends a run to its work window, or makes a sequential spacing run
+// prune cell definitions and rows.
 func (e *Engine) restrictFor(r rules.Rule) *rulePlan {
 	rp := e.plan.of(r)
 	if rp != nil && rp.mode == planRestrict {
@@ -170,20 +171,23 @@ func (e *Engine) restrictFor(r rules.Rule) *rulePlan {
 
 // mergeDelta turns a restricted run's output, the violations of its child
 // report rep, into the rule's cold multiset: of what the run emitted only the
-// claimed survive, and the record supplies everything outside the claim.
+// claimed survive, and the record supplies everything outside the claim. The
+// merged slice is allocated once, at its exact size.
 func mergeDelta(rep *Report, rp *rulePlan) {
-	kept := rep.Violations[:0]
-	for _, v := range rep.Violations {
-		if rp.claims(v.Marker.Box) {
-			kept = append(kept, v)
-		}
-	}
+	claimed := slices.DeleteFunc(rep.Violations, func(v rules.Violation) bool { return !rp.claims(v.Marker.Box) })
+	n := len(claimed)
 	for _, v := range rp.rec.violations {
 		if !rp.claims(v.Marker.Box) {
-			kept = append(kept, v)
+			n++
 		}
 	}
-	rep.Violations = kept
+	out := append(make([]rules.Violation, 0, n), claimed...)
+	for _, v := range rp.rec.violations {
+		if !rp.claims(v.Marker.Box) {
+			out = append(out, v)
+		}
+	}
+	rep.Violations = out
 }
 
 // LayerRegion names a dirty region of one layer for Session.Invalidate. An
@@ -423,7 +427,7 @@ func (s *Session) patch(layers []layout.Layer, guard int64, pc *parCtx) {
 			wide[i] = r.Expand(guard)
 		}
 		stop := s.opts.Trace.Begin(trace.TrackGeocache, "", "patch:"+layerKey(l), "geocache")
-		out := s.geo.InvalidateRegion(l, guard, s.opts.PartitionAlg, wide)
+		out := s.geo.InvalidateRegion(l, guard, partition.Pigeonhole, wide)
 		stop(trace.Arg{Key: "segmented", Val: out.Segmented},
 			trace.Arg{Key: "rows_requeried", Val: out.RowsDirty},
 			trace.Arg{Key: "polys_replaced", Val: out.PolysRequeried})
@@ -465,16 +469,13 @@ func (pc *parCtx) partialFreeResident(l layout.Layer, keptBytes int64) {
 // nothing: every check executes every rule, a delta check falls back — or ""
 // when it keeps them. Budgets and fault injection change which rules fail,
 // and failure sets are part of the report, so a replayed or incremental run
-// under either could diverge from a cold one; with the pruning off there is
-// no resident layer state for a record to be current against.
+// under either could diverge from a cold one.
 func (s *Session) recordsOff() string {
 	switch {
 	case s.opts.Faults != nil:
 		return "fault injection active"
 	case s.opts.Budgets != (budget.Limits{}):
 		return "resource budgets active"
-	case s.opts.DisablePruning:
-		return "hierarchy pruning disabled"
 	}
 	return ""
 }
@@ -554,8 +555,8 @@ func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo)
 // byte-identical (canonical JSON) to a cold full check of the edited layout.
 // Rules are planned one by one, so the deck may differ from any checked
 // before. When incremental execution is unsafe or pointless — active fault
-// injection or budgets, the pruning off, no rule of the deck with a record to
-// go by — it falls back to a full check; DeltaInfo says which happened.
+// injection or budgets, no rule of the deck with a record to go by — it
+// falls back to a full check; DeltaInfo says which happened.
 func (s *Session) DeltaCheck(ctx context.Context, deck rules.Deck) (*Report, DeltaInfo, error) {
 	if err := s.lock(ctx); err != nil {
 		return nil, DeltaInfo{}, err
@@ -624,14 +625,4 @@ func (s *Session) StatsSnapshot(ctx context.Context) (SessionStats, error) {
 		}
 	}
 	return out, nil
-}
-
-// localIntraMBR is the union of the cell's own polygons' boxes on the layer —
-// the extent an intra-polygon definition check can mark.
-func localIntraMBR(c *layout.Cell, l layout.Layer) geom.Rect {
-	box := geom.EmptyRect()
-	for _, pi := range c.LocalPolyIndex(l) {
-		box = box.Union(c.Polys[pi].Shape.MBR())
-	}
-	return box
 }

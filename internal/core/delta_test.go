@@ -235,6 +235,65 @@ func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*
 	}
 }
 
+// TestDeltaReportScribble: a report's Violations are the caller's, though a
+// rule's record and its run in the check share one array until the report is
+// laid out. Scribbling over every report the session hands out — the
+// baseline's and a delta check's — changes nothing it answers next: the next
+// delta check and the plain check after it equal a cold check byte for byte.
+func TestDeltaReportScribble(t *testing.T) {
+	deck := synth.Deck()
+	ctx := context.Background()
+	scribble := func(rep *Report) {
+		for i := range rep.Violations {
+			rep.Violations[i] = rules.Violation{Rule: "scribbled"}
+		}
+	}
+	for _, mode := range []Mode{Sequential, Parallel} {
+		t.Run(mode.String(), func(t *testing.T) {
+			opts := Options{Mode: mode}
+			lo, _, err := synth.Load("uart", 0.2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, second := deltaTestEdits(lo), stripEdits(0.02)(lo)
+			ses := NewSession(lo, opts)
+			defer ses.Close(ctx)
+			check := func(delta bool) *Report {
+				t.Helper()
+				if !delta {
+					rep, err := ses.Check(ctx, deck)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return rep
+				}
+				rep, info, err := ses.DeltaCheck(ctx, deck)
+				if err != nil || !info.Planned || info.RulesRestricted == 0 {
+					t.Fatalf("delta check: %+v, %v", info, err)
+				}
+				return rep
+			}
+			scribble(check(false))
+			for i, batch := range [][]layout.Edit{first, second} {
+				if _, err := ses.Edit(ctx, batch); err != nil {
+					t.Fatal(err)
+				}
+				rep := check(true)
+				if i == 1 {
+					want := canonJSON(t, coldReport(t, "uart", 0.2, opts, deck, append(first, second...)))
+					if canonJSON(t, rep) != want {
+						t.Fatal("delta check after a scribbled delta report differs from cold check")
+					}
+					if canonJSON(t, check(false)) != want {
+						t.Fatal("plain check after scribbled reports differs from cold check")
+					}
+				}
+				scribble(rep)
+			}
+		})
+	}
+}
+
 // patches is how many region invalidations the session's geometry cache has
 // taken, whether they patched a layer's record or dropped it.
 func patches(st SessionStats) int64 {

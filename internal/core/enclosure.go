@@ -88,22 +88,11 @@ func (e *Engine) enclosureDefs(ctx context.Context, lo *layout.Layout, r rules.R
 // runEnclosureSeq executes one enclosure rule sequentially.
 func (e *Engine) runEnclosureSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) error {
 	var deferred []residue
-	if !e.opts.DisablePruning {
-		if err := hostPhase(rep, nil, "enclosure:cell-checks", func() (err error) {
-			deferred, err = e.enclosureDefs(ctx, lo, r, placements, rep)
-			return err
-		}); err != nil {
-			return err
-		}
-	} else {
-		for _, c := range lo.LayerCells(r.Layer) {
-			if len(placements[c.ID]) == 0 {
-				continue
-			}
-			for _, pi := range c.LocalPolyIndex(r.Layer) {
-				deferred = append(deferred, residue{cell: c, polyIdx: pi})
-			}
-		}
+	if err := hostPhase(rep, nil, "enclosure:cell-checks", func() (err error) {
+		deferred, err = e.enclosureDefs(ctx, lo, r, placements, rep)
+		return err
+	}); err != nil {
+		return err
 	}
 
 	// Globally resolve the leftovers, instance by instance.

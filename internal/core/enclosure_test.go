@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"maps"
 	"testing"
 
 	"opendrc/internal/gdsii"
 	"opendrc/internal/geom"
+	"opendrc/internal/klayout"
 	"opendrc/internal/layout"
 	"opendrc/internal/rules"
 )
@@ -43,7 +45,7 @@ func splitMetalLibrary() *gdsii.Library {
 // TestEnclosureAbuttingMetals pins per-polygon enclosure: a via needs one
 // metal shape that encloses it with margin, so the via split across two
 // abutting metals escapes in both instances just as the half-uncovered one
-// does — and the sequential, pruning-off and parallel runs agree.
+// does — and the sequential, parallel and KLayout flat runs agree.
 func TestEnclosureAbuttingMetals(t *testing.T) {
 	lo := buildLayout(t, splitMetalLibrary())
 	deck := rules.Deck{
@@ -64,14 +66,15 @@ func TestEnclosureAbuttingMetals(t *testing.T) {
 			}
 		}
 	}
-	for _, cfg := range []Options{
-		{Mode: Sequential, DisablePruning: true},
-		{Mode: Parallel},
-	} {
-		got := runEngine(t, lo, cfg, deck)
-		if !maps.Equal(violationKeys(got.Violations), violationKeys(seq.Violations)) {
-			t.Errorf("%v (pruning off: %v): %v, sequential %v",
-				cfg.Mode, cfg.DisablePruning, got.Violations, seq.Violations)
-		}
+	par := runEngine(t, lo, Options{Mode: Parallel}, deck)
+	if !maps.Equal(violationKeys(par.Violations), violationKeys(seq.Violations)) {
+		t.Errorf("parallel %v, sequential %v", par.Violations, seq.Violations)
+	}
+	flat, err := klayout.CheckContext(context.Background(), lo, deck[0], klayout.Options{Mode: klayout.Flat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(violationKeys(flat.Violations), violationKeys(seq.Violations)) {
+		t.Errorf("KLayout flat %v, sequential %v", flat.Violations, seq.Violations)
 	}
 }

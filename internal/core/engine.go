@@ -27,7 +27,6 @@ import (
 	"opendrc/internal/gpu"
 	"opendrc/internal/infra"
 	"opendrc/internal/layout"
-	"opendrc/internal/partition"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
 	"opendrc/internal/sweep"
@@ -63,17 +62,8 @@ type Options struct {
 	// executor or a sweepline executor"). Zero selects the default.
 	BruteEdgeThreshold int
 
-	// DisablePruning turns off hierarchy task pruning (ablation): every
-	// instance is checked independently. It is a sequential-mode ablation:
-	// the parallel mode always prunes, and a check with Mode Parallel and
-	// DisablePruning fails.
-	DisablePruning bool
-
-	// PartitionAlg selects the interval-merging implementation (ablation).
-	PartitionAlg partition.Algorithm
-
 	// Workers bounds the host worker pool used by the fan-out phases:
-	// per cell definition in the intra checks and per partition row in the
+	// per intra unit in the intra checks and per partition row in the
 	// spacing sweep. Values <= 0 select GOMAXPROCS. Reports are
 	// bit-identical for every worker count: workers write into per-index
 	// result slots that merge in a fixed order.
@@ -102,8 +92,6 @@ type Options struct {
 }
 
 const defaultBruteEdgeThreshold = 4096
-
-var errParallelUnpruned = errors.New("core: Options.DisablePruning is a sequential-mode ablation; Mode Parallel always prunes")
 
 // Engine schedules and runs design rule checks.
 type Engine struct {
@@ -415,9 +403,6 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	if err := e.deck.Validate(); err != nil {
 		return nil, err
 	}
-	if e.opts.Mode == Parallel && e.opts.DisablePruning {
-		return nil, errParallelUnpruned
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: check cancelled: %w", err)
 	}
@@ -650,16 +635,15 @@ func (e *Engine) execRule(ctx context.Context, lo *layout.Layout, r rules.Rule, 
 }
 
 // readsCache reports whether rule r, as this check runs it, reads its layer
-// through the geometry cache: a spacing rule executed in full, on the device
-// or by the pruning-off flat path. Replays, skips and restricted runs (which
-// query their work window) read no cache, and neither do the other kinds. It
+// through the geometry cache: a spacing rule executed in full on the device.
+// Replays, skips and restricted runs (which query their work window) read no
+// cache, and neither do the other kinds or the sequential mode. It
 // decides which layers a session patches before the check
 // (Session.applyPending) and which the prefetch warms — the same layers, so
 // the prefetch never reads a record with dirt on it.
 func (e *Engine) readsCache(r rules.Rule) bool {
 	rp := e.plan.of(r)
-	return r.Kind == rules.Spacing && (e.opts.Mode == Parallel || e.opts.DisablePruning) &&
-		(rp == nil || rp.mode == planFull)
+	return r.Kind == rules.Spacing && e.opts.Mode == Parallel && (rp == nil || rp.mode == planFull)
 }
 
 // hostPhase measures fn as host work under the profiler phase name (whose
@@ -751,8 +735,11 @@ func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rul
 		if rp.mode == planRestrict {
 			mergeDelta(rep, rp)
 		}
+		// The record and the sorted segment share the child's array:
+		// canonicalize copies every run out and never sorts a sorted one in
+		// place, so no report handed out aliases it.
 		sortViolations(rep.Violations)
-		rec.violations = slices.Clone(rep.Violations)
+		rec.violations = rep.Violations
 		rep.record = rec
 	}
 	rep.endSegment(r.ID, true)
@@ -902,24 +889,28 @@ func DedupViolations(vs []rules.Violation) []rules.Violation {
 	return out
 }
 
-// checkMagRestriction rejects layouts that instantiate layer-relevant cells
-// with magnification together with inter-polygon rules; thresholds do not
-// transfer across magnified frames for pair checks (see DESIGN.md).
+// checkMagRestriction rejects a magnified reference whose subtree holds
+// geometry on an input layer of an inter-polygon (spacing or enclosure) rule
+// of the deck: thresholds do not transfer across magnified frames for pair
+// checks (see DESIGN.md). A magnified reference to geometry no such rule
+// reads is fine — the intra-polygon kinds rescale their threshold per
+// magnification.
 func checkMagRestriction(lo *layout.Layout, deck rules.Deck) error {
-	needs := false
+	var layers []layout.Layer
 	for _, r := range deck {
 		if !r.Kind.Intra() {
-			needs = true
+			layers = append(layers, r.Inputs()...)
 		}
 	}
-	if !needs {
+	if len(layers) == 0 {
 		return nil
 	}
 	for _, c := range lo.Cells {
 		for ri := range c.Refs {
-			if c.Refs[ri].Trans.Mag > 1 {
+			ref := &c.Refs[ri]
+			if ref.Trans.Mag > 1 && slices.ContainsFunc(layers, ref.Child.HasLayer) {
 				return fmt.Errorf("core: inter-polygon rules with magnified reference %s -> %s are unsupported",
-					c.Name, c.Refs[ri].Child.Name)
+					c.Name, ref.Child.Name)
 			}
 		}
 	}

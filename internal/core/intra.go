@@ -14,69 +14,82 @@ import (
 	"opendrc/internal/trace"
 )
 
-// intraMarkers appends the violation markers of one cell's own layer
-// polygons for an intra-polygon rule to dst, in the cell's local frame. min
-// is already scaled into the cell's frame (magnified instances divide the
-// threshold). Callers pass a recycled buffer; markers are copied out before
-// it is reused.
-func intraMarkers(dst []checks.Marker, c *layout.Cell, r rules.Rule, min int64) []checks.Marker {
+// intraUnit is one computation of an intra-polygon rule: the local shapes of
+// cell c's polygons polys, checked once at magnification mag, whose markers
+// replay for every instance transform in insts.
+type intraUnit struct {
+	c     *layout.Cell
+	polys []int32
+	mag   int64
+	insts []geom.Transform
+}
+
+// intraUnits is an intra-polygon rule's work, the same list in both modes. A
+// full run has one unit per cell definition and distinct magnification of its
+// instances — the Section IV-C pruning ("if the corresponding cell has
+// already been checked elsewhere, and the transformations preserve the
+// target properties of the check, the check result could be safely reused":
+// all eight orientations preserve widths, areas and rectilinearity;
+// magnification rescales the threshold). A restricted run has one unit per
+// polygon its work window returns: its local shape at its instance's
+// magnification, its markers replayed with its own transform and definition
+// name — the records of the full run.
+func (e *Engine) intraUnits(lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, pc *parCtx) []intraUnit {
+	if rp := e.restrictFor(r); rp != nil {
+		var found []layout.PlacedPoly
+		_ = hostPhase(rep, pc, "delta:window", func() error { found, _ = rp.windowPolys(lo, r.Layer); return nil })
+		units := make([]intraUnit, len(found))
+		for i, pp := range found {
+			units[i] = intraUnit{pp.Src.Cell, []int32{int32(pp.Src.Idx)}, pp.Trans.Magnification(), []geom.Transform{pp.Trans}}
+		}
+		return units
+	}
+	var units []intraUnit
+	for _, c := range lo.LayerCells(r.Layer) {
+		local := c.LocalPolyIndex(r.Layer)
+		if len(local) == 0 || len(placements[c.ID]) == 0 {
+			continue // the cell participates only through its children
+		}
+		for _, g := range magGroups(placements[c.ID]) {
+			units = append(units, intraUnit{c, local, g.mag, g.insts})
+		}
+	}
+	return units
+}
+
+// intraMarkers appends the violation markers of unit u's polygons for an
+// intra-polygon rule to dst, in the cell's local frame, at the threshold of
+// the unit's magnification. Callers pass a recycled buffer; markers are
+// copied out before it is reused.
+func intraMarkers(dst []checks.Marker, u *intraUnit, r rules.Rule) []checks.Marker {
 	out := dst
 	emit := func(m checks.Marker) { out = append(out, m) }
-	for _, pi := range c.LocalPolyIndex(r.Layer) {
-		r.CheckPolygon(c.Polys[pi].Shape, layout.PolyRef{Cell: c, Idx: int(pi)}, min, emit)
+	min := r.IntraMin(u.mag)
+	for _, pi := range u.polys {
+		r.CheckPolygon(u.c.Polys[pi].Shape, layout.PolyRef{Cell: u.c, Idx: int(pi)}, min, emit)
 	}
 	return out
 }
 
-// runIntraSeq executes one intra-polygon rule in the sequential mode with
-// the hierarchy task pruning of Section IV-C: each cell definition is
-// checked once per distinct magnification, and the result is replayed for
-// every instance ("if the corresponding cell has already been checked
-// elsewhere, and the transformations preserve the target properties of the
-// check, the check result could be safely reused" — all eight orientations
-// preserve widths, areas and rectilinearity; magnification rescales the
-// threshold).
-// Cell definitions are independent, so the loop fans out across the worker
-// pool; each definition writes into its own result slot and the slots merge
-// in definition order, keeping the report bit-identical for every worker
-// count.
+// runIntraSeq executes one intra-polygon rule in the sequential mode: each
+// unit is checked once and its markers replayed for every instance. Units
+// are independent, so the loop fans out across the worker pool; each unit
+// writes into its own result slot and the slots merge in unit order, keeping
+// the report bit-identical for every worker count.
 func (e *Engine) runIntraSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) error {
+	units := e.intraUnits(lo, r, placements, rep, nil)
 	defer rep.Profile.Phase("intra:" + r.Kind.String())()
-	cells := lo.LayerCells(r.Layer)
-	rp := e.restrictFor(r)
-	tbl := takeShards(&e.shards, len(cells))
-	err := pool.ForEachCtx(trace.WithTask(ctx, "cell"), e.opts.Workers, len(cells), func(i int) error {
-		c := cells[i]
-		if err := e.opts.Faults.Hit(ctx, faults.SiteCell, c.Name); err != nil {
+	tbl := takeShards(&e.shards, len(units))
+	err := pool.ForEachCtx(trace.WithTask(ctx, "cell"), e.opts.Workers, len(units), func(i int) error {
+		u := &units[i]
+		if err := e.opts.Faults.Hit(ctx, faults.SiteCell, u.c.Name); err != nil {
 			return err
 		}
-		if len(c.LocalPolyIndex(r.Layer)) == 0 {
-			return nil // cell participates only through its children
-		}
-		insts := placements[c.ID]
-		if len(insts) == 0 {
-			return nil
-		}
-		// Delta restriction: skip definitions with no instance near the
-		// dirty region — none of their markers can be claimed.
-		if rp != nil && !rp.anyPlacementNear(localIntraMBR(c, r.Layer), insts) {
-			return nil
-		}
 		sh := &tbl.s[i]
-		if e.opts.DisablePruning {
-			for _, t := range insts {
-				sh.markers = intraMarkers(sh.markers[:0], c, r, r.IntraMin(t.Magnification()))
-				sh.stats.reuse(1)
-				sh.vs = appendMarkers(sh.vs, r, c.Name, sh.markers, t)
-			}
-			return nil
-		}
-		for _, g := range magGroups(insts) {
-			sh.markers = intraMarkers(sh.markers[:0], c, r, r.IntraMin(g.mag))
-			sh.stats.reuse(len(g.insts))
-			for _, t := range g.insts {
-				sh.vs = appendMarkers(sh.vs, r, c.Name, sh.markers, t)
-			}
+		sh.markers = intraMarkers(sh.markers[:0], u, r)
+		sh.stats.reuse(len(u.insts))
+		for _, t := range u.insts {
+			sh.vs = appendMarkers(sh.vs, r, u.c.Name, sh.markers, t)
 		}
 		return nil
 	})

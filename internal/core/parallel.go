@@ -224,7 +224,6 @@ func (e *Engine) prefetch(ctx context.Context, lo *layout.Layout, gc *geocache.C
 	if len(groups) == 0 {
 		return func() {}
 	}
-	alg := e.opts.PartitionAlg
 	wait := pool.Go(trace.WithTask(ctx, "prefetch"), min(len(groups), 8), len(groups), func(i int) error {
 		g := groups[i]
 		edges, perr := gc.Pack(ctx, lo, g.l)
@@ -233,7 +232,7 @@ func (e *Engine) prefetch(ctx context.Context, lo *layout.Layout, gc *geocache.C
 			if ctx.Err() != nil {
 				return nil
 			}
-			rows, err := gc.Rows(ctx, lo, g.l, reach, alg)
+			rows, err := gc.Rows(ctx, lo, g.l, reach, partition.Pigeonhole)
 			if perr == nil && err == nil && !readsTable {
 				readsTable = slices.ContainsFunc(rows, func(row partition.Row) bool { return e.bruteRow(edges, row.Members) })
 			}
@@ -366,42 +365,15 @@ func collect(rep *Report, r rules.Rule) kernels.Collector {
 	return func(h kernels.Hit) { rep.Violations = append(rep.Violations, r.Violation(h.Marker, "")) }
 }
 
-// intraUnit is one computation of an intra-polygon rule on the device: the
-// local shapes of cell c's polygons polys, checked once, whose markers replay
-// for every instance transform in insts.
-type intraUnit struct {
-	c     *layout.Cell
-	polys []int32
-	insts []geom.Transform
-}
-
-// runIntraPar checks an intra-polygon rule on the device with the Section
-// IV-C pruning: the kernel runs once per cell definition's polygons (per
-// distinct magnification), and definition markers replay per instance on
-// the host — which is why sequential and parallel modes run equally fast on
-// intra checks (the paper's Table I observation). A restricted run checks
-// only the polygons its work window returns, each a unit of its own: its
-// local shape at its instance's magnification, its markers replayed with its
-// own transform and definition name — the records of the full run.
+// runIntraPar checks an intra-polygon rule's units (intraUnits) on the
+// device: one kernel per distinct magnification over its units' polygons,
+// whose markers replay per instance on the host — which is why sequential
+// and parallel modes run equally fast on intra checks (the paper's Table I
+// observation).
 func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, pc *parCtx, rep *Report) error {
-	// Group units by magnification (one kernel per distinct mag).
 	groups := make(map[int64][]intraUnit)
-	if rp := e.restrictFor(r); rp != nil {
-		var found []layout.PlacedPoly
-		_ = hostPhase(rep, pc, "delta:window", func() error { found, _ = rp.windowPolys(lo, r.Layer); return nil })
-		for _, pp := range found {
-			mag := pp.Trans.Magnification()
-			groups[mag] = append(groups[mag], intraUnit{pp.Src.Cell, []int32{int32(pp.Src.Idx)}, []geom.Transform{pp.Trans}})
-		}
-	} else {
-		for _, c := range lo.LayerCells(r.Layer) {
-			if len(c.LocalPolyIndex(r.Layer)) == 0 || len(placements[c.ID]) == 0 {
-				continue
-			}
-			for _, g := range magGroups(placements[c.ID]) {
-				groups[g.mag] = append(groups[g.mag], intraUnit{c, c.LocalPolyIndex(r.Layer), g.insts})
-			}
-		}
+	for _, u := range e.intraUnits(lo, r, placements, rep, pc) {
+		groups[u.mag] = append(groups[u.mag], u)
 	}
 	mags := make([]int64, 0, len(groups))
 	for mag := range groups {
@@ -513,7 +485,7 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	var rows []partition.Row
 	if err := hostPhase(rep, pc, "par:partition", func() error {
 		var err error
-		rows, err = pc.geo.Rows(ctx, lo, r.Layer, r.SpacingLimit().Reach(), e.opts.PartitionAlg)
+		rows, err = pc.geo.Rows(ctx, lo, r.Layer, r.SpacingLimit().Reach(), partition.Pigeonhole)
 		return err
 	}); err != nil {
 		return err
@@ -551,7 +523,7 @@ func (e *Engine) runSpacingWindow(ctx context.Context, lo *layout.Layout, r rule
 			shapes[i] = found[i].Shape
 		}
 		edges, boxes = kernels.Pack(shapes), bs
-		rows = partition.Rows(boxes, r.SpacingLimit().Reach(), e.opts.PartitionAlg)
+		rows = partition.Rows(boxes, r.SpacingLimit().Reach(), partition.Pigeonhole)
 		return nil
 	})
 	if len(boxes) == 0 {

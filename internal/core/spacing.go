@@ -36,14 +36,10 @@ type spaceItem struct {
 	place geom.Transform
 }
 
-// runSpacingSeq executes one spacing rule sequentially. The pruned path
-// never flattens (the hierarchy is the point), so only the pruning-off
-// ablation reads the geometry cache; the pruned path draws scratch from its
-// arena.
+// runSpacingSeq executes one spacing rule sequentially. It never flattens
+// (the hierarchy is the point), so it reads nothing of the geometry cache but
+// the scratch its arena recycles.
 func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, geo *geocache.Cache) error {
-	if e.opts.DisablePruning {
-		return e.runSpacingFlat(ctx, lo, r, rep, geo)
-	}
 	// Each definition appears once in the layer tree, so computing inside
 	// this loop *is* the memoization: the result replays per instance.
 	rp := e.restrictFor(r)
@@ -141,7 +137,7 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 	// Adaptive row partition: rows separated by more than the rule reach
 	// cannot interact, so each row sweeps independently.
 	stopPart := rep.Profile.Phase("spacing:partition")
-	rows := partition.Rows(raw, min, e.opts.PartitionAlg)
+	rows := partition.Rows(raw, min, partition.Pigeonhole)
 	stopPart()
 
 	// Row independence is exactly what the worker pool needs: each row runs
@@ -259,47 +255,6 @@ func (e *Engine) spacingSubtreeVsSubtree(lo *layout.Layout, a, b spaceItem, l la
 			checks.CheckSpacingLim(p, q, lim, emit)
 		}
 	}
-}
-
-// runSpacingFlat is the pruning-off ablation: instance-expand the whole
-// layer and sweep globally. The flatten is subject to the flatten-polys
-// budget (applied inside the geometry cache) — the ablation materializes
-// every instance, which is exactly the blow-up the budget exists to catch.
-// Spacing rules sharing a layer flatten it once.
-func (e *Engine) runSpacingFlat(ctx context.Context, lo *layout.Layout, r rules.Rule, rep *Report, geo *geocache.Cache) error {
-	defer rep.Profile.Phase("spacing:flat")()
-	lim := r.SpacingLimit()
-	polys, err := geo.Flatten(ctx, lo, r.Layer)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	arena := geo.Arena()
-	boxes := arena.Rects(len(polys))
-	for i := range polys {
-		boxes = append(boxes, polys[i].Shape.MBR().Expand(lim.Reach()))
-	}
-	defer arena.PutRects(boxes)
-	emit := func(m checks.Marker) {
-		rep.Violations = append(rep.Violations, r.Violation(m, ""))
-	}
-	for i := range polys {
-		rep.Stats.PairsChecked++
-		checks.CheckNotchLim(polys[i].Shape, lim, emit)
-	}
-	_, err = e.overlaps(boxes, func(a, b int) {
-		rep.Stats.PairsConsidered++
-		rep.Stats.PairsChecked++
-		checks.CheckSpacingLim(polys[a].Shape, polys[b].Shape, lim, emit)
-	})
-	if err != nil {
-		return err
-	}
-	rep.Stats.DefsChecked += len(polys)
-	rep.Stats.InstancesEmitted += len(polys)
-	return nil
 }
 
 // overlaps is sweep.Overlaps on scratch recycled through the engine's

@@ -29,7 +29,6 @@ import (
 	"opendrc/internal/gdsii"
 	"opendrc/internal/gpu"
 	"opendrc/internal/layout"
-	"opendrc/internal/partition"
 	"opendrc/internal/rules"
 	"opendrc/internal/trace"
 )
@@ -116,30 +115,12 @@ func WithDevice(p gpu.Props) Option {
 	return func(o *core.Options) { o.Device = p }
 }
 
-// WithBruteEdgeThreshold tunes the executor selection cutoff: rows with at
-// most this many packed edges use the brute-force executor instead of the
-// parallel sweepline.
-func WithBruteEdgeThreshold(n int) Option {
-	return func(o *core.Options) { o.BruteEdgeThreshold = n }
-}
-
-// WithoutPruning disables hierarchy task pruning: a sequential-only ablation, so a parallel check with it fails.
-func WithoutPruning() Option {
-	return func(o *core.Options) { o.DisablePruning = true }
-}
-
 // WithWorkers bounds the host worker pool used by the engine's fan-out
 // phases — per cell definition in the intra checks, per partition row in
 // the spacing sweep (<= 0 selects GOMAXPROCS). Reports are bit-identical
 // for every worker count.
 func WithWorkers(n int) Option {
 	return func(o *core.Options) { o.Workers = n }
-}
-
-// WithSortPartition selects the sort-based interval merging instead of the
-// pigeonhole array (ablation).
-func WithSortPartition() Option {
-	return func(o *core.Options) { o.PartitionAlg = partition.SortBased }
 }
 
 // Tracer records a run's unified timeline — host phases, rule lifecycle,
