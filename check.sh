@@ -1,9 +1,9 @@
 #!/bin/sh
 # check.sh — the repository's verification gate: formatting, vet, the
-# odrc-lint invariant suite (its eight checks, DESIGN.md §5: deterministic
+# odrc-lint invariant suite (its seven checks, DESIGN.md §5: deterministic
 # map iteration, clock discipline, pool-only concurrency, no caller-slice
-# mutation, immutable cached buffers, scratch that does not escape the run,
-# contexts that reach every fan-out, mutex-guarded fields), the full test
+# mutation, immutable cached buffers, contexts that reach every fan-out,
+# mutex-guarded fields), the full test
 # suite under the race detector (the worker-pool fan-out makes -race part of
 # tier-1 verification; the chaos and cancellation suites run here too), the
 # scheduler's tests ten more times under it, the nested benchmark module's

@@ -2,8 +2,8 @@
 // machine-checked rules: deterministic map iteration, clock discipline
 // (host timing through the Profiler/hostPhase), pool-only concurrency, no
 // in-place mutation of caller slices by exported functions, cached-buffer
-// immutability, and the interprocedural dataflow suite — scratch-arena
-// escapes, context propagation, and mutex discipline on //odrc:guardedby
+// immutability, and the interprocedural checks over the static call
+// graph — context propagation, and mutex discipline on //odrc:guardedby
 // fields. See internal/analysis for the checkers and the //odrc:allow
 // waiver syntax.
 //

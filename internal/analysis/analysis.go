@@ -19,12 +19,9 @@
 //   - sharedbuf: the geometry cache's shared buffers (PlacedPoly slices,
 //     Edges, MBRTable) are immutable outside the packages that produce them.
 //
-// Three more run over the whole module at once, on per-function dataflow
-// summaries (program.go, summary.go):
+// Two more run over the whole module at once, on its static call graph
+// (program.go):
 //
-//   - arenaescape: scratch from geocache.Arena or a freelist.List must not
-//     outlive the run — no exported return, package variable or
-//     Report/cache store, across any number of calls.
 //   - ctxflow: contexts must flow — no Background/TODO outside package main,
 //     and no dropped ctx on the way to a pool fan-out.
 //   - lockdiscipline: a field annotated //odrc:guardedby mu is accessed only

@@ -128,25 +128,6 @@ func TestCheckers(t *testing.T) {
 			want:    []string{"waiver:80"},
 		},
 		{
-			name:    "arenaescape: boundary returns, sinks, cross-call escapes, waiver placement",
-			file:    "arenaescape_src.go",
-			pkgPath: "example.com/internal/geocache",
-			want: []string{"arenaescape:57", "arenaescape:64", "arenaescape:70",
-				"arenaescape:76", "arenaescape:87", "arenaescape:101", "waiver:100"},
-		},
-		{
-			name:    "arenaescape: freelist.List handouts, whatever the instantiation",
-			file:    "arenaescape_list_src.go",
-			pkgPath: "example.com/internal/freelist",
-			want:    []string{"arenaescape:45", "arenaescape:50", "arenaescape:63", "arenaescape:77"},
-		},
-		{
-			name:    "arenaescape: a List outside package freelist is not a scratch pool",
-			file:    "arenaescape_list_src.go",
-			pkgPath: "example.com/internal/other",
-			want:    []string{"arenaescape:63"},
-		},
-		{
 			name:    "ctxflow: background/todo, dropped ctx before fan-out",
 			file:    "ctxflow_src.go",
 			pkgPath: "example.com/internal/core",

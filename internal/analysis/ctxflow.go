@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // CtxFlow enforces context discipline end to end: cancellation only works if
@@ -17,9 +19,10 @@ import (
 //  3. A function that received a ctx must not fan out through a callee that
 //     transitively reaches the worker pool (pool.ForEachCtx / pool.Go) but
 //     takes no ctx itself — the fan-out below
-//     becomes uncancellable. This one is interprocedural: the pool
-//     reachability comes from the bottom-up summaries, and the finding
-//     carries the call chain down to the pool entry point.
+//     becomes uncancellable. This one is interprocedural: pool
+//     reachability is a fixpoint over the static call graph
+//     (computePoolReach), and the finding carries the call chain down to
+//     the pool entry point.
 //  4. A function that received a ctx and calls a context-deriving wrapper —
 //     any callee that both takes and returns a context.Context, the shape of
 //     pool.WithTenant / pool.WithScheduler / context.WithValue — must derive
@@ -35,6 +38,7 @@ var CtxFlow = &ProgramChecker{
 }
 
 func runCtxFlow(p *ProgPass) {
+	computePoolReach(p.Prog)
 	for _, fi := range p.Prog.ordered {
 		checkCtxFlow(p, fi)
 	}
@@ -43,7 +47,7 @@ func runCtxFlow(p *ProgPass) {
 func checkCtxFlow(p *ProgPass, fi *funcInfo) {
 	info := fi.unit.info
 	isMain := fi.unit.pkg.Name() == "main"
-	hasCtx := fi.ctxParam >= 0
+	hasCtx := fi.takesCtx
 	derived := ctxParamObjs(info, fi.decl.Type.Params)
 	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -91,13 +95,113 @@ func checkCtxFlow(p *ProgPass, fi *funcInfo) {
 		if callee == nil || callee == fi {
 			return true
 		}
-		if callee.ctxParam < 0 && callee.sum.poolReach != nil {
+		if !callee.takesCtx && callee.poolReach != nil {
 			p.Reportf(call.Pos(), "ctxflow",
 				"ctx dropped before a pool fan-out: %s takes no context but %s — the work below this call cannot be cancelled; plumb the ctx through %s",
-				callee.name(), chainString(callee.sum.poolReach), callee.name())
+				callee.name(), chainString(callee.poolReach), callee.name())
 		}
 		return true
 	})
+}
+
+// chain is a human-readable call path, caller first.
+type chain []string
+
+// chainString joins a call chain for a message.
+func chainString(c chain) string {
+	return strings.Join(c, " → ")
+}
+
+// maxChain bounds chain growth through deep call stacks and recursion.
+const maxChain = 8
+
+// poolFanOutNames are the worker-pool entry points whose reachability
+// ctxflow tracks; matching is by function name plus a context parameter in
+// the callee's signature, so self-contained fixtures work like the real
+// internal/pool.
+var poolFanOutNames = map[string]bool{
+	"ForEachCtx": true, "Go": true,
+}
+
+// computePoolReach sets every function's poolReach: the first call in its
+// body, in source order, that is a pool fan-out or reaches one through a
+// module callee. Functions are visited in the program's deterministic order
+// and a chain, once set, never changes, so the chains are deterministic
+// too. Rounds are bounded by the call-graph depth; the extra slack covers
+// recursion.
+func computePoolReach(prog *program) {
+	for round := 0; round < len(prog.ordered)+2; round++ {
+		changed := false
+		for _, fi := range prog.ordered {
+			if fi.poolReach == nil {
+				fi.poolReach = firstPoolReach(prog, fi)
+				changed = changed || fi.poolReach != nil
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+}
+
+// firstPoolReach returns the chain of fi's first call that reaches a pool
+// fan-out with what is known so far, or nil.
+func firstPoolReach(prog *program, fi *funcInfo) chain {
+	info := fi.unit.info
+	var found chain
+	ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
+		if found != nil {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		at := prog.posString(call.Pos())
+		if name := calleeName(call); poolFanOutNames[name] {
+			if sig, ok := info.TypeOf(call.Fun).(*types.Signature); ok && sigTakesContext(sig) {
+				found = chain{fmt.Sprintf("calls %s at %s", name, at)}
+				return false
+			}
+		}
+		if callee := prog.staticCallee(info, call); callee != nil && callee.poolReach != nil {
+			found = appendChain(chain{fmt.Sprintf("calls %s at %s", callee.name(), at)}, callee.poolReach...)
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+func calleeName(call *ast.CallExpr) string {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}
+
+func sigTakesContext(sig *types.Signature) bool {
+	for i := 0; i < sig.Params().Len(); i++ {
+		if isContextType(sig.Params().At(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+func appendChain(c chain, steps ...string) chain {
+	out := make(chain, len(c), len(c)+len(steps))
+	copy(out, c)
+	for _, s := range steps {
+		if len(out) >= maxChain {
+			break
+		}
+		out = append(out, s)
+	}
+	return out
 }
 
 // ctxParamObjs seeds the derivation set for rule 4 with the function's

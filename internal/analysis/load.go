@@ -54,7 +54,7 @@ func Run(dir string) ([]Finding, error) {
 		if rel, err := filepath.Rel(root, all[i].Pos.Filename); err == nil {
 			all[i].Pos.Filename = rel
 		}
-		// Escape chains embed positions too; keep them root-relative.
+		// Call chains embed positions too; keep them root-relative.
 		all[i].Message = strings.ReplaceAll(all[i].Message, prefix, "")
 	}
 	return all, nil

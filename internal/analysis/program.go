@@ -6,13 +6,11 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // This file is the interprocedural layer of odrc-lint: a module-wide view of
 // every type-checked package, a static call graph over it, and the Pass-like
-// plumbing the whole-program checkers (arenaescape, ctxflow, lockdiscipline)
-// run on. The per-function dataflow itself lives in summary.go.
+// plumbing the whole-program checkers (ctxflow, lockdiscipline) run on.
 
 // pkgUnit is one type-checked package of the program.
 type pkgUnit struct {
@@ -23,8 +21,7 @@ type pkgUnit struct {
 }
 
 // program is the whole module after type-checking: the unit list plus the
-// lazily built function index and dataflow summaries shared by the
-// interprocedural checkers.
+// function index the interprocedural checkers share.
 type program struct {
 	fset  *token.FileSet
 	units []*pkgUnit
@@ -33,20 +30,15 @@ type program struct {
 	ordered []*funcInfo // funcs in deterministic (file, position) order
 }
 
-// funcInfo is one function declaration of the module, with everything the
-// summary engine needs: its AST, its package's type info, its callers (for
-// the fixpoint worklist), and its computed summary.
+// funcInfo is one function declaration of the module: its AST, its
+// package's type info, and what ctxflow derives for it.
 type funcInfo struct {
 	fn   *types.Func
 	decl *ast.FuncDecl
 	unit *pkgUnit
 
-	nparams  int // receiver (when present) + declared parameters
-	nresults int
-	ctxParam int // flat index of the context.Context parameter, or -1
-
-	sum     *summary
-	callers map[*funcInfo]bool
+	takesCtx  bool  // has a context.Context parameter
+	poolReach chain // how it transitively reaches a pool fan-out, or nil
 }
 
 // name renders the function for messages: "Pkgname.Func" or "(*T).Method".
@@ -68,33 +60,8 @@ func typeName(t types.Type) string {
 	return t.String()
 }
 
-// boundary reports whether the function hands its results past the engine
-// boundary: an exported name on either a package-level function or a method
-// of an exported type — except a scratch pool's own methods, which are where
-// scratch originates rather than escapes.
-func (fi *funcInfo) boundary() bool {
-	if !fi.fn.Exported() {
-		return false
-	}
-	recv := fi.fn.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return true
-	}
-	if _, pool := scratchPoolTypeName(recv.Type()); pool {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Exported()
-	}
-	return true
-}
-
-// buildProgram indexes every function declaration of the units and wires the
-// reverse call graph. Summaries start empty; computeSummaries fills them.
+// buildProgram indexes every function declaration of the units in
+// deterministic (file, position) order.
 func buildProgram(fset *token.FileSet, units []*pkgUnit) *program {
 	prog := &program{fset: fset, units: units, funcs: map[*types.Func]*funcInfo{}}
 	for _, u := range units {
@@ -108,30 +75,8 @@ func buildProgram(fset *token.FileSet, units []*pkgUnit) *program {
 				if !ok {
 					continue
 				}
-				fi := &funcInfo{
-					fn: fn, decl: fd, unit: u,
-					ctxParam: -1,
-					sum:      newSummary(),
-					callers:  map[*funcInfo]bool{},
-				}
-				sig := fn.Type().(*types.Signature)
-				if sig.Recv() != nil {
-					fi.nparams++
-				}
-				fi.nparams += sig.Params().Len()
-				fi.nresults = sig.Results().Len()
-				for i := 0; i < sig.Params().Len(); i++ {
-					if isContextType(sig.Params().At(i).Type()) {
-						fi.ctxParam = i
-						if sig.Recv() != nil {
-							fi.ctxParam++
-						}
-						break
-					}
-				}
-				fi.sum.retScratch = make([]chain, fi.nresults)
-				fi.sum.retParams = make([]uint64, fi.nresults)
-				fi.sum.persist = make([]chain, fi.nparams)
+				fi := &funcInfo{fn: fn, decl: fd, unit: u,
+					takesCtx: sigTakesContext(fn.Type().(*types.Signature))}
 				prog.funcs[fn] = fi
 				prog.ordered = append(prog.ordered, fi)
 			}
@@ -144,20 +89,6 @@ func buildProgram(fset *token.FileSet, units []*pkgUnit) *program {
 		}
 		return a.Offset < b.Offset
 	})
-	// Reverse edges: for each static call site, record the caller.
-	for _, fi := range prog.ordered {
-		caller := fi
-		ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callee := prog.staticCallee(caller.unit.info, call); callee != nil {
-				callee.callers[caller] = true
-			}
-			return true
-		})
-	}
 	return prog
 }
 
@@ -178,8 +109,7 @@ func (p *program) staticCallee(info *types.Info, call *ast.CallExpr) *funcInfo {
 		return nil
 	}
 	// A method of an instantiated generic type resolves to its own
-	// *types.Func; the declaration, and so the summary, belongs to the
-	// generic origin.
+	// *types.Func; the declaration belongs to the generic origin.
 	return p.funcs[fn.Origin()]
 }
 
@@ -193,91 +123,6 @@ func isContextType(t types.Type) bool {
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
 }
 
-// isShallow reports whether values of t are reference-free: copying such a
-// value cannot keep an alias of any buffer it was copied out of. Strings are
-// immutable and count as shallow.
-func isShallow(t types.Type) bool {
-	return isShallowSeen(t, map[types.Type]bool{})
-}
-
-func isShallowSeen(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil {
-		return false
-	}
-	if seen[t] {
-		return true // recursion through a pointer would already be deep
-	}
-	seen[t] = true
-	switch tt := t.Underlying().(type) {
-	case *types.Basic:
-		return true
-	case *types.Struct:
-		for i := 0; i < tt.NumFields(); i++ {
-			if !isShallowSeen(tt.Field(i).Type(), seen) {
-				return false
-			}
-		}
-		return true
-	case *types.Array:
-		return isShallowSeen(tt.Elem(), seen)
-	default:
-		// Pointers, slices, maps, chans, funcs, interfaces, type params.
-		return false
-	}
-}
-
-// scratchPoolTypeName reports whether t (through pointers) is one of the
-// recycled scratch pools whose handed-out buffers must not outlive the run:
-// geocache.Arena, matched by type name (like sharedbuf, so fixtures stay
-// self-contained), and freelist.List, matched by its generic origin's name
-// and package, whatever it is instantiated with.
-func scratchPoolTypeName(t types.Type) (string, bool) {
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := n.Origin().Obj()
-	switch obj.Name() {
-	case "Arena":
-		return "Arena", true
-	case "List":
-		if obj.Pkg() != nil && pkgIs(obj.Pkg().Path(), "internal/freelist") {
-			return "List", true
-		}
-	}
-	return "", false
-}
-
-// persistentTypeName reports whether t (through pointers) is a struct that
-// outlives the run from scratch's point of view: the Report handed back to
-// the caller and the geometry cache's memo tables. A scratch buffer written
-// into either survives its Put and corrupts a later (or concurrent) reader.
-func persistentTypeName(t types.Type) (string, bool) {
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	switch name := n.Obj().Name(); name {
-	case "Report", "Cache":
-		return name, true
-	}
-	return "", false
-}
-
 // ProgPass is the whole-program analogue of Pass: the state handed to each
 // interprocedural checker.
 type ProgPass struct {
@@ -287,11 +132,8 @@ type ProgPass struct {
 	seen     map[string]bool
 }
 
-// Fset returns the program's file set.
-func (p *ProgPass) Fset() *token.FileSet { return p.Prog.fset }
-
 // Reportf records a finding at pos, deduplicating identical (pos, check)
-// reports — interprocedural walks can reach the same sink twice.
+// reports.
 func (p *ProgPass) Reportf(pos token.Pos, check, format string, args ...any) {
 	position := p.Prog.fset.Position(pos)
 	key := fmt.Sprintf("%s:%d:%d:%s", position.Filename, position.Line, position.Column, check)
@@ -315,14 +157,13 @@ type ProgramChecker struct {
 }
 
 // ProgramCheckers is the interprocedural suite, in reporting order.
-var ProgramCheckers = []*ProgramChecker{ArenaEscape, CtxFlow, LockDiscipline}
+var ProgramCheckers = []*ProgramChecker{CtxFlow, LockDiscipline}
 
 // runProgramCheckers runs the interprocedural checkers over the program and
 // returns their findings (pre-waiver, unsorted).
 func runProgramCheckers(prog *program) []Finding {
 	var findings []Finding
 	pass := &ProgPass{Prog: prog, findings: &findings, seen: map[string]bool{}}
-	computeSummaries(prog)
 	for _, c := range ProgramCheckers {
 		c.Run(pass)
 	}
@@ -360,9 +201,4 @@ func exprPath(e ast.Expr) (string, bool) {
 		return base + "[]", true
 	}
 	return "", false
-}
-
-// chainString joins an escape chain for a message.
-func chainString(c chain) string {
-	return strings.Join(c, " → ")
 }

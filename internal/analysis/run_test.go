@@ -67,24 +67,21 @@ func TestRunDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestEscapeChainCrossesCall pins the interprocedural part of the tentpole:
-// the finding for LeakViaHelper (scratch obtained inside grab, returned by
-// the exported caller) must carry the whole chain — pool method, helper,
-// boundary — in its message.
-func TestEscapeChainCrossesCall(t *testing.T) {
-	findings := lintFixture(t, "example.com/internal/geocache", "arenaescape_src.go")
-	var msg string
+// TestPoolReachChainCrossesCalls pins ctxflow's interprocedural message:
+// the finding for DriveDeep (the fan-out two calls below a context-free
+// callee) carries the whole call chain down to the pool entry point.
+func TestPoolReachChainCrossesCalls(t *testing.T) {
+	findings := lintFixture(t, "example.com/internal/core", "ctxflow_src.go")
+	want := "deepRun takes no context but calls runAll at " +
+		filepath.Join("testdata", "ctxflow_src.go") + ":39 → calls ForEachCtx at " +
+		filepath.Join("testdata", "ctxflow_src.go") + ":29"
 	for _, f := range findings {
-		if f.Check == "arenaescape" && f.Pos.Line == 64 {
-			msg = f.Message
+		if f.Check == "ctxflow" && f.Pos.Line == 43 {
+			if !strings.Contains(f.Message, want) {
+				t.Errorf("chain message %q is missing %q", f.Message, want)
+			}
+			return
 		}
 	}
-	if msg == "" {
-		t.Fatalf("no arenaescape finding at line 64 (LeakViaHelper): %v", findings)
-	}
-	for _, part := range []string{"scratch from (*Arena).Rects", "returned by grab", "LeakViaHelper"} {
-		if !strings.Contains(msg, part) {
-			t.Errorf("chain message %q is missing %q", msg, part)
-		}
-	}
+	t.Fatalf("no ctxflow finding at line 43 (DriveDeep): %v", findings)
 }

@@ -26,6 +26,7 @@ import (
 	"opendrc/internal/geom"
 	"opendrc/internal/gpu"
 	"opendrc/internal/infra"
+	"opendrc/internal/kernels"
 	"opendrc/internal/layout"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
@@ -97,10 +98,11 @@ const defaultBruteEdgeThreshold = 4096
 type Engine struct {
 	opts Options
 	deck rules.Deck
-	// shards recycles fan-out output tables across the engine's rules (see
-	// collect.go) and sweeps the sweepline scratch.
-	shards freelist.List[*shardTable]
-	sweeps freelist.List[*sweep.Scratch]
+	// sweeps and kernelSweeps recycle the row workers' working sets across
+	// the engine's rows and rules: the sequential sweepline's and the
+	// parallel sweep executor's (DESIGN.md §9).
+	sweeps       freelist.List[*sweep.Scratch]
+	kernelSweeps freelist.List[*kernels.Scratch]
 	// plan is a session check's per-rule classification against the
 	// session's rule records (nil for batch runs and sessions that keep none):
 	// replay, skip, restrict with claim regions, or execute and re-record.
@@ -110,6 +112,15 @@ type Engine struct {
 // New creates an engine.
 func New(opts Options) *Engine {
 	return &Engine{opts: withDefaults(opts)}
+}
+
+// takeScratch pops a recycled working set from l, or allocates one when l
+// is empty; the caller puts it back when its row is done.
+func takeScratch[T any](l *freelist.List[*T]) *T {
+	if s := l.Get(); s != nil {
+		return s
+	}
+	return new(T)
 }
 
 // withDefaults fills the options' zero-valued defaults: the executor cutoff
@@ -459,7 +470,7 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	if pc != nil {
 		wait = e.prefetch(ctx, lo, geo)
 	}
-	err := e.runDeck(ctx, lo, rep, ses, geo, pc)
+	err := e.runDeck(ctx, lo, rep, ses, pc)
 	wait()
 	if err != nil {
 		return nil, err
@@ -506,7 +517,7 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 // the children merge into rep in deck order. Each rule executes under the
 // engine's fault-isolation guard: a failing rule degrades the report instead
 // of aborting the run, while cancellation aborts between (and inside) rules.
-func (e *Engine) runDeck(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, geo *geocache.Cache, pc *parCtx) error {
+func (e *Engine) runDeck(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, pc *parCtx) error {
 	placements, err := e.instancePlacements(lo, ses, rep, pc)
 	if err != nil {
 		return err
@@ -519,7 +530,7 @@ func (e *Engine) runDeck(ctx context.Context, lo *layout.Layout, rep *Report, se
 	kids, segs, wins := make([]Report, n), make([]segment, n), make([]ruleWindow, n)
 	err = pool.ForEachCtx(trace.WithTask(ctx, "rule"), e.ruleWidth(ctx, pc), n, func(i int) error {
 		kids[i] = Report{Profile: rep.Profile, segs: segs[i : i : i+1], ruleWindows: wins[i : i : i+1]}
-		return e.deckRule(ctx, lo, e.deck[i], placements, &kids[i], geo, pc)
+		return e.deckRule(ctx, lo, e.deck[i], placements, &kids[i], pc)
 	})
 	// Every rule that succeeded commits its record, in deck order, even when
 	// the check as a whole is cancelled and returns no report.
@@ -555,7 +566,7 @@ func (e *Engine) ruleWidth(ctx context.Context, pc *parCtx) int {
 
 // deckRule runs deck rule r against its child report rep the way the plan
 // says, and brackets its window.
-func (e *Engine) deckRule(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, geo *geocache.Cache, pc *parCtx) error {
+func (e *Engine) deckRule(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, pc *parCtx) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: check cancelled: %w", err)
 	}
@@ -573,7 +584,7 @@ func (e *Engine) deckRule(ctx context.Context, lo *layout.Layout, r rules.Rule, 
 	w := ruleWindow{rule: r.ID}
 	w.m0, w.c0 = windowClock(rep, pc)
 	err := e.runRule(ctx, rep, r, rp, pc, func() error {
-		return e.execRule(ctx, lo, r, placements, rep, geo, pc)
+		return e.execRule(ctx, lo, r, placements, rep, pc)
 	})
 	if err != nil {
 		return err
@@ -603,13 +614,13 @@ func windowClock(rep *Report, pc *parCtx) (time.Duration, int) {
 // execRule runs rule r's executor for the engine's mode: the simulated
 // device in parallel mode (pc non-nil), the hierarchical host sweeps
 // otherwise.
-func (e *Engine) execRule(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, geo *geocache.Cache, pc *parCtx) error {
+func (e *Engine) execRule(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, pc *parCtx) error {
 	switch r.Kind {
 	case rules.Spacing:
 		if pc != nil {
 			return e.runSpacingPar(ctx, lo, r, pc, rep)
 		}
-		return e.runSpacingSeq(ctx, lo, r, placements, rep, geo)
+		return e.runSpacingSeq(ctx, lo, r, placements, rep)
 	case rules.Enclosure:
 		if pc != nil {
 			return e.runEnclosurePar(ctx, lo, r, placements, pc, rep)

@@ -57,12 +57,11 @@ func (e *Engine) intraUnits(lo *layout.Layout, r rules.Rule, placements [][]geom
 	return units
 }
 
-// intraMarkers appends the violation markers of unit u's polygons for an
-// intra-polygon rule to dst, in the cell's local frame, at the threshold of
-// the unit's magnification. Callers pass a recycled buffer; markers are
-// copied out before it is reused.
-func intraMarkers(dst []checks.Marker, u *intraUnit, r rules.Rule) []checks.Marker {
-	out := dst
+// intraMarkers returns the violation markers of unit u's polygons for an
+// intra-polygon rule, in the cell's local frame, at the threshold of the
+// unit's magnification.
+func intraMarkers(u *intraUnit, r rules.Rule) []checks.Marker {
+	var out []checks.Marker
 	emit := func(m checks.Marker) { out = append(out, m) }
 	min := r.IntraMin(u.mag)
 	for _, pi := range u.polys {
@@ -79,24 +78,21 @@ func intraMarkers(dst []checks.Marker, u *intraUnit, r rules.Rule) []checks.Mark
 func (e *Engine) runIntraSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) error {
 	units := e.intraUnits(lo, r, placements, rep, nil)
 	defer rep.Profile.Phase("intra:" + r.Kind.String())()
-	tbl := takeShards(&e.shards, len(units))
+	tbl := make(shardTable, len(units))
 	err := pool.ForEachCtx(trace.WithTask(ctx, "cell"), e.opts.Workers, len(units), func(i int) error {
 		u := &units[i]
 		if err := e.opts.Faults.Hit(ctx, faults.SiteCell, u.c.Name); err != nil {
 			return err
 		}
-		sh := &tbl.s[i]
-		sh.markers = intraMarkers(sh.markers[:0], u, r)
+		sh := &tbl[i]
+		markers := intraMarkers(u, r)
 		sh.stats.reuse(len(u.insts))
 		for _, t := range u.insts {
-			sh.vs = appendMarkers(sh.vs, r, u.c.Name, sh.markers, t)
+			sh.vs = appendMarkers(sh.vs, r, u.c.Name, markers, t)
 		}
 		return nil
 	})
 	if err != nil {
-		// Shards are discarded wholesale: a failed rule contributes nothing,
-		// keeping degraded reports independent of which worker got how far.
-		tbl.discard()
 		return err
 	}
 	tbl.mergeViolations(rep)

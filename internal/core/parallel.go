@@ -603,8 +603,8 @@ func (e *Engine) spacingRows(ctx context.Context, r rules.Rule, pc *parCtx, rep 
 // sweepRowsPar runs the sweepline executor over the large rows of one
 // spacing rule. Rows are independent launch sequences over disjoint members
 // of the shared buffer, so the host simulates them concurrently: each row
-// evaluates its kernels onto the tape of its own recycled shard and collects
-// its hits there, on scratch columns drawn from the run's arena. Tapes and
+// evaluates its kernels onto the tape of its own shard and collects its hits
+// there, on sweep-kernel scratch recycled through the engine. Tapes and
 // hits then land on the check stream and the report strictly in row order.
 // The modeled host clock stands still throughout, so every record — name,
 // threads, ops, start, end, sequence — is the one a row-after-row loop on
@@ -614,29 +614,27 @@ func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep
 		return nil
 	}
 	props := pc.dev.Props()
-	tbl := takeShards(&e.shards, len(rows))
+	tbl := make(shardTable, len(rows))
 	err := pool.ForEachCtx(trace.WithTask(ctx, "sweep-row"), e.opts.Workers, len(rows), func(ri int) error {
 		if inj := e.opts.Faults; inj != nil {
 			if err := inj.Hit(ctx, faults.SiteRow, fmt.Sprintf("%s/sweep-row#%d", r.ID, ri)); err != nil {
 				return err
 			}
 		}
-		res := &tbl.s[ri]
+		res := &tbl[ri]
 		res.tape.Reset(props)
-		sc := pc.geo.Arena().Sweep()
-		defer pc.geo.Arena().PutSweep(sc)
+		sc := takeScratch(&e.kernelSweeps)
+		defer e.kernelSweeps.Put(sc)
 		sc.SweepPolys(&res.tape, edges, rows[ri], lim, kernels.FilterSpacing, func(h kernels.Hit) {
 			res.vs = append(res.vs, r.Violation(h.Marker, ""))
 		})
 		return nil
 	})
 	if err != nil {
-		tbl.discard()
 		return err
 	}
-	for i := range tbl.s {
-		if err := pc.cs.Replay(&tbl.s[i].tape); err != nil {
-			tbl.discard()
+	for i := range tbl {
+		if err := pc.cs.Replay(&tbl[i].tape); err != nil {
 			return err
 		}
 	}

@@ -6,13 +6,11 @@ import (
 
 	"opendrc/internal/checks"
 	"opendrc/internal/faults"
-	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/layout"
 	"opendrc/internal/partition"
 	"opendrc/internal/pool"
 	"opendrc/internal/rules"
-	"opendrc/internal/sweep"
 	"opendrc/internal/trace"
 )
 
@@ -37,12 +35,14 @@ type spaceItem struct {
 }
 
 // runSpacingSeq executes one spacing rule sequentially. It never flattens
-// (the hierarchy is the point), so it reads nothing of the geometry cache but
-// the scratch its arena recycles.
-func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, geo *geocache.Cache) error {
+// (the hierarchy is the point), so it reads nothing of the geometry cache.
+func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report) error {
 	// Each definition appears once in the layer tree, so computing inside
 	// this loop *is* the memoization: the result replays per instance.
 	rp := e.restrictFor(r)
+	// The definitions run one after another, so one participant MBR list
+	// serves them all.
+	var raw []geom.Rect
 	for _, c := range lo.LayerCells(r.Layer) {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -56,7 +56,7 @@ func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.R
 		if rp != nil && !rp.anyPlacementNear(c.LayerMBR(r.Layer), placements[c.ID]) {
 			continue
 		}
-		markers, err := e.cellSpacingMarkers(ctx, lo, c, r, rep, geo.Arena(), rp, placements[c.ID])
+		markers, err := e.cellSpacingMarkers(ctx, lo, c, r, rep, &raw, rp, placements[c.ID])
 		if err != nil {
 			return err
 		}
@@ -74,8 +74,9 @@ func (e *Engine) runSpacingSeq(ctx context.Context, lo *layout.Layout, r rules.R
 // subtrees, and the notches of local polygons. Following the paper's flow
 // (Fig. 1 / Fig. 4), the cell's participants are first split into
 // independent rows by the adaptive partition, then each row runs the MBR
-// sweepline, and surviving pairs get edge-to-edge checks.
-func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *layout.Cell, r rules.Rule, rep *Report, arena *geocache.Arena, rp *rulePlan, insts []geom.Transform) ([]checks.Marker, error) {
+// sweepline, and surviving pairs get edge-to-edge checks. buf is the
+// caller's participant MBR buffer, grown here when c needs more.
+func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *layout.Cell, r rules.Rule, rep *Report, buf *[]geom.Rect, rp *rulePlan, insts []geom.Transform) ([]checks.Marker, error) {
 	lim := r.SpacingLimit()
 	min := lim.Reach()
 	var out []checks.Marker
@@ -103,10 +104,9 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 	// placements: participant i < nl is local polygon local[i], any other is
 	// placement places[i-nl]. Their raw layer MBRs are what the partition
 	// reads; each row expands its members' MBRs ("enlarged by a minimum rule
-	// distance") for pair generation. The MBR list is scratch — this loop
-	// runs once per cell definition per rule, so it recycles through the
-	// run's arena. Both lists are sized up front: a top cell has ~10⁵
-	// placements.
+	// distance") for pair generation. The MBR list is the caller's buffer,
+	// reused from definition to definition. Both lists are sized up front: a
+	// top cell has ~10⁵ placements.
 	nl, n := len(local), len(local)
 	for ri := range c.Refs {
 		if ref := &c.Refs[ri]; !ref.Child.LayerMBR(r.Layer).Empty() {
@@ -114,8 +114,10 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 		}
 	}
 	places := make([]spaceItem, 0, n-nl)
-	raw := arena.Rects(n)
-	defer func() { arena.PutRects(raw) }()
+	if cap(*buf) < n {
+		*buf = make([]geom.Rect, 0, n)
+	}
+	raw := (*buf)[:0]
 	for _, pi := range local {
 		raw = append(raw, c.Polys[pi].Shape.MBR())
 	}
@@ -142,10 +144,10 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 
 	// Row independence is exactly what the worker pool needs: each row runs
 	// its sweepline and edge checks on a worker, writing markers and
-	// counters into its own recycled shard; shards merge in row order so the
-	// result is bit-identical for every worker count.
+	// counters into its own shard; shards merge in row order so the result
+	// is bit-identical for every worker count.
 	span := c.LayerMBR(r.Layer)
-	tbl := takeShards(&e.shards, len(rows))
+	tbl := make(shardTable, len(rows))
 	err := pool.ForEachCtx(trace.WithTask(ctx, "row"), e.opts.Workers, len(rows), func(ri int) error {
 		row := rows[ri]
 		if err := e.opts.Faults.Hit(ctx, faults.SiteRow,
@@ -161,33 +163,23 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 		if !near(geom.Rect{XLo: span.XLo, YLo: row.YLo, XHi: span.XHi, YHi: row.YHi}) {
 			return nil
 		}
-		res := &tbl.s[ri]
+		res := &tbl[ri]
 		remit := func(m checks.Marker) { res.markers = append(res.markers, m) }
-		// Row scratch recycles through the arena: each worker draws its own
-		// buffers (the pools are concurrency-safe), and the sweepline keeps
-		// nothing — the interval tree copies its coordinate skeleton — so
-		// both go back as soon as the row is done with them.
-		rowBoxes := arena.Rects(len(row.Members))
-		for _, mi := range row.Members {
-			rowBoxes = append(rowBoxes, raw[mi].Expand(min))
-		}
+		// Each worker draws its own sweep scratch, which keeps the row's
+		// expanded boxes and candidate pairs until the row is done.
+		sc := takeScratch(&e.sweeps)
+		defer e.sweeps.Put(sc)
 		stopSweep := rep.Profile.Phase("spacing:sweepline")
-		pairs := arena.Pairs()
-		defer func() { arena.PutPairs(pairs) }()
-		_, err := e.overlaps(rowBoxes, func(a, b int) {
-			pairs = append(pairs, [2]int{row.Members[a], row.Members[b]})
-		})
+		st, err := sc.SweepRow(raw, row.Members, min)
 		stopSweep()
-		arena.PutRects(rowBoxes)
 		if err != nil {
 			return err
 		}
-		res.stats.PairsConsidered += len(pairs)
+		res.stats.PairsConsidered += st.PairsFound
 
 		stopRowChecks := rep.Profile.Phase("spacing:edge-checks")
 		defer stopRowChecks()
-		for _, pr := range pairs {
-			a, b := pr[0], pr[1]
+		sc.EachPair(func(a, b int) {
 			switch {
 			case a < nl && b < nl:
 				res.stats.PairsChecked++
@@ -199,11 +191,10 @@ func (e *Engine) cellSpacingMarkers(ctx context.Context, lo *layout.Layout, c *l
 			default:
 				e.spacingSubtreeVsSubtree(lo, places[a-nl], places[b-nl], r.Layer, lim, &res.stats, remit)
 			}
-		}
+		})
 		return nil
 	})
 	if err != nil {
-		tbl.discard()
 		return nil, err
 	}
 	return tbl.mergeMarkers(out, rep), nil
@@ -255,15 +246,4 @@ func (e *Engine) spacingSubtreeVsSubtree(lo *layout.Layout, a, b spaceItem, l la
 			checks.CheckSpacingLim(p, q, lim, emit)
 		}
 	}
-}
-
-// overlaps is sweep.Overlaps on scratch recycled through the engine's
-// freelist; safe for concurrent row workers, each drawing its own.
-func (e *Engine) overlaps(boxes []geom.Rect, fn func(a, b int)) (sweep.Stats, error) {
-	sc := e.sweeps.Get()
-	if sc == nil {
-		sc = new(sweep.Scratch)
-	}
-	defer e.sweeps.Put(sc)
-	return sc.Overlaps(boxes, fn)
 }

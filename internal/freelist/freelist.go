@@ -1,17 +1,29 @@
 // Package freelist is the engine's one recycling primitive: a
-// mutex-guarded LIFO stack of reusable values. The geometry cache's arena
-// (geocache.Arena), the engine's fan-out shard tables and its sweepline
-// scratch all recycle through it.
+// mutex-guarded LIFO stack of reusable values. The engine recycles exactly
+// two working sets through it, one per row worker: the sequential
+// sweepline's *sweep.Scratch and the parallel sweep executor's
+// *kernels.Scratch.
+//
+// The rule for what may be recycled: only a type whose fields are all
+// unexported and whose exported methods return values — no slice, map,
+// pointer, channel or func results. Such a type's buffers cannot escape into
+// a caller's hands, so no report or cache can keep memory that a later Get
+// rewrites, and no checker is needed to prove it; each recycled type holds
+// itself to the rule with a test that calls Opaque. Anything
+// else — plain slices, output tables — is a buffer owned by its loop or a
+// plain allocation.
 package freelist
 
-import "sync"
+import (
+	"fmt"
+	"reflect"
+	"sync"
+)
 
 // List is a freelist of recycled values, owned by whoever runs the many
-// rules or rows that reuse them (an engine, a geometry cache). The zero
-// value is an empty list ready to use, and any goroutine may Get and Put.
-// Values are scratch (DESIGN.md §9, enforced by odrc-lint's arenaescape):
-// got, filled, used and put back in one scope, never kept by a report or a
-// cache table.
+// rules or rows that reuse them (an engine). The zero value is an empty list
+// ready to use, and any goroutine may Get and Put. Values are scratch
+// (DESIGN.md §9): got, used and put back in one scope.
 //
 // It is deliberately not a sync.Pool: a sync.Pool's contents are coupled to
 // process history (GC victim caches, and under the race detector randomized
@@ -46,4 +58,47 @@ func (l *List[T]) Put(v T) {
 	l.mu.Lock()
 	l.free = append(l.free, v)
 	l.mu.Unlock()
+}
+
+// Opaque reports why values of struct type t may not be recycled, or nil
+// when they may: t has an exported field, or an exported method of t or *t
+// has a result that can alias memory — a slice, map, pointer, channel, func
+// or interface (error excepted), directly or inside a struct or array.
+func Opaque(t reflect.Type) error {
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i); f.IsExported() {
+			return fmt.Errorf("%s has exported field %s", t, f.Name)
+		}
+	}
+	pt := reflect.PointerTo(t)
+	for i := 0; i < pt.NumMethod(); i++ {
+		m := pt.Method(i)
+		for k := 0; k < m.Type.NumOut(); k++ {
+			if out := m.Type.Out(k); holdsRef(out) {
+				return fmt.Errorf("%s.%s returns %s, which can alias its buffers", pt, m.Name, out)
+			}
+		}
+	}
+	return nil
+}
+
+var errorType = reflect.TypeOf((*error)(nil)).Elem()
+
+// holdsRef reports whether a value of type t can carry a reference.
+func holdsRef(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Slice, reflect.Map, reflect.Pointer, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	case reflect.Interface:
+		return t != errorType
+	case reflect.Array:
+		return holdsRef(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsRef(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

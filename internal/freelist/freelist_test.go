@@ -1,6 +1,7 @@
 package freelist
 
 import (
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -75,5 +76,38 @@ func TestListConcurrent(t *testing.T) {
 	}
 	if len(seen) == 0 || len(seen) > goroutines {
 		t.Errorf("list holds %d buffers, want 1..%d", len(seen), goroutines)
+	}
+}
+
+type opaqueOK struct{ buf []int }
+
+func (o *opaqueOK) Len() int                      { return len(o.buf) }
+func (o *opaqueOK) Sum() (struct{ N int }, error) { return struct{ N int }{len(o.buf)}, nil }
+func (o *opaqueOK) Each(fn func(int))             {}
+
+type exportedField struct{ Buf []int }
+
+type leaksSlice struct{ buf []int }
+
+func (l *leaksSlice) Buf() []int { return l.buf }
+
+type leaksInStruct struct{ buf []int }
+
+func (l leaksInStruct) View() struct{ B []int } { return struct{ B []int }{l.buf} }
+
+// TestOpaque pins the recycling rule: unexported fields, and exported
+// methods whose results hold no reference, directly or nested.
+func TestOpaque(t *testing.T) {
+	if err := Opaque(reflect.TypeOf(opaqueOK{})); err != nil {
+		t.Errorf("opaque type rejected: %v", err)
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(exportedField{}),
+		reflect.TypeOf(leaksSlice{}),
+		reflect.TypeOf(leaksInStruct{}),
+	} {
+		if Opaque(typ) == nil {
+			t.Errorf("%s accepted, want rejected", typ)
+		}
 	}
 }

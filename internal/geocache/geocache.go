@@ -184,7 +184,6 @@ type Cache struct {
 	limits  budget.Limits
 	hook    FaultHook
 	eventFn EventHook
-	arena   *Arena
 
 	mu     sync.Mutex
 	lo     *layout.Layout // bound on first use; one cache serves one layout
@@ -196,17 +195,12 @@ type Cache struct {
 // New creates a cache enforcing the given budgets (MaxFlattenPolys applies
 // to every flatten it computes).
 func New(lim budget.Limits) *Cache {
-	return &Cache{limits: lim, arena: new(Arena), layers: make(map[layout.Layer]*layerRec)}
+	return &Cache{limits: lim, layers: make(map[layout.Layer]*layerRec)}
 }
 
 // SetFaultHook installs the fault-injection seam. Must be called before the
 // first Flatten/Pack.
 func (c *Cache) SetFaultHook(h FaultHook) { c.hook = h }
-
-// Arena returns the run's scratch arena. The cache owns the run's geometry
-// lifetimes, so it also owns the recycled scratch the hot paths draw from;
-// see Arena for the ownership rules.
-func (c *Cache) Arena() *Arena { return c.arena }
 
 // SetEventHook installs the lookup observer. Must be called before the
 // first lookup.

@@ -163,12 +163,11 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 	// The flatten's buffer is spliced whether or not Pack has handed it out;
 	// the first splice gives it its own array, so the kept shapes, which
 	// share the old one, keep their vertices.
-	shapes := c.arena.Polys(len(fresh))
+	shapes := make([]geom.Polygon, len(fresh))
 	for i := range fresh {
-		shapes = append(shapes, fresh[i].Shape)
+		shapes[i] = fresh[i].Shape
 	}
 	kept := rec.flat.val.edges.Splice(remap, first, shapes)
-	c.arena.PutPolys(shapes)
 	if rec.edges.ready() {
 		out.KeptEdgeBytes = kept
 	} else {

@@ -2,11 +2,13 @@ package kernels
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
 
+	"opendrc/internal/freelist"
 	"opendrc/internal/geom"
 )
 
@@ -138,4 +140,13 @@ func TestMBRTableSharesBoxes(t *testing.T) {
 		t.Errorf("a live table keeps %d B, want <= %d (its x-order + 64 KiB)", kept, limit)
 	}
 	runtime.KeepAlive(tab)
+}
+
+// TestScratchIsOpaque holds Scratch to the freelist's recycling rule: the
+// engine recycles it across sweep rows, so nothing it hands out may alias
+// its columns.
+func TestScratchIsOpaque(t *testing.T) {
+	if err := freelist.Opaque(reflect.TypeOf(Scratch{})); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -29,12 +29,15 @@ type Stats struct {
 }
 
 // Scratch holds the per-sweep buffers: the boxes' x-intervals and skeleton
-// keys, the event order, and the interval tree with its node list and slabs.
-// Sweeps run once per partition row per rule, so callers on that hot path
-// recycle a Scratch (the engine keeps a freelist.List of them) instead of
-// reallocating the buffers for every row; contents are fully rewritten
-// before use, so recycling cannot affect results. The zero value is ready
-// to use; one Scratch serves one sweep at a time.
+// keys, the event order, and the interval tree with its node list and slabs;
+// for SweepRow also the row's expanded boxes and the pairs it kept. Sweeps
+// run once per partition row per rule, so callers on that hot path recycle a
+// Scratch (the engine keeps a freelist.List of them) instead of reallocating
+// the buffers for every row; contents are fully rewritten before use, so
+// recycling cannot affect results. Its fields are unexported and its
+// methods return values only, so nothing a caller holds can alias the
+// buffers a later user rewrites. The zero value is ready to use; one Scratch
+// serves one sweep at a time.
 type Scratch struct {
 	ivs    []interval.Entry // x-interval of each non-empty box, ID its box index
 	coords []int64          // the tree's skeleton keys: every x-endpoint
@@ -43,6 +46,9 @@ type Scratch struct {
 	key         []int64
 	perm, spare []int32 // the events in sweep order, and the sort's spare buffer
 	tree        interval.Tree
+
+	rowBoxes []geom.Rect // SweepRow's member boxes, expanded by the reach
+	pairs    [][2]int    // SweepRow's overlapping pairs, as raw indices
 }
 
 // Overlaps reports every pair of rectangles that overlap or touch, invoking
@@ -115,6 +121,30 @@ func (sc *Scratch) Overlaps(boxes []geom.Rect, fn func(a, b int)) (Stats, error)
 	}
 	st.NodesVisited = tree.Visited()
 	return st, nil
+}
+
+// SweepRow sweeps one partition row: the boxes raw[m] of its members m,
+// each expanded by reach, and keeps every overlapping pair for EachPair. The
+// Stats are the sweep's; PairsFound is the number of pairs kept.
+func (sc *Scratch) SweepRow(raw []geom.Rect, members []int, reach int64) (Stats, error) {
+	boxes := sc.rowBoxes[:0]
+	for _, m := range members {
+		boxes = append(boxes, raw[m].Expand(reach))
+	}
+	sc.rowBoxes = boxes
+	sc.pairs = sc.pairs[:0]
+	return sc.Overlaps(boxes, func(a, b int) {
+		sc.pairs = append(sc.pairs, [2]int{members[a], members[b]})
+	})
+}
+
+// EachPair calls fn for every pair the last SweepRow kept, in the order the
+// sweep found them, with the members' raw indices: fn(members[a],
+// members[b]) for row boxes a < b.
+func (sc *Scratch) EachPair(fn func(a, b int)) {
+	for _, p := range sc.pairs {
+		fn(p[0], p[1])
+	}
 }
 
 func grow[T any](s []T, n int) []T {

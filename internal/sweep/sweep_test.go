@@ -3,10 +3,12 @@ package sweep
 import (
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"opendrc/internal/freelist"
 	"opendrc/internal/geom"
 )
 
@@ -221,13 +223,30 @@ func fuzzBoxes(data []byte) []geom.Rect {
 	return boxes
 }
 
-// FuzzOverlaps holds Overlaps and OverlapsBetween to BruteForcePairs, the
-// recycled-scratch entry point included: the second sweep on one Scratch
-// reuses the first's buffers, tree node list and slabs.
+// fuzzMembers picks a row's members from n boxes: each pick byte names a
+// box, first occurrence only, in pick order.
+func fuzzMembers(pick []byte, n int) []int {
+	if n == 0 {
+		return nil
+	}
+	seen := make([]bool, n)
+	var members []int
+	for _, p := range pick {
+		if m := int(p) % n; !seen[m] {
+			seen[m] = true
+			members = append(members, m)
+		}
+	}
+	return members
+}
+
+// FuzzOverlaps holds Overlaps, OverlapsBetween and SweepRow to
+// BruteForcePairs, the recycled-scratch entry points included: the second
+// sweep on one Scratch reuses the first's buffers, tree node list and slabs.
 func FuzzOverlaps(f *testing.F) {
-	f.Add([]byte{0, 0, 4, 4, 2, 2, 4, 4, 0xf0, 0, 0, 0, 4, 0, 0, 0}, uint8(1))
-	f.Add([]byte{1, 1, 0, 0, 1, 1, 0, 0, 5, 5, 1, 1, 9, 9, 3, 0}, uint8(2))
-	f.Fuzz(func(t *testing.T, data []byte, split uint8) {
+	f.Add([]byte{0, 0, 4, 4, 2, 2, 4, 4, 0xf0, 0, 0, 0, 4, 0, 0, 0}, uint8(1), []byte{3, 0, 2}, uint8(1))
+	f.Add([]byte{1, 1, 0, 0, 1, 1, 0, 0, 5, 5, 1, 1, 9, 9, 3, 0}, uint8(2), []byte{1, 2, 3, 0}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, split uint8, pick []byte, reach uint8) {
 		boxes := fuzzBoxes(data)
 		want := brutePairs(boxes)
 		if got, _ := pairsOf(boxes); !eqPairs(got, want) {
@@ -260,5 +279,39 @@ func FuzzOverlaps(f *testing.F) {
 		if !eqPairs(got, wantB) {
 			t.Fatalf("OverlapsBetween split %d: %v, brute force %v", na, got, wantB)
 		}
+
+		// SweepRow on the same Scratch: the members' boxes expanded by the
+		// reach, pairs reported as member indices.
+		members := fuzzMembers(pick, len(boxes))
+		r := int64(reach % 8)
+		for _, row := range [][]int{members, members[:len(members)/2]} {
+			expanded := make([]geom.Rect, len(row))
+			for i, m := range row {
+				expanded[i] = boxes[m].Expand(r)
+			}
+			var wantR, gotR []Pair
+			BruteForcePairs(expanded, func(a, b int) { wantR = append(wantR, Pair{row[a], row[b]}) })
+			st, err := sc.SweepRow(boxes, row, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.EachPair(func(a, b int) { gotR = append(gotR, Pair{a, b}) })
+			if st.PairsFound != len(gotR) {
+				t.Fatalf("SweepRow: PairsFound %d, kept %d", st.PairsFound, len(gotR))
+			}
+			sortPairs(gotR)
+			sortPairs(wantR)
+			if !eqPairs(gotR, wantR) {
+				t.Fatalf("SweepRow members %v reach %d: %v, brute force %v", row, r, gotR, wantR)
+			}
+		}
 	})
+}
+
+// TestScratchIsOpaque holds Scratch to the freelist's recycling rule: it is
+// recycled across rows, so nothing it hands out may alias its buffers.
+func TestScratchIsOpaque(t *testing.T) {
+	if err := freelist.Opaque(reflect.TypeOf(Scratch{})); err != nil {
+		t.Fatal(err)
+	}
 }
