@@ -537,7 +537,7 @@ func BenchmarkSpacingSweepRow(b *testing.B) {
 	b.StopTimer()
 	dev := gpu.NewDevice(gpu.GTX1660Ti())
 	s := dev.NewStream("row")
-	s.Replay(&tape)
+	s.Replay(&tape, nil, nil)
 	s.Synchronize()
 	b.ReportMetric(float64(dev.DeviceBusy().Nanoseconds())/1e3, "modeled_us")
 	b.ReportMetric(float64(widest), "edges")

@@ -17,7 +17,8 @@
 # file format (a written deck parses back to the same rules) and the
 # sequential sweepline (against brute-force pairs), a bench smoke
 # of the unit benchmarks, the one timing gate that
-# has no test or benchmark/ counterpart (cross-tenant fairness), a traced
+# has no test or benchmark/ counterpart (cross-tenant fairness), the
+# canonical-report digest matrix against BENCH_digests.json, a traced
 # parallel run and a traced sequential run validated structurally, and an
 # end-to-end smoke of the odrcd service over
 # real HTTP. Speed is judged by benchmark/ (BENCHMARK.json); identity across
@@ -118,6 +119,13 @@ go build -o "$tmp/odrc-bench" ./cmd/odrc-bench
 # JSON is written before gating, so a failed gate still leaves it for
 # inspection (CI uploads it).
 "$tmp/odrc-bench" -fairness -scale 3 -out BENCH_fair.json -gate
+
+# Canonical-report digests: every design in both modes at several worker
+# counts (ethmac at scales 4 and 2.5 too), each row's canonical report hashed
+# and its rules counted, against the committed BENCH_digests.json. A mismatch
+# names the first differing row and rule. A change that means to move a
+# report regenerates the file (-digests -out BENCH_digests.json) and says why.
+"$tmp/odrc-bench" -digests -gate
 
 # Trace smoke: one traced full-deck run at reduced scale, then a structural
 # validation of the exported Chrome-trace JSON (required processes, paired

@@ -19,6 +19,12 @@
 //	                                     timeline recorder attached and write
 //	                                     the Chrome-trace/Perfetto JSON
 //	odrc-bench -validate-trace f.json    structural check of an exported trace
+//	odrc-bench -digests [-out f.json] [-gate]
+//	                                     canonical-report digest matrix: one
+//	                                     row per (design, scale, mode,
+//	                                     workers); -out writes it, -gate
+//	                                     compares it with BENCH_digests.json
+//	                                     and names the first differing rule
 //
 // Every experiment accepts -timeout d; an expired deadline aborts between
 // checks and exits with code 3. Exit codes follow cmd/odrc: 1 error, 2 usage
@@ -85,8 +91,9 @@ func run() error {
 	traceMode := flag.String("trace-mode", "par", "engine mode for the -trace run: seq or par")
 	validateTrace := flag.String("validate-trace", "", "validate the structure of an exported trace file and print its summary")
 	workers := flag.Int("workers", 0, "worker-pool size for -trace (0 = GOMAXPROCS)")
-	out := flag.String("out", "", "also write the -fairness report as JSON to this file")
-	gate := flag.Bool("gate", false, "for -fairness: exit non-zero when a row's reports differ from the solo run, the co-tenant never saturated, or the p95 improvement is under 2x")
+	digests := flag.Bool("digests", false, "run the canonical-report digest matrix (every design in both modes at several worker counts)")
+	out := flag.String("out", "", "also write the -fairness report or the -digests matrix as JSON to this file")
+	gate := flag.Bool("gate", false, "for -fairness: exit non-zero when a row's reports differ from the solo run, the co-tenant never saturated, or the p95 improvement is under 2x; for -digests: exit non-zero when the matrix differs from "+digestsFile)
 	scale := flag.Float64("scale", 1, "design scale factor (1 = full synthetic size)")
 	timeout := flag.Duration("timeout", 0, "abort the experiment after this duration (0 = no deadline); exits 3 on expiry")
 	flag.Parse()
@@ -133,6 +140,8 @@ func run() error {
 			return err
 		}
 		return emit(rep, *out, *gate)
+	case *digests:
+		return runDigests(ctx, *out, *gate)
 	}
 	return usageError("no experiment selected")
 }
@@ -167,6 +176,41 @@ func emit(rep *bench.FairReport, outPath string, gate bool) error {
 	if gate {
 		return rep.Gate()
 	}
+	return nil
+}
+
+// digestsFile is the committed digest matrix -digests -gate compares with.
+const digestsFile = "BENCH_digests.json"
+
+// runDigests computes the digest matrix, writes it to outPath when one is
+// given, and with gate compares it with the committed digestsFile.
+func runDigests(ctx context.Context, outPath string, gate bool) error {
+	got, err := bench.DigestsContext(ctx)
+	if err != nil {
+		return err
+	}
+	if outPath != "" {
+		if err := writeFile(outPath, func(w io.Writer) error { return bench.WriteDigests(w, got) }); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d digest rows to %s\n", len(got), outPath)
+	}
+	if !gate {
+		return nil
+	}
+	f, err := os.Open(digestsFile)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	want, err := bench.ReadDigests(f)
+	if err != nil {
+		return err
+	}
+	if err := bench.CompareDigests(want, got); err != nil {
+		return err
+	}
+	fmt.Printf("%d digest rows equal %s\n", len(got), digestsFile)
 	return nil
 }
 

@@ -22,7 +22,7 @@ func lintFixture(t *testing.T, pkgPath, file string) []Finding {
 	if err != nil {
 		t.Fatalf("parse %s: %v", file, err)
 	}
-	cfg := &types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	cfg := &types.Config{Importer: importer.ForCompiler(fset, "gc", nil)}
 	info := newInfo()
 	pkg, err := cfg.Check(pkgPath, fset, []*ast.File{parsed}, info)
 	if err != nil {

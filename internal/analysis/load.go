@@ -31,7 +31,7 @@ func Run(dir string) ([]Finding, error) {
 	}
 	cache := map[string]*types.Package{}
 	imp := &moduleImporter{
-		fallback: importer.ForCompiler(fset, "source", nil),
+		fallback: importer.ForCompiler(fset, "gc", nil),
 		cache:    cache,
 	}
 	cfg := &types.Config{Importer: imp}
@@ -87,7 +87,9 @@ func newInfo() *types.Info {
 }
 
 // moduleImporter serves already-checked module packages from the cache and
-// falls back to the source importer for the standard library.
+// falls back to compiler export data for the standard library (the go
+// command finds it in the build cache), which is about a second faster than
+// type-checking the library from source and yields the same findings.
 type moduleImporter struct {
 	fallback types.Importer
 	cache    map[string]*types.Package

@@ -460,7 +460,7 @@ func (pc *parCtx) partialFreeResident(l layout.Layer, keptBytes int64) {
 			b.bytes = keptBytes
 		}
 		b.partial = true
-		b.mbr = nil // derived table is stale with the geometry
+		b.table = false // derived table is stale with the geometry
 		return
 	}
 }

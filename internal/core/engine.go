@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"opendrc/internal/budget"
@@ -63,11 +64,12 @@ type Options struct {
 	// executor or a sweepline executor"). Zero selects the default.
 	BruteEdgeThreshold int
 
-	// Workers bounds the host worker pool used by the fan-out phases:
-	// per intra unit in the intra checks and per partition row in the
-	// spacing sweep. Values <= 0 select GOMAXPROCS. Reports are
-	// bit-identical for every worker count: workers write into per-index
-	// result slots that merge in a fixed order.
+	// Workers bounds the host worker pool used by the fan-out phases: per
+	// rule of the deck (outside a context scheduler), per intra unit in the
+	// intra checks and per partition row in the spacing sweep. Values <= 0
+	// select GOMAXPROCS. Reports are bit-identical for every worker count:
+	// workers write into per-index result slots that merge in a fixed
+	// order.
 	Workers int
 
 	// Budgets are the run's resource limits (flatten size, packed edges,
@@ -316,6 +318,9 @@ type Report struct {
 	// record is what a deck rule's child report commits to the session (nil
 	// when the rule has nothing to commit).
 	record *ruleRecord
+	// tape is the device work an executing rule's child report records in
+	// parallel mode (nil otherwise), replayed when the rule settles.
+	tape *gpu.Tape
 }
 
 // segment is one deck rule's run of violations; every violation in it
@@ -514,9 +519,16 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 // path and differ only in the executor execRule picks and the clock a rule's
 // window reads. Rules are independent tasks, like rows and cell definitions:
 // each runs against its own child report, in a fan-out over the deck, and
-// the children merge into rep in deck order. Each rule executes under the
-// engine's fault-isolation guard: a failing rule degrades the report instead
-// of aborting the run, while cancellation aborts between (and inside) rules.
+// the children merge into rep in deck order. A rule runs in two steps.
+// Executing it (deckRule) reads only the layout, the geometry cache and the
+// device's properties; in parallel mode its device work goes onto its own
+// tape. Settling it (settle) replays that tape onto the live streams, takes
+// every decision that depends on the rules before it, and judges the rule's
+// outcome — strictly in deck order, whichever rule finished executing first,
+// so reports, Stats, failures and the device timeline's record sequence do
+// not depend on the worker count. Each rule runs under the engine's
+// fault-isolation guard: a failing rule degrades the report instead of
+// aborting the run, while cancellation aborts between (and inside) rules.
 func (e *Engine) runDeck(ctx context.Context, lo *layout.Layout, rep *Report, ses *Session, pc *parCtx) error {
 	placements, err := e.instancePlacements(lo, ses, rep, pc)
 	if err != nil {
@@ -527,15 +539,24 @@ func (e *Engine) runDeck(ctx context.Context, lo *layout.Layout, rep *Report, se
 	// window and record. The children and their one-slot segment and window
 	// lists are carved from three arrays, not allocated rule by rule.
 	n := len(e.deck)
-	kids, segs, wins := make([]Report, n), make([]segment, n), make([]ruleWindow, n)
-	err = pool.ForEachCtx(trace.WithTask(ctx, "rule"), e.ruleWidth(ctx, pc), n, func(i int) error {
-		kids[i] = Report{Profile: rep.Profile, segs: segs[i : i : i+1], ruleWindows: wins[i : i : i+1]}
-		return e.deckRule(ctx, lo, e.deck[i], placements, &kids[i], pc)
+	runs, segs, wins := make([]ruleRun, n), make([]segment, n), make([]ruleWindow, n)
+	order := deckOrder{done: make([]bool, n)}
+	err = pool.ForEachCtx(trace.WithTask(ctx, "rule"), e.ruleWidth(ctx), n, func(i int) error {
+		ru := &runs[i]
+		ru.r, ru.rp = e.deck[i], e.plan.of(e.deck[i])
+		ru.rep = Report{Profile: rep.Profile, segs: segs[i : i : i+1], ruleWindows: wins[i : i : i+1]}
+		if err := e.deckRule(ctx, lo, ru, placements, pc); err != nil {
+			return err
+		}
+		if pc == nil {
+			return e.settle(ctx, ru, nil)
+		}
+		return order.finish(i, func(j int) error { return e.settle(ctx, &runs[j], pc) })
 	})
 	// Every rule that succeeded commits its record, in deck order, even when
 	// the check as a whole is cancelled and returns no report.
-	for i := range kids {
-		if rec := kids[i].record; rec != nil {
+	for i := range runs {
+		if rec := runs[i].rep.record; rec != nil {
 			ses.records.put(rec)
 		}
 	}
@@ -545,70 +566,171 @@ func (e *Engine) runDeck(ctx context.Context, lo *layout.Layout, rep *Report, se
 		}
 		return err
 	}
-	for i := range kids {
-		rep.merge(&kids[i])
+	for i := range runs {
+		rep.merge(&runs[i].rep)
 	}
 	return nil
 }
 
-// ruleWidth is how many rules run side by side: the worker count for a
-// sequential check, and 1 — the rules run inline on the caller, in deck
-// order — for a parallel check, whose device streams and modeled host clock
-// are deck-ordered, and for a check under a context Scheduler, whose tenants
-// share workers chunk by chunk and park only at rule boundaries on the
-// caller (DESIGN.md §13).
-func (e *Engine) ruleWidth(ctx context.Context, pc *parCtx) int {
-	if pc != nil || pool.Scheduled(ctx) {
+// ruleRun is one deck rule's way through a check: its plan and child report
+// and, between executing and settling, the record it makes, its executor's
+// error and the close of its rule span.
+type ruleRun struct {
+	r   rules.Rule
+	rp  *rulePlan
+	rep Report
+	rec *ruleRecord
+	err error
+	end func(err error, status string) error
+	m0  time.Duration // sequential: the window's start
+}
+
+// deckOrder settles a parallel check's rules in deck order: finish marks a
+// rule executed, and the caller that completes the executed prefix settles
+// it, rule after rule, under the lock.
+type deckOrder struct {
+	mu   sync.Mutex
+	done []bool //odrc:guardedby mu
+	next int    //odrc:guardedby mu
+}
+
+// finish marks rule i executed and settles every rule of the executed prefix
+// not settled yet. A settle that fails (a cancellation) stops all settling.
+func (o *deckOrder) finish(i int, settle func(j int) error) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.done[i] = true
+	for o.next < len(o.done) && o.done[o.next] {
+		j := o.next
+		o.next++
+		if err := settle(j); err != nil {
+			o.next = len(o.done)
+			return err
+		}
+	}
+	return nil
+}
+
+// ruleWidth is how many rules run side by side: the worker count, except
+// under a context Scheduler, whose tenants share workers chunk by chunk and
+// park only at rule boundaries on the caller (DESIGN.md §13) — there the
+// rules run inline on the caller, in deck order.
+func (e *Engine) ruleWidth(ctx context.Context) int {
+	if pool.Scheduled(ctx) {
 		return 1
 	}
 	return e.opts.Workers
 }
 
-// deckRule runs deck rule r against its child report rep the way the plan
-// says, and brackets its window.
-func (e *Engine) deckRule(ctx context.Context, lo *layout.Layout, r rules.Rule, placements [][]geom.Transform, rep *Report, pc *parCtx) error {
+// deckRule executes deck rule ru the way its plan says, against its child
+// report. A skipped or replayed rule executes nothing: settle answers it
+// from its record. An executed rule runs its executor under the fault seam,
+// with the rule's span open, and — parallel mode — records its device work
+// on the child's tape; a complete run's record takes the Stats the executor
+// wrote and the tape.
+func (e *Engine) deckRule(ctx context.Context, lo *layout.Layout, ru *ruleRun, placements [][]geom.Transform, pc *parCtx) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: check cancelled: %w", err)
 	}
-	rp := e.plan.of(r)
+	r, rp, rep := ru.r, ru.rp, &ru.rep
 	if rp != nil && rp.mode == planSkip {
-		// Record current: its violations are the rule's. Device-silent.
-		rep.Violations = rp.rec.violations
-		rep.endSegment(r.ID, true)
 		return nil
 	}
 	// Rule boundary: let a lagging co-tenant's check run ahead of this one's
 	// next serial stretch (no-op without a context scheduler).
 	pool.YieldCtx(ctx)
 	e.opts.Logger.Debugf("%s: rule %s", e.opts.Mode, r)
-	w := ruleWindow{rule: r.ID}
-	w.m0, w.c0 = windowClock(rep, pc)
-	err := e.runRule(ctx, rep, r, rp, pc, func() error {
-		return e.execRule(ctx, lo, r, placements, rep, pc)
-	})
-	if err != nil {
-		return err
+	ru.m0 = rep.Profile.Elapsed()
+	if rp != nil && rp.mode == planReplay {
+		return nil
 	}
-	w.m1, w.c1 = windowClock(rep, pc)
+	rep.executed++
+	if rp != nil {
+		ru.rec = &ruleRecord{key: rp.key, vers: rp.vers, full: rp.mode == planFull}
+	}
+	if pc != nil {
+		rep.tape = new(gpu.Tape)
+		rep.tape.Reset(pc.dev.Props())
+	}
+	ru.end = e.beginRule(rep, r)
+	ru.err = e.protect(ctx, r, func() error { return e.execRule(ctx, lo, r, placements, rep, pc) })
+	if rec := ru.rec; rec != nil && rec.full {
+		// Settling adds the Stats of the rule's device provision to the
+		// child; those are the check's, not the record's.
+		rec.stats = rep.Stats
+		if rep.tape != nil {
+			rec.tape = *rep.tape
+		}
+	}
+	return nil
+}
+
+// settle finishes deck rule ru once every rule before it has: a skipped
+// rule's record is its run; a replayed rule is answered from its record; an
+// executed rule's tape (parallel mode) replays onto the live streams, whose
+// marks provide its device memory in deck order, and then the rule's outcome
+// is judged — the first error in program order, a replay's before the
+// executor's, fails it — and a successful run leaves its record on the child
+// for runDeck to commit: its violations (a restricted run's merged with the
+// retained ones) and, for a complete run, the Stats and tape deckRule took.
+// The committed violations are sorted first, so a record holds its rule's
+// run in canonical order and a replay yields a sorted run. settle brackets
+// the rule's window: on the modeled clock and the device's record sequence
+// around the replay in parallel mode, on the profiler clock around the whole
+// rule in sequential mode. pc is nil in sequential mode.
+func (e *Engine) settle(ctx context.Context, ru *ruleRun, pc *parCtx) error {
+	r, rp, rep := ru.r, ru.rp, &ru.rep
+	if rp != nil && rp.mode == planSkip {
+		// Record current: its violations are the rule's. Device-silent.
+		rep.Violations = rp.rec.violations
+		rep.endSegment(r.ID, true)
+		return nil
+	}
+	w := ruleWindow{rule: r.ID, m0: ru.m0}
+	if pc != nil {
+		w.m0, w.c0 = pc.dev.HostClock(), pc.dev.OpCount()
+	}
+	if rp != nil && rp.mode == planReplay {
+		rep.replayed++
+		err := e.replay(ctx, rep, r, rp.rec, pc)
+		rep.endSegment(r.ID, true)
+		if err != nil {
+			return err
+		}
+	} else {
+		err := ru.err
+		if pc != nil {
+			if rerr := e.replayTape(pc, rep, rep.tape, true); rerr != nil {
+				err = rerr
+			}
+		}
+		if err = ru.end(err, "ok"); err != nil {
+			return err
+		}
+		if rec := ru.rec; rec != nil && len(rep.Failures) == 0 {
+			if rp.mode == planRestrict {
+				mergeDelta(rep, rp)
+			}
+			// The record and the sorted segment share the child's array:
+			// canonicalize copies every run out and never sorts a sorted one in
+			// place, so no report handed out aliases it.
+			sortViolations(rep.Violations)
+			rec.violations = rep.Violations
+			rep.record = rec
+		}
+		rep.endSegment(r.ID, ru.rec != nil)
+	}
 	if pc == nil {
+		w.m1 = rep.Profile.Elapsed()
 		w.host = w.m1 - w.m0
 	} else {
+		w.m1, w.c1 = pc.dev.HostClock(), pc.dev.OpCount()
 		for _, h := range rep.hostSpans {
 			w.host += h.e - h.s
 		}
 	}
 	rep.ruleWindows = append(rep.ruleWindows, w)
 	return nil
-}
-
-// windowClock reads the clocks a rule window brackets: the modeled host clock
-// and the device's record-sequence watermark in parallel mode, the profiler
-// clock in sequential mode.
-func windowClock(rep *Report, pc *parCtx) (time.Duration, int) {
-	if pc == nil {
-		return rep.Profile.Elapsed(), 0
-	}
-	return pc.dev.HostClock(), pc.dev.OpCount()
 }
 
 // execRule runs rule r's executor for the engine's mode: the simulated
@@ -658,26 +780,37 @@ func (e *Engine) readsCache(r rules.Rule) bool {
 }
 
 // hostPhase measures fn as host work under the profiler phase name (whose
-// clock the trace recorder shares). In parallel mode (pc non-nil) it also
-// advances the modeled host clock, during which the device may still be
-// executing previously enqueued work, and keeps the modeled window on the
-// report as a modeled-host span — the host side of the trace's overlap
-// analysis. fn's error passes through after the clock is charged (the failed
-// work still spent host time). With a pc, hostPhase runs on the engine
-// goroutine only: a parallel check runs its rules inline.
+// clock the trace recorder shares). In parallel mode (pc non-nil) the
+// measured time also advances the modeled host clock, during which the
+// device may still be executing previously enqueued work: inside an
+// executing rule it goes onto the rule's tape, to be charged when the tape
+// replays, and outside one (the check's own phases, a replayed rule's) it is
+// charged now (parCtx.advance). fn's error passes through after the time is
+// measured (the failed work still spent host time).
 func hostPhase(rep *Report, pc *parCtx, name string, fn func() error) error {
 	stop := rep.Profile.Phase(name)
 	err := fn()
 	d := stop()
-	if pc == nil {
-		return err
+	switch {
+	case pc == nil:
+	case rep.tape != nil:
+		rep.tape.HostAdvance(name, d)
+	default:
+		pc.advance(rep, name, d)
 	}
+	return err
+}
+
+// advance moves the modeled host clock by dt of measured host work in phase
+// name and keeps the modeled window on rep as a modeled-host span — the host
+// side of the trace's overlap analysis. Settled state: the check's own
+// phases and settling rules call it, one at a time.
+func (pc *parCtx) advance(rep *Report, name string, dt time.Duration) {
 	m0 := pc.dev.HostClock()
-	pc.dev.HostAdvance(d)
+	pc.dev.HostAdvance(dt)
 	if m1 := pc.dev.HostClock(); m1 > m0 {
 		rep.hostSpans = append(rep.hostSpans, modeledSpan{name: name, s: m0, e: m1})
 	}
-	return err
 }
 
 // instancePlacements is what a check that executes at least one rule needs
@@ -709,98 +842,36 @@ func (e *Engine) instancePlacements(lo *layout.Layout, ses *Session, rep *Report
 	return placements, nil
 }
 
-// runRule runs one deck rule the way its plan says, against the rule's child
-// report. Without a plan exec just runs under the guard. A current record
-// replays. Anything else executes — restricted to the dirty neighborhood
-// when the plan says so — and, having succeeded, leaves the rule's new record
-// on the child for merge to commit: its violations (a restricted run's
-// merged with the retained ones) and, for a complete run, what recordRun
-// collected. The committed violations are sorted first, so a record holds its
-// rule's run in canonical order and a replay yields a sorted run. pc is nil
-// in sequential mode.
-func (e *Engine) runRule(ctx context.Context, rep *Report, r rules.Rule, rp *rulePlan, pc *parCtx, exec func() error) error {
-	run := func() error { return e.guardRule(ctx, rep, r, "ok", exec) }
-	switch {
-	case rp == nil:
-		rep.executed++
-		err := run()
-		rep.endSegment(r.ID, false)
-		return err
-	case rp.mode == planReplay:
-		rep.replayed++
-		err := e.replay(ctx, rep, r, rp.rec, pc)
-		rep.endSegment(r.ID, true)
-		return err
-	}
-	rep.executed++
-	rec := &ruleRecord{key: rp.key, vers: rp.vers, full: rp.mode == planFull}
-	var err error
-	if rec.full {
-		err = recordRun(rep, rec, pc, run)
-	} else {
-		err = run()
-	}
-	// Cancelled, or failed and isolated (no violations left): nothing to
-	// commit.
-	if err == nil && len(rep.Failures) == 0 {
-		if rp.mode == planRestrict {
-			mergeDelta(rep, rp)
-		}
-		// The record and the sorted segment share the child's array:
-		// canonicalize copies every run out and never sorts a sorted one in
-		// place, so no report handed out aliases it.
-		sortViolations(rep.Violations)
-		rec.violations = rep.Violations
-		rep.record = rec
-	}
-	rep.endSegment(r.ID, true)
-	return err
-}
-
-// recordRun runs fn, one rule's complete execution against its child report
-// rep, collecting into rec the Stats it writes and (parallel mode) the device
-// commands it enqueues. The child's Stats start zeroed, so what is there
-// afterwards is the rule's own; residency plumbing keeps out of both through
-// parCtx.live and is added to the child after.
-func recordRun(rep *Report, rec *ruleRecord, pc *parCtx, fn func() error) error {
-	if pc != nil {
-		rec.tape.Reset(pc.dev.Props())
-		pc.rec = rec
-		pc.dev.Capture(&rec.tape)
-	}
-	err := fn()
-	rec.stats = rep.Stats
-	if pc != nil {
-		pc.dev.Capture(nil)
-		pc.rec = nil
-		rep.Stats.add(pc.liveStats)
-		pc.liveStats = Stats{}
-	}
-	return err
-}
-
 // replay answers a rule from its record: the violations, the Stats its
-// executor wrote and, in parallel mode, the device commands it enqueued,
-// re-issued on the live streams after its resident layers are bound live. It
+// executor wrote and, in parallel mode, its tape, replayed onto the live
+// streams — its marks bind the rule's resident layers as any execution's do,
+// and its host advances are skipped, the work they charged being done. It
 // is host phase "replay" — the guard included, which is most of what a
 // replayed rule costs — and so advances the modeled host clock by what the
 // replay really takes.
 func (e *Engine) replay(ctx context.Context, rep *Report, r rules.Rule, rec *ruleRecord, pc *parCtx) error {
 	return hostPhase(rep, pc, "replay", func() error {
-		return e.guardRule(ctx, rep, r, "replayed", func() error {
+		end := e.beginRule(rep, r)
+		return end(e.protect(ctx, r, func() error {
 			rep.Violations = rec.violations
 			rep.Stats.add(rec.stats)
 			if pc == nil {
 				return nil
 			}
-			for _, l := range rec.binds {
-				if err := pc.rebind(rep, l); err != nil {
-					return err
-				}
-			}
-			return pc.cs.Replay(&rec.tape)
-		})
+			return e.replayTape(pc, rep, &rec.tape, false)
+		}), "replayed")
 	})
+}
+
+// replayTape replays tape t of the rule whose child report is rep onto the
+// live streams: its marks through settleMark, and — when charge is set — its
+// host advances onto the modeled host clock as the rule's host spans.
+func (e *Engine) replayTape(pc *parCtx, rep *Report, t *gpu.Tape, charge bool) error {
+	var host func(string, time.Duration)
+	if charge {
+		host = func(name string, dt time.Duration) { pc.advance(rep, name, dt) }
+	}
+	return pc.cs.Replay(t, func(m any) error { return e.settleMark(pc, rep, m.(devMark)) }, host)
 }
 
 // cancelled reports whether err stems from context cancellation or a
@@ -809,64 +880,66 @@ func cancelled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// guardRule runs one rule's check with fault isolation: a panic (direct or
-// re-raised from a pool worker) or an error from fn is converted into a
-// RuleFailure on the report, the rule's partial violations are discarded
-// (so degraded reports stay bit-identical across worker counts), and the
-// run continues. Cancellation is the exception: it aborts the whole check.
-// status is the rule span's status when fn succeeds: "ok" for an executed
-// rule, "replayed" for one answered from its record.
-func (e *Engine) guardRule(ctx context.Context, rep *Report, r rules.Rule, status string, fn func() error) error {
+// protect runs fn behind the per-rule fault seam, returning a panic (direct
+// or re-raised from a pool worker) as a *pool.PanicError.
+func (e *Engine) protect(ctx context.Context, r rules.Rule, fn func() error) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if pe, ok := rec.(*pool.PanicError); ok {
+				err = pe
+			} else {
+				err = &pool.PanicError{Value: rec, Stack: debug.Stack()}
+			}
+		}
+	}()
+	if err := e.opts.Faults.Hit(ctx, faults.SiteRule, r.ID); err != nil {
+		return err
+	}
+	return fn()
+}
+
+// beginRule opens rule r's span on the rule track and returns the func that
+// judges the rule's outcome err and closes the span: the engine's
+// fault-isolation guard. A nil err leaves the rule's violations standing
+// under status ("ok" for an executed rule, "replayed" for one answered from
+// its record). An error is converted into a RuleFailure on the report, the
+// rule's violations since beginRule are discarded (so degraded reports stay
+// bit-identical across worker counts), and the run continues. Cancellation
+// is the exception: it aborts the whole check, and end returns it.
+func (e *Engine) beginRule(rep *Report, r rules.Rule) (end func(err error, status string) error) {
 	mark := len(rep.Violations)
 	stop := e.opts.Trace.Begin(trace.TrackRules, "", r.ID, "rule")
-	defer func() {
+	return func(err error, status string) error {
 		emitted := len(rep.Violations) - mark
-		if status == "cancelled" || status == "failed" {
-			emitted = 0
+		switch {
+		case err == nil:
+		case cancelled(err):
+			status, emitted = "cancelled", 0
+			err = fmt.Errorf("core: rule %s: check cancelled: %w", r.ID, err)
+		default:
+			status, emitted = "failed", 0
+			rep.Violations = rep.Violations[:mark]
+			f := RuleFailure{Rule: r.ID, Err: err.Error()}
+			var pe *pool.PanicError
+			if errors.As(err, &pe) {
+				f.Panicked = true
+				f.Err = fmt.Sprintf("panic: %v", pe.Value)
+				f.Stack = string(pe.Stack)
+			}
+			if errors.Is(err, budget.ErrExceeded) {
+				f.BudgetExceeded = true
+				f.Budget = budget.FromError(err)
+			}
+			rep.Failures = append(rep.Failures, f)
+			rep.Degraded = true
+			e.opts.Logger.Warnf("core: rule %s failed, continuing degraded: %s", r.ID, f.Err)
+			err = nil
 		}
 		stop(trace.Arg{Key: "kind", Val: r.Kind.String()},
 			trace.Arg{Key: "status", Val: status},
 			trace.Arg{Key: "violations", Val: emitted})
-	}()
-	err := func() (err error) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				if pe, ok := rec.(*pool.PanicError); ok {
-					err = pe
-				} else {
-					err = &pool.PanicError{Value: rec, Stack: debug.Stack()}
-				}
-			}
-		}()
-		if err := e.opts.Faults.Hit(ctx, faults.SiteRule, r.ID); err != nil {
-			return err
-		}
-		return fn()
-	}()
-	if err == nil {
-		return nil
+		return err
 	}
-	if cancelled(err) {
-		status = "cancelled"
-		return fmt.Errorf("core: rule %s: check cancelled: %w", r.ID, err)
-	}
-	status = "failed"
-	rep.Violations = rep.Violations[:mark]
-	f := RuleFailure{Rule: r.ID, Err: err.Error()}
-	var pe *pool.PanicError
-	if errors.As(err, &pe) {
-		f.Panicked = true
-		f.Err = fmt.Sprintf("panic: %v", pe.Value)
-		f.Stack = string(pe.Stack)
-	}
-	if errors.Is(err, budget.ErrExceeded) {
-		f.BudgetExceeded = true
-		f.Budget = budget.FromError(err)
-	}
-	rep.Failures = append(rep.Failures, f)
-	rep.Degraded = true
-	e.opts.Logger.Warnf("core: rule %s failed, continuing degraded: %s", r.ID, f.Err)
-	return nil
 }
 
 // sortViolations puts violations in canonical order. rules.Less is a total

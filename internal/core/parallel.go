@@ -37,6 +37,13 @@ import (
 // its parCtx for one check; a Session marks its parCtx persistent and hands
 // it to every check it serves, so resident layer buffers (and their derived
 // MBR tables) survive across checks until the session closes or evicts them.
+//
+// An executing rule never touches the streams: it records its device work
+// on its own tape (Report.tape), naming io and cs as the streams of its
+// commands, and reads only dev's properties and geo. Everything else here is
+// settled state — the streams, the residents, the budget's running total —
+// which the rules' tapes change one rule at a time, in deck order, as they
+// replay (Engine.settle).
 type parCtx struct {
 	dev *gpu.Device
 	io  *gpu.Stream // async copies host->device
@@ -46,12 +53,6 @@ type parCtx struct {
 	persistent bool           // session-owned: residents outlive the check
 	resident   []*residentBuf // slice, not map: eviction scans must be deterministic
 	useCtr     int64
-
-	// rec is the record of the rule executing right now (nil when it is not
-	// being recorded); liveStats collects what residency plumbing wrote to
-	// the report's Stats meanwhile. See live.
-	rec       *ruleRecord
-	liveStats Stats
 	// packed is the edges this check has uploaded: the packed-edges budget's
 	// running total, which no rule's child report sees whole.
 	packed int
@@ -94,85 +95,86 @@ func (pc *parCtx) freeResident(layers ...layout.Layer) {
 	pc.resident = keep
 }
 
-// live brackets residency plumbing — a layer's upload, reuse or partial
-// refresh, the mbr-table copy — inside a rule that is being recorded, and
-// returns the func that ends the bracket. Whether a layer is resident is
-// session state, not the rule's result: a record made by a cold check must
-// not replay its uploads into a warm one. So the bracket suspends the
-// device capture, and the Stats written inside it go to liveStats (onto the
-// report, not into the record) by the same zeroed-struct swap recordRun uses.
-func (pc *parCtx) live(rep *Report) func() {
-	rec := pc.rec
-	if rec == nil {
-		return func() {}
-	}
-	pc.dev.Capture(nil)
-	rule := rep.Stats
-	rep.Stats = Stats{}
-	return func() {
-		pc.liveStats.add(rep.Stats)
-		rep.Stats = rule
-		pc.dev.Capture(&rec.tape)
-	}
-}
-
-// rebind is bindEdges on replay. A current record means no dirt reached the
-// layer since the recorded run bound it, and nothing else frees a resident
-// buffer while records are kept (no budgets: no eviction), so the buffer is
-// there and whole: this is the reuse path, taken live.
-func (pc *parCtx) rebind(rep *Report, l layout.Layer) error {
-	for _, b := range pc.resident {
-		if b.layer == l && !b.partial {
-			pc.useCtr++
-			b.lastUse = pc.useCtr
-			pc.cs.WaitEvent(b.ready)
-			rep.Stats.DeviceReuses++
-			return nil
-		}
-	}
-	return fmt.Errorf("core: replay: layer %d is not device-resident under a current record", l)
-}
-
 // residentBuf is one layer's packed edge buffer kept device-resident across
 // rules. ready is the event of its upload copy; lastUse orders LRU eviction.
-// mbr is the buffer's derived MBR table (built lazily by the first spacing
-// rule that needs pair discovery); eviction drops it with the buffer, so a
-// re-uploaded layer rebuilds — and re-charges — its derivations.
+// table says the buffer's derived MBR table has been copied (by the first
+// spacing rule that needed pair discovery); eviction drops it with the
+// buffer, so a re-uploaded layer re-copies — and re-charges — it.
 type residentBuf struct {
 	layer   layout.Layer
 	bytes   int64
 	ready   gpu.Event
 	lastUse int64
-	mbr     *kernels.MBRTable
+	table   bool
 	// partial marks a buffer whose stale slice was freed by a region-scoped
 	// invalidation: bytes holds only the still-valid prefix, and the next
 	// bindEdges grows it back with a delta upload instead of a full one.
 	partial bool
 }
 
-// mbrTable returns the layer's resident derived MBR table, uploading it on
-// first use: the host has already computed the MBR arrays and x-order for
-// the row partition (memoized in the geometry cache, usually warmed by the
-// prefetch sweep), so one small async copy per layer replaces any device-side
-// derivation. The layer must be bound (bindEdges) first.
-func (pc *parCtx) mbrTable(ctx context.Context, lo *layout.Layout, rep *Report, l layout.Layer) (*kernels.MBRTable, error) {
-	defer pc.live(rep)()
+// devMark is a mark on a rule's tape: a point where the rule needs device
+// memory whose provision depends on the rules before it — whether a layer is
+// already resident, what the pool holds, how much of the packed-edges budget
+// is spent, which allocation an injected fault hits — and is therefore
+// decided when the tape replays, in deck order (Engine.settleMark). A mark
+// holds sizes only, so a session record's tape replays its marks into a
+// later check as they were recorded.
+type devMark struct {
+	kind  markKind
+	layer layout.Layer // bindLayer, bindTable
+	bytes int64
+	edges int // bindLayer, upload: the edges the packed-edges budget charges
+}
+
+// markKind says what a devMark provides.
+type markKind uint8
+
+const (
+	// bindLayer makes a layer's packed edge buffer addressable by the checks
+	// stream: uploaded, grown back from a partial buffer, or reused.
+	bindLayer markKind = iota
+	// bindTable is the bound layer's MBR table, copied on its first use.
+	bindTable
+	// upload is a buffer of the rule's own: allocated, evicting residents
+	// under pool pressure, and copied; the rule's tape frees it.
+	upload
+)
+
+// uploadMark is the upload mark of a rule-private packed buffer.
+func uploadMark(edges *kernels.Edges) devMark {
+	return devMark{kind: upload, bytes: edges.Bytes(), edges: edges.Len()}
+}
+
+// settleMark provides what mark m of the rule whose child report is rep
+// needs, on the live streams; the Stats of the provision go on rep.
+func (e *Engine) settleMark(pc *parCtx, rep *Report, m devMark) error {
+	switch m.kind {
+	case bindLayer:
+		return e.bindEdges(pc, rep, m)
+	case bindTable:
+		return pc.copyTable(rep, m)
+	}
+	return e.transfer(pc, rep, m)
+}
+
+// copyTable copies a resident layer's derived MBR table on first use: the
+// host has already computed the MBR arrays and x-order for the row partition
+// (memoized in the geometry cache, usually warmed by the prefetch sweep), so
+// one small async copy per layer replaces any device-side derivation. The
+// layer's bind mark precedes it on the tape.
+func (pc *parCtx) copyTable(rep *Report, m devMark) error {
 	for _, b := range pc.resident {
-		if b.layer == l {
-			if b.mbr == nil {
-				t, err := pc.geo.Table(ctx, lo, l)
-				if err != nil {
-					return nil, err
-				}
-				pc.io.MemcpyAsync("mbr-table", t.Bytes())
+		if b.layer == m.layer {
+			if !b.table {
+				pc.io.MemcpyAsync("mbr-table", m.bytes)
 				pc.cs.WaitEvent(pc.io.RecordEvent())
-				rep.Stats.BytesCopied += t.Bytes()
-				b.mbr = t
+				rep.Stats.BytesCopied += m.bytes
+				b.table = true
 			}
-			return b.mbr, nil
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("core: MBR table: layer %d is not device-resident", l)
+	return fmt.Errorf("core: MBR table: layer %d is not device-resident", m.layer)
 }
 
 // simPhase names the profiler phase of a stretch in which the host executes
@@ -259,23 +261,24 @@ func (e *Engine) bruteRow(edges *kernels.Edges, members []int) bool {
 	return true
 }
 
-// transfer models the one-time buffer upload: stream-ordered allocation and
-// an async copy on the I/O stream; the compute stream waits on its event.
-// It enforces the packed-edges budget (cumulative across the run) and
-// surfaces allocator failures (device OOM, injected faults). Pool pressure
-// is relieved by evicting resident layer buffers before giving up.
-func (e *Engine) transfer(pc *parCtx, rep *Report, edges *kernels.Edges) error {
+// transfer models a one-time buffer upload: stream-ordered allocation and an
+// async copy on the I/O stream (the compute stream's wait on it is the
+// tape's). It enforces the packed-edges budget (cumulative across the run,
+// in deck order) and surfaces allocator failures (device OOM, injected
+// faults). Pool pressure is relieved by evicting resident layer buffers
+// before giving up.
+func (e *Engine) transfer(pc *parCtx, rep *Report, m devMark) error {
 	if err := budget.Check("packed-edges",
-		int64(pc.packed+edges.Len()), e.opts.Budgets.MaxPackedEdges); err != nil {
+		int64(pc.packed+m.edges), e.opts.Budgets.MaxPackedEdges); err != nil {
 		return err
 	}
-	if err := e.allocEvict(pc, rep, edges.Bytes()); err != nil {
+	if err := e.allocEvict(pc, rep, m.bytes); err != nil {
 		return err
 	}
-	pc.io.MemcpyAsync("edges", edges.Bytes())
-	pc.packed += edges.Len()
-	rep.Stats.EdgesPacked += edges.Len()
-	rep.Stats.BytesCopied += edges.Bytes()
+	pc.io.MemcpyAsync("edges", m.bytes)
+	pc.packed += m.edges
+	rep.Stats.EdgesPacked += m.edges
+	rep.Stats.BytesCopied += m.bytes
 	return nil
 }
 
@@ -312,11 +315,8 @@ func (e *Engine) allocEvict(pc *parCtx, rep *Report, n int64) error {
 // re-uploads on next use. The run (or the session) frees residents.
 //
 // The packed-edges budget is charged per upload (see Options.Budgets).
-func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kernels.Edges) error {
-	defer pc.live(rep)()
-	if pc.rec != nil {
-		pc.rec.binds = append(pc.rec.binds, l)
-	}
+func (e *Engine) bindEdges(pc *parCtx, rep *Report, m devMark) error {
+	l := m.layer
 	pc.useCtr++
 	for _, b := range pc.resident {
 		if b.layer != l {
@@ -330,7 +330,7 @@ func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kerne
 			// buffers only exist in budget-free sessions (see
 			// Session.applyPending), so failure here means the pool itself is
 			// wedged — drop the prefix and upload fresh.
-			delta := edges.Bytes() - b.bytes
+			delta := m.bytes - b.bytes
 			if delta > 0 {
 				if err := pc.io.AllocAsync(delta); err != nil {
 					pc.freeResident(l)
@@ -338,7 +338,7 @@ func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kerne
 				}
 				pc.io.MemcpyAsync("edges-delta", delta)
 				rep.Stats.BytesCopied += delta
-				b.bytes = edges.Bytes()
+				b.bytes = m.bytes
 			}
 			b.partial = false
 			b.ready = pc.io.RecordEvent()
@@ -348,14 +348,14 @@ func (e *Engine) bindEdges(pc *parCtx, rep *Report, l layout.Layer, edges *kerne
 		rep.Stats.DeviceReuses++
 		return nil
 	}
-	if err := e.transfer(pc, rep, edges); err != nil {
+	if err := e.transfer(pc, rep, m); err != nil {
 		return err
 	}
 	ev := pc.io.RecordEvent()
 	pc.cs.WaitEvent(ev)
 	rep.Stats.DeviceUploads++
 	pc.resident = append(pc.resident, &residentBuf{
-		layer: l, bytes: edges.Bytes(), ready: ev, lastUse: pc.useCtr,
+		layer: l, bytes: m.bytes, ready: ev, lastUse: pc.useCtr,
 	})
 	return nil
 }
@@ -400,10 +400,8 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 			return err
 		}
 		edges := kernels.Pack(shapes)
-		if err := e.transfer(pc, rep, edges); err != nil {
-			return err
-		}
-		pc.cs.WaitEvent(pc.io.RecordEvent())
+		rep.tape.Mark(uploadMark(edges))
+		rep.tape.Wait(pc.cs, pc.io)
 
 		unitMarkers := make([][]checks.Marker, len(units))
 		hit := func(h kernels.Hit) {
@@ -415,18 +413,18 @@ func (e *Engine) runIntraPar(ctx context.Context, lo *layout.Layout, r rules.Rul
 		switch r.Kind {
 		case rules.Width:
 			if maxPolyEdges(edges) > 32 {
-				kernels.SpacingSweep(pc.cs, edges, checks.Lim(min), kernels.FilterWidth, hit)
+				kernels.SpacingSweep(rep.tape, edges, checks.Lim(min), kernels.FilterWidth, hit)
 			} else {
-				kernels.WidthBrute(pc.cs, edges, min, hit)
+				kernels.WidthBrute(rep.tape, edges, min, hit)
 			}
 		case rules.Area:
-			kernels.AreaKernel(pc.cs, edges, min, hit)
+			kernels.AreaKernel(rep.tape, edges, min, hit)
 		case rules.Rectilinear:
-			kernels.RectilinearKernel(pc.cs, edges, hit)
+			kernels.RectilinearKernel(rep.tape, edges, hit)
 		}
 		stopSim()
-		pc.cs.Synchronize()
-		pc.io.FreeAsync(edges.Bytes())
+		rep.tape.Synchronize(pc.cs)
+		rep.tape.FreeAsync(pc.io, edges.Bytes())
 
 		// Replay unit results per instance (host).
 		if err := hostPhase(rep, pc, "par:marker-replay", func() error {
@@ -498,11 +496,14 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	}); err != nil {
 		return err
 	}
-	if err := e.bindEdges(pc, rep, r.Layer, edges); err != nil {
-		return err
-	}
+	rep.tape.Mark(devMark{kind: bindLayer, layer: r.Layer, bytes: edges.Bytes(), edges: edges.Len()})
 	return e.spacingRows(ctx, r, pc, rep, edges, rows, func() (*kernels.MBRTable, error) {
-		return pc.mbrTable(ctx, lo, rep, r.Layer)
+		t, err := pc.geo.Table(ctx, lo, r.Layer)
+		if err != nil {
+			return nil, err
+		}
+		rep.tape.Mark(devMark{kind: bindTable, layer: r.Layer, bytes: t.Bytes()})
+		return t, nil
 	})
 }
 
@@ -529,18 +530,16 @@ func (e *Engine) runSpacingWindow(ctx context.Context, lo *layout.Layout, r rule
 	if len(boxes) == 0 {
 		return nil
 	}
-	if err := e.transfer(pc, rep, edges); err != nil {
-		return err
-	}
-	pc.cs.WaitEvent(pc.io.RecordEvent())
+	rep.tape.Mark(uploadMark(edges))
+	rep.tape.Wait(pc.cs, pc.io)
 	err := e.spacingRows(ctx, r, pc, rep, edges, rows, func() (*kernels.MBRTable, error) {
 		t := kernels.NewMBRTable(boxes)
-		pc.io.MemcpyAsync("mbr-table", t.Bytes())
-		pc.cs.WaitEvent(pc.io.RecordEvent())
+		rep.tape.MemcpyAsync(pc.io, "mbr-table", t.Bytes())
+		rep.tape.Wait(pc.cs, pc.io)
 		rep.Stats.BytesCopied += t.Bytes()
 		return t, nil
 	})
-	pc.io.FreeAsync(edges.Bytes())
+	rep.tape.FreeAsync(pc.io, edges.Bytes())
 	return err
 }
 
@@ -556,7 +555,7 @@ func (e *Engine) spacingRows(ctx context.Context, r rules.Rule, pc *parCtx, rep 
 
 	// Notches are intra-polygon but belong to the spacing rule: one batched
 	// launch over every polygon.
-	kernels.NotchBrute(pc.cs, edges, lim, c)
+	kernels.NotchBrute(rep.tape, edges, lim, c)
 
 	// Executor selection per row; the brute rows batch into one launch set
 	// (rows become grid blocks), large rows take the sweepline executor on
@@ -589,14 +588,14 @@ func (e *Engine) spacingRows(ctx context.Context, r rules.Rule, pc *parCtx, rep 
 		if err != nil {
 			return err
 		}
-		pairs := kernels.PairDiscoveryTable(pc.cs, edges, t, bruteRows, lim.Reach())
+		pairs := kernels.PairDiscoveryTable(rep.tape, edges, t, bruteRows, lim.Reach())
 		rep.Stats.PairsConsidered += len(pairs)
 		rep.Stats.PairsChecked += len(pairs)
 		if len(pairs) > 0 {
-			kernels.SpacingBrute(pc.cs, edges, pairs, lim, c)
+			kernels.SpacingBrute(rep.tape, edges, pairs, lim, c)
 		}
 	}
-	pc.cs.Synchronize()
+	rep.tape.Synchronize(pc.cs)
 	return nil
 }
 
@@ -605,10 +604,9 @@ func (e *Engine) spacingRows(ctx context.Context, r rules.Rule, pc *parCtx, rep 
 // of the shared buffer, so the host simulates them concurrently: each row
 // evaluates its kernels onto the tape of its own shard and collects its hits
 // there, on sweep-kernel scratch recycled through the engine. Tapes and
-// hits then land on the check stream and the report strictly in row order.
-// The modeled host clock stands still throughout, so every record — name,
-// threads, ops, start, end, sequence — is the one a row-after-row loop on
-// this goroutine would have enqueued, for every worker count.
+// hits then land on the rule's tape and the report strictly in row order,
+// so the rule's tape is the one a row-after-row loop would have recorded,
+// for every worker count.
 func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep *Report, edges *kernels.Edges, rows [][]int32, lim checks.SpacingLimit) error {
 	if len(rows) == 0 {
 		return nil
@@ -634,9 +632,7 @@ func (e *Engine) sweepRowsPar(ctx context.Context, r rules.Rule, pc *parCtx, rep
 		return err
 	}
 	for i := range tbl {
-		if err := pc.cs.Replay(&tbl[i].tape); err != nil {
-			return err
-		}
+		rep.tape.Append(&tbl[i].tape)
 	}
 	tbl.mergeViolations(rep)
 	return nil
@@ -680,22 +676,18 @@ func (e *Engine) runEnclosurePar(ctx context.Context, lo *layout.Layout, r rules
 	}
 	ie := kernels.Pack(vias)
 	oe := kernels.Pack(metals)
-	if err := e.transfer(pc, rep, ie); err != nil {
-		return err
-	}
-	if err := e.transfer(pc, rep, oe); err != nil {
-		return err
-	}
+	rep.tape.Mark(uploadMark(ie))
+	rep.tape.Mark(uploadMark(oe))
 	for _, cl := range cands {
 		rep.Stats.PairsChecked += len(cl)
 	}
-	pc.cs.WaitEvent(pc.io.RecordEvent())
+	rep.tape.Wait(pc.cs, pc.io)
 	stopSim := rep.Profile.Phase(simPhase)
-	kernels.EnclosureEval(pc.cs, ie, oe, cands, r.Min, collect(rep, r))
+	kernels.EnclosureEval(rep.tape, ie, oe, cands, r.Min, collect(rep, r))
 	stopSim()
 	rep.Stats.InstancesEmitted += len(vias)
-	pc.cs.Synchronize()
-	pc.io.FreeAsync(ie.Bytes())
-	pc.io.FreeAsync(oe.Bytes())
+	rep.tape.Synchronize(pc.cs)
+	rep.tape.FreeAsync(pc.io, ie.Bytes())
+	rep.tape.FreeAsync(pc.io, oe.Bytes())
 	return nil
 }

@@ -43,29 +43,27 @@ func keyOf(r rules.Rule) ruleKey {
 }
 
 // ruleRecord is one rule's last successful result. It is immutable once
-// committed (a re-run commits a new record; a replay only refreshes the event
-// slots of its tape, under the session lock), so plans may hold it unlocked.
+// committed (a re-run commits a new record), so plans may hold it unlocked.
 type ruleRecord struct {
 	key        ruleKey
 	vers       [2]uint64         // Session.ver of the rule's Inputs at the run
 	violations []rules.Violation // in rules.Less order; own backing array, never a Report's
 
 	// A full record also holds what a complete run wrote besides violations —
-	// the Stats fields of its executor, the resident layers it bound, and the
-	// device commands it enqueued (parallel mode) — and replays into a plain
-	// check. Residency plumbing is in none of the three: uploads, reuses and
-	// the mbr-table copy are session state, bound live (parCtx.live). A
-	// restricted run refreshes the violations only.
+	// the Stats fields of its executor and its tape (parallel mode) — and
+	// replays into a plain check. Device provision is in neither: the tape's
+	// marks say where the rule needed its layers and buffers, and whether a
+	// replay uploads, reuses or copies is decided, and counted, when it
+	// replays. A restricted run refreshes the violations only.
 	full  bool
 	stats Stats
-	binds []layout.Layer
 	tape  gpu.Tape
 }
 
 // bytes estimates the record's retained size: its violations, its device
 // commands (tapeCmdBytes approximates gpu's unexported command) and itself.
 func (rec *ruleRecord) bytes() int64 {
-	const tapeCmdBytes = 112
+	const tapeCmdBytes = 96
 	return int64(len(rec.violations))*int64(unsafe.Sizeof(rules.Violation{})) +
 		int64(rec.tape.Len())*tapeCmdBytes + int64(unsafe.Sizeof(*rec))
 }

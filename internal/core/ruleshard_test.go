@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"opendrc/internal/geom"
 	"opendrc/internal/layout"
@@ -16,30 +17,30 @@ import (
 	"opendrc/internal/trace"
 )
 
-// Rules run side by side only in a sequential check with no context
-// scheduler; everywhere else they run one after another on the caller, in
-// deck order. Either way the children merge in deck order, so what a check
-// returns and what a session commits do not depend on the worker count.
+// Rules run side by side in a check with no context scheduler, sequential
+// or parallel; under a scheduler they run one after another on the caller,
+// in deck order. Either way the children merge in deck order, so what a
+// check returns and what a session commits do not depend on the worker
+// count.
 
 // TestRuleWidth pins where rules may overlap.
 func TestRuleWidth(t *testing.T) {
 	sched := pool.NewScheduler(pool.SchedConfig{Workers: 2})
 	defer sched.Close()
 	scheduled := pool.WithScheduler(context.Background(), sched)
-	pc := &parCtx{}
 	for _, tc := range []struct {
 		name string
 		ctx  context.Context
-		pc   *parCtx
+		mode Mode
 		want int
 	}{
-		{"seq", context.Background(), nil, 4},
-		{"seq scheduled", scheduled, nil, 1},
-		{"par", context.Background(), pc, 1},
-		{"par scheduled", scheduled, pc, 1},
+		{"seq", context.Background(), Sequential, 4},
+		{"seq scheduled", scheduled, Sequential, 1},
+		{"par", context.Background(), Parallel, 4},
+		{"par scheduled", scheduled, Parallel, 1},
 	} {
-		e := New(Options{Workers: 4})
-		if got := e.ruleWidth(tc.ctx, tc.pc); got != tc.want {
+		e := New(Options{Mode: tc.mode, Workers: 4})
+		if got := e.ruleWidth(tc.ctx); got != tc.want {
 			t.Errorf("%s: rule width %d, want %d", tc.name, got, tc.want)
 		}
 	}
@@ -79,10 +80,11 @@ type traceSpan struct {
 	start, end float64
 }
 
-// TestRulesSerialWhereTheyMustBe: a sequential check under a scheduler and
-// every parallel check, scheduled or not, run their rules one after another
-// in deck order — every rule span begins after the previous one ended — and
-// a scheduled check yields once per rule boundary, on the caller's tenant.
+// TestRulesSerialWhereTheyMustBe: a check under a scheduler, sequential or
+// parallel, runs its rules one after another in deck order — every rule span
+// begins after the previous one ended — and yields once per rule boundary,
+// on the caller's tenant. A parallel check with no scheduler runs them side
+// by side: two rules whose predicates wait for each other both meet.
 func TestRulesSerialWhereTheyMustBe(t *testing.T) {
 	lo, _, err := synth.Load("uart", 0.2)
 	if err != nil {
@@ -95,13 +97,24 @@ func TestRulesSerialWhereTheyMustBe(t *testing.T) {
 	}{{Sequential, true}, {Parallel, false}, {Parallel, true}} {
 		t.Run(fmt.Sprintf("%v/scheduled=%v", tc.mode, tc.sched), func(t *testing.T) {
 			ctx := context.Background()
-			var sched *pool.Scheduler
-			if tc.sched {
-				sched = pool.NewScheduler(pool.SchedConfig{Workers: 2})
-				defer sched.Close()
-				ctx = pool.WithTenant(pool.WithScheduler(ctx, sched), "t")
-				defer pool.EnterCtx(ctx)()
+			if !tc.sched {
+				meet, met := rendezvousDeck(20 * time.Second)
+				e := New(Options{Mode: tc.mode, Workers: 4})
+				if err := e.AddRules(meet...); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.CheckContext(ctx, lo); err != nil {
+					t.Fatal(err)
+				}
+				if !met() {
+					t.Fatal("the two rules did not run side by side")
+				}
+				return
 			}
+			sched := pool.NewScheduler(pool.SchedConfig{Workers: 2})
+			defer sched.Close()
+			ctx = pool.WithTenant(pool.WithScheduler(ctx, sched), "t")
+			defer pool.EnterCtx(ctx)()
 			// Each rule span opens and closes with one clock reading, and the
 			// clock ticks on every reading: under overlap a span would start
 			// before its predecessor's end.
@@ -125,11 +138,9 @@ func TestRulesSerialWhereTheyMustBe(t *testing.T) {
 					t.Fatalf("rule %s starts at %.0fus, before %s ends at %.0fus", s.name, s.start, spans[i-1].name, spans[i-1].end)
 				}
 			}
-			if sched != nil {
-				snap := sched.Snapshot()
-				if len(snap.Tenants) != 1 || snap.Tenants[0].Yields != uint64(len(deck)) {
-					t.Fatalf("scheduler tenants %+v, want one tenant with %d yields", snap.Tenants, len(deck))
-				}
+			snap := sched.Snapshot()
+			if len(snap.Tenants) != 1 || snap.Tenants[0].Yields != uint64(len(deck)) {
+				t.Fatalf("scheduler tenants %+v, want one tenant with %d yields", snap.Tenants, len(deck))
 			}
 		})
 	}

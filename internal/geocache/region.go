@@ -147,16 +147,19 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 	// Edit rects can fall in inter-row gaps where no row exists, so the spans
 	// are re-queried alongside the dirty rows' bands.
 	bands := mergeSpans(append(dirty, spans...))
-	fresh, freshBoxes := c.requery(l, bands, clean)
+	var dropped int64 // vertices of the dirty rows' polygons
+	for i := first; i < len(remap); i++ {
+		if remap[i] < 0 {
+			dropped += int64(polys[i].Shape.NumEdges())
+		}
+	}
+	fresh, freshBoxes := c.requery(l, bands, clean, dropped)
 	out.PolysRequeried = len(fresh)
+	segRows := partition.Rows(freshBoxes, seg.guard, seg.alg)
+	carveRows(fresh, segRows)
 
 	if rec.verts > 0 {
-		rec.verts += countVertices(fresh)
-		for i := first; i < len(remap); i++ {
-			if remap[i] < 0 {
-				rec.verts -= int64(polys[i].Shape.NumEdges())
-			}
-		}
+		rec.verts += countVertices(fresh) - dropped
 	}
 	rec.flat.val.polys = append(kernels.Compact(polys, remap, first), fresh...)
 	rec.boxes.val = append(kernels.Compact(boxes, remap, first), freshBoxes...)
@@ -186,7 +189,10 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 		if !p.rows.ready() || p.key.guard > seg.guard {
 			continue
 		}
-		add := partition.Rows(freshBoxes, p.key.guard, p.key.alg)
+		add := segRows
+		if p.key != seg {
+			add = partition.Rows(freshBoxes, p.key.guard, p.key.alg)
+		}
 		for _, row := range add {
 			for i := range row.Members {
 				row.Members[i] += tail
@@ -205,14 +211,18 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 // polygons every post-edit polygon appears exactly once: clean-row members
 // are rejected (a polygon's extent is contained in its own row's band, and
 // bands are disjoint with positive-measure extents), dirty-row and new
-// polygons are accepted by the first band their extent overlaps.
-func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]layout.PlacedPoly, []geom.Rect) {
+// polygons are accepted by the first band their extent overlaps. The
+// queries carve their shapes from one scratch slab, sized for the dirty
+// rows' own vertices (an edit moves the count a little; a slab that
+// outgrows its room moves on), which carveRows empties.
+func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band, verts int64) ([]layout.PlacedPoly, []geom.Rect) {
 	var out []layout.PlacedPoly
 	var boxes []geom.Rect
+	slab := geom.NewSlab(int(verts + verts/8 + 64))
 	prevHi := int64(0)
 	for qi, sp := range bands {
 		window := geom.Rect{XLo: -queryHalfSpan, YLo: sp.Lo, XHi: queryHalfSpan, YHi: sp.Hi}
-		found, _ := c.lo.QueryLayer(l, window)
+		found, _ := c.lo.QueryLayerSlab(l, window, slab)
 		for _, pp := range found {
 			m := pp.Shape.MBR()
 			if qi > 0 && m.YLo <= prevHi {
@@ -227,6 +237,23 @@ func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]layout
 		prevHi = sp.Hi
 	}
 	return out, boxes
+}
+
+// carveRows moves each row's shapes into one slab of their own, sized
+// exactly: a later patch drops rows of the segmentation whole, so a row's
+// vertices are freed with it — one slab for a whole patch would stay alive
+// behind any of its rows left standing, a little more with every patch.
+func carveRows(fresh []layout.PlacedPoly, rows []partition.Row) {
+	for _, row := range rows {
+		n := 0
+		for _, m := range row.Members {
+			n += fresh[m].Shape.NumEdges()
+		}
+		slab := geom.NewSlab(n)
+		for _, m := range row.Members {
+			fresh[m].Shape = slab.Transform(fresh[m].Shape, geom.Identity())
+		}
+	}
 }
 
 // mergeSpans sorts and merges inclusive intervals (touching merges).

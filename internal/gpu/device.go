@@ -123,7 +123,6 @@ type Device struct {
 	pool      poolStats
 	memLimit  int64               // pool byte budget; 0 = unlimited
 	allocHook func(n int64) error // fault-injection seam; nil = none
-	capture   *Tape               // commands are logged here while set (Capture)
 }
 
 type poolStats struct {
@@ -314,21 +313,21 @@ func (s *Stream) enqueue(kind OpKind, name string, dur time.Duration, threads in
 	if kind == OpKernel {
 		d.launches++
 	}
-	if t := d.capture; t != nil {
-		t.cmds = append(t.cmds, tapeCmd{stream: s, kind: kind, name: name, dur: dur, threads: threads, ops: ops, bytes: bytes})
-	}
 	d.mu.Unlock()
 	return end
 }
 
 // MemcpyAsync models an asynchronous host<->device transfer of n bytes.
 func (s *Stream) MemcpyAsync(name string, n int64) {
+	s.enqueue(OpCopy, name, s.dev.props.copyDur(n), 0, 0, n)
+}
+
+// copyDur prices a transfer of n bytes.
+func (p Props) copyDur(n int64) time.Duration {
 	if n < 0 {
 		panic("gpu: negative copy size")
 	}
-	dur := s.dev.props.CopyOverhead +
-		time.Duration(float64(n)/s.dev.props.MemBandwidth*float64(time.Second))
-	s.enqueue(OpCopy, name, dur, 0, 0, n)
+	return p.CopyOverhead + time.Duration(float64(n)/p.MemBandwidth*float64(time.Second))
 }
 
 // AllocAsync models a stream-ordered pool allocation. Pool allocations are
@@ -435,44 +434,50 @@ func (s *Stream) Launch(name string, n int, body KernelFunc) int64 {
 	return k.Ops
 }
 
-// Tape records device work in program order for a later Replay. Two things
-// fill it. Launch evaluates a kernel off-stream, which is what lets
-// independent launch sequences (partition rows) be simulated concurrently:
-// each sequence evaluates onto its own tape, and the tapes replay onto the
-// stream in the order a single goroutine would have launched them, yielding
-// the same records. Device.Capture logs every command the device's streams
-// accept while it is installed — kernels, copies, allocations, frees,
-// synchronizations, event records and waits, each with its stream — so a
-// whole stretch of a run (one rule of a resident session) can be enqueued
-// again without re-executing a thread body. A Tape is single-goroutine; Reset
-// recycles its storage.
+// Tape records device work in program order for a later Replay, so that the
+// work can be issued off the live streams — on any goroutine, ahead of its
+// turn — and enqueued afterwards in the order one goroutine issuing it live
+// would have. It holds:
+//
+//   - kernel launches, evaluated now (the thread bodies run, the launch is
+//     priced) and enqueued on Replay's stream;
+//   - copies, frees and synchronizations, each with its stream;
+//   - waits: a stream waiting on an event recorded on another stream at that
+//     point of the program;
+//   - host advances: measured host work that moves the modeled host clock;
+//   - marks: points where the replaying caller acts on the live streams
+//     itself, with a value only the caller interprets (binding a resident
+//     buffer, say, whose upload or reuse depends on what ran before).
+//
+// A Tape is single-goroutine; Reset recycles its storage.
 type Tape struct {
 	props Props
 	cmds  []tapeCmd
 }
 
 // tapeCmd is one recorded command: a timeline record's kind and payload, or
-// one of the two event commands, which leave no record but order streams.
+// one of the commands that leave no record.
 type tapeCmd struct {
-	stream  *Stream // issuing stream; nil for an off-stream Launch (replays on Replay's receiver)
+	stream  *Stream // issuing stream (the waiting one for opWait); nil for a launch
+	on      *Stream // opWait: the stream whose event is waited on
 	kind    OpKind
-	name    string
-	dur     time.Duration
+	name    string        // record name; opHost: the host phase
+	dur     time.Duration // record duration; opHost: the measured host time
 	threads int
 	ops     int64
 	bytes   int64
-	ev      Event // opRecord: the event as last recorded; opWait: the event waited on
-	src     int   // opWait: index of the tape's own opRecord of ev, -1 when ev predates the tape
+	mark    any // opMark
 }
 
-// Event commands on a tape (never on the timeline).
+// Commands on a tape that leave no timeline record.
 const (
-	opRecord OpKind = "event-record"
-	opWait   OpKind = "event-wait"
+	opWait OpKind = "event-wait"
+	opHost OpKind = "host-advance"
+	opMark OpKind = "mark"
 )
 
 // Reset empties the tape and binds it to the device properties its launches
-// are priced with.
+// and copies are priced with.
 func (t *Tape) Reset(p Props) {
 	t.props = p
 	t.cmds = t.cmds[:0]
@@ -488,51 +493,73 @@ func (t *Tape) Launch(name string, n int, body KernelFunc) int64 {
 	return k.Ops
 }
 
-// Capture appends every command the device's streams accept from now on to t
-// as well (without resetting it, so a capture can be suspended and resumed);
-// Capture(nil) stops. Commands execute normally while captured.
-func (d *Device) Capture(t *Tape) {
-	d.mu.Lock()
-	d.capture = t
-	d.mu.Unlock()
+// MemcpyAsync appends a transfer of n bytes on s.
+func (t *Tape) MemcpyAsync(s *Stream, name string, n int64) {
+	t.cmds = append(t.cmds, tapeCmd{stream: s, kind: OpCopy, name: name, dur: t.props.copyDur(n), bytes: n})
 }
 
-// Replay enqueues the tape's commands in recorded order: an off-stream launch
-// on s, a captured command on the stream it was captured from. Kernels and
-// copies keep their recorded durations and start wherever the live host clock
-// and stream frontiers put them, exactly as if issued afresh; allocations and
-// frees go through the pool accounting (so an allocation can fail, which ends
-// the replay with its error); an event recorded on the tape is recorded anew
-// and waits on it follow the new recording, while a wait on an event older
-// than the tape waits on that event as captured. Provided the tape was priced
+// FreeAsync appends a stream-ordered free of n bytes on s.
+func (t *Tape) FreeAsync(s *Stream, n int64) {
+	t.cmds = append(t.cmds, tapeCmd{stream: s, kind: OpFree, bytes: n})
+}
+
+// Synchronize appends a synchronization of s.
+func (t *Tape) Synchronize(s *Stream) {
+	t.cmds = append(t.cmds, tapeCmd{stream: s, kind: OpSync})
+}
+
+// Wait appends s waiting on an event recorded on `on` at this point.
+func (t *Tape) Wait(s, on *Stream) {
+	t.cmds = append(t.cmds, tapeCmd{stream: s, on: on, kind: opWait})
+}
+
+// HostAdvance appends dt of measured host work done in host phase name.
+func (t *Tape) HostAdvance(name string, dt time.Duration) {
+	t.cmds = append(t.cmds, tapeCmd{kind: opHost, name: name, dur: dt})
+}
+
+// Mark appends a point at which Replay hands m back to its caller.
+func (t *Tape) Mark(m any) {
+	t.cmds = append(t.cmds, tapeCmd{kind: opMark, mark: m})
+}
+
+// Append appends u's commands to t: independently recorded stretches (the
+// rows of one rule) join their rule's tape in program order.
+func (t *Tape) Append(u *Tape) {
+	t.cmds = append(t.cmds, u.cmds...)
+}
+
+// Replay issues the tape's commands in recorded order: a launch on s, every
+// other device command on the stream it was recorded with. Kernels and copies
+// keep their recorded durations and start wherever the live host clock and
+// stream frontiers put them, exactly as if issued afresh; a wait records its
+// event anew. A host advance is handed to host (nil skips it: the replay of
+// work already charged), which moves the clock as it sees fit; a mark is
+// handed to mark, whose error ends the replay. Provided the tape was priced
 // with the device's properties, the resulting records equal the ones the
 // original calls would produce at this point.
-func (s *Stream) Replay(t *Tape) error {
+func (s *Stream) Replay(t *Tape, mark func(m any) error, host func(name string, dt time.Duration)) error {
 	for i := range t.cmds {
 		c := &t.cmds[i]
-		st := c.stream
-		if st == nil {
-			st = s
-		}
 		switch c.kind {
-		case OpAlloc:
-			if err := st.AllocAsync(c.bytes); err != nil {
+		case OpKernel:
+			s.enqueue(OpKernel, c.name, c.dur, c.threads, c.ops, 0)
+		case OpFree:
+			c.stream.FreeAsync(c.bytes)
+		case OpSync:
+			c.stream.Synchronize()
+		case opWait:
+			c.stream.WaitEvent(c.on.RecordEvent())
+		case opHost:
+			if host != nil {
+				host(c.name, c.dur)
+			}
+		case opMark:
+			if err := mark(c.mark); err != nil {
 				return err
 			}
-		case OpFree:
-			st.FreeAsync(c.bytes)
-		case OpSync:
-			st.Synchronize()
-		case opRecord:
-			c.ev = st.RecordEvent()
-		case opWait:
-			ev := c.ev
-			if c.src >= 0 {
-				ev = t.cmds[c.src].ev
-			}
-			st.WaitEvent(ev)
-		default: // kernel, copy
-			st.enqueue(c.kind, c.name, c.dur, c.threads, c.ops, c.bytes)
+		default: // copy
+			c.stream.enqueue(c.kind, c.name, c.dur, c.threads, c.ops, c.bytes)
 		}
 	}
 	return nil
@@ -550,9 +577,6 @@ func (s *Stream) Synchronize() {
 	d.seq++
 	if s.ready > d.hostClock {
 		d.hostClock = s.ready
-	}
-	if t := d.capture; t != nil {
-		t.cmds = append(t.cmds, tapeCmd{stream: s, kind: OpSync})
 	}
 	d.mu.Unlock()
 }
@@ -582,9 +606,6 @@ func (s *Stream) RecordEvent() Event {
 	defer d.mu.Unlock()
 	e := Event{at: s.ready, id: d.eventSeq, stream: s.name}
 	d.eventSeq++
-	if t := d.capture; t != nil {
-		t.cmds = append(t.cmds, tapeCmd{stream: s, kind: opRecord, ev: e})
-	}
 	return e
 }
 
@@ -597,13 +618,6 @@ func (s *Stream) WaitEvent(e Event) {
 	if e.at > s.ready {
 		s.ready = e.at
 		d.waits = append(d.waits, WaitEdge{From: e.stream, To: s.name, At: e.at, ID: e.id})
-	}
-	if t := d.capture; t != nil {
-		src := len(t.cmds) - 1
-		for src >= 0 && (t.cmds[src].kind != opRecord || t.cmds[src].ev.id != e.id) {
-			src--
-		}
-		t.cmds = append(t.cmds, tapeCmd{stream: s, kind: opWait, ev: e, src: src})
 	}
 	d.mu.Unlock()
 }

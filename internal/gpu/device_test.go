@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -388,10 +389,14 @@ func TestTapeReplayEqualsDirectLaunch(t *testing.T) {
 			if n := d.OpCount(); n != 2 {
 				t.Fatalf("evaluating onto a tape touched the device: %d ops", n)
 			}
-			cs.Replay(&tape)
+			if err := cs.Replay(&tape, nil, nil); err != nil {
+				t.Fatal(err)
+			}
 			// A reset tape is empty and replays nothing.
 			tape.Reset(d.Props())
-			cs.Replay(&tape)
+			if err := cs.Replay(&tape, nil, nil); err != nil {
+				t.Fatal(err)
+			}
 		} else {
 			tapeProgram(cs)
 		}
@@ -526,63 +531,96 @@ func TestEvaluateRejectsWarpSize(t *testing.T) {
 	p.Evaluate("k", 4, func(int) int64 { return 1 })
 }
 
-// captureProgram is one rule's worth of device traffic across two streams:
-// a rule-local upload, a kernel ordered after it by an event, a wait on an
-// event that predates the capture, a synchronization and the free.
-func captureProgram(t *testing.T, io, cs *Stream, old Event) {
-	t.Helper()
-	if err := io.AllocAsync(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	io.MemcpyAsync("edges", 1<<20)
-	cs.WaitEvent(io.RecordEvent())
-	cs.WaitEvent(old)
-	cs.Launch("check", 100, func(tid int) int64 { return int64(tid%5) + 1 })
-	cs.Synchronize()
-	io.FreeAsync(1 << 20)
+// ruleProgram is one rule's worth of device traffic across two streams,
+// issued live or onto a tape: host work, a mark where the caller uploads a
+// buffer itself, a kernel ordered after the upload by an event, more host
+// work, a synchronization and the free.
+type ruleProgram struct {
+	io, cs *Stream
 }
 
-// TestCaptureReplayEqualsReissue: replaying a captured stretch yields exactly
-// the records, wait edges and pool accounting that issuing the same commands
-// again yields — with the host clock somewhere else than at capture time, so
-// the replayed event has to be a new recording, not the captured one.
-func TestCaptureReplayEqualsReissue(t *testing.T) {
-	run := func(replay bool) ([]Record, []WaitEdge, [4]int64) {
-		d := NewDevice(GTX1660Ti())
-		io, cs := d.NewStream("h2d"), d.NewStream("checks")
-		old := io.RecordEvent()
-		var tape Tape
-		tape.Reset(d.Props())
-		d.Capture(&tape)
-		captureProgram(t, io, cs, old)
-		// Residency plumbing in the middle of the rule stays off the tape.
-		d.Capture(nil)
-		io.MemcpyAsync("mbr-table", 4096)
-		cs.WaitEvent(io.RecordEvent())
-		d.Capture(&tape)
-		cs.Launch("tail", 7, func(int) int64 { return 3 })
-		cs.Synchronize()
-		d.Capture(nil)
-		if got := tape.Len(); got != 10 {
-			t.Fatalf("tape holds %d commands, want 10", got)
-		}
+// upload is what the program's mark does on the live streams.
+func (p ruleProgram) upload() error {
+	if err := p.io.AllocAsync(1 << 20); err != nil {
+		return err
+	}
+	p.io.MemcpyAsync("edges", 1<<20)
+	return nil
+}
 
-		d.TrimTimeline()
+func (p ruleProgram) body(tid int) int64 { return int64(tid%5) + 1 }
+
+// live issues the program on the streams, the host work as HostAdvance.
+func (p ruleProgram) live(t *testing.T, d *Device) {
+	t.Helper()
+	d.HostAdvance(3 * time.Millisecond)
+	if err := p.upload(); err != nil {
+		t.Fatal(err)
+	}
+	p.cs.WaitEvent(p.io.RecordEvent())
+	p.cs.Launch("check", 100, p.body)
+	d.HostAdvance(time.Millisecond)
+	p.io.MemcpyAsync("table", 4096)
+	p.cs.WaitEvent(p.io.RecordEvent())
+	p.cs.Synchronize()
+	p.io.FreeAsync(1 << 20)
+}
+
+// record puts the same program on a tape.
+func (p ruleProgram) record(tape *Tape) {
+	tape.HostAdvance("prep", 3*time.Millisecond)
+	tape.Mark("upload")
+	tape.Wait(p.cs, p.io)
+	tape.Launch("check", 100, p.body)
+	tape.HostAdvance("pack", time.Millisecond)
+	tape.MemcpyAsync(p.io, "table", 4096)
+	tape.Wait(p.cs, p.io)
+	tape.Synchronize(p.cs)
+	tape.FreeAsync(p.io, 1<<20)
+}
+
+// TestTapeReplayEqualsReissue: replaying a recorded rule yields exactly the
+// records, wait edges, pool accounting and host clock that issuing it live
+// yields, with other work on the timeline before it — its marks handed back
+// in order, its host advances handed to the caller with their phase names.
+func TestTapeReplayEqualsReissue(t *testing.T) {
+	run := func(replay bool) ([]Record, []WaitEdge, [4]int64, time.Duration) {
+		d := NewDevice(GTX1660Ti())
+		p := ruleProgram{d.NewStream("h2d"), d.NewStream("checks")}
+		p.cs.Launch("before", 10, func(int) int64 { return 2 })
 		d.HostAdvance(2 * time.Millisecond)
 		if replay {
-			if err := cs.Replay(&tape); err != nil {
+			var tape Tape
+			tape.Reset(d.Props())
+			p.record(&tape)
+			if n := d.OpCount(); n != 1 {
+				t.Fatalf("recording onto a tape touched the device: %d ops", n)
+			}
+			if got := tape.Len(); got != 9 {
+				t.Fatalf("tape holds %d commands, want 9", got)
+			}
+			var marks, phases []string
+			err := p.cs.Replay(&tape, func(m any) error {
+				marks = append(marks, m.(string))
+				return p.upload()
+			}, func(name string, dt time.Duration) {
+				phases = append(phases, name)
+				d.HostAdvance(dt)
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
+			if fmt.Sprint(marks, phases) != "[upload] [prep pack]" {
+				t.Fatalf("replay handed back marks %v and host phases %v", marks, phases)
+			}
 		} else {
-			captureProgram(t, io, cs, old)
-			cs.Launch("tail", 7, func(int) int64 { return 3 })
-			cs.Synchronize()
+			p.live(t, d)
 		}
 		inUse, peak, total, allocs := d.PoolStats()
-		return d.Timeline(), d.WaitEdges(), [4]int64{inUse, peak, total, int64(allocs)}
+		return d.Timeline(), d.WaitEdges(), [4]int64{inUse, peak, total, int64(allocs)}, d.HostClock()
 	}
-	wantRecs, wantWaits, wantPool := run(false)
-	gotRecs, gotWaits, gotPool := run(true)
+	wantRecs, wantWaits, wantPool, wantClock := run(false)
+	gotRecs, gotWaits, gotPool, gotClock := run(true)
 	if len(gotRecs) != len(wantRecs) || len(wantRecs) != 7 {
 		t.Fatalf("replay enqueued %d records, reissue %d (want 7)", len(gotRecs), len(wantRecs))
 	}
@@ -591,30 +629,34 @@ func TestCaptureReplayEqualsReissue(t *testing.T) {
 			t.Errorf("record %d differs:\n reissued %+v\n replayed %+v", i, wantRecs[i], gotRecs[i])
 		}
 	}
-	if len(gotWaits) != 1 || len(wantWaits) != 1 || gotWaits[0] != wantWaits[0] {
+	if len(gotWaits) != 2 || len(wantWaits) != 2 || gotWaits[0] != wantWaits[0] || gotWaits[1] != wantWaits[1] {
 		t.Errorf("wait edges: reissued %+v, replayed %+v", wantWaits, gotWaits)
 	}
 	if gotPool != wantPool {
 		t.Errorf("pool accounting: reissued %v, replayed %v", wantPool, gotPool)
 	}
+	if gotClock != wantClock {
+		t.Errorf("host clock: reissued %v, replayed %v", wantClock, gotClock)
+	}
 }
 
-// TestReplayAllocFailure: a replayed allocation goes through the pool, so it
-// can fail — and ends the replay with the allocator's error.
+// TestReplayAllocFailure: an allocation a mark makes goes through the pool,
+// so it can fail — and ends the replay with the allocator's error, enqueueing
+// nothing after it.
 func TestReplayAllocFailure(t *testing.T) {
 	d := NewDevice(GTX1660Ti())
 	s := d.NewStream("s")
 	var tape Tape
 	tape.Reset(d.Props())
-	d.Capture(&tape)
-	if err := s.AllocAsync(100); err != nil {
+	tape.Mark(int64(100))
+	tape.Launch("k", 1, func(int) int64 { return 1 })
+	d.SetMemLimit(150)
+	alloc := func(m any) error { return s.AllocAsync(m.(int64)) }
+	if err := s.Replay(&tape, alloc, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.Launch("k", 1, func(int) int64 { return 1 })
-	d.Capture(nil)
-	d.SetMemLimit(150)
 	n := d.OpCount()
-	if err := s.Replay(&tape); !errors.Is(err, budget.ErrExceeded) {
+	if err := s.Replay(&tape, alloc, nil); !errors.Is(err, budget.ErrExceeded) {
 		t.Fatalf("Replay = %v, want a device-pool budget error", err)
 	}
 	if d.OpCount() != n {

@@ -19,8 +19,8 @@ type Collector func(Hit)
 
 // Launcher is where a kernel's launches go: a *gpu.Stream enqueues each on
 // the modeled timeline as it is evaluated; a *gpu.Tape evaluates now and
-// replays onto a stream later, so independent rows can be simulated off the
-// stream's goroutine.
+// replays onto a stream later, so independent rows and rules can be
+// simulated off the stream's goroutine.
 type Launcher interface {
 	Launch(name string, n int, body gpu.KernelFunc) int64
 }

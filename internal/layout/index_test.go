@@ -51,25 +51,28 @@ func linearQuery(c *Cell, t geom.Transform, l Layer, window geom.Rect, out *[]Pl
 // subtree query and the linear reference ("" when they agree): the slices
 // must be equal element for element, in order, and PolysHit must match.
 func diffQuery(c *Cell, l Layer, window geom.Rect) string {
-	q := query{l: l, window: window}
-	q.cell(c, geom.Identity())
 	var want []PlacedPoly
 	var wst QueryStats
 	linearQuery(c, geom.Identity(), l, window, &want, &wst)
-	if len(q.out) != len(want) {
-		return fmt.Sprintf("%d polygons, want %d", len(q.out), len(want))
-	}
-	for i := range want {
-		g, w := q.out[i], want[i]
-		if g.Src != w.Src || g.Trans != w.Trans || !g.Shape.Equal(w.Shape) {
-			return fmt.Sprintf("element %d: %v %v %v, want %v %v %v", i, g.Src.Idx, g.Trans, g.Shape, w.Src.Idx, w.Trans, w.Shape)
+	// The walk with each shape its own allocation, and carving the shapes
+	// from a slab (QueryLayerSlab) too small for them, so it grows.
+	for _, q := range []query{{l: l, window: window}, {l: l, window: window, slab: geom.NewSlab(1)}} {
+		q.cell(c, geom.Identity())
+		if len(q.out) != len(want) {
+			return fmt.Sprintf("slab %v: %d polygons, want %d", q.slab != nil, len(q.out), len(want))
 		}
-	}
-	if q.st.PolysHit != wst.PolysHit {
-		return fmt.Sprintf("PolysHit %d, want %d", q.st.PolysHit, wst.PolysHit)
-	}
-	if len(q.cand) != 0 {
-		return fmt.Sprintf("candidate stack left %d deep", len(q.cand))
+		for i := range want {
+			g, w := q.out[i], want[i]
+			if g.Src != w.Src || g.Trans != w.Trans || !g.Shape.Equal(w.Shape) {
+				return fmt.Sprintf("slab %v: element %d: %v %v %v, want %v %v %v", q.slab != nil, i, g.Src.Idx, g.Trans, g.Shape, w.Src.Idx, w.Trans, w.Shape)
+			}
+		}
+		if q.st.PolysHit != wst.PolysHit {
+			return fmt.Sprintf("slab %v: PolysHit %d, want %d", q.slab != nil, q.st.PolysHit, wst.PolysHit)
+		}
+		if len(q.cand) != 0 {
+			return fmt.Sprintf("slab %v: candidate stack left %d deep", q.slab != nil, len(q.cand))
+		}
 	}
 	return ""
 }

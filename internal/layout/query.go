@@ -33,7 +33,15 @@ type QueryStats struct {
 // of everything — or simply a huge rect — to enumerate the whole layer; use
 // FlattenLayer for that common case.
 func (lo *Layout) QueryLayer(l Layer, window geom.Rect) ([]PlacedPoly, QueryStats) {
-	q := query{l: l, window: window,
+	return lo.QueryLayerSlab(l, window, nil)
+}
+
+// QueryLayerSlab is QueryLayer storing the reported shapes into slab, one
+// ring after another, instead of one allocation per shape (a nil slab: one
+// each), for a caller that handles a query's shapes together (a cache
+// patch).
+func (lo *Layout) QueryLayerSlab(l Layer, window geom.Rect, slab *geom.Slab) ([]PlacedPoly, QueryStats) {
+	q := query{l: l, window: window, slab: slab,
 		out: make([]PlacedPoly, 0, capHint(lo.Top.SubtreePolyCount(l), lo.Top.LayerMBR(l), window))}
 	q.cell(lo.Top, geom.Identity())
 	return q.out, q.st
@@ -70,7 +78,8 @@ type query struct {
 	window geom.Rect // global frame
 	out    []PlacedPoly
 	st     QueryStats
-	// slab, when set, stores the reported shapes (the full-layer flatten).
+	// slab, when set, stores the reported shapes (the full-layer flatten, a
+	// cache patch's window queries).
 	slab *geom.Slab
 	// cand holds index candidates; nested indexed cells use it as a stack.
 	cand []uint32
