@@ -303,14 +303,15 @@ func BenchmarkPack(b *testing.B) {
 // BenchmarkEditCycle measures one in-process edit → delta-check cycle on a
 // resident parallel session of ethmac@2.5 — the serve_edit workload without
 // HTTP. m1-sliver inserts a 9 × 60 sub-min-width M1 rect somewhere new each
-// cycle; route inserts an M2 track. Either way the restricted rules query
-// their work window, so the cost should be the edit's neighbourhood's, not
-// the 176 k-polygon M1 layer's, and the geometry cache is not patched at all
-// (a delta check reads no layer through it): patches/cycle reads 0. What is
-// left of route is the enclosure and custom rules it re-runs in full.
+// cycle; route inserts an M2 track; via inserts a 14 × 14 V2 square. Every
+// rule reading the edited layer runs restricted to the edit's neighbourhood
+// — spacing, intra-polygon, custom and enclosure rules alike — so the cost
+// should be the neighbourhood's, not the 176 k-polygon M1 layer's, and the
+// geometry cache is not patched at all (a delta check reads no layer through
+// it): patches/cycle and full/cycle (rules the plan ran in full) read 0.
 // ms/cycle, MB/cycle (bytes allocated), copied_B/cycle (modeled
-// host-to-device bytes) and patches/cycle (region invalidations the cache
-// took) are per iteration.
+// host-to-device bytes), patches/cycle (region invalidations the cache took)
+// and full/cycle are per iteration.
 func BenchmarkEditCycle(b *testing.B) {
 	lo, _, err := synth.Load("ethmac", 2.5)
 	if err != nil {
@@ -330,10 +331,11 @@ func BenchmarkEditCycle(b *testing.B) {
 	}{
 		{"m1-sliver", layout.LayerM1, 9, 60},
 		{"route", layout.LayerM2, 300, 30},
+		{"via", layout.LayerV2, 14, 14},
 	}
 	for _, c := range cases {
 		box := lo.Top.LayerMBR(c.layer)
-		var n, copied int64
+		var n, copied, full int64
 		cycle := func() {
 			n++
 			x := box.XLo + (n*7919)%(box.Width()-c.w)
@@ -347,6 +349,7 @@ func BenchmarkEditCycle(b *testing.B) {
 				b.Fatalf("delta check: planned=%v err=%v", info.Planned, err)
 			}
 			copied += rep.Stats.BytesCopied
+			full += int64(info.RulesFull)
 		}
 		patches := func() int64 {
 			st, err := ses.StatsSnapshot(ctx)
@@ -359,7 +362,7 @@ func BenchmarkEditCycle(b *testing.B) {
 			cycle()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			copied = 0
+			copied, full = 0, 0
 			p0 := patches()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -368,10 +371,11 @@ func BenchmarkEditCycle(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&m1)
 			b.ReportMetric(float64(patches()-p0)/float64(b.N), "patches/cycle")
-			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/cycle")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/cycle")
 			b.ReportMetric(float64(m1.TotalAlloc-m0.TotalAlloc)/float64(b.N)/1e6, "MB/cycle")
 			b.ReportMetric(float64(m1.NumGC-m0.NumGC)/float64(b.N), "GCs/cycle")
 			b.ReportMetric(float64(copied)/float64(b.N), "copied_B/cycle")
+			b.ReportMetric(float64(full)/float64(b.N), "full/cycle")
 		})
 	}
 }

@@ -22,32 +22,36 @@ import (
 // DeltaCheck re-runs each rule only over the dirty neighborhood, retaining
 // the violations of the rule's record (record.go) everywhere else:
 //
-//   - U   = union of dirty rects on the rule's layer (undilated)
+//   - U   = union of dirty rects on the rule's input layers (undilated)
 //   - C_r = U dilated by the rule's reach — the CLAIM region. Any violation
 //     whose marker box center lies in C_r is re-derived by the delta run;
 //     any whose center lies outside is provably unchanged and is retained
 //     from the record. (The marker box of a pair violation lies between
-//     the two edges, both within reach of each other, so a violation
-//     involving edited geometry — which is inside U — has its whole box,
-//     center included, inside C_r. The center predicate is evaluated on the
-//     same global box on both sides, so claimed and retained partition the
-//     cold result exactly.)
+//     the two edges, both within reach of each other, and an intra-polygon
+//     marker lies in its polygon's box, so a violation involving edited
+//     geometry — which is inside U — has its whole box, center included,
+//     inside C_r. The center predicate is evaluated on the same global box
+//     on both sides, so claimed and retained partition the cold result
+//     exactly.) An enclosure rule's claim also takes in the neighbourhood
+//     of every via whose box meets U dilated by the reach: the via's box
+//     dilated by the reach (rulePlan.restrict says why).
 //   - W_r = C_r dilated by the reach again — the WORK window. Geometry whose
 //     expanded MBR misses W_r cannot produce a violation centered in C_r.
 //     A delta run therefore checks only the polygons a hierarchy range query
 //     over W_r returns (rulePlan.windowPolys), with the executors of the
-//     full run — except sequential spacing, whose violations name the LCA
-//     definition a range query cannot give: it prunes cell definitions and
-//     their rows to W_r's neighborhood instead.
+//     full run or, for enclosure, its candidate query — except sequential
+//     spacing, whose violations name the LCA definition a range query
+//     cannot give: it prunes cell definitions and their rows to W_r's
+//     neighborhood instead.
 //
 // The merged stream (claimed ∪ retained) is the same violation multiset a
 // cold full check of the edited layout produces; every report leaves the
 // engine in the canonical total order (Report.canonicalize), so delta reports
 // are byte-identical to cold reports. Rules whose record is current skip
-// execution entirely (its violations are retained wholesale); rules whose
-// kinds have no restricted executor — enclosure, custom predicates — and
-// rules whose record is older than the pending dirt re-run in full, which is
-// trivially identical.
+// execution entirely (its violations are retained wholesale); every other
+// rule one batch of rect dirt behind runs restricted, whatever its kind.
+// Rules behind whole-layer dirt, and rules whose record is older than the
+// pending dirt, re-run in full, which is trivially identical.
 
 // planMode is how one rule of a session check runs.
 type planMode uint8
@@ -68,6 +72,37 @@ type rulePlan struct {
 	rec   *ruleRecord // the record replayed, retained or restricted against
 	claim []geom.Rect // C_r
 	work  []geom.Rect // W_r
+}
+
+// restrict sets the claim and work regions of a restricted run of r over
+// the undilated dirty rects. The claim is the rects dilated by the rule's
+// reach — and, for enclosure, also every via within that dilation dilated
+// by the reach in turn. A via whose candidate metal changed re-picks its
+// best candidate, and its new markers can land anywhere within reach of the
+// via, on its far side too. Dirt that covers each changed polygon's whole
+// box — Edit's, and Invalidate's as documented — covers any via such a
+// polygon encloses, so the dilated rects hold those markers already; dirt
+// narrower than that (the strip of metal that disappeared) would not, for a
+// via wider than twice the reach, and the neighbourhoods keep enclosure
+// exact under it too. The work window is the claim dilated by the reach.
+func (rp *rulePlan) restrict(lo *layout.Layout, r rules.Rule, dirty []geom.Rect) {
+	reach := r.Reach()
+	rp.claim = make([]geom.Rect, len(dirty))
+	for i, d := range dirty {
+		rp.claim[i] = d.Expand(reach)
+	}
+	if r.Kind == rules.Enclosure {
+		for _, c := range rp.claim[:len(dirty)] {
+			vias, _ := lo.QueryLayer(r.Layer, c)
+			for _, pp := range vias {
+				rp.claim = append(rp.claim, pp.Shape.MBR().Expand(reach))
+			}
+		}
+	}
+	rp.work = make([]geom.Rect, len(rp.claim))
+	for i, c := range rp.claim {
+		rp.work[i] = c.Expand(reach)
+	}
 }
 
 // claims reports whether the rule's delta run owns a violation with this
@@ -264,7 +299,10 @@ func (s *Session) Edit(ctx context.Context, edits []layout.Edit) ([]layout.Layer
 // call is a no-op and returns immediately
 // without taking the session lock. For callers that mutate the layout
 // through means the session cannot see (direct mutation rather than Edit);
-// Edit records its own regions.
+// Edit records its own regions. Like Edit's, each rect must cover the whole
+// box of every polygon that changed in it: a delta check's restricted area,
+// rectilinear and custom runs claim the dirt itself, and those rules' markers
+// are whole polygon boxes.
 func (s *Session) Invalidate(ctx context.Context, regions ...LayerRegion) error {
 	if len(regions) == 0 {
 		return nil
@@ -485,8 +523,8 @@ func (s *Session) recordsOff() string {
 // with the layer's version), exactly the pending batch behind (stamped one
 // below, with that batch still pending), or stale. A plain check replays
 // current full records and executes the rest; a delta check skips current
-// records, restricts the restrictable kinds one rect-only batch behind, and
-// executes the rest — reported as not planned when no rule had a record to
+// records, restricts every rule one rect-only batch behind, and executes the
+// rest — reported as not planned when no rule had a record to
 // go by. Session lock held; the pending batch is still intact (the check
 // consumes it afterwards, in applyPending).
 func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo) {
@@ -520,16 +558,9 @@ func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo)
 			if rp.rec.full && !s.forceExec {
 				rp.mode = planReplay
 			}
-		case delta && !whole && (r.Kind == rules.Spacing || r.Kind == rules.Width ||
-			r.Kind == rules.Area || r.Kind == rules.Rectilinear):
+		case delta && !whole:
 			rp.mode = planRestrict
-			reach := r.Reach()
-			rp.claim = make([]geom.Rect, len(dirty))
-			rp.work = make([]geom.Rect, len(dirty))
-			for i, d := range dirty {
-				rp.claim[i] = d.Expand(reach)
-				rp.work[i] = rp.claim[i].Expand(reach)
-			}
+			rp.restrict(s.lo, r, dirty)
 		}
 		plan.rules[rp.key] = rp
 		switch rp.mode {
@@ -550,8 +581,8 @@ func (s *Session) planCheck(deck rules.Deck, delta bool) (*checkPlan, DeltaInfo)
 
 // DeltaCheck runs deck incrementally against the session's layout: rules
 // whose record is current — untouched by the dirty regions recorded since it
-// was made — are skipped (its violations retained), restrictable rules
-// re-check only the dirty neighborhood, and the merged report is
+// was made — are skipped (its violations retained), rules one batch of rect
+// dirt behind re-check only the dirty neighborhood, and the merged report is
 // byte-identical (canonical JSON) to a cold full check of the edited layout.
 // Rules are planned one by one, so the deck may differ from any checked
 // before. When incremental execution is unsafe or pointless — active fault

@@ -28,9 +28,8 @@ type residue struct {
 
 // expandResidue instance-expands the deferred shapes — the global half of
 // the enclosure rule in both modes. visit receives each instance in the
-// global frame with the outer-layer polygons a hierarchy range query finds
-// within reach of its MBR; cands is one buffer reused from instance to
-// instance, valid only during the call.
+// global frame with its candidates (enclosureCands); cands is one buffer
+// reused from instance to instance, valid only during the call.
 func expandResidue(ctx context.Context, lo *layout.Layout, outer layout.Layer, reach int64, deferred []residue,
 	placements [][]geom.Transform, visit func(d residue, shape geom.Polygon, cands []geom.Polygon)) error {
 	var cands []geom.Polygon
@@ -41,15 +40,54 @@ func expandResidue(ctx context.Context, lo *layout.Layout, outer layout.Layer, r
 		shape := d.cell.Polys[d.polyIdx].Shape
 		for _, t := range placements[d.cell.ID] {
 			gshape := shape.Transform(t)
-			found, _ := lo.QueryLayer(outer, gshape.MBR().Expand(reach))
-			cands = cands[:0]
-			for i := range found {
-				cands = append(cands, found[i].Shape)
-			}
+			cands = enclosureCands(lo, outer, reach, gshape, cands[:0])
 			visit(d, gshape, cands)
 		}
 	}
 	return nil
+}
+
+// enclosureCands appends to dst the outer-layer polygons a hierarchy range
+// query finds within reach of a via's MBR (global frame), in the query's
+// order — the order best-candidate ties break by.
+func enclosureCands(lo *layout.Layout, outer layout.Layer, reach int64, via geom.Polygon, dst []geom.Polygon) []geom.Polygon {
+	found, _ := lo.QueryLayer(outer, via.MBR().Expand(reach))
+	for i := range found {
+		dst = append(dst, found[i].Shape)
+	}
+	return dst
+}
+
+// runEnclosureWindow is a restricted enclosure run, the same in both modes:
+// every via its work window returns is evaluated against exactly the
+// candidates the full run's residue expansion gives it. A via the full run
+// resolves inside its own definition passes here too — enclosure is monotone
+// in metal, and that definition's metal is among the candidates — and one
+// it defers meets the same candidates in the same order, so its markers are
+// the full run's. Violations name the via's definition as the sequential
+// full run does; the device kernel's name none. In parallel mode the run is
+// host work on the modeled clock.
+func (e *Engine) runEnclosureWindow(ctx context.Context, lo *layout.Layout, r rules.Rule, rp *rulePlan, rep *Report, pc *parCtx) error {
+	return hostPhase(rep, pc, "delta:window", func() error {
+		vias, _ := rp.windowPolys(lo, r.Layer)
+		var cands []geom.Polygon
+		for _, pp := range vias {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			cell := ""
+			if pc == nil { // the device kernel's hits name no definition
+				cell = pp.Src.Cell.Name
+			}
+			cands = enclosureCands(lo, r.Outer, r.Min, pp.Shape, cands[:0])
+			rep.Stats.PairsChecked += len(cands)
+			rep.Stats.InstancesEmitted++
+			checks.EvaluateEnclosure(pp.Shape, cands, r.Min, func(m checks.Marker) {
+				rep.Violations = append(rep.Violations, r.Violation(m, cell))
+			})
+		}
+		return nil
+	})
 }
 
 // enclosureDefs is the Section IV-C definition pass of an enclosure rule,

@@ -744,6 +744,9 @@ func (e *Engine) execRule(ctx context.Context, lo *layout.Layout, r rules.Rule, 
 		}
 		return e.runSpacingSeq(ctx, lo, r, placements, rep)
 	case rules.Enclosure:
+		if rp := e.restrictFor(r); rp != nil {
+			return e.runEnclosureWindow(ctx, lo, r, rp, rep, pc)
+		}
 		if pc != nil {
 			return e.runEnclosurePar(ctx, lo, r, placements, pc, rep)
 		}
@@ -978,7 +981,8 @@ func DedupViolations(vs []rules.Violation) []rules.Violation {
 // of the deck: thresholds do not transfer across magnified frames for pair
 // checks (see DESIGN.md). A magnified reference to geometry no such rule
 // reads is fine — the intra-polygon kinds rescale their threshold per
-// magnification.
+// magnification. The layout answers from a table it built once
+// (Layout.MagnifiedRef), so the test costs O(deck) per check.
 func checkMagRestriction(lo *layout.Layout, deck rules.Deck) error {
 	var layers []layout.Layer
 	for _, r := range deck {
@@ -986,17 +990,9 @@ func checkMagRestriction(lo *layout.Layout, deck rules.Deck) error {
 			layers = append(layers, r.Inputs()...)
 		}
 	}
-	if len(layers) == 0 {
-		return nil
-	}
-	for _, c := range lo.Cells {
-		for ri := range c.Refs {
-			ref := &c.Refs[ri]
-			if ref.Trans.Mag > 1 && slices.ContainsFunc(layers, ref.Child.HasLayer) {
-				return fmt.Errorf("core: inter-polygon rules with magnified reference %s -> %s are unsupported",
-					c.Name, ref.Child.Name)
-			}
-		}
+	if parent, child, ok := lo.MagnifiedRef(layers); ok {
+		return fmt.Errorf("core: inter-polygon rules with magnified reference %s -> %s are unsupported",
+			parent, child)
 	}
 	return nil
 }

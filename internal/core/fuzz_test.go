@@ -14,11 +14,12 @@ import (
 )
 
 // FuzzSessionOps interleaves everything a resident session's clients can do
-// — edits on the three metal layers, spurious invalidations, full, single-
-// rule, sub-deck and delta checks, checks cancelled before or while they
-// run — on one parallel-mode session, and after every check that returns a
-// report demands the canonical bytes of the trivial model: a cold batch
-// check of a fresh layout given the same edit batches. The session patches its
+// — edits on the three metal layers and the two via layers, metal deletes
+// under vias, spurious invalidations, full, single-rule, sub-deck and delta
+// checks, checks cancelled before or while they run — on one parallel-mode
+// session, and after every check that returns a report demands the
+// canonical bytes of the trivial model: a cold batch check of a fresh layout
+// given the same edit batches. The session patches its
 // resident layer records in place, each at the first check that reads the
 // layer through the cache and with all the dirt gathered since the last
 // patch, so this is the property that says no sequence of deferred patches
@@ -38,7 +39,9 @@ var fuzzLayers = [...]layout.Layer{layout.LayerM1, layout.LayerM2, layout.LayerM
 
 // Op codes (data[0] % fuzzNumOps). Inserts come in three shapes so rows get
 // bridged and gaps get filled: a sub-min-width sliver, a horizontal track and
-// a tall column. New codes are appended, so the seeds keep their meaning.
+// a tall column. fuzzVia inserts a via-sized square on a via layer and
+// fuzzUncover deletes the metal under an existing via, which loses its best
+// candidate. New codes are appended, so the seeds keep their meaning.
 const (
 	fuzzSliver = iota
 	fuzzTrack
@@ -50,8 +53,20 @@ const (
 	fuzzDelta
 	fuzzCancel
 	fuzzSubDeck
+	fuzzVia
+	fuzzUncover
 	fuzzNumOps
 )
+
+// fuzzVias are the via layers fuzzVia inserts on and fuzzUncover uncovers
+// vias of, each with the metal layers enclosing it.
+var fuzzVias = [...]struct {
+	via    layout.Layer
+	metals []layout.Layer
+}{
+	{layout.LayerV1, []layout.Layer{layout.LayerM1}},
+	{layout.LayerV2, []layout.Layer{layout.LayerM2, layout.LayerM3}},
+}
 
 // cancelAfter is a context that turns cancelled at its after-th Err poll
 // — a deterministic stand-in for a client disconnecting mid-check. after == 0
@@ -158,6 +173,13 @@ func FuzzSessionOps(f *testing.F) {
 		fuzzSubDeck, 0, 0, 0, fuzzSubDeck, 0, 0x82, 0,
 		fuzzSliver, 0, 120, 40, fuzzSubDeck, 1, 0x82, 0, fuzzDelta, 0, 0, 0,
 	})
+	// Via layers: a V1 and a V2 insert, then the M1 under a V1 via and the M2
+	// and M3 under V2 vias deleted, a delta check after each, and a replay.
+	f.Add([]byte{
+		fuzzVia, 0, 128, 128, fuzzDelta, 0, 0, 0, fuzzVia, 1, 60, 200, fuzzDelta, 0, 0, 0,
+		fuzzUncover, 0, 10, 20, fuzzDelta, 0, 0, 0, fuzzUncover, 1, 30, 40, fuzzDelta, 0, 0, 0,
+		fuzzUncover, 3, 50, 60, fuzzDelta, 0, 0, 0, fuzzFull, 0, 0, 0,
+	})
 
 	f.Fuzz(runSessionOps)
 }
@@ -211,6 +233,19 @@ func runSessionOps(t *testing.T, data []byte) {
 				ed = layout.Edit{Op: layout.OpInsertRect, Layer: l, Rect: fuzzRect(lo, bx, by, 30, 900)}
 			case fuzzDelete:
 				ed = layout.Edit{Op: layout.OpDeleteRegion, Layer: l, Rect: fuzzRect(lo, bx, by, 300, 150)}
+			case fuzzVia:
+				v := fuzzVias[int(sel)%len(fuzzVias)]
+				ed = layout.Edit{Op: layout.OpInsertRect, Layer: v.via, Rect: fuzzRect(lo, bx, by, 14, 14)}
+			case fuzzUncover:
+				// The metal (sel's next bit picks it for V2) under the via the
+				// coordinate bytes pick.
+				v := fuzzVias[int(sel)%len(fuzzVias)]
+				vias := lo.FlattenLayer(v.via)
+				if len(vias) == 0 {
+					continue
+				}
+				box := vias[(int(bx)<<8|int(by))%len(vias)].Shape.MBR()
+				ed = layout.Edit{Op: layout.OpDeleteRegion, Layer: v.metals[int(sel)/2%len(v.metals)], Rect: box}
 			case fuzzInvalidate:
 				// Dirt without a change: a region, or the whole layer.
 				reg := LayerRegion{Layer: l}

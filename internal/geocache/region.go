@@ -153,7 +153,7 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 			dropped += int64(polys[i].Shape.NumEdges())
 		}
 	}
-	fresh, freshBoxes := c.requery(l, bands, clean, dropped)
+	fresh, freshBoxes := c.requery(l, bands, clean)
 	out.PolysRequeried = len(fresh)
 	segRows := partition.Rows(freshBoxes, seg.guard, seg.alg)
 	carveRows(fresh, segRows)
@@ -193,12 +193,7 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 		if p.key != seg {
 			add = partition.Rows(freshBoxes, p.key.guard, p.key.alg)
 		}
-		for _, row := range add {
-			for i := range row.Members {
-				row.Members[i] += tail
-			}
-		}
-		p.rows.val = partition.Splice(p.rows.val, bands, remap, first, add)
+		p.rows.val = partition.Splice(p.rows.val, bands, remap, first, ownRows(add, tail))
 		parts = append(parts, p)
 	}
 	clear(rec.parts[len(parts):])
@@ -212,19 +207,15 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 // are rejected (a polygon's extent is contained in its own row's band, and
 // bands are disjoint with positive-measure extents), dirty-row and new
 // polygons are accepted by the first band their extent overlaps. The
-// queries carve their shapes from one scratch slab, sized for the dirty
-// rows' own vertices (an edit moves the count a little; a slab that
-// outgrows its room moves on), which carveRows empties.
-func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band, verts int64) ([]layout.PlacedPoly, []geom.Rect) {
+// polygons come without shapes (QueryLayerPlaces): carveRows stores them.
+func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]layout.PlacedPoly, []geom.Rect) {
 	var out []layout.PlacedPoly
 	var boxes []geom.Rect
-	slab := geom.NewSlab(int(verts + verts/8 + 64))
 	prevHi := int64(0)
 	for qi, sp := range bands {
 		window := geom.Rect{XLo: -queryHalfSpan, YLo: sp.Lo, XHi: queryHalfSpan, YHi: sp.Hi}
-		found, _ := c.lo.QueryLayerSlab(l, window, slab)
-		for _, pp := range found {
-			m := pp.Shape.MBR()
+		for _, pp := range c.lo.QueryLayerPlaces(l, window) {
+			m := pp.Trans.ApplyRect(source(pp).MBR())
 			if qi > 0 && m.YLo <= prevHi {
 				continue // already returned by an earlier (lower) band
 			}
@@ -239,21 +230,40 @@ func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band, verts int
 	return out, boxes
 }
 
-// carveRows moves each row's shapes into one slab of their own, sized
-// exactly: a later patch drops rows of the segmentation whole, so a row's
-// vertices are freed with it — one slab for a whole patch would stay alive
-// behind any of its rows left standing, a little more with every patch.
+// source returns the cell-frame shape a placed polygon is placed from.
+func source(pp layout.PlacedPoly) geom.Polygon { return pp.Src.Cell.Polys[pp.Src.Idx].Shape }
+
+// carveRows stores each row's shapes, placed, into one array of their own,
+// sized exactly: a later patch drops rows of the segmentation whole, so a
+// row's vertices are freed with it — one array for a whole patch would stay
+// alive behind any of its rows left standing, a little more with every
+// patch.
 func carveRows(fresh []layout.PlacedPoly, rows []partition.Row) {
 	for _, row := range rows {
 		n := 0
 		for _, m := range row.Members {
-			n += fresh[m].Shape.NumEdges()
+			n += source(fresh[m]).NumEdges()
 		}
 		slab := geom.NewSlab(n)
 		for _, m := range row.Members {
-			fresh[m].Shape = slab.Transform(fresh[m].Shape, geom.Identity())
+			fresh[m].Shape = slab.Transform(source(fresh[m]), fresh[m].Trans)
 		}
 	}
+}
+
+// ownRows returns the fresh rows, numbered from tail, each with a members
+// array of its own, sized exactly — for the reason carveRows gives its
+// shapes one: partition.Rows carves every row's members from one array.
+func ownRows(rows []partition.Row, tail int) []partition.Row {
+	out := make([]partition.Row, len(rows))
+	for i, row := range rows {
+		out[i] = row
+		out[i].Members = make([]int, len(row.Members))
+		for j, m := range row.Members {
+			out[i].Members[j] = m + tail
+		}
+	}
+	return out
 }
 
 // mergeSpans sorts and merges inclusive intervals (touching merges).

@@ -66,10 +66,33 @@ func FromLibrary(lib *gdsii.Library) (*Layout, error) {
 		}
 	}
 
+	lo.indexMagnified()
 	if err := lo.pickTop(cells); err != nil {
 		return nil, err
 	}
 	return lo, nil
+}
+
+// indexMagnified fills lo.magnified from the finished layer tables.
+func (lo *Layout) indexMagnified() {
+	ord := 0
+	for _, c := range lo.Cells {
+		for ri := range c.Refs {
+			ref := &c.Refs[ri]
+			ord++
+			if ref.Trans.Mag <= 1 {
+				continue
+			}
+			for _, l := range ref.Child.Layers() {
+				if _, ok := lo.magnified[l]; !ok {
+					if lo.magnified == nil {
+						lo.magnified = make(map[Layer]magRef)
+					}
+					lo.magnified[l] = magRef{ord: ord, parent: c, child: ref.Child}
+				}
+			}
+		}
+	}
 }
 
 // fill loads one structure's elements into its cell, every slice allocated
@@ -216,9 +239,31 @@ func (c *Cell) buildLayerTable() {
 	}
 	c.mbr = geom.EmptyRect()
 	for i := range c.layers {
-		c.refresh(&c.layers[i])
-		c.mbr = c.mbr.Union(c.layers[i].mbr)
+		s := &c.layers[i]
+		s.kids = c.aggregateKids(s.layer)
+		c.refresh(s)
+		c.mbr = c.mbr.Union(s.mbr)
 	}
+}
+
+// aggregateKids sums what the cell's children place on the layer from their
+// finished slots.
+func (c *Cell) aggregateKids(l Layer) kidsAgg {
+	k := kidsAgg{mbr: geom.EmptyRect()}
+	for ri := range c.Refs {
+		ref := &c.Refs[ri]
+		child := ref.Child.slot(l)
+		if child.mbr.Empty() {
+			continue
+		}
+		// The whole array contributes one subtree per placement.
+		n := ref.NumPlacements()
+		k.mbr = k.mbr.Union(ref.extent(child.mbr))
+		k.subtree += n * child.subtree
+		k.verts += n * child.verts
+		k.placements += n
+	}
+	return k
 }
 
 // touch returns the cell's slot for the layer, inserting an empty one in
@@ -226,46 +271,34 @@ func (c *Cell) buildLayerTable() {
 func (c *Cell) touch(l Layer) *layerSlot {
 	i, ok := c.slotIndex(l)
 	if !ok {
-		c.layers = slices.Insert(c.layers, i, layerSlot{layer: l, mbr: geom.EmptyRect()})
+		c.layers = slices.Insert(c.layers, i, layerSlot{layer: l, mbr: geom.EmptyRect(), kids: kidsAgg{mbr: geom.EmptyRect()}})
 	}
 	return &c.layers[i]
 }
 
 // refresh recomputes slot s of the cell — MBR, counts (own edges, subtree
 // polygons and vertices), and whether it carries a spatial index — from the
-// cell's polygons on the layer (s.polys) and its children's finished slots.
-// The build and ApplyEdits both end here, so an edited cell is
+// cell's polygons on the layer (s.polys) and its children's aggregate
+// (s.kids). The build and ApplyEdits both end here, so an edited cell is
 // indistinguishable from one loaded in that state. An mbr left empty means
 // the cell has nothing on the layer any more.
 func (c *Cell) refresh(s *layerSlot) {
-	s.mbr, s.edges, s.subtree = geom.EmptyRect(), 0, len(s.polys)
+	s.mbr, s.edges = s.kids.mbr, 0
 	for _, pi := range s.polys {
 		shape := c.Polys[pi].Shape
 		s.mbr = s.mbr.Union(shape.MBR())
 		s.edges += shape.NumEdges()
 	}
-	s.verts = s.edges
-	placements := 0 // of children with geometry on the layer
-	for ri := range c.Refs {
-		ref := &c.Refs[ri]
-		child := ref.Child.slot(s.layer)
-		if child.mbr.Empty() {
-			continue
-		}
-		s.mbr = s.mbr.Union(ref.extent(child.mbr))
-		// The whole array contributes one subtree per placement.
-		s.subtree += ref.NumPlacements() * child.subtree
-		s.verts += ref.NumPlacements() * child.verts
-		placements += ref.NumPlacements()
-	}
+	s.subtree = len(s.polys) + s.kids.subtree
+	s.verts = s.edges + s.kids.verts
 	// A built tree stays valid across edits: refs never change, deleted
 	// slots are filtered on visit and inserted polygons are scanned as a
 	// tail, so it is dropped only once that tail outgrows its bound.
 	switch {
-	case len(s.polys)+placements <= indexMinItems || c.placeStart == nil && len(c.Refs) > 0:
+	case len(s.polys)+s.kids.placements <= indexMinItems || c.placeStart == nil && len(c.Refs) > 0:
 		s.index = nil
 	case s.index == nil || s.index.outgrown(s.polys):
-		s.index = &layerIndex{placements: placements}
+		s.index = new(layerIndex)
 	}
 }
 

@@ -208,11 +208,23 @@ type layerSlot struct {
 	// index is the lazily built spatial index, nil unless the cell has more
 	// than indexMinItems items on the layer (see index.go).
 	index *layerIndex
+	// kids is what the cell's children place on the layer, summed once at
+	// build: refs and child definitions never change, so a refresh after an
+	// edit walks the cell's own polygons alone.
+	kids kidsAgg
+}
+
+// kidsAgg aggregates a cell's child placements on one layer: the extent of
+// what they place (cell frame), their subtree polygons and vertices, and how
+// many placements have geometry on the layer.
+type kidsAgg struct {
+	mbr                        geom.Rect
+	subtree, verts, placements int
 }
 
 // noSlot stands in for the slot of a layer a cell does not have: no geometry,
 // zero counts. It is only ever read.
-var noSlot = layerSlot{mbr: geom.EmptyRect()}
+var noSlot = layerSlot{mbr: geom.EmptyRect(), kids: kidsAgg{mbr: geom.EmptyRect()}}
 
 // slot returns the cell's slot for the layer, or noSlot.
 func (c *Cell) slot(l Layer) *layerSlot {
@@ -290,7 +302,35 @@ type Layout struct {
 	// (cell, polygon index) pair owning a polygon on that layer.
 	inverted map[Layer][]PolyRef
 
+	// magnified holds, per layer, the first reference in cell and reference
+	// order that places geometry on the layer magnified. Edits change neither
+	// references nor child definitions, so it is computed once, at build.
+	magnified map[Layer]magRef
+
 	Warnings []string
+}
+
+// magRef is a magnified reference: the referencing cell, the child, and
+// the reference's position in cell and reference order.
+type magRef struct {
+	ord           int
+	parent, child *Cell
+}
+
+// MagnifiedRef returns the first magnified reference, in cell and reference
+// order, whose child's subtree has geometry on one of the layers — the names
+// of the referencing cell and the child — and whether there is one.
+func (lo *Layout) MagnifiedRef(layers []Layer) (parent, child string, ok bool) {
+	var first magRef
+	for _, l := range layers {
+		if m, has := lo.magnified[l]; has && (!ok || m.ord < first.ord) {
+			first, ok = m, true
+		}
+	}
+	if !ok {
+		return "", "", false
+	}
+	return first.parent.Name, first.child.Name, true
 }
 
 // PolyRef addresses one polygon inside one cell definition.

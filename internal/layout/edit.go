@@ -144,8 +144,9 @@ func (lo *Layout) ApplyEdits(edits []Edit) ([]LayerDirty, error) {
 
 	top.mbr = geom.EmptyRect() // deletions can shrink it; insertions can grow it
 	for _, d := range out {
-		// Children are untouched by edits, so their slots are still valid
-		// inputs. A layer left without geometry loses its slot, as if never loaded.
+		// Children are untouched by edits, so the slot's aggregate of them is
+		// still valid. A layer left without geometry loses its slot, as if
+		// never loaded.
 		i, _ := top.slotIndex(d.Layer)
 		if top.refresh(&top.layers[i]); top.layers[i].mbr.Empty() {
 			top.layers = slices.Delete(top.layers, i, i+1)

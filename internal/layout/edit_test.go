@@ -45,7 +45,9 @@ func sameBoxes(a, b []geom.Rect) bool {
 
 // requireSameDerivedState compares every piece of derived per-layer state an
 // edit must keep consistent against a freshly built layout: flatten output,
-// layer MBRs, edge counts, subtree counts, and the layout-level indices.
+// layer MBRs, edge, subtree and vertex counts, whether the top cell's slot
+// carries a spatial index, the aggregate of its children it caches, and the
+// layout-level indices.
 func requireSameDerivedState(t *testing.T, got, want *Layout) {
 	t.Helper()
 	layers := map[Layer]bool{}
@@ -67,6 +69,16 @@ func requireSameDerivedState(t *testing.T, got, want *Layout) {
 		}
 		if g, w := got.Top.LocalEdgeCount(l), want.Top.LocalEdgeCount(l); g != w {
 			t.Errorf("layer %v: local edge count %d, want %d", l, g, w)
+		}
+		gs, ws := got.Top.slot(l), want.Top.slot(l)
+		if gs.verts != ws.verts {
+			t.Errorf("layer %v: subtree vertex count %d, want %d", l, gs.verts, ws.verts)
+		}
+		if g, w := gs.index != nil, ws.index != nil; g != w {
+			t.Errorf("layer %v: indexed %v, want %v", l, g, w)
+		}
+		if gs.kids != ws.kids {
+			t.Errorf("layer %v: children aggregate %+v, want %+v", l, gs.kids, ws.kids)
 		}
 		if g, w := len(got.layerCells[l]), len(want.layerCells[l]); g != w {
 			t.Errorf("layer %v: %d member cells, want %d", l, g, w)

@@ -43,8 +43,7 @@ const (
 // drops it, for the build and for ApplyEdits, both with exclusive access to
 // the layout.
 type layerIndex struct {
-	placements int // the child placements on the layer; edits never change them
-	once       sync.Once
+	once sync.Once
 	// tree is written inside once.Do and never modified afterwards, so
 	// concurrent queries read it without a lock once get has returned.
 	tree *rtree
@@ -150,7 +149,7 @@ func buildRTree(c *Cell, s *layerSlot) *rtree {
 	// Size the scratch exactly: grown by append it would leave several
 	// times its final size behind as garbage, which a short run never
 	// collects and so pays for in peak memory.
-	n := len(s.polys) + s.index.placements
+	n := len(s.polys) + s.kids.placements
 	boxes := make([]geom.Rect, 0, n) // cell frame, by ord
 	entries := make([]strEntry, 0, n)
 	add := func(id uint32, box geom.Rect) {

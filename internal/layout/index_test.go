@@ -54,24 +54,26 @@ func diffQuery(c *Cell, l Layer, window geom.Rect) string {
 	var want []PlacedPoly
 	var wst QueryStats
 	linearQuery(c, geom.Identity(), l, window, &want, &wst)
-	// The walk with each shape its own allocation, and carving the shapes
-	// from a slab (QueryLayerSlab) too small for them, so it grows.
-	for _, q := range []query{{l: l, window: window}, {l: l, window: window, slab: geom.NewSlab(1)}} {
+	// The walk with each shape its own allocation, carving the shapes from a
+	// slab too small for them, so it grows, and reporting no shapes
+	// (QueryLayerPlaces).
+	for _, q := range []query{{l: l, window: window}, {l: l, window: window, slab: geom.NewSlab(1)}, {l: l, window: window, bare: true}} {
 		q.cell(c, geom.Identity())
+		mode := fmt.Sprintf("slab %v, bare %v", q.slab != nil, q.bare)
 		if len(q.out) != len(want) {
-			return fmt.Sprintf("slab %v: %d polygons, want %d", q.slab != nil, len(q.out), len(want))
+			return fmt.Sprintf("%s: %d polygons, want %d", mode, len(q.out), len(want))
 		}
 		for i := range want {
 			g, w := q.out[i], want[i]
-			if g.Src != w.Src || g.Trans != w.Trans || !g.Shape.Equal(w.Shape) {
-				return fmt.Sprintf("slab %v: element %d: %v %v %v, want %v %v %v", q.slab != nil, i, g.Src.Idx, g.Trans, g.Shape, w.Src.Idx, w.Trans, w.Shape)
+			if g.Src != w.Src || g.Trans != w.Trans || !q.bare && !g.Shape.Equal(w.Shape) {
+				return fmt.Sprintf("%s: element %d: %v %v %v, want %v %v %v", mode, i, g.Src.Idx, g.Trans, g.Shape, w.Src.Idx, w.Trans, w.Shape)
 			}
 		}
 		if q.st.PolysHit != wst.PolysHit {
-			return fmt.Sprintf("slab %v: PolysHit %d, want %d", q.slab != nil, q.st.PolysHit, wst.PolysHit)
+			return fmt.Sprintf("%s: PolysHit %d, want %d", mode, q.st.PolysHit, wst.PolysHit)
 		}
 		if len(q.cand) != 0 {
-			return fmt.Sprintf("slab %v: candidate stack left %d deep", q.slab != nil, len(q.cand))
+			return fmt.Sprintf("%s: candidate stack left %d deep", mode, len(q.cand))
 		}
 	}
 	return ""

@@ -33,18 +33,25 @@ type QueryStats struct {
 // of everything — or simply a huge rect — to enumerate the whole layer; use
 // FlattenLayer for that common case.
 func (lo *Layout) QueryLayer(l Layer, window geom.Rect) ([]PlacedPoly, QueryStats) {
-	return lo.QueryLayerSlab(l, window, nil)
-}
-
-// QueryLayerSlab is QueryLayer storing the reported shapes into slab, one
-// ring after another, instead of one allocation per shape (a nil slab: one
-// each), for a caller that handles a query's shapes together (a cache
-// patch).
-func (lo *Layout) QueryLayerSlab(l Layer, window geom.Rect, slab *geom.Slab) ([]PlacedPoly, QueryStats) {
-	q := query{l: l, window: window, slab: slab,
-		out: make([]PlacedPoly, 0, capHint(lo.Top.SubtreePolyCount(l), lo.Top.LayerMBR(l), window))}
+	q := lo.newQuery(l, window)
 	q.cell(lo.Top, geom.Identity())
 	return q.out, q.st
+}
+
+// QueryLayerPlaces is QueryLayer leaving every reported Shape unset — Src
+// and Trans place it — for a caller that stores the shapes itself (a cache
+// patch carves them row by row, each row into one array).
+func (lo *Layout) QueryLayerPlaces(l Layer, window geom.Rect) []PlacedPoly {
+	q := lo.newQuery(l, window)
+	q.bare = true
+	q.cell(lo.Top, geom.Identity())
+	return q.out
+}
+
+// newQuery returns a window query from the top cell, its output pre-sized.
+func (lo *Layout) newQuery(l Layer, window geom.Rect) query {
+	return query{l: l, window: window,
+		out: make([]PlacedPoly, 0, capHint(lo.Top.SubtreePolyCount(l), lo.Top.LayerMBR(l), window))}
 }
 
 // capHint estimates how many of the total polygons spread over extent a
@@ -78,9 +85,10 @@ type query struct {
 	window geom.Rect // global frame
 	out    []PlacedPoly
 	st     QueryStats
-	// slab, when set, stores the reported shapes (the full-layer flatten, a
-	// cache patch's window queries).
+	// slab, when set, stores the reported shapes (the full-layer flatten);
+	// bare reports none (QueryLayerPlaces).
 	slab *geom.Slab
+	bare bool
 	// cand holds index candidates; nested indexed cells use it as a stack.
 	cand []uint32
 }
@@ -156,9 +164,11 @@ func (q *query) poly(c *Cell, t geom.Transform, i int) {
 	}
 	q.st.PolysHit++
 	var shape geom.Polygon
-	if q.slab != nil {
+	switch {
+	case q.bare:
+	case q.slab != nil:
 		shape = q.slab.Transform(p.Shape, t)
-	} else {
+	default:
 		shape = p.Shape.Transform(t)
 	}
 	q.out = append(q.out, PlacedPoly{Src: PolyRef{Cell: c, Idx: i}, Trans: t, Shape: shape})

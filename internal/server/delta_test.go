@@ -111,15 +111,15 @@ func TestServerEditDeltaStats(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/v1/sessions/u/stats", &stats); status != http.StatusOK {
 		t.Fatalf("stats: %d", status)
 	}
-	// The warm-up executed the deck; the delta check executed the four
-	// restricted M1 rules and the V1-in-M1 enclosure, and skipped the rest.
+	// The warm-up executed the deck; the delta check executed the four M1
+	// rules and the V1-in-M1 enclosure restricted, and skipped the rest.
 	n := int64(len(synth.Deck()))
 	if stats.ID != "u" || stats.Stats.FullChecks != 1 || stats.Stats.DeltaChecks != 1 ||
 		stats.Stats.DeltaPlanned != 1 || stats.Stats.ResidentBytes == 0 ||
 		stats.Stats.RulesExecuted != n+5 || stats.Stats.RulesReplayed != 0 || stats.Stats.ResultBytes == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	// A plain check now replays every rule but the four whose record the
+	// A plain check now replays every rule but the five whose record the
 	// restricted runs refreshed without a device log — same bytes.
 	if status, again, _ := checkOnce(t, ts.URL, "u", map[string]any{}); status != http.StatusOK || string(again) != string(body) {
 		t.Fatalf("plain check after the delta check: %d, same bytes %v", status, string(again) == string(body))
@@ -127,7 +127,7 @@ func TestServerEditDeltaStats(t *testing.T) {
 	if status := getJSON(t, ts.URL+"/v1/sessions/u/stats", &stats); status != http.StatusOK {
 		t.Fatalf("stats: %d", status)
 	}
-	if stats.Stats.RulesExecuted != n+5+4 || stats.Stats.RulesReplayed != n-4 {
+	if stats.Stats.RulesExecuted != n+5+5 || stats.Stats.RulesReplayed != n-5 {
 		t.Fatalf("stats after the plain check = %+v", stats)
 	}
 
