@@ -6,7 +6,8 @@
 # mutex-guarded fields), the full test
 # suite under the race detector (the worker-pool fan-out makes -race part of
 # tier-1 verification; the chaos and cancellation suites run here too), the
-# scheduler's tests ten more times under it, the nested benchmark module's
+# scheduler's tests ten more times under it, a 2 000-cycle session soak, the
+# nested benchmark module's
 # own tests, one full-size traced batch_par pass and
 # one serve_edit pass of the end-to-end benchmark, a short fuzz smoke over
 # the GDSII reader (differentially, against the streaming reference reader),
@@ -40,6 +41,11 @@ go test -race ./...
 # The scheduler's park and wake paths, ten times over: one -race pass rarely
 # hits the interleavings where a yield parks or wakes.
 go test -race -count=10 -run 'Sched|Yield' ./internal/pool ./internal/server
+
+# The 2 000-cycle session soak (30–40 s; tier-1 skips it): edits, delta
+# and plain checks against cold ones, one InvalidateAll, a bounded live heap,
+# no instance records in the geometry cache, no goroutine left behind.
+ODRC_SOAK=1 go test -run '^TestSessionSoak$' -timeout 600s ./internal/core
 
 # The end-to-end benchmark is a nested module the line above neither compiles
 # nor runs, and its probes call engine functions directly (kernels, gpu,

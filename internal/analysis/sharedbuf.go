@@ -29,7 +29,7 @@ var sharedBufProducers = []string{
 // the checker works on any package that round-trips these buffers, including
 // the self-contained lint fixtures.
 var sharedBufTypes = map[string]bool{
-	"PlacedPoly": true, // cached flatten: []PlacedPoly shared across rules
+	"PlacedPoly": true, // instance records: only geocache.Cache.Flatten's callers (the benchmark probe, tests) receive cached ones; the engine reads Edges and boxes
 	"Edges":      true, // packed edge buffer (the flatten's own vertex array), device-resident
 	"MBRTable":   true, // per-layer MBRs (the cached boxes) + global x-order
 }

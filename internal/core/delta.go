@@ -80,7 +80,7 @@ type rulePlan struct {
 // by the reach in turn. A via whose candidate metal changed re-picks its
 // best candidate, and its new markers can land anywhere within reach of the
 // via, on its far side too. Dirt that covers each changed polygon's whole
-// box — Edit's, and Invalidate's as documented — covers any via such a
+// box — Edit's, and Invalidate's once widened — covers any via such a
 // polygon encloses, so the dilated rects hold those markers already; dirt
 // narrower than that (the strip of metal that disappeared) would not, for a
 // via wider than twice the reach, and the neighbourhoods keep enclosure
@@ -299,10 +299,12 @@ func (s *Session) Edit(ctx context.Context, edits []layout.Edit) ([]layout.Layer
 // call is a no-op and returns immediately
 // without taking the session lock. For callers that mutate the layout
 // through means the session cannot see (direct mutation rather than Edit);
-// Edit records its own regions. Like Edit's, each rect must cover the whole
-// box of every polygon that changed in it: a delta check's restricted area,
-// rectilinear and custom runs claim the dirt itself, and those rules' markers
-// are whole polygon boxes.
+// Edit records its own regions. The rects must cover every edge that
+// appeared or disappeared and, on a layer an enclosure rule reads as its
+// outer metal, all of every deleted polygon: a via it held may now sit in
+// another metal or in none, far from any deleted edge. They need not cover
+// a changed polygon's whole box otherwise: Invalidate widens each rect
+// itself (widen).
 func (s *Session) Invalidate(ctx context.Context, regions ...LayerRegion) error {
 	if len(regions) == 0 {
 		return nil
@@ -315,9 +317,32 @@ func (s *Session) Invalidate(ctx context.Context, regions ...LayerRegion) error 
 		return ErrSessionClosed
 	}
 	for _, reg := range regions {
-		s.markDirty(reg.Layer, reg.Rects, len(reg.Rects) == 0)
+		s.markDirty(reg.Layer, s.widen(reg.Layer, reg.Rects), len(reg.Rects) == 0)
 	}
 	return nil
+}
+
+// widen grows each Invalidate rect on layer l to the box of every current
+// polygon of the layer it meets and to the marker box of every recorded
+// violation, of a rule reading the layer, it meets. A delta check's
+// restricted area, rectilinear and custom runs claim the dirt dilated by
+// their reach, and their markers are whole polygon boxes, so dirt covering
+// only part of a changed polygon would leave its new marker — or its
+// record's old one, when it shrank or went — unclaimed. Session lock held.
+func (s *Session) widen(l layout.Layer, rects []geom.Rect) []geom.Rect {
+	out := make([]geom.Rect, 0, len(rects))
+	for _, r := range rects {
+		if r.Empty() {
+			continue
+		}
+		w := s.records.widen(l, r)
+		found, _ := s.lo.QueryLayer(l, r)
+		for _, pp := range found {
+			w = w.Union(pp.Shape.MBR())
+		}
+		out = append(out, w)
+	}
+	return out
 }
 
 // InvalidateAll drops every piece of resident state — caches, device

@@ -891,3 +891,91 @@ func TestWindowPolysMatchLayerScan(t *testing.T) {
 		}
 	}
 }
+
+// partialFixture is a flat M1 layout: a 100 × 60 rect at the origin, a
+// 50 × 50 rect (area 2 500) at x = 1000, and a long bar far above both.
+func partialFixture(t *testing.T) *layout.Layout {
+	t.Helper()
+	top := &gdsii.Structure{Name: "TOP"}
+	for _, r := range []geom.Rect{geom.R(0, 0, 100, 60), geom.R(1000, 0, 1050, 50), geom.R(0, 2000, 400, 2100)} {
+		top.Boundaries = append(top.Boundaries, gdsii.Boundary{Layer: int16(layout.LayerM1), XY: []geom.Point{
+			geom.Pt(r.XLo, r.YLo), geom.Pt(r.XLo, r.YHi), geom.Pt(r.XHi, r.YHi), geom.Pt(r.XHi, r.YLo)}})
+	}
+	lo, err := layout.FromLibrary(&gdsii.Library{Name: "partial", UserUnit: 1e-3, MeterUnit: 1e-9,
+		Structures: []*gdsii.Structure{top}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lo
+}
+
+// TestInvalidatePartialPolygon: a layout mutated behind the session's back
+// and invalidated over only the edges that changed. Trimming the 100 × 60
+// rect to 70 × 60 (area 4 200 < 5 000) and invalidating the 30 × 60 strip it
+// lost gives it an area marker — its whole new box — outside the strip;
+// deleting the 50 × 50 rect and invalidating a 1-wide strip along each of
+// its four edges leaves its recorded area marker's center outside the
+// strips. Invalidate widens the rects to both boxes, so the delta check
+// equals a cold check, in both modes.
+func TestInvalidatePartialPolygon(t *testing.T) {
+	deck := rules.Deck{
+		rules.Layer(layout.LayerM1).Area().AtLeast(5000).Named("A.1"),
+		rules.Layer(layout.LayerM1).Spacing().AtLeast(12).Named("S.1"),
+		rules.Layer(layout.LayerM1).Width().AtLeast(10).Named("W.1"),
+	}
+	cases := []struct {
+		name  string
+		edits []layout.Edit
+		dirty []geom.Rect
+	}{
+		{"trim", []layout.Edit{
+			{Op: layout.OpDeleteRegion, Layer: layout.LayerM1, Rect: geom.R(0, 0, 100, 60)},
+			{Op: layout.OpInsertRect, Layer: layout.LayerM1, Rect: geom.R(0, 0, 70, 60)},
+		}, []geom.Rect{geom.R(70, 0, 100, 60)}},
+		{"delete", []layout.Edit{
+			{Op: layout.OpDeleteRegion, Layer: layout.LayerM1, Rect: geom.R(1000, 0, 1050, 50)},
+		}, []geom.Rect{geom.R(1000, 0, 1050, 1), geom.R(1000, 49, 1050, 50), geom.R(1000, 0, 1001, 50), geom.R(1049, 0, 1050, 50)}},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		for _, mode := range []Mode{Sequential, Parallel} {
+			t.Run(fmt.Sprintf("%s/%v", c.name, mode), func(t *testing.T) {
+				opts := Options{Mode: mode}
+				lo := partialFixture(t)
+				ses := NewSession(lo, opts)
+				defer ses.Close(ctx)
+				if _, err := ses.Check(ctx, deck); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := lo.ApplyEdits(c.edits); err != nil {
+					t.Fatal(err)
+				}
+				if err := ses.Invalidate(ctx, LayerRegion{Layer: layout.LayerM1, Rects: c.dirty}); err != nil {
+					t.Fatal(err)
+				}
+				rep, info, err := ses.DeltaCheck(ctx, deck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !info.Planned || info.RulesRestricted != len(deck) {
+					t.Fatalf("plan = %+v, want every rule restricted", info)
+				}
+				cold := partialFixture(t)
+				if _, err := cold.ApplyEdits(c.edits); err != nil {
+					t.Fatal(err)
+				}
+				e := New(opts)
+				if err := e.AddRules(deck...); err != nil {
+					t.Fatal(err)
+				}
+				want, err := e.CheckContext(ctx, cold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := canonJSON(t, rep), canonJSON(t, want); got != want {
+					t.Fatalf("delta check differs from a cold check:\n got %s\nwant %s", got, want)
+				}
+			})
+		}
+	}
+}

@@ -80,16 +80,18 @@ func TestEnclosureAbuttingMetals(t *testing.T) {
 }
 
 // TestDeltaEnclosureFarSide pins the enclosure claim and work window of a
-// restricted run. Via 1, wider than twice the rule's minimum, sits in two
-// metals: A, the best candidate (worst margin 5, on the left), and B (worst
-// margin 3, on the right). A caller trims A's left side to margin 1 behind
-// the session's back and names only the strip of metal that disappeared —
-// narrower dirt than Session.Invalidate asks for, which covers A's whole
-// box. B becomes the best candidate, and the via's marker moves to its
-// right side — outside the strip dilated by the minimum, so a claim of the
-// dilated strip alone would drop the new marker. The claim takes in the whole
-// neighbourhood of every via within the dilated strip. Via 2, in its own
-// metal to the right, is untouched, and its marker lies in via 1's
+// restricted run under dirt narrower than a changed polygon. Via 1, wider
+// than twice the rule's minimum, sits in two metals: A, the best candidate
+// (worst margin 5, on the left), and B (worst margin 3, on the right). A is
+// trimmed to margin 1 on the left, and the session's dirt is set to only the
+// strip of metal that disappeared. Session.Invalidate would widen that strip
+// to trimmed A's box, which covers the via, so the test marks the strip
+// dirty below it: what it pins is rulePlan.restrict's own exactness, not the
+// widening's. B becomes the best candidate, and the via's marker moves to
+// its right side — outside the strip dilated by the minimum, so a claim of
+// the dilated strip alone would drop the new marker. The claim takes in the
+// whole neighbourhood of every via within the dilated strip. Via 2, in its
+// own metal to the right, is untouched, and its marker lies in via 1's
 // neighbourhood while the via itself lies outside it: only the work window,
 // the claim dilated once more, reaches via 2 to re-derive the marker the
 // claim takes from the record. The delta check equals a cold check of the
@@ -129,9 +131,11 @@ func TestDeltaEnclosureFarSide(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := ses.Invalidate(ctx, LayerRegion{Layer: layout.LayerM1, Rects: []geom.Rect{strip}}); err != nil {
+			if err := ses.lock(ctx); err != nil {
 				t.Fatal(err)
 			}
+			ses.markDirty(layout.LayerM1, []geom.Rect{strip}, false)
+			ses.unlock()
 			rep, info, err := ses.DeltaCheck(ctx, deck)
 			if err != nil {
 				t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -275,5 +276,68 @@ func TestPrefetchWarmsOnlyReadTables(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("the canonical reports differ between the executors")
+	}
+}
+
+// TestParallelBuildsNoInstanceRecords: the parallel engine reads a layer as
+// its packed edges and boxes, so no path of it leaves instance records in
+// the geometry cache — not a batch check at either worker count, nor a
+// session's checks, delta checks, the patches its plain checks make after
+// edits, or a check after a partial Invalidate.
+func TestParallelBuildsNoInstanceRecords(t *testing.T) {
+	ctx := context.Background()
+	deck := synth.Deck()
+	noRecords := func(what string, rep *Report) {
+		t.Helper()
+		if rep.HostBytes.Flatten != 0 || rep.HostBytes.Edges == 0 {
+			t.Fatalf("%s: geometry cache holds %+v, want edges and no instance records", what, rep.HostBytes)
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		lo, _, err := synth.Load("uart", 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		noRecords(fmt.Sprintf("batch check, %d workers", workers), checkWith(t, lo, deck, Options{Mode: Parallel, Workers: workers}))
+	}
+
+	lo, _, err := synth.Load("uart", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses := NewSession(lo, Options{Mode: Parallel})
+	defer ses.Close(ctx)
+	rep, err := ses.Check(ctx, deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRecords("first session check", rep)
+	if _, err := ses.Edit(ctx, deltaTestEdits(lo)); err != nil {
+		t.Fatal(err)
+	}
+	rep, _, err = ses.DeltaCheck(ctx, deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRecords("delta check", rep)
+	if rep, err = ses.Check(ctx, deck); err != nil {
+		t.Fatal(err)
+	}
+	noRecords("plain check after edits", rep)
+	m2 := lo.Top.LayerMBR(layout.LayerM2)
+	if err := ses.Invalidate(ctx, LayerRegion{Layer: layout.LayerM2, Rects: []geom.Rect{
+		geom.R(m2.XLo, m2.YLo, m2.XLo+200, m2.YLo+200)}}); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = ses.Check(ctx, deck); err != nil {
+		t.Fatal(err)
+	}
+	noRecords("plain check after Invalidate", rep)
+	st, err := ses.StatsSnapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Geocache.SegmentedRebuilds < 2 {
+		t.Fatalf("the session patched %d layer records, want the M1 and M2 ones: %+v", st.Geocache.SegmentedRebuilds, st.Geocache)
 	}
 }

@@ -458,23 +458,24 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	if rp := e.restrictFor(r); rp != nil {
 		return e.runSpacingWindow(ctx, lo, r, rp, pc, rep)
 	}
-	// Host: flatten the layer once (hierarchy range query, memoized across
-	// rules by the geometry cache), pack edges in the canonical flatten
-	// order and start the one-time async transfer, then partition — the
+	// Host: flatten the layer once (one hierarchy walk straight into the
+	// packed edge buffer and the polygon boxes, no instance records,
+	// memoized across rules by the geometry cache), start the buffer's
+	// one-time async transfer, then partition — the
 	// copy is hidden behind the partitioning, per Section V-C. The flatten
 	// is where the memory blow-up happens, so the flatten-polys budget
 	// applies there (inside the geometry cache). Rows address subsets of
 	// the shared buffer by polygon index, so every spacing rule on the
 	// layer — whatever its reach partitions into — reuses one packed copy.
-	var flat []layout.PlacedPoly
+	var flat *kernels.Edges
 	if err := hostPhase(rep, pc, "par:flatten", func() error {
 		var err error
-		flat, err = pc.geo.Flatten(ctx, lo, r.Layer)
+		flat, err = pc.geo.Fill(ctx, lo, r.Layer)
 		return err
 	}); err != nil {
 		return err
 	}
-	if len(flat) == 0 {
+	if flat.NumPolys() == 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {

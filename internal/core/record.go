@@ -6,6 +6,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"opendrc/internal/geom"
 	"opendrc/internal/gpu"
 	"opendrc/internal/layout"
 	"opendrc/internal/rules"
@@ -73,8 +74,8 @@ func (rec *ruleRecord) bytes() int64 {
 // it just re-executes what was evicted.
 const maxRuleRecords = 1024
 
-// recordStore is the session's rule records: looked up by key, never ranged,
-// least-recently-used first in lru. The session lock already serialises every
+// recordStore is the session's rule records: looked up by key — ranged only
+// by widen, over lru — least-recently-used first in lru. The session lock already serialises every
 // user; the mutex is what lets odrc-lint check that.
 type recordStore struct {
 	mu    sync.Mutex
@@ -125,6 +126,26 @@ func (st *recordStore) reset() {
 	st.mu.Lock()
 	st.byKey, st.lru, st.size = nil, nil, 0
 	st.mu.Unlock()
+}
+
+// widen returns r grown to the marker box of every recorded violation, of a
+// rule reading layer l, that r meets.
+func (st *recordStore) widen(l layout.Layer, r geom.Rect) geom.Rect {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	w := r
+	for _, rec := range st.lru {
+		in := rules.Rule{Kind: rec.key.kind, Layer: rec.key.layer, Outer: rec.key.outer}.Inputs()
+		if !slices.Contains(in, l) {
+			continue
+		}
+		for i := range rec.violations {
+			if box := rec.violations[i].Marker.Box; box.Overlaps(r) {
+				w = w.Union(box)
+			}
+		}
+	}
+	return w
 }
 
 // bytes returns the retained size of all records.

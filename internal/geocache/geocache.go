@@ -1,15 +1,16 @@
 // Package geocache is OpenDRC's per-run geometry reuse layer. A check run
 // touches each layer once per *rule*, but the expensive host-side geometry
-// work — instance-expanding the layer (layout.FlattenLayerSlab) and packing
-// the result into the flattened edge buffer (kernels.Share, over the
-// flatten's own vertex array) — depends only on the layer. The Cache
-// memoizes both per layer, so N rules sharing a layer cost one flatten and
-// one pack; the paper's "flattened once" claim (Section V-C) then holds
+// work — instance-expanding the layer straight into the flattened edge
+// buffer and its per-polygon boxes (layout.FillLayer) — depends only on the
+// layer. The Cache memoizes it per layer, so N rules sharing a layer cost one
+// flatten; the paper's "flattened once" claim (Section V-C) then holds
 // across the whole deck, not just within one rule. The
-// downstream derivations — the per-polygon MBR table and the adaptive row
-// partition (keyed additionally by the rule's interaction reach) — are
-// memoized the same way, so the engine's prefetcher can compute a rule's
-// entire host prep while the previous rule's kernels execute.
+// downstream derivations — the MBR table and the adaptive row partition
+// (keyed additionally by the rule's interaction reach) — are memoized the
+// same way, so the engine's prefetcher can compute a rule's entire host prep
+// while the previous rule's kernels execute. A layer record is its packed
+// edges and boxes plus those derivations; instance records
+// (layout.PlacedPoly) exist only for a caller that asks for them (Flatten).
 //
 // Contract:
 //
@@ -22,7 +23,8 @@
 //   - Errors are cached like results: a flatten that trips the flatten-polys
 //     budget or hits an injected fault fails every rule sharing that layer
 //     with the same error, deterministically, while rules on other layers
-//     are untouched.
+//     are untouched. A cancellation is the one exception: it is the
+//     cancelled caller's, and the next lookup computes the entry again.
 //   - A panic during computation is captured as a *pool.PanicError and
 //     cached as the entry's error, so the engine's per-rule guard still
 //     reports it as a panic with the original stack.
@@ -35,6 +37,7 @@ package geocache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -113,6 +116,19 @@ func (s *slot[T]) ready() bool {
 	}
 }
 
+// cancelled reports whether the slot's fill ended in a cancellation. That is
+// its caller's outcome, not the layer's — a fill joining another lookup gives
+// up when its caller's context ends — so the next lookup fills the slot
+// afresh rather than reading it back.
+func (s *slot[T]) cancelled() bool {
+	select {
+	case <-s.done:
+		return errors.Is(s.err, context.Canceled) || errors.Is(s.err, context.DeadlineExceeded)
+	default:
+		return false
+	}
+}
+
 // fill runs the computation. The done channel closes on every path —
 // including a panic, which is cached as a *pool.PanicError so waiters cannot
 // wedge.
@@ -144,13 +160,18 @@ type part struct {
 	rows *slot[[]partition.Row]
 }
 
-// flattened is a layer's flatten: its polygon instances and the packed
-// edge buffer built with them over the same vertex array (kernels.Share),
-// so the layer's vertices are stored once. Pack hands out that buffer.
+// flattened is a layer's flatten: its packed edge buffer and its polygons'
+// boxes, index-aligned. Pack and MBRs hand them out. Its instance records
+// exist only when Flatten asked for them; their shapes are carved from the
+// buffer's vertex array (kernels.Share), so the vertices are stored once.
 type flattened struct {
-	polys []layout.PlacedPoly
 	edges *kernels.Edges
+	boxes []geom.Rect
+	polys []layout.PlacedPoly // nil unless Flatten built them
 }
+
+// recorded reports whether the flatten holds its instance records.
+func (f flattened) recorded() bool { return len(f.polys) == f.edges.NumPolys() }
 
 // layerRec is everything the cache knows about one layer: the flatten and
 // the derivations index-aligned with it. Each is computed on first request;
@@ -161,9 +182,6 @@ type layerRec struct {
 	edges *slot[*kernels.Edges]
 	table *slot[*kernels.MBRTable]
 	parts []part // row partitions, in first-request order
-	// verts counts the flatten's vertices once Resident has asked (0 before);
-	// a patch keeps it current.
-	verts int64
 }
 
 // part returns the address of the (guard, alg) partition's slot, adding an
@@ -219,10 +237,11 @@ func (c *Cache) Stats() Stats {
 // Resident is the host memory a cache's completed records hold, in bytes of
 // the slices they keep (capacity, not length), by record kind. Shared arrays
 // count once: a table's boxes are the cached MBRs, under Boxes, and the
-// flatten's vertices are its packed buffer's, under Edges, so Flatten counts
-// the instance records alone — until a patch gives the buffer its own array
-// (kernels.Edges.Splice), after which Flatten counts the vertices its shapes
-// still hold too.
+// vertices are the packed buffer's, under Edges. Flatten counts instance
+// records, which only Flatten builds: 0 for a layer no caller asked it for,
+// the records alone for one that shares the buffer's vertices — until a
+// patch gives the buffer its own array (kernels.Edges.Splice), after which
+// Flatten counts the vertices the records' shapes still hold too.
 type Resident struct {
 	Flatten, Boxes, Edges, Tables, Rows int64
 }
@@ -238,17 +257,14 @@ func (c *Cache) Resident() Resident {
 	for _, rec := range c.layers {
 		if rec.flat.ready() {
 			f := rec.flat.val
-			if rec.verts == 0 {
-				rec.verts = countVertices(f.polys)
-			}
-			r.Flatten += int64(cap(f.polys)) * int64(unsafe.Sizeof(layout.PlacedPoly{}))
-			if !f.edges.Borrowed() {
-				r.Flatten += rec.verts * int64(unsafe.Sizeof(geom.Point{}))
+			if f.polys != nil {
+				r.Flatten += int64(cap(f.polys)) * int64(unsafe.Sizeof(layout.PlacedPoly{}))
+				if !f.edges.Borrowed() {
+					r.Flatten += int64(len(f.edges.Pts)) * int64(unsafe.Sizeof(geom.Point{}))
+				}
 			}
 			r.Edges += int64(cap(f.edges.Pts))*int64(unsafe.Sizeof(geom.Point{})) + int64(cap(f.edges.PolyStart))*4
-		}
-		if rec.boxes.ready() {
-			r.Boxes += int64(cap(rec.boxes.val)) * int64(unsafe.Sizeof(geom.Rect{}))
+			r.Boxes += int64(cap(f.boxes)) * int64(unsafe.Sizeof(geom.Rect{}))
 		}
 		if rec.table.ready() {
 			r.Tables += int64(cap(rec.table.val.XOrder)) * 4
@@ -264,14 +280,6 @@ func (c *Cache) Resident() Resident {
 		}
 	}
 	return r
-}
-
-func countVertices(polys []layout.PlacedPoly) int64 {
-	var n int64
-	for i := range polys {
-		n += int64(polys[i].Shape.NumEdges())
-	}
-	return n
 }
 
 // bind pins the cache to its layout on first use.
@@ -300,7 +308,7 @@ func lookup[T any](ctx context.Context, c *Cache, lo *layout.Layout, l layout.La
 		c.layers[l] = rec
 	}
 	p := sel(rec)
-	s, hit := *p, *p != nil
+	s, hit := *p, *p != nil && !(*p).cancelled()
 	if !hit {
 		s = &slot[T]{done: make(chan struct{})}
 		*p = s
@@ -329,73 +337,82 @@ func lookup[T any](ctx context.Context, c *Cache, lo *layout.Layout, l layout.La
 	}
 }
 
-// Flatten returns the layer's instance-expanded polygons in the canonical
-// hierarchy-DFS order, computing them (flatten → flatten-polys budget) at
-// most once. The returned slice is shared and must not be mutated.
+// Flatten returns the layer's instance records, index-aligned with Pack,
+// MBRs and Rows, computing them (flatten → flatten-polys budget) at most
+// once. No engine path asks for them; a layer filled without them — by
+// Fill, Pack or MBRs, and possibly patched since into an order no walk
+// reproduces — is filled again, records and all, which drops its
+// derivations. The returned slice is shared and must not be mutated.
 func (c *Cache) Flatten(ctx context.Context, lo *layout.Layout, l layout.Layer) ([]layout.PlacedPoly, error) {
-	f, err := c.flatten(ctx, lo, l)
-	return f.polys, err
+	for {
+		f, err := c.flatten(ctx, lo, l, true)
+		if err != nil || f.recorded() {
+			return f.polys, err
+		}
+		// This lookup joined a fill without records; the next one refills.
+	}
 }
 
-// flatten is Flatten's lookup. Its fill also builds the layer's packed edge
-// buffer: the flatten's shapes are carved from one vertex array in output
-// order, which is the buffer's vertex array as it stands, so the fill only
-// adds the per-polygon offsets.
-func (c *Cache) flatten(ctx context.Context, lo *layout.Layout, l layout.Layer) (flattened, error) {
+// Fill is the flatten lookup without instance records, counted as one: it
+// fills the layer's record — the packed edge buffer and the per-polygon
+// boxes, from one walk of the hierarchy — at most once and returns the
+// buffer, which is shared and must not be mutated.
+func (c *Cache) Fill(ctx context.Context, lo *layout.Layout, l layout.Layer) (*kernels.Edges, error) {
+	f, err := c.flatten(ctx, lo, l, false)
+	return f.edges, err
+}
+
+// flatten is the flatten lookup. Its fill walks the hierarchy once, into the
+// packed buffer and the boxes (layout.FillLayer) and, when records are asked
+// for, into records whose shapes are carved from the buffer's vertex array.
+func (c *Cache) flatten(ctx context.Context, lo *layout.Layout, l layout.Layer, records bool) (flattened, error) {
 	return lookup(ctx, c, lo, l, "flatten", "", &c.stats.FlattenHits, &c.stats.FlattenMisses,
-		func(r *layerRec) **slot[flattened] { return &r.flat },
+		func(r *layerRec) **slot[flattened] {
+			if records && r.flat.ready() && !r.flat.val.recorded() {
+				*r = layerRec{} // start the layer over (see Flatten)
+			}
+			return &r.flat
+		},
 		func() (flattened, error) {
 			if c.hook != nil {
 				if err := c.hook(ctx, l); err != nil {
 					return flattened{}, err
 				}
 			}
-			polys, pts := lo.FlattenLayerSlab(l)
-			if err := budget.Check("flatten-polys", int64(len(polys)), c.limits.MaxFlattenPolys); err != nil {
+			fl := lo.FillLayer(l, records)
+			f := flattened{edges: &kernels.Edges{Pts: fl.Pts, PolyStart: fl.PolyStart}, boxes: fl.Boxes, polys: fl.Polys}
+			if records {
+				f.edges = kernels.Share(fl.Pts, fl.PolyStart) // the records' shapes hold fl.Pts too
+			}
+			if err := budget.Check("flatten-polys", int64(f.edges.NumPolys()), c.limits.MaxFlattenPolys); err != nil {
 				return flattened{}, err
 			}
-			starts := make([]int32, len(polys)+1)
-			for i := range polys {
-				starts[i+1] = starts[i] + int32(polys[i].Shape.NumEdges())
-			}
-			return flattened{polys: polys, edges: kernels.Share(pts, starts)}, nil
+			return f, nil
 		})
 }
 
 // Pack returns the layer's packed edge buffer in the canonical flatten
-// order: the one the flatten built over its own vertex array. The returned
-// buffer is shared and must not be mutated.
+// order: the one the flatten filled. The returned buffer is shared and must
+// not be mutated.
 func (c *Cache) Pack(ctx context.Context, lo *layout.Layout, l layout.Layer) (*kernels.Edges, error) {
 	return lookup(ctx, c, lo, l, "pack", "", &c.stats.PackHits, &c.stats.PackMisses,
 		func(r *layerRec) **slot[*kernels.Edges] { return &r.edges },
 		func() (*kernels.Edges, error) {
-			f, err := c.flatten(ctx, lo, l)
+			f, err := c.flatten(ctx, lo, l, false)
 			return f.edges, err
 		})
 }
 
 // MBRs returns the per-polygon bounding boxes of the layer's flatten, index-
-// aligned with Flatten's result and computed at most once. Polygon MBRs
-// re-scan every vertex, so a deck of N spacing rules on one layer saves N-1
-// full passes. The returned slice is shared and must not be mutated.
+// aligned with Pack's buffer: the ones the flatten filled. The returned
+// slice is shared and must not be mutated.
 func (c *Cache) MBRs(ctx context.Context, lo *layout.Layout, l layout.Layer) ([]geom.Rect, error) {
 	return lookup(ctx, c, lo, l, "mbrs", "", nil, nil,
 		func(r *layerRec) **slot[[]geom.Rect] { return &r.boxes },
 		func() ([]geom.Rect, error) {
-			polys, err := c.Flatten(ctx, lo, l)
-			if err != nil {
-				return nil, err
-			}
-			return boxesOf(polys), nil
+			f, err := c.flatten(ctx, lo, l, false)
+			return f.boxes, err
 		})
-}
-
-func boxesOf(polys []layout.PlacedPoly) []geom.Rect {
-	boxes := make([]geom.Rect, len(polys))
-	for i := range polys {
-		boxes[i] = polys[i].Shape.MBR()
-	}
-	return boxes
 }
 
 // Rows returns the layer's adaptive row partition for the given interaction

@@ -100,6 +100,43 @@ func TestErrorCachedOneComputation(t *testing.T) {
 	}
 }
 
+// TestCancelledJoinNotCached: a Pack whose fill joins a flatten in flight
+// and is cancelled while it waits fails with its own cancellation, and a
+// later Pack under a live context fills the slot afresh instead of reading
+// that cancellation back.
+func TestCancelledJoinNotCached(t *testing.T) {
+	lo := testLayout(t)
+	c := New(budget.Limits{})
+	started, release := make(chan struct{}), make(chan struct{})
+	c.SetFaultHook(func(ctx context.Context, l layout.Layer) error {
+		close(started)
+		<-release
+		return nil
+	})
+	done := make(chan error)
+	go func() {
+		_, err := c.Fill(context.Background(), lo, layout.LayerM1)
+		done <- err
+	}()
+	<-started
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Pack(ctx, lo, layout.LayerM1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Pack joined under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.Pack(context.Background(), lo, layout.LayerM1)
+	if err != nil {
+		t.Fatalf("Pack after the cancelled one: %v", err)
+	}
+	if e.NumPolys() == 0 {
+		t.Fatal("Pack after the cancelled one is empty")
+	}
+}
+
 func TestBudgetTripCached(t *testing.T) {
 	lo := testLayout(t)
 	c := New(budget.Limits{MaxFlattenPolys: 1})
@@ -268,12 +305,12 @@ func TestEventHookMultiset(t *testing.T) {
 	ctx := context.Background()
 	var got []Event
 	c.SetEventHook(func(ev Event) { got = append(got, ev) })
-	// Pack misses and computes the flatten internally; a later Flatten on the
+	// Pack misses and computes the flatten internally; a later Fill on the
 	// same layer hits; a second Pack hits.
 	if _, err := c.Pack(ctx, lo, layout.LayerM1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Flatten(ctx, lo, layout.LayerM1); err != nil {
+	if _, err := c.Fill(ctx, lo, layout.LayerM1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Pack(ctx, lo, layout.LayerM1); err != nil {
@@ -369,9 +406,9 @@ func TestInvalidateClearsCachedError(t *testing.T) {
 
 // TestResidentBytes: the packed buffer costs 16 B per edge and 4 B per
 // PolyStart entry, the boxes 32 B each, and a table its x-order alone — its
-// boxes are the cached MBRs, counted once. The flatten's vertices are the
-// packed buffer's, counted once too, so the flatten holds its instance
-// records alone.
+// boxes are the cached MBRs, counted once. A layer the engine's lookups
+// filled holds no instance records; Flatten builds them, sharing the packed
+// buffer's vertices, so they hold 72 B a polygon.
 func TestResidentBytes(t *testing.T) {
 	lo := testLayout(t)
 	c := New(budget.Limits{})
@@ -397,13 +434,23 @@ func TestResidentBytes(t *testing.T) {
 	if r.Boxes != 32*n || r.Tables != 4*n {
 		t.Errorf("boxes/tables hold %d/%d B, want %d/%d", r.Boxes, r.Tables, 32*n, 4*n)
 	}
-	if want := n * int64(unsafe.Sizeof(layout.PlacedPoly{})); r.Flatten != want {
-		t.Errorf("flatten holds %d B, want %d (its records alone)", r.Flatten, want)
+	if r.Flatten != 0 {
+		t.Errorf("flatten holds %d B after Pack, Table and Rows, want 0", r.Flatten)
 	}
 	if r.Rows <= 0 {
 		t.Errorf("rows hold %d B", r.Rows)
 	}
 	if r.Total() != r.Flatten+r.Boxes+r.Edges+r.Tables+r.Rows {
 		t.Error("Total is not the sum of the kinds")
+	}
+	if _, err := c.Flatten(ctx, lo, layout.LayerM1); err != nil {
+		t.Fatal(err)
+	}
+	r2 := c.Resident()
+	if want := n * int64(unsafe.Sizeof(layout.PlacedPoly{})); unsafe.Sizeof(layout.PlacedPoly{}) != 72 || r2.Flatten != want {
+		t.Errorf("flatten holds %d B after Flatten, want %d (72 B records alone)", r2.Flatten, want)
+	}
+	if r2.Edges != r.Edges || r2.Boxes != r.Boxes {
+		t.Errorf("refill with records holds edges/boxes %d/%d B, want %d/%d", r2.Edges, r2.Boxes, r.Edges, r.Boxes)
 	}
 }

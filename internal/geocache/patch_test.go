@@ -22,8 +22,9 @@ import (
 
 // The patched record's oracle: whatever InvalidateRegion did — patched in
 // place or dropped — every structure the cache serves afterwards must equal,
-// slice for slice, the cold derivation from the polygon list it serves, and
-// that list must be a cold flatten of the edited layout up to order.
+// slice for slice, the cold derivation from the packed rings it serves, those
+// rings must be a cold flatten's of the edited layout up to order, and the
+// instance records, when Flatten built them, must hold the rings in order.
 
 // segGuard is the guard sessions segment with on the synthetic deck (its
 // maximum reach); oracleParts are the partitions kept warm beside it: the M1
@@ -36,10 +37,16 @@ var oracleParts = []partKey{
 	{segGuard, partition.Pigeonhole}, {40, partition.Pigeonhole},
 }
 
-// warmAll requests every structure of the layer's record.
-func warmAll(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer) {
+// warmAll requests every structure of the layer's record, and its instance
+// records too when records is set.
+func warmAll(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer, records bool) {
 	t.Helper()
 	ctx := context.Background()
+	if records {
+		if _, err := c.Flatten(ctx, lo, l); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := c.Pack(ctx, lo, l); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +58,6 @@ func warmAll(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer) {
 			t.Fatal(err)
 		}
 	}
-	c.Resident() // counts the flatten's vertices, which a patch then keeps current
 }
 
 // polyKeys is the order-free fingerprint of a polygon list.
@@ -72,45 +78,71 @@ func polyKeys(polys []layout.PlacedPoly) []string {
 	return keys
 }
 
-// requireColdEqual asserts the oracle on layer l.
+// ringKeys is the order-free fingerprint of a packed buffer's rings.
+func ringKeys(e *kernels.Edges) []string {
+	keys := make([]string, e.NumPolys())
+	var buf []byte
+	for p := range keys {
+		buf = buf[:0]
+		lo, hi := e.PolyEdges(p)
+		for _, v := range e.Pts[lo:hi] {
+			buf = strconv.AppendInt(append(buf, ' '), v.X, 10)
+			buf = strconv.AppendInt(append(buf, ','), v.Y, 10)
+		}
+		keys[p] = string(buf)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// shapesOf returns the placed shapes of polys.
+func shapesOf(polys []layout.PlacedPoly) []geom.Polygon {
+	shapes := make([]geom.Polygon, len(polys))
+	for i := range polys {
+		shapes[i] = polys[i].Shape
+	}
+	return shapes
+}
+
+// requireColdEqual asserts the oracle on layer l. It reads the layer's
+// instance records only where the cache holds them: asking Flatten for them
+// would refill the layer.
 func requireColdEqual(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer) {
 	t.Helper()
 	ctx := context.Background()
-	polys, err := c.Flatten(ctx, lo, l)
+	edges, err := c.Pack(ctx, lo, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := polyKeys(polys), polyKeys(lo.FlattenLayer(l)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("layer %d: served flatten has %d polygons, cold flatten %d; multisets differ", l, len(got), len(want))
-	}
-	c.mu.Lock()
-	verts := c.layers[l].verts
-	c.mu.Unlock()
-	if want := countVertices(polys); verts != 0 && verts != want {
-		t.Fatalf("layer %d: Resident counts %d flatten vertices, the served flatten has %d", l, verts, want)
+	cold := lo.FlattenLayer(l)
+	if got, want := ringKeys(edges), ringKeys(kernels.Pack(shapesOf(cold))); !reflect.DeepEqual(got, want) {
+		t.Fatalf("layer %d: served buffer has %d rings, cold flatten %d; multisets differ", l, len(got), len(want))
 	}
 	boxes, err := c.MBRs(ctx, lo, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(boxes) != len(polys) {
-		t.Fatalf("layer %d: %d boxes for %d polygons", l, len(boxes), len(polys))
+	if len(boxes) != edges.NumPolys() {
+		t.Fatalf("layer %d: %d boxes for %d rings", l, len(boxes), edges.NumPolys())
 	}
-	shapes := make([]geom.Polygon, len(polys))
-	for i := range polys {
-		shapes[i] = polys[i].Shape
-		if boxes[i] != shapes[i].MBR() {
-			t.Fatalf("layer %d: box %d = %v, want %v", l, i, boxes[i], shapes[i].MBR())
+	for i := range boxes {
+		lo, hi := edges.PolyEdges(i)
+		if want := geom.RectFromPoints(edges.Pts[lo:hi]); boxes[i] != want {
+			t.Fatalf("layer %d: box %d = %v, want %v", l, i, boxes[i], want)
 		}
 	}
-	edges, err := c.Pack(ctx, lo, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Vertices and offsets only: whether the buffer still borrows the
-	// flatten's array is the sharing tests' business.
-	if cold := kernels.Pack(shapes); !slices.Equal(edges.Pts, cold.Pts) || !slices.Equal(edges.PolyStart, cold.PolyStart) {
-		t.Fatalf("layer %d: packed edges differ from a cold pack of the served flatten", l)
+	c.mu.Lock()
+	polys := c.layers[l].flat.val.polys
+	c.mu.Unlock()
+	if polys != nil {
+		// Vertices and offsets only: whether the buffer still borrows the
+		// records' array is the sharing tests' business.
+		if p := kernels.Pack(shapesOf(polys)); !slices.Equal(edges.Pts, p.Pts) || !slices.Equal(edges.PolyStart, p.PolyStart) {
+			t.Fatalf("layer %d: packed edges differ from a pack of the served records", l)
+		}
+		if got, want := polyKeys(polys), polyKeys(cold); !reflect.DeepEqual(got, want) {
+			t.Fatalf("layer %d: served records differ from a cold flatten's", l)
+		}
 	}
 	table, err := c.Table(ctx, lo, l)
 	if err != nil {
@@ -137,7 +169,8 @@ func requireColdEqual(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer)
 // rects dilated by the segmentation guard, InvalidateRegion — then asserts
 // the oracle. A patch must have derived nothing cold: no flatten or pack
 // miss, and only the dirty bands' polygons came back from the hierarchy.
-func editAndPatch(t *testing.T, c *Cache, lo *layout.Layout, ed layout.Edit) RegionOutcome {
+// The layer is re-warmed as warmAll(records) leaves it.
+func editAndPatch(t *testing.T, c *Cache, lo *layout.Layout, ed layout.Edit, records bool) RegionOutcome {
 	t.Helper()
 	dirty, err := lo.ApplyEdits([]layout.Edit{ed})
 	if err != nil {
@@ -180,7 +213,7 @@ func editAndPatch(t *testing.T, c *Cache, lo *layout.Layout, ed layout.Edit) Reg
 	if s := c.Stats(); out.Segmented && (s.FlattenMisses != s0.FlattenMisses || s.PackMisses != s0.PackMisses) {
 		t.Fatalf("%+v: patched layer still re-derived: %+v after %+v", ed, s, s0)
 	}
-	warmAll(t, c, lo, ed.Layer) // re-warm whatever a whole-layer drop took
+	warmAll(t, c, lo, ed.Layer, records) // re-warm whatever a whole-layer drop took
 	return out
 }
 
@@ -220,46 +253,28 @@ func handBuilt(t *testing.T) *layout.Layout {
 	return lo
 }
 
+// TestPatchedLayerEqualsColdDerivation runs each edit sequence on a cache
+// that never built instance records, as the engine leaves it, and on one
+// whose records Flatten built, which a patch keeps in step.
 func TestPatchedLayerEqualsColdDerivation(t *testing.T) {
 	t.Run("hand-built", func(t *testing.T) {
-		lo := handBuilt(t)
-		c := New(budget.Limits{})
-		for _, l := range []layout.Layer{layout.LayerM1, layout.LayerM2, layout.LayerM3} {
-			warmAll(t, c, lo, l)
-		}
-		steps := []struct {
-			name             string
-			ed               layout.Edit
-			segmented        bool
-			rowsTotal, dirty int
-		}{
-			{"insert inside a row", insertRect(layout.LayerM1, geom.R(600, 2000, 700, 2100)), true, 6, 1},
-			{"insert in an inter-row gap", insertRect(layout.LayerM1, geom.R(0, 2500, 80, 2560)), true, 6, 0},
-			{"rect bridging two rows", insertRect(layout.LayerM1, geom.R(800, 3050, 850, 4050)), true, 7, 2},
-			{"delete that splits a row", deleteRegion(layout.LayerM1, geom.R(300, 1120, 500, 1220)), true, 6, 1},
-			{"delete a whole row", deleteRegion(layout.LayerM1, geom.R(0, 5000, 200, 5100)), true, 7, 1},
-			{"insert on an empty layer", insertRect(layout.LayerM2, geom.R(0, 0, 100, 100)), false, 0, 0},
-			{"first half of a layer goes", deleteRegion(layout.LayerM3, geom.R(0, 0, 200, 100)), true, 2, 1},
-			{"layer ends up empty", deleteRegion(layout.LayerM3, geom.R(0, 1000, 200, 1100)), false, 0, 0},
-			{"insert on the emptied layer", insertRect(layout.LayerM3, geom.R(0, 0, 100, 100)), false, 0, 0},
-		}
-		for _, st := range steps {
-			out := editAndPatch(t, c, lo, st.ed)
-			if out.Segmented != st.segmented || out.RowsTotal != st.rowsTotal || out.RowsDirty != st.dirty {
-				t.Fatalf("%s: outcome %+v, want segmented=%v with %d of %d rows dirty",
-					st.name, out, st.segmented, st.dirty, st.rowsTotal)
-			}
+		for _, records := range []bool{false, true} {
+			handBuiltSteps(t, records)
 		}
 	})
 
 	t.Run("ethmac@0.3 random edits", func(t *testing.T) {
-		for _, seed := range []int64{1, 2} {
+		for _, run := range []struct {
+			seed    int64
+			records bool
+		}{{1, false}, {2, true}} {
+			seed, records := run.seed, run.records
 			lo, _, err := synth.Load("ethmac", 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
 			c := New(budget.Limits{})
-			warmAll(t, c, lo, layout.LayerM1)
+			warmAll(t, c, lo, layout.LayerM1, records)
 			rng := rand.New(rand.NewSource(seed))
 			box := lo.Top.LayerMBR(layout.LayerM1)
 			patched := 0
@@ -275,7 +290,7 @@ func TestPatchedLayerEqualsColdDerivation(t *testing.T) {
 				default:
 					ed = deleteRegion(layout.LayerM1, geom.R(x, y, x+300, y+150))
 				}
-				if editAndPatch(t, c, lo, ed).Segmented {
+				if editAndPatch(t, c, lo, ed, records).Segmented {
 					patched++
 				}
 			}
@@ -286,6 +301,38 @@ func TestPatchedLayerEqualsColdDerivation(t *testing.T) {
 	})
 }
 
+// handBuiltSteps walks the hand-built layout through every patch shape.
+func handBuiltSteps(t *testing.T, records bool) {
+	lo := handBuilt(t)
+	c := New(budget.Limits{})
+	for _, l := range []layout.Layer{layout.LayerM1, layout.LayerM2, layout.LayerM3} {
+		warmAll(t, c, lo, l, records)
+	}
+	steps := []struct {
+		name             string
+		ed               layout.Edit
+		segmented        bool
+		rowsTotal, dirty int
+	}{
+		{"insert inside a row", insertRect(layout.LayerM1, geom.R(600, 2000, 700, 2100)), true, 6, 1},
+		{"insert in an inter-row gap", insertRect(layout.LayerM1, geom.R(0, 2500, 80, 2560)), true, 6, 0},
+		{"rect bridging two rows", insertRect(layout.LayerM1, geom.R(800, 3050, 850, 4050)), true, 7, 2},
+		{"delete that splits a row", deleteRegion(layout.LayerM1, geom.R(300, 1120, 500, 1220)), true, 6, 1},
+		{"delete a whole row", deleteRegion(layout.LayerM1, geom.R(0, 5000, 200, 5100)), true, 7, 1},
+		{"insert on an empty layer", insertRect(layout.LayerM2, geom.R(0, 0, 100, 100)), false, 0, 0},
+		{"first half of a layer goes", deleteRegion(layout.LayerM3, geom.R(0, 0, 200, 100)), true, 2, 1},
+		{"layer ends up empty", deleteRegion(layout.LayerM3, geom.R(0, 1000, 200, 1100)), false, 0, 0},
+		{"insert on the emptied layer", insertRect(layout.LayerM3, geom.R(0, 0, 100, 100)), false, 0, 0},
+	}
+	for _, st := range steps {
+		out := editAndPatch(t, c, lo, st.ed, records)
+		if out.Segmented != st.segmented || out.RowsTotal != st.rowsTotal || out.RowsDirty != st.dirty {
+			t.Fatalf("records=%v, %s: outcome %+v, want segmented=%v with %d of %d rows dirty",
+				records, st.name, out, st.segmented, st.dirty, st.rowsTotal)
+		}
+	}
+}
+
 // TestPatchAcrossBatchesEqualsColdDerivation is a session's deferred patch:
 // three edit batches land on the layout while the cache record waits, the
 // third deleting a polygon the first inserted, and then one InvalidateRegion
@@ -294,7 +341,7 @@ func TestPatchedLayerEqualsColdDerivation(t *testing.T) {
 func TestPatchAcrossBatchesEqualsColdDerivation(t *testing.T) {
 	lo := handBuilt(t)
 	c := New(budget.Limits{})
-	warmAll(t, c, lo, layout.LayerM1)
+	warmAll(t, c, lo, layout.LayerM1, false)
 	s0 := c.Stats()
 	batches := [][]layout.Edit{
 		{insertRect(layout.LayerM1, geom.R(600, 2000, 700, 2100)), insertRect(layout.LayerM1, geom.R(900, 4000, 950, 4060))},
@@ -339,8 +386,8 @@ func TestPatchRefusedUnderBudgetsAndFaults(t *testing.T) {
 	} {
 		lo := handBuilt(t)
 		c := mk()
-		warmAll(t, c, lo, layout.LayerM1)
-		if out := editAndPatch(t, c, lo, edit); out.Segmented {
+		warmAll(t, c, lo, layout.LayerM1, false)
+		if out := editAndPatch(t, c, lo, edit, false); out.Segmented {
 			t.Fatalf("%s: cache patched in place: %+v", name, out)
 		}
 		if s := c.Stats(); s.FullInvalidations != 1 || s.FlattenMisses != 2 {
@@ -359,7 +406,7 @@ func TestPatchAllocBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := New(budget.Limits{})
-	warmAll(t, c, lo, layout.LayerM1)
+	warmAll(t, c, lo, layout.LayerM1, false)
 	edges, err := c.Pack(context.Background(), lo, layout.LayerM1)
 	if err != nil {
 		t.Fatal(err)

@@ -8,16 +8,17 @@
 // spliced in at the tail.
 //
 // The invariant, which is also the test oracle: after a patch the record
-// equals, slice for slice, what the cold derivations (Shape.MBR,
-// kernels.Pack, partition.Rows, kernels.NewMBRTable) produce from the
-// patched polygon list, and that list is multiset-equal to a cold
-// FlattenLayer of the edited layout — kept rows hold unedited geometry by
-// construction, deleted polygons always fall in dirty rows (callers pass
-// dirty rects covering every changed polygon's MBR), and new polygons never
-// land inside a clean row's band (their extent would have marked it dirty).
-// So every reader sees one representation with no liveness state; only the
-// polygon order differs from a cold flatten, and canonical reports are
-// unaffected because violation serialization is order-free.
+// equals, slice for slice, what the cold derivations (ring MBRs,
+// partition.Rows, kernels.NewMBRTable) produce from the patched packed
+// rings, the instance records (when Flatten built them) hold those rings in
+// the same order, and the rings are multiset-equal to a cold FlattenLayer of
+// the edited layout — kept rows hold unedited geometry by construction,
+// deleted polygons always fall in dirty rows (callers pass dirty rects
+// covering every changed polygon's MBR), and new polygons never land inside
+// a clean row's band (their extent would have marked it dirty). So every
+// reader sees one representation with no liveness state; only the polygon
+// order differs from a cold flatten, and canonical reports are unaffected
+// because violation serialization is order-free.
 package geocache
 
 import (
@@ -98,26 +99,23 @@ func (c *Cache) InvalidateRegion(l layout.Layer, guard int64, alg partition.Algo
 // held). It reports false, leaving rec for the caller to drop, when no row
 // would survive.
 func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partition.Band) (RegionOutcome, bool) {
-	polys := rec.flat.val.polys
-	if !rec.boxes.ready() {
-		rec.boxes = filled(boxesOf(polys))
-	}
-	boxes := rec.boxes.val
+	f := &rec.flat.val
+	n := f.edges.NumPolys()
 	sp := rec.part(seg)
 	if !(*sp).ready() {
-		*sp = filled(partition.Rows(boxes, seg.guard, seg.alg))
+		*sp = filled(partition.Rows(f.boxes, seg.guard, seg.alg))
 	}
 	rows := (*sp).val
 
 	// remap[i] is polygon i's index after the splice, -1 for members of dirty
 	// rows; nothing below first moves.
-	if cap(c.remap) < len(polys) {
-		c.remap = make([]int32, len(polys)+len(polys)/8)
+	if cap(c.remap) < n {
+		c.remap = make([]int32, n+n/8)
 	}
-	remap := c.remap[:len(polys)]
+	remap := c.remap[:n]
 	clear(remap)
 	out := RegionOutcome{Segmented: true, RowsTotal: len(rows)}
-	first := len(polys)
+	first := n
 	var dirty, clean []partition.Band
 	for _, row := range rows {
 		band := partition.Band{Lo: row.YLo, Hi: row.YHi}
@@ -147,37 +145,31 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 	// Edit rects can fall in inter-row gaps where no row exists, so the spans
 	// are re-queried alongside the dirty rows' bands.
 	bands := mergeSpans(append(dirty, spans...))
-	var dropped int64 // vertices of the dirty rows' polygons
-	for i := first; i < len(remap); i++ {
-		if remap[i] < 0 {
-			dropped += int64(polys[i].Shape.NumEdges())
-		}
-	}
 	fresh, freshBoxes := c.requery(l, bands, clean)
 	out.PolysRequeried = len(fresh)
 	segRows := partition.Rows(freshBoxes, seg.guard, seg.alg)
 	carveRows(fresh, segRows)
 
-	if rec.verts > 0 {
-		rec.verts += countVertices(fresh) - dropped
+	if f.polys != nil {
+		f.polys = append(kernels.Compact(f.polys, remap, first), fresh...)
 	}
-	rec.flat.val.polys = append(kernels.Compact(polys, remap, first), fresh...)
-	rec.boxes.val = append(kernels.Compact(boxes, remap, first), freshBoxes...)
-	// The flatten's buffer is spliced whether or not Pack has handed it out;
-	// the first splice gives it its own array, so the kept shapes, which
-	// share the old one, keep their vertices.
+	f.boxes = append(kernels.Compact(f.boxes, remap, first), freshBoxes...)
+	rec.boxes = filled(f.boxes)
+	// The flatten's buffer is spliced whether or not Pack has handed it out.
+	// A buffer that records share (kernels.Share) gets its own array at the
+	// first splice, so the kept records' shapes keep their vertices.
 	shapes := make([]geom.Polygon, len(fresh))
 	for i := range fresh {
 		shapes[i] = fresh[i].Shape
 	}
-	kept := rec.flat.val.edges.Splice(remap, first, shapes)
+	kept := f.edges.Splice(remap, first, shapes)
 	if rec.edges.ready() {
 		out.KeptEdgeBytes = kept
 	} else {
 		rec.edges = nil
 	}
 	if rec.table.ready() {
-		rec.table.val.Splice(remap, rec.boxes.val)
+		rec.table.val.Splice(remap, f.boxes)
 	} else {
 		rec.table = nil
 	}
@@ -234,10 +226,11 @@ func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]layout
 func source(pp layout.PlacedPoly) geom.Polygon { return pp.Src.Cell.Polys[pp.Src.Idx].Shape }
 
 // carveRows stores each row's shapes, placed, into one array of their own,
-// sized exactly: a later patch drops rows of the segmentation whole, so a
-// row's vertices are freed with it — one array for a whole patch would stay
-// alive behind any of its rows left standing, a little more with every
-// patch.
+// sized exactly. Splice copies them into the packed buffer; where the layer
+// keeps instance records, the records keep them, and a later patch drops
+// rows of the segmentation whole, so a row's vertices are freed with it —
+// one array for a whole patch would stay alive behind any of its rows left
+// standing, a little more with every patch.
 func carveRows(fresh []layout.PlacedPoly, rows []partition.Row) {
 	for _, row := range rows {
 		n := 0

@@ -2,7 +2,6 @@ package geocache
 
 import (
 	"context"
-	"sort"
 	"testing"
 
 	"opendrc/internal/budget"
@@ -37,44 +36,13 @@ func bandedLayout(t *testing.T, nBands int) *layout.Layout {
 	return lo
 }
 
-// sortedBoxes is the order-free fingerprint of a flatten.
-func sortedBoxes(polys []layout.PlacedPoly) []geom.Rect {
-	out := make([]geom.Rect, len(polys))
-	for i, pp := range polys {
-		out[i] = pp.Shape.MBR()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.YLo != b.YLo {
-			return a.YLo < b.YLo
-		}
-		return a.XLo < b.XLo
-	})
-	return out
-}
-
-func sameRects(a, b []geom.Rect) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 const testGuard = int64(50)
 
-// warm fills the cache's flatten and pack for M1.
+// warm fills the cache's M1 record as the engine does: without instance
+// records.
 func warm(t *testing.T, c *Cache, lo *layout.Layout) {
 	t.Helper()
-	ctx := context.Background()
-	if _, err := c.Flatten(ctx, lo, layout.LayerM1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Pack(ctx, lo, layout.LayerM1); err != nil {
+	if _, err := c.Pack(context.Background(), lo, layout.LayerM1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -82,7 +50,7 @@ func warm(t *testing.T, c *Cache, lo *layout.Layout) {
 // TestInvalidateRegionDirtiesOnlyTouchedRows pins the row accounting: a rect
 // abutting one band's boundary dirties exactly that row, and the patch
 // requeries only the dirty band while every clean row stays in place — the
-// next Flatten is a hit on the patched record.
+// patched record serves a cold flatten's rings without deriving anything.
 func TestInvalidateRegionDirtiesOnlyTouchedRows(t *testing.T) {
 	lo := bandedLayout(t, 10)
 	c := New(budget.Limits{})
@@ -104,13 +72,7 @@ func TestInvalidateRegionDirtiesOnlyTouchedRows(t *testing.T) {
 		t.Fatalf("kept edge bytes = %d, want %d", out.KeptEdgeBytes, want)
 	}
 
-	got, err := c.Flatten(context.Background(), lo, layout.LayerM1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRects(sortedBoxes(got), sortedBoxes(lo.FlattenLayer(layout.LayerM1))) {
-		t.Fatal("segmented rebuild differs from a cold flatten")
-	}
+	requireColdEqual(t, c, lo, layout.LayerM1)
 	s := c.Stats()
 	if s.SegmentedInvalidations != 1 || s.FullInvalidations != 0 {
 		t.Fatalf("stats = %+v, want 1 segmented / 0 full invalidations", s)
@@ -141,13 +103,7 @@ func TestInvalidateRegionGapSpan(t *testing.T) {
 	if !out.Segmented || out.RowsDirty != 0 || out.PolysKept != 5 || out.PolysRequeried != 1 {
 		t.Fatalf("outcome = %+v, want segmented with 0 dirty rows, 5 kept, the insert requeried", out)
 	}
-	got, err := c.Flatten(context.Background(), lo, layout.LayerM1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameRects(sortedBoxes(got), sortedBoxes(lo.FlattenLayer(layout.LayerM1))) {
-		t.Fatal("gap-span rebuild missed the inserted polygon")
-	}
+	requireColdEqual(t, c, lo, layout.LayerM1)
 }
 
 // TestInvalidateRegionRebuildAfterEdits drives the full edit cycle — insert
@@ -177,14 +133,7 @@ func TestInvalidateRegionRebuildAfterEdits(t *testing.T) {
 	if !out.Segmented || out.RowsDirty != 2 || out.PolysKept != 6 || out.PolysRequeried != 2 {
 		t.Fatalf("outcome = %+v, want segmented with 2 dirty rows, 6 kept, 2 requeried", out)
 	}
-	got, err := c.Flatten(context.Background(), lo, layout.LayerM1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := lo.FlattenLayer(layout.LayerM1)
-	if !sameRects(sortedBoxes(got), sortedBoxes(want)) {
-		t.Fatalf("rebuild after edits differs: %d polys vs %d", len(got), len(want))
-	}
+	requireColdEqual(t, c, lo, layout.LayerM1)
 }
 
 // TestInvalidateRegionDegenerateCases pins every whole-layer fallback: dirty

@@ -13,9 +13,9 @@ import (
 	"opendrc/internal/synth"
 )
 
-// The flatten and the packed buffer share one vertex array: every shape's
-// ring is its polygon's PolyStart range of Pts, by address, until a patch
-// gives the buffer an array of its own.
+// Instance records, where Flatten built them, and the packed buffer share
+// one vertex array: every shape's ring is its polygon's PolyStart range of
+// Pts, by address, until a patch gives the buffer an array of its own.
 
 // requireShared asserts that every shape of polys is carved, in order, from
 // the borrowed vertex array of the layer's packed buffer.
@@ -57,7 +57,8 @@ func TestFlattenSharesPackedVertices(t *testing.T) {
 	for _, l := range []layout.Layer{layout.LayerM1, layout.LayerM2, layout.LayerV1} {
 		requireShared(t, c, lo, l)
 	}
-	// Pack first: the buffer still comes from the flatten's fill.
+	// Pack first: the layer is filled without records, so Flatten fills it
+	// again, records and all, and Pack then serves that fill's buffer.
 	c2 := New(budget.Limits{})
 	if _, err := c2.Pack(context.Background(), lo, layout.LayerM3); err != nil {
 		t.Fatal(err)
@@ -72,7 +73,6 @@ func TestFlattenSharesPackedVertices(t *testing.T) {
 func TestPatchLeavesSharedVerticesInPlace(t *testing.T) {
 	lo := bandedLayout(t, 10)
 	c := New(budget.Limits{})
-	warm(t, c, lo)
 	ctx := context.Background()
 	before, err := c.Flatten(ctx, lo, layout.LayerM1)
 	if err != nil {
@@ -111,8 +111,12 @@ func TestPatchLeavesSharedVerticesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	edges, err := c.Pack(ctx, lo, layout.LayerM1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := int64(cap(polys))*int64(unsafe.Sizeof(layout.PlacedPoly{})) +
-		countVertices(polys)*int64(unsafe.Sizeof(geom.Point{}))
+		int64(edges.Len())*int64(unsafe.Sizeof(geom.Point{}))
 	if r := c.Resident(); r.Flatten != want {
 		t.Fatalf("patched flatten holds %d B, want %d (records and vertices)", r.Flatten, want)
 	}

@@ -79,7 +79,7 @@ func capHint(total int, extent, window geom.Rect) int {
 }
 
 // query is the state of one range query: the one walk QueryLayer,
-// QuerySubtree and FlattenLayer share.
+// QuerySubtree, FlattenLayer and FillLayer share.
 type query struct {
 	l      Layer
 	window geom.Rect // global frame
@@ -89,6 +89,9 @@ type query struct {
 	// bare reports none (QueryLayerPlaces).
 	slab *geom.Slab
 	bare bool
+	// fill, when set, takes each hit's vertex count and box, and its shape
+	// goes to slab; a record too only when out is set (FillLayer).
+	fill *Fill
 	// cand holds index candidates; nested indexed cells use it as a stack.
 	cand []uint32
 }
@@ -159,7 +162,8 @@ func (q *query) indexed(c *Cell, t geom.Transform, own []int32, tree *rtree) {
 func (q *query) poly(c *Cell, t geom.Transform, i int) {
 	p := &c.Polys[i]
 	q.st.PolysTested++
-	if !t.ApplyRect(p.Shape.MBR()).Overlaps(q.window) {
+	box := t.ApplyRect(p.Shape.MBR())
+	if !box.Overlaps(q.window) {
 		return
 	}
 	q.st.PolysHit++
@@ -170,6 +174,13 @@ func (q *query) poly(c *Cell, t geom.Transform, i int) {
 		shape = q.slab.Transform(p.Shape, t)
 	default:
 		shape = p.Shape.Transform(t)
+	}
+	if q.fill != nil {
+		q.fill.PolyStart = append(q.fill.PolyStart, int32(len(q.slab.Points())))
+		q.fill.Boxes = append(q.fill.Boxes, box)
+		if q.out == nil {
+			return
+		}
 	}
 	q.out = append(q.out, PlacedPoly{Src: PolyRef{Cell: c, Idx: i}, Trans: t, Shape: shape})
 }
@@ -207,6 +218,37 @@ func (lo *Layout) FlattenLayerSlab(l Layer) ([]PlacedPoly, []geom.Point) {
 	q := query{l: l, window: s.mbr, out: make([]PlacedPoly, 0, s.subtree), slab: geom.NewSlab(s.verts)}
 	q.cell(lo.Top, geom.Identity())
 	return q.out, q.slab.Points()
+}
+
+// Fill is a layer flattened straight into packed form: polygon i's ring, in
+// the global frame, is Pts[PolyStart[i]:PolyStart[i+1]] and its box
+// Boxes[i]. Polys holds the instance records, their shapes carved from Pts,
+// only when FillLayer was asked for them. The order, the rings and the boxes
+// are FlattenLayerSlab's: its slab, the offsets of its shapes and their MBRs.
+type Fill struct {
+	Pts       []geom.Point
+	PolyStart []int32 // len = polygons+1, PolyStart[0] = 0
+	Boxes     []geom.Rect
+	Polys     []PlacedPoly // nil unless records were asked for
+}
+
+// FillLayer flattens the layer into a Fill: FlattenLayerSlab's walk, keeping
+// each instance's vertex count and box (the placed MBR its window test
+// computes, which is the placed shape's MBR) and, with records, its record.
+// Like it, it allocates each array once, at its exact size.
+func (lo *Layout) FillLayer(l Layer, records bool) Fill {
+	s := lo.Top.slot(l)
+	if s.mbr.Empty() {
+		return Fill{PolyStart: []int32{0}}
+	}
+	f := Fill{PolyStart: append(make([]int32, 0, s.subtree+1), 0), Boxes: make([]geom.Rect, 0, s.subtree)}
+	q := query{l: l, window: s.mbr, slab: geom.NewSlab(s.verts), fill: &f}
+	if records {
+		q.out = make([]PlacedPoly, 0, s.subtree)
+	}
+	q.cell(lo.Top, geom.Identity())
+	f.Pts, f.Polys = q.slab.Points(), q.out
+	return f
 }
 
 // NumInstancesOnLayer counts instance-expanded polygons on the layer (the
