@@ -62,9 +62,9 @@ bash benchmark/run.sh --workload batch_par --seed 7 --trace 1
 # One full-size traced serve_edit pass: edit → delta-check cycles, whose
 # restricted rules query their work window and patch nothing, and every
 # tenth cycle's plain full check, which applies the edits' deferred region
-# patch — whose splice of the packed edge buffer copies it off the flatten's
-# shared vertex array on first use; only the benchmark runs that path at
-# full size.
+# patch, segmented at the reach of the rules reading each layer, and uploads
+# each patched layer's buffer again whole; only the benchmark runs that path
+# at full size.
 bash benchmark/run.sh --workload serve_edit --seed 7 --trace 1
 
 # Fuzz smoke: ten seconds per target. Regressions found by longer fuzz runs

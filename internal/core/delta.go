@@ -240,14 +240,11 @@ type SessionStats struct {
 	ResidentBytes  int64          `json:"resident_bytes"`
 	// FullChecks counts Session.Check calls; DeltaChecks counts
 	// Session.DeltaCheck calls, split into planned incremental runs and
-	// full-check fallbacks. DeviceDeltaUploads counts partial refreshes of
-	// resident edge buffers, in either kind of check: they follow a patch,
-	// which only a check reading the layer through the cache makes.
-	FullChecks         int64 `json:"full_checks"`
-	DeltaChecks        int64 `json:"delta_checks"`
-	DeltaPlanned       int64 `json:"delta_planned"`
-	DeltaFallbacks     int64 `json:"delta_fallbacks"`
-	DeviceDeltaUploads int64 `json:"device_delta_uploads"`
+	// full-check fallbacks.
+	FullChecks     int64 `json:"full_checks"`
+	DeltaChecks    int64 `json:"delta_checks"`
+	DeltaPlanned   int64 `json:"delta_planned"`
+	DeltaFallbacks int64 `json:"delta_fallbacks"`
 	// RulesReplayed counts rules a plain check answered from their record,
 	// RulesExecuted rules that ran an executor (in full or restricted, in
 	// either kind of check); ResultBytes is the records' retained size.
@@ -431,12 +428,13 @@ func (s *Session) markDirty(l layout.Layer, rects []geom.Rect, whole bool) {
 // brings the geometry cache up to date for the rules that read it: each
 // layer a rule of e reads through the cache (Engine.readsCache) is marked
 // cached and, when it has dirt, patched — a region-scoped cache invalidation
-// (the dirt's rects dilated by the deck's maximum reach) that patches the
-// layer's record in place, and a matching partial free of the layer's
-// device-resident edge buffer so the next bind uploads only the re-queried
-// tail. Whole-layer dirt — and layers the cache cannot patch, which includes
-// every layer of a session running with budgets or a fault injector — falls
-// back to full invalidation and a full buffer free, so the per-upload budget
+// that patches the layer's record in place, segmented (and the dirt's rects
+// dilated) at the largest reach among those rules, so every partition they
+// read refines the segmentation and no other is built — and its
+// device-resident edge buffer is freed, so the next bind uploads the patched
+// buffer whole. Whole-layer dirt — and layers the cache cannot patch, which
+// includes every layer of a session running with budgets or a fault
+// injector — falls back to full invalidation, so the per-upload budget
 // charge and the allocator fault site fire exactly as in batch. Dirt on a
 // layer no rule of e reads that way waits, accumulating, for a check that
 // does: a delta check, whose restricted runs query their work window,
@@ -449,6 +447,7 @@ func (s *Session) markDirty(l layout.Layer, rects []geom.Rect, whole bool) {
 // Session lock held, no lookup in flight — the geocache patch contract.
 func (s *Session) applyPending(e *Engine, rep *Report, pc *parCtx) {
 	s.pending = dirtyRegions{}
+	reach := make(map[layout.Layer]int64)
 	var layers []layout.Layer
 	for _, r := range e.deck {
 		if !e.readsCache(r) {
@@ -458,33 +457,37 @@ func (s *Session) applyPending(e *Engine, rep *Report, pc *parCtx) {
 			s.cached = make(map[layout.Layer]bool)
 		}
 		s.cached[r.Layer] = true
-		if s.dirt.has(r.Layer) {
+		if !s.dirt.has(r.Layer) {
+			continue
+		}
+		if _, seen := reach[r.Layer]; !seen {
 			layers = append(layers, r.Layer)
 		}
+		reach[r.Layer] = max(reach[r.Layer], r.SpacingLimit().Reach())
 	}
 	if len(layers) == 0 {
 		return
 	}
 	slices.Sort(layers)
-	layers = slices.Compact(layers)
-	_ = hostPhase(rep, pc, "delta:patch", func() error { s.patch(layers, e.deck.MaxReach(), pc); return nil })
+	_ = hostPhase(rep, pc, "delta:patch", func() error { s.patch(layers, reach, pc); return nil })
 }
 
 // patch is applyPending's body: per dirty layer, in layer order, one
 // InvalidateRegion over every rect the layer's dirt gathered since its last
-// patch (dilated by guard) and one device-buffer free.
-func (s *Session) patch(layers []layout.Layer, guard int64, pc *parCtx) {
+// patch (dilated by the layer's reach) and one device-buffer free.
+func (s *Session) patch(layers []layout.Layer, reach map[layout.Layer]int64, pc *parCtx) {
 	for _, l := range layers {
 		rects := s.dirt.rects[l]
 		whole := s.dirt.whole[l]
 		s.dirt.drop(l)
+		if pc != nil {
+			pc.freeResident(l)
+		}
 		if whole {
 			s.geo.Invalidate(l)
-			if pc != nil {
-				pc.freeResident(l)
-			}
 			continue
 		}
+		guard := reach[l]
 		wide := make([]geom.Rect, len(rects))
 		for i, r := range rects {
 			wide[i] = r.Expand(guard)
@@ -494,37 +497,6 @@ func (s *Session) patch(layers []layout.Layer, guard int64, pc *parCtx) {
 		stop(trace.Arg{Key: "segmented", Val: out.Segmented},
 			trace.Arg{Key: "rows_requeried", Val: out.RowsDirty},
 			trace.Arg{Key: "polys_replaced", Val: out.PolysRequeried})
-		if pc != nil {
-			if out.Segmented {
-				pc.partialFreeResident(l, out.KeptEdgeBytes)
-			} else {
-				pc.freeResident(l)
-			}
-		}
-	}
-}
-
-// partialFreeResident frees the stale suffix of a layer's device-resident
-// edge buffer, keeping keptBytes resident; the next bindEdges uploads only
-// the delta. A patch that displaced nothing (an insert outside every row)
-// keeps the whole buffer and frees nothing. Session lock held.
-func (pc *parCtx) partialFreeResident(l layout.Layer, keptBytes int64) {
-	for _, b := range pc.resident {
-		if b.layer != l {
-			continue
-		}
-		if keptBytes <= 0 || keptBytes > b.bytes {
-			pc.freeResident(l)
-			return
-		}
-		if keptBytes < b.bytes {
-			pc.io.WaitEvent(pc.cs.RecordEvent())
-			pc.io.FreeAsync(b.bytes - keptBytes)
-			b.bytes = keptBytes
-		}
-		b.partial = true
-		b.table = false // derived table is stale with the geometry
-		return
 	}
 }
 
@@ -648,7 +620,6 @@ func (s *Session) run(ctx context.Context, deck rules.Deck, delta bool) (*Report
 	if delta && info.Planned {
 		s.stats.DeltaPlanned++
 	}
-	s.stats.DeviceDeltaUploads += rep.Stats.DeviceDeltaUploads
 	s.stats.RulesReplayed += int64(rep.replayed)
 	s.stats.RulesExecuted += int64(rep.executed)
 	s.opts.Logger.Infof("core: check %s: %d rules, %d replayed, %d executed, %d skipped, host_wall_us=%d modeled_us=%d",

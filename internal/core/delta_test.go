@@ -279,8 +279,8 @@ func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*
 
 	// The next plain check executes the edited layers' spacing rules in full
 	// through the cache, so it patches each of their records first, once.
-	// An M1 record is patched by row, with the edit's rects, and the
-	// resident buffer refreshed with one delta upload.
+	// An M1 record is patched by row, with the edit's rects, and its resident
+	// buffer, freed by the patch, uploaded again whole.
 	plain, err := ses.Check(ctx, deck)
 	if err != nil {
 		t.Fatalf("plain check: %v", err)
@@ -296,15 +296,14 @@ func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*
 		t.Fatalf("%d patches of %d cached edited layers: %+v", patches(st), cached, st.Geocache)
 	}
 	if opts.Mode == Parallel && slices.Equal(edited, []layout.Layer{layout.LayerM1}) {
-		if patches(st) != 1 || st.Geocache.SegmentedRebuilds != 1 || st.Geocache.PatchedPolys == 0 {
+		if patches(st) != 1 || st.Geocache.SegmentedInvalidations != 1 || st.Geocache.PatchedPolys == 0 {
 			t.Fatalf("M1 record not patched once by row: %+v", st.Geocache)
 		}
 		if plain.Profile.Get("delta:patch") == 0 {
 			t.Fatal("the patch is not on the plain check's books")
 		}
-		if plain.Stats.DeviceDeltaUploads != 1 || plain.Stats.DeviceUploads != 0 || st.DeviceDeltaUploads != 1 {
-			t.Fatalf("plain check: %d delta uploads, %d full uploads (session: %d delta uploads)",
-				plain.Stats.DeviceDeltaUploads, plain.Stats.DeviceUploads, st.DeviceDeltaUploads)
+		if plain.Stats.DeviceUploads != 1 {
+			t.Fatalf("plain check: %d uploads, want the patched M1 buffer's one", plain.Stats.DeviceUploads)
 		}
 	}
 	if err := ses.Close(ctx); err != nil {
@@ -417,8 +416,8 @@ func bandedCoreLayout(t *testing.T, n int) *layout.Layout {
 // TestDeltaPartialDeviceRefresh pins the device path end to end on a layout
 // where segmentation is guaranteed: the delta check leaves the resident
 // buffer alone, and the next plain check patches — one band edited → one row
-// requeried, the resident edge buffer freed only partially, and exactly one
-// delta upload of the grown slice.
+// requeried — frees the layer's resident edge buffer whole and uploads the
+// patched buffer once, every byte of it.
 func TestDeltaPartialDeviceRefresh(t *testing.T) {
 	lo := bandedCoreLayout(t, 8)
 	deck := rules.Deck{rules.Layer(layout.LayerM1).Spacing().AtLeast(12).Named("S.1")}
@@ -443,24 +442,20 @@ func TestDeltaPartialDeviceRefresh(t *testing.T) {
 	if !info.Planned || info.RulesRestricted != 1 {
 		t.Fatalf("plan = %+v", info)
 	}
-	if rep.Stats.DeviceDeltaUploads != 0 || rep.Stats.DeviceUploads != 0 {
-		t.Fatalf("delta check touched the resident buffer: %d delta uploads, %d uploads",
-			rep.Stats.DeviceDeltaUploads, rep.Stats.DeviceUploads)
+	if rep.Stats.DeviceUploads != 0 || rep.Stats.DeviceReuses != 0 {
+		t.Fatalf("delta check touched the resident buffer: %d uploads, %d reuses",
+			rep.Stats.DeviceUploads, rep.Stats.DeviceReuses)
 	}
 	plain, err := ses.Check(ctx, deck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Stats.DeviceDeltaUploads != 1 {
-		t.Fatalf("%d delta uploads, want 1: %+v", plain.Stats.DeviceDeltaUploads, plain.Stats)
-	}
-	if plain.Stats.DeviceUploads != 0 {
-		t.Fatalf("plain check re-uploaded %d full buffers", plain.Stats.DeviceUploads)
-	}
 	if st, err := ses.StatsSnapshot(ctx); err != nil {
 		t.Fatal(err)
-	} else if st.Geocache.SegmentedRebuilds != 1 || st.Geocache.RowsRequeried != 1 {
-		t.Fatalf("patch = %+v, want one segmented rebuild of one row", st.Geocache)
+	} else if st.Geocache.SegmentedInvalidations != 1 || st.Geocache.RowsRequeried != 1 {
+		t.Fatalf("patch = %+v, want one segmented patch of one row", st.Geocache)
+	} else if st.ResidentLayers != 1 {
+		t.Fatalf("%d resident layers after the plain check, want 1", st.ResidentLayers)
 	}
 
 	// Ground truth: fresh layout, same edits, batch engine.
@@ -484,6 +479,12 @@ func TestDeltaPartialDeviceRefresh(t *testing.T) {
 	}
 	if canonJSON(t, plain) != canonJSON(t, want) {
 		t.Fatal("partial-refresh plain report differs from cold check")
+	}
+	// The patched buffer goes up whole: what a cold check of the edited
+	// layout copies, buffer and MBR table.
+	if plain.Stats.DeviceUploads != 1 || plain.Stats.DeviceDeltaUploads != 0 || plain.Stats.BytesCopied != want.Stats.BytesCopied {
+		t.Fatalf("plain check: %d uploads, %d delta uploads, %d B copied, want one upload and the cold check's %d B",
+			plain.Stats.DeviceUploads, plain.Stats.DeviceDeltaUploads, plain.Stats.BytesCopied, want.Stats.BytesCopied)
 	}
 	if len(rep.Violations) == 0 {
 		t.Fatal("edit created no violations; the claim path went untested")
@@ -767,20 +768,18 @@ func TestDeltaEmptyIntersectionEdit(t *testing.T) {
 	if len(rep.Violations) != 0 {
 		t.Fatalf("clean insert produced %d violations", len(rep.Violations))
 	}
-	if rep.Stats.DeviceUploads != 0 || rep.Stats.DeviceDeltaUploads != 0 || rep.Stats.BytesCopied >= base.Stats.BytesCopied {
-		t.Fatalf("delta check: %d uploads, %d delta uploads, %d bytes copied (cold check copied %d)",
-			rep.Stats.DeviceUploads, rep.Stats.DeviceDeltaUploads, rep.Stats.BytesCopied, base.Stats.BytesCopied)
+	if rep.Stats.DeviceUploads != 0 || rep.Stats.BytesCopied >= base.Stats.BytesCopied {
+		t.Fatalf("delta check: %d uploads, %d bytes copied (cold check copied %d)",
+			rep.Stats.DeviceUploads, rep.Stats.BytesCopied, base.Stats.BytesCopied)
 	}
-	// At the next plain check the patch displaces nothing, so the resident
-	// buffer is kept whole and grown by the new polygon's edges: no re-upload
-	// of the layer.
+	// At the next plain check the patch displaces nothing and appends the
+	// new polygon; the layer's resident buffer is uploaded again, whole.
 	plain, err := ses.Check(ctx, deck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Stats.DeviceUploads != 0 || plain.Stats.DeviceDeltaUploads != 1 || plain.Stats.BytesCopied >= base.Stats.BytesCopied {
-		t.Fatalf("insert outside every row: %d uploads, %d delta uploads, %d bytes copied (cold check copied %d)",
-			plain.Stats.DeviceUploads, plain.Stats.DeviceDeltaUploads, plain.Stats.BytesCopied, base.Stats.BytesCopied)
+	if plain.Stats.DeviceUploads != 1 {
+		t.Fatalf("insert outside every row: %d uploads, want the patched layer's one", plain.Stats.DeviceUploads)
 	}
 	if len(plain.Violations) != 0 {
 		t.Fatalf("clean insert produced %d violations in the plain check", len(plain.Violations))

@@ -218,9 +218,9 @@ type Stats struct {
 	DeviceUploads   int64
 	DeviceReuses    int64
 	DeviceEvictions int64
-	// DeviceDeltaUploads counts partial refreshes of resident buffers: after
-	// a region-scoped invalidation only the rebuilt slice of a layer's edge
-	// buffer is re-uploaded instead of the whole layer.
+	// DeviceDeltaUploads always reads 0: a patched layer's resident buffer
+	// is freed whole and re-uploaded. The field stays because the
+	// benchmark's ledger (gpu.delta_uploads) compiles against it.
 	DeviceDeltaUploads int64
 
 	// Trace is the run's timeline summary (device busy, host/device
@@ -249,7 +249,6 @@ func (s *Stats) add(s2 Stats) {
 	s.DeviceUploads += s2.DeviceUploads
 	s.DeviceReuses += s2.DeviceReuses
 	s.DeviceEvictions += s2.DeviceEvictions
-	s.DeviceDeltaUploads += s2.DeviceDeltaUploads
 }
 
 // reuse books one definition computation whose result serves n instances.

@@ -12,10 +12,12 @@ import (
 
 	"opendrc/internal/budget"
 	"opendrc/internal/faults"
+	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
 	"opendrc/internal/kernels"
 	"opendrc/internal/klayout"
 	"opendrc/internal/layout"
+	"opendrc/internal/partition"
 	"opendrc/internal/rules"
 	"opendrc/internal/synth"
 	"opendrc/internal/trace"
@@ -337,7 +339,82 @@ func TestParallelBuildsNoInstanceRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Geocache.SegmentedRebuilds < 2 {
-		t.Fatalf("the session patched %d layer records, want the M1 and M2 ones: %+v", st.Geocache.SegmentedRebuilds, st.Geocache)
+	if st.Geocache.SegmentedInvalidations < 2 {
+		t.Fatalf("the session patched %d layer records, want the M1 and M2 ones: %+v", st.Geocache.SegmentedInvalidations, st.Geocache)
+	}
+}
+
+// TestPatchSegmentsAtReadersReach: a session's patch segments each layer at
+// the largest reach among the rules that read it through the cache, so after
+// an edit and a plain check the session's geometry cache holds exactly the
+// row partitions — by key and by bytes — that a cold check of the edited
+// layout holds: none at the deck's maximum reach on a layer no rule reads at
+// that reach.
+func TestPatchSegmentsAtReadersReach(t *testing.T) {
+	ctx := context.Background()
+	deck := synth.Deck()
+	load := func() *layout.Layout {
+		lo, _, err := synth.Load("ethmac", 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lo
+	}
+	lo := load()
+	edits := append(deltaTestEdits(lo), m2Segment(lo)...)
+	ses := NewSession(lo, Options{Mode: Parallel})
+	defer ses.Close(ctx)
+	if _, err := ses.Check(ctx, deck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Edit(ctx, edits); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ses.Check(ctx, deck); err != nil {
+		t.Fatal(err)
+	}
+	// M1 is patched by row; M2's routes span its one row, so it is dropped.
+	if st := ses.geo.Stats(); st.SegmentedInvalidations != 1 || st.FullInvalidations != 1 {
+		t.Fatalf("the plain check did not patch M1 by row and drop M2: %+v", st)
+	}
+
+	clo := load()
+	if _, err := clo.ApplyEdits(edits); err != nil {
+		t.Fatal(err)
+	}
+	cold := NewSession(clo, Options{Mode: Parallel})
+	defer cold.Close(ctx)
+	if _, err := cold.Check(ctx, deck); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ses.geo.Resident().Rows, cold.geo.Resident().Rows; got != want {
+		t.Fatalf("session's partitions hold %d B, a cold check's %d B", got, want)
+	}
+
+	// The partition keys held, probed by lookup: a hit is a held key.
+	guards := []int64{deck.MaxReach()}
+	for _, r := range deck {
+		if r.Kind == rules.Spacing {
+			guards = append(guards, r.SpacingLimit().Reach())
+		}
+	}
+	held := func(s *Session) []string {
+		var keys []string
+		for _, l := range []layout.Layer{layout.LayerM1, layout.LayerM2, layout.LayerM3} {
+			for _, g := range guards {
+				hit := false
+				s.geo.SetEventHook(func(ev geocache.Event) { hit = ev.Hit })
+				if _, err := s.geo.Rows(ctx, s.lo, l, g, partition.Pigeonhole); err != nil {
+					t.Fatal(err)
+				}
+				if hit {
+					keys = append(keys, fmt.Sprintf("%v/%d", l, g))
+				}
+			}
+		}
+		return keys
+	}
+	if got, want := held(ses), held(cold); !reflect.DeepEqual(got, want) {
+		t.Fatalf("session holds partitions %v, a cold check %v", got, want)
 	}
 }

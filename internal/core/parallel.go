@@ -106,10 +106,6 @@ type residentBuf struct {
 	ready   gpu.Event
 	lastUse int64
 	table   bool
-	// partial marks a buffer whose stale slice was freed by a region-scoped
-	// invalidation: bytes holds only the still-valid prefix, and the next
-	// bindEdges grows it back with a delta upload instead of a full one.
-	partial bool
 }
 
 // devMark is a mark on a rule's tape: a point where the rule needs device
@@ -131,7 +127,7 @@ type markKind uint8
 
 const (
 	// bindLayer makes a layer's packed edge buffer addressable by the checks
-	// stream: uploaded, grown back from a partial buffer, or reused.
+	// stream: uploaded or reused.
 	bindLayer markKind = iota
 	// bindTable is the bound layer's MBR table, copied on its first use.
 	bindTable
@@ -323,27 +319,6 @@ func (e *Engine) bindEdges(pc *parCtx, rep *Report, m devMark) error {
 			continue
 		}
 		b.lastUse = pc.useCtr
-		if b.partial {
-			// Grow the kept prefix back to the full rebuilt buffer with one
-			// delta copy. Deliberately a plain allocation, not allocEvict:
-			// eviction could pick this very buffer as the LRU victim. Partial
-			// buffers only exist in budget-free sessions (see
-			// Session.applyPending), so failure here means the pool itself is
-			// wedged — drop the prefix and upload fresh.
-			delta := m.bytes - b.bytes
-			if delta > 0 {
-				if err := pc.io.AllocAsync(delta); err != nil {
-					pc.freeResident(l)
-					break
-				}
-				pc.io.MemcpyAsync("edges-delta", delta)
-				rep.Stats.BytesCopied += delta
-				b.bytes = m.bytes
-			}
-			b.partial = false
-			b.ready = pc.io.RecordEvent()
-			rep.Stats.DeviceDeltaUploads++
-		}
 		pc.cs.WaitEvent(b.ready)
 		rep.Stats.DeviceReuses++
 		return nil

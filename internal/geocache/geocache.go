@@ -32,7 +32,9 @@
 //     checks a session may patch that record in place (InvalidateRegion):
 //     the caller must hold whatever serializes its checks and have no
 //     lookup in flight, because a patch rewrites the shared slices that
-//     earlier lookups returned. Within a check the record is immutable.
+//     earlier lookups returned. A record holding instance records is never
+//     patched, only dropped, so their shapes never see their vertices move.
+//     Within a check the record is immutable.
 package geocache
 
 import (
@@ -60,12 +62,11 @@ type Stats struct {
 	PackHits, PackMisses       int64
 	// Region-invalidation traffic (see InvalidateRegion). Segmented counts
 	// calls that patched a layer's record in place; Full counts calls that
-	// degenerated to a whole-layer drop. Each patch (SegmentedRebuilds) keeps
-	// RowsReused rows of the segmenting partition untouched, re-queries
-	// RowsRequeried dirty ones from the hierarchy, and splices PatchedPolys
-	// re-queried polygons in at the tail.
+	// degenerated to a whole-layer drop. Each patch keeps RowsReused rows of
+	// the segmenting partition untouched, re-queries RowsRequeried dirty ones
+	// from the hierarchy, and splices PatchedPolys re-queried polygons in at
+	// the tail.
 	SegmentedInvalidations, FullInvalidations int64
-	SegmentedRebuilds                         int64
 	RowsReused, RowsRequeried                 int64
 	PatchedPolys                              int64
 }
@@ -163,7 +164,8 @@ type part struct {
 // flattened is a layer's flatten: its packed edge buffer and its polygons'
 // boxes, index-aligned. Pack and MBRs hand them out. Its instance records
 // exist only when Flatten asked for them; their shapes are carved from the
-// buffer's vertex array (kernels.Share), so the vertices are stored once.
+// buffer's vertex array, so the vertices are stored once, and no patch meets
+// them (InvalidateRegion drops such a layer).
 type flattened struct {
 	edges *kernels.Edges
 	boxes []geom.Rect
@@ -239,9 +241,8 @@ func (c *Cache) Stats() Stats {
 // count once: a table's boxes are the cached MBRs, under Boxes, and the
 // vertices are the packed buffer's, under Edges. Flatten counts instance
 // records, which only Flatten builds: 0 for a layer no caller asked it for,
-// the records alone for one that shares the buffer's vertices — until a
-// patch gives the buffer its own array (kernels.Edges.Splice), after which
-// Flatten counts the vertices the records' shapes still hold too.
+// the records alone for one that has them (their shapes hold the buffer's
+// vertices).
 type Resident struct {
 	Flatten, Boxes, Edges, Tables, Rows int64
 }
@@ -257,12 +258,7 @@ func (c *Cache) Resident() Resident {
 	for _, rec := range c.layers {
 		if rec.flat.ready() {
 			f := rec.flat.val
-			if f.polys != nil {
-				r.Flatten += int64(cap(f.polys)) * int64(unsafe.Sizeof(layout.PlacedPoly{}))
-				if !f.edges.Borrowed() {
-					r.Flatten += int64(len(f.edges.Pts)) * int64(unsafe.Sizeof(geom.Point{}))
-				}
-			}
+			r.Flatten += int64(cap(f.polys)) * int64(unsafe.Sizeof(layout.PlacedPoly{}))
 			r.Edges += int64(cap(f.edges.Pts))*int64(unsafe.Sizeof(geom.Point{})) + int64(cap(f.edges.PolyStart))*4
 			r.Boxes += int64(cap(f.boxes)) * int64(unsafe.Sizeof(geom.Rect{}))
 		}
@@ -381,9 +377,6 @@ func (c *Cache) flatten(ctx context.Context, lo *layout.Layout, l layout.Layer, 
 			}
 			fl := lo.FillLayer(l, records)
 			f := flattened{edges: &kernels.Edges{Pts: fl.Pts, PolyStart: fl.PolyStart}, boxes: fl.Boxes, polys: fl.Polys}
-			if records {
-				f.edges = kernels.Share(fl.Pts, fl.PolyStart) // the records' shapes hold fl.Pts too
-			}
 			if err := budget.Check("flatten-polys", int64(f.edges.NumPolys()), c.limits.MaxFlattenPolys); err != nil {
 				return flattened{}, err
 			}

@@ -24,7 +24,8 @@ import (
 // place or dropped — every structure the cache serves afterwards must equal,
 // slice for slice, the cold derivation from the packed rings it serves, those
 // rings must be a cold flatten's of the edited layout up to order, and the
-// instance records, when Flatten built them, must hold the rings in order.
+// instance records, when Flatten built them, must hold the rings in order. A
+// layer holding records is never patched: it is dropped and refilled.
 
 // segGuard is the guard sessions segment with on the synthetic deck (its
 // maximum reach); oracleParts are the partitions kept warm beside it: the M1
@@ -166,10 +167,11 @@ func requireColdEqual(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer)
 }
 
 // editAndPatch applies one edit the way a session does — ApplyEdits, dirty
-// rects dilated by the segmentation guard, InvalidateRegion — then asserts
-// the oracle. A patch must have derived nothing cold: no flatten or pack
-// miss, and only the dirty bands' polygons came back from the hierarchy.
-// The layer is re-warmed as warmAll(records) leaves it.
+// rects dilated by the segmentation guard, InvalidateRegion — re-warms the
+// layer as warmAll(records) leaves it, then asserts the oracle. A patch must
+// have derived nothing cold: no flatten or pack miss, and only the dirty
+// bands' polygons came back from the hierarchy. A layer holding records must
+// have been dropped, and its refill is held to the oracle records and all.
 func editAndPatch(t *testing.T, c *Cache, lo *layout.Layout, ed layout.Edit, records bool) RegionOutcome {
 	t.Helper()
 	dirty, err := lo.ApplyEdits([]layout.Edit{ed})
@@ -187,6 +189,9 @@ func editAndPatch(t *testing.T, c *Cache, lo *layout.Layout, ed layout.Edit, rec
 	}
 	s0 := c.Stats()
 	out := c.InvalidateRegion(ed.Layer, segGuard, partition.Pigeonhole, rects)
+	if records && (out.Segmented || c.Stats().FullInvalidations != s0.FullInvalidations+1) {
+		t.Fatalf("%+v: a layer holding instance records was not dropped: %+v", ed, out)
+	}
 	if out.Segmented {
 		all := lo.FlattenLayer(ed.Layer)
 		if out.PolysKept == 0 || out.PolysKept+out.PolysRequeried != len(all) {
@@ -209,11 +214,11 @@ func editAndPatch(t *testing.T, c *Cache, lo *layout.Layout, ed layout.Edit, rec
 			t.Fatalf("%+v: patch re-queried %d polygons, fewer than the %d in the dirty spans", ed, out.PolysRequeried, inBands)
 		}
 	}
+	warmAll(t, c, lo, ed.Layer, records) // re-warm whatever a whole-layer drop took
 	requireColdEqual(t, c, lo, ed.Layer)
 	if s := c.Stats(); out.Segmented && (s.FlattenMisses != s0.FlattenMisses || s.PackMisses != s0.PackMisses) {
 		t.Fatalf("%+v: patched layer still re-derived: %+v after %+v", ed, s, s0)
 	}
-	warmAll(t, c, lo, ed.Layer, records) // re-warm whatever a whole-layer drop took
 	return out
 }
 
@@ -254,8 +259,9 @@ func handBuilt(t *testing.T) *layout.Layout {
 }
 
 // TestPatchedLayerEqualsColdDerivation runs each edit sequence on a cache
-// that never built instance records, as the engine leaves it, and on one
-// whose records Flatten built, which a patch keeps in step.
+// that never built instance records, as the engine leaves it, which a patch
+// keeps by row, and on one whose records Flatten built, which every edit
+// drops and refills.
 func TestPatchedLayerEqualsColdDerivation(t *testing.T) {
 	t.Run("hand-built", func(t *testing.T) {
 		for _, records := range []bool{false, true} {
@@ -267,7 +273,7 @@ func TestPatchedLayerEqualsColdDerivation(t *testing.T) {
 		for _, run := range []struct {
 			seed    int64
 			records bool
-		}{{1, false}, {2, true}} {
+		}{{1, false}, {2, false}, {2, true}} {
 			seed, records := run.seed, run.records
 			lo, _, err := synth.Load("ethmac", 0.3)
 			if err != nil {
@@ -294,7 +300,7 @@ func TestPatchedLayerEqualsColdDerivation(t *testing.T) {
 					patched++
 				}
 			}
-			if patched < 20 {
+			if !records && patched < 20 {
 				t.Fatalf("seed %d: only %d of 40 edits patched in place; the splice went untested", seed, patched)
 			}
 		}
@@ -325,6 +331,9 @@ func handBuiltSteps(t *testing.T, records bool) {
 		{"insert on the emptied layer", insertRect(layout.LayerM3, geom.R(0, 0, 100, 100)), false, 0, 0},
 	}
 	for _, st := range steps {
+		if records {
+			st.segmented, st.rowsTotal, st.dirty = false, 0, 0
+		}
 		out := editAndPatch(t, c, lo, st.ed, records)
 		if out.Segmented != st.segmented || out.RowsTotal != st.rowsTotal || out.RowsDirty != st.dirty {
 			t.Fatalf("records=%v, %s: outcome %+v, want segmented=%v with %d of %d rows dirty",
@@ -366,7 +375,7 @@ func TestPatchAcrossBatchesEqualsColdDerivation(t *testing.T) {
 		t.Fatalf("outcome %+v, want segmented with 3 of 6 rows dirty", out)
 	}
 	requireColdEqual(t, c, lo, layout.LayerM1)
-	if s := c.Stats(); s.FlattenMisses != s0.FlattenMisses || s.PackMisses != s0.PackMisses || s.SegmentedRebuilds != s0.SegmentedRebuilds+1 {
+	if s := c.Stats(); s.FlattenMisses != s0.FlattenMisses || s.PackMisses != s0.PackMisses || s.SegmentedInvalidations != s0.SegmentedInvalidations+1 {
 		t.Fatalf("one patch over three batches: %+v after %+v", s, s0)
 	}
 }

@@ -10,8 +10,7 @@
 // The invariant, which is also the test oracle: after a patch the record
 // equals, slice for slice, what the cold derivations (ring MBRs,
 // partition.Rows, kernels.NewMBRTable) produce from the patched packed
-// rings, the instance records (when Flatten built them) hold those rings in
-// the same order, and the rings are multiset-equal to a cold FlattenLayer of
+// rings, and the rings are multiset-equal to a cold FlattenLayer of
 // the edited layout — kept rows hold unedited geometry by construction,
 // deleted polygons always fall in dirty rows (callers pass dirty rects
 // covering every changed polygon's MBR), and new polygons never land inside
@@ -37,35 +36,31 @@ import (
 // width without risking int64 overflow in window arithmetic).
 const queryHalfSpan = int64(1) << 60
 
-// RegionOutcome reports what one InvalidateRegion call did, so sessions can
-// free only the stale slice of a device-resident edge buffer.
+// RegionOutcome reports what one InvalidateRegion call did.
 type RegionOutcome struct {
 	// Segmented is false when the call degenerated to a whole-layer drop:
-	// no completed flatten to patch, every row dirty (an empty or single-row
-	// layer included), or a cache running with budgets or a fault hook.
+	// no completed flatten to patch, a flatten holding instance records,
+	// every row dirty (an empty or single-row layer included), or a cache
+	// running with budgets or a fault hook.
 	Segmented            bool
 	RowsTotal, RowsDirty int
 	// PolysKept polygons stayed where the clean rows had them;
 	// PolysRequeried came back from the hierarchy and sit at the tail.
 	PolysKept, PolysRequeried int
-	// KeptEdgeBytes is the exact device-byte size of the untouched rows'
-	// packed edges, which the patch left as the buffer's prefix (zero when
-	// not segmented or the layer was never packed). Sessions free
-	// (resident bytes - KeptEdgeBytes) and later upload only the tail.
-	KeptEdgeBytes int64
 }
 
 // InvalidateRegion patches the layer's record where the dirty rects (already
 // dilated by the caller's guard distance) intersect its row segmentation.
-// The segmentation is the (guard, alg) partition — sessions pass the deck's
-// maximum interaction reach, so a clean row's geometry cannot interact with
-// anything inside the dirty region; it is computed on the first call and
-// kept patched like every other cached partition afterwards. With no
-// completed flatten, when every row is dirty, or on a cache with budgets or
-// a fault hook (whose flatten-polys check and fault site a patch would
-// bypass) the call degrades to Invalidate(l). Empty rects contribute
-// nothing; zero rects degrade to a whole-layer drop (matching Invalidate's
-// "no qualifier means everything" convention).
+// The segmentation is the (guard, alg) partition — sessions pass the largest
+// reach among the rules that read the layer through the cache, so every
+// partition those rules read refines it; it is computed on the first call
+// and kept patched like every other cached partition afterwards. With no
+// completed flatten, when the flatten holds instance records (Flatten's,
+// whose shapes share the packed buffer's vertices), when every row is dirty,
+// or on a cache with budgets or a fault hook (whose flatten-polys check and
+// fault site a patch would bypass) the call degrades to Invalidate(l). Empty
+// rects contribute nothing; zero rects degrade to a whole-layer drop
+// (matching Invalidate's "no qualifier means everything" convention).
 //
 // The patch rewrites slices earlier lookups returned: callers hold the lock
 // that serializes their checks and have none in flight.
@@ -79,10 +74,10 @@ func (c *Cache) InvalidateRegion(l layout.Layer, guard int64, alg partition.Algo
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec := c.layers[l]
-	if len(spans) > 0 && rec != nil && rec.flat.ready() && c.hook == nil && c.limits == (budget.Limits{}) {
+	if len(spans) > 0 && rec != nil && rec.flat.ready() && rec.flat.val.polys == nil &&
+		c.hook == nil && c.limits == (budget.Limits{}) {
 		if out, ok := c.patch(rec, l, partKey{guard, alg}, mergeSpans(spans)); ok {
 			c.stats.SegmentedInvalidations++
-			c.stats.SegmentedRebuilds++
 			c.stats.RowsReused += int64(out.RowsTotal - out.RowsDirty)
 			c.stats.RowsRequeried += int64(out.RowsDirty)
 			c.stats.PatchedPolys += int64(out.PolysRequeried)
@@ -147,25 +142,12 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 	bands := mergeSpans(append(dirty, spans...))
 	fresh, freshBoxes := c.requery(l, bands, clean)
 	out.PolysRequeried = len(fresh)
-	segRows := partition.Rows(freshBoxes, seg.guard, seg.alg)
-	carveRows(fresh, segRows)
 
-	if f.polys != nil {
-		f.polys = append(kernels.Compact(f.polys, remap, first), fresh...)
-	}
 	f.boxes = append(kernels.Compact(f.boxes, remap, first), freshBoxes...)
 	rec.boxes = filled(f.boxes)
 	// The flatten's buffer is spliced whether or not Pack has handed it out.
-	// A buffer that records share (kernels.Share) gets its own array at the
-	// first splice, so the kept records' shapes keep their vertices.
-	shapes := make([]geom.Polygon, len(fresh))
-	for i := range fresh {
-		shapes[i] = fresh[i].Shape
-	}
-	kept := f.edges.Splice(remap, first, shapes)
-	if rec.edges.ready() {
-		out.KeptEdgeBytes = kept
-	} else {
+	f.edges.Splice(remap, first, fresh)
+	if !rec.edges.ready() {
 		rec.edges = nil
 	}
 	if rec.table.ready() {
@@ -181,10 +163,7 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 		if !p.rows.ready() || p.key.guard > seg.guard {
 			continue
 		}
-		add := segRows
-		if p.key != seg {
-			add = partition.Rows(freshBoxes, p.key.guard, p.key.alg)
-		}
+		add := partition.Rows(freshBoxes, p.key.guard, p.key.alg)
 		p.rows.val = partition.Splice(p.rows.val, bands, remap, first, ownRows(add, tail))
 		parts = append(parts, p)
 	}
@@ -193,28 +172,29 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 	return out, true
 }
 
-// requery returns the post-edit polygons of the dirty bands from full-width
-// hierarchy range queries, with their boxes. Together with the clean rows'
+// requery returns the post-edit shapes of the dirty bands from full-width
+// hierarchy range queries, placed, with their boxes; Splice copies the
+// shapes into the packed buffer's tail. Together with the clean rows'
 // polygons every post-edit polygon appears exactly once: clean-row members
 // are rejected (a polygon's extent is contained in its own row's band, and
 // bands are disjoint with positive-measure extents), dirty-row and new
-// polygons are accepted by the first band their extent overlaps. The
-// polygons come without shapes (QueryLayerPlaces): carveRows stores them.
-func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]layout.PlacedPoly, []geom.Rect) {
-	var out []layout.PlacedPoly
+// polygons are accepted by the first band their extent overlaps.
+func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]geom.Polygon, []geom.Rect) {
+	var out []geom.Polygon
 	var boxes []geom.Rect
 	prevHi := int64(0)
 	for qi, sp := range bands {
 		window := geom.Rect{XLo: -queryHalfSpan, YLo: sp.Lo, XHi: queryHalfSpan, YHi: sp.Hi}
-		for _, pp := range c.lo.QueryLayerPlaces(l, window) {
-			m := pp.Trans.ApplyRect(source(pp).MBR())
+		found, _ := c.lo.QueryLayer(l, window)
+		for _, pp := range found {
+			m := pp.Shape.MBR()
 			if qi > 0 && m.YLo <= prevHi {
 				continue // already returned by an earlier (lower) band
 			}
 			if containedInSpan(clean, m.YLo, m.YHi) {
 				continue // clean-row polygon, kept in place
 			}
-			out = append(out, pp)
+			out = append(out, pp.Shape)
 			boxes = append(boxes, m)
 		}
 		prevHi = sp.Hi
@@ -222,31 +202,10 @@ func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]layout
 	return out, boxes
 }
 
-// source returns the cell-frame shape a placed polygon is placed from.
-func source(pp layout.PlacedPoly) geom.Polygon { return pp.Src.Cell.Polys[pp.Src.Idx].Shape }
-
-// carveRows stores each row's shapes, placed, into one array of their own,
-// sized exactly. Splice copies them into the packed buffer; where the layer
-// keeps instance records, the records keep them, and a later patch drops
-// rows of the segmentation whole, so a row's vertices are freed with it —
-// one array for a whole patch would stay alive behind any of its rows left
-// standing, a little more with every patch.
-func carveRows(fresh []layout.PlacedPoly, rows []partition.Row) {
-	for _, row := range rows {
-		n := 0
-		for _, m := range row.Members {
-			n += source(fresh[m]).NumEdges()
-		}
-		slab := geom.NewSlab(n)
-		for _, m := range row.Members {
-			fresh[m].Shape = slab.Transform(source(fresh[m]), fresh[m].Trans)
-		}
-	}
-}
-
 // ownRows returns the fresh rows, numbered from tail, each with a members
-// array of its own, sized exactly — for the reason carveRows gives its
-// shapes one: partition.Rows carves every row's members from one array.
+// array of its own, sized exactly: partition.Rows carves every row's members
+// from one array, which would stay alive behind any of its rows a later
+// patch leaves standing, a little more with every patch.
 func ownRows(rows []partition.Row, tail int) []partition.Row {
 	out := make([]partition.Row, len(rows))
 	for i, row := range rows {

@@ -15,10 +15,11 @@ import (
 
 // Instance records, where Flatten built them, and the packed buffer share
 // one vertex array: every shape's ring is its polygon's PolyStart range of
-// Pts, by address, until a patch gives the buffer an array of its own.
+// Pts, by address. No patch meets such a layer, so the array never moves
+// under the records.
 
 // requireShared asserts that every shape of polys is carved, in order, from
-// the borrowed vertex array of the layer's packed buffer.
+// the vertex array of the layer's packed buffer.
 func requireShared(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer) {
 	t.Helper()
 	ctx := context.Background()
@@ -29,9 +30,6 @@ func requireShared(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer) {
 	edges, err := c.Pack(ctx, lo, l)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !edges.Borrowed() {
-		t.Fatalf("layer %d: a cold pack owns its vertices", l)
 	}
 	if edges.NumPolys() != len(polys) || len(edges.Pts) != cap(edges.Pts) {
 		t.Fatalf("layer %d: %d packed polygons for %d shapes, vertex len/cap %d/%d",
@@ -66,10 +64,12 @@ func TestFlattenSharesPackedVertices(t *testing.T) {
 	requireShared(t, c2, lo, layout.LayerM3)
 }
 
-// TestPatchLeavesSharedVerticesInPlace: polygons read before a patch still
-// read the same vertices after it — the splice wrote into an array of the
-// buffer's own, not the one their shapes share — and the patched buffer no
-// longer borrows. A second patch splices in place and still leaves them.
+// TestPatchLeavesSharedVerticesInPlace: a region invalidation of a layer
+// holding instance records drops the layer rather than splicing the array
+// its records' shapes share, so polygons read before it still read the same
+// vertices; the layer is then refilled, records and all, sharing one array
+// again and equal to a cold flatten, and the records count once, under
+// Flatten, beside their vertices under Edges.
 func TestPatchLeavesSharedVerticesInPlace(t *testing.T) {
 	lo := bandedLayout(t, 10)
 	c := New(budget.Limits{})
@@ -78,47 +78,36 @@ func TestPatchLeavesSharedVerticesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = append([]layout.PlacedPoly(nil), before...) // the patch compacts the cached list in place
 	rings := make([][]geom.Point, len(before))
 	for i := range before {
 		rings[i] = before[i].Shape.Vertices()
 	}
-	shared := ringData(before[0].Shape)
-
-	for _, y := range []int64{1100, 3100} { // band 1, then band 3: survivors above each move down
+	for _, y := range []int64{1100, 3100} {
+		if _, err := c.Flatten(ctx, lo, layout.LayerM1); err != nil {
+			t.Fatal(err)
+		}
 		out := c.InvalidateRegion(layout.LayerM1, testGuard, partition.Pigeonhole,
 			[]geom.Rect{geom.R(0, y, 10, y+50)})
-		if !out.Segmented {
-			t.Fatalf("not segmented: %+v", out)
+		if out.Segmented {
+			t.Fatalf("patched a layer holding instance records: %+v", out)
 		}
 		for i := range before {
 			if got := before[i].Shape.Vertices(); !samePoints(got, rings[i]) {
-				t.Fatalf("after patching y=%d: shape %d read before the patch now reads %v, want %v", y, i, got, rings[i])
+				t.Fatalf("after invalidating y=%d: shape %d read before now reads %v, want %v", y, i, got, rings[i])
 			}
 		}
-		edges, err := c.Pack(ctx, lo, layout.LayerM1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if edges.Borrowed() || unsafe.SliceData(edges.Pts) == shared {
-			t.Fatalf("after patching y=%d: the packed buffer still aliases the flatten's array", y)
-		}
 	}
+	if s := c.Stats(); s.FullInvalidations != 2 || s.SegmentedInvalidations != 0 {
+		t.Fatalf("stats %+v, want two whole-layer drops", s)
+	}
+	requireShared(t, c, lo, layout.LayerM1)
 	requireColdEqual(t, c, lo, layout.LayerM1)
-	// The buffer owns its array now, so the shapes' vertices count under
-	// the flatten again.
 	polys, err := c.Flatten(ctx, lo, layout.LayerM1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges, err := c.Pack(ctx, lo, layout.LayerM1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := int64(cap(polys))*int64(unsafe.Sizeof(layout.PlacedPoly{})) +
-		int64(edges.Len())*int64(unsafe.Sizeof(geom.Point{}))
-	if r := c.Resident(); r.Flatten != want {
-		t.Fatalf("patched flatten holds %d B, want %d (records and vertices)", r.Flatten, want)
+	if r, want := c.Resident(), int64(cap(polys))*int64(unsafe.Sizeof(layout.PlacedPoly{})); r.Flatten != want {
+		t.Fatalf("refilled flatten holds %d B, want %d (the records alone)", r.Flatten, want)
 	}
 }
 

@@ -34,9 +34,6 @@ func (d EdgeDir) String() string {
 // Horizontal reports whether the direction is East or West.
 func (d EdgeDir) Horizontal() bool { return d == DirEast || d == DirWest }
 
-// Vertical reports whether the direction is North or South.
-func (d EdgeDir) Vertical() bool { return d == DirNorth || d == DirSouth }
-
 // Opposite returns the reversed direction.
 func (d EdgeDir) Opposite() EdgeDir {
 	switch d {

@@ -17,9 +17,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.Scale(3); got != Pt(9, 12) {
 		t.Errorf("Scale = %v", got)
 	}
-	if got := p.Dot(q); got != 5 {
-		t.Errorf("Dot = %d", got)
-	}
 	if got := p.Cross(q); got != 10 {
 		t.Errorf("Cross = %d", got)
 	}
@@ -208,23 +205,11 @@ func TestOrientInverse(t *testing.T) {
 	}
 }
 
-func TestOrientSwapsAxes(t *testing.T) {
-	for o := R0; o <= MXR270; o++ {
-		want := o.Rotation() == 90 || o.Rotation() == 270
-		if got := o.SwapsAxes(); got != want {
-			t.Errorf("%v.SwapsAxes() = %v", o, got)
-		}
-	}
-}
-
 func TestTransformApply(t *testing.T) {
 	tr := Transform{Orient: R90, Mag: 2, Offset: Pt(100, 50)}
 	// (3,1) -R90-> (-1,3) -mag2-> (-2,6) -offset-> (98,56)
 	if got := tr.Apply(Pt(3, 1)); got != Pt(98, 56) {
 		t.Errorf("Apply = %v", got)
-	}
-	if !Identity().IsIdentity() {
-		t.Error("Identity not identity")
 	}
 	if Identity().Apply(Pt(7, -3)) != Pt(7, -3) {
 		t.Error("Identity moved a point")
@@ -380,12 +365,6 @@ func TestPolygonArea(t *testing.T) {
 	if !l.IsRectilinear() {
 		t.Error("L-shape must be rectilinear")
 	}
-	if l.IsRectangle() {
-		t.Error("L-shape must not be a rectangle")
-	}
-	if !sq.IsRectangle() {
-		t.Error("square must be a rectangle")
-	}
 }
 
 func TestPolygonMBREdges(t *testing.T) {
@@ -408,10 +387,6 @@ func TestPolygonMBREdges(t *testing.T) {
 		if e.P1 != next.P0 {
 			t.Errorf("edges %d,%d do not chain", i, i+1)
 		}
-	}
-	edges := l.AppendEdges(nil)
-	if len(edges) != 6 {
-		t.Errorf("AppendEdges len = %d", len(edges))
 	}
 }
 

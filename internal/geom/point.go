@@ -24,9 +24,6 @@ func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 // Scale returns p with both coordinates multiplied by k.
 func (p Point) Scale(k int64) Point { return Point{p.X * k, p.Y * k} }
 
-// Dot returns the dot product p · q.
-func (p Point) Dot(q Point) int64 { return p.X*q.X + p.Y*q.Y }
-
 // Cross returns the z component of the cross product p × q.
 func (p Point) Cross(q Point) int64 { return p.X*q.Y - p.Y*q.X }
 

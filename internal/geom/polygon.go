@@ -146,16 +146,6 @@ func (p Polygon) Edge(i int) Edge {
 	return Edge{p.pts[i], p.pts[(i+1)%n]}
 }
 
-// AppendEdges appends all edges of the polygon to dst and returns it; used
-// by the parallel mode's edge packing to avoid per-polygon allocations.
-func (p Polygon) AppendEdges(dst []Edge) []Edge {
-	n := len(p.pts)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Edge{p.pts[i], p.pts[(i+1)%n]}) //odrc:allow argmut — append-and-return API in the strconv.AppendX convention; callers reassign the result
-	}
-	return dst
-}
-
 // SignedArea2 returns twice the signed area by the Shoelace Theorem:
 // positive for counterclockwise rings, negative for clockwise. Working with
 // the doubled value keeps everything in exact integer arithmetic.
@@ -195,15 +185,6 @@ func (p Polygon) IsRectilinear() bool {
 		}
 	}
 	return true
-}
-
-// IsRectangle reports whether the polygon is exactly an axis-aligned
-// rectangle; rectangles take fast paths in several checks.
-func (p Polygon) IsRectangle() bool {
-	if len(p.pts) != 4 || !p.IsRectilinear() {
-		return false
-	}
-	return p.MBR().Area() == p.Area()
 }
 
 // Transform maps the polygon through t. Mirror transforms flip the winding

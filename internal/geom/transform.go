@@ -34,9 +34,6 @@ func (o Orient) String() string {
 // Mirrored reports whether the orientation includes the x-axis reflection.
 func (o Orient) Mirrored() bool { return o >= MXR0 }
 
-// Rotation returns the CCW rotation in degrees (0, 90, 180 or 270).
-func (o Orient) Rotation() int { return int(o%4) * 90 }
-
 // Apply transforms the point by the orientation about the origin.
 func (o Orient) Apply(p Point) Point {
 	if o.Mirrored() {
@@ -82,11 +79,6 @@ func (o Orient) Inverse() Orient {
 	return Orient((4 - int(o)) % 4)
 }
 
-// SwapsAxes reports whether the orientation exchanges the x and y axes
-// (rotations by 90/270). Width checks along x become checks along y under
-// such transforms — relevant to the hierarchy-pruning invariance rules.
-func (o Orient) SwapsAxes() bool { return o%2 == 1 }
-
 // Transform is a GDSII placement: optional mirror+rotation, integral
 // magnification, then translation. OpenDRC restricts magnification to
 // integers ≥ 1 (non-integral magnification would leave the integer grid) and
@@ -109,11 +101,6 @@ func (t Transform) Magnification() int64 {
 		return 1
 	}
 	return t.Mag
-}
-
-// IsIdentity reports whether the transform maps every point to itself.
-func (t Transform) IsIdentity() bool {
-	return t.Orient == R0 && t.Magnification() == 1 && t.Offset == Point{}
 }
 
 // Apply maps a point through the transform.

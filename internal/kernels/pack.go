@@ -2,9 +2,7 @@
 // parallel mode (Section IV-E) on the simulated device: polygon edges are
 // packed into one flattened buffer per layer ("OpenDRC packs the edges of
 // relevant polygons into a flattened array, which is transferred from the
-// host memory to the GPU device memory") — on the host, for a cached layer,
-// the very vertex array its flatten carved the shapes from (Share), so each
-// vertex is held once — and checks run either as
+// host memory to the GPU device memory") — and checks run either as
 // a brute-force executor (one thread per polygon or pair) or as a parallel
 // sweepline executor in the style of X-Check: a scan kernel that determines
 // each edge's check range, then a check kernel that tests each edge against
@@ -22,18 +20,10 @@ import "opendrc/internal/geom"
 //
 // The modeled device layout is the paper's wider one — three points and a
 // polygon id per edge, 52 B — and Bytes prices that; the host copy is 16 B
-// per edge.
-//
-// A buffer built by Share borrows its vertices: the same array holds the
-// rings of the caller's polygons, so the layer's vertices are stored once.
-// Kernels only read Pts; Splice, the one writer, first moves a borrowed
-// buffer to an array of its own.
+// per edge. Kernels only read Pts; Splice is the one writer.
 type Edges struct {
 	Pts       []geom.Point
 	PolyStart []int32 // len = numPolys+1
-	// borrowed marks Pts as shared with the polygons it was built from,
-	// until the first Splice copies it.
-	borrowed bool
 }
 
 // Pack flattens the polygons into an edge buffer. A counting pass sizes
@@ -47,17 +37,6 @@ func Pack(polys []geom.Polygon) *Edges {
 	e.put(0, 0, polys)
 	return e
 }
-
-// Share wraps vertices that already lie packed — polygon p's ring is
-// pts[polyStart[p]:polyStart[p+1]] — without copying them. The buffer equals
-// Pack of those polygons, and it borrows pts (see Edges).
-func Share(pts []geom.Point, polyStart []int32) *Edges {
-	return &Edges{Pts: pts, PolyStart: polyStart, borrowed: true}
-}
-
-// Borrowed reports whether the buffer still shares its vertex array with
-// the polygons Share built it from.
-func (e *Edges) Borrowed() bool { return e.borrowed }
 
 func countEdges(polys []geom.Polygon) int {
 	total := 0
@@ -88,11 +67,7 @@ func (e *Edges) NumPolys() int { return len(e.PolyStart) - 1 }
 
 // Bytes returns the buffer size for transfer modeling: the device layout's
 // 6 coordinates plus a polygon id per edge, plus the offset table.
-func (e *Edges) Bytes() int64 { return edgeBytes(e.Len(), e.NumPolys()) }
-
-func edgeBytes(edges, polys int) int64 {
-	return int64(edges)*(6*8+4) + int64(polys+1)*4
-}
+func (e *Edges) Bytes() int64 { return int64(e.Len())*(6*8+4) + int64(e.NumPolys()+1)*4 }
 
 // PolyEdges returns the half-open edge index range of polygon p.
 func (e *Edges) PolyEdges(p int) (int, int) {

@@ -47,16 +47,9 @@ func Compact[T any](s []T, remap []int32, first int) []T {
 	return s[:w]
 }
 
-// Splice removes the polygons remap marks and appends add at the tail. It
-// returns the byte size of the surviving prefix — what a device-resident
-// copy of the buffer still holds valid. A borrowed buffer (Share) moves to
-// an array of its own first: the moves below would otherwise shift vertices
-// under the polygons that share them. Later splices work in place.
-func (e *Edges) Splice(remap []int32, first int, add []geom.Polygon) int64 {
-	if e.borrowed {
-		e.reserve(len(e.Pts))
-		e.borrowed = false
-	}
+// Splice removes the polygons remap marks and appends add at the tail, in
+// place: the buffer must own its vertex array, which no polygon shares.
+func (e *Edges) Splice(remap []int32, first int, add []geom.Polygon) {
 	w, np := int(e.PolyStart[first]), first
 	survivorRuns(remap, first, func(p, q int) {
 		lo, hi := int(e.PolyStart[p]), int(e.PolyStart[q])
@@ -71,26 +64,19 @@ func (e *Edges) Splice(remap []int32, first int, add []geom.Polygon) int64 {
 	e.resize(w+countEdges(add), np+len(add))
 	e.PolyStart[np] = int32(w)
 	e.put(w, np, add)
-	return edgeBytes(w, np)
 }
 
 // resize sets the buffer's length to edges/polys, reallocating with one
 // eighth of headroom when a slice's capacity is exceeded.
 func (e *Edges) resize(edges, polys int) {
 	if edges > cap(e.Pts) {
-		e.reserve(edges)
+		e.Pts = append(make([]geom.Point, 0, edges+edges/8), e.Pts...)
 	}
 	if polys+1 > cap(e.PolyStart) {
 		e.PolyStart = append(make([]int32, 0, polys+1+polys/8), e.PolyStart...)
 	}
 	e.Pts = e.Pts[:edges]
 	e.PolyStart = e.PolyStart[:polys+1]
-}
-
-// reserve moves the vertices to a new array with room for n of them and an
-// eighth more.
-func (e *Edges) reserve(n int) {
-	e.Pts = append(make([]geom.Point, 0, n+n/8), e.Pts...)
 }
 
 // NewMBRTable builds the table of the given per-polygon boxes, which it

@@ -12,8 +12,8 @@ import (
 // FromLibrary builds the hierarchical database from a parsed GDSII library:
 // it resolves structure references (rejecting undefined names and cycles),
 // expands PATH elements into boundary polygons, computes the per-layer MBR
-// augmentation bottom-up, and constructs the layer-wise duplicated trees and
-// inverted indices. The library is only read — its XY rings are copied into
+// augmentation bottom-up, and constructs the layer-wise duplicated trees.
+// The library is only read — its XY rings are copied into
 // the cells' own vertex slabs — so it can be built from again.
 func FromLibrary(lib *gdsii.Library) (*Layout, error) {
 	lo := &Layout{
@@ -56,7 +56,6 @@ func FromLibrary(lib *gdsii.Library) (*Layout, error) {
 		c.buildLayerTable()
 	}
 	lo.layerCells = make(map[Layer][]int)
-	lo.inverted = make(map[Layer][]PolyRef)
 	for _, c := range lo.Cells {
 		for i := range c.layers {
 			// A layer some cell has a slot for has members once it is indexed.
@@ -302,31 +301,18 @@ func (c *Cell) refresh(s *layerSlot) {
 	}
 }
 
-// reindexLayer rebuilds one layer's duplicated-hierarchy membership and
-// inverted index from the cells' tables, in cell (topological) order.
+// reindexLayer rebuilds one layer's duplicated-hierarchy membership from the
+// cells' tables, in cell (topological) order.
 func (lo *Layout) reindexLayer(l Layer) {
 	var cells []int
-	polys := 0
 	for _, c := range lo.Cells {
-		if s := c.slot(l); !s.mbr.Empty() {
+		if !c.slot(l).mbr.Empty() {
 			cells = append(cells, c.ID)
-			polys += len(s.polys)
 		}
 	}
 	delete(lo.layerCells, l)
-	delete(lo.inverted, l)
 	if len(cells) > 0 {
 		lo.layerCells[l] = cells
-	}
-	if polys > 0 {
-		inv := make([]PolyRef, 0, polys)
-		for _, id := range cells {
-			c := lo.Cells[id]
-			for _, pi := range c.slot(l).polys {
-				inv = append(inv, PolyRef{Cell: c, Idx: int(pi)})
-			}
-		}
-		lo.inverted[l] = inv
 	}
 }
 
@@ -356,18 +342,6 @@ func (lo *Layout) pickTop(fileOrder []*Cell) error {
 			fmt.Sprintf("layout: %d top-level structures; using %q", tops, lo.Top.Name))
 	}
 	return nil
-}
-
-// ExpandPath converts a GDSII PATH into boundary polygons, one rectangle per
-// axis-aligned segment. Round ends (PathRound) are approximated by extended
-// square ends, the standard conservative treatment for Manhattan DRC.
-func ExpandPath(p gdsii.Path) ([]geom.Polygon, error) {
-	rects, err := pathRects(p, nil)
-	var out []geom.Polygon
-	for _, r := range rects {
-		out = append(out, geom.RectPolygon(r))
-	}
-	return out, err
 }
 
 // pathRects appends the path's segment rectangles to rects; nil on error.

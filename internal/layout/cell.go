@@ -7,8 +7,9 @@
 // the children worth testing, so a narrow query does not visit the rest of a
 // flat cell's placements (index.go). The package also builds the layer-wise
 // duplicated hierarchy ("a separated hierarchy tree is built for each
-// layer") and the element-level inverted indices the paper describes as a
-// space-for-speed trade.
+// layer"); the element-level inverted index the paper describes as a
+// space-for-speed trade is each cell's layer table, which lists the cell's
+// own polygons per layer.
 package layout
 
 import (
@@ -298,10 +299,6 @@ type Layout struct {
 	// order. A query for layer l only ever visits layerCells[l].
 	layerCells map[Layer][]int
 
-	// inverted is the element-level inverted index: for each layer, every
-	// (cell, polygon index) pair owning a polygon on that layer.
-	inverted map[Layer][]PolyRef
-
 	// magnified holds, per layer, the first reference in cell and reference
 	// order that places geometry on the layer magnified. Edits change neither
 	// references nor child definitions, so it is computed once, at build.
@@ -344,8 +341,8 @@ func (lo *Layout) CellByName(name string) *Cell { return lo.byName[name] }
 
 // Layers returns all layers present anywhere in the layout, sorted.
 func (lo *Layout) Layers() []Layer {
-	out := make([]Layer, 0, len(lo.inverted))
-	for l := range lo.inverted {
+	out := make([]Layer, 0, len(lo.layerCells))
+	for l := range lo.layerCells {
 		out = append(out, l)
 	}
 	slices.Sort(out)
@@ -364,5 +361,11 @@ func (lo *Layout) LayerCells(l Layer) []*Cell {
 }
 
 // NumPolysOnLayer returns the number of polygon *definitions* on the layer
-// (not instance-expanded).
-func (lo *Layout) NumPolysOnLayer(l Layer) int { return len(lo.inverted[l]) }
+// (not instance-expanded): the layer's cells' own polygons on it.
+func (lo *Layout) NumPolysOnLayer(l Layer) int {
+	n := 0
+	for _, id := range lo.layerCells[l] {
+		n += len(lo.Cells[id].slot(l).polys)
+	}
+	return n
+}

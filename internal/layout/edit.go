@@ -17,7 +17,7 @@ import (
 //
 // ApplyEdits keeps every derived index consistent (the top cell's layer
 // table — MBRs, local poly indices, subtree counts, spatial index slots —
-// the layer-wise duplicated hierarchy and the inverted index) and reports, per
+// and the layer-wise duplicated hierarchy) and reports, per
 // layer, the dirty rectangles — the exact regions where geometry appeared or
 // disappeared — which the session layer dilates by the deck's guard distance
 // to plan incremental re-checks.

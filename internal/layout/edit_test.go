@@ -84,7 +84,7 @@ func requireSameDerivedState(t *testing.T, got, want *Layout) {
 			t.Errorf("layer %v: %d member cells, want %d", l, g, w)
 		}
 		if g, w := got.NumPolysOnLayer(l), want.NumPolysOnLayer(l); g != w {
-			t.Errorf("layer %v: inverted index has %d polys, want %d", l, g, w)
+			t.Errorf("layer %v: NumPolysOnLayer = %d, want %d", l, g, w)
 		}
 	}
 	if got.Top.mbr != want.Top.mbr {

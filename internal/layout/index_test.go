@@ -54,18 +54,17 @@ func diffQuery(c *Cell, l Layer, window geom.Rect) string {
 	var want []PlacedPoly
 	var wst QueryStats
 	linearQuery(c, geom.Identity(), l, window, &want, &wst)
-	// The walk with each shape its own allocation, carving the shapes from a
-	// slab too small for them, so it grows, and reporting no shapes
-	// (QueryLayerPlaces).
-	for _, q := range []query{{l: l, window: window}, {l: l, window: window, slab: geom.NewSlab(1)}, {l: l, window: window, bare: true}} {
+	// The walk with each shape its own allocation, and carving the shapes
+	// from a slab too small for them, so it grows.
+	for _, q := range []query{{l: l, window: window}, {l: l, window: window, slab: geom.NewSlab(1)}} {
 		q.cell(c, geom.Identity())
-		mode := fmt.Sprintf("slab %v, bare %v", q.slab != nil, q.bare)
+		mode := fmt.Sprintf("slab %v", q.slab != nil)
 		if len(q.out) != len(want) {
 			return fmt.Sprintf("%s: %d polygons, want %d", mode, len(q.out), len(want))
 		}
 		for i := range want {
 			g, w := q.out[i], want[i]
-			if g.Src != w.Src || g.Trans != w.Trans || !q.bare && !g.Shape.Equal(w.Shape) {
+			if g.Src != w.Src || g.Trans != w.Trans || !g.Shape.Equal(w.Shape) {
 				return fmt.Sprintf("%s: element %d: %v %v %v, want %v %v %v", mode, i, g.Src.Idx, g.Trans, g.Shape, w.Src.Idx, w.Trans, w.Shape)
 			}
 		}

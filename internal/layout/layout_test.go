@@ -184,20 +184,6 @@ func TestFlattenLayerTransforms(t *testing.T) {
 	}
 }
 
-func TestTopPlacements(t *testing.T) {
-	lo := build(t)
-	tp := lo.TopPlacements()
-	if len(tp) != 2 {
-		t.Fatalf("top placements = %d", len(tp))
-	}
-	if tp[0].MBR != geom.R(0, 0, 800, 100) {
-		t.Errorf("row0 MBR = %v", tp[0].MBR)
-	}
-	if tp[1].MBR != geom.R(0, 900, 800, 1000) {
-		t.Errorf("row1 MBR = %v", tp[1].MBR)
-	}
-}
-
 func TestUndefinedReference(t *testing.T) {
 	lib := testLibrary()
 	lib.Structures[2].SRefs = append(lib.Structures[2].SRefs,
@@ -238,40 +224,40 @@ func TestExpandPath(t *testing.T) {
 	p := gdsii.Path{Layer: 3, Width: 20, XY: []geom.Point{
 		geom.Pt(0, 0), geom.Pt(100, 0), geom.Pt(100, 200),
 	}}
-	polys, err := ExpandPath(p)
+	rects, err := pathRects(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(polys) != 2 {
-		t.Fatalf("segments = %d", len(polys))
+	if len(rects) != 2 {
+		t.Fatalf("segments = %d", len(rects))
 	}
-	if polys[0].MBR() != geom.R(0, -10, 100, 10) {
-		t.Errorf("h segment = %v", polys[0].MBR())
+	if rects[0] != geom.R(0, -10, 100, 10) {
+		t.Errorf("h segment = %v", rects[0])
 	}
-	if polys[1].MBR() != geom.R(90, 0, 110, 200) {
-		t.Errorf("v segment = %v", polys[1].MBR())
+	if rects[1] != geom.R(90, 0, 110, 200) {
+		t.Errorf("v segment = %v", rects[1])
 	}
 	// Extended ends grow first/last segments by half width.
 	p.PathType = gdsii.PathExtended
-	polys, err = ExpandPath(p)
+	rects, err = pathRects(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if polys[0].MBR() != geom.R(-10, -10, 100, 10) {
-		t.Errorf("extended h segment = %v", polys[0].MBR())
+	if rects[0] != geom.R(-10, -10, 100, 10) {
+		t.Errorf("extended h segment = %v", rects[0])
 	}
-	if polys[1].MBR() != geom.R(90, 0, 110, 210) {
-		t.Errorf("extended v segment = %v", polys[1].MBR())
+	if rects[1] != geom.R(90, 0, 110, 210) {
+		t.Errorf("extended v segment = %v", rects[1])
 	}
 	// Error paths.
-	if _, err := ExpandPath(gdsii.Path{Width: 0, XY: p.XY}); err == nil {
+	if _, err := pathRects(gdsii.Path{Width: 0, XY: p.XY}, nil); err == nil {
 		t.Error("expected error for zero width")
 	}
-	if _, err := ExpandPath(gdsii.Path{Width: 15, XY: p.XY}); err == nil {
+	if _, err := pathRects(gdsii.Path{Width: 15, XY: p.XY}, nil); err == nil {
 		t.Error("expected error for odd width")
 	}
 	diag := gdsii.Path{Width: 20, XY: []geom.Point{geom.Pt(0, 0), geom.Pt(50, 50)}}
-	if _, err := ExpandPath(diag); err == nil {
+	if _, err := pathRects(diag, nil); err == nil {
 		t.Error("expected error for diagonal segment")
 	}
 }
@@ -382,17 +368,6 @@ func TestQuerySubtreeLocalFrame(t *testing.T) {
 	}
 	if got := polys[0].Shape.MBR(); got != geom.R(0, 0, 100, 80) {
 		t.Errorf("local-frame shape = %v", got)
-	}
-}
-
-func TestLayerDensity(t *testing.T) {
-	lo := build(t)
-	d := lo.LayerDensity(LayerM1)
-	if d <= 0 || d > 1.01 {
-		t.Errorf("M1 density = %g", d)
-	}
-	if lo.LayerDensity(LayerM3) != 0 {
-		t.Error("absent layer density != 0")
 	}
 }
 

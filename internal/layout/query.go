@@ -38,16 +38,6 @@ func (lo *Layout) QueryLayer(l Layer, window geom.Rect) ([]PlacedPoly, QueryStat
 	return q.out, q.st
 }
 
-// QueryLayerPlaces is QueryLayer leaving every reported Shape unset — Src
-// and Trans place it — for a caller that stores the shapes itself (a cache
-// patch carves them row by row, each row into one array).
-func (lo *Layout) QueryLayerPlaces(l Layer, window geom.Rect) []PlacedPoly {
-	q := lo.newQuery(l, window)
-	q.bare = true
-	q.cell(lo.Top, geom.Identity())
-	return q.out
-}
-
 // newQuery returns a window query from the top cell, its output pre-sized.
 func (lo *Layout) newQuery(l Layer, window geom.Rect) query {
 	return query{l: l, window: window,
@@ -85,10 +75,8 @@ type query struct {
 	window geom.Rect // global frame
 	out    []PlacedPoly
 	st     QueryStats
-	// slab, when set, stores the reported shapes (the full-layer flatten);
-	// bare reports none (QueryLayerPlaces).
+	// slab, when set, stores the reported shapes (the full-layer flatten).
 	slab *geom.Slab
-	bare bool
 	// fill, when set, takes each hit's vertex count and box, and its shape
 	// goes to slab; a record too only when out is set (FillLayer).
 	fill *Fill
@@ -168,11 +156,9 @@ func (q *query) poly(c *Cell, t geom.Transform, i int) {
 	}
 	q.st.PolysHit++
 	var shape geom.Polygon
-	switch {
-	case q.bare:
-	case q.slab != nil:
+	if q.slab != nil {
 		shape = q.slab.Transform(p.Shape, t)
-	default:
+	} else {
 		shape = p.Shape.Transform(t)
 	}
 	if q.fill != nil {
@@ -275,48 +261,6 @@ func (lo *Layout) instanceCounts() []int {
 		}
 	}
 	return counts
-}
-
-// TopPlacement is a direct child instance of the top cell — the unit the
-// adaptive row-based partition groups into rows (standard cells in a
-// row-based placement are exactly these).
-type TopPlacement struct {
-	Child *Cell
-	Trans geom.Transform
-	MBR   geom.Rect // global-frame all-layer bounding box of the instance
-}
-
-// TopPlacements expands the top cell's direct references (including arrays)
-// into a flat list of placements. Top-level loose polygons are not included;
-// callers that need them use FlattenLayer.
-func (lo *Layout) TopPlacements() []TopPlacement {
-	var out []TopPlacement
-	for ri := range lo.Top.Refs {
-		ref := &lo.Top.Refs[ri]
-		ref.ForEachPlacement(func(t geom.Transform) {
-			out = append(out, TopPlacement{
-				Child: ref.Child,
-				Trans: t,
-				MBR:   t.ApplyRect(ref.Child.MBR()),
-			})
-		})
-	}
-	return out
-}
-
-// LayerDensity returns the fraction of the top-cell layer MBR covered by
-// polygon MBRs on the layer (a cheap congestion proxy used by reports and
-// the synthesizer's self-checks; overlaps are double counted).
-func (lo *Layout) LayerDensity(l Layer) float64 {
-	total := lo.Top.LayerMBR(l)
-	if total.Empty() || total.Area() == 0 {
-		return 0
-	}
-	var covered int64
-	for _, pp := range lo.FlattenLayer(l) {
-		covered += pp.Shape.MBR().Area()
-	}
-	return float64(covered) / float64(total.Area())
 }
 
 // Placements returns, for every cell ID, the global-frame transforms of all

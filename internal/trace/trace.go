@@ -283,15 +283,3 @@ func RequestID(ctx context.Context) string {
 	s, _ := ctx.Value(requestIDKey).(string)
 	return s
 }
-
-// AnnotateRequest stamps the recorder's metadata with the request identity
-// carried by ctx, so an exported per-request timeline is self-identifying.
-// Nil recorder or an ID-less ctx is a no-op.
-func (r *Recorder) AnnotateRequest(ctx context.Context) {
-	if r == nil {
-		return
-	}
-	if id := RequestID(ctx); id != "" {
-		r.SetMeta("request", id)
-	}
-}

@@ -238,8 +238,7 @@ func TestContextPlumbing(t *testing.T) {
 }
 
 // TestRequestIDPlumbing covers the service layer's per-request identity: it
-// rides the context, defaults to empty outside a request, and stamps a
-// recorder's exported metadata via AnnotateRequest.
+// rides the context and defaults to empty outside a request.
 func TestRequestIDPlumbing(t *testing.T) {
 	ctx := context.Background()
 	if got := trace.RequestID(ctx); got != "" {
@@ -251,27 +250,6 @@ func TestRequestIDPlumbing(t *testing.T) {
 	ctx = trace.WithRequestID(ctx, "uart/check#7")
 	if got := trace.RequestID(ctx); got != "uart/check#7" {
 		t.Errorf("RequestID = %q, want uart/check#7", got)
-	}
-
-	var nilRec *trace.Recorder
-	nilRec.AnnotateRequest(ctx) // must not panic
-
-	r := trace.NewWithClock(func() time.Duration { return 0 })
-	r.AnnotateRequest(context.Background()) // no ID: no meta entry
-	r.AnnotateRequest(ctx)
-	r.Span(trace.TrackPhases, "", "flatten", "phase", 0, time.Microsecond)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		OtherData map[string]any `json:"otherData"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
-		t.Fatal(err)
-	}
-	if got := file.OtherData["request"]; got != "uart/check#7" {
-		t.Errorf("exported request meta = %v, want uart/check#7", got)
 	}
 }
 
