@@ -100,8 +100,8 @@ go test -run=NONE -fuzz=FuzzOverlaps -fuzztime=10s ./internal/sweep
 # walk shows; ingest prints MB/s and allocs/op, where a per-element allocation
 # creeping back shows; the edit cycle prints ms/cycle, MB/cycle and
 # patches/cycle, where an M1 sliver costing the layer instead of its work
-# window shows — ~2 ms / 0.5 MB and 0 patches, against ~12 ms / 2 MB when the
-# delta check patched the M1 record; the warm check prints ns/op, allocs/op,
+# window shows — ~0.3–0.4 ms / 0.27 MB and 0 patches on ethmac@2.5, where a
+# patch of the M1 record alone costs 1.4–5 ms; the warm check prints ns/op, allocs/op,
 # modeled_us and launches for both ways of answering it, where a replay that
 # drops a launch, or costs what an execution costs, shows; the replayed
 # request — replay, dedup, canonical encode — prints bytes and allocs/op,

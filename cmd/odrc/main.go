@@ -237,8 +237,9 @@ func run() int {
 // hostLine renders the host memory at exit: the Go heap's object bytes (read
 // with runtime/metrics) and what of it the geometry cache's records hold, by
 // kind. A layer's flattened vertices are its packed buffer's, so they count
-// under edges; flatten is the instance records (plus the shapes' own
-// vertices once a patch has given the buffer a separate array).
+// under edges; flatten is the instance records, which only
+// geocache.Cache.Flatten builds, so an engine check prints 0.0 (a patch drops
+// a layer that holds them).
 func hostLine(r geocache.Resident) string {
 	sample := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	metrics.Read(sample)

@@ -238,7 +238,7 @@ func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*
 	if n := lookups.Load(); n != 0 {
 		t.Fatalf("delta check made %d geocache lookups of the edited layers", n)
 	}
-	if rep.Stats.FlattenCacheMisses != 0 || rep.Stats.PackCacheMisses != 0 {
+	if rep.Stats.FlattenCacheMisses != 0 {
 		t.Fatalf("delta recomputed geometry: %+v", rep.Stats)
 	}
 	if st, err := ses.StatsSnapshot(ctx); err != nil {
@@ -263,7 +263,7 @@ func deltaMatchesCold(t *testing.T, design string, scale float64, mkEdits func(*
 	if !info2.Planned || info2.RulesSkipped != len(deck) {
 		t.Fatalf("empty delta plan = %+v", info2)
 	}
-	if again.Stats.FlattenCacheMisses != 0 || again.Stats.PackCacheMisses != 0 {
+	if again.Stats.FlattenCacheMisses != 0 {
 		t.Fatalf("empty delta recomputed geometry: %+v", again.Stats)
 	}
 	if canonJSON(t, again) != canonJSON(t, rep) {

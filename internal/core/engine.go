@@ -203,14 +203,12 @@ type Stats struct {
 	EdgesPacked    int
 	BytesCopied    int64
 
-	// Cross-rule geometry reuse. Hits and misses count every flatten/pack
-	// request including the rule prefetcher's; misses equal the number of
-	// distinct layers computed, so both are deterministic for a fixed deck
-	// regardless of worker count or prefetch timing.
+	// Cross-rule geometry reuse. Hits and misses count every lookup of a
+	// layer's fill (geocache.Stats) including the rule prefetcher's; misses
+	// equal the number of distinct layers computed, so both are deterministic
+	// for a fixed deck regardless of worker count or prefetch timing.
 	FlattenCacheHits   int64
 	FlattenCacheMisses int64
-	PackCacheHits      int64
-	PackCacheMisses    int64
 
 	// Device residency (parallel mode): layer edge buffers uploaded once,
 	// reused by event, and LRU-evicted when the device pool budget would
@@ -244,8 +242,6 @@ func (s *Stats) add(s2 Stats) {
 	s.BytesCopied += s2.BytesCopied
 	s.FlattenCacheHits += s2.FlattenCacheHits
 	s.FlattenCacheMisses += s2.FlattenCacheMisses
-	s.PackCacheHits += s2.PackCacheHits
-	s.PackCacheMisses += s2.PackCacheMisses
 	s.DeviceUploads += s2.DeviceUploads
 	s.DeviceReuses += s2.DeviceReuses
 	s.DeviceEvictions += s2.DeviceEvictions
@@ -502,8 +498,6 @@ func (e *Engine) checkWith(ctx context.Context, lo *layout.Layout, ses *Session)
 	cs := geo.Stats()
 	rep.Stats.FlattenCacheHits = cs.FlattenHits - cs0.FlattenHits
 	rep.Stats.FlattenCacheMisses = cs.FlattenMisses - cs0.FlattenMisses
-	rep.Stats.PackCacheHits = cs.PackHits - cs0.PackHits
-	rep.Stats.PackCacheMisses = cs.PackMisses - cs0.PackMisses
 	rep.HostBytes = geo.Resident()
 	if rec != nil {
 		rep.Stats.Trace = buildTraceSummary(rep)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"opendrc/internal/budget"
@@ -110,10 +111,7 @@ func TestGeoCacheCounters(t *testing.T) {
 	if s.FlattenCacheMisses != 2 {
 		t.Errorf("FlattenCacheMisses = %d, want 2 (two distinct layers)", s.FlattenCacheMisses)
 	}
-	if s.PackCacheMisses != 2 {
-		t.Errorf("PackCacheMisses = %d, want 2", s.PackCacheMisses)
-	}
-	if s.FlattenCacheHits == 0 || s.PackCacheHits == 0 {
+	if s.FlattenCacheHits == 0 {
 		t.Errorf("no cache hits on a 4-rule 2-layer deck: %+v", s)
 	}
 	if s.DeviceUploads != 2 {
@@ -124,6 +122,63 @@ func TestGeoCacheCounters(t *testing.T) {
 	}
 	if s.DeviceEvictions != 0 {
 		t.Errorf("DeviceEvictions = %d on an unlimited pool", s.DeviceEvictions)
+	}
+}
+
+// TestSpacingLooksUpTheFillOnce: a cold parallel check of ethmac@0.3 makes
+// only fill, partition and table lookups and fills each spacing layer once,
+// and a full spacing rule looks its layer's fill up once — the buffer it
+// partitions is the buffer it binds, with no second lookup to pack it.
+func TestSpacingLooksUpTheFillOnce(t *testing.T) {
+	lo, _, err := synth.Load("ethmac", 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	deck := synth.Deck()
+	ses := NewSession(lo, Options{Mode: Parallel})
+	defer ses.Close(ctx)
+	ses.forceExec = true // the warm check below executes rather than replays
+	var mu sync.Mutex
+	ops := map[string]int{}
+	ses.geo.SetEventHook(func(ev geocache.Event) {
+		mu.Lock()
+		ops[ev.Op]++
+		mu.Unlock()
+	})
+	cold, err := ses.Check(ctx, deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for op, n := range ops {
+		if op != "flatten" && op != "rows" && op != "table" {
+			t.Errorf("cold check made %d %q lookups; want only flatten, rows and table", n, op)
+		}
+	}
+	layers := map[layout.Layer]bool{}
+	var spacing rules.Rule
+	for _, r := range deck {
+		if r.Kind == rules.Spacing {
+			layers[r.Layer] = true
+			spacing = r
+		}
+	}
+	if cold.Stats.FlattenCacheMisses != int64(len(layers)) {
+		t.Errorf("FlattenCacheMisses = %d, want %d (one fill per spacing layer)", cold.Stats.FlattenCacheMisses, len(layers))
+	}
+
+	key := layerKey(spacing.Layer)
+	var got []geocache.Event
+	ses.geo.SetEventHook(func(ev geocache.Event) {
+		if ev.Key == key && ev.Op != "table" {
+			got = append(got, ev)
+		}
+	})
+	if _, err := ses.Check(ctx, rules.Deck{spacing}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []geocache.Event{{Op: "flatten", Key: key, Hit: true}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s looked its layer up as %+v, want %+v", spacing.ID, got, want)
 	}
 }
 
@@ -403,7 +458,7 @@ func TestPatchSegmentsAtReadersReach(t *testing.T) {
 		for _, l := range []layout.Layer{layout.LayerM1, layout.LayerM2, layout.LayerM3} {
 			for _, g := range guards {
 				hit := false
-				s.geo.SetEventHook(func(ev geocache.Event) { hit = ev.Hit })
+				s.geo.SetEventHook(func(ev geocache.Event) { hit = hit || ev.Op == "rows" && ev.Hit })
 				if _, err := s.geo.Rows(ctx, s.lo, l, g, partition.Pigeonhole); err != nil {
 					t.Fatal(err)
 				}

@@ -435,22 +435,23 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	}
 	// Host: flatten the layer once (one hierarchy walk straight into the
 	// packed edge buffer and the polygon boxes, no instance records,
-	// memoized across rules by the geometry cache), start the buffer's
-	// one-time async transfer, then partition — the
-	// copy is hidden behind the partitioning, per Section V-C. The flatten
-	// is where the memory blow-up happens, so the flatten-polys budget
-	// applies there (inside the geometry cache). Rows address subsets of
-	// the shared buffer by polygon index, so every spacing rule on the
+	// memoized across rules by the geometry cache), then partition, then
+	// bind the buffer: its one-time async upload is recorded after the
+	// partitioning, so the copy starts on the modeled timeline once the
+	// partition's host time has passed rather than overlapping it. The
+	// flatten is where the memory blow-up happens, so the flatten-polys
+	// budget applies there (inside the geometry cache). Rows address subsets
+	// of the shared buffer by polygon index, so every spacing rule on the
 	// layer — whatever its reach partitions into — reuses one packed copy.
-	var flat *kernels.Edges
+	var edges *kernels.Edges
 	if err := hostPhase(rep, pc, "par:flatten", func() error {
 		var err error
-		flat, err = pc.geo.Fill(ctx, lo, r.Layer)
+		edges, err = pc.geo.Pack(ctx, lo, r.Layer)
 		return err
 	}); err != nil {
 		return err
 	}
-	if flat.NumPolys() == 0 {
+	if edges.NumPolys() == 0 {
 		return nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -460,14 +461,6 @@ func (e *Engine) runSpacingPar(ctx context.Context, lo *layout.Layout, r rules.R
 	if err := hostPhase(rep, pc, "par:partition", func() error {
 		var err error
 		rows, err = pc.geo.Rows(ctx, lo, r.Layer, r.SpacingLimit().Reach(), partition.Pigeonhole)
-		return err
-	}); err != nil {
-		return err
-	}
-	var edges *kernels.Edges
-	if err := hostPhase(rep, pc, "par:edge-packing", func() error {
-		var err error
-		edges, err = pc.geo.Pack(ctx, lo, r.Layer)
 		return err
 	}); err != nil {
 		return err

@@ -8,8 +8,9 @@
 // downstream derivations — the MBR table and the adaptive row partition
 // (keyed additionally by the rule's interaction reach) — are memoized the
 // same way, so the engine's prefetcher can compute a rule's entire host prep
-// while the previous rule's kernels execute. A layer record is its packed
-// edges and boxes plus those derivations; instance records
+// while the previous rule's kernels execute. A layer record is one fill —
+// its packed edges and boxes, which Pack and MBRs hand out from one counted
+// flatten lookup — plus those derivations; instance records
 // (layout.PlacedPoly) exist only for a caller that asks for them (Flatten).
 //
 // Contract:
@@ -53,13 +54,13 @@ import (
 	"opendrc/internal/pool"
 )
 
-// Stats counts cache traffic. Totals are deterministic for a fixed deck:
-// misses equal the number of distinct layers computed and hits equal the
-// remaining calls, independent of which caller (rule path or prefetcher)
-// arrived first.
+// Stats counts cache traffic. The flatten counters count every lookup of a
+// layer's fill — Flatten, Pack and MBRs, the last also inside a Rows or Table
+// miss. Totals are deterministic for a fixed deck: misses equal the number of
+// distinct layers computed and hits equal the remaining lookups, independent
+// of which caller (rule path or prefetcher) arrived first.
 type Stats struct {
 	FlattenHits, FlattenMisses int64
-	PackHits, PackMisses       int64
 	// Region-invalidation traffic (see InvalidateRegion). Segmented counts
 	// calls that patched a layer's record in place; Full counts calls that
 	// degenerated to a whole-layer drop. Each patch keeps RowsReused rows of
@@ -75,11 +76,10 @@ type Stats struct {
 // (the engine wires it to faults.SiteFlatten).
 type FaultHook func(ctx context.Context, l layout.Layer) error
 
-// Event describes one cache lookup: Op names the table ("flatten", "pack",
-// "mbrs", "rows", "table"), Key the entry, Hit whether a prior computation
-// was reused. Events carry no caller identity, so for a fixed deck the
-// event multiset is deterministic even though prefetch racing reorders
-// which lookup hits.
+// Event describes one cache lookup: Op names the table ("flatten", "rows",
+// "table"), Key the entry, Hit whether a prior computation was reused.
+// Events carry no caller identity, so for a fixed deck the event multiset is
+// deterministic even though prefetch racing reorders which lookup hits.
 type Event struct {
 	Op  string
 	Key string
@@ -180,8 +180,6 @@ func (f flattened) recorded() bool { return len(f.polys) == f.edges.NumPolys() }
 // InvalidateRegion patches all of them together so they never disagree.
 type layerRec struct {
 	flat  *slot[flattened]
-	boxes *slot[[]geom.Rect]
-	edges *slot[*kernels.Edges]
 	table *slot[*kernels.MBRTable]
 	parts []part // row partitions, in first-request order
 }
@@ -219,7 +217,7 @@ func New(lim budget.Limits) *Cache {
 }
 
 // SetFaultHook installs the fault-injection seam. Must be called before the
-// first Flatten/Pack.
+// first lookup.
 func (c *Cache) SetFaultHook(h FaultHook) { c.hook = h }
 
 // SetEventHook installs the lookup observer. Must be called before the
@@ -290,12 +288,11 @@ func (c *Cache) bind(lo *layout.Layout) {
 }
 
 // lookup is the single-flight core of every accessor: it finds or creates
-// the slot sel names in the layer's record, counts the hit or miss, reports
-// the event (the key is only rendered when a hook listens), and either waits
-// for the first caller's computation or runs it.
+// the slot sel names in the layer's record, counts a flatten lookup's hit or
+// miss, reports the event (the key is only rendered when a hook listens), and
+// either waits for the first caller's computation or runs it.
 func lookup[T any](ctx context.Context, c *Cache, lo *layout.Layout, l layout.Layer,
-	op, keySuffix string, hits, misses *int64,
-	sel func(*layerRec) **slot[T], compute func() (T, error)) (T, error) {
+	op, keySuffix string, sel func(*layerRec) **slot[T], compute func() (T, error)) (T, error) {
 	c.mu.Lock()
 	c.bind(lo)
 	rec := c.layers[l]
@@ -309,12 +306,12 @@ func lookup[T any](ctx context.Context, c *Cache, lo *layout.Layout, l layout.La
 		s = &slot[T]{done: make(chan struct{})}
 		*p = s
 	}
-	n := misses
-	if hit {
-		n = hits
-	}
-	if n != nil {
-		*n++
+	if op == "flatten" {
+		if hit {
+			c.stats.FlattenHits++
+		} else {
+			c.stats.FlattenMisses++
+		}
 	}
 	c.mu.Unlock()
 	if c.eventFn != nil {
@@ -336,7 +333,7 @@ func lookup[T any](ctx context.Context, c *Cache, lo *layout.Layout, l layout.La
 // Flatten returns the layer's instance records, index-aligned with Pack,
 // MBRs and Rows, computing them (flatten → flatten-polys budget) at most
 // once. No engine path asks for them; a layer filled without them — by
-// Fill, Pack or MBRs, and possibly patched since into an order no walk
+// Pack or MBRs, and possibly patched since into an order no walk
 // reproduces — is filled again, records and all, which drops its
 // derivations. The returned slice is shared and must not be mutated.
 func (c *Cache) Flatten(ctx context.Context, lo *layout.Layout, l layout.Layer) ([]layout.PlacedPoly, error) {
@@ -349,20 +346,11 @@ func (c *Cache) Flatten(ctx context.Context, lo *layout.Layout, l layout.Layer) 
 	}
 }
 
-// Fill is the flatten lookup without instance records, counted as one: it
-// fills the layer's record — the packed edge buffer and the per-polygon
-// boxes, from one walk of the hierarchy — at most once and returns the
-// buffer, which is shared and must not be mutated.
-func (c *Cache) Fill(ctx context.Context, lo *layout.Layout, l layout.Layer) (*kernels.Edges, error) {
-	f, err := c.flatten(ctx, lo, l, false)
-	return f.edges, err
-}
-
 // flatten is the flatten lookup. Its fill walks the hierarchy once, into the
 // packed buffer and the boxes (layout.FillLayer) and, when records are asked
 // for, into records whose shapes are carved from the buffer's vertex array.
 func (c *Cache) flatten(ctx context.Context, lo *layout.Layout, l layout.Layer, records bool) (flattened, error) {
-	return lookup(ctx, c, lo, l, "flatten", "", &c.stats.FlattenHits, &c.stats.FlattenMisses,
+	return lookup(ctx, c, lo, l, "flatten", "",
 		func(r *layerRec) **slot[flattened] {
 			if records && r.flat.ready() && !r.flat.val.recorded() {
 				*r = layerRec{} // start the layer over (see Flatten)
@@ -384,28 +372,21 @@ func (c *Cache) flatten(ctx context.Context, lo *layout.Layout, l layout.Layer, 
 		})
 }
 
-// Pack returns the layer's packed edge buffer in the canonical flatten
-// order: the one the flatten filled. The returned buffer is shared and must
-// not be mutated.
+// Pack is the flatten lookup without instance records: it fills the layer's
+// record — the packed edge buffer and the per-polygon boxes, from one walk
+// of the hierarchy — at most once and returns the buffer, in the canonical
+// flatten order. The returned buffer is shared and must not be mutated.
 func (c *Cache) Pack(ctx context.Context, lo *layout.Layout, l layout.Layer) (*kernels.Edges, error) {
-	return lookup(ctx, c, lo, l, "pack", "", &c.stats.PackHits, &c.stats.PackMisses,
-		func(r *layerRec) **slot[*kernels.Edges] { return &r.edges },
-		func() (*kernels.Edges, error) {
-			f, err := c.flatten(ctx, lo, l, false)
-			return f.edges, err
-		})
+	f, err := c.flatten(ctx, lo, l, false)
+	return f.edges, err
 }
 
-// MBRs returns the per-polygon bounding boxes of the layer's flatten, index-
-// aligned with Pack's buffer: the ones the flatten filled. The returned
-// slice is shared and must not be mutated.
+// MBRs is the same flatten lookup returning the per-polygon bounding boxes,
+// index-aligned with Pack's buffer. The returned slice is shared and must
+// not be mutated.
 func (c *Cache) MBRs(ctx context.Context, lo *layout.Layout, l layout.Layer) ([]geom.Rect, error) {
-	return lookup(ctx, c, lo, l, "mbrs", "", nil, nil,
-		func(r *layerRec) **slot[[]geom.Rect] { return &r.boxes },
-		func() ([]geom.Rect, error) {
-			f, err := c.flatten(ctx, lo, l, false)
-			return f.boxes, err
-		})
+	f, err := c.flatten(ctx, lo, l, false)
+	return f.boxes, err
 }
 
 // Rows returns the layer's adaptive row partition for the given interaction
@@ -419,7 +400,7 @@ func (c *Cache) Rows(ctx context.Context, lo *layout.Layout, l layout.Layer, gua
 	if c.eventFn != nil {
 		suffix = fmt.Sprintf("/reach=%d/alg=%d", guard, int(alg))
 	}
-	return lookup(ctx, c, lo, l, "rows", suffix, nil, nil,
+	return lookup(ctx, c, lo, l, "rows", suffix,
 		func(r *layerRec) **slot[[]partition.Row] { return r.part(partKey{guard, alg}) },
 		func() ([]partition.Row, error) {
 			boxes, err := c.MBRs(ctx, lo, l)
@@ -437,7 +418,7 @@ func (c *Cache) Rows(ctx context.Context, lo *layout.Layout, l layout.Layer, gua
 // on the device per rule. The returned table is shared and must not be
 // mutated.
 func (c *Cache) Table(ctx context.Context, lo *layout.Layout, l layout.Layer) (*kernels.MBRTable, error) {
-	return lookup(ctx, c, lo, l, "table", "", nil, nil,
+	return lookup(ctx, c, lo, l, "table", "",
 		func(r *layerRec) **slot[*kernels.MBRTable] { return &r.table },
 		func() (*kernels.MBRTable, error) {
 			boxes, err := c.MBRs(ctx, lo, l)
@@ -448,13 +429,13 @@ func (c *Cache) Table(ctx context.Context, lo *layout.Layout, l layout.Layer) (*
 		})
 }
 
-// Invalidate drops the resident records of the given layers — flatten,
-// pack, MBRs, row partitions, and device-upload table — so the next lookup
-// recomputes them; with no layers it drops every record. The cache outlives
-// a single run inside a resident session, and Invalidate is the session's
-// hook for layouts mutated in place between checks. In-flight computations
-// are unaffected: their waiters hold the slot pointers and resolve
-// normally, while post-invalidate lookups start a fresh record.
+// Invalidate drops the resident records of the given layers — the fill
+// (packed edges and boxes), row partitions, and device-upload table — so the
+// next lookup recomputes them; with no layers it drops every record. The
+// cache outlives a single run inside a resident session, and Invalidate is
+// the session's hook for layouts mutated in place between checks. In-flight
+// computations are unaffected: their waiters hold the slot pointers and
+// resolve normally, while post-invalidate lookups start a fresh record.
 func (c *Cache) Invalidate(layers ...layout.Layer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

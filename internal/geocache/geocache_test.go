@@ -71,8 +71,8 @@ func TestPackMemoizedPerLayer(t *testing.T) {
 		t.Fatal("distinct layers share a packed buffer")
 	}
 	s := c.Stats()
-	if s.PackMisses != 2 || s.PackHits != 1 {
-		t.Fatalf("stats = %+v, want 2 pack misses / 1 hit", s)
+	if s.FlattenMisses != 2 || s.FlattenHits != 1 {
+		t.Fatalf("stats = %+v, want 2 flatten misses / 1 hit", s)
 	}
 }
 
@@ -100,9 +100,9 @@ func TestErrorCachedOneComputation(t *testing.T) {
 	}
 }
 
-// TestCancelledJoinNotCached: a Pack whose fill joins a flatten in flight
+// TestCancelledJoinNotCached: a Rows whose fill joins a flatten in flight
 // and is cancelled while it waits fails with its own cancellation, and a
-// later Pack under a live context fills the slot afresh instead of reading
+// later Rows under a live context fills the slot afresh instead of reading
 // that cancellation back.
 func TestCancelledJoinNotCached(t *testing.T) {
 	lo := testLayout(t)
@@ -115,25 +115,25 @@ func TestCancelledJoinNotCached(t *testing.T) {
 	})
 	done := make(chan error)
 	go func() {
-		_, err := c.Fill(context.Background(), lo, layout.LayerM1)
+		_, err := c.Pack(context.Background(), lo, layout.LayerM1)
 		done <- err
 	}()
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Pack(ctx, lo, layout.LayerM1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Pack joined under a cancelled context: err = %v, want context.Canceled", err)
+	if _, err := c.Rows(ctx, lo, layout.LayerM1, 18, partition.Pigeonhole); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Rows joined under a cancelled context: err = %v, want context.Canceled", err)
 	}
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	e, err := c.Pack(context.Background(), lo, layout.LayerM1)
+	rows, err := c.Rows(context.Background(), lo, layout.LayerM1, 18, partition.Pigeonhole)
 	if err != nil {
-		t.Fatalf("Pack after the cancelled one: %v", err)
+		t.Fatalf("Rows after the cancelled one: %v", err)
 	}
-	if e.NumPolys() == 0 {
-		t.Fatal("Pack after the cancelled one is empty")
+	if len(rows) == 0 {
+		t.Fatal("Rows after the cancelled one is empty")
 	}
 }
 
@@ -202,8 +202,8 @@ func TestSingleFlightConcurrent(t *testing.T) {
 		t.Fatalf("flatten computed %d times under concurrency, want 1", computes)
 	}
 	s := c.Stats()
-	if s.PackMisses != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 pack miss", s)
+	if s.FlattenMisses != 1 || s.FlattenHits != 7 {
+		t.Fatalf("stats = %+v, want exactly 1 flatten miss and 7 hits", s)
 	}
 }
 
@@ -305,22 +305,27 @@ func TestEventHookMultiset(t *testing.T) {
 	ctx := context.Background()
 	var got []Event
 	c.SetEventHook(func(ev Event) { got = append(got, ev) })
-	// Pack misses and computes the flatten internally; a later Fill on the
-	// same layer hits; a second Pack hits.
+	// Pack is the flatten lookup and misses; a Rows miss derives the
+	// partition from a flatten lookup of its own, which hits; MBRs and a
+	// second Pack are the same lookup and hit.
 	if _, err := c.Pack(ctx, lo, layout.LayerM1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fill(ctx, lo, layout.LayerM1); err != nil {
+	if _, err := c.Rows(ctx, lo, layout.LayerM1, 18, partition.Pigeonhole); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MBRs(ctx, lo, layout.LayerM1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Pack(ctx, lo, layout.LayerM1); err != nil {
 		t.Fatal(err)
 	}
 	want := []Event{
-		{Op: "pack", Key: "layer#19", Hit: false},
 		{Op: "flatten", Key: "layer#19", Hit: false},
+		{Op: "rows", Key: "layer#19/reach=18/alg=0", Hit: false},
 		{Op: "flatten", Key: "layer#19", Hit: true},
-		{Op: "pack", Key: "layer#19", Hit: true},
+		{Op: "flatten", Key: "layer#19", Hit: true},
+		{Op: "flatten", Key: "layer#19", Hit: true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("events = %+v, want %+v", got, want)
@@ -354,7 +359,7 @@ func TestInvalidateScoped(t *testing.T) {
 	if _, err := c.Pack(ctx, lo, layout.LayerM2); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.PackMisses != s0.PackMisses {
+	if s := c.Stats(); s.FlattenMisses != s0.FlattenMisses {
 		t.Fatalf("M2 recomputed after invalidating M1: %+v vs %+v", s, s0)
 	}
 	a, err := c.Flatten(ctx, lo, layout.LayerM1)
@@ -381,7 +386,7 @@ func TestInvalidateScoped(t *testing.T) {
 	if _, err := c.Pack(ctx, lo, layout.LayerM2); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.PackMisses != s1.PackMisses+1 || s.FlattenMisses != s1.FlattenMisses+1 {
+	if s := c.Stats(); s.FlattenMisses != s1.FlattenMisses+1 {
 		t.Fatalf("full Invalidate left entries cached: %+v vs %+v", s, s1)
 	}
 }

@@ -169,7 +169,7 @@ func requireColdEqual(t *testing.T, c *Cache, lo *layout.Layout, l layout.Layer)
 // editAndPatch applies one edit the way a session does — ApplyEdits, dirty
 // rects dilated by the segmentation guard, InvalidateRegion — re-warms the
 // layer as warmAll(records) leaves it, then asserts the oracle. A patch must
-// have derived nothing cold: no flatten or pack miss, and only the dirty
+// have derived nothing cold: no flatten miss, and only the dirty
 // bands' polygons came back from the hierarchy. A layer holding records must
 // have been dropped, and its refill is held to the oracle records and all.
 func editAndPatch(t *testing.T, c *Cache, lo *layout.Layout, ed layout.Edit, records bool) RegionOutcome {
@@ -216,7 +216,7 @@ func editAndPatch(t *testing.T, c *Cache, lo *layout.Layout, ed layout.Edit, rec
 	}
 	warmAll(t, c, lo, ed.Layer, records) // re-warm whatever a whole-layer drop took
 	requireColdEqual(t, c, lo, ed.Layer)
-	if s := c.Stats(); out.Segmented && (s.FlattenMisses != s0.FlattenMisses || s.PackMisses != s0.PackMisses) {
+	if s := c.Stats(); out.Segmented && s.FlattenMisses != s0.FlattenMisses {
 		t.Fatalf("%+v: patched layer still re-derived: %+v after %+v", ed, s, s0)
 	}
 	return out
@@ -375,7 +375,7 @@ func TestPatchAcrossBatchesEqualsColdDerivation(t *testing.T) {
 		t.Fatalf("outcome %+v, want segmented with 3 of 6 rows dirty", out)
 	}
 	requireColdEqual(t, c, lo, layout.LayerM1)
-	if s := c.Stats(); s.FlattenMisses != s0.FlattenMisses || s.PackMisses != s0.PackMisses || s.SegmentedInvalidations != s0.SegmentedInvalidations+1 {
+	if s := c.Stats(); s.FlattenMisses != s0.FlattenMisses || s.SegmentedInvalidations != s0.SegmentedInvalidations+1 {
 		t.Fatalf("one patch over three batches: %+v after %+v", s, s0)
 	}
 }

@@ -144,12 +144,7 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 	out.PolysRequeried = len(fresh)
 
 	f.boxes = append(kernels.Compact(f.boxes, remap, first), freshBoxes...)
-	rec.boxes = filled(f.boxes)
-	// The flatten's buffer is spliced whether or not Pack has handed it out.
 	f.edges.Splice(remap, first, fresh)
-	if !rec.edges.ready() {
-		rec.edges = nil
-	}
 	if rec.table.ready() {
 		rec.table.val.Splice(remap, f.boxes)
 	} else {
@@ -164,7 +159,12 @@ func (c *Cache) patch(rec *layerRec, l layout.Layer, seg partKey, spans []partit
 			continue
 		}
 		add := partition.Rows(freshBoxes, p.key.guard, p.key.alg)
-		p.rows.val = partition.Splice(p.rows.val, bands, remap, first, ownRows(add, tail))
+		for _, row := range add {
+			for j := range row.Members {
+				row.Members[j] += tail
+			}
+		}
+		p.rows.val = partition.Splice(p.rows.val, bands, remap, first, add)
 		parts = append(parts, p)
 	}
 	clear(rec.parts[len(parts):])
@@ -200,22 +200,6 @@ func (c *Cache) requery(l layout.Layer, bands, clean []partition.Band) ([]geom.P
 		prevHi = sp.Hi
 	}
 	return out, boxes
-}
-
-// ownRows returns the fresh rows, numbered from tail, each with a members
-// array of its own, sized exactly: partition.Rows carves every row's members
-// from one array, which would stay alive behind any of its rows a later
-// patch leaves standing, a little more with every patch.
-func ownRows(rows []partition.Row, tail int) []partition.Row {
-	out := make([]partition.Row, len(rows))
-	for i, row := range rows {
-		out[i] = row
-		out[i].Members = make([]int, len(row.Members))
-		for j, m := range row.Members {
-			out[i].Members[j] = m + tail
-		}
-	}
-	return out
 }
 
 // mergeSpans sorts and merges inclusive intervals (touching merges).

@@ -2,11 +2,13 @@ package geocache
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"opendrc/internal/budget"
 	"opendrc/internal/gdsii"
 	"opendrc/internal/geom"
+	"opendrc/internal/kernels"
 	"opendrc/internal/layout"
 	"opendrc/internal/partition"
 )
@@ -74,7 +76,7 @@ func TestInvalidateRegionDirtiesOnlyTouchedRows(t *testing.T) {
 	if s.RowsReused != 9 || s.RowsRequeried != 1 || s.PatchedPolys != 1 {
 		t.Fatalf("stats = %+v, want 1 patch reusing 9 rows, requerying 1 row / 1 polygon", s)
 	}
-	if s.FlattenMisses != 1 || s.PackMisses != 1 {
+	if s.FlattenMisses != 1 {
 		t.Fatalf("stats = %+v: the patched layer was derived again", s)
 	}
 }
@@ -128,6 +130,48 @@ func TestInvalidateRegionRebuildAfterEdits(t *testing.T) {
 		t.Fatalf("outcome = %+v, want segmented with 2 dirty rows, 6 kept, 2 requeried", out)
 	}
 	requireColdEqual(t, c, lo, layout.LayerM1)
+}
+
+// TestPatchKeepsBuiltTable: a patch splices a layer's built MBR table in
+// place rather than dropping it, so the next Table lookup is a hit on the
+// same table, which equals a cold build over the patched boxes. A cold build
+// of ethmac@2.5's M1 table costs 5–6 ms, which every plain check after a
+// patch would otherwise pay.
+func TestPatchKeepsBuiltTable(t *testing.T) {
+	ctx := context.Background()
+	lo := bandedLayout(t, 10)
+	c := New(budget.Limits{})
+	before, err := c.Table(ctx, lo, layout.LayerM1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty, err := lo.ApplyEdits([]layout.Edit{{Op: layout.OpInsertRect, Layer: layout.LayerM1, Rect: geom.R(300, 3000, 400, 3050)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := c.InvalidateRegion(layout.LayerM1, testGuard, partition.Pigeonhole,
+		[]geom.Rect{dirty[0].Rects[0].Expand(testGuard)}); !out.Segmented {
+		t.Fatalf("insert did not patch: %+v", out)
+	}
+	var events []Event
+	c.SetEventHook(func(ev Event) { events = append(events, ev) })
+	after, err := c.Table(ctx, lo, layout.LayerM1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Event{{Op: "table", Key: "layer#19", Hit: true}}; !reflect.DeepEqual(events, want) {
+		t.Fatalf("Table after the patch made lookups %+v, want %+v", events, want)
+	}
+	if after != before {
+		t.Fatal("Table after the patch is not the spliced table")
+	}
+	boxes, err := c.MBRs(ctx, lo, layout.LayerM1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(boxes) != 11 || !reflect.DeepEqual(after, kernels.NewMBRTable(boxes)) {
+		t.Fatalf("spliced table over %d boxes differs from a cold build", len(boxes))
+	}
 }
 
 // TestInvalidateRegionDegenerateCases pins every whole-layer fallback: dirty
