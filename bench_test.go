@@ -106,7 +106,7 @@ func BenchmarkFig4(b *testing.B) {
 				if err := eng.AddRules(r); err != nil {
 					b.Fatal(err)
 				}
-				rep, err := eng.Check(lo)
+				rep, err := eng.CheckContext(context.Background(), lo)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -195,7 +195,7 @@ func BenchmarkExecutorAblation(b *testing.B) {
 				if err := eng.AddRules(r); err != nil {
 					b.Fatal(err)
 				}
-				rep, err := eng.Check(lo)
+				rep, err := eng.CheckContext(context.Background(), lo)
 				if err != nil {
 					b.Fatal(err)
 				}

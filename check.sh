@@ -2,8 +2,8 @@
 # check.sh — the repository's verification gate: formatting, vet, the
 # odrc-lint invariant suite (its seven checks, DESIGN.md §5: deterministic
 # map iteration, clock discipline, pool-only concurrency, no caller-slice
-# mutation, immutable cached buffers, contexts that reach every fan-out,
-# mutex-guarded fields), the full test
+# mutation, immutable cached buffers, context arguments derived from a ctx
+# parameter or a request's context, mutex-guarded fields), the full test
 # suite under the race detector (the worker-pool fan-out makes -race part of
 # tier-1 verification; the chaos and cancellation suites run here too), the
 # scheduler's tests ten more times under it, a 2 000-cycle session soak, the

@@ -2,10 +2,11 @@
 // machine-checked rules: deterministic map iteration, clock discipline
 // (host timing through the Profiler/hostPhase), pool-only concurrency, no
 // in-place mutation of caller slices by exported functions, cached-buffer
-// immutability, and the interprocedural checks over the static call
-// graph — context propagation, and mutex discipline on //odrc:guardedby
-// fields. See internal/analysis for the checkers and the //odrc:allow
-// waiver syntax.
+// immutability, context propagation (every context argument derives from
+// a ctx parameter or a request's context), and mutex discipline on
+// //odrc:guardedby fields. Every check runs one package, and reads one
+// function, at a time. See internal/analysis for the checkers and the
+// //odrc:allow waiver syntax.
 //
 // Usage:
 //

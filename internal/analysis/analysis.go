@@ -1,7 +1,8 @@
 // Package analysis is odrc-lint: a static-analysis suite (stdlib go/ast +
 // go/types only) that machine-checks the repository's written invariants —
 // the rules DESIGN.md §5 states in prose and PR reviews used to police by
-// hand. Five checkers run one package at a time:
+// hand. Seven checkers run one package at a time, each reading one function
+// (or one declaration) at a time:
 //
 //   - maprange: deterministic packages must not iterate Go maps directly,
 //     because map order is randomized and violation/report order would come
@@ -18,14 +19,11 @@
 //     stay untouched.
 //   - sharedbuf: the geometry cache's shared buffers (PlacedPoly slices,
 //     Edges, MBRTable) are immutable outside the packages that produce them.
-//
-// Two more run over the whole module at once, on its static call graph
-// (program.go):
-//
-//   - ctxflow: contexts must flow — no Background/TODO outside package main,
-//     and no dropped ctx on the way to a pool fan-out.
-//   - lockdiscipline: a field annotated //odrc:guardedby mu is accessed only
-//     with the named mutex held.
+//   - ctxflow: outside package main, every context.Context argument derives
+//     from a ctx parameter of the enclosing function or from
+//     (*http.Request).Context() — no minted or stored context reaches a call.
+//   - lockdiscipline: a field annotated //odrc:guardedby mu is unexported and
+//     accessed only with the named mutex held.
 //
 // Run is the one entry point; it has no options. It feeds every package to
 // check, the same pipeline the fixture tests drive.
@@ -90,21 +88,15 @@ type Checker struct {
 }
 
 // Checkers is the full suite, in reporting order.
-var Checkers = []*Checker{MapRange, Clock, RawGo, ArgMut, SharedBuf}
+var Checkers = []*Checker{MapRange, Clock, RawGo, ArgMut, SharedBuf, CtxFlow, LockDiscipline}
 
 // WaiverCheck is the pseudo-check name used for findings about the waiver
 // comments themselves (malformed, unknown check, stale).
 const WaiverCheck = "waiver"
 
-// knownCheck reports whether name names a real checker (per-package or
-// interprocedural).
+// knownCheck reports whether name names a real checker.
 func knownCheck(name string) bool {
 	for _, c := range Checkers {
-		if c.Name == name {
-			return true
-		}
-	}
-	for _, c := range ProgramCheckers {
 		if c.Name == name {
 			return true
 		}
@@ -209,16 +201,15 @@ func applyWaivers(findings []Finding, ws []*waiver) []Finding {
 	return out
 }
 
-// check runs every checker over the type-checked units — the per-package
-// checkers one package at a time, the interprocedural ones over all of them
-// as one program — applies the units' waivers module-wide, and returns the
-// surviving findings sorted. It is the one pipeline behind Run and the
-// fixture tests. Waivers apply module-wide because an interprocedural
-// finding can only be excused where it is reported, and a waiver is stale
-// when nothing in the entire run used it.
+// check runs every checker over each type-checked unit, applies the unit's
+// waivers to its findings, and returns the surviving findings sorted. It is
+// the one pipeline behind Run and the fixture tests. Every finding lies in
+// the package it was found in, so a waiver is stale when nothing in its own
+// package used it.
 func check(fset *token.FileSet, units []*pkgUnit) []Finding {
-	var findings []Finding
+	var all []Finding
 	for _, u := range units {
+		var findings []Finding
 		pass := &Pass{
 			Fset: fset, Files: u.files, Pkg: u.pkg, Info: u.info, PkgPath: u.path,
 			findings: &findings,
@@ -226,17 +217,12 @@ func check(fset *token.FileSet, units []*pkgUnit) []Finding {
 		for _, c := range Checkers {
 			c.Run(pass)
 		}
+		ws, bad := collectWaivers(fset, u.files)
+		all = append(all, applyWaivers(findings, ws)...)
+		all = append(all, bad...)
 	}
-	findings = append(findings, runProgramCheckers(buildProgram(fset, units))...)
-	var ws []*waiver
-	for _, u := range units {
-		uws, bad := collectWaivers(fset, u.files)
-		ws = append(ws, uws...)
-		findings = append(findings, bad...)
-	}
-	findings = applyWaivers(findings, ws)
-	sortFindings(findings)
-	return findings
+	sortFindings(all)
+	return all
 }
 
 // sortFindings orders findings by file, line, column, then check name.

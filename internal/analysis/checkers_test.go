@@ -131,7 +131,7 @@ func TestCheckers(t *testing.T) {
 			name:    "ctxflow: background/todo, dropped ctx before fan-out",
 			file:    "ctxflow_src.go",
 			pkgPath: "example.com/internal/core",
-			want:    []string{"ctxflow:35", "ctxflow:43", "ctxflow:48", "ctxflow:54", "ctxflow:70"},
+			want:    []string{"ctxflow:32", "ctxflow:45", "ctxflow:51", "ctxflow:66", "ctxflow:83"},
 		},
 		{
 			name:    "ctxflow: package main may create root contexts",
@@ -145,7 +145,7 @@ func TestCheckers(t *testing.T) {
 			pkgPath: "example.com/internal/geocache",
 			want: []string{"lockdiscipline:47", "lockdiscipline:50", "lockdiscipline:58",
 				"lockdiscipline:64", "lockdiscipline:75", "lockdiscipline:76",
-				"lockdiscipline:95", "lockdiscipline:100"},
+				"lockdiscipline:95", "lockdiscipline:100", "lockdiscipline:107"},
 		},
 		{
 			name:    "waivers suppress, stale waivers report",

@@ -49,13 +49,10 @@ func Run(dir string) ([]Finding, error) {
 	// Every file lies under root, so making names root-relative keeps the
 	// sorted order.
 	all := check(fset, units)
-	prefix := root + string(filepath.Separator)
 	for i := range all {
 		if rel, err := filepath.Rel(root, all[i].Pos.Filename); err == nil {
 			all[i].Pos.Filename = rel
 		}
-		// Call chains embed positions too; keep them root-relative.
-		all[i].Message = strings.ReplaceAll(all[i].Message, prefix, "")
 	}
 	return all, nil
 }
@@ -100,6 +97,14 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return pkg, nil
 	}
 	return m.fallback.Import(path)
+}
+
+// pkgUnit is one type-checked package, the unit every checker runs on.
+type pkgUnit struct {
+	path  string
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
 }
 
 // pkgSrc is one parsed, not-yet-type-checked package.

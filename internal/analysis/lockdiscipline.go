@@ -20,7 +20,11 @@ import (
 // a.rects.mu guards a.rects.free), so independent instances stay
 // independent. Annotations naming a nonexistent sibling are findings
 // themselves, so guards cannot rot silently.
-var LockDiscipline = &ProgramChecker{
+//
+// Guards are collected and checked one package at a time, so an annotated
+// field must be unexported: an exported guarded field is a finding, because
+// its accesses from other packages would go unchecked.
+var LockDiscipline = &Checker{
 	Name: "lockdiscipline",
 	Doc:  "fields annotated //odrc:guardedby mu are only accessed with the named mutex held in the same function",
 	Run:  runLockDiscipline,
@@ -34,58 +38,66 @@ type guardInfo struct {
 	field string
 }
 
-func runLockDiscipline(p *ProgPass) {
+func runLockDiscipline(p *Pass) {
 	guards := collectGuards(p)
 	if len(guards) == 0 {
 		return
 	}
-	for _, fi := range p.Prog.ordered {
-		checkLockedAccesses(p, fi, guards)
+	lw := &lockWalker{p: p, guards: guards}
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				lw.stmts(fd.Body.List, map[string]bool{})
+			}
+		}
 	}
 }
 
-// collectGuards parses every //odrc:guardedby annotation in the program and
+// collectGuards parses every //odrc:guardedby annotation in the package and
 // returns the guarded field objects. Malformed annotations (no field name,
-// or naming a sibling that does not exist) are reported immediately.
-func collectGuards(p *ProgPass) map[types.Object]guardInfo {
+// or naming a sibling that does not exist) and exported guarded fields are
+// reported immediately.
+func collectGuards(p *Pass) map[types.Object]guardInfo {
 	guards := map[types.Object]guardInfo{}
-	for _, u := range p.Prog.units {
-		for _, f := range u.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok || st.Fields == nil {
-					return true
-				}
-				names := map[string]bool{}
-				for _, field := range st.Fields.List {
-					for _, name := range field.Names {
-						names[name.Name] = true
-					}
-				}
-				for _, field := range st.Fields.List {
-					mu, pos, ok := guardAnnotation(field)
-					if !ok {
-						continue
-					}
-					switch {
-					case mu == "":
-						p.Reportf(pos, "lockdiscipline",
-							"malformed annotation: want //odrc:guardedby <mutex-field>")
-						continue
-					case !names[mu]:
-						p.Reportf(pos, "lockdiscipline",
-							"//odrc:guardedby names %q, which is not a field of this struct", mu)
-						continue
-					}
-					for _, name := range field.Names {
-						if obj := u.info.Defs[name]; obj != nil {
-							guards[obj] = guardInfo{mu: mu, field: name.Name}
-						}
-					}
-				}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok || st.Fields == nil {
 				return true
-			})
-		}
+			}
+			names := map[string]bool{}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					names[name.Name] = true
+				}
+			}
+			for _, field := range st.Fields.List {
+				mu, pos, ok := guardAnnotation(field)
+				if !ok {
+					continue
+				}
+				switch {
+				case mu == "":
+					p.Reportf(pos, "lockdiscipline",
+						"malformed annotation: want //odrc:guardedby <mutex-field>")
+					continue
+				case !names[mu]:
+					p.Reportf(pos, "lockdiscipline",
+						"//odrc:guardedby names %q, which is not a field of this struct", mu)
+					continue
+				}
+				for _, name := range field.Names {
+					if name.IsExported() {
+						p.Reportf(name.Pos(), "lockdiscipline",
+							"//odrc:guardedby field %s is exported: accesses from other packages go unchecked — unexport it", name.Name)
+					}
+					if obj := p.Info.Defs[name]; obj != nil {
+						guards[obj] = guardInfo{mu: mu, field: name.Name}
+					}
+				}
+			}
+			return true
+		})
 	}
 	return guards
 }
@@ -111,22 +123,15 @@ func guardAnnotation(field *ast.Field) (mu string, pos token.Pos, ok bool) {
 	return "", token.NoPos, false
 }
 
-// checkLockedAccesses walks one function body in lexical order, tracking
-// which "<base>.<mu>" mutexes are held, and reports guarded-field accesses
-// outside their lock. The walk is branch-aware just enough for the real
-// patterns: a `defer mu.Unlock()` keeps the mutex held to the end of the
-// function, toggles inside a terminating if-branch (the
-// `if bad { mu.Unlock(); return }` early exit) do not leak into the
-// fall-through path, and loop or switch bodies cannot establish held-ness for
-// the code after them.
-func checkLockedAccesses(p *ProgPass, fi *funcInfo, guards map[types.Object]guardInfo) {
-	lw := &lockWalker{p: p, info: fi.unit.info, guards: guards}
-	lw.stmts(fi.decl.Body.List, map[string]bool{})
-}
-
+// lockWalker walks one function body in lexical order, tracking which
+// "<base>.<mu>" mutexes are held, and reports guarded-field accesses outside
+// their lock. The walk is branch-aware just enough for the real patterns: a
+// `defer mu.Unlock()` keeps the mutex held to the end of the function,
+// toggles inside a terminating if-branch (the `if bad { mu.Unlock(); return }`
+// early exit) do not leak into the fall-through path, and loop or switch
+// bodies cannot establish held-ness for the code after them.
 type lockWalker struct {
-	p      *ProgPass
-	info   *types.Info
+	p      *Pass
 	guards map[types.Object]guardInfo
 }
 
@@ -221,7 +226,7 @@ func (lw *lockWalker) stmt(s ast.Stmt, held map[string]bool) {
 			}
 		}
 	case *ast.DeferStmt:
-		if _, _, ok := mutexOp(lw.info, x.Call); ok {
+		if _, _, ok := mutexOp(lw.p.Info, x.Call); ok {
 			// A deferred Unlock runs at function exit: the mutex stays
 			// held for the rest of the function.
 			return
@@ -264,7 +269,7 @@ func (lw *lockWalker) expr(n ast.Node, held map[string]bool) {
 			lw.stmts(x.Body.List, cloneHeld(held))
 			return false
 		case *ast.CallExpr:
-			if key, op, ok := mutexOp(lw.info, x); ok {
+			if key, op, ok := mutexOp(lw.p.Info, x); ok {
 				switch op {
 				case "Lock", "RLock":
 					held[key] = true
@@ -274,7 +279,7 @@ func (lw *lockWalker) expr(n ast.Node, held map[string]bool) {
 				return false
 			}
 		case *ast.SelectorExpr:
-			obj := lw.info.Uses[x.Sel]
+			obj := lw.p.Info.Uses[x.Sel]
 			if v, ok := obj.(*types.Var); ok {
 				// A generic struct's field is used through an instantiation,
 				// even in its own methods; the annotation is on the origin.
@@ -345,4 +350,31 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (key, op string, ok bool) {
 		return "", "", false
 	}
 	return path, sel.Sel.Name, true
+}
+
+// exprPath flattens a selector/index chain to a stable textual key, e.g.
+// "a.polys" — used to match a mutex's base object against a guarded field's
+// base object, and for readable messages.
+func exprPath(e ast.Expr) (string, bool) {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name, true
+	case *ast.SelectorExpr:
+		base, ok := exprPath(x.X)
+		if !ok {
+			return "", false
+		}
+		return base + "." + x.Sel.Name, true
+	case *ast.ParenExpr:
+		return exprPath(x.X)
+	case *ast.StarExpr:
+		return exprPath(x.X)
+	case *ast.IndexExpr:
+		base, ok := exprPath(x.X)
+		if !ok {
+			return "", false
+		}
+		return base + "[]", true
+	}
+	return "", false
 }

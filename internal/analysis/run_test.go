@@ -66,22 +66,3 @@ func TestRunDeterministicOrder(t *testing.T) {
 		t.Fatalf("findings = %v, want %v", got, want)
 	}
 }
-
-// TestPoolReachChainCrossesCalls pins ctxflow's interprocedural message:
-// the finding for DriveDeep (the fan-out two calls below a context-free
-// callee) carries the whole call chain down to the pool entry point.
-func TestPoolReachChainCrossesCalls(t *testing.T) {
-	findings := lintFixture(t, "example.com/internal/core", "ctxflow_src.go")
-	want := "deepRun takes no context but calls runAll at " +
-		filepath.Join("testdata", "ctxflow_src.go") + ":39 → calls ForEachCtx at " +
-		filepath.Join("testdata", "ctxflow_src.go") + ":29"
-	for _, f := range findings {
-		if f.Check == "ctxflow" && f.Pos.Line == 43 {
-			if !strings.Contains(f.Message, want) {
-				t.Errorf("chain message %q is missing %q", f.Message, want)
-			}
-			return
-		}
-	}
-	t.Fatalf("no ctxflow finding at line 43 (DriveDeep): %v", findings)
-}

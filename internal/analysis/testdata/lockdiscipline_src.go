@@ -99,3 +99,10 @@ func (s *stack[T]) reset() {
 func peekInts(s *stack[int]) int {
 	return len(s.free)
 }
+
+// TP: an exported guarded field, whose accesses from other packages no
+// per-package check can see (line 107).
+type Counter struct {
+	mu sync.Mutex
+	N  int //odrc:guardedby mu
+}

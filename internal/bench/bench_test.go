@@ -113,23 +113,6 @@ func TestFig4Breakdown(t *testing.T) {
 	}
 }
 
-func TestBreakdownProfile(t *testing.T) {
-	lts, err := Layouts(0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := BreakdownProfileContext(context.Background(), lts["uart"], "M1.S.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prof.Total() <= 0 {
-		t.Error("empty profile")
-	}
-	if _, err := BreakdownProfileContext(context.Background(), lts["uart"], "NOPE"); err == nil {
-		t.Error("unknown rule accepted")
-	}
-}
-
 // TestAblations runs the ablation pairs: three of them, each of whose two
 // sides finds the same thing.
 func TestAblations(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 
 	"opendrc/internal/core"
 	"opendrc/internal/geom"
-	"opendrc/internal/infra"
 	"opendrc/internal/interval"
 	"opendrc/internal/layout"
 	"opendrc/internal/partition"
@@ -234,23 +233,4 @@ func AblationsContext(ctx context.Context, w io.Writer, scale float64) ([]Ablati
 		fmt.Fprintln(w)
 	}
 	return abs, nil
-}
-
-// BreakdownProfileContext returns the raw profiler of a sequential run of
-// one rule on one design under ctx: the phase totals Fig4Context reduces to
-// a breakdown row.
-func BreakdownProfileContext(ctx context.Context, lo *layout.Layout, ruleID string) (*infra.Profiler, error) {
-	r, err := synth.RuleByID(ruleID)
-	if err != nil {
-		return nil, err
-	}
-	eng := core.New(core.Options{Mode: core.Sequential})
-	if err := eng.AddRules(r); err != nil {
-		return nil, err
-	}
-	rep, err := eng.CheckContext(ctx, lo)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Profile, nil
 }

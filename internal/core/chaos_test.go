@@ -203,7 +203,7 @@ func TestChaosDeviceOOM(t *testing.T) {
 	if err := e.AddRules(synth.Deck()...); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Check(lo)
+	rep, err := e.CheckContext(context.Background(), lo)
 	if err != nil {
 		t.Fatalf("device OOM aborted the run: %v", err)
 	}
@@ -233,7 +233,7 @@ func TestChaosFlattenBudget(t *testing.T) {
 	if err := e.AddRules(spacing); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Check(lo)
+	rep, err := e.CheckContext(context.Background(), lo)
 	if err != nil {
 		t.Fatalf("flatten budget aborted the run: %v", err)
 	}

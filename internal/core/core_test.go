@@ -32,7 +32,7 @@ func runEngine(t *testing.T, lo *layout.Layout, opts Options, deck rules.Deck) *
 	if err := e.AddRules(deck...); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Check(lo)
+	rep, err := e.CheckContext(context.Background(), lo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestMagnifiedInterRuleRejected(t *testing.T) {
 		if err := e.AddRules(deck...); err != nil {
 			t.Fatal(err)
 		}
-		_, err := e.Check(layoutWith("BAR1"))
+		_, err := e.CheckContext(context.Background(), layoutWith("BAR1"))
 		if err == nil || !strings.Contains(err.Error(), "TOP -> BAR1") {
 			t.Errorf("%v: mag-2 M1 reference under an M1 spacing rule: err = %v, want one naming TOP -> BAR1", mode, err)
 		}

@@ -389,11 +389,6 @@ func (r *Report) CountByRule() map[string]int {
 	return out
 }
 
-// Check runs the configured deck against the layout with no deadline.
-func (e *Engine) Check(lo *layout.Layout) (*Report, error) {
-	return e.CheckContext(context.Background(), lo) //odrc:allow ctxflow — context-free convenience wrapper, delegates to the Context variant
-}
-
 // CheckContext runs the configured deck against the layout under ctx.
 // Cancellation is honored cooperatively at rule boundaries and inside the
 // fan-out loops; a cancelled check returns a nil report and an error

@@ -49,7 +49,7 @@ func checkWith(t *testing.T, lo *layout.Layout, deck rules.Deck, opts Options) *
 	if err := e.AddRules(deck...); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Check(lo)
+	rep, err := e.CheckContext(context.Background(), lo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,12 @@ import (
 // hierarchy task pruning of Section IV-C runs before the branch split, so
 // the parallel branch also checks intra-polygon rules once per cell
 // definition and prunes enclosure checks that resolve inside definitions.
-// For the remaining work the layout is flattened once, the packed edge
-// buffer is transferred with one asynchronous copy that overlaps the
-// adaptive row partition on the host (Section V-C), and checks then run row
-// by row as kernels addressing ranges of the transferred buffer: cells in
+// For the remaining work the layout is flattened once, partitioned into
+// adaptive rows on the host, and the packed edge buffer is then transferred
+// with one asynchronous copy recorded after the partition, so on the
+// modeled timeline the copy follows the partition's host time rather than
+// overlapping it as in the paper (Section V-C). Checks then run row by row
+// as kernels addressing ranges of the transferred buffer: cells in
 // different rows cannot produce violations against each other. Per row, the
 // engine selects the brute-force executor (one thread per MBR-candidate
 // polygon pair) for small rows and the two-kernel parallel sweepline for

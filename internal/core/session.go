@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"opendrc/internal/geocache"
 	"opendrc/internal/geom"
@@ -177,13 +176,4 @@ func (s *Session) Device() *gpu.Device {
 		return nil
 	}
 	return s.pc.dev
-}
-
-// ModeledClock returns the session device's cumulative modeled time (zero
-// when no parallel check has run). Non-blocking like Device.
-func (s *Session) ModeledClock() time.Duration {
-	if dev := s.Device(); dev != nil {
-		return dev.HostClock()
-	}
-	return 0
 }

@@ -89,9 +89,9 @@ func TestSessionParity(t *testing.T) {
 			}
 			// Per-run device views: the warm report's modeled time is this
 			// run's delta, and its timeline was trimmed to this run.
-			if warm.Modeled <= 0 || warm.Modeled >= ses.ModeledClock() {
+			if warm.Modeled <= 0 || warm.Modeled >= ses.Device().HostClock() {
 				t.Fatalf("warm Modeled = %v not a per-run delta of session clock %v",
-					warm.Modeled, ses.ModeledClock())
+					warm.Modeled, ses.Device().HostClock())
 			}
 			for _, r := range warm.Device.Timeline() {
 				if int(r.Seq) < coldOps {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -123,7 +124,7 @@ func TestWorkerPanicPropagates(t *testing.T) {
 	if err := e.AddRules(boom); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.Check(lo)
+	rep, err := e.CheckContext(context.Background(), lo)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}

@@ -222,14 +222,6 @@ func TestTransOrient(t *testing.T) {
 	}
 }
 
-func TestTopStructures(t *testing.T) {
-	lib := sampleLibrary()
-	tops := lib.TopStructures()
-	if len(tops) != 1 || tops[0].Name != "TOP" {
-		t.Errorf("tops = %v", tops)
-	}
-}
-
 func TestTruncatedStream(t *testing.T) {
 	lib := sampleLibrary()
 	var buf bytes.Buffer

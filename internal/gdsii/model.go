@@ -152,24 +152,3 @@ func (l *Library) FindStructure(name string) *Structure {
 	}
 	return nil
 }
-
-// TopStructures returns the structures that are not referenced by any other
-// structure — the hierarchy roots.
-func (l *Library) TopStructures() []*Structure {
-	referenced := make(map[string]bool)
-	for _, s := range l.Structures {
-		for _, r := range s.SRefs {
-			referenced[r.Name] = true
-		}
-		for _, r := range s.ARefs {
-			referenced[r.Name] = true
-		}
-	}
-	var tops []*Structure
-	for _, s := range l.Structures {
-		if !referenced[s.Name] {
-			tops = append(tops, s)
-		}
-	}
-	return tops
-}

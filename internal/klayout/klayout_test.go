@@ -228,7 +228,7 @@ func TestKLayoutAgreesWithOpenDRCOnRandomLayouts(t *testing.T) {
 			if err := eng.AddRules(r); err != nil {
 				t.Fatal(err)
 			}
-			rep, err := eng.Check(lo)
+			rep, err := eng.CheckContext(context.Background(), lo)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -266,7 +266,7 @@ func (f *fanout) hitSched(inj *faults.Injector, lo int) (ok bool) {
 			ok = false
 		}
 	}()
-	if err := inj.Hit(f.ctx, faults.SiteSched, fmt.Sprintf("%s#%d", f.tenant, lo)); err != nil {
+	if err := inj.Hit(f.ctx, faults.SiteSched, fmt.Sprintf("%s#%d", f.tenant, lo)); err != nil { //odrc:allow ctxflow — a scheduled fan-out stores its caller's ctx for the workers that serve its chunks
 		f.record(lo, err)
 		return false
 	}

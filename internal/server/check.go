@@ -48,21 +48,21 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.reg.draining() {
-		h.release(s.base, s.cfg.Logger)
+		s.release(h)
 		writeErrorf(w, http.StatusServiceUnavailable, "", "draining: no new checks")
 		return
 	}
 	var req checkRequest
 	if r.ContentLength != 0 {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			h.release(s.base, s.cfg.Logger)
+			s.release(h)
 			writeErrorf(w, http.StatusBadRequest, "", "bad check body: %v", err)
 			return
 		}
 	}
 	deck, err := subsetDeck(h.deck, req.Rules)
 	if err != nil {
-		h.release(s.base, s.cfg.Logger)
+		s.release(h)
 		writeError(w, http.StatusBadRequest, "", err)
 		return
 	}
@@ -73,13 +73,13 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		h.release(s.base, s.cfg.Logger)
+		s.release(h)
 		s.overloaded(w, "", "server at capacity")
 		return
 	}
 	if !h.admit(s.cfg.MaxQueuePerSession) {
 		<-s.sem
-		h.release(s.base, s.cfg.Logger)
+		s.release(h)
 		s.overloaded(w, "", "session queue full")
 		return
 	}
@@ -109,7 +109,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 			cancel()
 			h.unadmit()
 			<-s.sem
-			h.release(s.base, s.cfg.Logger)
+			s.release(h)
 		}()
 		if err := s.cfg.Faults.Hit(cctx, faults.SiteRequest, reqID); err != nil {
 			done <- checkOutcome{err: fmt.Errorf("server: %s: %w", reqID, err)}

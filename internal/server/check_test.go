@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -59,7 +60,7 @@ func TestCheckResponseHasContentLength(t *testing.T) {
 		if err := e.AddRules(d...); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := e.Check(lo)
+		rep, err := e.CheckContext(context.Background(), lo)
 		if err != nil {
 			t.Fatal(err)
 		}

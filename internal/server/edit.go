@@ -47,7 +47,7 @@ func (s *Server) handleEdit(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer h.release(s.base, s.cfg.Logger)
+	defer s.release(h)
 	var req editRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeErrorf(w, http.StatusBadRequest, "", "bad edit body: %v", err)
@@ -107,7 +107,7 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer h.release(s.base, s.cfg.Logger)
+	defer s.release(h)
 	st, err := h.ses.StatsSnapshot(r.Context())
 	if err != nil {
 		status := http.StatusGatewayTimeout

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -75,6 +77,69 @@ func TestRetryAfterDerivedFromLoad(t *testing.T) {
 	}
 	if after > maxRetryAfter {
 		t.Fatalf("Retry-After = %d exceeds cap %d", after, maxRetryAfter)
+	}
+}
+
+// TestRetryAfterWhileChecksComplete: 429s read the service-time estimate
+// while completing checks on another session fold into it, from requests
+// running side by side — the pairing under which the race detector sees
+// whether svcClock's lock covers both sides.
+func TestRetryAfterWhileChecksComplete(t *testing.T) {
+	srv, ts := newTestServer(t, Config{MaxQueuePerSession: 1})
+	createSession(t, ts.URL, "run", "uart", "seq")
+	createSession(t, ts.URL, "full", "uart", "seq")
+	// The test holds the only queue slot of "full", so each of its checks
+	// is an immediate 429.
+	h := srv.reg.lookup("full")
+	if !h.admit(1) {
+		t.Fatal("could not take the queue slot of an idle session")
+	}
+	defer h.unadmit()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var shed int
+	var shedErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Post(ts.URL+"/v1/sessions/full/check", "application/json", strings.NewReader("{}"))
+			if err != nil {
+				shedErr = err
+				return
+			}
+			resp.Body.Close()
+			after, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+			if resp.StatusCode != http.StatusTooManyRequests || err != nil || after < 1 || after > maxRetryAfter {
+				shedErr = fmt.Errorf("status %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+				return
+			}
+			shed++
+		}
+	}()
+	for i := 0; i < 30; i++ {
+		if status, body, _ := checkOnce(t, ts.URL, "run", map[string]any{}); status != http.StatusOK {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("check %d: status %d: %s", i, status, body)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if shedErr != nil {
+		t.Fatalf("queue-full check: %v", shedErr)
+	}
+	if shed == 0 {
+		t.Fatal("no 429 was served while checks completed")
+	}
+	if srv.svc.estimate() <= 0 {
+		t.Fatal("completed checks left no service-time estimate")
 	}
 }
 

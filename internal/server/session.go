@@ -95,19 +95,6 @@ func (h *sessionHandle) acquire() bool {
 	return true
 }
 
-// release drops a lifecycle reference; the caller that drops the last
-// reference of a doomed handle closes the session under the server's
-// lifecycle context (requests' own contexts may already be done).
-func (h *sessionHandle) release(base context.Context, log *infra.Logger) {
-	h.mu.Lock()
-	h.refs--
-	last := h.doomed && h.refs == 0
-	h.mu.Unlock()
-	if last {
-		h.close(base, log)
-	}
-}
-
 // close releases the session's resident state.
 func (h *sessionHandle) close(ctx context.Context, log *infra.Logger) {
 	if h.ses == nil {
@@ -457,7 +444,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer h.release(s.base, s.cfg.Logger)
+	defer s.release(h)
 	if err := h.ses.InvalidateAll(r.Context()); err != nil {
 		writeError(w, http.StatusGatewayTimeout, "", err)
 		return
@@ -490,4 +477,17 @@ func (s *Server) readySession(w http.ResponseWriter, r *http.Request) (*sessionH
 		return nil, false
 	}
 	return h, true
+}
+
+// release drops the lifecycle reference readySession took. The caller that
+// drops the last reference of a doomed handle closes the session under the
+// server's lifecycle context, since the request's own may already be done.
+func (s *Server) release(h *sessionHandle) {
+	h.mu.Lock()
+	h.refs--
+	last := h.doomed && h.refs == 0
+	h.mu.Unlock()
+	if last {
+		h.close(s.base, s.cfg.Logger) //odrc:allow ctxflow — the stored lifecycle context outlives requests, so deferred session closes run under it
+	}
 }

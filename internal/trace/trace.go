@@ -102,9 +102,6 @@ func NewWithClock(clock func() time.Duration) *Recorder {
 	return &Recorder{clock: clock}
 }
 
-// Enabled reports whether the recorder records (it is non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Clock returns the recorder's time source, shared with the profiler so
 // host phases and trace spans live on one clock. Nil for a nil recorder.
 func (r *Recorder) Clock() func() time.Duration {

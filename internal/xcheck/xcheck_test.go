@@ -36,7 +36,7 @@ func TestMatchesOpenDRCOnSupportedRules(t *testing.T) {
 		if err := eng.AddRules(r); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := eng.Check(lo)
+		rep, err := eng.CheckContext(context.Background(), lo)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -168,8 +168,11 @@ func (e *Engine) AddRules(rs ...Rule) error { return e.inner.AddRules(rs...) }
 func (e *Engine) Deck() Deck { return e.inner.Deck() }
 
 // Check runs the deck against the layout and returns the report with
-// violations sorted deterministically.
-func (e *Engine) Check(db *Layout) (*Report, error) { return e.inner.Check(db) }
+// violations sorted deterministically. It runs with no deadline; use
+// CheckContext to bound or cancel a run.
+func (e *Engine) Check(db *Layout) (*Report, error) {
+	return e.inner.CheckContext(context.Background(), db) //odrc:allow ctxflow — the facade's context-free convenience entry point, a root for callers without a ctx
+}
 
 // CheckContext is Check under a context. Cancellation is cooperative
 // (checked at rule, cell, and row boundaries); a cancelled run returns a
